@@ -134,7 +134,10 @@ def _load_config(path: Optional[str]) -> ClassifierConfig:
     if path is None:
         return DEFAULT_CONFIG
     data = json.loads(Path(path).read_text())
-    return ClassifierConfig.from_dict(data)
+    try:
+        return ClassifierConfig.from_dict(data)
+    except ValueError as exc:
+        raise _UsageError(f"config {path}: {exc}") from None
 
 
 def _emit(text: str, out: Optional[str]) -> None:
@@ -265,7 +268,10 @@ def _add_globals(parser: argparse.ArgumentParser, suppress: bool) -> None:
         "--config", metavar="PATH", default=dflt(None),
         help="JSON classifier configuration",
     )
-    parser.add_argument("--workers", type=int, metavar="N", default=dflt(1))
+    parser.add_argument(
+        "--workers", type=int, metavar="N", default=dflt(1),
+        help="accepted for compatibility; changes neither speed nor output",
+    )
     parser.add_argument(
         "--out", metavar="PATH", default=dflt(None),
         help="write primary output here instead of stdout",
@@ -345,6 +351,8 @@ def main(argv: Optional[list[str]] = None) -> int:
     except SystemExit as exc:  # --help
         return int(exc.code or 0)
     try:
+        if ns.workers < 1:
+            raise _UsageError("--workers must be at least 1")
         return _DISPATCH[ns.command](ns)
     except (_UsageError, ExprSyntaxError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -13,8 +13,8 @@ variable ``z``. The surface syntax is a small arithmetic language:
     number :  digits ["." digits] [("e" | "E") ["+" | "-"] digits]
 
 There is no implicit multiplication, ``i``/``pi``/``e`` are reserved, and
-the ``pow`` exponent must be a positive integer literal. Complex literals
-are spelled ``a+b*i``.
+the ``pow`` exponent must be a positive integer literal. Numbers must be
+finite doubles (not ``1e999``). Complex literals are spelled ``a+b*i``.
 
 Evaluation is guarded rather than exception-driven: results that leave the
 representable range come back as event values (`InfinityEvent`,
@@ -29,6 +29,7 @@ All expression trees are immutable and safe to share across threads.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Union
 
@@ -272,8 +273,11 @@ class _Parser:
     def parse_atom(self) -> Expr:
         tok = self.peek()
         if tok.kind == "number":
+            value = float(tok.text)
+            if not math.isfinite(value):
+                raise ExprSyntaxError(tok.offset, "a finite number")
             self.advance()
-            return Const(complex(float(tok.text)))
+            return Const(complex(value))
         if tok.kind == "name":
             if tok.text == "z":
                 self.advance()

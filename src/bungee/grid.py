@@ -5,15 +5,14 @@ stored as an (ny, nx) array with row 0 at the bottom (smallest
 imaginary part); PPM output flips rows so the top of the image is the
 top of the plane.
 
-Rows are classified one at a time by the shared orbit engine, so the
-resulting raster is byte-for-byte identical for any worker count: the
-per-row computations are independent and are assembled positionally.
+All cells go to one `classify_batch` call, whose fixed chunks depend on
+the cell count alone, so the raster is byte-for-byte identical for every
+``workers`` value.
 """
 
 from __future__ import annotations
 
 import json
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, asdict
 
 import numpy as np
@@ -100,25 +99,14 @@ def classify_grid(
 ) -> Raster:
     """Classify every cell center of ``spec`` under ``f``.
 
-    ``workers`` sets the thread count; the work split is per row and
-    fixed, so output is identical for every worker count.
+    ``workers`` is accepted for compatibility and must be at least 1; it
+    changes neither speed nor output. All cells run as one batch in
+    fixed chunks, which measured faster than worker threads on a
+    two-core machine.
     """
     if workers < 1:
         raise ValueError("workers must be positive")
-    pts = spec.points()
-    codes = np.empty((spec.ny, spec.nx), dtype=np.int8)
-
-    def one_row(j: int) -> np.ndarray:
-        return classify_batch(f, pts[j], cfg)
-
-    if workers == 1:
-        for j in range(spec.ny):
-            codes[j] = one_row(j)
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            for j, row in enumerate(pool.map(one_row, range(spec.ny))):
-                codes[j] = row
-    return Raster(spec=spec, codes=codes)
+    return Raster(spec=spec, codes=classify_batch(f, spec.points(), cfg))
 
 
 def render_ppm(raster: Raster) -> bytes:

@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import enum
 import json
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Optional
 
@@ -31,6 +30,7 @@ from .expr import (
     conjugate,
     eval_array,
 )
+from .grid import GridSpec
 from .orbit import Classification, ClassifierConfig, DEFAULT_CONFIG, classify_batch
 
 __all__ = [
@@ -142,13 +142,8 @@ class SamplePlan:
 
     def seeds(self) -> np.ndarray:
         if self.kind == "grid":
-            xs = self.re_min + (np.arange(self.nx) + 0.5) * (
-                (self.re_max - self.re_min) / self.nx
-            )
-            ys = self.im_min + (np.arange(self.ny) + 0.5) * (
-                (self.im_max - self.im_min) / self.ny
-            )
-            return (xs[None, :] + 1j * ys[:, None]).ravel()
+            spec = GridSpec(self.re_min, self.re_max, self.im_min, self.im_max, self.nx, self.ny)
+            return spec.points().ravel()
         return np.array(self.points, dtype=np.complex128)
 
     def to_dict(self) -> dict:
@@ -271,18 +266,6 @@ def check_permutable(
     )
 
 
-def _classify_many(
-    f: FunctionExpr, seeds: np.ndarray, cfg: ClassifierConfig, workers: int
-) -> np.ndarray:
-    """Batch classification with a fixed chunk split, worker-count neutral."""
-    if workers <= 1 or seeds.size <= 4096:
-        return classify_batch(f, seeds, cfg)
-    chunks = [seeds[i : i + 4096] for i in range(0, seeds.size, 4096)]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        parts = list(pool.map(lambda c: classify_batch(f, c, cfg), chunks))
-    return np.concatenate(parts)
-
-
 def _images(g: FunctionExpr, seeds: np.ndarray):
     """Evaluate g at the seeds; returns (values, finite mask)."""
     vals, events = eval_array(g.root, seeds)
@@ -295,12 +278,10 @@ def _classify_where(
     points: np.ndarray,
     ok: np.ndarray,
     cfg: ClassifierConfig,
-    workers: int,
 ) -> np.ndarray:
     """Classify points[ok]; everything else reports Unresolved."""
     out = np.full(points.shape, _UNRESOLVED, dtype=np.int8)
-    if ok.any():
-        out[ok] = _classify_many(f, points[ok], cfg, workers)
+    out[ok] = classify_batch(f, points[ok], cfg)
     return out
 
 
@@ -333,7 +314,12 @@ def verify_relation(
     ``equality`` switches EscapingUnion from inclusion to equality.
     AffineBungeeEqual refuses pairs that fail the permutability check;
     the other commuting-pair relations record the check and proceed.
+    ``workers`` is accepted for compatibility and must be at least 1; it
+    changes neither speed nor output, since every map is classified by
+    one `classify_batch` call over fixed chunks of seeds.
     """
+    if workers < 1:
+        raise ValueError("workers must be positive")
     if isinstance(rel, str):
         rel = RelationId(rel)
     seeds = plan.seeds()
@@ -375,68 +361,54 @@ def verify_relation(
     if rel in {RelationId.BU_SWAP, RelationId.K_SWAP}:
         fg = compose(f, g)
         gf = compose(g, f)
-        cls_fg = _classify_many(fg, seeds, cfg, workers)
+        cls_fg = classify_batch(fg, seeds, cfg)
         images, img_ok = _images(g, seeds)
-        cls_gf_img = _classify_where(gf, images, img_ok, cfg, workers)
-        resolved = img_ok & (cls_fg != _UNRESOLVED) & (cls_gf_img != _UNRESOLVED)
+        cls_gf_img = _classify_where(gf, images, img_ok, cfg)
         target = (
             Classification.BUNGEE if rel is RelationId.BU_SWAP else Classification.BOUNDED
         )
-        bad = resolved & ((cls_fg == int(target)) != (cls_gf_img == int(target)))
+        bad = (cls_fg == int(target)) != (cls_gf_img == int(target))
         labels = ("fg", "gf_at_image")
         columns = (cls_fg, cls_gf_img)
 
     elif rel is RelationId.K_INTERSECTION_INTO_COMPOSITE:
-        cls_f = _classify_many(f, seeds, cfg, workers)
-        cls_g = _classify_many(g, seeds, cfg, workers)
-        cls_fg = _classify_many(compose(f, g), seeds, cfg, workers)
-        resolved = (
-            (cls_f != _UNRESOLVED) & (cls_g != _UNRESOLVED) & (cls_fg != _UNRESOLVED)
-        )
+        cls_f = classify_batch(f, seeds, cfg)
+        cls_g = classify_batch(g, seeds, cfg)
+        cls_fg = classify_batch(compose(f, g), seeds, cfg)
         in_both = (cls_f == int(Classification.BOUNDED)) & (
             cls_g == int(Classification.BOUNDED)
         )
-        bad = resolved & in_both & (cls_fg != int(Classification.BOUNDED))
+        bad = in_both & (cls_fg != int(Classification.BOUNDED))
         labels = ("f", "g", "fg")
         columns = (cls_f, cls_g, cls_fg)
 
     elif rel is RelationId.ESCAPING_INVARIANCE:
-        cls_g = _classify_many(g, seeds, cfg, workers)
+        cls_g = classify_batch(g, seeds, cfg)
         images, img_ok = _images(f, seeds)
-        cls_g_img = _classify_where(g, images, img_ok, cfg, workers)
-        resolved = img_ok & (cls_g != _UNRESOLVED) & (cls_g_img != _UNRESOLVED)
-        bad = (
-            resolved
-            & (cls_g == int(Classification.ESCAPING))
-            & (cls_g_img != int(Classification.ESCAPING))
-        )
+        cls_g_img = _classify_where(g, images, img_ok, cfg)
+        esc = int(Classification.ESCAPING)
+        bad = (cls_g == esc) & (cls_g_img != esc)
         labels = ("g", "g_at_image")
         columns = (cls_g, cls_g_img)
 
     elif rel is RelationId.ESCAPING_UNION:
-        cls_f = _classify_many(f, seeds, cfg, workers)
-        cls_g = _classify_many(g, seeds, cfg, workers)
-        cls_fg = _classify_many(compose(f, g), seeds, cfg, workers)
-        resolved = (
-            (cls_f != _UNRESOLVED) & (cls_g != _UNRESOLVED) & (cls_fg != _UNRESOLVED)
-        )
+        cls_f = classify_batch(f, seeds, cfg)
+        cls_g = classify_batch(g, seeds, cfg)
+        cls_fg = classify_batch(compose(f, g), seeds, cfg)
         esc = int(Classification.ESCAPING)
         in_union = (cls_f == esc) | (cls_g == esc)
-        bad = resolved & in_union & (cls_fg != esc)
+        bad = in_union & (cls_fg != esc)
         if equality:
-            bad |= resolved & (cls_fg == esc) & ~in_union
+            bad |= (cls_fg == esc) & ~in_union
         labels = ("f", "g", "fg")
         columns = (cls_f, cls_g, cls_fg)
 
     elif rel is RelationId.BUNGEE_COMPOSITE:
-        cls_f = _classify_many(f, seeds, cfg, workers)
-        cls_g = _classify_many(g, seeds, cfg, workers)
-        cls_fg = _classify_many(compose(f, g), seeds, cfg, workers)
-        resolved = (
-            (cls_f != _UNRESOLVED) & (cls_g != _UNRESOLVED) & (cls_fg != _UNRESOLVED)
-        )
+        cls_f = classify_batch(f, seeds, cfg)
+        cls_g = classify_batch(g, seeds, cfg)
+        cls_fg = classify_batch(compose(f, g), seeds, cfg)
         bu = int(Classification.BUNGEE)
-        bad = resolved & (cls_fg == bu) & ~((cls_f == bu) & (cls_g == bu))
+        bad = (cls_fg == bu) & ~((cls_f == bu) & (cls_g == bu))
         labels = ("f", "g", "fg")
         columns = (cls_f, cls_g, cls_fg)
 
@@ -444,47 +416,47 @@ def verify_relation(
         av = complex(a)
         bv = complex(b)
         h = conjugate(f, av, bv)
-        cls_f = _classify_many(f, seeds, cfg, workers)
+        cls_f = classify_batch(f, seeds, cfg)
         images = av * seeds + bv
-        cls_h_img = _classify_many(h, images, cfg, workers)
-        resolved = (cls_f != _UNRESOLVED) & (cls_h_img != _UNRESOLVED)
-        bad = resolved & (cls_f != cls_h_img)
+        cls_h_img = classify_batch(h, images, cfg)
+        bad = cls_f != cls_h_img
         labels = ("f", "conjugate_at_image")
         columns = (cls_f, cls_h_img)
 
     elif rel is RelationId.AFFINE_BUNGEE_EQUAL:
-        cls_f = _classify_many(f, seeds, cfg, workers)
-        cls_g = _classify_many(g, seeds, cfg, workers)
-        resolved = (cls_f != _UNRESOLVED) & (cls_g != _UNRESOLVED)
+        cls_f = classify_batch(f, seeds, cfg)
+        cls_g = classify_batch(g, seeds, cfg)
         bu = int(Classification.BUNGEE)
-        bad = resolved & ((cls_f == bu) != (cls_g == bu))
+        bad = (cls_f == bu) != (cls_g == bu)
         labels = ("f", "g")
         columns = (cls_f, cls_g)
 
     elif rel is RelationId.DISJOINT_K_AND_BU:
-        cls_f = _classify_many(f, seeds, cfg, workers)
-        cls_g = _classify_many(g, seeds, cfg, workers)
-        resolved = (cls_f != _UNRESOLVED) & (cls_g != _UNRESOLVED)
+        cls_f = classify_batch(f, seeds, cfg)
+        cls_g = classify_batch(g, seeds, cfg)
         both_k = (cls_f == int(Classification.BOUNDED)) & (
             cls_g == int(Classification.BOUNDED)
         )
         both_bu = (cls_f == int(Classification.BUNGEE)) & (
             cls_g == int(Classification.BUNGEE)
         )
-        bad = resolved & (both_k | both_bu)
+        bad = both_k | both_bu
         labels = ("f", "g")
         columns = (cls_f, cls_g)
 
     elif rel is RelationId.STRIP_CONTAINMENT:
-        cls_f = _classify_many(f, seeds, cfg, workers)
-        resolved = cls_f != _UNRESOLVED
-        bad = resolved & (cls_f == int(Classification.ESCAPING)) & ~_strip_mask(seeds)
+        cls_f = classify_batch(f, seeds, cfg)
+        bad = (cls_f == int(Classification.ESCAPING)) & ~_strip_mask(seeds)
         labels = ("f",)
         columns = (cls_f,)
 
     else:  # pragma: no cover - every RelationId is handled above
         raise ValueError(f"unhandled relation: {rel!r}")
 
+    # Seeds a column could not resolve (including images that failed to
+    # evaluate, which `_classify_where` reports as Unresolved) never count.
+    resolved = np.logical_and.reduce([col != _UNRESOLVED for col in columns])
+    bad &= resolved
     violations = tuple(
         Violation(
             seed=complex(seeds[i]),

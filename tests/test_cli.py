@@ -391,6 +391,44 @@ def test_bad_expression_is_usage_error():
     assert "error:" in err
 
 
+@pytest.mark.parametrize("body", ['{"bogus": 1}', '{"max_iter": 10.5}', "[1]"])
+def test_bad_config_file_is_usage_error(tmp_path, body):
+    path = tmp_path / "bad.json"
+    path.write_text(body)
+    code, _, err = run(
+        ["--config", str(path), "classify", "--function", "z", "--point", "0,0"]
+    )
+    assert code == 1
+    assert "error:" in err and "config" in err
+
+
+def test_non_finite_literal_is_usage_error():
+    code, _, err = run(["classify", "--function", "z+1e999", "--point", "0,0"])
+    assert code == 1
+    assert "offset 3" in err
+
+
+@pytest.mark.parametrize("workers", ["0", "-2"])
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["render", "--function", "z", "--grid=-1,1,-1,1", "--size", "2,2"],
+        ["verify", "--relation", "StripContainment", "--f", "z", "--samples", "list:0,0"],
+        ["classify", "--function", "z", "--point", "0,0"],
+        ["examples", "list"],
+    ],
+    ids=["render", "verify", "classify", "examples"],
+)
+def test_non_positive_workers_is_usage_error(tmp_path, argv, workers):
+    ppm = tmp_path / "never.ppm"
+    extra = ["--ppm", str(ppm)] if argv[0] == "render" else []
+    for args in (["--workers", workers, *argv, *extra], [*argv, *extra, f"--workers={workers}"]):
+        code, out, err = run(args)
+        assert code == 1
+        assert "--workers" in err and out == ""
+    assert not ppm.exists()
+
+
 def test_missing_config_file_is_runtime_error(tmp_path):
     code, _, err = run(
         [

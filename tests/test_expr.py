@@ -84,6 +84,16 @@ def test_parse_rejects_malformed_input(text):
         parse(text)
 
 
+@pytest.mark.parametrize(
+    "text, offset", [("1e999", 1), ("z+1e999", 3), ("sin(2E+400)", 5), ("1" + "0" * 400, 1)]
+)
+def test_parse_rejects_non_finite_literals_at_their_offset(text, offset):
+    with pytest.raises(ExprSyntaxError) as exc:
+        parse(text)
+    assert exc.value.offset == offset
+    assert "finite" in exc.value.expected
+
+
 def test_number_literals_accept_fraction_and_exponent():
     assert evaluate(parse("1.5e-3"), 0) == 1.5e-3
     assert evaluate(parse("10e2"), 0) == 1000.0

@@ -56,6 +56,12 @@ def test_grid_spec_validation(args):
         GridSpec(*args)
 
 
+@pytest.mark.parametrize("workers", [0, -1])
+def test_classify_grid_rejects_non_positive_workers(workers):
+    with pytest.raises(ValueError, match="workers"):
+        classify_grid(parse("z"), GridSpec(0, 1, 0, 1, 2, 2), workers=workers)
+
+
 def test_grid_spec_dict_round_trip():
     spec = GridSpec(-2, 2, -1.5, 1.5, 32, 24)
     assert GridSpec.from_dict(spec.to_dict()) == spec

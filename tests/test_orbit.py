@@ -8,6 +8,7 @@ bisection oracle run inside the tests, independent of the classifier.
 
 from __future__ import annotations
 
+import dataclasses
 import math
 
 import numpy as np
@@ -19,6 +20,7 @@ from bungee import (
     ClassifierConfig,
     Completed,
     CycleFound,
+    GridSpec,
     Overflowed,
     PoleHit,
     classify,
@@ -28,7 +30,7 @@ from bungee import (
     iterate_orbit,
     parse,
 )
-from bungee.orbit import DEFAULT_CONFIG
+from bungee.orbit import DEFAULT_CONFIG, BatchState
 
 # Config used by the sine-pair and drift examples: their orbits creep
 # outward at ~2*pi per step, so escape must be read at a lower radius.
@@ -85,6 +87,10 @@ def test_default_config_values():
         {"min_alternations": 1},
         {"peak_growth": 1.0},
         {"cycle_tol": 0.0},
+        {"max_iter": 10.5},
+        {"max_iter": True},
+        {"tail_window": 5.0},
+        {"min_alternations": "2"},
     ],
 )
 def test_config_validation_rejects(kwargs):
@@ -96,6 +102,12 @@ def test_config_dict_round_trip():
     cfg = DRIFT_CFG
     assert ClassifierConfig.from_dict(cfg.to_dict()) == cfg
     assert ClassifierConfig.from_dict({"max_iter": 500}).max_iter == 500
+
+
+@pytest.mark.parametrize("data", [{"bogus": 1}, {"max_iter": 500, "r_max": 1.0}, [1]])
+def test_config_from_dict_rejects_unknown_keys_and_non_objects(data):
+    with pytest.raises(ValueError):
+        ClassifierConfig.from_dict(data)
 
 
 # --- iterate_orbit -------------------------------------------------------
@@ -361,6 +373,50 @@ def test_batch_agrees_with_scalar_path_randomized(text, seed):
     f = parse(text)
     batch = classify_batch(f, np.array([seed], dtype=np.complex128))
     assert classify_point(f, seed) == Classification(int(batch[0]))
+
+
+# --- chunked batches -----------------------------------------------------
+
+CHUNK = 4096
+
+
+@pytest.fixture(scope="module")
+def chunked_run():
+    """z*z-1 over 2*4096+3 grid seeds: Escaping and Bounded on both sides of each chunk edge."""
+    f = parse("z*z-1")
+    seeds = GridSpec(-2, 2, -1.5, 1.5, 149, 55).points().ravel()
+    assert seeds.size == 2 * CHUNK + 3
+    return f, seeds, classify_batch(f, seeds)
+
+
+def test_batch_matches_scalar_path_at_chunk_edges(chunked_run):
+    f, seeds, codes = chunked_run
+    assert set(np.unique(codes)) == {Classification.ESCAPING, Classification.BOUNDED}
+    for i in (0, CHUNK - 1, CHUNK, 2 * CHUNK - 1, 2 * CHUNK, seeds.size - 1):
+        assert classify_point(f, complex(seeds[i])) == Classification(int(codes[i]))
+
+
+def test_batch_equals_concatenated_chunk_runs(chunked_run):
+    f, seeds, codes = chunked_run
+    parts = [classify_batch(f, seeds[i : i + CHUNK]) for i in range(0, seeds.size, CHUNK)]
+    assert codes.dtype == np.int8
+    assert np.array_equal(codes, np.concatenate(parts))
+
+
+def test_batch_state_spans_every_chunk(chunked_run):
+    f, seeds, codes = chunked_run
+    again, state = classify_batch(f, seeds, return_state=True)
+    assert np.array_equal(again, codes)
+    for fld in dataclasses.fields(BatchState):
+        assert len(getattr(state, fld.name)) == seeds.size, fld.name
+
+
+def test_batch_of_no_seeds_is_empty():
+    f = parse("z*z-1")
+    codes = classify_batch(f, np.array([], dtype=np.complex128))
+    assert codes.dtype == np.int8 and codes.shape == (0,)
+    codes, state = classify_batch(f, np.array([], dtype=np.complex128), return_state=True)
+    assert codes.shape == (0,) and state.kind.shape == (0,)
 
 
 def test_classification_str_names():

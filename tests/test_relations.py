@@ -384,5 +384,13 @@ def test_reports_are_deterministic_across_workers():
     assert serial.to_json() == threaded.to_json()
 
 
+@pytest.mark.parametrize("workers", [0, -1])
+def test_non_positive_workers_are_rejected(workers):
+    with pytest.raises(ValueError, match="workers"):
+        verify_relation(
+            "StripContainment", SINE, SamplePlan.explicit([0.5]), workers=workers
+        )
+
+
 def test_default_permutability_tolerance():
     assert PERMUTABILITY_TOL == 1e-9
