@@ -29,6 +29,7 @@ All expression trees are immutable and safe to share across threads.
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 from typing import Union
@@ -52,6 +53,8 @@ __all__ = [
     "format_expr",
     "evaluate",
     "eval_array",
+    "compile_expr",
+    "Program",
     "compose",
     "conjugate",
     "affine_post",
@@ -415,79 +418,140 @@ def format_expr(f: FunctionExpr | Expr) -> str:
 # --- evaluation --------------------------------------------------------
 
 
-def _mark(events: np.ndarray, nodes, mask, code: int, node: Expr) -> None:
-    fresh = mask & (events == EVENT_NONE)
-    if fresh.any():
-        events[fresh] = code
-        if nodes is not None:
-            nodes[fresh] = node
+@dataclass(frozen=True, eq=False)
+class Program:
+    """A map compiled once into a flat post-order instruction list.
+
+    ``slots`` is the initial register file: slot 0 receives ``z`` and
+    constants sit in their own slots. Each instruction
+    ``(op, node, dst, a, b)`` fills slot ``dst`` from slot ``a`` and slot
+    ``b`` (for ``pow``, ``b`` is the integer exponent), and keeps its
+    ``node`` so that events can name it. ``out`` is the result's slot.
+    """
+
+    slots: tuple
+    code: tuple
+    out: int
 
 
-def _eval_node(node: Expr, z: np.ndarray, events: np.ndarray, nodes) -> np.ndarray:
-    if isinstance(node, Var):
-        return z
-    if isinstance(node, Const):
-        return np.complex128(node.value)
-    if isinstance(node, Named):
-        return np.complex128(_NAMED_VALUES[node.name])
-    if isinstance(node, Neg):
-        return -_eval_node(node.arg, z, events, nodes)
-    if isinstance(node, BinOp):
-        a = _eval_node(node.left, z, events, nodes)
-        b = _eval_node(node.right, z, events, nodes)
-        if node.op == "+":
-            v = a + b
-        elif node.op == "-":
-            v = a - b
-        elif node.op == "*":
-            v = a * b
-        else:
-            _mark(events, nodes, b == 0, EVENT_POLE, node)
-            v = a / b
-        _mark(events, nodes, ~np.isfinite(v), EVENT_INFINITY, node)
-        return v
-    if isinstance(node, Pow):
-        a = _eval_node(node.base, z, events, nodes)
-        v = a**node.exponent
-        _mark(events, nodes, ~np.isfinite(v), EVENT_INFINITY, node)
-        return v
-    if isinstance(node, Call):
-        a = _eval_node(node.arg, z, events, nodes)
-        re, im = np.real(a), np.imag(a)
-        if node.name == "exp":
-            _mark(events, nodes, re > EXP_REAL_LIMIT, EVENT_INFINITY, node)
-            v = np.exp(a)
-        elif node.name == "sin":
-            _mark(events, nodes, np.abs(im) > TRIG_IMAG_LIMIT, EVENT_INFINITY, node)
-            v = np.sin(a)
-        else:
-            _mark(events, nodes, np.abs(im) > TRIG_IMAG_LIMIT, EVENT_INFINITY, node)
-            v = np.cos(a)
-        _mark(events, nodes, ~np.isfinite(v), EVENT_INFINITY, node)
-        return v
-    if isinstance(node, Apply):
-        w = _eval_node(node.inner, z, events, nodes)
-        w = np.broadcast_to(np.asarray(w, dtype=np.complex128), z.shape)
-        return _eval_node(node.outer, w, events, nodes)
-    raise TypeError(f"not an expression node: {node!r}")
+def compile_expr(f: FunctionExpr | Expr) -> Program:
+    """Compile ``f`` into a `Program`, without recursion.
 
-
-def eval_array(f: FunctionExpr | Expr, z: np.ndarray, want_nodes: bool = False):
-    """Evaluate ``f`` elementwise over a complex array.
-
-    Returns ``(values, events)`` or, with ``want_nodes``, a third object
-    array holding the node at which each element's event fired. Event
-    codes are EVENT_NONE, EVENT_INFINITY, EVENT_POLE; the first event
-    along the evaluation order wins and later garbage in that lane is
-    ignored. Values at event positions are unspecified.
+    Operands come before the node that uses them, in the order in which
+    the tree is read, so events fire in the same order as they would in a
+    depth-first walk. ``Var`` compiles to no instruction: it names slot 0,
+    or the slot of the inner map inside an ``Apply``.
     """
     root = f.root if isinstance(f, FunctionExpr) else f
+    slots: list = [None]
+    code: list = []
+    done: list[int] = []  # result slots of finished subtrees
+    todo = [(root, 0, False)]  # (node, slot that Var reads, operands done)
+    while todo:
+        node, var, ready = todo.pop()
+        if isinstance(node, Var):
+            done.append(var)
+        elif isinstance(node, (Const, Named)):
+            value = node.value if isinstance(node, Const) else _NAMED_VALUES[node.name]
+            done.append(len(slots))
+            slots.append(np.complex128(value))
+        elif isinstance(node, Apply):
+            if ready:
+                todo.append((node.outer, done.pop(), False))
+            else:
+                todo += [(node, var, True), (node.inner, var, False)]
+        elif isinstance(node, (Neg, BinOp, Pow, Call)):
+            if not ready:
+                todo.append((node, var, True))
+                operands = (node.left, node.right) if isinstance(node, BinOp) else (
+                    node.base if isinstance(node, Pow) else node.arg,
+                )
+                todo += [(child, var, False) for child in reversed(operands)]
+                continue
+            b = done.pop() if isinstance(node, BinOp) else None
+            a = done.pop()
+            if isinstance(node, Neg):
+                op = "neg"
+            elif isinstance(node, Pow):
+                op, b = "pow", node.exponent
+            else:
+                op = node.op if isinstance(node, BinOp) else node.name
+            code.append((op, node, len(slots), a, b))
+            done.append(len(slots))
+            slots.append(None)
+        else:
+            raise TypeError(f"not an expression node: {node!r}")
+    return Program(tuple(slots), tuple(code), done.pop())
+
+
+def _execute(program: Program, z: np.ndarray):
+    """Run ``program`` on ``z``; returns the result and the event marks.
+
+    A mark ``(code, mask, node)`` is recorded only where a node's check
+    fails. Each check is one reduction on the fast path: a lane sum is
+    finite iff every lane is, a count of nonzero divisors equals the lane
+    count iff none is zero, and a max/min bounds every argument.
+    """
+    regs = list(program.slots)
+    regs[0] = z
+    marks = []
+    for op, node, dst, a, b in program.code:
+        x = regs[a]
+        if op == "+":
+            v = x + regs[b]
+        elif op == "-":
+            v = x - regs[b]
+        elif op == "*":
+            v = x * regs[b]
+        elif op == "/":
+            y = regs[b]
+            if np.count_nonzero(y) != np.size(y):
+                marks.append((EVENT_POLE, y == 0, node))
+            v = x / y
+        elif op == "pow":
+            v = x**b
+        elif op == "neg":
+            regs[dst] = -x
+            continue
+        elif op == "exp":
+            re = np.real(x)
+            if not re.max(initial=-np.inf) <= EXP_REAL_LIMIT:
+                marks.append((EVENT_INFINITY, re > EXP_REAL_LIMIT, node))
+            v = np.exp(x)
+        else:
+            im = np.imag(x)
+            if not -TRIG_IMAG_LIMIT <= im.min(initial=0.0) <= im.max(initial=0.0) <= TRIG_IMAG_LIMIT:
+                marks.append((EVENT_INFINITY, np.abs(im) > TRIG_IMAG_LIMIT, node))
+            v = np.sin(x) if op == "sin" else np.cos(x)
+        if not cmath.isfinite(v.sum()):
+            marks.append((EVENT_INFINITY, ~np.isfinite(v), node))
+        regs[dst] = v
+    return regs[program.out], marks
+
+
+def eval_array(f: FunctionExpr | Expr | Program, z: np.ndarray, want_nodes: bool = False):
+    """Evaluate ``f`` elementwise over a complex array.
+
+    ``f`` may be a `Program` from `compile_expr`, so that a caller that
+    evaluates one map many times compiles it once. Returns
+    ``(values, events)`` or, with ``want_nodes``, a third object array
+    holding the node at which each element's event fired. Event codes are
+    EVENT_NONE, EVENT_INFINITY, EVENT_POLE; the first event along the
+    evaluation order wins and later garbage in that lane is ignored.
+    Values at event positions are unspecified.
+    """
+    program = f if isinstance(f, Program) else compile_expr(f)
     z = np.asarray(z, dtype=np.complex128)
+    with np.errstate(all="ignore"):
+        values, marks = _execute(program, z)
+        values = np.broadcast_to(np.asarray(values, dtype=np.complex128), z.shape)
     events = np.zeros(z.shape, dtype=np.int8)
     nodes = np.empty(z.shape, dtype=object) if want_nodes else None
-    with np.errstate(all="ignore"):
-        values = _eval_node(root, z, events, nodes)
-        values = np.broadcast_to(np.asarray(values, dtype=np.complex128), z.shape)
+    for code, mask, node in marks:
+        fresh = mask & (events == EVENT_NONE)
+        events[fresh] = code
+        if want_nodes:
+            nodes[fresh] = node
     if want_nodes:
         return values, events, nodes
     return values, events

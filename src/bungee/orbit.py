@@ -40,7 +40,7 @@ from typing import Optional, Sequence, Union
 
 import numpy as np
 
-from .expr import EVENT_NONE, EVENT_POLE, FunctionExpr, eval_array
+from .expr import EVENT_NONE, EVENT_POLE, FunctionExpr, compile_expr, eval_array
 
 __all__ = [
     "Classification",
@@ -222,6 +222,46 @@ class BatchState:
     tail_max: np.ndarray
 
 
+# BatchState fields that change while a lane runs. `_Lanes` holds them for
+# the live lanes only and writes each lane's values out once, when it ends.
+_LANE_FIELDS = (
+    "z", "n_peaks", "n_returns", "last_peak", "cur_peak", "in_peak", "escalation_ok",
+    "global_max", "final_modulus", "tail_min", "tail_max",
+)
+
+
+class _Lanes:
+    """Working arrays of the live lanes, compacted whenever lanes end.
+
+    ``idx`` maps each live lane to its seed; ``tortoise`` is the value at
+    the last Brent checkpoint, ``tol_tort`` its cached cycle tolerance and
+    ``win_max`` the largest modulus since that checkpoint.
+    """
+
+    __slots__ = ("idx", *_LANE_FIELDS, "armed", "tortoise", "tol_tort", "win_max")
+
+    def __init__(self, out: BatchState, idx: np.ndarray, cfg: ClassifierConfig):
+        self.idx = idx
+        for name in _LANE_FIELDS:
+            setattr(self, name, getattr(out, name)[idx])
+        m = self.final_modulus
+        self.armed = m < cfg.r_bound
+        self.tortoise = self.z
+        self.tol_tort = cfg.cycle_tol * m
+        self.win_max = np.full(idx.size, -np.inf)
+
+    def end(self, out: BatchState, gone: np.ndarray, kind, step: int) -> None:
+        """Write the lanes in mask ``gone`` to ``out`` and drop them."""
+        ids = self.idx[gone]
+        for name in _LANE_FIELDS:
+            getattr(out, name)[ids] = getattr(self, name)[gone]
+        out.kind[ids] = kind
+        out.term_step[ids] = step
+        keep = ~gone
+        for name in self.__slots__:
+            setattr(self, name, getattr(self, name)[keep])
+
+
 def _run_batch(
     root,
     seeds: np.ndarray,
@@ -235,145 +275,108 @@ def _run_batch(
     if not np.isfinite(z).all():
         raise ValueError("seeds must be finite")
 
+    program = compile_expr(root)
     guard = cfg.overflow_guard
     inv_guard = 1.0 / guard
-    tol = cfg.cycle_tol
     tail_from = cfg.max_iter - cfg.tail_window  # steps beyond this feed the tail
 
     m = np.abs(z)
-    kind = np.zeros(n, dtype=np.int8)
-    term_step = np.zeros(n, dtype=np.int64)
-    period = np.zeros(n, dtype=np.int64)
-    cycle_max = np.zeros(n, dtype=np.float64)
-
-    armed = m < cfg.r_bound
-    in_peak = np.zeros(n, dtype=bool)
-    n_peaks = np.zeros(n, dtype=np.int64)
-    n_returns = np.zeros(n, dtype=np.int64)
-    last_peak = np.zeros(n, dtype=np.float64)
-    cur_peak = np.zeros(n, dtype=np.float64)
-    escalation_ok = np.ones(n, dtype=bool)
-    global_max = m.copy()
-    final_modulus = m.copy()
-    tail_min = np.full(n, np.inf)
-    tail_max = np.full(n, -np.inf)
-
-    tortoise = z.copy()
-    power = np.ones(n, dtype=np.int64)
-    lam = np.zeros(n, dtype=np.int64)
-    win_max = np.full(n, -np.inf)
-
+    out = BatchState(
+        z=z,
+        kind=np.zeros(n, dtype=np.int8),
+        term_step=np.zeros(n, dtype=np.int64),
+        period=np.zeros(n, dtype=np.int64),
+        cycle_max=np.zeros(n, dtype=np.float64),
+        n_peaks=np.zeros(n, dtype=np.int64),
+        n_returns=np.zeros(n, dtype=np.int64),
+        last_peak=np.zeros(n, dtype=np.float64),
+        cur_peak=np.zeros(n, dtype=np.float64),
+        in_peak=np.zeros(n, dtype=bool),
+        escalation_ok=np.ones(n, dtype=bool),
+        global_max=m.copy(),
+        final_modulus=m,
+        tail_min=np.full(n, np.inf),
+        tail_max=np.full(n, -np.inf),
+    )
     if history is not None:
         history.append(complex(z[0]))
 
     seed_out = (m > guard) | ((m > 0) & (m < inv_guard))
-    if seed_out.any():
-        kind[seed_out] = _OVERFLOWED
+    out.kind[seed_out] = _OVERFLOWED
+    w = _Lanes(out, np.flatnonzero(~seed_out), cfg)
+    # Every live lane started at step 0 and advances once per step, so the
+    # Brent schedule (checkpoint when lam reaches power) is shared by all.
+    power, lam = 1, 0
 
-    for step in range(1, cfg.max_iter + 1):
-        idx = np.flatnonzero(kind == _RUNNING)
-        if idx.size == 0:
-            break
-        vals, events = eval_array(root, z[idx])
-        failed = events != EVENT_NONE
-        if failed.any():
-            fi = idx[failed]
-            kind[fi] = np.where(events[failed] == EVENT_POLE, _POLE, _OVERFLOWED)
-            term_step[fi] = step
-            idx = idx[~failed]
-            vals = vals[~failed]
-        if idx.size == 0:
-            continue
+    with np.errstate(all="ignore"):
+        for step in range(1, cfg.max_iter + 1):
+            if w.idx.size == 0:
+                break
+            vals, events = eval_array(program, w.z)
+            failed = events != EVENT_NONE
+            if failed.any():
+                w.end(out, failed, np.where(events[failed] == EVENT_POLE, _POLE, _OVERFLOWED), step)
+                vals = vals[~failed]
+                if w.idx.size == 0:
+                    break
 
-        mv = np.abs(vals)
-        z[idx] = vals
-        final_modulus[idx] = mv
-        global_max[idx] = np.maximum(global_max[idx], mv)
-        if step > tail_from:
-            tail_min[idx] = np.minimum(tail_min[idx], mv)
-            tail_max[idx] = np.maximum(tail_max[idx], mv)
-        if history is not None:
-            history.append(complex(vals[0]))
+            mv = np.abs(vals)
+            w.z = vals
+            w.final_modulus = mv
+            np.maximum(w.global_max, mv, out=w.global_max)
+            if step > tail_from:
+                np.minimum(w.tail_min, mv, out=w.tail_min)
+                np.maximum(w.tail_max, mv, out=w.tail_max)
+            if history is not None:
+                history.append(complex(vals[0]))
 
-        below = mv < cfg.r_bound
-        pre_in = in_peak[idx]
+            below = mv < cfg.r_bound
+            in_peak = w.in_peak
+            if in_peak.any():
+                ending = in_peak & below
+                extending = in_peak & ~below
+                if ending.any():
+                    w.n_returns[ending] += 1
+                    prev = w.last_peak[ending]
+                    peak = w.cur_peak[ending]
+                    w.escalation_ok[ending] &= ~((prev > 0) & (peak < cfg.peak_growth * prev))
+                    w.last_peak[ending] = peak
+                    in_peak[ending] = False
+                if extending.any():
+                    np.maximum(w.cur_peak, mv, out=w.cur_peak, where=extending)
+            w.armed |= below
+            starting = mv > cfg.r_esc
+            if starting.any():
+                starting &= w.armed & ~in_peak
+                w.n_peaks[starting] += 1
+                in_peak[starting] = True
+                w.cur_peak[starting] = mv[starting]
+                w.armed[starting] = False
 
-        ending = pre_in & below
-        if ending.any():
-            ei = idx[ending]
-            n_returns[ei] += 1
-            prev = last_peak[ei]
-            weak = (prev > 0) & (cur_peak[ei] < cfg.peak_growth * prev)
-            escalation_ok[ei] &= ~weak
-            last_peak[ei] = cur_peak[ei]
-            in_peak[ei] = False
-        if below.any():
-            armed[idx[below]] = True
-        extending = pre_in & ~below
-        if extending.any():
-            xi = idx[extending]
-            cur_peak[xi] = np.maximum(cur_peak[xi], mv[extending])
-        starting = ~pre_in & (mv > cfg.r_esc) & armed[idx]
-        if starting.any():
-            si = idx[starting]
-            n_peaks[si] += 1
-            in_peak[si] = True
-            cur_peak[si] = mv[starting]
-            armed[si] = False
+            if not inv_guard <= mv.min() <= mv.max() <= guard:
+                gone = (mv > guard) | ((mv > 0) & (mv < inv_guard))
+                if gone.any():
+                    w.end(out, gone, _OVERFLOWED, step)
+                    if w.idx.size == 0:
+                        break
 
-        out = (mv > guard) | ((mv > 0) & (mv < inv_guard))
-        if out.any():
-            oi = idx[out]
-            kind[oi] = _OVERFLOWED
-            term_step[oi] = step
-            idx = idx[~out]
-            vals = vals[~out]
-            mv = mv[~out]
-        if idx.size == 0:
-            continue
+            lam += 1
+            np.maximum(w.win_max, w.final_modulus, out=w.win_max)
+            near = np.abs(w.z - w.tortoise) <= w.tol_tort
+            if near.any():
+                ids = w.idx[near]
+                out.period[ids] = lam
+                out.cycle_max[ids] = w.win_max[near]
+                w.end(out, near, _CYCLE, step)
+            if lam == power:
+                w.tortoise = w.z
+                w.tol_tort = cfg.cycle_tol * w.final_modulus
+                w.win_max.fill(-np.inf)
+                power *= 2
+                lam = 0
 
-        lam[idx] += 1
-        win_max[idx] = np.maximum(win_max[idx], mv)
-        tort = tortoise[idx]
-        near = np.abs(vals - tort) <= tol * np.abs(tort)
-        if near.any():
-            ci = idx[near]
-            kind[ci] = _CYCLE
-            term_step[ci] = step
-            period[ci] = lam[ci]
-            cycle_max[ci] = win_max[ci]
-            idx = idx[~near]
-        if idx.size == 0:
-            continue
-        checkpoint = lam[idx] == power[idx]
-        if checkpoint.any():
-            ki = idx[checkpoint]
-            tortoise[ki] = z[ki]
-            power[ki] *= 2
-            lam[ki] = 0
-            win_max[ki] = -np.inf
-
-    still = kind == _RUNNING
-    kind[still] = _COMPLETED
-    term_step[still] = cfg.max_iter
-
-    return BatchState(
-        z=z,
-        kind=kind,
-        term_step=term_step,
-        period=period,
-        cycle_max=cycle_max,
-        n_peaks=n_peaks,
-        n_returns=n_returns,
-        last_peak=last_peak,
-        cur_peak=cur_peak,
-        in_peak=in_peak,
-        escalation_ok=escalation_ok,
-        global_max=global_max,
-        final_modulus=final_modulus,
-        tail_min=tail_min,
-        tail_max=tail_max,
-    )
+    w.end(out, np.ones(w.idx.size, dtype=bool), _COMPLETED, cfg.max_iter)
+    return out
 
 
 def _verdicts(state: BatchState, cfg: ClassifierConfig) -> np.ndarray:

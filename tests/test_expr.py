@@ -23,7 +23,7 @@ from bungee import (
     format_expr,
     parse,
 )
-from bungee.expr import EVENT_NONE, EVENT_POLE, eval_array
+from bungee.expr import EVENT_INFINITY, EVENT_NONE, EVENT_POLE, compile_expr, eval_array
 
 # Deterministic off-axis sample points reused across identity checks.
 SAMPLE_POINTS = [
@@ -165,6 +165,41 @@ def test_eval_array_reports_events_per_element():
     values, events = eval_array(f, z)
     assert events.tolist() == [EVENT_POLE, EVENT_NONE, EVENT_NONE]
     assert values[1] == 4 and values[2] == 0.25
+
+
+# Each case names the node that must fire first, as a path from the root.
+# Checking finiteness only at the root would miss the first two: the Pow
+# overflows, yet the root comes out finite (0 and 0).
+@pytest.mark.parametrize(
+    "text, z, event, path",
+    [
+        ("1/(1/pow(z,2))", 1e200, InfinityEvent, ("right", "right")),
+        ("exp(-pow(z,3))", 1e150, InfinityEvent, ("arg", "arg")),
+        ("1/exp(-z)", 800, PoleEvent, ()),
+        ("1/(0*exp(z))", 800, InfinityEvent, ("right", "right")),
+    ],
+)
+def test_first_event_names_its_node(text, z, event, path):
+    f = parse(text)
+    node = f.root
+    for attr in path:
+        node = getattr(node, attr)
+    result = evaluate(f, z)
+    assert type(result) is event and result.node is node
+
+
+def test_compiled_program_reports_events_per_lane():
+    f = parse("exp(z)+1/pow(z,2)")
+    exp_node, div_node, pow_node = f.root.left, f.root.right, f.root.right.right
+    z = np.array([2.0, 800.0, 0.0, -1e200], dtype=np.complex128)
+    values, events, nodes = eval_array(compile_expr(f), z, want_nodes=True)
+    assert events.tolist() == [EVENT_NONE, EVENT_INFINITY, EVENT_POLE, EVENT_INFINITY]
+    assert nodes[0] is None
+    assert nodes[1] is exp_node and nodes[2] is div_node and nodes[3] is pow_node
+    assert values[0] == cmath.exp(2) + 0.25
+    plain_values, plain_events = eval_array(f, z)
+    assert np.array_equal(plain_events, events)
+    assert np.array_equal(plain_values, values, equal_nan=True)
 
 
 def test_evaluation_is_deterministic():

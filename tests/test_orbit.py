@@ -27,7 +27,9 @@ from bungee import (
     classify_batch,
     classify_point,
     detect_cycle,
+    get_example,
     iterate_orbit,
+    list_examples,
     parse,
 )
 from bungee.orbit import DEFAULT_CONFIG, BatchState
@@ -409,6 +411,44 @@ def test_batch_state_spans_every_chunk(chunked_run):
     assert np.array_equal(again, codes)
     for fld in dataclasses.fields(BatchState):
         assert len(getattr(state, fld.name)) == seeds.size, fld.name
+
+
+# --- lane independence ---------------------------------------------------
+
+EDGE_SEEDS = [0, 1e-300, 1e200, 1, 0.5, -800, 800, 800j, 0.1j, 1e-150, 1.5 - 2j]
+SMALL_CFG = ClassifierConfig(max_iter=60, r_bound=10.0, r_esc=100.0, tail_window=5, overflow_guard=1e20)
+
+
+def catalog_maps():
+    maps = {}
+    for ex_id, _ in list_examples():
+        entry = get_example(ex_id)
+        for h in (entry.f, entry.g):
+            if h is not None:
+                maps[str(h)] = h
+    return sorted(maps.items())
+
+
+@pytest.mark.parametrize("cfg", [DEFAULT_CONFIG, SMALL_CFG], ids=["default", "small"])
+@pytest.mark.parametrize("name, f", catalog_maps(), ids=[name for name, _ in catalog_maps()])
+def test_batch_state_is_the_concatenation_of_one_seed_runs(name, f, cfg):
+    """Lanes of a mixed batch end at different steps, yet none affects another.
+
+    The batch repeats a few distinct seeds in shuffled order, 4,096 + 37
+    lanes long, so the same seed sits on both sides of the chunk edge.
+    """
+    distinct = np.array(
+        EDGE_SEEDS + list(GridSpec(-3, 3, -3, 3, 4, 4).points().ravel()), dtype=np.complex128
+    )
+    singles = [classify_batch(f, distinct[i : i + 1], cfg, return_state=True) for i in range(distinct.size)]
+    pick = np.random.default_rng(11).integers(0, distinct.size, CHUNK + 37)
+    codes, state = classify_batch(f, distinct[pick], cfg, return_state=True)
+    assert len(np.unique(state.term_step)) >= 3
+    assert np.array_equal(codes, np.concatenate([singles[i][0] for i in pick]))
+    for fld in dataclasses.fields(BatchState):
+        want = np.concatenate([getattr(singles[i][1], fld.name) for i in pick])
+        got = getattr(state, fld.name)
+        assert got.dtype == want.dtype and np.array_equal(got, want), fld.name
 
 
 def test_batch_of_no_seeds_is_empty():
