@@ -3,7 +3,9 @@
 A seed is iterated under a map until one of: the iteration budget runs
 out (`Completed`), the orbit leaves the trusted dynamic range or an
 evaluation event fires (`Overflowed`), a near-repeat of an earlier value
-is found (`CycleFound`), or a pole is hit (`PoleHit`, oracle maps only).
+is found (`CycleFound`), or the map is evaluated at its pole 0
+(`PoleHit`, oracle maps only). Orbits that shrink toward 0 are never cut
+short: they are left to settle into a cycle.
 
 Along the way the orbit's excursions are tracked against two radii. A
 *peak* is registered when the modulus first exceeds ``r_esc`` after a
@@ -79,8 +81,9 @@ class ClassifierConfig:
 
     ``overflow_guard`` bounds the modulus range the iteration trusts:
     an orbit is terminated as overflowed once its modulus exceeds the
-    guard or drops below its reciprocal (while nonzero), since one more
-    step of a power-type map would leave double range either way.
+    guard, since one more step of a power-type map would leave double
+    range. Small moduli are trusted down to 0, so an orbit attracted to
+    0 ends in a cycle, not as overflowed.
     """
 
     max_iter: int = 1000
@@ -142,7 +145,9 @@ class Overflowed:
     ``step`` is the index of the offending iterate: if that iterate's
     value crossed the dynamic-range guard it is the last recorded index,
     and if evaluation itself overflowed it is one past the last recorded
-    index (the value never materialized).
+    index (the value never materialized). Evaluation overflows also when
+    it divides by a zero that is not the input itself: ``1/pow(z,2)`` at
+    a tiny nonzero ``z``, whose square underflows to 0.
     """
 
     step: int
@@ -158,7 +163,10 @@ class CycleFound:
 
 @dataclass(frozen=True)
 class PoleHit:
-    """Division by exact zero at iterate ``step`` (oracle maps only)."""
+    """Division by exact zero at iterate ``step``, evaluating at the input 0.
+
+    Only the oracle maps ``1/pow(z,d)`` have such a pole.
+    """
 
     step: int
 
@@ -277,7 +285,6 @@ def _run_batch(
 
     program = compile_expr(root)
     guard = cfg.overflow_guard
-    inv_guard = 1.0 / guard
     tail_from = cfg.max_iter - cfg.tail_window  # steps beyond this feed the tail
 
     m = np.abs(z)
@@ -301,7 +308,7 @@ def _run_batch(
     if history is not None:
         history.append(complex(z[0]))
 
-    seed_out = (m > guard) | ((m > 0) & (m < inv_guard))
+    seed_out = m > guard
     out.kind[seed_out] = _OVERFLOWED
     w = _Lanes(out, np.flatnonzero(~seed_out), cfg)
     # Every live lane started at step 0 and advances once per step, so the
@@ -315,7 +322,8 @@ def _run_batch(
             vals, events = eval_array(program, w.z)
             failed = events != EVENT_NONE
             if failed.any():
-                w.end(out, failed, np.where(events[failed] == EVENT_POLE, _POLE, _OVERFLOWED), step)
+                pole = (events[failed] == EVENT_POLE) & (w.z[failed] == 0)
+                w.end(out, failed, np.where(pole, _POLE, _OVERFLOWED), step)
                 vals = vals[~failed]
                 if w.idx.size == 0:
                     break
@@ -353,12 +361,10 @@ def _run_batch(
                 w.cur_peak[starting] = mv[starting]
                 w.armed[starting] = False
 
-            if not inv_guard <= mv.min() <= mv.max() <= guard:
-                gone = (mv > guard) | ((mv > 0) & (mv < inv_guard))
-                if gone.any():
-                    w.end(out, gone, _OVERFLOWED, step)
-                    if w.idx.size == 0:
-                        break
+            if not mv.max() <= guard:
+                w.end(out, mv > guard, _OVERFLOWED, step)
+                if w.idx.size == 0:
+                    break
 
             lam += 1
             np.maximum(w.win_max, w.final_modulus, out=w.win_max)

@@ -250,6 +250,24 @@ def test_classify_point_examples():
     assert classify_point(parse("1/pow(z,2)"), 1) == Classification.BOUNDED
 
 
+@pytest.mark.parametrize("text, seed", [("0.5*z", 1), ("pow(z,2)", 0.5), ("z", 1e-300)])
+def test_orbits_attracted_to_zero_are_bounded(text, seed):
+    # 0 is an attracting fixed point of each map (Milnor, ch. 8), so the
+    # orbit shrinks toward it: it must not end as overflowed.
+    f = parse(text)
+    rec = iterate_orbit(f, seed)
+    assert isinstance(rec.termination, (Completed, CycleFound))
+    assert classify(rec) == Classification.BOUNDED
+    assert classify_batch(f, np.array([seed], dtype=np.complex128))[0] == Classification.BOUNDED
+
+
+def test_pole_counts_only_at_the_input_zero():
+    # 1e-200 squared underflows to 0, so the division is by an exact zero
+    # that the input is not: the orbit has overflowed, not hit the pole.
+    assert iterate_orbit(parse("1/pow(z,2)"), 1e-200).termination == Overflowed(1)
+    assert iterate_orbit(parse("1/pow(z,2)"), 0).termination == PoleHit(1)
+
+
 def test_pole_forces_unresolved():
     assert classify_point(parse("1/pow(z,2)"), 0) == Classification.UNRESOLVED
     assert classify_point(parse("1/z"), 0) == Classification.UNRESOLVED
