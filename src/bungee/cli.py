@@ -133,10 +133,10 @@ def _parse_samples(text: str) -> SamplePlan:
 def _load_config(path: Optional[str]) -> ClassifierConfig:
     if path is None:
         return DEFAULT_CONFIG
-    data = json.loads(Path(path).read_text())
+    text = Path(path).read_text()
     try:
-        return ClassifierConfig.from_dict(data)
-    except ValueError as exc:
+        return ClassifierConfig.from_dict(json.loads(text))
+    except ValueError as exc:  # also malformed JSON
         raise _UsageError(f"config {path}: {exc}") from None
 
 

@@ -15,6 +15,7 @@ variable ``z``. The surface syntax is a small arithmetic language:
 There is no implicit multiplication, ``i``/``pi``/``e`` are reserved, and
 the ``pow`` exponent must be a positive integer literal. Numbers must be
 finite doubles (not ``1e999``). Complex literals are spelled ``a+b*i``.
+Parentheses, calls and unary minus nest at most 200 levels deep.
 
 Evaluation is guarded rather than exception-driven: results that leave the
 representable range come back as event values (`InfinityEvent`,
@@ -226,11 +227,17 @@ def _tokenize(text: str) -> list[_Token]:
 
 # --- parser ------------------------------------------------------------
 
+# Deepest nesting of parentheses, calls and unary minus that `parse`
+# accepts. A level costs the recursive descent up to four stack frames,
+# so this keeps parsing well inside Python's default recursion limit.
+_MAX_NESTING = 200
+
 
 class _Parser:
     def __init__(self, tokens: list[_Token]):
         self.tokens = tokens
         self.pos = 0
+        self.depth = 0
 
     def peek(self) -> _Token:
         return self.tokens[self.pos]
@@ -268,10 +275,16 @@ class _Parser:
 
     def parse_factor(self) -> Expr:
         tok = self.peek()
+        if self.depth > _MAX_NESTING:
+            raise ExprSyntaxError(tok.offset, f"at most {_MAX_NESTING} levels of nesting")
+        self.depth += 1
         if tok.kind == "symbol" and tok.text == "-":
             self.advance()
-            return Neg(self.parse_factor())
-        return self.parse_atom()
+            node: Expr = Neg(self.parse_factor())
+        else:
+            node = self.parse_atom()
+        self.depth -= 1
+        return node
 
     def parse_atom(self) -> Expr:
         tok = self.peek()

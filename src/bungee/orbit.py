@@ -96,10 +96,13 @@ class ClassifierConfig:
     overflow_guard: float = 1e150
 
     def __post_init__(self) -> None:
-        for name in ("max_iter", "tail_window", "min_alternations"):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-                raise ValueError(f"{name} must be an integer")
+        for fld in fields(self):
+            value = getattr(self, fld.name)
+            integral = fld.type == "int"
+            if isinstance(value, bool) or not isinstance(
+                value, numbers.Integral if integral else numbers.Real
+            ):
+                raise ValueError(f"{fld.name} must be {'an integer' if integral else 'a real number'}")
         if self.max_iter < 1:
             raise ValueError("max_iter must be positive")
         if not 0 < self.r_bound < self.r_esc < self.overflow_guard:

@@ -391,7 +391,7 @@ def test_bad_expression_is_usage_error():
     assert "error:" in err
 
 
-@pytest.mark.parametrize("body", ['{"bogus": 1}', '{"max_iter": 10.5}', "[1]"])
+@pytest.mark.parametrize("body", ['{"bogus": 1}', '{"max_iter": 10.5}', "[1]", "{", '{"r_bound": "x"}'])
 def test_bad_config_file_is_usage_error(tmp_path, body):
     path = tmp_path / "bad.json"
     path.write_text(body)
@@ -400,6 +400,13 @@ def test_bad_config_file_is_usage_error(tmp_path, body):
     )
     assert code == 1
     assert "error:" in err and "config" in err
+
+
+@pytest.mark.parametrize("text", ["(" * 3000 + "z" + ")" * 3000, "-" * 3000 + "z"], ids=["parens", "minus"])
+def test_deep_nesting_is_usage_error(text):
+    code, _, err = run(["classify", f"--function={text}", "--point", "0,0"])
+    assert code == 1
+    assert "error:" in err and "nesting" in err
 
 
 def test_non_finite_literal_is_usage_error():

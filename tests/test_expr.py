@@ -13,10 +13,13 @@ import numpy as np
 import pytest
 
 from bungee import (
+    Classification,
     ExprSyntaxError,
     InfinityEvent,
     PoleEvent,
     affine_post,
+    classify_batch,
+    classify_point,
     compose,
     conjugate,
     evaluate,
@@ -92,6 +95,32 @@ def test_parse_rejects_non_finite_literals_at_their_offset(text, offset):
         parse(text)
     assert exc.value.offset == offset
     assert "finite" in exc.value.expected
+
+
+@pytest.mark.parametrize(
+    "opener, closer, offset",
+    [("(", ")", 202), ("-", "", 202), ("exp(", ")", 805)],
+    ids=["parentheses", "unary-minus", "calls"],
+)
+def test_parse_caps_nesting_depth(opener, closer, offset):
+    at_cap = opener * 200 + "z" + closer * 200
+    assert evaluate(parse(at_cap), 0.5) is not None
+    with pytest.raises(ExprSyntaxError) as exc:
+        parse(opener * 3000 + "z" + closer * 3000)
+    assert exc.value.offset == offset
+    assert "nesting" in exc.value.expected
+
+
+def test_long_sum_chain_evaluates_and_classifies():
+    # A left-associative chain nests 5,000 deep in the tree, not in the text.
+    f = parse("+".join(["z"] * 5000))
+    assert evaluate(f, 1) == 5000
+    assert classify_batch(f, np.array([0, 1e-6, 1], dtype=np.complex128)).tolist() == [
+        Classification.BOUNDED,
+        Classification.ESCAPING,
+        Classification.ESCAPING,
+    ]
+    assert classify_point(f, 0) == Classification.BOUNDED
 
 
 def test_number_literals_accept_fraction_and_exponent():

@@ -93,6 +93,11 @@ def test_default_config_values():
         {"max_iter": True},
         {"tail_window": 5.0},
         {"min_alternations": "2"},
+        {"r_bound": "x"},
+        {"r_esc": True},
+        {"peak_growth": None},
+        {"cycle_tol": "1e-12"},
+        {"overflow_guard": 1e200j},
     ],
 )
 def test_config_validation_rejects(kwargs):
