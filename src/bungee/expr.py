@@ -33,7 +33,7 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
-from typing import Union
+from typing import NamedTuple, Union
 
 import numpy as np
 
@@ -227,9 +227,8 @@ def _tokenize(text: str) -> list[_Token]:
 
 # --- parser ------------------------------------------------------------
 
-# Deepest nesting of parentheses, calls and unary minus that `parse`
-# accepts. A level costs the recursive descent up to four stack frames,
-# so this keeps parsing well inside Python's default recursion limit.
+# Deepest nesting of parentheses, calls and unary minus that `parse` takes:
+# at up to four stack frames a level, within Python's default recursion limit.
 _MAX_NESTING = 200
 
 
@@ -431,29 +430,26 @@ def format_expr(f: FunctionExpr | Expr) -> str:
 # --- evaluation --------------------------------------------------------
 
 
-@dataclass(frozen=True, eq=False)
-class Program:
-    """A map compiled once into a flat post-order instruction list.
+class Program(NamedTuple):
+    """A map compiled by `compile_expr` into a flat post-order list.
 
     ``slots`` is the initial register file: slot 0 receives ``z`` and
-    constants sit in their own slots. Each instruction
-    ``(op, node, dst, a, b)`` fills slot ``dst`` from slot ``a`` and slot
-    ``b`` (for ``pow``, ``b`` is the integer exponent), and keeps its
-    ``node`` so that events can name it. ``out`` is the result's slot.
+    constants sit in their own slots. Instruction ``(op, node, dst, a, b)``
+    fills slot ``dst`` from slots ``a`` and ``b`` (for ``pow``, ``b`` is
+    the exponent) and keeps its ``node`` so that events can name it.
     """
 
     slots: tuple
     code: tuple
-    out: int
+    out: int  # the result's slot
 
 
 def compile_expr(f: FunctionExpr | Expr) -> Program:
-    """Compile ``f`` into a `Program`, without recursion.
+    """Compile ``f`` once into a `Program`, without recursion.
 
-    Operands come before the node that uses them, in the order in which
-    the tree is read, so events fire in the same order as they would in a
-    depth-first walk. ``Var`` compiles to no instruction: it names slot 0,
-    or the slot of the inner map inside an ``Apply``.
+    Operands precede the node that uses them, in reading order, so events
+    fire in depth-first order. ``Var`` emits nothing: it names slot 0, or
+    inside an ``Apply`` the slot of the inner map.
     """
     root = f.root if isinstance(f, FunctionExpr) else f
     slots: list = [None]
@@ -497,67 +493,60 @@ def compile_expr(f: FunctionExpr | Expr) -> Program:
     return Program(tuple(slots), tuple(code), done.pop())
 
 
-def _execute(program: Program, z: np.ndarray):
-    """Run ``program`` on ``z``; returns the result and the event marks.
-
-    A mark ``(code, mask, node)`` is recorded only where a node's check
-    fails. Each check is one reduction on the fast path: a lane sum is
-    finite iff every lane is, a count of nonzero divisors equals the lane
-    count iff none is zero, and a max/min bounds every argument.
-    """
-    regs = list(program.slots)
-    regs[0] = z
-    marks = []
-    for op, node, dst, a, b in program.code:
-        x = regs[a]
-        if op == "+":
-            v = x + regs[b]
-        elif op == "-":
-            v = x - regs[b]
-        elif op == "*":
-            v = x * regs[b]
-        elif op == "/":
-            y = regs[b]
-            if np.count_nonzero(y) != np.size(y):
-                marks.append((EVENT_POLE, y == 0, node))
-            v = x / y
-        elif op == "pow":
-            v = x**b
-        elif op == "neg":
-            regs[dst] = -x
-            continue
-        elif op == "exp":
-            re = np.real(x)
-            if not re.max(initial=-np.inf) <= EXP_REAL_LIMIT:
-                marks.append((EVENT_INFINITY, re > EXP_REAL_LIMIT, node))
-            v = np.exp(x)
-        else:
-            im = np.imag(x)
-            if not -TRIG_IMAG_LIMIT <= im.min(initial=0.0) <= im.max(initial=0.0) <= TRIG_IMAG_LIMIT:
-                marks.append((EVENT_INFINITY, np.abs(im) > TRIG_IMAG_LIMIT, node))
-            v = np.sin(x) if op == "sin" else np.cos(x)
-        if not cmath.isfinite(v.sum()):
-            marks.append((EVENT_INFINITY, ~np.isfinite(v), node))
-        regs[dst] = v
-    return regs[program.out], marks
-
-
 def eval_array(f: FunctionExpr | Expr | Program, z: np.ndarray, want_nodes: bool = False):
     """Evaluate ``f`` elementwise over a complex array.
 
-    ``f`` may be a `Program` from `compile_expr`, so that a caller that
-    evaluates one map many times compiles it once. Returns
-    ``(values, events)`` or, with ``want_nodes``, a third object array
-    holding the node at which each element's event fired. Event codes are
-    EVENT_NONE, EVENT_INFINITY, EVENT_POLE; the first event along the
-    evaluation order wins and later garbage in that lane is ignored.
-    Values at event positions are unspecified.
+    ``f`` may be a `Program`, so that a caller evaluating one map many
+    times compiles it once. Returns ``(values, events)`` or, with
+    ``want_nodes``, a third object array holding the node at which each
+    element's event fired. Event codes are EVENT_NONE, EVENT_INFINITY,
+    EVENT_POLE; the first event along the evaluation order wins and later
+    garbage in that lane is ignored. Values at event positions are
+    unspecified.
+
+    Every node checks its lanes with one reduction (a lane sum is finite
+    iff every lane is; no divisor is zero iff all are counted nonzero; a
+    max/min bounds the exp/sin/cos arguments), and builds a mask of the
+    offending lanes only when that check fails.
     """
     program = f if isinstance(f, Program) else compile_expr(f)
     z = np.asarray(z, dtype=np.complex128)
+    regs = list(program.slots)
+    regs[0] = z
+    marks = []  # (event code, lane mask, node), in evaluation order
     with np.errstate(all="ignore"):
-        values, marks = _execute(program, z)
-        values = np.broadcast_to(np.asarray(values, dtype=np.complex128), z.shape)
+        for op, node, dst, a, b in program.code:
+            x = regs[a]
+            if op == "+":
+                v = x + regs[b]
+            elif op == "-":
+                v = x - regs[b]
+            elif op == "*":
+                v = x * regs[b]
+            elif op == "/":
+                y = regs[b]
+                if np.count_nonzero(y) != np.size(y):
+                    marks.append((EVENT_POLE, y == 0, node))
+                v = x / y
+            elif op == "pow":
+                v = x**b
+            elif op == "neg":
+                regs[dst] = -x
+                continue
+            elif op == "exp":
+                re = np.real(x)
+                if not re.max(initial=-np.inf) <= EXP_REAL_LIMIT:
+                    marks.append((EVENT_INFINITY, re > EXP_REAL_LIMIT, node))
+                v = np.exp(x)
+            else:
+                im = np.imag(x)
+                if not -TRIG_IMAG_LIMIT <= im.min(initial=0.0) <= im.max(initial=0.0) <= TRIG_IMAG_LIMIT:
+                    marks.append((EVENT_INFINITY, np.abs(im) > TRIG_IMAG_LIMIT, node))
+                v = np.sin(x) if op == "sin" else np.cos(x)
+            if not cmath.isfinite(v.sum()):
+                marks.append((EVENT_INFINITY, ~np.isfinite(v), node))
+            regs[dst] = v
+        values = np.broadcast_to(np.asarray(regs[program.out], dtype=np.complex128), z.shape)
     events = np.zeros(z.shape, dtype=np.int8)
     nodes = np.empty(z.shape, dtype=object) if want_nodes else None
     for code, mask, node in marks:

@@ -29,7 +29,12 @@ Verdicts are assigned by the first matching rule:
 
 The same vectorized engine drives single-point classification, batch
 classification and grid rendering, so verdicts are identical across all
-of them by construction.
+of them by construction. It compiles the map once per run
+(`compile_expr`) and evaluates that flat program once per step over the
+live lanes only: when an orbit ends, its state is written to the output
+once and the working arrays are compacted. Every lane starts at step 0,
+so all live lanes share one Brent checkpoint schedule for cycle
+detection (Brent 1980).
 """
 
 from __future__ import annotations
@@ -366,8 +371,6 @@ def _run_batch(
 
             if not mv.max() <= guard:
                 w.end(out, mv > guard, _OVERFLOWED, step)
-                if w.idx.size == 0:
-                    break
 
             lam += 1
             np.maximum(w.win_max, w.final_modulus, out=w.win_max)
