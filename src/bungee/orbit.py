@@ -103,11 +103,11 @@ class ClassifierConfig:
     def __post_init__(self) -> None:
         for fld in fields(self):
             value = getattr(self, fld.name)
-            integral = fld.type == "int"
-            if isinstance(value, bool) or not isinstance(
-                value, numbers.Integral if integral else numbers.Real
-            ):
-                raise ValueError(f"{fld.name} must be {'an integer' if integral else 'a real number'}")
+            kind, what = (
+                (numbers.Integral, "an integer") if isinstance(fld.default, int) else (numbers.Real, "a real number")
+            )
+            if isinstance(value, bool) or not isinstance(value, kind):
+                raise ValueError(f"{fld.name} must be {what}")
         if self.max_iter < 1:
             raise ValueError("max_iter must be positive")
         if not 0 < self.r_bound < self.r_esc < self.overflow_guard:
@@ -268,12 +268,13 @@ class _Lanes:
 
     def end(self, out: BatchState, gone: np.ndarray, kind, step: int) -> None:
         """Write the lanes in mask ``gone`` to ``out`` and drop them."""
+        # Integer indices: one nonzero scan each, not one per array.
+        keep, gone = np.flatnonzero(~gone), np.flatnonzero(gone)
         ids = self.idx[gone]
         for name in _LANE_FIELDS:
             getattr(out, name)[ids] = getattr(self, name)[gone]
         out.kind[ids] = kind
         out.term_step[ids] = step
-        keep = ~gone
         for name in self.__slots__:
             setattr(self, name, getattr(self, name)[keep])
 

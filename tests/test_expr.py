@@ -103,8 +103,7 @@ def test_parse_rejects_non_finite_literals_at_their_offset(text, offset):
     ids=["parentheses", "unary-minus", "calls"],
 )
 def test_parse_caps_nesting_depth(opener, closer, offset):
-    at_cap = opener * 200 + "z" + closer * 200
-    assert evaluate(parse(at_cap), 0.5) is not None
+    parse(opener * 200 + "z" + closer * 200)  # at the cap: accepted
     with pytest.raises(ExprSyntaxError) as exc:
         parse(opener * 3000 + "z" + closer * 3000)
     assert exc.value.offset == offset
