@@ -32,6 +32,7 @@ from __future__ import annotations
 
 import cmath
 import math
+import operator
 from dataclasses import dataclass
 from typing import NamedTuple, Union
 
@@ -153,6 +154,7 @@ class PoleEvent:
 EvalResult = Union[complex, InfinityEvent, PoleEvent]
 
 _NAMED_VALUES = {"pi": complex(np.pi), "e": complex(np.e), "i": 1j}
+_BINARY = {"+": operator.add, "-": operator.sub, "*": operator.mul, "/": operator.truediv}
 _FUNC_NAMES = ("exp", "sin", "cos")
 
 
@@ -431,66 +433,45 @@ def format_expr(f: FunctionExpr | Expr) -> str:
 
 
 class Program(NamedTuple):
-    """A map compiled by `compile_expr` into a flat post-order list.
+    """A map compiled by `compile_expr`: a flat post-order instruction list.
 
-    ``slots`` is the initial register file: slot 0 receives ``z`` and
-    constants sit in their own slots. Instruction ``(op, node, dst, a, b)``
-    fills slot ``dst`` from slots ``a`` and ``b`` (for ``pow``, ``b`` is
-    the exponent) and keeps its ``node`` so that events can name it.
+    Each instruction ``(op, node, arg)`` keeps its ``node`` so that events
+    can name it; ``arg`` is a ``load``'s constant (None loads what ``Var``
+    reads) or a ``pow`` exponent.
     """
 
-    slots: tuple
     code: tuple
-    out: int  # the result's slot
 
 
 def compile_expr(f: FunctionExpr | Expr) -> Program:
     """Compile ``f`` once into a `Program`, without recursion.
 
     Operands precede the node that uses them, in reading order, so events
-    fire in depth-first order. ``Var`` emits nothing: it names slot 0, or
-    inside an ``Apply`` the slot of the inner map.
+    fire in depth-first order. ``Apply`` becomes its inner map, ``bind``
+    (``Var`` now reads that value), its outer map and ``unbind``.
     """
-    root = f.root if isinstance(f, FunctionExpr) else f
-    slots: list = [None]
     code: list = []
-    done: list[int] = []  # result slots of finished subtrees
-    todo = [(root, 0, False)]  # (node, slot that Var reads, operands done)
+    todo: list = [f.root if isinstance(f, FunctionExpr) else f]  # nodes, and instructions due
     while todo:
-        node, var, ready = todo.pop()
-        if isinstance(node, Var):
-            done.append(var)
-        elif isinstance(node, (Const, Named)):
-            value = node.value if isinstance(node, Const) else _NAMED_VALUES[node.name]
-            done.append(len(slots))
-            slots.append(np.complex128(value))
-        elif isinstance(node, Apply):
-            if ready:
-                todo.append((node.outer, done.pop(), False))
-            else:
-                todo += [(node, var, True), (node.inner, var, False)]
-        elif isinstance(node, (Neg, BinOp, Pow, Call)):
-            if not ready:
-                todo.append((node, var, True))
-                operands = (node.left, node.right) if isinstance(node, BinOp) else (
-                    node.base if isinstance(node, Pow) else node.arg,
-                )
-                todo += [(child, var, False) for child in reversed(operands)]
-                continue
-            b = done.pop() if isinstance(node, BinOp) else None
-            a = done.pop()
-            if isinstance(node, Neg):
-                op = "neg"
-            elif isinstance(node, Pow):
-                op, b = "pow", node.exponent
-            else:
-                op = node.op if isinstance(node, BinOp) else node.name
-            code.append((op, node, len(slots), a, b))
-            done.append(len(slots))
-            slots.append(None)
+        item = todo.pop()
+        if isinstance(item, tuple):
+            code.append(item)
+        elif isinstance(item, Var):
+            code.append(("load", item, None))
+        elif isinstance(item, (Const, Named)):
+            value = item.value if isinstance(item, Const) else _NAMED_VALUES[item.name]
+            code.append(("load", item, np.complex128(value)))
+        elif isinstance(item, Apply):
+            todo += [("unbind", item, None), item.outer, ("bind", item, None), item.inner]
+        elif isinstance(item, BinOp):
+            todo += [(item.op, item, None), item.right, item.left]
+        elif isinstance(item, Pow):
+            todo += [("pow", item, item.exponent), item.base]
+        elif isinstance(item, (Neg, Call)):
+            todo += [("neg" if isinstance(item, Neg) else item.name, item, None), item.arg]
         else:
-            raise TypeError(f"not an expression node: {node!r}")
-    return Program(tuple(slots), tuple(code), done.pop())
+            raise TypeError(f"not an expression node: {item!r}")
+    return Program(tuple(code))
 
 
 def eval_array(f: FunctionExpr | Expr | Program, z: np.ndarray, want_nodes: bool = False):
@@ -511,42 +492,45 @@ def eval_array(f: FunctionExpr | Expr | Program, z: np.ndarray, want_nodes: bool
     """
     program = f if isinstance(f, Program) else compile_expr(f)
     z = np.asarray(z, dtype=np.complex128)
-    regs = list(program.slots)
-    regs[0] = z
+    stack: list = []
+    env = [z]  # what Var reads: z, or the inner value of the innermost Apply
     marks = []  # (event code, lane mask, node), in evaluation order
     with np.errstate(all="ignore"):
-        for op, node, dst, a, b in program.code:
-            x = regs[a]
-            if op == "+":
-                v = x + regs[b]
-            elif op == "-":
-                v = x - regs[b]
-            elif op == "*":
-                v = x * regs[b]
-            elif op == "/":
-                y = regs[b]
-                if np.count_nonzero(y) != np.size(y):
-                    marks.append((EVENT_POLE, y == 0, node))
-                v = x / y
-            elif op == "pow":
-                v = x**b
-            elif op == "neg":
-                regs[dst] = -x
+        for op, node, arg in program.code:
+            if op == "load":
+                stack.append(env[-1] if arg is None else arg)
                 continue
-            elif op == "exp":
+            if op == "bind":
+                env.append(stack.pop())
+                continue
+            if op == "unbind":
+                env.pop()
+                continue
+            x = stack.pop()
+            if op == "neg":
+                stack.append(-x)
+                continue
+            if op == "exp":
                 re = np.real(x)
                 if not re.max(initial=-np.inf) <= EXP_REAL_LIMIT:
                     marks.append((EVENT_INFINITY, re > EXP_REAL_LIMIT, node))
                 v = np.exp(x)
-            else:
+            elif op in ("sin", "cos"):
                 im = np.imag(x)
                 if not -TRIG_IMAG_LIMIT <= im.min(initial=0.0) <= im.max(initial=0.0) <= TRIG_IMAG_LIMIT:
                     marks.append((EVENT_INFINITY, np.abs(im) > TRIG_IMAG_LIMIT, node))
                 v = np.sin(x) if op == "sin" else np.cos(x)
+            elif op == "pow":
+                v = x**arg
+            else:
+                x, y = stack.pop(), x
+                if op == "/" and np.count_nonzero(y) != np.size(y):
+                    marks.append((EVENT_POLE, y == 0, node))
+                v = _BINARY[op](x, y)
             if not cmath.isfinite(v.sum()):
                 marks.append((EVENT_INFINITY, ~np.isfinite(v), node))
-            regs[dst] = v
-        values = np.broadcast_to(np.asarray(regs[program.out], dtype=np.complex128), z.shape)
+            stack.append(v)
+        values = np.broadcast_to(np.asarray(stack.pop(), dtype=np.complex128), z.shape)
     events = np.zeros(z.shape, dtype=np.int8)
     nodes = np.empty(z.shape, dtype=object) if want_nodes else None
     for code, mask, node in marks:
