@@ -299,7 +299,7 @@ def _run_batch(
     m = np.abs(z)
     out = BatchState(
         z=z,
-        kind=np.zeros(n, dtype=np.int8),
+        kind=np.full(n, _RUNNING, dtype=np.int8),
         term_step=np.zeros(n, dtype=np.int64),
         period=np.zeros(n, dtype=np.int64),
         cycle_max=np.zeros(n, dtype=np.float64),
