@@ -11,6 +11,10 @@ Inclusion-type relations test only the stated direction; equivalence
 and emptiness relations test both. Relations whose statements assume a
 commuting pair run a numeric permutability check first and record its
 result in the report.
+
+The relations are one table, `_RELATIONS`: each row names the report's
+verdict columns, a vectorised predicate for bad seeds, and which extra
+arguments, pre-check and hypothesis record the relation takes.
 """
 
 from __future__ import annotations
@@ -18,7 +22,7 @@ from __future__ import annotations
 import enum
 import json
 from dataclasses import dataclass
-from typing import Optional
+from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
@@ -67,29 +71,6 @@ class RelationId(enum.Enum):
         return self.value
 
 
-# Relations whose statements assume a commuting pair; their reports
-# always carry a permutability result.
-_NEEDS_PERMUTABILITY = frozenset(
-    {
-        RelationId.AFFINE_BUNGEE_EQUAL,
-        RelationId.K_INTERSECTION_INTO_COMPOSITE,
-        RelationId.ESCAPING_INVARIANCE,
-        RelationId.ESCAPING_UNION,
-        RelationId.BUNGEE_COMPOSITE,
-    }
-)
-
-# Relations whose statements assume the maps have no finite asymptotic
-# values; the flag is supplied by the caller, never computed.
-_NEEDS_ASYMPTOTIC_FLAG = frozenset(
-    {
-        RelationId.ESCAPING_INVARIANCE,
-        RelationId.ESCAPING_UNION,
-        RelationId.BUNGEE_COMPOSITE,
-    }
-)
-
-
 @dataclass(frozen=True)
 class SamplePlan:
     """Where relation samples come from: a grid of cell centers or a list."""
@@ -105,10 +86,7 @@ class SamplePlan:
 
     def __post_init__(self) -> None:
         if self.kind == "grid":
-            if not (self.re_min < self.re_max and self.im_min < self.im_max):
-                raise ValueError("sample rectangle must have positive extent")
-            if self.nx < 1 or self.ny < 1:
-                raise ValueError("sample grid must have at least one cell per axis")
+            self._grid()  # GridSpec checks the rectangle and the cell counts
         elif self.kind == "list":
             if not self.points:
                 raise ValueError("sample list must not be empty")
@@ -140,23 +118,17 @@ class SamplePlan:
     def sample_count(self) -> int:
         return self.nx * self.ny if self.kind == "grid" else len(self.points)
 
+    def _grid(self) -> GridSpec:
+        return GridSpec(self.re_min, self.re_max, self.im_min, self.im_max, self.nx, self.ny)
+
     def seeds(self) -> np.ndarray:
         if self.kind == "grid":
-            spec = GridSpec(self.re_min, self.re_max, self.im_min, self.im_max, self.nx, self.ny)
-            return spec.points().ravel()
+            return self._grid().points().ravel()
         return np.array(self.points, dtype=np.complex128)
 
     def to_dict(self) -> dict:
         if self.kind == "grid":
-            return {
-                "kind": "grid",
-                "re_min": self.re_min,
-                "re_max": self.re_max,
-                "im_min": self.im_min,
-                "im_max": self.im_max,
-                "nx": self.nx,
-                "ny": self.ny,
-            }
+            return {"kind": "grid", **self._grid().to_dict()}
         return {"kind": "list", "points": [[p.real, p.imag] for p in self.points]}
 
 
@@ -266,31 +238,135 @@ def check_permutable(
     )
 
 
-def _images(g: FunctionExpr, seeds: np.ndarray):
-    """Evaluate g at the seeds; returns (values, finite mask)."""
-    vals, events = eval_array(g.root, seeds)
-    ok = (events == EVENT_NONE) & np.isfinite(vals)
-    return vals, ok
-
-
-def _classify_where(
-    f: FunctionExpr,
-    points: np.ndarray,
-    ok: np.ndarray,
-    cfg: ClassifierConfig,
-) -> np.ndarray:
-    """Classify points[ok]; everything else reports Unresolved."""
-    out = np.full(points.shape, _UNRESOLVED, dtype=np.int8)
-    out[ok] = classify_batch(f, points[ok], cfg)
-    return out
-
-
 def _strip_mask(seeds: np.ndarray) -> np.ndarray:
     """Left-half-plane strips around odd multiples of pi."""
     x = seeds.real
     y = seeds.imag
     phase = np.mod(y - np.pi / 2.0, 2.0 * np.pi)
     return (x < 0) & (phase > 0) & (phase < np.pi)
+
+
+_K = int(Classification.BOUNDED)
+_BU = int(Classification.BUNGEE)
+_I = int(Classification.ESCAPING)
+
+
+def _escaping_union_bad(f, g, fg, equality, **_):
+    in_union = (f == _I) | (g == _I)
+    if equality:
+        return in_union != (fg == _I)
+    return in_union & (fg != _I)
+
+
+class _Relation(NamedTuple):
+    """One row of `_RELATIONS`.
+
+    ``bad`` takes the verdict columns by label, plus ``seeds`` and
+    ``equality``, and marks the seeds where the relation fails.
+    ``permutable`` is set for statements that assume a commuting pair, so
+    their reports always carry a permutability result; ``hypothesis`` for
+    statements that assume no finite asymptotic values, a flag the caller
+    supplies and the report records, never computed.
+    """
+
+    labels: tuple[str, ...]  # report columns, each built by `_column`
+    bad: Callable[..., np.ndarray]
+    needs: str = ""  # the arguments beyond f that the relation requires
+    permutable: bool = False
+    hypothesis: bool = False
+
+
+_RELATIONS = {
+    RelationId.AFFINE_BUNGEE_EQUAL: _Relation(
+        ("f", "g"),
+        lambda f, g, **_: (f == _BU) != (g == _BU),
+        needs="a and b",
+        permutable=True,
+    ),
+    RelationId.BU_SWAP: _Relation(
+        ("fg", "gf_at_image"),
+        lambda fg, gf_at_image, **_: (fg == _BU) != (gf_at_image == _BU),
+        needs="g",
+    ),
+    RelationId.K_INTERSECTION_INTO_COMPOSITE: _Relation(
+        ("f", "g", "fg"),
+        lambda f, g, fg, **_: (f == _K) & (g == _K) & (fg != _K),
+        needs="g",
+        permutable=True,
+    ),
+    RelationId.ESCAPING_INVARIANCE: _Relation(
+        ("g", "g_at_image"),
+        lambda g, g_at_image, **_: (g == _I) & (g_at_image != _I),
+        needs="g",
+        permutable=True,
+        hypothesis=True,
+    ),
+    RelationId.ESCAPING_UNION: _Relation(
+        ("f", "g", "fg"),
+        _escaping_union_bad,
+        needs="g",
+        permutable=True,
+        hypothesis=True,
+    ),
+    RelationId.BUNGEE_COMPOSITE: _Relation(
+        ("f", "g", "fg"),
+        lambda f, g, fg, **_: (fg == _BU) & ~((f == _BU) & (g == _BU)),
+        needs="g",
+        permutable=True,
+        hypothesis=True,
+    ),
+    RelationId.K_SWAP: _Relation(
+        ("fg", "gf_at_image"),
+        lambda fg, gf_at_image, **_: (fg == _K) != (gf_at_image == _K),
+        needs="g",
+    ),
+    RelationId.CONJUGACY_TRANSPORT: _Relation(
+        ("f", "conjugate_at_image"),
+        lambda f, conjugate_at_image, **_: f != conjugate_at_image,
+        needs="a and b",
+    ),
+    RelationId.DISJOINT_K_AND_BU: _Relation(
+        ("f", "g"),
+        lambda f, g, **_: (f == g) & ((f == _K) | (f == _BU)),
+        needs="g",
+    ),
+    RelationId.STRIP_CONTAINMENT: _Relation(
+        ("f",),
+        lambda f, seeds, **_: (f == _I) & ~_strip_mask(seeds),
+    ),
+}
+
+
+def _column(
+    label: str,
+    f: FunctionExpr,
+    g: Optional[FunctionExpr],
+    a: Optional[complex],
+    b: Optional[complex],
+    seeds: np.ndarray,
+    cfg: ClassifierConfig,
+) -> np.ndarray:
+    """Verdict codes of one report column over the seeds.
+
+    ``f``, ``g`` and ``fg`` classify that map at the seeds; ``g_at_image``
+    classifies g at f(seeds) and ``gf_at_image`` classifies g o f at
+    g(seeds), where an image that fails to evaluate stays Unresolved;
+    ``conjugate_at_image`` classifies the conjugate of f at a*seeds+b.
+    """
+    if label == "conjugate_at_image":
+        return classify_batch(conjugate(f, a, b), a * seeds + b, cfg)
+    if label == "g_at_image":
+        mover, target = f, g
+    elif label == "gf_at_image":
+        mover, target = g, compose(g, f)
+    else:
+        target = f if label == "f" else g if label == "g" else compose(f, g)
+        return classify_batch(target, seeds, cfg)
+    images, events = eval_array(mover.root, seeds)
+    ok = (events == EVENT_NONE) & np.isfinite(images)
+    codes = np.full(seeds.shape, _UNRESOLVED, dtype=np.int8)
+    codes[ok] = classify_batch(target, images[ok], cfg)
+    return codes
 
 
 def verify_relation(
@@ -322,145 +398,41 @@ def verify_relation(
         raise ValueError("workers must be positive")
     if isinstance(rel, str):
         rel = RelationId(rel)
+    row = _RELATIONS[rel]
     seeds = plan.seeds()
-
-    needs_g = rel in {
-        RelationId.BU_SWAP,
-        RelationId.K_SWAP,
-        RelationId.K_INTERSECTION_INTO_COMPOSITE,
-        RelationId.ESCAPING_INVARIANCE,
-        RelationId.ESCAPING_UNION,
-        RelationId.BUNGEE_COMPOSITE,
-        RelationId.DISJOINT_K_AND_BU,
-    }
-    if needs_g and g is None:
-        raise ValueError(f"{rel.value} requires g")
-    needs_phi = rel in {RelationId.CONJUGACY_TRANSPORT, RelationId.AFFINE_BUNGEE_EQUAL}
-    if needs_phi and (a is None or b is None):
-        raise ValueError(f"{rel.value} requires a and b")
-
+    given = {"": True, "g": g is not None, "a and b": a is not None and b is not None}
+    if not given[row.needs]:
+        raise ValueError(f"{rel.value} requires {row.needs}")
+    if row.needs == "a and b":
+        a, b = complex(a), complex(b)
     if rel is RelationId.AFFINE_BUNGEE_EQUAL:
-        g = affine_post(f, complex(a), complex(b))
+        g = affine_post(f, a, b)
 
-    permutability: Optional[PermutabilityResult] = None
-    if rel in _NEEDS_PERMUTABILITY:
-        permutability = check_permutable(f, g, plan, tol)
-        if rel is RelationId.AFFINE_BUNGEE_EQUAL and not permutability.permutable:
-            raise ValueError(
-                "AffineBungeeEqual requires a permutable pair; "
-                f"max_dev={permutability.max_dev:.3e} exceeds tol={tol:.1e}"
-            )
-
+    permutability = check_permutable(f, g, plan, tol) if row.permutable else None
+    if rel is RelationId.AFFINE_BUNGEE_EQUAL and not permutability.permutable:
+        raise ValueError(
+            "AffineBungeeEqual requires a permutable pair; "
+            f"max_dev={permutability.max_dev:.3e} exceeds tol={tol:.1e}"
+        )
     hypothesis = None
-    if rel in _NEEDS_ASYMPTOTIC_FLAG:
+    if row.hypothesis:
         hypothesis = {
             "no_finite_asymptotic_values": no_finite_asymptotic_values,
             "source": hypothesis_source,
         }
 
-    if rel in {RelationId.BU_SWAP, RelationId.K_SWAP}:
-        fg = compose(f, g)
-        gf = compose(g, f)
-        cls_fg = classify_batch(fg, seeds, cfg)
-        images, img_ok = _images(g, seeds)
-        cls_gf_img = _classify_where(gf, images, img_ok, cfg)
-        target = (
-            Classification.BUNGEE if rel is RelationId.BU_SWAP else Classification.BOUNDED
-        )
-        bad = (cls_fg == int(target)) != (cls_gf_img == int(target))
-        labels = ("fg", "gf_at_image")
-        columns = (cls_fg, cls_gf_img)
-
-    elif rel is RelationId.K_INTERSECTION_INTO_COMPOSITE:
-        cls_f = classify_batch(f, seeds, cfg)
-        cls_g = classify_batch(g, seeds, cfg)
-        cls_fg = classify_batch(compose(f, g), seeds, cfg)
-        in_both = (cls_f == int(Classification.BOUNDED)) & (
-            cls_g == int(Classification.BOUNDED)
-        )
-        bad = in_both & (cls_fg != int(Classification.BOUNDED))
-        labels = ("f", "g", "fg")
-        columns = (cls_f, cls_g, cls_fg)
-
-    elif rel is RelationId.ESCAPING_INVARIANCE:
-        cls_g = classify_batch(g, seeds, cfg)
-        images, img_ok = _images(f, seeds)
-        cls_g_img = _classify_where(g, images, img_ok, cfg)
-        esc = int(Classification.ESCAPING)
-        bad = (cls_g == esc) & (cls_g_img != esc)
-        labels = ("g", "g_at_image")
-        columns = (cls_g, cls_g_img)
-
-    elif rel is RelationId.ESCAPING_UNION:
-        cls_f = classify_batch(f, seeds, cfg)
-        cls_g = classify_batch(g, seeds, cfg)
-        cls_fg = classify_batch(compose(f, g), seeds, cfg)
-        esc = int(Classification.ESCAPING)
-        in_union = (cls_f == esc) | (cls_g == esc)
-        bad = in_union & (cls_fg != esc)
-        if equality:
-            bad |= (cls_fg == esc) & ~in_union
-        labels = ("f", "g", "fg")
-        columns = (cls_f, cls_g, cls_fg)
-
-    elif rel is RelationId.BUNGEE_COMPOSITE:
-        cls_f = classify_batch(f, seeds, cfg)
-        cls_g = classify_batch(g, seeds, cfg)
-        cls_fg = classify_batch(compose(f, g), seeds, cfg)
-        bu = int(Classification.BUNGEE)
-        bad = (cls_fg == bu) & ~((cls_f == bu) & (cls_g == bu))
-        labels = ("f", "g", "fg")
-        columns = (cls_f, cls_g, cls_fg)
-
-    elif rel is RelationId.CONJUGACY_TRANSPORT:
-        av = complex(a)
-        bv = complex(b)
-        h = conjugate(f, av, bv)
-        cls_f = classify_batch(f, seeds, cfg)
-        images = av * seeds + bv
-        cls_h_img = classify_batch(h, images, cfg)
-        bad = cls_f != cls_h_img
-        labels = ("f", "conjugate_at_image")
-        columns = (cls_f, cls_h_img)
-
-    elif rel is RelationId.AFFINE_BUNGEE_EQUAL:
-        cls_f = classify_batch(f, seeds, cfg)
-        cls_g = classify_batch(g, seeds, cfg)
-        bu = int(Classification.BUNGEE)
-        bad = (cls_f == bu) != (cls_g == bu)
-        labels = ("f", "g")
-        columns = (cls_f, cls_g)
-
-    elif rel is RelationId.DISJOINT_K_AND_BU:
-        cls_f = classify_batch(f, seeds, cfg)
-        cls_g = classify_batch(g, seeds, cfg)
-        both_k = (cls_f == int(Classification.BOUNDED)) & (
-            cls_g == int(Classification.BOUNDED)
-        )
-        both_bu = (cls_f == int(Classification.BUNGEE)) & (
-            cls_g == int(Classification.BUNGEE)
-        )
-        bad = both_k | both_bu
-        labels = ("f", "g")
-        columns = (cls_f, cls_g)
-
-    elif rel is RelationId.STRIP_CONTAINMENT:
-        cls_f = classify_batch(f, seeds, cfg)
-        bad = (cls_f == int(Classification.ESCAPING)) & ~_strip_mask(seeds)
-        labels = ("f",)
-        columns = (cls_f,)
-
-    else:  # pragma: no cover - every RelationId is handled above
-        raise ValueError(f"unhandled relation: {rel!r}")
-
+    columns = [_column(label, f, g, a, b, seeds, cfg) for label in row.labels]
     # Seeds a column could not resolve (including images that failed to
-    # evaluate, which `_classify_where` reports as Unresolved) never count.
+    # evaluate) never count.
     resolved = np.logical_and.reduce([col != _UNRESOLVED for col in columns])
+    bad = row.bad(seeds=seeds, equality=equality, **dict(zip(row.labels, columns)))
     bad &= resolved
     violations = tuple(
         Violation(
             seed=complex(seeds[i]),
-            verdicts={lab: Classification(int(col[i])) for lab, col in zip(labels, columns)},
+            verdicts={
+                lab: Classification(int(col[i])) for lab, col in zip(row.labels, columns)
+            },
         )
         for i in np.flatnonzero(bad)
     )
