@@ -62,11 +62,14 @@ class ExpectationResult:
 
 @dataclass(frozen=True)
 class Expectation:
-    """A checkable claim about an entry; ``run`` recomputes it from scratch."""
+    """A checkable claim about an entry.
+
+    ``run`` recomputes it from scratch and returns ``(passed, measured)``.
+    """
 
     description: str
     source: str
-    run: Callable[["ExampleEntry", ClassifierConfig, float], ExpectationResult]
+    run: Callable[["ExampleEntry", ClassifierConfig, float], tuple[bool, dict]]
 
     def to_dict(self) -> dict:
         return {"description": self.description, "source": self.source}
@@ -176,29 +179,17 @@ def _sine_drift(entry: ExampleEntry, cfg: ClassifierConfig, scale: float):
     for n in range(1, 31):
         z = evaluate(entry.g, z)
         worst = max(worst, abs(z - 2.0 * math.pi * n))
-    return ExpectationResult(
-        description=_SINE_DRIFT_DESC,
-        passed=worst <= 1e-6,
-        measured={"max_drift_dev": worst, "steps": 30},
-    )
+    return worst <= 1e-6, {"max_drift_dev": worst, "steps": 30}
 
 
 def _sine_zero_escapes(entry, cfg, scale):
     verdict = classify_point(entry.g, 0j, cfg)
-    return ExpectationResult(
-        description=_SINE_ZERO_ESC_DESC,
-        passed=verdict is Classification.ESCAPING,
-        measured={"verdict": str(verdict)},
-    )
+    return verdict is Classification.ESCAPING, {"verdict": str(verdict)}
 
 
 def _sine_zero_fixed(entry, cfg, scale):
     verdict = classify_point(entry.f, 0j, cfg)
-    return ExpectationResult(
-        description=_SINE_ZERO_FIX_DESC,
-        passed=verdict is Classification.BOUNDED,
-        measured={"verdict": str(verdict)},
-    )
+    return verdict is Classification.BOUNDED, {"verdict": str(verdict)}
 
 
 def _sine_lattice_bounded(entry, cfg, scale):
@@ -206,11 +197,7 @@ def _sine_lattice_bounded(entry, cfg, scale):
         k: str(classify_point(entry.f, complex(k * math.pi), cfg))
         for k in range(-3, 4)
     }
-    return ExpectationResult(
-        description=_SINE_LATTICE_DESC,
-        passed=all(v == "Bounded" for v in verdicts.values()),
-        measured={"verdicts": verdicts},
-    )
+    return all(v == "Bounded" for v in verdicts.values()), {"verdicts": verdicts}
 
 
 def _sine_kswap(entry, cfg, scale):
@@ -218,33 +205,21 @@ def _sine_kswap(entry, cfg, scale):
     plan = SamplePlan.grid(-1.0, 1.0, -1.0, 1.0, n, n)
     rep = verify_relation(RelationId.K_SWAP, entry.f, plan, g=entry.g, cfg=cfg)
     resolved_fraction = rep.evaluated_count / rep.sample_count
-    return ExpectationResult(
-        description=_SINE_KSWAP_DESC,
-        passed=rep.violation_rate == 0.0 and resolved_fraction >= 0.8,
-        measured={
-            "violation_rate": rep.violation_rate,
-            "evaluated_count": rep.evaluated_count,
-            "sample_count": rep.sample_count,
-        },
-    )
+    return rep.violation_rate == 0.0 and resolved_fraction >= 0.8, {
+        "violation_rate": rep.violation_rate,
+        "evaluated_count": rep.evaluated_count,
+        "sample_count": rep.sample_count,
+    }
 
 
 def _rational_half_bungee(entry, cfg, scale):
     verdict = classify_point(entry.f, 0.5 + 0j, cfg)
-    return ExpectationResult(
-        description=_RAT_HALF_DESC,
-        passed=verdict is Classification.BUNGEE,
-        measured={"verdict": str(verdict)},
-    )
+    return verdict is Classification.BUNGEE, {"verdict": str(verdict)}
 
 
 def _rational_one_bounded(entry, cfg, scale):
     verdict = classify_point(entry.f, 1.0 + 0j, cfg)
-    return ExpectationResult(
-        description=_RAT_ONE_DESC,
-        passed=verdict is Classification.BOUNDED,
-        measured={"verdict": str(verdict)},
-    )
+    return verdict is Classification.BOUNDED, {"verdict": str(verdict)}
 
 
 def _annulus_seeds(count: int) -> np.ndarray:
@@ -259,15 +234,11 @@ def _rational_annulus(entry, cfg, scale):
     codes = classify_batch(entry.f, seeds, cfg)
     bungee_rate = float(np.mean(codes == int(Classification.BUNGEE)))
     bounded = int(np.sum(codes == int(Classification.BOUNDED)))
-    return ExpectationResult(
-        description=_RAT_ANNULUS_DESC,
-        passed=bungee_rate >= 0.95 and bounded == 0,
-        measured={
-            "bungee_rate": bungee_rate,
-            "bounded_count": bounded,
-            "sample_count": int(seeds.size),
-        },
-    )
+    return bungee_rate >= 0.95 and bounded == 0, {
+        "bungee_rate": bungee_rate,
+        "bounded_count": bounded,
+        "sample_count": int(seeds.size),
+    }
 
 
 def _rational_circle(entry, cfg, scale):
@@ -275,11 +246,7 @@ def _rational_circle(entry, cfg, scale):
     seeds = np.exp(2j * math.pi * np.arange(count) / count)
     codes = classify_batch(entry.f, seeds, cfg)
     bounded = int(np.sum(codes == int(Classification.BOUNDED)))
-    return ExpectationResult(
-        description=_RAT_CIRCLE_DESC,
-        passed=bounded == count,
-        measured={"bounded_count": bounded, "sample_count": count},
-    )
+    return bounded == count, {"bounded_count": bounded, "sample_count": count}
 
 
 def _exp_basin(entry, cfg, scale):
@@ -292,20 +259,16 @@ def _exp_basin(entry, cfg, scale):
         if classify(rec, cfg) is not Classification.BOUNDED:
             all_bounded = False
         worst = max(worst, abs(rec.values[-1] - q))
-    return ExpectationResult(
-        description=_EXP_BASIN_DESC,
-        passed=all_bounded and worst <= 1e-6,
-        measured={"fixed_point": q, "max_limit_dev": worst, "seeds": 17},
-    )
+    return all_bounded and worst <= 1e-6, {
+        "fixed_point": q,
+        "max_limit_dev": worst,
+        "seeds": 17,
+    }
 
 
 def _exp_escape(entry, cfg, scale):
     verdict = classify_point(entry.f, 3.0 + 0j, cfg)
-    return ExpectationResult(
-        description=_EXP_ESCAPE_DESC,
-        passed=verdict is Classification.ESCAPING,
-        measured={"verdict": str(verdict)},
-    )
+    return verdict is Classification.ESCAPING, {"verdict": str(verdict)}
 
 
 def _exp_conjugacy(entry, cfg, scale):
@@ -314,15 +277,11 @@ def _exp_conjugacy(entry, cfg, scale):
     rep = verify_relation(
         RelationId.CONJUGACY_TRANSPORT, entry.f, plan, a=a, b=b, cfg=cfg
     )
-    return ExpectationResult(
-        description=_EXP_CONJ_DESC,
-        passed=rep.violation_rate <= 0.01 and rep.evaluated_count > 0,
-        measured={
-            "violation_rate": rep.violation_rate,
-            "evaluated_count": rep.evaluated_count,
-            "sample_count": rep.sample_count,
-        },
-    )
+    return rep.violation_rate <= 0.01 and rep.evaluated_count > 0, {
+        "violation_rate": rep.violation_rate,
+        "evaluated_count": rep.evaluated_count,
+        "sample_count": rep.sample_count,
+    }
 
 
 def _exp_conjugacy_identity(entry, cfg, scale):
@@ -330,24 +289,19 @@ def _exp_conjugacy_identity(entry, cfg, scale):
     rep = verify_relation(
         RelationId.CONJUGACY_TRANSPORT, entry.f, plan, a=1 + 0j, b=0j, cfg=cfg
     )
-    return ExpectationResult(
-        description=_EXP_CONJ_ID_DESC,
-        passed=rep.violation_rate == 0.0,
-        measured={
-            "violation_rate": rep.violation_rate,
-            "evaluated_count": rep.evaluated_count,
-        },
-    )
+    return rep.violation_rate == 0.0, {
+        "violation_rate": rep.violation_rate,
+        "evaluated_count": rep.evaluated_count,
+    }
 
 
 def _translate_permutes(entry, cfg, scale):
     plan = SamplePlan.grid(-2.0, 2.0, -2.0, 2.0, _scaled(20, scale), _scaled(10, scale))
     res = check_permutable(entry.f, entry.g, plan)
-    return ExpectationResult(
-        description=_TRANS_PERM_DESC,
-        passed=res.permutable and res.max_dev < 1e-9,
-        measured={"max_dev": res.max_dev, "checked": res.checked},
-    )
+    return res.permutable and res.max_dev < 1e-9, {
+        "max_dev": res.max_dev,
+        "checked": res.checked,
+    }
 
 
 def _translate_disjoint(entry, cfg, scale):
@@ -356,15 +310,11 @@ def _translate_disjoint(entry, cfg, scale):
     rep = verify_relation(
         RelationId.DISJOINT_K_AND_BU, entry.f, plan, g=entry.g, cfg=cfg
     )
-    return ExpectationResult(
-        description=_TRANS_DISJOINT_DESC,
-        passed=len(rep.violations) == 0,
-        measured={
-            "violations": len(rep.violations),
-            "evaluated_count": rep.evaluated_count,
-            "sample_count": rep.sample_count,
-        },
-    )
+    return len(rep.violations) == 0, {
+        "violations": len(rep.violations),
+        "evaluated_count": rep.evaluated_count,
+        "sample_count": rep.sample_count,
+    }
 
 
 # Slow linear drift needs a longer budget and lower radii to resolve as
@@ -384,29 +334,21 @@ def _translate_escape_invariant(entry, cfg, scale):
         no_finite_asymptotic_values=entry.no_finite_asymptotic_values.value,
         hypothesis_source=f"registry:{entry.id}",
     )
-    return ExpectationResult(
-        description=_TRANS_ESC_INV_DESC,
-        passed=rep.violation_rate == 0.0 and rep.evaluated_count > 0,
-        measured={
-            "violation_rate": rep.violation_rate,
-            "evaluated_count": rep.evaluated_count,
-        },
-    )
+    return rep.violation_rate == 0.0 and rep.evaluated_count > 0, {
+        "violation_rate": rep.violation_rate,
+        "evaluated_count": rep.evaluated_count,
+    }
 
 
 def _halfplane_strips(entry, cfg, scale):
     n = _scaled(100, scale)
     plan = SamplePlan.grid(-4.0, 4.0, -4.0, 4.0, n, n)
     rep = verify_relation(RelationId.STRIP_CONTAINMENT, entry.f, plan, cfg=cfg)
-    return ExpectationResult(
-        description=_HALF_STRIPS_DESC,
-        passed=rep.violation_rate <= 0.01,
-        measured={
-            "violation_rate": rep.violation_rate,
-            "violations": len(rep.violations),
-            "evaluated_count": rep.evaluated_count,
-        },
-    )
+    return rep.violation_rate <= 0.01, {
+        "violation_rate": rep.violation_rate,
+        "violations": len(rep.violations),
+        "evaluated_count": rep.evaluated_count,
+    }
 
 
 def _halfplane_disjoint_escape(entry, cfg, scale):
@@ -417,25 +359,20 @@ def _halfplane_disjoint_escape(entry, cfg, scale):
     cls_g = classify_batch(entry.g, seeds, cfg)
     esc = int(Classification.ESCAPING)
     both = int(np.sum((cls_f == esc) & (cls_g == esc)))
-    return ExpectationResult(
-        description=_HALF_DISJOINT_DESC,
-        passed=both == 0,
-        measured={
-            "both_escaping": both,
-            "escaping_under_f": int(np.sum(cls_f == esc)),
-            "escaping_under_g": int(np.sum(cls_g == esc)),
-        },
-    )
+    return both == 0, {
+        "both_escaping": both,
+        "escaping_under_f": int(np.sum(cls_f == esc)),
+        "escaping_under_g": int(np.sum(cls_g == esc)),
+    }
 
 
 def _periodic_not_permutable(entry, cfg, scale):
     plan = SamplePlan.grid(-2.0, 2.0, -2.0, 2.0, _scaled(20, scale), _scaled(10, scale))
     res = check_permutable(entry.f, entry.g, plan)
-    return ExpectationResult(
-        description=_PERIODIC_NOT_PERM_DESC,
-        passed=(not res.permutable) and res.max_dev > 1.0,
-        measured={"max_dev": res.max_dev, "checked": res.checked},
-    )
+    return (not res.permutable) and res.max_dev > 1.0, {
+        "max_dev": res.max_dev,
+        "checked": res.checked,
+    }
 
 
 def _periodic_verdict_equality(entry, cfg, scale):
@@ -447,53 +384,11 @@ def _periodic_verdict_equality(entry, cfg, scale):
     unres = int(Classification.UNRESOLVED)
     both = (cls_f != unres) & (cls_g != unres)
     mismatches = int(np.sum(both & (cls_f != cls_g)))
-    return ExpectationResult(
-        description=_PERIODIC_EQ_DESC,
-        passed=mismatches == 0 and int(both.sum()) > 0,
-        measured={
-            "mismatches": mismatches,
-            "both_resolved": int(both.sum()),
-            "sample_count": int(seeds.size),
-        },
-    )
-
-
-# --- descriptions ------------------------------------------------------------
-
-_SINE_DRIFT_DESC = "iterates of 0 under g advance by one sine period per step"
-_SINE_ZERO_ESC_DESC = "0 escapes under the drifted map g"
-_SINE_ZERO_FIX_DESC = "0 is a fixed point of f and classifies Bounded"
-_SINE_LATTICE_DESC = "integer multiples of pi classify Bounded under f"
-_SINE_KSWAP_DESC = (
-    "bounded-core membership transports through the swapped composition (KSwap)"
-)
-_RAT_HALF_DESC = "0.5 alternates between huge and tiny moduli and classifies Bungee"
-_RAT_ONE_DESC = "1 is a fixed point and classifies Bounded"
-_RAT_ANNULUS_DESC = (
-    "seeds in the annulus 0.1 <= |z| <= 0.9 classify Bungee at rate >= 0.95, "
-    "never Bounded"
-)
-_RAT_CIRCLE_DESC = "unit-circle seeds classify Bounded"
-_EXP_BASIN_DESC = (
-    "real seeds in [-2, 0] classify Bounded and settle onto the attracting "
-    "fixed point located by bisection"
-)
-_EXP_ESCAPE_DESC = "the real seed 3 classifies Escaping"
-_EXP_CONJ_DESC = "classification transports through the affine conjugacy 2z+1"
-_EXP_CONJ_ID_DESC = "the identity conjugacy transports every verdict exactly"
-_TRANS_PERM_DESC = "the pair commutes: both composition orders agree numerically"
-_TRANS_DISJOINT_DESC = (
-    "the pair's bounded cores are disjoint and their bungee sets are disjoint"
-)
-_TRANS_ESC_INV_DESC = "the image under f of an escaping seed of g still escapes under g"
-_HALF_STRIPS_DESC = (
-    "escaping seeds lie in the left-half-plane strips around odd multiples of pi"
-)
-_HALF_DISJOINT_DESC = "the escaping sets of the two maps are disjoint"
-_PERIODIC_NOT_PERM_DESC = "the two composition orders disagree: the pair does not commute"
-_PERIODIC_EQ_DESC = (
-    "translating the map by its period leaves every resolved verdict unchanged"
-)
+    return mismatches == 0 and int(both.sum()) > 0, {
+        "mismatches": mismatches,
+        "both_resolved": int(both.sum()),
+        "sample_count": int(seeds.size),
+    }
 
 
 def _build_registry() -> dict:
@@ -519,28 +414,28 @@ def _build_registry() -> dict:
             cfg_override=sine_cfg,
             expectations=(
                 Expectation(
-                    _SINE_DRIFT_DESC,
+                    "iterates of 0 under g advance by one sine period per step",
                     "sin vanishes at every multiple of 2*pi, so the n-th "
                     "iterate of 0 is exactly 2*pi*n in exact arithmetic",
                     _sine_drift,
                 ),
                 Expectation(
-                    _SINE_ZERO_ESC_DESC,
+                    "0 escapes under the drifted map g",
                     "the linear drift 2*pi*n is unbounded and never returns",
                     _sine_zero_escapes,
                 ),
                 Expectation(
-                    _SINE_ZERO_FIX_DESC,
+                    "0 is a fixed point of f and classifies Bounded",
                     "f(0) = 0 + sin(0) = 0",
                     _sine_zero_fixed,
                 ),
                 Expectation(
-                    _SINE_LATTICE_DESC,
+                    "integer multiples of pi classify Bounded under f",
                     "sin vanishes at k*pi, so each such point is fixed",
                     _sine_lattice_bounded,
                 ),
                 Expectation(
-                    _SINE_KSWAP_DESC,
+                    "bounded-core membership transports through the swapped composition (KSwap)",
                     "membership equivalence between z under f(g) and g(z) "
                     "under g(f), checked per seed",
                     _sine_kswap,
@@ -563,24 +458,25 @@ def _build_registry() -> dict:
             cfg_override=None,
             expectations=(
                 Expectation(
-                    _RAT_HALF_DESC,
+                    "0.5 alternates between huge and tiny moduli and classifies Bungee",
                     "|z| < 1 forces moduli to alternate through r^(-2^n) and "
                     "r^(2^n): one subsequence escapes, one collapses to 0",
                     _rational_half_bungee,
                 ),
                 Expectation(
-                    _RAT_ONE_DESC,
+                    "1 is a fixed point and classifies Bounded",
                     "1/1^2 = 1",
                     _rational_one_bounded,
                 ),
                 Expectation(
-                    _RAT_ANNULUS_DESC,
+                    "seeds in the annulus 0.1 <= |z| <= 0.9 classify Bungee at rate >= 0.95, "
+                    "never Bounded",
                     "every seed with 0 < |z| < 1 has the alternating modulus "
                     "pattern; a spiral sample across the annulus checks it",
                     _rational_annulus,
                 ),
                 Expectation(
-                    _RAT_CIRCLE_DESC,
+                    "unit-circle seeds classify Bounded",
                     "|1/z^2| = 1 when |z| = 1, so the whole orbit stays on "
                     "the unit circle",
                     _rational_circle,
@@ -605,25 +501,26 @@ def _build_registry() -> dict:
             cfg_override=None,
             expectations=(
                 Expectation(
-                    _EXP_BASIN_DESC,
+                    "real seeds in [-2, 0] classify Bounded and settle onto the attracting "
+                    "fixed point located by bisection",
                     "0.3 < 1/e puts an attracting fixed point on (0, 1) whose "
                     "basin contains the real segment; bisection of "
                     "0.3*e^q = q locates it independently",
                     _exp_basin,
                 ),
                 Expectation(
-                    _EXP_ESCAPE_DESC,
+                    "the real seed 3 classifies Escaping",
                     "0.3*e^3 > 3 starts a monotone, unbounded real orbit",
                     _exp_escape,
                 ),
                 Expectation(
-                    _EXP_CONJ_DESC,
+                    "classification transports through the affine conjugacy 2z+1",
                     "conjugating by an affine map carries orbits to orbits, "
                     "so verdicts agree at image points",
                     _exp_conjugacy,
                 ),
                 Expectation(
-                    _EXP_CONJ_ID_DESC,
+                    "the identity conjugacy transports every verdict exactly",
                     "the identity conjugacy compares each verdict with itself",
                     _exp_conjugacy_identity,
                 ),
@@ -650,20 +547,20 @@ def _build_registry() -> dict:
             cfg_override=None,
             expectations=(
                 Expectation(
-                    _TRANS_PERM_DESC,
+                    "the pair commutes: both composition orders agree numerically",
                     "exp(-z) has period 2*pi*i, so both orders equal the "
                     "same map composed with the translation",
                     _translate_permutes,
                 ),
                 Expectation(
-                    _TRANS_DISJOINT_DESC,
+                    "the pair's bounded cores are disjoint and their bungee sets are disjoint",
                     "orbits under the translate gain 2*pi*i per step relative "
                     "to the base map, so no seed can stay bounded, or "
                     "alternate, under both",
                     _translate_disjoint,
                 ),
                 Expectation(
-                    _TRANS_ESC_INV_DESC,
+                    "the image under f of an escaping seed of g still escapes under g",
                     "f permutes with g, so f maps orbits of g to orbits of g",
                     _translate_escape_invariant,
                 ),
@@ -687,14 +584,14 @@ def _build_registry() -> dict:
             cfg_override=None,
             expectations=(
                 Expectation(
-                    _HALF_STRIPS_DESC,
+                    "escaping seeds lie in the left-half-plane strips around odd multiples of pi",
                     "escape forces iterates ever deeper into the left "
                     "half-plane, which requires the exponent's imaginary part "
                     "to stay near an odd multiple of pi",
                     _halfplane_strips,
                 ),
                 Expectation(
-                    _HALF_DISJOINT_DESC,
+                    "the escaping sets of the two maps are disjoint",
                     "one map escapes only into left-half-plane strips, the "
                     "mirror-family map only into right-half-plane strips, so "
                     "no seed escapes under both",
@@ -723,13 +620,13 @@ def _build_registry() -> dict:
             cfg_override=None,
             expectations=(
                 Expectation(
-                    _PERIODIC_NOT_PERM_DESC,
+                    "the two composition orders disagree: the pair does not commute",
                     "exp(w+2*pi*i) = exp(w) makes the inner translation "
                     "vanish in one order but not the other",
                     _periodic_not_permutable,
                 ),
                 Expectation(
-                    _PERIODIC_EQ_DESC,
+                    "translating the map by its period leaves every resolved verdict unchanged",
                     "g^n = f^n + 2*pi*i for n >= 1 because exp absorbs the "
                     "translation, so every orbit differs by one bounded shift",
                     _periodic_verdict_equality,
@@ -771,7 +668,10 @@ def run_example(
         raise ValueError("scale must be in (0, 1]")
     entry = get_example(example_id)
     effective = cfg if cfg is not None else entry.config()
-    results = tuple(exp.run(entry, effective, scale) for exp in entry.expectations)
+    results = tuple(
+        ExpectationResult(exp.description, *exp.run(entry, effective, scale))
+        for exp in entry.expectations
+    )
     return ExampleReport(example=entry.id, results=results)
 
 
