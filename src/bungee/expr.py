@@ -357,65 +357,25 @@ def _fmt_real(x: float) -> str:
     return repr(x)
 
 
-def _emit(node: Expr) -> tuple[str, int]:
-    if isinstance(node, Var):
-        return "z", _ATOM
+def _leaf(node: Union[Const, Named]) -> tuple[str, int]:
     if isinstance(node, Named):
         return node.name, _ATOM
-    if isinstance(node, Const):
-        re, im = node.value.real, node.value.imag
-        if im == 0:
-            if re >= 0:
-                return _fmt_real(re), _ATOM
-            return "-" + _fmt_real(-re), _UNARY
-        if re == 0:
-            if im >= 0:
-                return _fmt_real(im) + "*i", _TERM
-            return "-" + _fmt_real(-im) + "*i", _TERM
-        sign = "+" if im >= 0 else "-"
-        return f"{_fmt_real(re) if re >= 0 else '-' + _fmt_real(-re)}{sign}{_fmt_real(abs(im))}*i", _SUM
-    if isinstance(node, Neg):
-        return "-" + _child(node.arg, _UNARY), _UNARY
-    if isinstance(node, BinOp):
-        if node.op in "+-":
-            left = _child(node.left, _SUM)
-            right = _child(node.right, _TERM)
-            return left + node.op + right, _SUM
-        left = _child(node.left, _TERM)
-        right = _child(node.right, _UNARY)
-        return left + node.op + right, _TERM
-    if isinstance(node, Pow):
-        return f"pow({_emit(node.base)[0]},{node.exponent})", _ATOM
-    if isinstance(node, Call):
-        return f"{node.name}({_emit(node.arg)[0]})", _ATOM
-    if isinstance(node, Apply):
-        return _emit(_substitute(node.outer, node.inner))
-    raise TypeError(f"not an expression node: {node!r}")
+    re, im = node.value.real, node.value.imag
+    if im == 0:
+        if re >= 0:
+            return _fmt_real(re), _ATOM
+        return "-" + _fmt_real(-re), _UNARY
+    if re == 0:
+        if im >= 0:
+            return _fmt_real(im) + "*i", _TERM
+        return "-" + _fmt_real(-im) + "*i", _TERM
+    sign = "+" if im >= 0 else "-"
+    return f"{_fmt_real(re) if re >= 0 else '-' + _fmt_real(-re)}{sign}{_fmt_real(abs(im))}*i", _SUM
 
 
-def _child(node: Expr, minimum: int) -> str:
-    text, level = _emit(node)
-    if level < minimum:
-        return "(" + text + ")"
-    return text
-
-
-def _substitute(node: Expr, replacement: Expr) -> Expr:
-    if isinstance(node, Var):
-        return replacement
-    if isinstance(node, (Const, Named)):
-        return node
-    if isinstance(node, Neg):
-        return Neg(_substitute(node.arg, replacement))
-    if isinstance(node, BinOp):
-        return BinOp(node.op, _substitute(node.left, replacement), _substitute(node.right, replacement))
-    if isinstance(node, Pow):
-        return Pow(_substitute(node.base, replacement), node.exponent)
-    if isinstance(node, Call):
-        return Call(node.name, _substitute(node.arg, replacement))
-    if isinstance(node, Apply):
-        return Apply(node.outer, _substitute(node.inner, replacement))
-    raise TypeError(f"not an expression node: {node!r}")
+def _wrap(fragment: tuple[str, int], minimum: int) -> str:
+    text, level = fragment
+    return "(" + text + ")" if level < minimum else text
 
 
 def format_expr(f: FunctionExpr | Expr) -> str:
@@ -424,9 +384,31 @@ def format_expr(f: FunctionExpr | Expr) -> str:
     The guarantee is structural for any tree produced by `parse`.
     Programmatic trees containing complex constants or composition nodes
     render to semantically equal expressions in the plain grammar.
+
+    Rendering runs the compiled program over ``(text, level)`` fragments,
+    without recursion; ``Var`` renders as the inner map of the innermost
+    ``Apply``, or as ``z``.
     """
-    root = f.root if isinstance(f, FunctionExpr) else f
-    return _emit(root)[0]
+    stack: list = []
+    bound = [("z", _ATOM)]
+    for op, node, arg in compile_expr(f).code:
+        if op == "load":
+            stack.append(bound[-1] if arg is None else _leaf(node))
+        elif op == "bind":
+            bound.append(stack.pop())
+        elif op == "unbind":
+            bound.pop()
+        elif op == "neg":
+            stack.append(("-" + _wrap(stack.pop(), _UNARY), _UNARY))
+        elif op == "pow":
+            stack.append((f"pow({stack.pop()[0]},{arg})", _ATOM))
+        elif op in _FUNC_NAMES:
+            stack.append((f"{op}({stack.pop()[0]})", _ATOM))
+        else:
+            level = _SUM if op in "+-" else _TERM
+            right = _wrap(stack.pop(), level + 1)
+            stack.append((_wrap(stack.pop(), level) + op + right, level))
+    return stack.pop()[0]
 
 
 # --- evaluation --------------------------------------------------------
