@@ -7,6 +7,8 @@ image, and extract the boundary between the classified sets.
 """
 
 import collections
+import os
+import tempfile
 
 from bungee import Classification, GridSpec, classify_grid, extract_boundary, parse
 from bungee.grid import render_pbm, render_ppm
@@ -29,9 +31,10 @@ tally(raster)
 
 # The PPM encoder maps each code to a fixed color, top row at im_max.
 ppm = render_ppm(raster)
-with open("/tmp/scaled_exp.ppm", "wb") as fh:
+ppm_path = os.path.join(tempfile.gettempdir(), "scaled_exp.ppm")
+with open(ppm_path, "wb") as fh:
     fh.write(ppm)
-print("wrote /tmp/scaled_exp.ppm,", len(ppm), "bytes")
+print("wrote", ppm_path + ",", len(ppm), "bytes")
 
 # For 1/z^2 every cell center off the unit circle lands in the bungee
 # set, so the whole tally collapses to one class.
@@ -45,9 +48,10 @@ tally(classify_grid(f, GridSpec(-2.0, 2.0, -2.0, 2.0, 64, 64), workers=4))
 odd = GridSpec(re_min=0.5, re_max=1.5, im_min=-0.5, im_max=0.5, nx=15, ny=15)
 mask = extract_boundary(classify_grid(f, odd, workers=4))
 print("boundary cells near the fixed point 1:", int(mask.sum()))
-with open("/tmp/boundary.pbm", "wb") as fh:
+pbm_path = os.path.join(tempfile.gettempdir(), "boundary.pbm")
+with open(pbm_path, "wb") as fh:
     fh.write(render_pbm(mask))
-print("wrote /tmp/boundary.pbm")
+print("wrote", pbm_path)
 
 # Worker count never changes the output; rows are split deterministically.
 again = classify_grid(lam, spec, workers=1)

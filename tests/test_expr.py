@@ -376,3 +376,12 @@ def test_format_round_trips_composite_trees():
 def test_str_matches_format():
     f = parse("z+sin(z)+2*pi")
     assert str(f) == format_expr(f)
+
+
+def test_long_sum_chain_formats_and_reparses():
+    # The tree nests 5,000 deep; rendering it must not recurse per level.
+    text = "+".join(["z"] * 5000)
+    f = parse(text)
+    assert str(f) == text
+    z = np.array([0.5 - 0.25j, 2 + 1j, -3j])
+    assert eval_array(parse(str(f)), z)[0].tolist() == eval_array(f, z)[0].tolist()

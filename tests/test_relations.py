@@ -280,6 +280,55 @@ def test_disjoint_sets_relation_flags_shared_membership():
         assert all(str(v) != "Unresolved" for v in violation.verdicts.values())
 
 
+@pytest.mark.parametrize(
+    "rel, f, g, kwargs, violations, evaluated, labels",
+    [
+        ("KIntersectionIntoComposite", "z*z", "z+1", {}, 16, 72, {"f", "g", "fg"}),
+        ("EscapingInvariance", "0.3*exp(z)", "z+sin(z)", {}, 16, 144, {"g", "g_at_image"}),
+        ("EscapingUnion", "0.5*z", "2*z", {}, 144, 144, {"f", "g", "fg"}),
+        ("EscapingUnion", "1/pow(z,2)", "z*z", {}, 0, 144, None),
+        ("EscapingUnion", "1/pow(z,2)", "z*z", {"equality": True}, 32, 144, {"f", "g", "fg"}),
+        ("BungeeComposite", "1/pow(z,2)", "z", {}, 144, 144, {"f", "g", "fg"}),
+        (
+            "ConjugacyTransport",
+            "1/pow(z,2)",
+            None,
+            {"a": 2, "b": 1},
+            12,
+            144,
+            {"f", "conjugate_at_image"},
+        ),
+        ("StripContainment", "exp(z)", None, {}, 132, 144, {"f"}),
+        ("DisjointKandBU", "1/pow(z,2)", "1/pow(z,2)", {}, 144, 144, {"f", "g"}),
+    ],
+    ids=[
+        "k-intersection",
+        "escaping-invariance",
+        "escaping-union",
+        "escaping-union-inclusion-holds",
+        "escaping-union-equality",
+        "bungee-composite",
+        "conjugacy-transport",
+        "strip-containment",
+        "disjoint-bungee",
+    ],
+)
+def test_violation_counts_pin_each_predicate(rel, f, g, kwargs, violations, evaluated, labels):
+    # Pairs chosen so the relation's hypotheses fail: each predicate must
+    # flag exactly these seeds, with every column named in the verdicts.
+    report = verify_relation(
+        rel,
+        parse(f),
+        SamplePlan.grid(-2, 2, -2, 2, 12, 12),
+        g=None if g is None else parse(g),
+        **kwargs,
+    )
+    assert len(report.violations) == violations
+    assert report.evaluated_count == evaluated
+    if labels is not None:
+        assert set(report.violations[0].verdicts) == labels
+
+
 def test_disjoint_sets_hold_for_the_translate_pair():
     report = verify_relation(
         "DisjointKandBU",
