@@ -405,8 +405,8 @@ def format_expr(f: FunctionExpr | Expr) -> str:
         elif op in _FUNC_NAMES:
             stack.append((f"{op}({stack.pop()[0]})", _ATOM))
         else:
-            level = _SUM if op in "+-" else _TERM
-            right = _wrap(stack.pop(), level + 1)
+            level, right_minimum = (_SUM, _TERM) if op in "+-" else (_TERM, _UNARY)
+            right = _wrap(stack.pop(), right_minimum)
             stack.append((_wrap(stack.pop(), level) + op + right, level))
     return stack.pop()[0]
 

@@ -314,8 +314,9 @@ def test_disjoint_sets_relation_flags_shared_membership():
     ],
 )
 def test_violation_counts_pin_each_predicate(rel, f, g, kwargs, violations, evaluated, labels):
-    # Pairs chosen so the relation's hypotheses fail: each predicate must
-    # flag exactly these seeds, with every column named in the verdicts.
+    # Pairs that break a relation's hypotheses, or a map paired with
+    # itself, produce violations: each predicate must flag exactly these
+    # seeds, and a violation names every column of its relation.
     report = verify_relation(
         rel,
         parse(f),
