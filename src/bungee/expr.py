@@ -127,14 +127,27 @@ class Apply:
 Expr = Union[Var, Const, Named, Neg, BinOp, Pow, Call, Apply]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class FunctionExpr:
-    """An immutable function of ``z``, wrapping an expression tree."""
+    """An immutable function of ``z``, wrapping an expression tree.
+
+    Equality and hashing read the compiled program, so that neither
+    recurses once per tree level.
+    """
 
     root: Expr
 
     def __str__(self) -> str:
         return format_expr(self)
+
+    def _key(self) -> tuple:
+        return tuple((op, type(node), arg) for op, node, arg in compile_expr(self).code)
+
+    def __eq__(self, other) -> bool:
+        return self._key() == other._key() if isinstance(other, FunctionExpr) else NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._key())
 
 
 @dataclass(frozen=True)

@@ -27,9 +27,11 @@ Verdicts are assigned by the first matching rule:
    with the final iterate attaining the orbit's maximum.
 4. Unresolved otherwise. A pole hit always forces Unresolved.
 
-The same vectorized engine drives single-point classification, batch
-classification and grid rendering, so verdicts are identical across all
-of them by construction. It compiles the map once per run
+The rules are written once, vectorized, in `_verdicts`. One engine,
+`_run_batch`, drives single-point classification, batch classification
+and grid rendering, and `classify` applies `_verdicts` to the one-lane
+engine state an `OrbitRecord` keeps, so verdicts are identical across
+all of them by construction. The engine compiles the map once per run
 (`compile_expr`) and evaluates that flat program once per step over the
 live lanes only: when an orbit ends, its state is written to the output
 once and the working arrays are compacted. Every lane starts at step 0,
@@ -42,7 +44,7 @@ from __future__ import annotations
 import enum
 import math
 import numbers
-from dataclasses import dataclass, fields, asdict
+from dataclasses import asdict, dataclass, field, fields
 from typing import Optional, Sequence, Union
 
 import numpy as np
@@ -190,7 +192,9 @@ class OrbitRecord:
     their absolute values, ``peaks`` the registered escape peaks as
     ``(index, modulus)`` pairs, ``returns`` the count of descents below
     ``r_bound`` after a peak. Tail statistics cover the last
-    ``tail_window`` recorded moduli.
+    ``tail_window`` recorded moduli. ``state`` is the engine's final
+    one-lane state, which `classify` reads; it is valid only with the
+    config the orbit was iterated under.
     """
 
     seed: complex
@@ -202,6 +206,7 @@ class OrbitRecord:
     tail_min: float
     tail_max: float
     global_max: float
+    state: BatchState = field(repr=False, compare=False)
 
 
 # --- engine ----------------------------------------------------------------
@@ -235,14 +240,13 @@ class BatchState:
     global_max: np.ndarray
     final_modulus: np.ndarray
     tail_min: np.ndarray
-    tail_max: np.ndarray
 
 
 # BatchState fields that change while a lane runs. `_Lanes` holds them for
 # the live lanes only and writes each lane's values out once, when it ends.
 _LANE_FIELDS = (
     "z", "n_peaks", "n_returns", "last_peak", "cur_peak", "in_peak", "escalation_ok",
-    "global_max", "final_modulus", "tail_min", "tail_max",
+    "global_max", "final_modulus", "tail_min",
 )
 
 
@@ -312,7 +316,6 @@ def _run_batch(
         global_max=m.copy(),
         final_modulus=m,
         tail_min=np.full(n, np.inf),
-        tail_max=np.full(n, -np.inf),
     )
     if history is not None:
         history.append(complex(z[0]))
@@ -343,7 +346,6 @@ def _run_batch(
             np.maximum(w.global_max, mv, out=w.global_max)
             if step > tail_from:
                 np.minimum(w.tail_min, mv, out=w.tail_min)
-                np.maximum(w.tail_max, mv, out=w.tail_max)
             if history is not None:
                 history.append(complex(vals[0]))
 
@@ -393,65 +395,49 @@ def _run_batch(
 
 
 def _verdicts(state: BatchState, cfg: ClassifierConfig) -> np.ndarray:
-    pending_weak = state.in_peak & (state.last_peak > 0) & (
-        state.cur_peak < cfg.peak_growth * state.last_peak
-    )
-    escalating = state.escalation_ok & ~pending_weak
-    not_pole = state.kind != _POLE
+    """Rules 1-4 of the module docstring, one `Classification` code per lane.
 
-    bounded = ((state.kind == _CYCLE) & (state.cycle_max <= cfg.r_bound)) | (
-        (state.kind == _COMPLETED) & (state.global_max <= cfg.r_bound)
+    Later assignments win, so the rules apply in order; a pole hit matches
+    neither rule 1 nor rule 3, and rule 2 excludes it.
+    """
+    kind = state.kind
+    completed = kind == _COMPLETED
+    few_returns = state.n_returns < cfg.min_alternations
+    # A peak still in progress when the orbit ended counts at the height it reached.
+    pending_weak = state.in_peak & (state.last_peak > 0) & (state.cur_peak < cfg.peak_growth * state.last_peak)
+
+    bounded = ((kind == _CYCLE) & (state.cycle_max <= cfg.r_bound)) | (completed & (state.global_max <= cfg.r_bound))
+    bungee = (kind != _POLE) & ~few_returns & state.escalation_ok & ~pending_weak & (state.n_peaks > 0)
+    escaping = ((kind == _OVERFLOWED) & few_returns) | (
+        completed & (state.tail_min > cfg.r_esc) & (state.final_modulus >= state.global_max)
     )
-    bungee = (
-        ~bounded
-        & not_pole
-        & (state.n_returns >= cfg.min_alternations)
-        & escalating
-        & (state.n_peaks > 0)
-    )
-    escaping = (
-        ~bounded
-        & ~bungee
-        & not_pole
-        & (
-            ((state.kind == _OVERFLOWED) & (state.n_returns < cfg.min_alternations))
-            | (
-                (state.kind == _COMPLETED)
-                & (state.tail_min > cfg.r_esc)
-                & (state.final_modulus >= state.global_max)
-            )
-        )
-    )
-    codes = np.full(state.kind.shape, int(Classification.UNRESOLVED), dtype=np.int8)
+    codes = np.full(kind.shape, int(Classification.UNRESOLVED), dtype=np.int8)
     codes[escaping] = int(Classification.ESCAPING)
     codes[bungee] = int(Classification.BUNGEE)
     codes[bounded] = int(Classification.BOUNDED)
     return codes
 
 
-def _alternations(moduli: np.ndarray, cfg: ClassifierConfig):
-    """Replay the peak/return state machine over a recorded modulus sequence."""
+def _peaks(moduli: np.ndarray, cfg: ClassifierConfig) -> tuple[tuple[int, float], ...]:
+    """Where the engine's peaks lie: ``(index, modulus)`` of each one's largest iterate."""
     peaks: list[tuple[int, float]] = []
-    returns = 0
     armed = bool(moduli[0] < cfg.r_bound)
     in_peak = False
     for i in range(1, len(moduli)):
         mv = float(moduli[i])
         if in_peak:
             if mv < cfg.r_bound:
-                returns += 1
                 in_peak = False
                 armed = True
             elif mv > peaks[-1][1]:
                 peaks[-1] = (i, mv)
-        else:
-            if armed and mv > cfg.r_esc:
-                peaks.append((i, mv))
-                in_peak = True
-                armed = False
-            elif mv < cfg.r_bound:
-                armed = True
-    return tuple(peaks), returns
+        elif armed and mv > cfg.r_esc:
+            peaks.append((i, mv))
+            in_peak = True
+            armed = False
+        elif mv < cfg.r_bound:
+            armed = True
+    return tuple(peaks)
 
 
 def detect_cycle(
@@ -500,8 +486,8 @@ def iterate_orbit(
     state = _run_batch(f.root, np.array([seed]), cfg, history=history)
     values = np.array(history, dtype=np.complex128)
     moduli = np.abs(values)
-    peaks, returns = _alternations(moduli, cfg)
-    assert len(peaks) == int(state.n_peaks[0]) and returns == int(state.n_returns[0])
+    peaks = _peaks(moduli, cfg)
+    assert len(peaks) == int(state.n_peaks[0])
 
     k = int(state.kind[0])
     if k == _COMPLETED:
@@ -521,41 +507,22 @@ def iterate_orbit(
         values=values,
         moduli=moduli,
         peaks=peaks,
-        returns=returns,
+        returns=int(state.n_returns[0]),
         termination=termination,
         tail_min=float(window.min()),
         tail_max=float(window.max()),
         global_max=float(moduli.max()),
+        state=state,
     )
 
 
 def classify(rec: OrbitRecord, cfg: ClassifierConfig = DEFAULT_CONFIG) -> Classification:
-    """Assign a verdict to a finished orbit record (first rule wins)."""
-    if isinstance(rec.termination, PoleHit):
-        return Classification.UNRESOLVED
+    """Assign a verdict to a finished orbit record (first rule wins).
 
-    if isinstance(rec.termination, CycleFound):
-        cycle = rec.moduli[-rec.termination.period :]
-        if np.all(cycle <= cfg.r_bound):
-            return Classification.BOUNDED
-    elif isinstance(rec.termination, Completed):
-        if rec.global_max <= cfg.r_bound:
-            return Classification.BOUNDED
-
-    values = [v for _, v in rec.peaks]
-    escalating = all(
-        values[j + 1] >= cfg.peak_growth * values[j] for j in range(len(values) - 1)
-    )
-    if rec.returns >= cfg.min_alternations and escalating and rec.peaks:
-        return Classification.BUNGEE
-
-    if isinstance(rec.termination, Overflowed) and rec.returns < cfg.min_alternations:
-        return Classification.ESCAPING
-    if isinstance(rec.termination, Completed):
-        if rec.tail_min > cfg.r_esc and rec.moduli[-1] >= rec.global_max:
-            return Classification.ESCAPING
-
-    return Classification.UNRESOLVED
+    ``cfg`` must be the config ``rec`` was iterated under: the rules read
+    the record's engine state, whose peak bookkeeping used that config.
+    """
+    return Classification(int(_verdicts(rec.state, cfg)[0]))
 
 
 def classify_point(
@@ -575,7 +542,8 @@ def classify_batch(
 
     Returns an int8 array of `Classification` codes aligned with
     ``seeds``; with ``return_state`` also the final `BatchState` of the
-    flattened seeds. Verdicts agree with `classify_point` at every seed.
+    flattened seeds. Verdicts agree with `classify_point` at every seed:
+    both apply `_verdicts` to the same engine's state.
     Seeds run in fixed chunks of independent lanes; a chunk's state is
     dropped unless ``return_state`` keeps it, so memory stays bounded.
     """

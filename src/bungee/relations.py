@@ -76,17 +76,13 @@ class SamplePlan:
     """Where relation samples come from: a grid of cell centers or a list."""
 
     kind: str
-    re_min: float = 0.0
-    re_max: float = 0.0
-    im_min: float = 0.0
-    im_max: float = 0.0
-    nx: int = 0
-    ny: int = 0
+    spec: Optional[GridSpec] = None  # the grid of a "grid" plan
     points: tuple[complex, ...] = ()
 
     def __post_init__(self) -> None:
         if self.kind == "grid":
-            self._grid()  # GridSpec checks the rectangle and the cell counts
+            if not isinstance(self.spec, GridSpec):
+                raise ValueError("a grid sample plan needs a GridSpec")
         elif self.kind == "list":
             if not self.points:
                 raise ValueError("sample list must not be empty")
@@ -100,15 +96,7 @@ class SamplePlan:
     def grid(
         re_min: float, re_max: float, im_min: float, im_max: float, nx: int, ny: int
     ) -> "SamplePlan":
-        return SamplePlan(
-            kind="grid",
-            re_min=re_min,
-            re_max=re_max,
-            im_min=im_min,
-            im_max=im_max,
-            nx=nx,
-            ny=ny,
-        )
+        return SamplePlan(kind="grid", spec=GridSpec(re_min, re_max, im_min, im_max, nx, ny))
 
     @staticmethod
     def explicit(points) -> "SamplePlan":
@@ -116,19 +104,16 @@ class SamplePlan:
 
     @property
     def sample_count(self) -> int:
-        return self.nx * self.ny if self.kind == "grid" else len(self.points)
-
-    def _grid(self) -> GridSpec:
-        return GridSpec(self.re_min, self.re_max, self.im_min, self.im_max, self.nx, self.ny)
+        return self.spec.nx * self.spec.ny if self.kind == "grid" else len(self.points)
 
     def seeds(self) -> np.ndarray:
         if self.kind == "grid":
-            return self._grid().points().ravel()
+            return self.spec.points().ravel()
         return np.array(self.points, dtype=np.complex128)
 
     def to_dict(self) -> dict:
         if self.kind == "grid":
-            return {"kind": "grid", **self._grid().to_dict()}
+            return {"kind": "grid", **self.spec.to_dict()}
         return {"kind": "list", "points": [[p.real, p.imag] for p in self.points]}
 
 

@@ -385,3 +385,8 @@ def test_long_sum_chain_formats_and_reparses():
     assert str(f) == text
     z = np.array([0.5 - 0.25j, 2 + 1j, -3j])
     assert eval_array(parse(str(f)), z)[0].tolist() == eval_array(f, z)[0].tolist()
+    # Equality and hashing must not recurse per level either.
+    g = parse(text)
+    assert f == g and hash(f) == hash(g) and len({f, g}) == 1
+    assert f != parse(text + "+1") and f != text
+    assert parse("e") != parse("2.718281828459045")

@@ -62,6 +62,40 @@ def inverse_square_orbit(z0: complex, guard: float = 1e150) -> list[complex]:
     return vals
 
 
+def reference_verdict(rec, cfg=DEFAULT_CONFIG) -> Classification:
+    """Rules 1-4 written out as scalar code over a record's own fields.
+
+    This is an independent statement of the rules that `_verdicts` states
+    once in the package: it reads the recorded moduli, peaks and
+    termination, not the engine state that `classify` reads.
+    """
+    if isinstance(rec.termination, PoleHit):
+        return Classification.UNRESOLVED
+
+    if isinstance(rec.termination, CycleFound):
+        cycle = rec.moduli[-rec.termination.period :]
+        if np.all(cycle <= cfg.r_bound):
+            return Classification.BOUNDED
+    elif isinstance(rec.termination, Completed):
+        if rec.global_max <= cfg.r_bound:
+            return Classification.BOUNDED
+
+    values = [v for _, v in rec.peaks]
+    escalating = all(
+        values[j + 1] >= cfg.peak_growth * values[j] for j in range(len(values) - 1)
+    )
+    if rec.returns >= cfg.min_alternations and escalating and rec.peaks:
+        return Classification.BUNGEE
+
+    if isinstance(rec.termination, Overflowed) and rec.returns < cfg.min_alternations:
+        return Classification.ESCAPING
+    if isinstance(rec.termination, Completed):
+        if rec.tail_min > cfg.r_esc and rec.moduli[-1] >= rec.global_max:
+            return Classification.ESCAPING
+
+    return Classification.UNRESOLVED
+
+
 # --- configuration -------------------------------------------------------
 
 
@@ -382,7 +416,7 @@ def test_batch_agrees_with_scalar_path():
     seeds = np.array([0.5, 1, 1j, 2, 0.1 + 0.1j, 0], dtype=np.complex128)
     batch = classify_batch(f, seeds)
     for seed, verdict in zip(seeds, batch):
-        assert classify_point(f, complex(seed)) == Classification(int(verdict))
+        assert reference_verdict(iterate_orbit(f, complex(seed))) == Classification(int(verdict))
 
 
 @settings(max_examples=60, deadline=None)
@@ -397,7 +431,7 @@ def test_batch_agrees_with_scalar_path():
 def test_batch_agrees_with_scalar_path_randomized(text, seed):
     f = parse(text)
     batch = classify_batch(f, np.array([seed], dtype=np.complex128))
-    assert classify_point(f, seed) == Classification(int(batch[0]))
+    assert reference_verdict(iterate_orbit(f, seed)) == Classification(int(batch[0]))
 
 
 # --- chunked batches -----------------------------------------------------
@@ -418,7 +452,7 @@ def test_batch_matches_scalar_path_at_chunk_edges(chunked_run):
     f, seeds, codes = chunked_run
     assert set(np.unique(codes)) == {Classification.ESCAPING, Classification.BOUNDED}
     for i in (0, CHUNK - 1, CHUNK, 2 * CHUNK - 1, 2 * CHUNK, seeds.size - 1):
-        assert classify_point(f, complex(seeds[i])) == Classification(int(codes[i]))
+        assert reference_verdict(iterate_orbit(f, complex(seeds[i]))) == Classification(int(codes[i]))
 
 
 def test_batch_equals_concatenated_chunk_runs(chunked_run):
@@ -472,6 +506,50 @@ def test_batch_state_is_the_concatenation_of_one_seed_runs(name, f, cfg):
         want = np.concatenate([getattr(singles[i][1], fld.name) for i in pick])
         got = getattr(state, fld.name)
         assert got.dtype == want.dtype and np.array_equal(got, want), fld.name
+
+
+AGREEMENT_MAPS = catalog_maps() + [
+    (text, parse(text)) for text in ("z/(z-1)", "pow(z,2)", "0.5*z", "1.4*z", "z*z-1")
+]
+
+
+@pytest.mark.parametrize("cfg", [DEFAULT_CONFIG, SMALL_CFG], ids=["default", "small"])
+@pytest.mark.parametrize("name, f", AGREEMENT_MAPS, ids=[name for name, _ in AGREEMENT_MAPS])
+def test_reference_rules_classify_and_batch_agree(name, f, cfg):
+    """The scalar reference rules, `classify` and `classify_batch` give one verdict.
+
+    The record's counts must also match the engine state it keeps.
+    """
+    seeds = np.array(
+        EDGE_SEEDS + list(GridSpec(-3, 3, -3, 3, 4, 4).points().ravel()), dtype=np.complex128
+    )
+    codes, state = classify_batch(f, seeds, cfg, return_state=True)
+    for i, seed in enumerate(seeds):
+        rec = iterate_orbit(f, complex(seed), cfg)
+        want = reference_verdict(rec, cfg)
+        assert classify(rec, cfg) == want == Classification(int(codes[i])), complex(seed)
+        assert rec.returns == int(state.n_returns[i]) and len(rec.peaks) == int(state.n_peaks[i])
+
+
+@pytest.mark.parametrize(
+    "text, seed, termination",
+    [
+        # Peaks 189 and 2.5e18, then a weaker third peak still rising when
+        # exp overflows: the growth rule fails on the unfinished peak.
+        ("exp(z)", -0.45 - 2.65j, Overflowed),
+        # 2**-5 -> 2**10 -> 2**-20 -> 2**40 -> 0 exactly, then the pole: two
+        # growing peaks and two returns, yet a pole hit is never Bungee.
+        (f"1/pow(z,2)-{2.0**-80!r}", 2.0**-5, PoleHit),
+    ],
+    ids=["weak-pending-peak", "pole-after-alternations"],
+)
+def test_rule_arms_after_two_returns_stay_unresolved(text, seed, termination):
+    f = parse(text)
+    rec = iterate_orbit(f, seed, SMALL_CFG)
+    assert isinstance(rec.termination, termination) and rec.returns == 2
+    codes = classify_batch(f, np.array([seed], dtype=np.complex128), SMALL_CFG)
+    assert reference_verdict(rec, SMALL_CFG) == classify(rec, SMALL_CFG) == Classification(int(codes[0]))
+    assert classify(rec, SMALL_CFG) == Classification.UNRESOLVED
 
 
 def test_batch_of_no_seeds_is_empty():

@@ -68,6 +68,7 @@ def test_explicit_plan_keeps_points():
         lambda: SamplePlan.grid(0, 1, 0, 1, 0, 2),
         lambda: SamplePlan.explicit([complex("inf")]),
         lambda: SamplePlan(kind="banana"),
+        lambda: SamplePlan(kind="grid"),
     ],
 )
 def test_sample_plan_validation(build):
