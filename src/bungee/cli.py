@@ -9,10 +9,10 @@ Subcommands: ``classify`` (one seed's verdict and orbit summary),
 optional boundary bitmap and JSON), ``verify`` (one relation over a
 sample plan, JSON report), ``examples`` (catalog listing and runs).
 
-Exit codes: 0 success, 1 usage or expression parse error, 2 runtime
-error, 3 verify ran cleanly but found violations. All file contents are
-built before any output file is opened, so failed invocations leave no
-partial files behind.
+Exit codes: 0 success, 1 usage or expression parse error (including
+inputs ``verify`` refuses), 2 runtime error, 3 verify ran cleanly but
+found violations. All file contents are built before any output file is
+opened, so failed invocations leave no partial files behind.
 """
 
 from __future__ import annotations
@@ -217,18 +217,21 @@ def _cmd_verify(ns) -> int:
     if ns.phi:
         a, b = _parse_phi(ns.phi)
     plan = _parse_samples(ns.samples)
-    report = verify_relation(
-        RelationId(ns.relation),
-        f,
-        plan,
-        g=g,
-        a=a,
-        b=b,
-        cfg=cfg,
-        tol=ns.tol,
-        equality=ns.equality,
-        workers=ns.workers,
-    )
+    try:
+        report = verify_relation(
+            RelationId(ns.relation),
+            f,
+            plan,
+            g=g,
+            a=a,
+            b=b,
+            cfg=cfg,
+            tol=ns.tol,
+            equality=ns.equality,
+            workers=ns.workers,
+        )
+    except ValueError as exc:  # a missing argument or a refused pair
+        raise _UsageError(str(exc)) from None
     _emit(report.to_json(), ns.out)
     return 3 if report.violation_rate > 0 else 0
 

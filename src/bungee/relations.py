@@ -375,6 +375,10 @@ def verify_relation(
     ``equality`` switches EscapingUnion from inclusion to equality.
     AffineBungeeEqual refuses pairs that fail the permutability check;
     the other commuting-pair relations record the check and proceed.
+    Columns are built in the relation's label order. A seed counts only
+    if every column resolves it, so a later column skips the seeds an
+    earlier column left Unresolved and reads Unresolved there too; the
+    report is the same as if every column were classified everywhere.
     ``workers`` is accepted for compatibility and must be at least 1; it
     changes neither speed nor output, since every map is classified by
     one `classify_batch` call over fixed chunks of seeds.
@@ -406,10 +410,15 @@ def verify_relation(
             "source": hypothesis_source,
         }
 
-    columns = [_column(label, f, g, a, b, seeds, cfg) for label in row.labels]
     # Seeds a column could not resolve (including images that failed to
-    # evaluate) never count.
-    resolved = np.logical_and.reduce([col != _UNRESOLVED for col in columns])
+    # evaluate) never count, so later columns skip them.
+    resolved = np.ones(seeds.shape, dtype=bool)
+    columns = []
+    for label in row.labels:
+        col = np.full(seeds.shape, _UNRESOLVED, dtype=np.int8)
+        col[resolved] = _column(label, f, g, a, b, seeds[resolved], cfg)
+        resolved &= col != _UNRESOLVED
+        columns.append(col)
     bad = row.bad(seeds=seeds, equality=equality, **dict(zip(row.labels, columns)))
     bad &= resolved
     violations = tuple(

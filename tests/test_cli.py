@@ -288,7 +288,8 @@ def test_verify_rejects_unknown_relation():
 
 
 def test_verify_runtime_error_is_exit_two():
-    # AffineBungeeEqual refuses non-commuting pairs after parsing fine.
+    # AffineBungeeEqual refuses non-commuting pairs after parsing fine;
+    # the pair is the user's input, so the refusal is a usage error.
     code, _, err = run(
         [
             "verify",
@@ -302,8 +303,40 @@ def test_verify_runtime_error_is_exit_two():
             "grid:0.2,0.8,0.2,0.8:3x3",
         ]
     )
-    assert code == 2
+    assert code == 1
     assert "permutable" in err
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (
+            [
+                "--relation=AffineBungeeEqual",
+                "--f=z+1+exp(-z)",
+                "--g=z+1+exp(-z)+2*pi*i",
+                "--phi=2,0,1,0",
+                "--samples=grid:-2,2,-2,2:7x5",
+            ],
+            "requires a permutable pair",
+        ),
+        (
+            ["--relation=DisjointKandBU", "--f=z+sin(z)", "--samples=grid:-1,1,-1,1:3x3"],
+            "requires g",
+        ),
+        (
+            ["--relation=ConjugacyTransport", "--f=0.3*exp(z)", "--samples=list:0,0"],
+            "requires a and b",
+        ),
+    ],
+    ids=["non-permutable-pair", "missing-g", "missing-phi"],
+)
+def test_verify_input_refusals_exit_one(tmp_path, argv, message):
+    target = tmp_path / "report.json"
+    code, out, err = run(["verify", *argv, "--out", str(target)])
+    assert code == 1
+    assert message in err and out == ""
+    assert not target.exists()
 
 
 def test_verify_is_worker_invariant(tmp_path):

@@ -5,17 +5,29 @@ from __future__ import annotations
 import json
 import math
 
+import numpy as np
 import pytest
 
+import bungee.relations
 from bungee import (
+    Classification,
     ClassifierConfig,
     RelationId,
     SamplePlan,
     check_permutable,
+    classify_batch,
     parse,
     verify_relation,
 )
-from bungee.relations import PERMUTABILITY_TOL
+from bungee.expr import affine_post
+from bungee.orbit import DEFAULT_CONFIG
+from bungee.relations import (
+    PERMUTABILITY_TOL,
+    RelationReport,
+    Violation,
+    _RELATIONS,
+    _column,
+)
 
 DRIFT_CFG = ClassifierConfig(max_iter=2000, r_bound=100.0, r_esc=1e3)
 
@@ -445,3 +457,142 @@ def test_non_positive_workers_are_rejected(workers):
 
 def test_default_permutability_tolerance():
     assert PERMUTABILITY_TOL == 1e-9
+
+
+# --- columns skip seeds an earlier column left unresolved ----------------
+
+
+UNRESOLVED = int(Classification.UNRESOLVED)
+SMALL_CFG = ClassifierConfig(max_iter=120, r_bound=20.0, r_esc=1e4, tail_window=30)
+
+
+def reference_reports(rel, f, plan, g=None, a=None, b=None, cfg=DEFAULT_CONFIG):
+    """The report in each `equality` mode, built by classifying every
+    column at every seed."""
+    row = _RELATIONS[rel]
+    seeds = plan.seeds()
+    if rel is RelationId.AFFINE_BUNGEE_EQUAL:
+        g = affine_post(f, a, b)
+    permutability = check_permutable(f, g, plan) if row.permutable else None
+    if rel is RelationId.AFFINE_BUNGEE_EQUAL and not permutability.permutable:
+        raise ValueError("AffineBungeeEqual requires a permutable pair")
+    columns = {lab: _column(lab, f, g, a, b, seeds, cfg) for lab in row.labels}
+    resolved = np.logical_and.reduce([col != UNRESOLVED for col in columns.values()])
+    reports = {}
+    for equality in (False, True):
+        bad = row.bad(seeds=seeds, equality=equality, **columns) & resolved
+        reports[equality] = RelationReport(
+            relation=rel,
+            sample_count=int(seeds.size),
+            evaluated_count=int(resolved.sum()),
+            violations=tuple(
+                Violation(
+                    seed=complex(seeds[i]),
+                    verdicts={lab: Classification(int(col[i])) for lab, col in columns.items()},
+                )
+                for i in np.flatnonzero(bad)
+            ),
+            permutability=permutability,
+            config=cfg,
+            plan=plan,
+            hypothesis=(
+                {"no_finite_asymptotic_values": None, "source": "unstated"}
+                if row.hypothesis
+                else None
+            ),
+        )
+    return reports
+
+
+# Each pair carries the affine map (a, b) its conjugacy relations use.
+PAIRS = {
+    "fatou": (FATOU, FATOU_SHIFTED, 1, 2j * math.pi),
+    "sine": (SINE, SINE_SHIFTED, 1, 2 * math.pi),
+    "square-translate": (parse("z*z"), parse("z+1"), -1, 0),
+    "reciprocal-square": (parse("1/pow(z,2)"), parse("1/pow(z,2)"), 1, 0),
+    "exp": (parse("0.3*exp(z)"), parse("exp(z)"), 2, 1),
+}
+PLANS = {
+    "grid": SamplePlan.grid(-3, 3, -2, 2, 6, 5),
+    "list": SamplePlan.explicit([0, 1e-300, 1e200, 0.5 + 0.5j, -1.5 + 2j, 3j, -0.25]),
+}
+CONFIGS = {"default": DEFAULT_CONFIG, "small": SMALL_CFG}
+
+
+@pytest.mark.parametrize("config", list(CONFIGS))
+@pytest.mark.parametrize("plan", list(PLANS))
+@pytest.mark.parametrize("pair", list(PAIRS))
+def test_reports_equal_the_every_column_reference(pair, plan, config):
+    f, g, a, b = PAIRS[pair]
+    kwargs = dict(g=g, a=a, b=b, cfg=CONFIGS[config])
+    for rel in RelationId:
+        try:
+            expected = reference_reports(rel, f, PLANS[plan], **kwargs)
+        except ValueError:
+            with pytest.raises(ValueError, match="permutable"):
+                verify_relation(rel, f, PLANS[plan], **kwargs)
+            continue
+        for equality, report in expected.items():
+            actual = verify_relation(rel, f, PLANS[plan], equality=equality, **kwargs)
+            assert actual.to_json() == report.to_json(), (rel, equality)
+
+
+@pytest.fixture
+def lane_log(monkeypatch):
+    """Record the seeds of every classify_batch and eval_array call in relations."""
+    calls = []
+
+    def recorder(kind, orig):
+        def wrapped(target, seeds, *args, **kwargs):
+            calls.append((kind, target, np.array(seeds)))
+            return orig(target, seeds, *args, **kwargs)
+
+        return wrapped
+
+    for name in ("classify_batch", "eval_array"):
+        monkeypatch.setattr(
+            bungee.relations, name, recorder(name, getattr(bungee.relations, name))
+        )
+    return calls
+
+
+def resolved_at(f, seeds):
+    return seeds[classify_batch(f, seeds) != UNRESOLVED]
+
+
+def test_later_column_gets_only_the_seeds_f_resolved(lane_log):
+    plan = SamplePlan.grid(-3, 3, -3, 3, 12, 12)
+    verify_relation("DisjointKandBU", FATOU, plan, g=FATOU_SHIFTED)
+    (_, f_map, f_seeds), (_, g_map, g_seeds) = lane_log
+    assert f_map is FATOU and g_map is FATOU_SHIFTED
+    assert np.array_equal(f_seeds, plan.seeds())
+    kept = resolved_at(FATOU, plan.seeds())
+    assert 0 < kept.size < plan.sample_count
+    assert np.array_equal(g_seeds, kept)
+
+
+def test_third_column_gets_the_seeds_both_earlier_columns_resolved(lane_log):
+    plan = SamplePlan.grid(-3, 3, -3, 3, 12, 12)
+    verify_relation("EscapingUnion", FATOU, plan, g=FATOU_SHIFTED)
+    batches = [(target, seeds) for kind, target, seeds in lane_log if kind == "classify_batch"]
+    (_, f_seeds), (_, g_seeds), (_, fg_seeds) = batches
+    assert np.array_equal(g_seeds, resolved_at(FATOU, f_seeds))
+    both = resolved_at(FATOU_SHIFTED, g_seeds)
+    assert 0 < both.size < g_seeds.size < plan.sample_count
+    assert np.array_equal(fg_seeds, both)
+
+
+def test_a_first_column_that_resolves_nothing_sends_no_seeds_on(lane_log):
+    # Right of Re z = 0.5 the Fatou map's orbits all drift out slowly and
+    # run out of budget, so the g column resolves no seed and the image
+    # column evaluates and classifies empty arrays.
+    plan = SamplePlan.grid(0.5, 3.5, -3, 3, 4, 6)
+    report = verify_relation("EscapingInvariance", FATOU_SHIFTED, plan, g=FATOU)
+    calls = list(lane_log)
+    expected = reference_reports(RelationId.ESCAPING_INVARIANCE, FATOU_SHIFTED, plan, g=FATOU)
+    assert report.evaluated_count == 0
+    assert report.to_json() == expected[False].to_json()
+    moved = [seeds.size for _, target, seeds in calls if target is FATOU_SHIFTED.root]
+    batches = [seeds.size for kind, _, seeds in calls if kind == "classify_batch"]
+    assert moved == [0]
+    assert batches == [plan.sample_count, 0]

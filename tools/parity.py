@@ -1,0 +1,129 @@
+"""Write bungee's user-visible outputs to a directory, for byte comparison.
+
+Usage, from any directory::
+
+    python3 tools/parity.py OUTDIR
+
+The package is imported from ``src/`` of the checkout that holds this
+script, so running it from two checkouts (say, an export of the parent
+commit and the working tree) and comparing the directories with
+``diff -r`` shows every output a change moved. It writes:
+
+- ``classify --format json`` and ``orbit`` CSV for every map of the
+  catalog at every edge seed, under the default config and the catalog's
+  drift config;
+- ``verify`` JSON for all ten relations, on each catalog entry's pair,
+  over a grid plan and a list plan, under both configs, in both
+  ``--equality`` modes;
+- the exit codes of three inputs ``verify`` refuses;
+- ``examples run --format json`` for every catalog entry at scale 1.0;
+- ``export_registry_json()``.
+
+Every command runs in process through ``bungee.cli.main``. Its exit code
+and the first line of its standard error go to ``exits.tsv``, so a
+command that fails still leaves a comparable record. The sweep writes
+932 files and takes about 45 s in one process on a two-core machine.
+"""
+
+from __future__ import annotations
+
+import contextlib
+import io
+import json
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src"
+if not (SRC / "bungee" / "__init__.py").is_file():
+    sys.exit(f"error: {SRC / 'bungee'} not found; run from a checkout of bungee")
+sys.path.insert(0, str(SRC))
+
+from bungee import RelationId, export_registry_json, get_example, list_examples  # noqa: E402
+from bungee.cli import main  # noqa: E402
+
+EDGE_SEEDS = [0, 1e-300, 1e200, 1, 0.5, -800, 800, 800j, 0.1j, 1e-150, 1.5 - 2j]
+PLANS = {
+    "grid": "grid:-3,3,-3,3:9x7",
+    "list": "list:0,0;1e-300,0;1e200,0;0.5,0.5;-1.5,2;0,3;-800,0",
+}
+# Inputs that `verify` refuses: a pair that does not commute, and
+# relations run without the arguments they need.
+REFUSALS = {
+    "affine-not-permutable": ["--relation=AffineBungeeEqual", "--f=z+1+exp(-z)",
+                              "--g=z+1+exp(-z)+2*pi*i", "--phi=2,0,1,0",
+                              "--samples=grid:-2,2,-2,2:7x5"],
+    "disjoint-without-g": ["--relation=DisjointKandBU", "--f=z+1+exp(-z)",
+                           "--samples=grid:-2,2,-2,2:7x5"],
+    "conjugacy-without-phi": ["--relation=ConjugacyTransport", "--f=0.3*exp(z)",
+                              "--samples=grid:-2,2,-2,2:7x5"],
+}
+
+
+def _pair(z: complex) -> str:
+    return f"{z.real!r},{z.imag!r}"
+
+
+def _configs(outdir: Path) -> dict[str, list[str]]:
+    drift = outdir / "config-drift.json"
+    drift.write_text(json.dumps(get_example("ex_sine_pair").config().to_dict()) + "\n")
+    return {"default": [], "drift": ["--config", str(drift)]}
+
+
+def write_outputs(outdir: Path) -> int:
+    outdir.mkdir(parents=True, exist_ok=True)
+    configs = _configs(outdir)
+    entries = [get_example(eid) for eid, _ in list_examples()]
+    exits = []
+
+    def run(name: str, argv: list[str], capture: bool = True) -> None:
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(argv)
+        if capture:
+            (outdir / name).write_text(out.getvalue())
+        first = (err.getvalue().splitlines() or [""])[0]
+        exits.append(f"{name}\t{code}\t{first}")
+
+    maps = list(dict.fromkeys(str(m) for e in entries for m in (e.f, e.g) if m is not None))
+    for mi, expr in enumerate(maps):
+        for si, seed in enumerate(EDGE_SEEDS):
+            for cname, cargs in configs.items():
+                tag = f"map{mi}-seed{si}-{cname}"
+                point = f"--point={_pair(complex(seed))}"
+                run(f"classify-{tag}.json", [*cargs, "--format", "json", "classify",
+                                            f"--function={expr}", point])
+                csv = outdir / f"orbit-{tag}.csv"
+                run(csv.name, [*cargs, "orbit", f"--function={expr}", point,
+                               "--csv", str(csv)], capture=False)
+
+    for entry in entries:
+        g = entry.g if entry.g is not None else entry.f
+        a, b = entry.conjugation or (1, 0)
+        phi = f"--phi={_pair(complex(a))},{_pair(complex(b))}"
+        for rel in RelationId:
+            for pname, spec in PLANS.items():
+                for cname, cargs in configs.items():
+                    for mode in ("inclusion", "equality"):
+                        argv = [*cargs, "verify", f"--relation={rel.value}",
+                                f"--f={entry.f}", f"--g={g}", phi, f"--samples={spec}"]
+                        if mode == "equality":
+                            argv.append("--equality")
+                        run(f"verify-{entry.id}-{rel.value}-{pname}-{cname}-{mode}.json", argv)
+
+    for name, argv in REFUSALS.items():
+        run(f"refusal-{name}.json", ["verify", *argv])
+
+    for entry in entries:
+        run(f"examples-{entry.id}.json", ["--format", "json", "examples", "run",
+                                          entry.id, "--scale", "1.0"])
+    (outdir / "registry.json").write_text(export_registry_json())
+    (outdir / "exits.tsv").write_text("\n".join(exits) + "\n")
+    print(f"wrote {len(exits) + 1} outputs to {outdir}")
+    return 0
+
+
+if __name__ == "__main__":
+    if len(sys.argv) != 2:
+        sys.exit("usage: python3 tools/parity.py OUTDIR")
+    sys.exit(write_outputs(Path(sys.argv[1])))
