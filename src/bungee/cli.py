@@ -18,6 +18,7 @@ opened, so failed invocations leave no partial files behind.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from pathlib import Path
@@ -282,6 +283,7 @@ def _add_globals(parser: argparse.ArgumentParser, suppress: bool) -> None:
     parser.add_argument("--format", choices=("json", "text"), default=dflt("text"))
 
 
+@functools.cache  # built once per process: parsing leaves the parser unchanged
 def _build_parser() -> _ArgumentParser:
     p = _ArgumentParser(
         prog="bungee",

@@ -31,6 +31,8 @@ All expression trees are immutable and safe to share across threads.
 from __future__ import annotations
 
 import cmath
+import contextlib
+import contextvars
 import math
 import operator
 from dataclasses import dataclass
@@ -469,6 +471,20 @@ def compile_expr(f: FunctionExpr | Expr) -> Program:
     return Program(tuple(code))
 
 
+# Set by `_ignoring_errors`, which holds np.errstate(all="ignore") across many eval_array calls.
+_ERRORS_IGNORED = contextvars.ContextVar("errors_ignored", default=False)
+
+
+@contextlib.contextmanager
+def _ignoring_errors():
+    token = _ERRORS_IGNORED.set(True)
+    try:
+        with np.errstate(all="ignore"):
+            yield
+    finally:
+        _ERRORS_IGNORED.reset(token)
+
+
 def eval_array(f: FunctionExpr | Expr | Program, z: np.ndarray, want_nodes: bool = False):
     """Evaluate ``f`` elementwise over a complex array.
 
@@ -483,14 +499,15 @@ def eval_array(f: FunctionExpr | Expr | Program, z: np.ndarray, want_nodes: bool
     Every node checks its lanes with one reduction (a lane sum is finite
     iff every lane is; no divisor is zero iff all are counted nonzero; a
     max/min bounds the exp/sin/cos arguments), and builds a mask of the
-    offending lanes only when that check fails.
+    offending lanes only when that check fails. A call with no event costs
+    its arithmetic and these reductions; only constant maps are broadcast.
     """
     program = f if isinstance(f, Program) else compile_expr(f)
     z = np.asarray(z, dtype=np.complex128)
     stack: list = []
     env = [z]  # what Var reads: z, or the inner value of the innermost Apply
     marks = []  # (event code, lane mask, node), in evaluation order
-    with np.errstate(all="ignore"):
+    with contextlib.nullcontext() if _ERRORS_IGNORED.get() else np.errstate(all="ignore"):
         for op, node, arg in program.code:
             if op == "load":
                 stack.append(env[-1] if arg is None else arg)
@@ -522,10 +539,12 @@ def eval_array(f: FunctionExpr | Expr | Program, z: np.ndarray, want_nodes: bool
                 if op == "/" and np.count_nonzero(y) != np.size(y):
                     marks.append((EVENT_POLE, y == 0, node))
                 v = _BINARY[op](x, y)
-            if not cmath.isfinite(v.sum()):
+            if not cmath.isfinite(np.add.reduce(v, axis=None)):
                 marks.append((EVENT_INFINITY, ~np.isfinite(v), node))
             stack.append(v)
-        values = np.broadcast_to(np.asarray(stack.pop(), dtype=np.complex128), z.shape)
+        values = stack.pop()
+        if not (isinstance(values, np.ndarray) and values.dtype == np.complex128 and values.shape == z.shape):
+            values = np.broadcast_to(np.asarray(values, dtype=np.complex128), z.shape)  # a constant map
     events = np.zeros(z.shape, dtype=np.int8)
     nodes = np.empty(z.shape, dtype=object) if want_nodes else None
     for code, mask, node in marks:
@@ -533,9 +552,7 @@ def eval_array(f: FunctionExpr | Expr | Program, z: np.ndarray, want_nodes: bool
         events[fresh] = code
         if want_nodes:
             nodes[fresh] = node
-    if want_nodes:
-        return values, events, nodes
-    return values, events
+    return (values, events, nodes) if want_nodes else (values, events)
 
 
 def evaluate(f: FunctionExpr, z: complex) -> EvalResult:

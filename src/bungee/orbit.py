@@ -36,7 +36,8 @@ all of them by construction. The engine compiles the map once per run
 live lanes only: when an orbit ends, its state is written to the output
 once and the working arrays are compacted. Every lane starts at step 0,
 so all live lanes share one Brent checkpoint schedule for cycle
-detection (Brent 1980).
+detection (Brent 1980). A step in which no lane ends costs its arithmetic
+and a few whole-array tests; it builds a lane mask only when a test fires.
 """
 
 from __future__ import annotations
@@ -49,7 +50,7 @@ from typing import Optional, Sequence, Union
 
 import numpy as np
 
-from .expr import EVENT_NONE, EVENT_POLE, FunctionExpr, compile_expr, eval_array
+from .expr import EVENT_NONE, EVENT_POLE, FunctionExpr, _ignoring_errors, compile_expr, eval_array
 
 __all__ = [
     "Classification",
@@ -327,13 +328,13 @@ def _run_batch(
     # Brent schedule (checkpoint when lam reaches power) is shared by all.
     power, lam = 1, 0
 
-    with np.errstate(all="ignore"):
+    with _ignoring_errors():
         for step in range(1, cfg.max_iter + 1):
             if w.idx.size == 0:
                 break
             vals, events = eval_array(program, w.z)
-            failed = events != EVENT_NONE
-            if failed.any():
+            if np.count_nonzero(events):
+                failed = events != EVENT_NONE
                 pole = (events[failed] == EVENT_POLE) & (w.z[failed] == 0)
                 w.end(out, failed, np.where(pole, _POLE, _OVERFLOWED), step)
                 vals = vals[~failed]
@@ -341,6 +342,7 @@ def _run_batch(
                     break
 
             mv = np.abs(vals)
+            top = mv.max()  # gates peak starts and the guard; an unflagged NaN is in every lane
             w.z = vals
             w.final_modulus = mv
             np.maximum(w.global_max, mv, out=w.global_max)
@@ -351,34 +353,33 @@ def _run_batch(
 
             below = mv < cfg.r_bound
             in_peak = w.in_peak
-            if in_peak.any():
+            if np.count_nonzero(in_peak):
                 ending = in_peak & below
                 extending = in_peak & ~below
-                if ending.any():
+                if np.count_nonzero(ending):
                     w.n_returns[ending] += 1
                     prev = w.last_peak[ending]
                     peak = w.cur_peak[ending]
                     w.escalation_ok[ending] &= ~((prev > 0) & (peak < cfg.peak_growth * prev))
                     w.last_peak[ending] = peak
                     in_peak[ending] = False
-                if extending.any():
+                if np.count_nonzero(extending):
                     np.maximum(w.cur_peak, mv, out=w.cur_peak, where=extending)
             w.armed |= below
-            starting = mv > cfg.r_esc
-            if starting.any():
-                starting &= w.armed & ~in_peak
+            if top > cfg.r_esc:
+                starting = (mv > cfg.r_esc) & w.armed & ~in_peak
                 w.n_peaks[starting] += 1
                 in_peak[starting] = True
                 w.cur_peak[starting] = mv[starting]
                 w.armed[starting] = False
 
-            if not mv.max() <= guard:
+            if not top <= guard:
                 w.end(out, mv > guard, _OVERFLOWED, step)
 
             lam += 1
             np.maximum(w.win_max, w.final_modulus, out=w.win_max)
             near = np.abs(w.z - w.tortoise) <= w.tol_tort
-            if near.any():
+            if np.count_nonzero(near):
                 ids = w.idx[near]
                 out.period[ids] = lam
                 out.cycle_max[ids] = w.win_max[near]

@@ -334,20 +334,20 @@ def _column(
     """Verdict codes of one report column over the seeds.
 
     ``f``, ``g`` and ``fg`` classify that map at the seeds; ``g_at_image``
-    classifies g at f(seeds) and ``gf_at_image`` classifies g o f at
-    g(seeds), where an image that fails to evaluate stays Unresolved;
-    ``conjugate_at_image`` classifies the conjugate of f at a*seeds+b.
+    classifies g at f(seeds), ``gf_at_image`` classifies g o f at g(seeds)
+    and ``conjugate_at_image`` classifies the conjugate of f at a*seeds+b.
+    A seed whose image fails to evaluate or is not finite stays Unresolved.
     """
-    if label == "conjugate_at_image":
-        return classify_batch(conjugate(f, a, b), a * seeds + b, cfg)
-    if label == "g_at_image":
-        mover, target = f, g
-    elif label == "gf_at_image":
-        mover, target = g, compose(g, f)
-    else:
+    if label in ("f", "g", "fg"):
         target = f if label == "f" else g if label == "g" else compose(f, g)
         return classify_batch(target, seeds, cfg)
-    images, events = eval_array(mover.root, seeds)
+    if label == "conjugate_at_image":
+        target, events = conjugate(f, a, b), EVENT_NONE
+        with np.errstate(all="ignore"):
+            images = a * seeds + b
+    else:
+        mover, target = (f, g) if label == "g_at_image" else (g, compose(g, f))
+        images, events = eval_array(mover.root, seeds)
     ok = (events == EVENT_NONE) & np.isfinite(images)
     codes = np.full(seeds.shape, _UNRESOLVED, dtype=np.int8)
     codes[ok] = classify_batch(target, images[ok], cfg)

@@ -5,9 +5,11 @@ from __future__ import annotations
 import contextlib
 import io
 import json
+import warnings
 
 import pytest
 
+from bungee import cli
 from bungee.cli import main
 
 
@@ -261,6 +263,17 @@ def test_verify_conjugacy_with_phi():
     assert json.loads(out)["violation_rate"] == 0.0
 
 
+def test_verify_conjugacy_leaves_an_overflowing_image_unresolved():
+    argv = ["verify", "--relation", "ConjugacyTransport", "--f", "0.3*exp(z)", "--phi=2,0,1,0",
+            "--samples", "list:1e308,0;0.5,0"]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        code, out, err = run(argv)
+    assert (code, err) == (0, "")
+    doc = json.loads(out)
+    assert doc["sample_count"] == 2 and doc["evaluated_count"] == 1
+
+
 def test_verify_list_samples():
     code, out, _ = run(
         [
@@ -501,3 +514,21 @@ def test_help_exits_zero():
     code, out, _ = run(["--help"])
     assert code == 0
     assert "classify" in out and "verify" in out
+
+
+def test_parser_built_once_answers_like_a_fresh_one(tmp_path):
+    ppm = str(tmp_path / "out.ppm")
+    calls = [
+        ["classify", "--function", "z"],
+        ["--help"],
+        ["classify", "--function", "z+sin(z)", "--point", "1,0"],
+        ["render", "--function", "z+sin(z)", "--grid=-2,2,-2,2", "--size", "4,3", "--ppm", ppm],
+    ]
+    fresh = []
+    for argv in calls:
+        cli._build_parser.cache_clear()
+        fresh.append(run(argv))
+    cli._build_parser.cache_clear()
+    reused = [run(argv) for argv in calls]
+    assert [code for code, _, _ in fresh] == [1, 0, 0, 0]
+    assert reused == fresh

@@ -7,11 +7,14 @@ evaluation inside the test, never by running the code under test twice.
 from __future__ import annotations
 
 import cmath
+import contextlib
 import math
+import warnings
 
 import numpy as np
 import pytest
 
+import bungee.orbit
 from bungee import (
     Classification,
     ExprSyntaxError,
@@ -26,7 +29,7 @@ from bungee import (
     format_expr,
     parse,
 )
-from bungee.expr import EVENT_INFINITY, EVENT_NONE, EVENT_POLE, compile_expr, eval_array
+from bungee.expr import EVENT_INFINITY, EVENT_NONE, EVENT_POLE, _ignoring_errors, compile_expr, eval_array
 
 # Deterministic off-axis sample points reused across identity checks.
 SAMPLE_POINTS = [
@@ -193,6 +196,40 @@ def test_eval_array_reports_events_per_element():
     values, events = eval_array(f, z)
     assert events.tolist() == [EVENT_POLE, EVENT_NONE, EVENT_NONE]
     assert values[1] == 4 and values[2] == 0.25
+
+
+# The map z returns its input's array, and a constant map is broadcast:
+# either way the values take the input's shape, in or out of the engine's
+# held error state.
+@pytest.mark.parametrize("held", [False, True], ids=["own-errstate", "held-errstate"])
+@pytest.mark.parametrize("lanes", [0, 1, 5])
+@pytest.mark.parametrize("text, value", [("z", None), ("2", 2), ("i", 1j)])
+def test_eval_array_result_contract(text, value, lanes, held):
+    z = np.linspace(-1.0, 1.0, lanes) + 0.5j
+    with _ignoring_errors() if held else contextlib.nullcontext():
+        values, events = eval_array(compile_expr(parse(text)), z)
+    assert values.dtype == np.complex128 and values.shape == z.shape
+    assert events.shape == z.shape and (events == EVENT_NONE).all()
+    assert np.array_equal(values, z if value is None else np.full(z.shape, value))
+
+
+def test_eval_array_keeps_its_own_errstate_after_engine_runs(monkeypatch):
+    # The engine holds numpy's error state for a whole run; once a run ends,
+    # even by an exception, a lone call must ignore errors by itself again.
+    f = parse("exp(z)")
+    classify_point(f, 800)
+
+    def broken(*args, **kwargs):
+        raise RuntimeError("stop")
+
+    monkeypatch.setattr(bungee.orbit, "eval_array", broken)
+    with pytest.raises(RuntimeError, match="stop"):
+        classify_point(f, 0)
+    monkeypatch.undo()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        _, events = eval_array(f, np.array([800.0 + 0j]))
+    assert events.tolist() == [EVENT_INFINITY]
 
 
 # Each case names the node that must fire first, as a path from the root.

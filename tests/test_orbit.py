@@ -32,7 +32,7 @@ from bungee import (
     list_examples,
     parse,
 )
-from bungee.orbit import DEFAULT_CONFIG, BatchState
+from bungee.orbit import _CYCLE, _OVERFLOWED, DEFAULT_CONFIG, BatchState
 
 # Config used by the sine-pair and drift examples: their orbits creep
 # outward at ~2*pi per step, so escape must be read at a lower radius.
@@ -310,6 +310,44 @@ def test_pole_counts_only_at_the_input_zero():
 def test_pole_forces_unresolved():
     assert classify_point(parse("1/pow(z,2)"), 0) == Classification.UNRESOLVED
     assert classify_point(parse("1/z"), 0) == Classification.UNRESOLVED
+
+
+# A constant map lands on its value at step 1 and repeats it at step 2, so
+# each of these puts |z| exactly on one threshold of the default config:
+# r_bound is inside the bounded disk, and neither r_esc nor the overflow
+# guard is crossed by reaching it.
+@pytest.mark.parametrize(
+    "text, verdict, peaks",
+    [
+        ("1000", Classification.BOUNDED, 0),  # cycle_max == r_bound
+        ("1000000", Classification.UNRESOLVED, 0),  # |z| == r_esc starts no peak
+        ("1e150", Classification.UNRESOLVED, 1),  # |z| == overflow_guard is not Overflowed
+    ],
+)
+def test_thresholds_at_equality(text, verdict, peaks):
+    f = parse(text)
+    codes, state = classify_batch(f, np.zeros(1, dtype=np.complex128), return_state=True)
+    rec = iterate_orbit(f, 0)
+    assert codes[0] == classify_point(f, 0) == verdict
+    assert int(state.n_peaks[0]) == len(rec.peaks) == peaks
+    assert int(state.kind[0]) == _CYCLE and rec.termination == CycleFound(1, 1)
+    assert state.cycle_max[0] == rec.global_max == float(text)
+
+
+# Beside a lane past the threshold, which opens the gate of the shared
+# maximum, a lane exactly on it is still judged by its own modulus:
+# z -> c/z swaps 1 with c, and 0.5 with 2c.
+@pytest.mark.parametrize(
+    "c, name, expected",
+    [("1000000", "n_peaks", [0, 2]), ("1e150", "kind", [_CYCLE, _OVERFLOWED])],
+    ids=["r_esc", "overflow_guard"],
+)
+def test_threshold_equality_beside_a_lane_past_it(c, name, expected):
+    f = parse(f"{c}/z")
+    seeds = np.array([1, 0.5], dtype=np.complex128)
+    codes, state = classify_batch(f, seeds, return_state=True)
+    assert getattr(state, name).tolist() == expected
+    assert codes.tolist() == [classify_point(f, z) for z in seeds]
 
 
 def test_rotation_is_bounded_without_a_cycle():

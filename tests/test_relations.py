@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -19,7 +20,7 @@ from bungee import (
     parse,
     verify_relation,
 )
-from bungee.expr import affine_post
+from bungee.expr import affine_post, conjugate
 from bungee.orbit import DEFAULT_CONFIG
 from bungee.relations import (
     PERMUTABILITY_TOL,
@@ -251,6 +252,18 @@ def test_conjugacy_transport_translation():
     )
     assert report.evaluated_count == 64
     assert report.violation_rate == 0.0
+
+
+def test_conjugacy_image_that_overflows_stays_unresolved():
+    f = parse("0.3*exp(z)")
+    seeds = np.array([1e308, 0.5], dtype=np.complex128)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        codes = _column("conjugate_at_image", f, None, 2, 1, seeds, DEFAULT_CONFIG)
+        report = verify_relation("ConjugacyTransport", f, SamplePlan.explicit(seeds), a=2, b=1)
+    assert codes[0] == int(Classification.UNRESOLVED)
+    assert codes[1] == classify_batch(conjugate(f, 2, 1), np.array([2.0 + 0j]))[0]
+    assert (report.sample_count, report.evaluated_count) == (2, 1)
 
 
 def test_affine_bungee_equal_identity_direction():
