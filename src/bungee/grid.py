@@ -2,17 +2,24 @@
 
 A grid covers a rectangle with cell-center sample points. Codes are
 stored as an (ny, nx) array with row 0 at the bottom (smallest
-imaginary part); PPM output flips rows so the top of the image is the
-top of the plane.
+imaginary part); PPM and PBM output flip rows so the top of the image is
+the top of the plane.
 
 All cells go to one `classify_batch` call, whose fixed chunks depend on
 the cell count alone, so the raster is byte-for-byte identical for every
 ``workers`` value.
+
+The encoders build each output as one ``uint8`` buffer with whole-array
+operations, with no per-cell Python: the PBM's digits and the JSON's
+codes are written into strided slots between their separators. A
+`Raster` holds only the codes 0-3, so every JSON code is one digit.
 """
 
 from __future__ import annotations
 
 import json
+import math
+import numbers
 from dataclasses import dataclass, asdict
 
 import numpy as np
@@ -34,7 +41,12 @@ __all__ = [
 
 @dataclass(frozen=True)
 class GridSpec:
-    """A rectangle [re_min, re_max] x [im_min, im_max] split into nx*ny cells."""
+    """A rectangle [re_min, re_max] x [im_min, im_max] split into nx*ny cells.
+
+    The bounds must be finite real numbers with ``re_min < re_max`` and
+    ``im_min < im_max``, and the cell sizes `dx` and `dy` finite; ``nx``
+    and ``ny`` must be positive integers (not bool).
+    """
 
     re_min: float
     re_max: float
@@ -44,10 +56,17 @@ class GridSpec:
     ny: int
 
     def __post_init__(self) -> None:
+        bounds = (self.re_min, self.re_max, self.im_min, self.im_max)
+        if not all(isinstance(v, numbers.Real) and math.isfinite(v) for v in bounds):
+            raise ValueError("grid bounds must be finite real numbers")
         if not (self.re_min < self.re_max and self.im_min < self.im_max):
             raise ValueError("grid rectangle must have positive extent")
+        if not all(isinstance(n, numbers.Integral) and not isinstance(n, bool) for n in (self.nx, self.ny)):
+            raise ValueError("grid cell counts must be integers")
         if self.nx < 1 or self.ny < 1:
             raise ValueError("grid must have at least one cell per axis")
+        if not (math.isfinite(self.dx) and math.isfinite(self.dy)):
+            raise ValueError("grid extent overflows: cell size is not finite")
 
     @property
     def dx(self) -> float:
@@ -73,10 +92,23 @@ class GridSpec:
 
 @dataclass(frozen=True)
 class Raster:
-    """Classification codes over a grid; ``codes[j, i]`` is cell (i, j)."""
+    """Classification codes over a grid; ``codes[j, i]`` is cell (i, j).
+
+    ``codes`` must be an integer array (not bool) of shape
+    ``(spec.ny, spec.nx)`` holding only `Classification` values 0-3.
+    """
 
     spec: GridSpec
     codes: np.ndarray
+
+    def __post_init__(self) -> None:
+        codes = self.codes
+        if not (isinstance(codes, np.ndarray) and np.issubdtype(codes.dtype, np.integer)):
+            raise ValueError("raster codes must be an integer array")
+        if codes.shape != (self.spec.ny, self.spec.nx):
+            raise ValueError(f"raster codes have shape {codes.shape}, grid is {(self.spec.ny, self.spec.nx)}")
+        if codes.min() < 0 or codes.max() > 3:
+            raise ValueError("raster codes must lie in 0-3")
 
 
 # RGB per Classification code, indexed by code value.
@@ -139,18 +171,31 @@ def extract_boundary(raster: Raster) -> np.ndarray:
 
 
 def render_pbm(mask: np.ndarray) -> bytes:
-    """Encode a boolean mask as an ASCII PBM (P1) image, top row first."""
+    """Encode a 2-D mask as an ASCII PBM (P1) image, top row first.
+
+    A cell is 1 where the mask is truthy. Each row is its digits joined
+    by single spaces, then a newline.
+    """
     ny, nx = mask.shape
-    lines = [f"P1\n{nx} {ny}"]
-    for row in mask[::-1]:
-        lines.append(" ".join("1" if v else "0" for v in row))
-    return ("\n".join(lines) + "\n").encode("ascii")
+    header = f"P1\n{nx} {ny}\n".encode("ascii")
+    if nx == 0:
+        return header + b"\n" * ny
+    body = np.full((ny, 2 * nx), ord(" "), dtype=np.uint8)
+    body[:, 0::2] = mask[::-1].astype(bool)
+    body[:, 0::2] += ord("0")
+    body[:, -1] = ord("\n")
+    return header + body.tobytes()
 
 
 def raster_to_json(raster: Raster) -> str:
-    """Serialize a raster as JSON: grid spec plus flat row-major codes."""
-    doc = {
-        "spec": raster.spec.to_dict(),
-        "codes": [int(c) for c in raster.codes.ravel()],
-    }
-    return json.dumps(doc)
+    """Serialize a raster as JSON: grid spec plus flat row-major codes.
+
+    The text is ``json.dumps`` of ``{"spec": ..., "codes": [...]}``; the
+    codes list is written as one buffer of digit, comma, space triples.
+    """
+    prefix = json.dumps({"spec": raster.spec.to_dict(), "codes": None})[: -len("null}")]
+    cells = np.empty((raster.codes.size, 3), dtype=np.uint8)
+    np.add(raster.codes.ravel(), ord("0"), out=cells[:, 0], casting="unsafe")
+    cells[:, 1] = ord(",")
+    cells[:, 2] = ord(" ")
+    return prefix + "[" + cells.tobytes()[:-2].decode("ascii") + "]}"

@@ -38,6 +38,8 @@ once and the working arrays are compacted. Every lane starts at step 0,
 so all live lanes share one Brent checkpoint schedule for cycle
 detection (Brent 1980). A step in which no lane ends costs its arithmetic
 and a few whole-array tests; it builds a lane mask only when a test fires.
+Peak starts and returns update the live lanes at full width under those
+masks, without gathering or scattering.
 """
 
 from __future__ import annotations
@@ -355,23 +357,21 @@ def _run_batch(
             in_peak = w.in_peak
             if np.count_nonzero(in_peak):
                 ending = in_peak & below
-                extending = in_peak & ~below
                 if np.count_nonzero(ending):
-                    w.n_returns[ending] += 1
-                    prev = w.last_peak[ending]
-                    peak = w.cur_peak[ending]
-                    w.escalation_ok[ending] &= ~((prev > 0) & (peak < cfg.peak_growth * prev))
-                    w.last_peak[ending] = peak
-                    in_peak[ending] = False
-                if np.count_nonzero(extending):
-                    np.maximum(w.cur_peak, mv, out=w.cur_peak, where=extending)
+                    w.n_returns += ending
+                    weak = (w.last_peak > 0) & (w.cur_peak < cfg.peak_growth * w.last_peak)
+                    w.escalation_ok &= ~(ending & weak)
+                    np.copyto(w.last_peak, w.cur_peak, where=ending)
+                    in_peak &= ~ending
+                np.maximum(w.cur_peak, mv, out=w.cur_peak, where=in_peak)
             w.armed |= below
             if top > cfg.r_esc:
                 starting = (mv > cfg.r_esc) & w.armed & ~in_peak
-                w.n_peaks[starting] += 1
-                in_peak[starting] = True
-                w.cur_peak[starting] = mv[starting]
-                w.armed[starting] = False
+                if np.count_nonzero(starting):
+                    w.n_peaks += starting
+                    in_peak |= starting
+                    np.copyto(w.cur_peak, mv, where=starting)
+                    w.armed &= ~starting
 
             if not top <= guard:
                 w.end(out, mv > guard, _OVERFLOWED, step)

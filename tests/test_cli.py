@@ -300,6 +300,34 @@ def test_verify_rejects_unknown_relation():
     assert "error:" in err
 
 
+@pytest.mark.parametrize(
+    "grid, message",
+    [("--grid=-inf,0,0,1", "finite"), ("--grid=0,1,nan,1", "finite"), ("--grid=-1e308,1e308,0,1", "overflows")],
+    ids=["infinite-bound", "nan-bound", "overflowing-extent"],
+)
+def test_render_bad_grid_is_usage_error(tmp_path, grid, message):
+    ppm = tmp_path / "never.ppm"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        code, out, err = run(["render", "--function", "z*z", grid, "--size", "2,2", "--ppm", str(ppm)])
+    assert code == 1
+    assert message in err and out == ""
+    assert not ppm.exists()
+
+
+@pytest.mark.parametrize(
+    "spec, message",
+    [("grid:-inf,0,0,1:2x2", "finite"), ("grid:0,1,-1e308,1e308:2x2", "overflows")],
+    ids=["infinite-bound", "overflowing-extent"],
+)
+def test_verify_bad_sample_grid_is_usage_error(spec, message):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        code, out, err = run(["verify", "--relation", "StripContainment", "--f", "z", f"--samples={spec}"])
+    assert code == 1
+    assert message in err and out == ""
+
+
 def test_verify_runtime_error_is_exit_two():
     # AffineBungeeEqual refuses non-commuting pairs after parsing fine;
     # the pair is the user's input, so the refusal is a usage error.

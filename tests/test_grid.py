@@ -6,6 +6,8 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from hypothesis.extra import numpy as hnp
 
 from bungee import (
     Classification,
@@ -49,6 +51,18 @@ def test_grid_spec_samples_cell_centers():
         (0, 1, 1, 1, 2, 2),
         (0, 1, 0, 1, 0, 2),
         (0, 1, 0, 1, 2, -1),
+        (-np.inf, 0, 0, 1, 2, 2),
+        (0, np.inf, 0, 1, 2, 2),
+        (0, 1, np.nan, 1, 2, 2),
+        (0, 1, 0, np.inf, 2, 2),
+        (-1e308, 1e308, 0, 1, 2, 2),
+        (0, 1, -1.7e308, 1.7e308, 2, 2),
+        (0, 1, 0, 1, 2.5, 2),
+        (0, 1, 0, 1, 2, 2.0),
+        (0, 1, 0, 1, 2.5, True),
+        (0, 1, 0, 1, True, 1),
+        (0, 1, 0, 1, "2", 2),
+        ("0", 1, 0, 1, 2, 2),
     ],
 )
 def test_grid_spec_validation(args):
@@ -62,9 +76,43 @@ def test_classify_grid_rejects_non_positive_workers(workers):
         classify_grid(parse("z"), GridSpec(0, 1, 0, 1, 2, 2), workers=workers)
 
 
+def test_grid_spec_accepts_numpy_scalars():
+    spec = GridSpec(np.float64(-1), np.float32(1), 0, 1, np.int64(3), np.int32(2))
+    assert spec.points().shape == (2, 3)
+
+
 def test_grid_spec_dict_round_trip():
     spec = GridSpec(-2, 2, -1.5, 1.5, 32, 24)
     assert GridSpec.from_dict(spec.to_dict()) == spec
+
+
+# --- Raster ------------------------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "codes",
+    [
+        np.array([[0, -1]], dtype=np.int8),
+        np.array([[0, 7]], dtype=np.int64),
+        np.array([[0, 1, 2]], dtype=np.int8),
+        np.array([[0], [1]], dtype=np.int8),
+        np.array([0, 1], dtype=np.int8),
+        np.array([[0.5, 1.0]]),
+        np.array([[True, False]]),
+        [[0, 1]],
+    ],
+    ids=["negative", "above-three", "wide", "transposed", "flat", "float", "bool", "list"],
+)
+def test_raster_rejects_bad_codes(codes):
+    with pytest.raises(ValueError, match="raster codes"):
+        Raster(GridSpec(0, 2, 0, 1, 2, 1), codes)
+
+
+@pytest.mark.parametrize("dtype", [np.int8, np.uint8, np.int32, np.uint64, np.int64])
+def test_raster_accepts_every_integer_dtype(dtype):
+    r = Raster(GridSpec(0, 4, 0, 1, 4, 1), np.array([[0, 1, 2, 3]], dtype=dtype))
+    assert raster_to_json(r) == _reference_json(r)
+    assert render_ppm(r) == render_ppm(raster([[E, B, BU, U]]))
 
 
 # --- classify_grid -------------------------------------------------------
@@ -191,6 +239,67 @@ def test_ppm_top_row_is_im_max():
 def test_pbm_mask_encoding():
     mask = extract_boundary(raster([[E, U, B]]))
     assert render_pbm(mask) == b"P1\n3 1\n0 1 0\n"
+
+
+def _reference_pbm(mask) -> bytes:
+    """The per-cell PBM encoder that `render_pbm` replaced, kept as its oracle."""
+    ny, nx = mask.shape
+    lines = [f"P1\n{nx} {ny}"]
+    for row in mask[::-1]:
+        lines.append(" ".join("1" if v else "0" for v in row))
+    return ("\n".join(lines) + "\n").encode("ascii")
+
+
+def _reference_json(r: Raster) -> str:
+    """The per-cell JSON encoder that `raster_to_json` replaced, kept as its oracle."""
+    return json.dumps({"spec": r.spec.to_dict(), "codes": [int(c) for c in r.codes.ravel()]})
+
+
+_SHAPES = st.one_of(
+    st.just((1, 1)),
+    st.tuples(st.just(1), st.integers(1, 40)),
+    st.tuples(st.integers(1, 40), st.just(1)),
+    st.tuples(st.integers(1, 30), st.integers(1, 30)),
+)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(
+    st.one_of(
+        hnp.arrays(np.bool_, _SHAPES),
+        hnp.arrays(np.int8, _SHAPES, elements=st.integers(-2, 2)),
+        hnp.arrays(np.float64, _SHAPES, elements=st.sampled_from([0.0, -0.0, 0.5, -3.0, np.nan, np.inf])),
+        hnp.arrays(np.bool_, st.tuples(st.just(0), st.integers(0, 5))),
+        hnp.arrays(np.bool_, st.tuples(st.integers(0, 5), st.just(0))),
+    )
+)
+def test_pbm_matches_reference_encoder(mask):
+    assert render_pbm(mask) == _reference_pbm(mask)
+
+
+def test_pbm_reads_a_non_contiguous_view():
+    mask = np.arange(35).reshape(5, 7) % 3 == 0
+    view = mask[::2, 1::3].T
+    assert render_pbm(view) == _reference_pbm(view)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(
+    _SHAPES.flatmap(
+        lambda shape: hnp.arrays(
+            st.sampled_from([np.int8, np.uint8, np.int64]), shape, elements=st.integers(0, 3)
+        )
+    ),
+    st.floats(-1e6, 1e6, allow_nan=False),
+    st.floats(1e-6, 1e6),
+)
+def test_json_matches_reference_encoder(codes, lo, extent):
+    ny, nx = codes.shape
+    spec = GridSpec(lo, lo + extent, lo, lo + extent, nx, ny)
+    r = Raster(spec, codes)
+    assert raster_to_json(r) == _reference_json(r)
+    fortran = Raster(spec, np.asfortranarray(codes))  # ravel still reads row-major
+    assert raster_to_json(fortran) == _reference_json(r)
 
 
 def test_raster_json_round_trip():

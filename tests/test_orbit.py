@@ -590,6 +590,36 @@ def test_rule_arms_after_two_returns_stay_unresolved(text, seed, termination):
     assert classify(rec, SMALL_CFG) == Classification.UNRESOLVED
 
 
+def test_overlapping_peaks_keep_per_lane_bookkeeping():
+    """Lanes whose peaks overlap in time count their own returns and growth.
+
+    The elliptic Moebius map below sends tan(t) to tan(t - 0.05). Each
+    orbit stays above ``r_esc`` for about ten steps whenever t crosses
+    pi/2, and the seeds cross at different steps, so one lane returns
+    while another is still extending its peak. Each lane's counts and
+    peak heights must match the ones read off its own recorded moduli.
+    The peaks stop doubling, so no lane is Bungee.
+    """
+    f = parse("(z*cos(0.05)-sin(0.05))/(z*sin(0.05)+cos(0.05))")
+    cfg = ClassifierConfig(max_iter=300, r_bound=2.0, r_esc=4.0, tail_window=5)
+    seeds = np.tan(np.linspace(-1.4, 1.4, 9)) + 0.01j
+    codes, state = classify_batch(f, seeds, cfg, return_state=True)
+    first_peaks = set()
+    for i, seed in enumerate(seeds):
+        rec = iterate_orbit(f, complex(seed), cfg)
+        assert np.count_nonzero(rec.moduli > cfg.r_esc) > 2 * len(rec.peaks)  # peaks span steps
+        first_peaks.add(rec.peaks[0][0])
+        returned = [bool((rec.moduli[k:] < cfg.r_bound).any()) for k, _ in rec.peaks]
+        assert int(state.n_returns[i]) == sum(returned) >= 3
+        assert int(state.n_peaks[i]) == len(rec.peaks)
+        values = [v for _, v in rec.peaks]
+        done = values[: sum(returned)]
+        assert state.cur_peak[i] == values[-1] and state.last_peak[i] == done[-1]
+        assert state.escalation_ok[i] == all(b >= cfg.peak_growth * a for a, b in zip(done, done[1:]))
+        assert reference_verdict(rec, cfg) == Classification(int(codes[i])) == Classification.UNRESOLVED
+    assert len(first_peaks) > 1
+
+
 def test_batch_of_no_seeds_is_empty():
     f = parse("z*z-1")
     codes = classify_batch(f, np.array([], dtype=np.complex128))

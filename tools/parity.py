@@ -16,13 +16,17 @@ commit and the working tree) and comparing the directories with
   over a grid plan and a list plan, under both configs, in both
   ``--equality`` modes;
 - the exit codes of three inputs ``verify`` refuses;
+- ``render`` output (PPM, ``--boundary`` PBM and ``--json``) for every
+  map of the catalog on two small grids, under both configs; the grid
+  around z = 1 gives ``1/pow(z,2)`` a non-empty boundary;
+- the exit codes of two grids ``render`` refuses;
 - ``examples run --format json`` for every catalog entry at scale 1.0;
 - ``export_registry_json()``.
 
 Every command runs in process through ``bungee.cli.main``. Its exit code
 and the first line of its standard error go to ``exits.tsv``, so a
 command that fails still leaves a comparable record. The sweep writes
-932 files and takes about 45 s in one process on a two-core machine.
+1,052 files and takes about 35 s in one process on a two-core machine.
 """
 
 from __future__ import annotations
@@ -58,6 +62,14 @@ REFUSALS = {
     "conjugacy-without-phi": ["--relation=ConjugacyTransport", "--f=0.3*exp(z)",
                               "--samples=grid:-2,2,-2,2:7x5"],
 }
+
+# `render` grids as (--grid, --size).
+RENDER_GRIDS = {
+    "wide": ("-3,3,-3,3", "16,12"),
+    "unit": ("0.5,1.5,-0.5,0.5", "15,15"),
+}
+# Grids `render` refuses: a non-finite bound and an extent that overflows.
+RENDER_REFUSALS = {"infinite-bound": "-inf,0,0,1", "overflowing-extent": "-1e308,1e308,0,1"}
 
 
 def _pair(z: complex) -> str:
@@ -96,6 +108,20 @@ def write_outputs(outdir: Path) -> int:
                 csv = outdir / f"orbit-{tag}.csv"
                 run(csv.name, [*cargs, "orbit", f"--function={expr}", point,
                                "--csv", str(csv)], capture=False)
+
+    for mi, expr in enumerate(maps):
+        for gname, (grid, size) in RENDER_GRIDS.items():
+            for cname, cargs in configs.items():
+                stem = outdir / f"render-map{mi}-{gname}-{cname}"
+                run(stem.name, [*cargs, "render", f"--function={expr}", f"--grid={grid}",
+                                f"--size={size}", "--ppm", f"{stem}.ppm",
+                                "--boundary", f"{stem}.pbm", "--json", f"{stem}.json"],
+                    capture=False)
+
+    for name, grid in RENDER_REFUSALS.items():
+        run(f"render-refusal-{name}", ["render", "--function=z*z", f"--grid={grid}",
+                                        "--size=2,2", "--ppm", str(outdir / f"refusal-{name}.ppm")],
+            capture=False)
 
     for entry in entries:
         g = entry.g if entry.g is not None else entry.f
