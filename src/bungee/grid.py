@@ -83,7 +83,8 @@ class GridSpec:
         return xs[None, :] + 1j * ys[:, None]
 
     def to_dict(self) -> dict:
-        return asdict(self)
+        """The fields as JSON-ready values: numpy scalars become Python numbers."""
+        return {k: v.item() if isinstance(v, np.generic) else v for k, v in asdict(self).items()}
 
     @classmethod
     def from_dict(cls, data: dict) -> "GridSpec":

@@ -168,7 +168,12 @@ class Overflowed:
 
 @dataclass(frozen=True)
 class CycleFound:
-    """A near-repeat with the given period, first visible at ``entry``."""
+    """A near-repeat with the given period, first visible at ``entry``.
+
+    ``period`` is the engine's Brent period. ``entry`` is the first index
+    whose iterate agrees, within ``cycle_tol`` relative, with the iterate
+    one period later, the rule `detect_cycle` states for a value list.
+    """
 
     period: int
     entry: int
@@ -441,6 +446,18 @@ def _peaks(moduli: np.ndarray, cfg: ClassifierConfig) -> tuple[tuple[int, float]
     return tuple(peaks)
 
 
+def _cycle_entry(vals: np.ndarray, period: int, at: int, tol: float) -> int:
+    """Where a cycle of ``period`` begins in ``vals``: the first ``mu`` with
+    ``|vals[mu] - vals[mu + period]| <= tol * |vals[mu + period]|``.
+
+    ``at`` is the index where the near-repeat was found; if no pair
+    matches, the entry falls back to ``at - period`` (at least 0).
+    """
+    later = vals[period:]
+    hits = np.flatnonzero(np.abs(vals[: later.size] - later) <= tol * np.abs(later))
+    return int(hits[0]) if hits.size else max(at - period, 0)
+
+
 def detect_cycle(
     values: Sequence[complex], tol: float
 ) -> Optional[tuple[int, int]]:
@@ -453,7 +470,6 @@ def detect_cycle(
     or None if the prefix never repeats.
     """
     vals = np.asarray(values, dtype=np.complex128)
-    found = None
     tortoise = 0
     power = 1
     lam = 0
@@ -461,25 +477,23 @@ def detect_cycle(
         lam += 1
         ref = vals[tortoise]
         if abs(vals[i] - ref) <= tol * abs(ref):
-            found = (lam, i)
-            break
+            return lam, _cycle_entry(vals, lam, i, tol)
         if lam == power:
             tortoise = i
             power *= 2
             lam = 0
-    if found is None:
-        return None
-    period, at = found
-    for mu in range(len(vals) - period):
-        if abs(vals[mu] - vals[mu + period]) <= tol * abs(vals[mu + period]):
-            return period, mu
-    return period, max(at - period, 0)
+    return None
 
 
 def iterate_orbit(
     f: FunctionExpr, z0: complex, cfg: ClassifierConfig = DEFAULT_CONFIG
 ) -> OrbitRecord:
-    """Iterate ``f`` from ``z0`` and record the orbit until termination."""
+    """Iterate ``f`` from ``z0`` and record the orbit until termination.
+
+    A `CycleFound` termination takes its period from the engine state and
+    finds its entry in one whole-array comparison of the recorded values
+    at that period.
+    """
     seed = complex(z0)
     if not (math.isfinite(seed.real) and math.isfinite(seed.imag)):
         raise ValueError("seed must be finite")
@@ -498,9 +512,9 @@ def iterate_orbit(
     elif k == _POLE:
         termination = PoleHit(int(state.term_step[0]))
     else:
-        hit = detect_cycle(values, cfg.cycle_tol)
-        assert hit is not None and hit[0] == int(state.period[0])
-        termination = CycleFound(hit[0], hit[1])
+        period = int(state.period[0])
+        entry = _cycle_entry(values, period, int(state.term_step[0]), cfg.cycle_tol)
+        termination = CycleFound(period, entry)
 
     window = moduli[-min(cfg.tail_window, len(moduli)) :]
     return OrbitRecord(

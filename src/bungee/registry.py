@@ -7,6 +7,14 @@ list of expectations. Expectations carry no cached truth values: every
 one is recomputed from the maps by `run_example`, and each states in
 its ``source`` why the expected outcome is forced.
 
+Most expectations are rows: a shared runner bound to the row's data
+with `functools.partial`. `_point_verdict` classifies one seed under f
+or g; `_relation_run` runs `verify_relation` on a square grid plan and
+checks its violation rate and resolved share; `_classify_pair` gives two
+grid comparisons the verdicts of f and g on one grid. The drift,
+lattice, annulus, circle, basin and permutability oracles keep their own
+bodies.
+
 The ``scale`` argument of `run_example` shrinks sample grids for quick
 smoke runs; ``scale=1.0`` runs every expectation at full size.
 """
@@ -16,6 +24,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
+from functools import partial
 from typing import Callable, Optional
 
 import numpy as np
@@ -154,6 +163,11 @@ def _scaled(n: int, scale: float, floor: int = 2) -> int:
     return max(floor, int(round(n * scale)))
 
 
+def _square_plan(half: float, nx: int, ny: int, scale: float) -> SamplePlan:
+    """An ``nx`` x ``ny`` grid plan on [-half, half]^2, both sizes scaled."""
+    return SamplePlan.grid(-half, half, -half, half, _scaled(nx, scale), _scaled(ny, scale))
+
+
 def _fixed_point_bisection(lam: float, lo: float, hi: float) -> float:
     """Root of lam*e^q = q by bisection; the bracket must change sign."""
     f_lo = lam * math.exp(lo) - lo
@@ -170,7 +184,57 @@ def _fixed_point_bisection(lam: float, lo: float, hi: float) -> float:
     return 0.5 * (lo + hi)
 
 
-# --- expectation bodies ------------------------------------------------------
+# Slow linear drift needs a longer budget and lower radii to resolve as
+# escape within the iteration limit: the sine pair runs under it, and so
+# does the Fatou pair's escape-invariance expectation.
+_DRIFT_CFG = ClassifierConfig(max_iter=2000, r_bound=100.0, r_esc=1e3)
+
+
+# --- shared runners ----------------------------------------------------------
+# Each is bound to one expectation's data with `functools.partial`; the
+# bound result takes ``(entry, cfg, scale)`` like any `Expectation.run`.
+
+
+def _point_verdict(which: str, seed: complex, expected: Classification, entry, cfg, scale):
+    """Map ``which`` ("f" or "g") classifies ``seed`` as ``expected``."""
+    verdict = classify_point(getattr(entry, which), seed, cfg)
+    return verdict is expected, {"verdict": str(verdict)}
+
+
+def _relation_run(rel, half, sizes, measured, entry, cfg, scale, *, phi=None, cfg_override=None,
+                  max_rate=0.0, min_resolved=None):
+    """`verify_relation` on f (and the entry's g) over a square grid plan.
+
+    ``phi`` is the conjugacy ``(a, b)``, the entry's own if None. The
+    entry's hypothesis flag is recorded by the relations that state one.
+    Passes when the violation rate is at most ``max_rate`` and, unless
+    ``min_resolved`` is None, some seed resolved and the resolved share is
+    at least ``min_resolved``. ``measured`` names the report figures to
+    return, in order; ``violations`` is their count.
+    """
+    a, b = phi or entry.conjugation or (None, None)
+    rep = verify_relation(
+        rel, entry.f, _square_plan(half, *sizes, scale),
+        g=entry.g, a=a, b=b, cfg=cfg_override or cfg,
+        no_finite_asymptotic_values=entry.no_finite_asymptotic_values.value,
+        hypothesis_source=f"registry:{entry.id}",
+    )
+    resolved = rep.evaluated_count / rep.sample_count
+    passed = rep.violation_rate <= max_rate and (
+        min_resolved is None or (rep.evaluated_count > 0 and resolved >= min_resolved)
+    )
+    return passed, {
+        key: len(rep.violations) if key == "violations" else getattr(rep, key) for key in measured
+    }
+
+
+def _classify_pair(entry, cfg, plan: SamplePlan) -> tuple[np.ndarray, np.ndarray]:
+    """Verdict codes of f and of g at the plan's seeds."""
+    seeds = plan.seeds()
+    return classify_batch(entry.f, seeds, cfg), classify_batch(entry.g, seeds, cfg)
+
+
+# --- hand-written expectation bodies -----------------------------------------
 
 
 def _sine_drift(entry: ExampleEntry, cfg: ClassifierConfig, scale: float):
@@ -182,44 +246,12 @@ def _sine_drift(entry: ExampleEntry, cfg: ClassifierConfig, scale: float):
     return worst <= 1e-6, {"max_drift_dev": worst, "steps": 30}
 
 
-def _sine_zero_escapes(entry, cfg, scale):
-    verdict = classify_point(entry.g, 0j, cfg)
-    return verdict is Classification.ESCAPING, {"verdict": str(verdict)}
-
-
-def _sine_zero_fixed(entry, cfg, scale):
-    verdict = classify_point(entry.f, 0j, cfg)
-    return verdict is Classification.BOUNDED, {"verdict": str(verdict)}
-
-
 def _sine_lattice_bounded(entry, cfg, scale):
     verdicts = {
         k: str(classify_point(entry.f, complex(k * math.pi), cfg))
         for k in range(-3, 4)
     }
     return all(v == "Bounded" for v in verdicts.values()), {"verdicts": verdicts}
-
-
-def _sine_kswap(entry, cfg, scale):
-    n = _scaled(10, scale)
-    plan = SamplePlan.grid(-1.0, 1.0, -1.0, 1.0, n, n)
-    rep = verify_relation(RelationId.K_SWAP, entry.f, plan, g=entry.g, cfg=cfg)
-    resolved_fraction = rep.evaluated_count / rep.sample_count
-    return rep.violation_rate == 0.0 and resolved_fraction >= 0.8, {
-        "violation_rate": rep.violation_rate,
-        "evaluated_count": rep.evaluated_count,
-        "sample_count": rep.sample_count,
-    }
-
-
-def _rational_half_bungee(entry, cfg, scale):
-    verdict = classify_point(entry.f, 0.5 + 0j, cfg)
-    return verdict is Classification.BUNGEE, {"verdict": str(verdict)}
-
-
-def _rational_one_bounded(entry, cfg, scale):
-    verdict = classify_point(entry.f, 1.0 + 0j, cfg)
-    return verdict is Classification.BOUNDED, {"verdict": str(verdict)}
 
 
 def _annulus_seeds(count: int) -> np.ndarray:
@@ -266,97 +298,16 @@ def _exp_basin(entry, cfg, scale):
     }
 
 
-def _exp_escape(entry, cfg, scale):
-    verdict = classify_point(entry.f, 3.0 + 0j, cfg)
-    return verdict is Classification.ESCAPING, {"verdict": str(verdict)}
-
-
-def _exp_conjugacy(entry, cfg, scale):
-    a, b = entry.conjugation
-    plan = SamplePlan.grid(-2.0, 2.0, -2.0, 2.0, _scaled(25, scale), _scaled(20, scale))
-    rep = verify_relation(
-        RelationId.CONJUGACY_TRANSPORT, entry.f, plan, a=a, b=b, cfg=cfg
-    )
-    return rep.violation_rate <= 0.01 and rep.evaluated_count > 0, {
-        "violation_rate": rep.violation_rate,
-        "evaluated_count": rep.evaluated_count,
-        "sample_count": rep.sample_count,
-    }
-
-
-def _exp_conjugacy_identity(entry, cfg, scale):
-    plan = SamplePlan.grid(-2.0, 2.0, -2.0, 2.0, _scaled(25, scale), _scaled(20, scale))
-    rep = verify_relation(
-        RelationId.CONJUGACY_TRANSPORT, entry.f, plan, a=1 + 0j, b=0j, cfg=cfg
-    )
-    return rep.violation_rate == 0.0, {
-        "violation_rate": rep.violation_rate,
-        "evaluated_count": rep.evaluated_count,
-    }
-
-
 def _translate_permutes(entry, cfg, scale):
-    plan = SamplePlan.grid(-2.0, 2.0, -2.0, 2.0, _scaled(20, scale), _scaled(10, scale))
-    res = check_permutable(entry.f, entry.g, plan)
+    res = check_permutable(entry.f, entry.g, _square_plan(2.0, 20, 10, scale))
     return res.permutable and res.max_dev < 1e-9, {
         "max_dev": res.max_dev,
         "checked": res.checked,
     }
 
 
-def _translate_disjoint(entry, cfg, scale):
-    n = _scaled(200, scale)
-    plan = SamplePlan.grid(-3.0, 3.0, -3.0, 3.0, n, n)
-    rep = verify_relation(
-        RelationId.DISJOINT_K_AND_BU, entry.f, plan, g=entry.g, cfg=cfg
-    )
-    return len(rep.violations) == 0, {
-        "violations": len(rep.violations),
-        "evaluated_count": rep.evaluated_count,
-        "sample_count": rep.sample_count,
-    }
-
-
-# Slow linear drift needs a longer budget and lower radii to resolve as
-# escape within the iteration limit; the tighter config applies to this
-# expectation only.
-_DRIFT_CFG = ClassifierConfig(max_iter=2000, r_bound=100.0, r_esc=1e3)
-
-
-def _translate_escape_invariant(entry, cfg, scale):
-    plan = SamplePlan.grid(-2.0, 2.0, -2.0, 2.0, _scaled(20, scale), _scaled(10, scale))
-    rep = verify_relation(
-        RelationId.ESCAPING_INVARIANCE,
-        entry.f,
-        plan,
-        g=entry.g,
-        cfg=_DRIFT_CFG,
-        no_finite_asymptotic_values=entry.no_finite_asymptotic_values.value,
-        hypothesis_source=f"registry:{entry.id}",
-    )
-    return rep.violation_rate == 0.0 and rep.evaluated_count > 0, {
-        "violation_rate": rep.violation_rate,
-        "evaluated_count": rep.evaluated_count,
-    }
-
-
-def _halfplane_strips(entry, cfg, scale):
-    n = _scaled(100, scale)
-    plan = SamplePlan.grid(-4.0, 4.0, -4.0, 4.0, n, n)
-    rep = verify_relation(RelationId.STRIP_CONTAINMENT, entry.f, plan, cfg=cfg)
-    return rep.violation_rate <= 0.01, {
-        "violation_rate": rep.violation_rate,
-        "violations": len(rep.violations),
-        "evaluated_count": rep.evaluated_count,
-    }
-
-
 def _halfplane_disjoint_escape(entry, cfg, scale):
-    n = _scaled(100, scale)
-    plan = SamplePlan.grid(-4.0, 4.0, -4.0, 4.0, n, n)
-    seeds = plan.seeds()
-    cls_f = classify_batch(entry.f, seeds, cfg)
-    cls_g = classify_batch(entry.g, seeds, cfg)
+    cls_f, cls_g = _classify_pair(entry, cfg, _square_plan(4.0, 100, 100, scale))
     esc = int(Classification.ESCAPING)
     both = int(np.sum((cls_f == esc) & (cls_g == esc)))
     return both == 0, {
@@ -367,8 +318,7 @@ def _halfplane_disjoint_escape(entry, cfg, scale):
 
 
 def _periodic_not_permutable(entry, cfg, scale):
-    plan = SamplePlan.grid(-2.0, 2.0, -2.0, 2.0, _scaled(20, scale), _scaled(10, scale))
-    res = check_permutable(entry.f, entry.g, plan)
+    res = check_permutable(entry.f, entry.g, _square_plan(2.0, 20, 10, scale))
     return (not res.permutable) and res.max_dev > 1.0, {
         "max_dev": res.max_dev,
         "checked": res.checked,
@@ -376,25 +326,21 @@ def _periodic_not_permutable(entry, cfg, scale):
 
 
 def _periodic_verdict_equality(entry, cfg, scale):
-    n = _scaled(10, scale)
-    plan = SamplePlan.grid(-2.0, 2.0, -2.0, 2.0, n, n)
-    seeds = plan.seeds()
-    cls_f = classify_batch(entry.f, seeds, cfg)
-    cls_g = classify_batch(entry.g, seeds, cfg)
+    plan = _square_plan(2.0, 10, 10, scale)
+    cls_f, cls_g = _classify_pair(entry, cfg, plan)
     unres = int(Classification.UNRESOLVED)
     both = (cls_f != unres) & (cls_g != unres)
     mismatches = int(np.sum(both & (cls_f != cls_g)))
     return mismatches == 0 and int(both.sum()) > 0, {
         "mismatches": mismatches,
         "both_resolved": int(both.sum()),
-        "sample_count": int(seeds.size),
+        "sample_count": plan.sample_count,
     }
 
 
 def _build_registry() -> dict:
     sine_f = parse("z+sin(z)")
     sine_g = parse("z+sin(z)+2*pi")
-    sine_cfg = ClassifierConfig(max_iter=2000, r_bound=100.0, r_esc=1e3)
     entries = [
         ExampleEntry(
             id="ex_sine_pair",
@@ -411,7 +357,7 @@ def _build_registry() -> dict:
             ),
             no_finite_asymptotic_values=Flag(None, "not stated for this pair"),
             oracle_not_entire=False,
-            cfg_override=sine_cfg,
+            cfg_override=_DRIFT_CFG,
             expectations=(
                 Expectation(
                     "iterates of 0 under g advance by one sine period per step",
@@ -422,12 +368,12 @@ def _build_registry() -> dict:
                 Expectation(
                     "0 escapes under the drifted map g",
                     "the linear drift 2*pi*n is unbounded and never returns",
-                    _sine_zero_escapes,
+                    partial(_point_verdict, "g", 0j, Classification.ESCAPING),
                 ),
                 Expectation(
                     "0 is a fixed point of f and classifies Bounded",
                     "f(0) = 0 + sin(0) = 0",
-                    _sine_zero_fixed,
+                    partial(_point_verdict, "f", 0j, Classification.BOUNDED),
                 ),
                 Expectation(
                     "integer multiples of pi classify Bounded under f",
@@ -438,7 +384,9 @@ def _build_registry() -> dict:
                     "bounded-core membership transports through the swapped composition (KSwap)",
                     "membership equivalence between z under f(g) and g(z) "
                     "under g(f), checked per seed",
-                    _sine_kswap,
+                    partial(_relation_run, RelationId.K_SWAP, 1.0, (10, 10),
+                            ("violation_rate", "evaluated_count", "sample_count"),
+                            min_resolved=0.8),
                 ),
             ),
         ),
@@ -461,12 +409,12 @@ def _build_registry() -> dict:
                     "0.5 alternates between huge and tiny moduli and classifies Bungee",
                     "|z| < 1 forces moduli to alternate through r^(-2^n) and "
                     "r^(2^n): one subsequence escapes, one collapses to 0",
-                    _rational_half_bungee,
+                    partial(_point_verdict, "f", 0.5 + 0j, Classification.BUNGEE),
                 ),
                 Expectation(
                     "1 is a fixed point and classifies Bounded",
                     "1/1^2 = 1",
-                    _rational_one_bounded,
+                    partial(_point_verdict, "f", 1.0 + 0j, Classification.BOUNDED),
                 ),
                 Expectation(
                     "seeds in the annulus 0.1 <= |z| <= 0.9 classify Bungee at rate >= 0.95, "
@@ -511,18 +459,21 @@ def _build_registry() -> dict:
                 Expectation(
                     "the real seed 3 classifies Escaping",
                     "0.3*e^3 > 3 starts a monotone, unbounded real orbit",
-                    _exp_escape,
+                    partial(_point_verdict, "f", 3.0 + 0j, Classification.ESCAPING),
                 ),
                 Expectation(
                     "classification transports through the affine conjugacy 2z+1",
                     "conjugating by an affine map carries orbits to orbits, "
                     "so verdicts agree at image points",
-                    _exp_conjugacy,
+                    partial(_relation_run, RelationId.CONJUGACY_TRANSPORT, 2.0, (25, 20),
+                            ("violation_rate", "evaluated_count", "sample_count"),
+                            max_rate=0.01, min_resolved=0.0),
                 ),
                 Expectation(
                     "the identity conjugacy transports every verdict exactly",
                     "the identity conjugacy compares each verdict with itself",
-                    _exp_conjugacy_identity,
+                    partial(_relation_run, RelationId.CONJUGACY_TRANSPORT, 2.0, (25, 20),
+                            ("violation_rate", "evaluated_count"), phi=(1 + 0j, 0j)),
                 ),
             ),
         ),
@@ -557,12 +508,15 @@ def _build_registry() -> dict:
                     "orbits under the translate gain 2*pi*i per step relative "
                     "to the base map, so no seed can stay bounded, or "
                     "alternate, under both",
-                    _translate_disjoint,
+                    partial(_relation_run, RelationId.DISJOINT_K_AND_BU, 3.0, (200, 200),
+                            ("violations", "evaluated_count", "sample_count")),
                 ),
                 Expectation(
                     "the image under f of an escaping seed of g still escapes under g",
                     "f permutes with g, so f maps orbits of g to orbits of g",
-                    _translate_escape_invariant,
+                    partial(_relation_run, RelationId.ESCAPING_INVARIANCE, 2.0, (20, 10),
+                            ("violation_rate", "evaluated_count"),
+                            cfg_override=_DRIFT_CFG, min_resolved=0.0),
                 ),
             ),
         ),
@@ -588,7 +542,8 @@ def _build_registry() -> dict:
                     "escape forces iterates ever deeper into the left "
                     "half-plane, which requires the exponent's imaginary part "
                     "to stay near an odd multiple of pi",
-                    _halfplane_strips,
+                    partial(_relation_run, RelationId.STRIP_CONTAINMENT, 4.0, (100, 100),
+                            ("violation_rate", "violations", "evaluated_count"), max_rate=0.01),
                 ),
                 Expectation(
                     "the escaping sets of the two maps are disjoint",

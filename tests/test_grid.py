@@ -79,6 +79,12 @@ def test_classify_grid_rejects_non_positive_workers(workers):
 def test_grid_spec_accepts_numpy_scalars():
     spec = GridSpec(np.float64(-1), np.float32(1), 0, 1, np.int64(3), np.int32(2))
     assert spec.points().shape == (2, 3)
+    # `to_dict` turns numpy scalars into Python numbers, so the raster JSON
+    # serializes, and leaves Python numbers alone: an int bound stays an int.
+    assert [type(v) for v in spec.to_dict().values()] == [float, float, int, int, int, int]
+    assert GridSpec.from_dict(spec.to_dict()) == spec
+    text = raster_to_json(classify_grid(parse("z"), spec))
+    assert text.startswith('{"spec": {"re_min": -1.0, "re_max": 1.0, "im_min": 0, "im_max": 1, "nx": 3, "ny": 2}')
 
 
 def test_grid_spec_dict_round_trip():

@@ -569,6 +569,28 @@ def test_reference_rules_classify_and_batch_agree(name, f, cfg):
         assert rec.returns == int(state.n_returns[i]) and len(rec.peaks) == int(state.n_peaks[i])
 
 
+@pytest.mark.parametrize("cfg", [DEFAULT_CONFIG, DRIFT_CFG], ids=["default", "drift"])
+@pytest.mark.parametrize("name, f", AGREEMENT_MAPS, ids=[name for name, _ in AGREEMENT_MAPS])
+def test_cycle_records_match_detect_cycle(name, f, cfg):
+    """A record's `CycleFound` is what `detect_cycle` finds in its values.
+
+    The record takes its period from the engine and its entry from one
+    whole-array scan; the scalar Brent walk over the recorded values must
+    agree on both. Maps: the catalog's and a few more (``z*z-1`` has a
+    2-cycle); seeds: the edge seeds of ``tools/parity.py`` and a 4x4
+    grid. Only the seeds the engine ends in a cycle are iterated again.
+    """
+    seeds = np.array(
+        EDGE_SEEDS + list(GridSpec(-3, 3, -3, 3, 4, 4).points().ravel()), dtype=np.complex128
+    )
+    _, state = classify_batch(f, seeds, cfg, return_state=True)
+    for seed in seeds[state.kind == _CYCLE]:
+        rec = iterate_orbit(f, complex(seed), cfg)
+        assert isinstance(rec.termination, CycleFound), complex(seed)
+        period, entry = rec.termination.period, rec.termination.entry
+        assert detect_cycle(rec.values, cfg.cycle_tol) == (period, entry), complex(seed)
+
+
 @pytest.mark.parametrize(
     "text, seed, termination",
     [

@@ -174,3 +174,53 @@ def test_scale_must_be_in_unit_interval():
         run_example("ex_rational_bungee", scale=0.0)
     with pytest.raises(ValueError):
         run_example("ex_rational_bungee", scale=1.5)
+
+
+# Each expectation's `measured` keys, in order: `examples run --format json`
+# prints them as they are, so a dropped or reordered key moves its bytes.
+MEASURED_KEYS = {
+    "ex_sine_pair": [
+        ["max_drift_dev", "steps"],
+        ["verdict"],
+        ["verdict"],
+        ["verdicts"],
+        ["violation_rate", "evaluated_count", "sample_count"],
+    ],
+    "ex_rational_bungee": [
+        ["verdict"],
+        ["verdict"],
+        ["bungee_rate", "bounded_count", "sample_count"],
+        ["bounded_count", "sample_count"],
+    ],
+    "ex_exponential_family": [
+        ["fixed_point", "max_limit_dev", "seeds"],
+        ["verdict"],
+        ["violation_rate", "evaluated_count", "sample_count"],
+        ["violation_rate", "evaluated_count"],
+    ],
+    "ex_exp_translate": [
+        ["max_dev", "checked"],
+        ["violations", "evaluated_count", "sample_count"],
+        ["violation_rate", "evaluated_count"],
+    ],
+    "ex_halfplane_pair": [
+        ["violation_rate", "violations", "evaluated_count"],
+        ["both_escaping", "escaping_under_f", "escaping_under_g"],
+    ],
+    "ex_periodic_translate": [
+        ["max_dev", "checked"],
+        ["mismatches", "both_resolved", "sample_count"],
+    ],
+}
+FLOAT_KEYS = {"max_drift_dev", "bungee_rate", "fixed_point", "max_limit_dev", "max_dev", "violation_rate"}
+
+
+@pytest.mark.parametrize("ex_id", ALL_IDS)
+def test_measured_keys_are_pinned_in_order(ex_id):
+    report = run_example(ex_id, scale=0.1)
+    assert [list(r.measured) for r in report.results] == MEASURED_KEYS[ex_id]
+    for result in report.results:
+        for key, value in result.measured.items():
+            # A numpy integer is no int and would not serialize; a bool is one but prints as true.
+            want = {"verdict": str, "verdicts": dict}.get(key, float if key in FLOAT_KEYS else int)
+            assert isinstance(value, want) and not isinstance(value, bool), key

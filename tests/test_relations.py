@@ -417,6 +417,14 @@ def test_report_json_schema():
     assert doc["config"]["max_iter"] == 2000
 
 
+def test_report_json_accepts_numpy_scalar_plan_bounds():
+    plan = SamplePlan.grid(np.float32(-1), 1, -1, np.float64(1), np.int64(2), 2)
+    doc = json.loads(verify_relation("StripContainment", parse("z*z"), plan).to_json())
+    assert doc["plan"] == {
+        "kind": "grid", "re_min": -1.0, "re_max": 1, "im_min": -1, "im_max": 1.0, "nx": 2, "ny": 2,
+    }
+
+
 def test_report_json_includes_hypothesis_only_when_relevant():
     report = verify_relation(
         "EscapingInvariance",

@@ -1,0 +1,25 @@
+"""The scripts under ``tools/`` load against the current package.
+
+Each script is loaded as a module, not run, so only its imports and
+top-level definitions execute; this catches a script that imports a
+name the package no longer has (``tools/stepcost.py`` imports the
+private engine names ``_run_batch`` and ``_COMPLETED``).
+"""
+
+from __future__ import annotations
+
+import runpy
+from pathlib import Path
+
+import pytest
+
+TOOLS = Path(__file__).resolve().parent.parent / "tools"
+
+
+@pytest.mark.parametrize("script, names", [
+    ("parity.py", ["write_outputs", "EDGE_SEEDS", "main"]),
+    ("stepcost.py", ["main", "run_seconds", "_run_batch", "_COMPLETED"]),
+])
+def test_tool_script_loads(script, names):
+    namespace = runpy.run_path(str(TOOLS / script), run_name="not_main")
+    assert [name for name in names if name not in namespace] == []
