@@ -20,6 +20,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import math
 import sys
 from pathlib import Path
 from typing import Optional
@@ -60,9 +61,12 @@ def _parse_complex(text: str, what: str) -> complex:
     if len(parts) != 2:
         raise _UsageError(f"{what} must be RE,IM")
     try:
-        return complex(float(parts[0]), float(parts[1]))
+        re, im = float(parts[0]), float(parts[1])
     except ValueError:
         raise _UsageError(f"{what} must be RE,IM with numeric parts") from None
+    if not (math.isfinite(re) and math.isfinite(im)):
+        raise _UsageError(f"{what} parts must be finite")
+    return complex(re, im)
 
 
 def _parse_phi(text: str) -> tuple[complex, complex]:
@@ -73,6 +77,8 @@ def _parse_phi(text: str) -> tuple[complex, complex]:
         nums = [float(p) for p in parts]
     except ValueError:
         raise _UsageError("--phi parts must be numeric") from None
+    if not all(math.isfinite(x) for x in nums):
+        raise _UsageError("--phi parts must be finite")
     return complex(nums[0], nums[1]), complex(nums[2], nums[3])
 
 

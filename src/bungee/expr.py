@@ -33,10 +33,11 @@ from __future__ import annotations
 import cmath
 import contextlib
 import contextvars
+import itertools
 import math
 import operator
 from dataclasses import dataclass
-from typing import NamedTuple, Union
+from typing import NamedTuple, Optional, Union
 
 import numpy as np
 
@@ -170,7 +171,11 @@ EvalResult = Union[complex, InfinityEvent, PoleEvent]
 
 _NAMED_VALUES = {"pi": complex(np.pi), "e": complex(np.e), "i": 1j}
 _BINARY = {"+": operator.add, "-": operator.sub, "*": operator.mul, "/": operator.truediv}
-_FUNC_NAMES = ("exp", "sin", "cos")
+_UFUNCS = {"exp": np.exp, "sin": np.sin, "cos": np.cos}
+_FUNC_NAMES = tuple(_UFUNCS)
+_UNCHECKED = ("load", "bind", "unbind", "neg")  # instructions that never check finiteness
+_CARRIERS = ("+", "-", "*")  # an inf or NaN operand lane is inf or NaN in the result
+_ARITY = {"load": 0, "unbind": 0, "+": 2, "-": 2, "*": 2, "/": 2}  # operands popped; others pop 1
 
 
 class ExprSyntaxError(ValueError):
@@ -434,10 +439,13 @@ class Program(NamedTuple):
 
     Each instruction ``(op, node, arg)`` keeps its ``node`` so that events
     can name it; ``arg`` is a ``load``'s constant (None loads what ``Var``
-    reads) or a ``pow`` exponent.
+    reads) or a ``pow`` exponent. ``checked[k]`` says whether instruction
+    ``k`` checks its value's finiteness; a ``Program(code)`` built by hand
+    leaves it None, and then every ``+ - * / pow exp sin cos`` checks.
     """
 
     code: tuple
+    checked: Optional[tuple] = None
 
 
 def compile_expr(f: FunctionExpr | Expr) -> Program:
@@ -446,6 +454,13 @@ def compile_expr(f: FunctionExpr | Expr) -> Program:
     Operands precede the node that uses them, in reading order, so events
     fire in depth-first order. ``Apply`` becomes its inner map, ``bind``
     (``Var`` now reads that value), its outer map and ``unbind``.
+
+    An instruction whose only consumer is ``+``, ``-`` or ``*`` is not
+    checked: those operations carry an inf or NaN lane on to their own
+    value, which is checked or carried on in turn, up to the last
+    instruction, so the same lanes are marked. Unary minus never checks,
+    so it carries nothing. In a program with ``/`` every instruction is
+    checked, so that no pole mark overtakes an earlier infinity mark.
     """
     code: list = []
     todo: list = [f.root if isinstance(f, FunctionExpr) else f]  # nodes, and instructions due
@@ -468,7 +483,17 @@ def compile_expr(f: FunctionExpr | Expr) -> Program:
             todo += [("neg" if isinstance(item, Neg) else item.name, item, None), item.arg]
         else:
             raise TypeError(f"not an expression node: {item!r}")
-    return Program(tuple(code))
+    checked = [op not in _UNCHECKED for op, _, _ in code]
+    if "/" not in {op for op, _, _ in code}:
+        operands: list = []  # indices of the instructions whose values are on the stack
+        for k, (op, _, _) in enumerate(code):
+            used = [operands.pop() for _ in range(_ARITY.get(op, 1))]
+            if op in _CARRIERS:
+                for j in used:
+                    checked[j] = False
+            if op not in ("bind", "unbind"):
+                operands.append(k)
+    return Program(tuple(code), tuple(checked))
 
 
 # Set by `_ignoring_errors`, which holds np.errstate(all="ignore") across many eval_array calls.
@@ -496,19 +521,23 @@ def eval_array(f: FunctionExpr | Expr | Program, z: np.ndarray, want_nodes: bool
     garbage in that lane is ignored. Values at event positions are
     unspecified.
 
-    Every node checks its lanes with one reduction (a lane sum is finite
-    iff every lane is; no divisor is zero iff all are counted nonzero; a
-    max/min bounds the exp/sin/cos arguments), and builds a mask of the
-    offending lanes only when that check fails. A call with no event costs
-    its arithmetic and these reductions; only constant maps are broadcast.
+    A checked node tests its lanes with one reduction (a lane sum is finite
+    iff every lane is; no divisor is zero iff all are counted nonzero), and
+    ``exp``/``sin``/``cos`` count the lanes whose argument is past its limit;
+    a mask of offending lanes is kept only when a test fires. A node whose
+    value only feeds ``+``, ``-`` or ``*`` skips its finiteness test, as
+    `Program.checked` says, unless ``want_nodes`` asks which node fired. A
+    call with no event costs its arithmetic and these reductions; only
+    constant maps are broadcast.
     """
     program = f if isinstance(f, Program) else compile_expr(f)
     z = np.asarray(z, dtype=np.complex128)
     stack: list = []
     env = [z]  # what Var reads: z, or the inner value of the innermost Apply
     marks = []  # (event code, lane mask, node), in evaluation order
+    checks = itertools.repeat(True) if want_nodes or program.checked is None else program.checked
     with contextlib.nullcontext() if _ERRORS_IGNORED.get() else np.errstate(all="ignore"):
-        for op, node, arg in program.code:
+        for (op, node, arg), check in zip(program.code, checks):
             if op == "load":
                 stack.append(env[-1] if arg is None else arg)
                 continue
@@ -522,16 +551,11 @@ def eval_array(f: FunctionExpr | Expr | Program, z: np.ndarray, want_nodes: bool
             if op == "neg":
                 stack.append(-x)
                 continue
-            if op == "exp":
-                re = np.real(x)
-                if not re.max(initial=-np.inf) <= EXP_REAL_LIMIT:
-                    marks.append((EVENT_INFINITY, re > EXP_REAL_LIMIT, node))
-                v = np.exp(x)
-            elif op in ("sin", "cos"):
-                im = np.imag(x)
-                if not -TRIG_IMAG_LIMIT <= im.min(initial=0.0) <= im.max(initial=0.0) <= TRIG_IMAG_LIMIT:
-                    marks.append((EVENT_INFINITY, np.abs(im) > TRIG_IMAG_LIMIT, node))
-                v = np.sin(x) if op == "sin" else np.cos(x)
+            if op in _FUNC_NAMES:
+                over = np.real(x) > EXP_REAL_LIMIT if op == "exp" else np.abs(np.imag(x)) > TRIG_IMAG_LIMIT
+                if np.count_nonzero(over):
+                    marks.append((EVENT_INFINITY, over, node))
+                v = _UFUNCS[op](x)
             elif op == "pow":
                 v = x**arg
             else:
@@ -539,7 +563,7 @@ def eval_array(f: FunctionExpr | Expr | Program, z: np.ndarray, want_nodes: bool
                 if op == "/" and np.count_nonzero(y) != np.size(y):
                     marks.append((EVENT_POLE, y == 0, node))
                 v = _BINARY[op](x, y)
-            if not cmath.isfinite(np.add.reduce(v, axis=None)):
+            if check and not cmath.isfinite(np.add.reduce(v, axis=None)):
                 marks.append((EVENT_INFINITY, ~np.isfinite(v), node))
             stack.append(v)
         values = stack.pop()
@@ -573,17 +597,22 @@ def compose(f: FunctionExpr, g: FunctionExpr) -> FunctionExpr:
     return FunctionExpr(Apply(f.root, g.root))
 
 
-def affine_post(f: FunctionExpr, a: complex, b: complex) -> FunctionExpr:
-    """The map ``z -> a*f(z) + b`` with ``a != 0``."""
+def _check_affine(a: complex, b: complex) -> None:
+    if not (cmath.isfinite(a) and cmath.isfinite(b)):
+        raise ValueError("affine coefficients a and b must be finite")
     if a == 0:
         raise ValueError("affine coefficient a must be nonzero")
+
+
+def affine_post(f: FunctionExpr, a: complex, b: complex) -> FunctionExpr:
+    """The map ``z -> a*f(z) + b`` with finite ``a != 0`` and ``b``."""
+    _check_affine(a, b)
     return FunctionExpr(BinOp("+", BinOp("*", Const(complex(a)), f.root), Const(complex(b))))
 
 
 def conjugate(f: FunctionExpr, a: complex, b: complex) -> FunctionExpr:
-    """The conjugate map ``phi o f o phi^-1`` for ``phi(z) = a*z + b``."""
-    if a == 0:
-        raise ValueError("affine coefficient a must be nonzero")
+    """The conjugate map ``phi o f o phi^-1`` for ``phi(z) = a*z + b``, ``a != 0``."""
+    _check_affine(a, b)
     inverse = BinOp("/", BinOp("-", Var(), Const(complex(b))), Const(complex(a)))
     transported = Apply(f.root, inverse)
     return FunctionExpr(BinOp("+", BinOp("*", Const(complex(a)), transported), Const(complex(b))))

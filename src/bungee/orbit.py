@@ -39,7 +39,9 @@ so all live lanes share one Brent checkpoint schedule for cycle
 detection (Brent 1980). A step in which no lane ends costs its arithmetic
 and a few whole-array tests; it builds a lane mask only when a test fires.
 Peak starts and returns update the live lanes at full width under those
-masks, without gathering or scattering.
+masks, without gathering or scattering. The running maximum is not taken
+each step: the maximum since the last checkpoint, which cycle detection
+keeps anyway, is folded into it at each checkpoint and when a lane ends.
 """
 
 from __future__ import annotations
@@ -47,6 +49,7 @@ from __future__ import annotations
 import enum
 import math
 import numbers
+import sys
 from dataclasses import asdict, dataclass, field, fields
 from typing import Optional, Sequence, Union
 
@@ -108,10 +111,11 @@ class ClassifierConfig:
     def __post_init__(self) -> None:
         for fld in fields(self):
             value = getattr(self, fld.name)
-            kind, what = (
-                (numbers.Integral, "an integer") if isinstance(fld.default, int) else (numbers.Real, "a real number")
-            )
-            if isinstance(value, bool) or not isinstance(value, kind):
+            if isinstance(fld.default, int):
+                ok, what = isinstance(value, numbers.Integral), "an integer"
+            else:  # also refuses an int beyond double range, where math.isfinite would raise
+                ok, what = isinstance(value, numbers.Real) and abs(value) <= sys.float_info.max, "a finite real number"
+            if isinstance(value, bool) or not ok:
                 raise ValueError(f"{fld.name} must be {what}")
         if self.max_iter < 1:
             raise ValueError("max_iter must be positive")
@@ -263,7 +267,8 @@ class _Lanes:
 
     ``idx`` maps each live lane to its seed; ``tortoise`` is the value at
     the last Brent checkpoint, ``tol_tort`` its cached cycle tolerance and
-    ``win_max`` the largest modulus since that checkpoint.
+    ``win_max`` the largest modulus since that checkpoint. ``global_max``
+    lags behind: it takes in ``win_max`` at each checkpoint and as lanes end.
     """
 
     __slots__ = ("idx", *_LANE_FIELDS, "armed", "tortoise", "tol_tort", "win_max")
@@ -283,6 +288,7 @@ class _Lanes:
         # Integer indices: one nonzero scan each, not one per array.
         keep, gone = np.flatnonzero(~gone), np.flatnonzero(gone)
         ids = self.idx[gone]
+        np.maximum(self.global_max, self.win_max, out=self.global_max)
         for name in _LANE_FIELDS:
             getattr(out, name)[ids] = getattr(self, name)[gone]
         out.kind[ids] = kind
@@ -352,7 +358,7 @@ def _run_batch(
             top = mv.max()  # gates peak starts and the guard; an unflagged NaN is in every lane
             w.z = vals
             w.final_modulus = mv
-            np.maximum(w.global_max, mv, out=w.global_max)
+            np.maximum(w.win_max, mv, out=w.win_max)
             if step > tail_from:
                 np.minimum(w.tail_min, mv, out=w.tail_min)
             if history is not None:
@@ -364,7 +370,8 @@ def _run_batch(
                 ending = in_peak & below
                 if np.count_nonzero(ending):
                     w.n_returns += ending
-                    weak = (w.last_peak > 0) & (w.cur_peak < cfg.peak_growth * w.last_peak)
+                    # a first peak is never weak: cur_peak > r_esc > 0 = peak_growth * last_peak
+                    weak = w.cur_peak < cfg.peak_growth * w.last_peak
                     w.escalation_ok &= ~(ending & weak)
                     np.copyto(w.last_peak, w.cur_peak, where=ending)
                     in_peak &= ~ending
@@ -382,7 +389,6 @@ def _run_batch(
                 w.end(out, mv > guard, _OVERFLOWED, step)
 
             lam += 1
-            np.maximum(w.win_max, w.final_modulus, out=w.win_max)
             near = np.abs(w.z - w.tortoise) <= w.tol_tort
             if np.count_nonzero(near):
                 ids = w.idx[near]
@@ -390,6 +396,7 @@ def _run_batch(
                 out.cycle_max[ids] = w.win_max[near]
                 w.end(out, near, _CYCLE, step)
             if lam == power:
+                np.maximum(w.global_max, w.win_max, out=w.global_max)
                 w.tortoise = w.z
                 w.tol_tort = cfg.cycle_tol * w.final_modulus
                 w.win_max.fill(-np.inf)
@@ -410,7 +417,7 @@ def _verdicts(state: BatchState, cfg: ClassifierConfig) -> np.ndarray:
     completed = kind == _COMPLETED
     few_returns = state.n_returns < cfg.min_alternations
     # A peak still in progress when the orbit ended counts at the height it reached.
-    pending_weak = state.in_peak & (state.last_peak > 0) & (state.cur_peak < cfg.peak_growth * state.last_peak)
+    pending_weak = state.in_peak & (state.cur_peak < cfg.peak_growth * state.last_peak)
 
     bounded = ((kind == _CYCLE) & (state.cycle_max <= cfg.r_bound)) | (completed & (state.global_max <= cfg.r_bound))
     bungee = (kind != _POLE) & ~few_returns & state.escalation_ok & ~pending_weak & (state.n_peaks > 0)

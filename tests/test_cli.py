@@ -98,6 +98,17 @@ def test_orbit_csv_dump(tmp_path):
     assert lines[-1] == "# termination=Overflowed(step=9)"
 
 
+@pytest.mark.parametrize("point", ["nan,0", "inf,0", "1e400,0", "0,-inf"])
+@pytest.mark.parametrize("command", ["classify", "orbit"])
+def test_non_finite_point_is_usage_error(tmp_path, command, point):
+    target = tmp_path / "orbit.csv"
+    extra = ["--csv", str(target)] if command == "orbit" else []
+    code, out, err = run([command, "--function", "z", f"--point={point}", *extra])
+    assert (code, out) == (1, "")
+    assert "--point parts must be finite" in err
+    assert not target.exists()
+
+
 def test_orbit_rejects_malformed_point(tmp_path):
     target = tmp_path / "orbit.csv"
     code, _, err = run(
@@ -328,6 +339,22 @@ def test_verify_bad_sample_grid_is_usage_error(spec, message):
     assert message in err and out == ""
 
 
+@pytest.mark.parametrize(
+    "flags, message",
+    [
+        (["--f", "z", "--samples", "list:nan,0"], "sample point parts must be finite"),
+        (["--f", "z", "--samples", "list:1,0;1e400,0"], "sample point parts must be finite"),
+        (["--f", "z*z", "--phi=nan,0,0,0", "--samples", "list:1,0"], "--phi parts must be finite"),
+        (["--f", "z*z", "--phi=1,0,inf,0", "--samples", "list:1,0"], "--phi parts must be finite"),
+    ],
+    ids=["nan-sample", "overflowing-sample", "nan-phi", "infinite-phi"],
+)
+def test_verify_non_finite_input_is_usage_error(flags, message):
+    code, out, err = run(["verify", "--relation", "ConjugacyTransport", *flags])
+    assert (code, out) == (1, "")
+    assert message in err
+
+
 def test_verify_runtime_error_is_exit_two():
     # AffineBungeeEqual refuses non-commuting pairs after parsing fine;
     # the pair is the user's input, so the refusal is a usage error.
@@ -465,7 +492,11 @@ def test_bad_expression_is_usage_error():
     assert "error:" in err
 
 
-@pytest.mark.parametrize("body", ['{"bogus": 1}', '{"max_iter": 10.5}', "[1]", "{", '{"r_bound": "x"}'])
+@pytest.mark.parametrize(
+    "body",
+    ['{"bogus": 1}', '{"max_iter": 10.5}', "[1]", "{", '{"r_bound": "x"}', '{"cycle_tol": Infinity}',
+     '{"overflow_guard": Infinity}', '{"peak_growth": NaN}'],
+)
 def test_bad_config_file_is_usage_error(tmp_path, body):
     path = tmp_path / "bad.json"
     path.write_text(body)

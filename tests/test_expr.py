@@ -9,11 +9,13 @@ from __future__ import annotations
 import cmath
 import contextlib
 import math
+import types
 import warnings
 
 import numpy as np
 import pytest
 
+import bungee.expr
 import bungee.orbit
 from bungee import (
     Classification,
@@ -29,7 +31,15 @@ from bungee import (
     format_expr,
     parse,
 )
-from bungee.expr import EVENT_INFINITY, EVENT_NONE, EVENT_POLE, _ignoring_errors, compile_expr, eval_array
+from bungee.expr import (
+    EVENT_INFINITY,
+    EVENT_NONE,
+    EVENT_POLE,
+    Program,
+    _ignoring_errors,
+    compile_expr,
+    eval_array,
+)
 
 # Deterministic off-axis sample points reused across identity checks.
 SAMPLE_POINTS = [
@@ -267,6 +277,46 @@ def test_compiled_program_reports_events_per_lane():
     assert np.array_equal(plain_values, values, equal_nan=True)
 
 
+def _counted_checks(monkeypatch, program, z, want_nodes=False):
+    """``eval_array``'s result and its finiteness checks (``np.add.reduce`` calls)."""
+    calls = []
+    counted = types.ModuleType("numpy")
+    counted.__getattr__ = lambda name: getattr(np, name)
+    counted.add = types.SimpleNamespace(reduce=lambda *a, **k: calls.append(1) or np.add.reduce(*a, **k))
+    with monkeypatch.context() as patch:
+        patch.setattr(bungee.expr, "np", counted)
+        result = eval_array(program, z, want_nodes)
+    return result, len(calls)
+
+
+# A value consumed only by + - * is not checked; unary minus passes nothing
+# on, so what feeds it or ends in it is checked; with / everything is.
+@pytest.mark.parametrize(
+    "text, z, events, compiled, every",
+    [
+        ("z+1+exp(-z)", [1, -710], [EVENT_NONE, EVENT_INFINITY], 1, 3),
+        ("-(exp(z)*pow(z,5))", [1, 705, 1e100], [EVENT_NONE, EVENT_INFINITY, EVENT_INFINITY], 1, 3),
+        ("-(exp(z))", [1, 710], [EVENT_NONE, EVENT_INFINITY], 1, 1),
+        ("(-exp(z))+1", [1, 710], [EVENT_NONE, EVENT_INFINITY], 2, 2),
+        ("z*z+1/pow(z,2)", [1, 0, 1e200], [EVENT_NONE, EVENT_POLE, EVENT_INFINITY], 4, 4),
+        ("pow(z,2)+1/(z-z)", [1, 1e300], [EVENT_POLE, EVENT_INFINITY], 4, 4),  # no pole overtakes
+    ],
+)
+def test_compiled_checks_skip_only_what_a_consumer_checks(monkeypatch, text, z, events, compiled, every):
+    program = compile_expr(parse(text))
+    z = np.array(z, dtype=np.complex128)
+    assert sum(program.checked) == compiled
+    for prog, want_nodes, checks in [
+        (program, False, compiled),
+        (program, True, every),
+        (Program(program.code), False, every),  # a hand-built program checks every node
+    ]:
+        (values, got, *_), count = _counted_checks(monkeypatch, prog, z, want_nodes)
+        assert (got.tolist(), count) == (events, checks)
+        if events[0] == EVENT_NONE:
+            assert values[0] == evaluate(parse(text), complex(z[0]))
+
+
 def test_evaluation_is_deterministic():
     f = parse("exp(z)/(1+pow(z,3))-sin(z)*cos(z)")
     for z in SAMPLE_POINTS:
@@ -366,6 +416,13 @@ def test_affine_post_scales_and_shifts():
 def test_affine_post_rejects_zero_scale():
     with pytest.raises(ValueError):
         affine_post(parse("z"), 0, 0)
+
+
+@pytest.mark.parametrize("a, b", [(math.nan, 0), (math.inf, 0), (1, complex(0, math.inf)), (1, math.nan)])
+@pytest.mark.parametrize("build", [affine_post, conjugate])
+def test_affine_maps_reject_non_finite_coefficients(build, a, b):
+    with pytest.raises(ValueError, match="finite"):
+        build(parse("z*z"), a, b)
 
 
 # --- formatting ----------------------------------------------------------

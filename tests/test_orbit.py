@@ -132,11 +132,22 @@ def test_default_config_values():
         {"peak_growth": None},
         {"cycle_tol": "1e-12"},
         {"overflow_guard": 1e200j},
+        {"cycle_tol": math.inf},
+        {"overflow_guard": math.inf},
+        {"peak_growth": math.nan},
+        {"r_esc": math.inf},
     ],
 )
 def test_config_validation_rejects(kwargs):
     with pytest.raises(ValueError):
         ClassifierConfig(**kwargs)
+
+
+@pytest.mark.parametrize("name", ["r_bound", "r_esc", "peak_growth", "cycle_tol", "overflow_guard"])
+@pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan, 10**400], ids=["inf", "-inf", "nan", "huge-int"])
+def test_config_rejects_every_non_finite_real(name, value):
+    with pytest.raises(ValueError, match=f"{name} must be a finite real number"):
+        ClassifierConfig(**{name: value})
 
 
 def test_config_dict_round_trip():
@@ -640,6 +651,23 @@ def test_overlapping_peaks_keep_per_lane_bookkeeping():
         assert state.escalation_ok[i] == all(b >= cfg.peak_growth * a for a, b in zip(done, done[1:]))
         assert reference_verdict(rec, cfg) == Classification(int(codes[i])) == Classification.UNRESOLVED
     assert len(first_peaks) > 1
+
+
+@pytest.mark.parametrize("text", ["z*z", "0.3*exp(z)", "1/pow(z,2)", "z+1+exp(-z)", "z+sin(z)", "1.4*z"])
+def test_batch_global_max_is_the_recorded_maximum(text):
+    """The engine folds its checkpoint-window maximum into ``global_max`` at
+    each Brent checkpoint and when a lane ends, by any termination; that
+    must equal the largest modulus of the lane's recorded orbit."""
+    f = parse(text)
+    cfg = ClassifierConfig(max_iter=100, r_bound=10.0, r_esc=100.0, tail_window=5, overflow_guard=1e40)
+    seeds = (np.linspace(-3, 3, 7)[None, :] + 1j * np.linspace(-2, 2, 5)[:, None]).ravel()
+    _, state = classify_batch(f, seeds, cfg, return_state=True)
+    kinds = set()
+    for i, seed in enumerate(seeds):
+        rec = iterate_orbit(f, complex(seed), cfg)
+        kinds.add(type(rec.termination))
+        assert state.global_max[i] == rec.global_max == rec.moduli.max(), complex(seed)
+    assert len(kinds) > 1 or text == "z+1+exp(-z)"
 
 
 def test_batch_of_no_seeds_is_empty():

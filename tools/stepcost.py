@@ -17,6 +17,10 @@ about 1 a step), so each step of a run steps every lane. At 1, 288 and
   steps, evaluation and about 0.3 us of wrapper included;
 - ``bookkeeping``: the difference, what the engine itself adds per step.
 
+It first prints how many lane reductions one evaluation of the map runs:
+the finiteness checks its compiled program keeps, plus one count per
+``exp``/``sin``/``cos`` argument test and per divisor.
+
 All three come from the fastest of several runs, so a busy machine
 inflates them less than a mean would. The machine's speed can still
 drift between invocations: compare two checkouts by running them
@@ -39,6 +43,7 @@ sys.path.insert(0, str(SRC))
 
 import bungee.orbit  # noqa: E402
 from bungee import parse  # noqa: E402
+from bungee.expr import compile_expr  # noqa: E402
 from bungee.orbit import _COMPLETED, DEFAULT_CONFIG, _run_batch  # noqa: E402
 
 FATOU = "z+1+exp(-z)"
@@ -77,7 +82,12 @@ def run_seconds(root, z: np.ndarray) -> tuple[float, float]:
 def main() -> int:
     f = parse(FATOU)
     steps = DEFAULT_CONFIG.max_iter
-    print(f"map {FATOU}, {steps} steps; microseconds per step, best of {REPEATS}")
+    program = compile_expr(f)
+    checks = sum(program.checked)
+    tests = sum(op in ("exp", "sin", "cos", "/") for op, _, _ in program.code)
+    print(f"map {FATOU}: {checks + tests} lane reductions per evaluation "
+          f"({checks} finiteness, {tests} argument or divisor)")
+    print(f"{steps} steps; microseconds per step, best of {REPEATS}")
     print(f"{'lanes':>6} {'eval_array':>11} {'engine step':>12} {'bookkeeping':>12}")
     for nx, ny in LATTICES:
         z = seeds(nx, ny)
