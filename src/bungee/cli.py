@@ -10,9 +10,9 @@ optional boundary bitmap and JSON), ``verify`` (one relation over a
 sample plan, JSON report), ``examples`` (catalog listing and runs).
 
 Exit codes: 0 success, 1 usage or expression parse error (including
-inputs ``verify`` refuses), 2 runtime error, 3 verify ran cleanly but
-found violations. All file contents are built before any output file is
-opened, so failed invocations leave no partial files behind.
+inputs ``verify`` and ``examples run`` refuse), 2 runtime error, 3 verify
+ran cleanly but found violations. All file contents are built before any
+output file is opened, so failed invocations leave no partial files behind.
 """
 
 from __future__ import annotations
@@ -41,7 +41,7 @@ from .orbit import (
     classify,
     iterate_orbit,
 )
-from .registry import get_example, list_examples, run_example
+from .registry import _check_scale, get_example, list_examples, run_example
 from .relations import PERMUTABILITY_TOL, RelationId, SamplePlan, verify_relation
 
 __all__ = ["main"]
@@ -252,6 +252,10 @@ def _cmd_examples(ns) -> int:
             _emit("\n".join(f"{i}: {s}" for i, s in entries), ns.out)
         return 0
     get_example(ns.id)  # unknown ids fail before any work
+    try:
+        _check_scale(ns.scale)
+    except ValueError as exc:
+        raise _UsageError(str(exc)) from None
     cfg = _load_config(ns.config) if ns.config else None
     report = run_example(ns.id, cfg=cfg, scale=ns.scale)
     if ns.format == "json":

@@ -510,32 +510,20 @@ def _ignoring_errors():
         _ERRORS_IGNORED.reset(token)
 
 
-def eval_array(f: FunctionExpr | Expr | Program, z: np.ndarray, want_nodes: bool = False):
-    """Evaluate ``f`` elementwise over a complex array.
+def _run(program: Program, z: np.ndarray) -> tuple[np.ndarray, list]:
+    """Run ``program`` over ``z``: its values, and the marks ``(event code,
+    lane mask, node)`` of the tests that fired, in evaluation order.
 
-    ``f`` may be a `Program`, so that a caller evaluating one map many
-    times compiles it once. Returns ``(values, events)`` or, with
-    ``want_nodes``, a third object array holding the node at which each
-    element's event fired. Event codes are EVENT_NONE, EVENT_INFINITY,
-    EVENT_POLE; the first event along the evaluation order wins and later
-    garbage in that lane is ignored. Values at event positions are
-    unspecified.
-
-    A checked node tests its lanes with one reduction (a lane sum is finite
-    iff every lane is; no divisor is zero iff all are counted nonzero), and
-    ``exp``/``sin``/``cos`` count the lanes whose argument is past its limit;
-    a mask of offending lanes is kept only when a test fires. A node whose
-    value only feeds ``+``, ``-`` or ``*`` skips its finiteness test, as
-    `Program.checked` says, unless ``want_nodes`` asks which node fired. A
-    call with no event costs its arithmetic and these reductions; only
-    constant maps are broadcast.
+    A checked node (see `Program.checked`) tests its lanes with one
+    reduction: a lane sum is finite iff every lane is, and no divisor is
+    zero iff all are counted nonzero. ``exp``/``sin``/``cos`` count the
+    lanes whose argument is past its limit. A lane mask is built only when
+    a test fires, and only constant maps are broadcast.
     """
-    program = f if isinstance(f, Program) else compile_expr(f)
-    z = np.asarray(z, dtype=np.complex128)
     stack: list = []
     env = [z]  # what Var reads: z, or the inner value of the innermost Apply
-    marks = []  # (event code, lane mask, node), in evaluation order
-    checks = itertools.repeat(True) if want_nodes or program.checked is None else program.checked
+    marks = []
+    checks = itertools.repeat(True) if program.checked is None else program.checked
     with contextlib.nullcontext() if _ERRORS_IGNORED.get() else np.errstate(all="ignore"):
         for (op, node, arg), check in zip(program.code, checks):
             if op == "load":
@@ -569,23 +557,34 @@ def eval_array(f: FunctionExpr | Expr | Program, z: np.ndarray, want_nodes: bool
         values = stack.pop()
         if not (isinstance(values, np.ndarray) and values.dtype == np.complex128 and values.shape == z.shape):
             values = np.broadcast_to(np.asarray(values, dtype=np.complex128), z.shape)  # a constant map
+    return values, marks
+
+
+def eval_array(f: FunctionExpr | Expr | Program, z: np.ndarray):
+    """Evaluate ``f`` elementwise over a complex array.
+
+    ``f`` may be a `Program`, so that a caller evaluating one map many
+    times compiles it once. Returns ``(values, events)``. Event codes are
+    EVENT_NONE, EVENT_INFINITY, EVENT_POLE; the first event along the
+    evaluation order wins and later garbage in that lane is ignored.
+    Values at event positions are unspecified.
+    """
+    program = f if isinstance(f, Program) else compile_expr(f)
+    z = np.asarray(z, dtype=np.complex128)
+    values, marks = _run(program, z)
     events = np.zeros(z.shape, dtype=np.int8)
-    nodes = np.empty(z.shape, dtype=object) if want_nodes else None
-    for code, mask, node in marks:
-        fresh = mask & (events == EVENT_NONE)
-        events[fresh] = code
-        if want_nodes:
-            nodes[fresh] = node
-    return (values, events, nodes) if want_nodes else (values, events)
+    for code, mask, _ in marks:
+        events[mask & (events == EVENT_NONE)] = code
+    return values, events
 
 
 def evaluate(f: FunctionExpr, z: complex) -> EvalResult:
-    """Evaluate at a single point, returning a value or an event."""
-    values, events, nodes = eval_array(f, np.array([z], dtype=np.complex128), want_nodes=True)
-    if events[0] == EVENT_INFINITY:
-        return InfinityEvent(nodes[0])
-    if events[0] == EVENT_POLE:
-        return PoleEvent(nodes[0])
+    """Evaluate at a single point: a value, or the first event and the node it names."""
+    # Program(code) checks every node, so the first mark is the lane's first event.
+    values, marks = _run(Program(compile_expr(f).code), np.array([z], dtype=np.complex128))
+    if marks:
+        code, _, node = marks[0]
+        return InfinityEvent(node) if code == EVENT_INFINITY else PoleEvent(node)
     return complex(values[0])
 
 

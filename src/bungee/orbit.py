@@ -31,17 +31,20 @@ The rules are written once, vectorized, in `_verdicts`. One engine,
 `_run_batch`, drives single-point classification, batch classification
 and grid rendering, and `classify` applies `_verdicts` to the one-lane
 engine state an `OrbitRecord` keeps, so verdicts are identical across
-all of them by construction. The engine compiles the map once per run
-(`compile_expr`) and evaluates that flat program once per step over the
-live lanes only: when an orbit ends, its state is written to the output
-once and the working arrays are compacted. Every lane starts at step 0,
-so all live lanes share one Brent checkpoint schedule for cycle
-detection (Brent 1980). A step in which no lane ends costs its arithmetic
-and a few whole-array tests; it builds a lane mask only when a test fires.
-Peak starts and returns update the live lanes at full width under those
-masks, without gathering or scattering. The running maximum is not taken
-each step: the maximum since the last checkpoint, which cycle detection
-keeps anyway, is folded into it at each checkpoint and when a lane ends.
+all of them by construction. Run on one seed, the engine also records
+the iterates and the steps at which it started and ended each peak,
+which is all `iterate_orbit` needs to place the record's peaks. The
+engine compiles the map once per run (`compile_expr`) and evaluates that
+flat program once per step over the live lanes only: when an orbit ends,
+its state is written to the output once and the working arrays are
+compacted. Every lane starts at step 0, so all live lanes share one
+Brent checkpoint schedule for cycle detection (Brent 1980). A step in
+which no lane ends costs its arithmetic and a few whole-array tests; it
+builds a lane mask only when a test fires. Peak starts and returns
+update the live lanes at full width under those masks, without gathering
+or scattering. The running maximum is not taken each step: the maximum
+since the last checkpoint, which cycle detection keeps anyway, is folded
+into it at each checkpoint and when a lane ends.
 """
 
 from __future__ import annotations
@@ -51,7 +54,7 @@ import math
 import numbers
 import sys
 from dataclasses import asdict, dataclass, field, fields
-from typing import Optional, Sequence, Union
+from typing import NamedTuple, Optional, Sequence, Union
 
 import numpy as np
 
@@ -142,10 +145,6 @@ class ClassifierConfig:
             raise ValueError(f"unknown config keys: {', '.join(unknown)}")
         return cls(**data)
 
-    def replace(self, **changes) -> "ClassifierConfig":
-        merged = {**asdict(self), **changes}
-        return ClassifierConfig(**merged)
-
 
 DEFAULT_CONFIG = ClassifierConfig()
 
@@ -201,12 +200,12 @@ class OrbitRecord:
     """Everything the classifier needs to know about one finished orbit.
 
     ``values[n]`` is the n-th iterate (``values[0]`` the seed), ``moduli``
-    their absolute values, ``peaks`` the registered escape peaks as
-    ``(index, modulus)`` pairs, ``returns`` the count of descents below
-    ``r_bound`` after a peak. Tail statistics cover the last
-    ``tail_window`` recorded moduli. ``state`` is the engine's final
-    one-lane state, which `classify` reads; it is valid only with the
-    config the orbit was iterated under.
+    their absolute values, ``peaks`` the ``(index, modulus)`` of each
+    peak's first largest iterate, from the step it started to its return
+    below ``r_bound`` or the orbit's end, ``returns`` the count of those
+    returns. Tail statistics cover the last ``tail_window`` moduli.
+    ``state`` is the engine's final one-lane state, which `classify`
+    reads; it is valid only with the config the orbit was iterated under.
     """
 
     seed: complex
@@ -297,11 +296,19 @@ class _Lanes:
             setattr(self, name, getattr(self, name)[keep])
 
 
+class _History(NamedTuple):
+    """One seed's iterates, and the steps where each peak started and returned."""
+
+    values: list
+    starts: list
+    returns: list
+
+
 def _run_batch(
     root,
     seeds: np.ndarray,
     cfg: ClassifierConfig,
-    history: Optional[list] = None,
+    history: Optional[_History] = None,
 ) -> BatchState:
     z = np.array(seeds, dtype=np.complex128).ravel()
     n = z.size
@@ -332,7 +339,7 @@ def _run_batch(
         tail_min=np.full(n, np.inf),
     )
     if history is not None:
-        history.append(complex(z[0]))
+        history.values.append(complex(z[0]))
 
     seed_out = m > guard
     out.kind[seed_out] = _OVERFLOWED
@@ -362,7 +369,7 @@ def _run_batch(
             if step > tail_from:
                 np.minimum(w.tail_min, mv, out=w.tail_min)
             if history is not None:
-                history.append(complex(vals[0]))
+                history.values.append(complex(vals[0]))
 
             below = mv < cfg.r_bound
             in_peak = w.in_peak
@@ -375,6 +382,8 @@ def _run_batch(
                     w.escalation_ok &= ~(ending & weak)
                     np.copyto(w.last_peak, w.cur_peak, where=ending)
                     in_peak &= ~ending
+                    if history is not None:
+                        history.returns.append(step)
                 np.maximum(w.cur_peak, mv, out=w.cur_peak, where=in_peak)
             w.armed |= below
             if top > cfg.r_esc:
@@ -384,6 +393,8 @@ def _run_batch(
                     in_peak |= starting
                     np.copyto(w.cur_peak, mv, where=starting)
                     w.armed &= ~starting
+                    if history is not None:
+                        history.starts.append(step)
 
             if not top <= guard:
                 w.end(out, mv > guard, _OVERFLOWED, step)
@@ -431,28 +442,6 @@ def _verdicts(state: BatchState, cfg: ClassifierConfig) -> np.ndarray:
     return codes
 
 
-def _peaks(moduli: np.ndarray, cfg: ClassifierConfig) -> tuple[tuple[int, float], ...]:
-    """Where the engine's peaks lie: ``(index, modulus)`` of each one's largest iterate."""
-    peaks: list[tuple[int, float]] = []
-    armed = bool(moduli[0] < cfg.r_bound)
-    in_peak = False
-    for i in range(1, len(moduli)):
-        mv = float(moduli[i])
-        if in_peak:
-            if mv < cfg.r_bound:
-                in_peak = False
-                armed = True
-            elif mv > peaks[-1][1]:
-                peaks[-1] = (i, mv)
-        elif armed and mv > cfg.r_esc:
-            peaks.append((i, mv))
-            in_peak = True
-            armed = False
-        elif mv < cfg.r_bound:
-            armed = True
-    return tuple(peaks)
-
-
 def _cycle_entry(vals: np.ndarray, period: int, at: int, tol: float) -> int:
     """Where a cycle of ``period`` begins in ``vals``: the first ``mu`` with
     ``|vals[mu] - vals[mu + period]| <= tol * |vals[mu + period]|``.
@@ -497,19 +486,20 @@ def iterate_orbit(
 ) -> OrbitRecord:
     """Iterate ``f`` from ``z0`` and record the orbit until termination.
 
-    A `CycleFound` termination takes its period from the engine state and
+    Peaks are placed from the engine's start and return steps. A
+    `CycleFound` termination takes its period from the engine state and
     finds its entry in one whole-array comparison of the recorded values
     at that period.
     """
     seed = complex(z0)
     if not (math.isfinite(seed.real) and math.isfinite(seed.imag)):
         raise ValueError("seed must be finite")
-    history: list[complex] = []
-    state = _run_batch(f.root, np.array([seed]), cfg, history=history)
-    values = np.array(history, dtype=np.complex128)
+    history = _History([], [], [])
+    state = _run_batch(f.root, np.array([seed]), cfg, history)
+    values = np.array(history.values, dtype=np.complex128)
     moduli = np.abs(values)
-    peaks = _peaks(moduli, cfg)
-    assert len(peaks) == int(state.n_peaks[0])
+    spans = zip(history.starts, history.returns + [len(moduli)])  # an open peak runs to the end
+    peaks = tuple((s + int(np.argmax(moduli[s:e])), float(moduli[s:e].max())) for s, e in spans)
 
     k = int(state.kind[0])
     if k == _COMPLETED:

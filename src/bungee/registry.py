@@ -608,6 +608,11 @@ def get_example(example_id: str) -> ExampleEntry:
         raise KeyError(f"unknown example id: {example_id!r}") from None
 
 
+def _check_scale(scale: float) -> None:
+    if not 0 < scale <= 1:  # also refuses NaN
+        raise ValueError("scale must be in (0, 1]")
+
+
 def run_example(
     example_id: str,
     cfg: Optional[ClassifierConfig] = None,
@@ -619,8 +624,7 @@ def run_example(
     (single expectations may still document and use a specialized one);
     ``scale`` in (0, 1] shrinks sample sizes proportionally.
     """
-    if not 0 < scale <= 1:
-        raise ValueError("scale must be in (0, 1]")
+    _check_scale(scale)
     entry = get_example(example_id)
     effective = cfg if cfg is not None else entry.config()
     results = tuple(

@@ -198,10 +198,11 @@ def check_permutable(
 
     Deviation is relative: |f(g(z)) - g(f(z))| / (1 + |f(g(z))|).
     Samples where either order fails to evaluate finitely are skipped
-    and counted. Raises when no sample is evaluable.
+    and counted. Raises when ``tol`` is not finite and positive, or when
+    no sample is evaluable.
     """
-    if tol <= 0:
-        raise ValueError("tol must be positive")
+    if not 0 < tol < np.inf:  # also refuses NaN
+        raise ValueError("tol must be finite and positive")
     seeds = plan.seeds()
     fg_vals, fg_ev = eval_array(compose(f, g).root, seeds)
     gf_vals, gf_ev = eval_array(compose(g, f).root, seeds)

@@ -9,6 +9,7 @@ import warnings
 
 import pytest
 
+import bungee.registry
 from bungee import cli
 from bungee.cli import main
 
@@ -396,8 +397,17 @@ def test_verify_runtime_error_is_exit_two():
             ["--relation=ConjugacyTransport", "--f=0.3*exp(z)", "--samples=list:0,0"],
             "requires a and b",
         ),
+        # The pair above does not commute (max_dev 0.888): no tol may wave it through.
+        *[
+            (
+                ["--relation=AffineBungeeEqual", "--f=z+1+exp(-z)", "--g=z+1+exp(-z)+2*pi*i",
+                 "--phi=2,0,1,0", "--samples=grid:-2,2,-2,2:7x5", f"--tol={tol}"],
+                "error: tol must be finite and positive\n",
+            )
+            for tol in ("inf", "nan", "0", "-1")
+        ],
     ],
-    ids=["non-permutable-pair", "missing-g", "missing-phi"],
+    ids=["non-permutable-pair", "missing-g", "missing-phi", "tol-inf", "tol-nan", "tol-0", "tol-negative"],
 )
 def test_verify_input_refusals_exit_one(tmp_path, argv, message):
     target = tmp_path / "report.json"
@@ -469,6 +479,23 @@ def test_examples_run_unknown_id_is_runtime_error():
     code, _, err = run(["examples", "run", "ex_missing"])
     assert code == 2
     assert "error:" in err
+
+
+@pytest.mark.parametrize("scale", ["0", "2", "nan", "inf", "-1"])
+def test_examples_run_scale_out_of_range_is_usage_error(scale):
+    code, out, err = run(["examples", "run", "ex_rational_bungee", f"--scale={scale}"])
+    assert code == 1 and out == ""
+    assert err == "error: scale must be in (0, 1]\n"
+
+
+def test_examples_run_failure_inside_an_expectation_is_runtime_error(monkeypatch):
+    def broken(*args, **kwargs):
+        raise ValueError("broken expectation")
+
+    monkeypatch.setattr(bungee.registry, "classify_batch", broken)
+    code, out, err = run(["examples", "run", "ex_rational_bungee", "--scale", "0.25"])
+    assert code == 2 and out == ""
+    assert err == "error: broken expectation\n"
 
 
 # --- error taxonomy ------------------------------------------------------

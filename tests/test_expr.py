@@ -252,6 +252,7 @@ def test_eval_array_keeps_its_own_errstate_after_engine_runs(monkeypatch):
         ("exp(-pow(z,3))", 1e150, InfinityEvent, ("arg", "arg")),
         ("1/exp(-z)", 800, PoleEvent, ()),
         ("1/(0*exp(z))", 800, InfinityEvent, ("right", "right")),
+        ("pow(z,5)*2+1", 1e100, InfinityEvent, ("left", "left")),
     ],
 )
 def test_first_event_names_its_node(text, z, event, path):
@@ -267,17 +268,18 @@ def test_compiled_program_reports_events_per_lane():
     f = parse("exp(z)+1/pow(z,2)")
     exp_node, div_node, pow_node = f.root.left, f.root.right, f.root.right.right
     z = np.array([2.0, 800.0, 0.0, -1e200], dtype=np.complex128)
-    values, events, nodes = eval_array(compile_expr(f), z, want_nodes=True)
+    values, events = eval_array(compile_expr(f), z)
     assert events.tolist() == [EVENT_NONE, EVENT_INFINITY, EVENT_POLE, EVENT_INFINITY]
-    assert nodes[0] is None
-    assert nodes[1] is exp_node and nodes[2] is div_node and nodes[3] is pow_node
-    assert values[0] == cmath.exp(2) + 0.25
+    assert values[0] == evaluate(f, z[0]) == cmath.exp(2) + 0.25
+    named = [evaluate(f, complex(lane)) for lane in z[1:]]
+    assert [type(event) for event in named] == [InfinityEvent, PoleEvent, InfinityEvent]
+    assert named[0].node is exp_node and named[1].node is div_node and named[2].node is pow_node
     plain_values, plain_events = eval_array(f, z)
     assert np.array_equal(plain_events, events)
     assert np.array_equal(plain_values, values, equal_nan=True)
 
 
-def _counted_checks(monkeypatch, program, z, want_nodes=False):
+def _counted_checks(monkeypatch, program, z):
     """``eval_array``'s result and its finiteness checks (``np.add.reduce`` calls)."""
     calls = []
     counted = types.ModuleType("numpy")
@@ -285,7 +287,7 @@ def _counted_checks(monkeypatch, program, z, want_nodes=False):
     counted.add = types.SimpleNamespace(reduce=lambda *a, **k: calls.append(1) or np.add.reduce(*a, **k))
     with monkeypatch.context() as patch:
         patch.setattr(bungee.expr, "np", counted)
-        result = eval_array(program, z, want_nodes)
+        result = eval_array(program, z)
     return result, len(calls)
 
 
@@ -306,12 +308,11 @@ def test_compiled_checks_skip_only_what_a_consumer_checks(monkeypatch, text, z, 
     program = compile_expr(parse(text))
     z = np.array(z, dtype=np.complex128)
     assert sum(program.checked) == compiled
-    for prog, want_nodes, checks in [
-        (program, False, compiled),
-        (program, True, every),
-        (Program(program.code), False, every),  # a hand-built program checks every node
+    for prog, checks in [
+        (program, compiled),
+        (Program(program.code), every),  # a hand-built program checks every node
     ]:
-        (values, got, *_), count = _counted_checks(monkeypatch, prog, z, want_nodes)
+        (values, got), count = _counted_checks(monkeypatch, prog, z)
         assert (got.tolist(), count) == (events, checks)
         if events[0] == EVENT_NONE:
             assert values[0] == evaluate(parse(text), complex(z[0]))

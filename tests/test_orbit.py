@@ -32,7 +32,7 @@ from bungee import (
     list_examples,
     parse,
 )
-from bungee.orbit import _CYCLE, _OVERFLOWED, DEFAULT_CONFIG, BatchState
+from bungee.orbit import _CYCLE, _OVERFLOWED, DEFAULT_CONFIG, BatchState, _History, _run_batch
 
 # Config used by the sine-pair and drift examples: their orbits creep
 # outward at ~2*pi per step, so escape must be read at a lower radius.
@@ -94,6 +94,32 @@ def reference_verdict(rec, cfg=DEFAULT_CONFIG) -> Classification:
             return Classification.ESCAPING
 
     return Classification.UNRESOLVED
+
+
+def reference_peaks(moduli: np.ndarray, cfg: ClassifierConfig) -> tuple[tuple[int, float], ...]:
+    """Where the engine's peaks lie: ``(index, modulus)`` of each one's largest iterate.
+
+    A scalar replay of the peak rule over a record's moduli, independent
+    of the start and return steps the engine records.
+    """
+    peaks: list[tuple[int, float]] = []
+    armed = bool(moduli[0] < cfg.r_bound)
+    in_peak = False
+    for i in range(1, len(moduli)):
+        mv = float(moduli[i])
+        if in_peak:
+            if mv < cfg.r_bound:
+                in_peak = False
+                armed = True
+            elif mv > peaks[-1][1]:
+                peaks[-1] = (i, mv)
+        elif armed and mv > cfg.r_esc:
+            peaks.append((i, mv))
+            in_peak = True
+            armed = False
+        elif mv < cfg.r_bound:
+            armed = True
+    return tuple(peaks)
 
 
 # --- configuration -------------------------------------------------------
@@ -623,17 +649,20 @@ def test_rule_arms_after_two_returns_stay_unresolved(text, seed, termination):
     assert classify(rec, SMALL_CFG) == Classification.UNRESOLVED
 
 
+MOEBIUS = "(z*cos(0.05)-sin(0.05))/(z*sin(0.05)+cos(0.05))"
+
+
 def test_overlapping_peaks_keep_per_lane_bookkeeping():
     """Lanes whose peaks overlap in time count their own returns and growth.
 
-    The elliptic Moebius map below sends tan(t) to tan(t - 0.05). Each
+    The elliptic Moebius map ``MOEBIUS`` sends tan(t) to tan(t - 0.05). Each
     orbit stays above ``r_esc`` for about ten steps whenever t crosses
     pi/2, and the seeds cross at different steps, so one lane returns
     while another is still extending its peak. Each lane's counts and
     peak heights must match the ones read off its own recorded moduli.
     The peaks stop doubling, so no lane is Bungee.
     """
-    f = parse("(z*cos(0.05)-sin(0.05))/(z*sin(0.05)+cos(0.05))")
+    f = parse(MOEBIUS)
     cfg = ClassifierConfig(max_iter=300, r_bound=2.0, r_esc=4.0, tail_window=5)
     seeds = np.tan(np.linspace(-1.4, 1.4, 9)) + 0.01j
     codes, state = classify_batch(f, seeds, cfg, return_state=True)
@@ -651,6 +680,59 @@ def test_overlapping_peaks_keep_per_lane_bookkeeping():
         assert state.escalation_ok[i] == all(b >= cfg.peak_growth * a for a, b in zip(done, done[1:]))
         assert reference_verdict(rec, cfg) == Classification(int(codes[i])) == Classification.UNRESOLVED
     assert len(first_peaks) > 1
+
+
+PEAK_MAPS = AGREEMENT_MAPS + [(text, parse(text)) for text in (MOEBIUS, "1e7")]
+PEAK_SEEDS = EDGE_SEEDS + [complex(z) for z in GridSpec(-3, 3, -3, 3, 4, 4).points().ravel()]
+PEAK_CONFIGS = {"default": DEFAULT_CONFIG, "drift": DRIFT_CFG, "small": SMALL_CFG}
+
+
+@pytest.mark.parametrize("cfg", PEAK_CONFIGS.values(), ids=PEAK_CONFIGS.keys())
+@pytest.mark.parametrize("name, f", PEAK_MAPS, ids=[name for name, _ in PEAK_MAPS])
+def test_record_peaks_match_the_reference_replay(name, f, cfg):
+    """A record places each peak from the start and return steps the engine
+    records; the scalar replay of its moduli must find the same peaks. The
+    reprs are compared, so the index must be an int and the modulus a float.
+    """
+    for seed in PEAK_SEEDS:
+        rec = iterate_orbit(f, seed, cfg)
+        assert repr(rec.peaks) == repr(reference_peaks(rec.moduli, cfg)), seed
+
+
+# The edge cases of the sweep above, each reached by one of its inputs: the
+# ways a peak can end other than by a return, and a maximum that repeats.
+@pytest.mark.parametrize(
+    "text, seed, cfg, termination, peaks",
+    [
+        # 2**-1, 2**2, ..., 2**32, 2**-64, 2**128, 2**-256, 2**512: the last
+        # iterate starts a peak and crosses the guard in the same step.
+        ("1/pow(z,2)", 0.5, "default", Overflowed(9), ((5, 2.0**32), (7, 2.0**128), (9, 2.0**512))),
+        # 0, 1, e, e**e, e**e**e: a peak starts, and exp overflows one step later.
+        ("exp(z)", 0, "default", Overflowed(5), ((4, math.exp(math.exp(math.e))),)),
+        # Re z drifts past r_esc and is still rising when the budget ends.
+        ("z+1+exp(-z)", 0, "drift", Completed(), ((2000, None),)),
+        # A seed past the guard ends before one step: no peak at all.
+        ("pow(z,2)", 1e200, "default", Overflowed(0), ()),
+        # 0, 1e7, 1e7: the peak's largest modulus repeats, and the first counts.
+        ("1e7", 0, "small", CycleFound(1, 1), ((1, 1e7),)),
+    ],
+    ids=["guard-in-start-step", "evaluation-overflow-mid-peak", "open-at-budget", "seed-past-guard",
+         "repeated-maximum"],
+)
+def test_reference_peak_sweep_reaches_every_edge_case(text, seed, cfg, termination, peaks):
+    cfg = PEAK_CONFIGS[cfg]
+    assert text in dict(PEAK_MAPS) and seed in PEAK_SEEDS
+    rec = iterate_orbit(parse(text), seed, cfg)
+    assert rec.termination == termination
+    assert rec.returns == max(len(peaks) - 1, 0)  # the last peak never returned
+    assert [i for i, _ in rec.peaks] == [i for i, _ in peaks]
+    assert all(want is None or got == want for (_, got), (_, want) in zip(rec.peaks, peaks))
+    assert rec.peaks == reference_peaks(rec.moduli, cfg)
+    # A later return step would place the same peaks: check the steps themselves.
+    history = _History([], [], [])
+    _run_batch(parse(text).root, np.array([seed], dtype=np.complex128), cfg, history)
+    m = np.abs(history.values)
+    assert [e for e in history.returns if m[e] < cfg.r_bound <= m[e - 1]] == history.returns
 
 
 @pytest.mark.parametrize("text", ["z*z", "0.3*exp(z)", "1/pow(z,2)", "z+1+exp(-z)", "z+sin(z)", "1.4*z"])

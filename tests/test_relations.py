@@ -133,6 +133,12 @@ def test_tolerance_must_be_positive():
         check_permutable(SINE, SINE, SamplePlan.explicit([0]), tol=0.0)
 
 
+@pytest.mark.parametrize("tol", [math.inf, -math.inf, math.nan, -1e-9])
+def test_tolerance_must_be_finite_and_positive(tol):
+    with pytest.raises(ValueError, match="tol must be finite and positive"):
+        check_permutable(SINE, SINE, SamplePlan.explicit([0]), tol=tol)
+
+
 # --- verify_relation -----------------------------------------------------
 
 

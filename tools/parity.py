@@ -15,18 +15,24 @@ commit and the working tree) and comparing the directories with
 - ``verify`` JSON for all ten relations, on each catalog entry's pair,
   over a grid plan and a list plan, under both configs, in both
   ``--equality`` modes;
-- the exit codes of three inputs ``verify`` refuses;
+- the exit codes of three inputs ``verify`` refuses, and of the
+  permutability check run with a ``--tol`` that is not finite and
+  positive;
 - ``render`` output (PPM, ``--boundary`` PBM and ``--json``) for every
   map of the catalog on two small grids, under both configs; the grid
   around z = 1 gives ``1/pow(z,2)`` a non-empty boundary;
 - the exit codes of two grids ``render`` refuses;
-- ``examples run --format json`` for every catalog entry at scale 1.0;
-- ``export_registry_json()``.
+- ``examples run --format json`` for every catalog entry at scale 1.0,
+  and the exit codes of five scales outside (0, 1];
+- ``export_registry_json()``;
+- ``records.tsv``: for every map of the catalog at every edge seed, under
+  both configs, the ``repr`` of the orbit record's peaks and of
+  ``evaluate`` at the seed.
 
 Every command runs in process through ``bungee.cli.main``. Its exit code
 and the first line of its standard error go to ``exits.tsv``, so a
 command that fails still leaves a comparable record. The sweep writes
-1,052 files and takes about 35 s in one process on a two-core machine.
+1,053 files and takes about 35 s in one process on a two-core machine.
 """
 
 from __future__ import annotations
@@ -43,7 +49,16 @@ if not (SRC / "bungee" / "__init__.py").is_file():
     sys.exit(f"error: {SRC / 'bungee'} not found; run from a checkout of bungee")
 sys.path.insert(0, str(SRC))
 
-from bungee import RelationId, export_registry_json, get_example, list_examples  # noqa: E402
+from bungee import (  # noqa: E402
+    ClassifierConfig,
+    RelationId,
+    evaluate,
+    export_registry_json,
+    get_example,
+    iterate_orbit,
+    list_examples,
+    parse,
+)
 from bungee.cli import main  # noqa: E402
 
 EDGE_SEEDS = [0, 1e-300, 1e200, 1, 0.5, -800, 800, 800j, 0.1j, 1e-150, 1.5 - 2j]
@@ -62,6 +77,9 @@ REFUSALS = {
     "conjugacy-without-phi": ["--relation=ConjugacyTransport", "--f=0.3*exp(z)",
                               "--samples=grid:-2,2,-2,2:7x5"],
 }
+# Tolerances the permutability check refuses, and scales `examples run` refuses.
+TOL_REFUSALS = ("inf", "nan", "0")
+SCALE_REFUSALS = ("0", "2", "nan", "inf", "-1")
 
 # `render` grids as (--grid, --size).
 RENDER_GRIDS = {
@@ -80,6 +98,19 @@ def _configs(outdir: Path) -> dict[str, list[str]]:
     drift = outdir / "config-drift.json"
     drift.write_text(json.dumps(get_example("ex_sine_pair").config().to_dict()) + "\n")
     return {"default": [], "drift": ["--config", str(drift)]}
+
+
+def _records(maps: list[str]) -> str:
+    """One line per map, edge seed and config: the peaks and the value at the seed."""
+    configs = {"default": ClassifierConfig(), "drift": get_example("ex_sine_pair").config()}
+    lines = []
+    for mi, expr in enumerate(maps):
+        f = parse(expr)
+        for si, seed in enumerate(EDGE_SEEDS):
+            for cname, cfg in configs.items():
+                peaks = iterate_orbit(f, complex(seed), cfg).peaks
+                lines.append(f"map{mi}-seed{si}-{cname}\t{peaks!r}\t{evaluate(f, complex(seed))!r}")
+    return "\n".join(lines) + "\n"
 
 
 def write_outputs(outdir: Path) -> int:
@@ -139,13 +170,20 @@ def write_outputs(outdir: Path) -> int:
 
     for name, argv in REFUSALS.items():
         run(f"refusal-{name}.json", ["verify", *argv])
+    for tol in TOL_REFUSALS:
+        run(f"refusal-tol-{tol}", ["verify", *REFUSALS["affine-not-permutable"], f"--tol={tol}"],
+            capture=False)
 
     for entry in entries:
         run(f"examples-{entry.id}.json", ["--format", "json", "examples", "run",
                                           entry.id, "--scale", "1.0"])
+    for scale in SCALE_REFUSALS:
+        run(f"examples-scale-refusal-{scale}", ["examples", "run", "ex_rational_bungee",
+                                                f"--scale={scale}"], capture=False)
     (outdir / "registry.json").write_text(export_registry_json())
+    (outdir / "records.tsv").write_text(_records(maps))
     (outdir / "exits.tsv").write_text("\n".join(exits) + "\n")
-    print(f"wrote {len(exits) + 1} outputs to {outdir}")
+    print(f"wrote {len(exits) + 2} outputs to {outdir}")
     return 0
 
 
