@@ -10,7 +10,6 @@ from bungee import (
     ClassifierConfig,
     classify,
     classify_point,
-    detect_cycle,
     iterate_orbit,
     parse,
 )
@@ -29,8 +28,9 @@ print("verdict:", classify(rec))
 
 # Fixed points end orbits early through cycle detection.
 print("\nfixed point at 1:", iterate_orbit(f, 1).termination)
-print("transient into the 1-cycle from i:", iterate_orbit(f, 1j).termination)
-print("cycle scan over the raw values:", detect_cycle(rec.values, 1e-12))
+cycle = iterate_orbit(f, 1j).termination
+print("transient into the 1-cycle from i:", cycle)
+print(f"  i -> -1 -> 1: period {cycle.period}, entered at iterate {cycle.entry}")
 
 # A slow escaper: z + sin(z) + 2*pi drifts outward by 2*pi per step, far
 # too slowly for the default escape radius of 1e6. Its catalog entry

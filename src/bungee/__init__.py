@@ -29,7 +29,6 @@ from .orbit import (
     classify,
     classify_batch,
     classify_point,
-    detect_cycle,
     iterate_orbit,
 )
 from .grid import (
@@ -79,7 +78,6 @@ __all__ = [
     "classify",
     "classify_batch",
     "classify_point",
-    "detect_cycle",
     "iterate_orbit",
     "GridSpec",
     "Raster",

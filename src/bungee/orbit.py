@@ -44,17 +44,17 @@ builds a lane mask only when a test fires. Peak starts and returns
 update the live lanes at full width under those masks, without gathering
 or scattering. The running maximum is not taken each step: the maximum
 since the last checkpoint, which cycle detection keeps anyway, is folded
-into it at each checkpoint and when a lane ends.
+into it at each checkpoint and when a lane ends. The state stores no
+derived fact, such as the final modulus ``|z|`` (see `BatchState`).
 """
 
 from __future__ import annotations
 
 import enum
-import math
 import numbers
 import sys
 from dataclasses import asdict, dataclass, field, fields
-from typing import NamedTuple, Optional, Sequence, Union
+from typing import NamedTuple, Optional, Union
 
 import numpy as np
 
@@ -71,7 +71,6 @@ __all__ = [
     "Termination",
     "OrbitRecord",
     "BatchState",
-    "detect_cycle",
     "iterate_orbit",
     "classify",
     "classify_point",
@@ -175,7 +174,7 @@ class CycleFound:
 
     ``period`` is the engine's Brent period. ``entry`` is the first index
     whose iterate agrees, within ``cycle_tol`` relative, with the iterate
-    one period later, the rule `detect_cycle` states for a value list.
+    one period later.
     """
 
     period: int
@@ -235,29 +234,30 @@ _CHUNK = 4096
 
 @dataclass
 class BatchState:
-    """Per-seed final state of a batch run (parallel arrays)."""
+    """Per-seed final state of a batch run (parallel arrays).
+
+    Derived facts are not stored: the final modulus is ``|z|``, and the
+    peak count is ``n_returns + in_peak`` (every peak but an open one returned).
+    """
 
     z: np.ndarray
     kind: np.ndarray
     term_step: np.ndarray
     period: np.ndarray
     cycle_max: np.ndarray
-    n_peaks: np.ndarray
     n_returns: np.ndarray
     last_peak: np.ndarray
     cur_peak: np.ndarray
     in_peak: np.ndarray
     escalation_ok: np.ndarray
     global_max: np.ndarray
-    final_modulus: np.ndarray
     tail_min: np.ndarray
 
 
 # BatchState fields that change while a lane runs. `_Lanes` holds them for
 # the live lanes only and writes each lane's values out once, when it ends.
 _LANE_FIELDS = (
-    "z", "n_peaks", "n_returns", "last_peak", "cur_peak", "in_peak", "escalation_ok",
-    "global_max", "final_modulus", "tail_min",
+    "z", "n_returns", "last_peak", "cur_peak", "in_peak", "escalation_ok", "global_max", "tail_min",
 )
 
 
@@ -276,7 +276,7 @@ class _Lanes:
         self.idx = idx
         for name in _LANE_FIELDS:
             setattr(self, name, getattr(out, name)[idx])
-        m = self.final_modulus
+        m = np.abs(self.z)
         self.armed = m < cfg.r_bound
         self.tortoise = self.z
         self.tol_tort = cfg.cycle_tol * m
@@ -328,14 +328,12 @@ def _run_batch(
         term_step=np.zeros(n, dtype=np.int64),
         period=np.zeros(n, dtype=np.int64),
         cycle_max=np.zeros(n, dtype=np.float64),
-        n_peaks=np.zeros(n, dtype=np.int64),
         n_returns=np.zeros(n, dtype=np.int64),
         last_peak=np.zeros(n, dtype=np.float64),
         cur_peak=np.zeros(n, dtype=np.float64),
         in_peak=np.zeros(n, dtype=bool),
         escalation_ok=np.ones(n, dtype=bool),
-        global_max=m.copy(),
-        final_modulus=m,
+        global_max=m,
         tail_min=np.full(n, np.inf),
     )
     if history is not None:
@@ -364,7 +362,6 @@ def _run_batch(
             mv = np.abs(vals)
             top = mv.max()  # gates peak starts and the guard; an unflagged NaN is in every lane
             w.z = vals
-            w.final_modulus = mv
             np.maximum(w.win_max, mv, out=w.win_max)
             if step > tail_from:
                 np.minimum(w.tail_min, mv, out=w.tail_min)
@@ -389,7 +386,6 @@ def _run_batch(
             if top > cfg.r_esc:
                 starting = (mv > cfg.r_esc) & w.armed & ~in_peak
                 if np.count_nonzero(starting):
-                    w.n_peaks += starting
                     in_peak |= starting
                     np.copyto(w.cur_peak, mv, where=starting)
                     w.armed &= ~starting
@@ -409,7 +405,7 @@ def _run_batch(
             if lam == power:
                 np.maximum(w.global_max, w.win_max, out=w.global_max)
                 w.tortoise = w.z
-                w.tol_tort = cfg.cycle_tol * w.final_modulus
+                w.tol_tort = cfg.cycle_tol * np.abs(w.z)
                 w.win_max.fill(-np.inf)
                 power *= 2
                 lam = 0
@@ -431,9 +427,9 @@ def _verdicts(state: BatchState, cfg: ClassifierConfig) -> np.ndarray:
     pending_weak = state.in_peak & (state.cur_peak < cfg.peak_growth * state.last_peak)
 
     bounded = ((kind == _CYCLE) & (state.cycle_max <= cfg.r_bound)) | (completed & (state.global_max <= cfg.r_bound))
-    bungee = (kind != _POLE) & ~few_returns & state.escalation_ok & ~pending_weak & (state.n_peaks > 0)
+    bungee = (kind != _POLE) & ~few_returns & state.escalation_ok & ~pending_weak
     escaping = ((kind == _OVERFLOWED) & few_returns) | (
-        completed & (state.tail_min > cfg.r_esc) & (state.final_modulus >= state.global_max)
+        completed & (state.tail_min > cfg.r_esc) & (np.abs(state.z) >= state.global_max)
     )
     codes = np.full(kind.shape, int(Classification.UNRESOLVED), dtype=np.int8)
     codes[escaping] = int(Classification.ESCAPING)
@@ -454,33 +450,6 @@ def _cycle_entry(vals: np.ndarray, period: int, at: int, tol: float) -> int:
     return int(hits[0]) if hits.size else max(at - period, 0)
 
 
-def detect_cycle(
-    values: Sequence[complex], tol: float
-) -> Optional[tuple[int, int]]:
-    """Find a near-repeat in an orbit prefix.
-
-    Walks the sequence with a doubling checkpoint (Brent's schedule),
-    comparing complex values under relative tolerance ``tol``. Returns
-    ``(period, entry)`` for the first match, where ``entry`` is the
-    first index at which the orbit agrees with itself one period later,
-    or None if the prefix never repeats.
-    """
-    vals = np.asarray(values, dtype=np.complex128)
-    tortoise = 0
-    power = 1
-    lam = 0
-    for i in range(1, len(vals)):
-        lam += 1
-        ref = vals[tortoise]
-        if abs(vals[i] - ref) <= tol * abs(ref):
-            return lam, _cycle_entry(vals, lam, i, tol)
-        if lam == power:
-            tortoise = i
-            power *= 2
-            lam = 0
-    return None
-
-
 def iterate_orbit(
     f: FunctionExpr, z0: complex, cfg: ClassifierConfig = DEFAULT_CONFIG
 ) -> OrbitRecord:
@@ -492,8 +461,6 @@ def iterate_orbit(
     at that period.
     """
     seed = complex(z0)
-    if not (math.isfinite(seed.real) and math.isfinite(seed.imag)):
-        raise ValueError("seed must be finite")
     history = _History([], [], [])
     state = _run_batch(f.root, np.array([seed]), cfg, history)
     values = np.array(history.values, dtype=np.complex128)

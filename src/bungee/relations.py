@@ -188,6 +188,11 @@ class RelationReport:
         return json.dumps(self.to_dict())
 
 
+def _check_tol(tol: float) -> None:
+    if not 0 < tol < np.inf:  # also refuses NaN
+        raise ValueError("tol must be finite and positive")
+
+
 def check_permutable(
     f: FunctionExpr,
     g: FunctionExpr,
@@ -201,8 +206,7 @@ def check_permutable(
     and counted. Raises when ``tol`` is not finite and positive, or when
     no sample is evaluable.
     """
-    if not 0 < tol < np.inf:  # also refuses NaN
-        raise ValueError("tol must be finite and positive")
+    _check_tol(tol)
     seeds = plan.seeds()
     fg_vals, fg_ev = eval_array(compose(f, g).root, seeds)
     gf_vals, gf_ev = eval_array(compose(g, f).root, seeds)
@@ -386,6 +390,7 @@ def verify_relation(
     """
     if workers < 1:
         raise ValueError("workers must be positive")
+    _check_tol(tol)
     if isinstance(rel, str):
         rel = RelationId(rel)
     row = _RELATIONS[rel]

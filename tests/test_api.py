@@ -25,7 +25,6 @@ PUBLIC_NAMES = [
     "classify",
     "classify_batch",
     "classify_point",
-    "detect_cycle",
     "iterate_orbit",
     "GridSpec",
     "Raster",

@@ -406,8 +406,18 @@ def test_verify_runtime_error_is_exit_two():
             )
             for tol in ("inf", "nan", "0", "-1")
         ],
+        # KSwap never uses the tol, yet a malformed one is still refused.
+        *[
+            (
+                ["--relation=KSwap", "--f=z+sin(z)", "--g=z+sin(z)+2*pi",
+                 "--samples=grid:-1,1,-1,1:3x3", f"--tol={tol}"],
+                "error: tol must be finite and positive\n",
+            )
+            for tol in ("inf", "nan", "0")
+        ],
     ],
-    ids=["non-permutable-pair", "missing-g", "missing-phi", "tol-inf", "tol-nan", "tol-0", "tol-negative"],
+    ids=["non-permutable-pair", "missing-g", "missing-phi", "tol-inf", "tol-nan", "tol-0", "tol-negative",
+         "kswap-tol-inf", "kswap-tol-nan", "kswap-tol-0"],
 )
 def test_verify_input_refusals_exit_one(tmp_path, argv, message):
     target = tmp_path / "report.json"

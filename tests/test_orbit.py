@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import dataclasses
 import math
+from typing import Optional, Sequence
 
 import numpy as np
 import pytest
@@ -26,13 +27,20 @@ from bungee import (
     classify,
     classify_batch,
     classify_point,
-    detect_cycle,
     get_example,
     iterate_orbit,
     list_examples,
     parse,
 )
-from bungee.orbit import _CYCLE, _OVERFLOWED, DEFAULT_CONFIG, BatchState, _History, _run_batch
+from bungee.orbit import (
+    _CYCLE,
+    _OVERFLOWED,
+    DEFAULT_CONFIG,
+    BatchState,
+    _cycle_entry,
+    _History,
+    _run_batch,
+)
 
 # Config used by the sine-pair and drift examples: their orbits creep
 # outward at ~2*pi per step, so escape must be read at a lower radius.
@@ -120,6 +128,33 @@ def reference_peaks(moduli: np.ndarray, cfg: ClassifierConfig) -> tuple[tuple[in
         elif mv < cfg.r_bound:
             armed = True
     return tuple(peaks)
+
+
+def reference_cycle(
+    values: Sequence[complex], tol: float
+) -> Optional[tuple[int, int]]:
+    """Find a near-repeat in an orbit prefix.
+
+    Walks the sequence with a doubling checkpoint (Brent's schedule),
+    comparing complex values under relative tolerance ``tol``. Returns
+    ``(period, entry)`` for the first match, where ``entry`` is the
+    first index at which the orbit agrees with itself one period later,
+    or None if the prefix never repeats.
+    """
+    vals = np.asarray(values, dtype=np.complex128)
+    tortoise = 0
+    power = 1
+    lam = 0
+    for i in range(1, len(vals)):
+        lam += 1
+        ref = vals[tortoise]
+        if abs(vals[i] - ref) <= tol * abs(ref):
+            return lam, _cycle_entry(vals, lam, i, tol)
+        if lam == power:
+            tortoise = i
+            power *= 2
+            lam = 0
+    return None
 
 
 # --- configuration -------------------------------------------------------
@@ -262,7 +297,7 @@ def test_non_finite_seed_is_rejected():
         iterate_orbit(parse("z"), complex(0, math.nan))
 
 
-# --- detect_cycle --------------------------------------------------------
+# --- reference_cycle -----------------------------------------------------
 
 
 def test_detect_cycle_on_settled_fixed_point():
@@ -270,7 +305,7 @@ def test_detect_cycle_on_settled_fixed_point():
     q = bisect(lambda x: 0.3 * math.exp(x) - x, 0.0, 1.0)
     assert abs(q - 0.4894) < 5e-4
     settled = np.full(10, complex(q))
-    assert detect_cycle(settled, 1e-12) == (1, 0)
+    assert reference_cycle(settled, 1e-12) == (1, 0)
     rec = iterate_orbit(parse("0.3*exp(z)"), q)
     assert isinstance(rec.termination, CycleFound)
     assert rec.termination.period == 1
@@ -279,20 +314,20 @@ def test_detect_cycle_on_settled_fixed_point():
 
 def test_detect_cycle_sees_no_cycle_in_alternating_escape():
     vals = np.array(inverse_square_orbit(0.5), dtype=np.complex128)
-    assert detect_cycle(vals, 1e-12) is None
+    assert reference_cycle(vals, 1e-12) is None
 
 
 def test_detect_cycle_after_transient():
     # i -> -1 -> 1 -> 1 -> ..., exact on units.
     vals = np.array([1j, -1, 1, 1, 1], dtype=np.complex128)
-    assert detect_cycle(vals, 1e-12) == (1, 2)
+    assert reference_cycle(vals, 1e-12) == (1, 2)
     rec = iterate_orbit(parse("1/pow(z,2)"), 1j)
     assert rec.termination == CycleFound(1, 2)
 
 
 def test_detect_cycle_reports_least_period():
     two_cycle = np.array([2, 0.5, 2, 0.5, 2, 0.5], dtype=np.complex128)
-    assert detect_cycle(two_cycle, 1e-12) == (2, 0)
+    assert reference_cycle(two_cycle, 1e-12) == (2, 0)
 
 
 # --- classify ------------------------------------------------------------
@@ -366,7 +401,7 @@ def test_thresholds_at_equality(text, verdict, peaks):
     codes, state = classify_batch(f, np.zeros(1, dtype=np.complex128), return_state=True)
     rec = iterate_orbit(f, 0)
     assert codes[0] == classify_point(f, 0) == verdict
-    assert int(state.n_peaks[0]) == len(rec.peaks) == peaks
+    assert int(state.n_returns[0] + state.in_peak[0]) == len(rec.peaks) == peaks
     assert int(state.kind[0]) == _CYCLE and rec.termination == CycleFound(1, 1)
     assert state.cycle_max[0] == rec.global_max == float(text)
 
@@ -375,15 +410,18 @@ def test_thresholds_at_equality(text, verdict, peaks):
 # maximum, a lane exactly on it is still judged by its own modulus:
 # z -> c/z swaps 1 with c, and 0.5 with 2c.
 @pytest.mark.parametrize(
-    "c, name, expected",
-    [("1000000", "n_peaks", [0, 2]), ("1e150", "kind", [_CYCLE, _OVERFLOWED])],
+    "c, read, expected",
+    [
+        ("1000000", lambda state: state.n_returns + state.in_peak, [0, 2]),  # peak counts
+        ("1e150", lambda state: state.kind, [_CYCLE, _OVERFLOWED]),
+    ],
     ids=["r_esc", "overflow_guard"],
 )
-def test_threshold_equality_beside_a_lane_past_it(c, name, expected):
+def test_threshold_equality_beside_a_lane_past_it(c, read, expected):
     f = parse(f"{c}/z")
     seeds = np.array([1, 0.5], dtype=np.complex128)
     codes, state = classify_batch(f, seeds, return_state=True)
-    assert getattr(state, name).tolist() == expected
+    assert read(state).tolist() == expected
     assert codes.tolist() == [classify_point(f, z) for z in seeds]
 
 
@@ -603,13 +641,14 @@ def test_reference_rules_classify_and_batch_agree(name, f, cfg):
         rec = iterate_orbit(f, complex(seed), cfg)
         want = reference_verdict(rec, cfg)
         assert classify(rec, cfg) == want == Classification(int(codes[i])), complex(seed)
-        assert rec.returns == int(state.n_returns[i]) and len(rec.peaks) == int(state.n_peaks[i])
+        assert rec.returns == int(state.n_returns[i])
+        assert len(rec.peaks) == int(state.n_returns[i] + state.in_peak[i])
 
 
 @pytest.mark.parametrize("cfg", [DEFAULT_CONFIG, DRIFT_CFG], ids=["default", "drift"])
 @pytest.mark.parametrize("name, f", AGREEMENT_MAPS, ids=[name for name, _ in AGREEMENT_MAPS])
 def test_cycle_records_match_detect_cycle(name, f, cfg):
-    """A record's `CycleFound` is what `detect_cycle` finds in its values.
+    """A record's `CycleFound` is what `reference_cycle` finds in its values.
 
     The record takes its period from the engine and its entry from one
     whole-array scan; the scalar Brent walk over the recorded values must
@@ -625,7 +664,7 @@ def test_cycle_records_match_detect_cycle(name, f, cfg):
         rec = iterate_orbit(f, complex(seed), cfg)
         assert isinstance(rec.termination, CycleFound), complex(seed)
         period, entry = rec.termination.period, rec.termination.entry
-        assert detect_cycle(rec.values, cfg.cycle_tol) == (period, entry), complex(seed)
+        assert reference_cycle(rec.values, cfg.cycle_tol) == (period, entry), complex(seed)
 
 
 @pytest.mark.parametrize(
@@ -673,7 +712,7 @@ def test_overlapping_peaks_keep_per_lane_bookkeeping():
         first_peaks.add(rec.peaks[0][0])
         returned = [bool((rec.moduli[k:] < cfg.r_bound).any()) for k, _ in rec.peaks]
         assert int(state.n_returns[i]) == sum(returned) >= 3
-        assert int(state.n_peaks[i]) == len(rec.peaks)
+        assert int(state.n_returns[i] + state.in_peak[i]) == len(rec.peaks)
         values = [v for _, v in rec.peaks]
         done = values[: sum(returned)]
         assert state.cur_peak[i] == values[-1] and state.last_peak[i] == done[-1]

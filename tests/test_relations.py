@@ -133,10 +133,21 @@ def test_tolerance_must_be_positive():
         check_permutable(SINE, SINE, SamplePlan.explicit([0]), tol=0.0)
 
 
-@pytest.mark.parametrize("tol", [math.inf, -math.inf, math.nan, -1e-9])
-def test_tolerance_must_be_finite_and_positive(tol):
+BAD_TOLS = [math.inf, -math.inf, math.nan, -1e-9]
+
+
+# KSwap runs no permutability check, so `verify_relation` refuses the tol itself.
+@pytest.mark.parametrize(
+    "relation, tol",
+    [pytest.param(None, tol, id=str(tol)) for tol in BAD_TOLS]
+    + [pytest.param(RelationId.K_SWAP, tol, id=f"KSwap-{tol}") for tol in (*BAD_TOLS, 0.0)],
+)
+def test_tolerance_must_be_finite_and_positive(relation, tol):
     with pytest.raises(ValueError, match="tol must be finite and positive"):
-        check_permutable(SINE, SINE, SamplePlan.explicit([0]), tol=tol)
+        if relation is None:
+            check_permutable(SINE, SINE, SamplePlan.explicit([0]), tol=tol)
+        else:
+            verify_relation(relation, SINE, SamplePlan.explicit([0]), g=SINE_SHIFTED, tol=tol)
 
 
 # --- verify_relation -----------------------------------------------------

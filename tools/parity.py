@@ -15,9 +15,9 @@ commit and the working tree) and comparing the directories with
 - ``verify`` JSON for all ten relations, on each catalog entry's pair,
   over a grid plan and a list plan, under both configs, in both
   ``--equality`` modes;
-- the exit codes of three inputs ``verify`` refuses, and of the
-  permutability check run with a ``--tol`` that is not finite and
-  positive;
+- the exit codes of three inputs ``verify`` refuses, and of a ``--tol``
+  that is not finite and positive, given to the permutability check and
+  to ``KSwap``, which never reads it;
 - ``render`` output (PPM, ``--boundary`` PBM and ``--json``) for every
   map of the catalog on two small grids, under both configs; the grid
   around z = 1 gives ``1/pow(z,2)`` a non-empty boundary;
@@ -32,7 +32,8 @@ commit and the working tree) and comparing the directories with
 Every command runs in process through ``bungee.cli.main``. Its exit code
 and the first line of its standard error go to ``exits.tsv``, so a
 command that fails still leaves a comparable record. The sweep writes
-1,053 files and takes about 35 s in one process on a two-core machine.
+1,053 files, 982 exit codes among them in ``exits.tsv``, and takes about
+35 s in one process on a two-core machine.
 """
 
 from __future__ import annotations
@@ -77,7 +78,7 @@ REFUSALS = {
     "conjugacy-without-phi": ["--relation=ConjugacyTransport", "--f=0.3*exp(z)",
                               "--samples=grid:-2,2,-2,2:7x5"],
 }
-# Tolerances the permutability check refuses, and scales `examples run` refuses.
+# Tolerances `verify` refuses, and scales `examples run` refuses.
 TOL_REFUSALS = ("inf", "nan", "0")
 SCALE_REFUSALS = ("0", "2", "nan", "inf", "-1")
 
@@ -173,6 +174,9 @@ def write_outputs(outdir: Path) -> int:
     for tol in TOL_REFUSALS:
         run(f"refusal-tol-{tol}", ["verify", *REFUSALS["affine-not-permutable"], f"--tol={tol}"],
             capture=False)
+        run(f"refusal-kswap-tol-{tol}", ["verify", "--relation=KSwap", "--f=z+sin(z)",
+                                         "--g=z+sin(z)+2*pi", "--samples=grid:-1,1,-1,1:3x3",
+                                         f"--tol={tol}"], capture=False)
 
     for entry in entries:
         run(f"examples-{entry.id}.json", ["--format", "json", "examples", "run",
