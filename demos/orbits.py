@@ -33,10 +33,14 @@ print("transient into the 1-cycle from i:", cycle)
 print(f"  i -> -1 -> 1: period {cycle.period}, entered at iterate {cycle.entry}")
 
 # A slow escaper: z + sin(z) + 2*pi drifts outward by 2*pi per step, far
-# too slowly for the default escape radius of 1e6. Its catalog entry
-# ships a config that reads escape at a lower radius.
+# too slowly to reach the default escape radius of 1e6 within the budget.
+# But interval evaluation proves that the map moves every point of the
+# real ray [1/16, inf) right by at least 2*pi - 1, so the orbit of 0 is a
+# certified escape as soon as a Brent checkpoint finds it on that ray:
+# at step 1, under any config.
 drift = parse("z+sin(z)+2*pi")
 print("\ndrift at default config:", classify_point(drift, 0))
+print("  termination:", iterate_orbit(drift, 0).termination)
 drift_cfg = ClassifierConfig(max_iter=2000, r_bound=100.0, r_esc=1e3)
 print("drift at drift config:  ", classify_point(drift, 0, drift_cfg))
 

@@ -33,7 +33,9 @@ print("exp pair:  max deviation", perm.max_dev, "-> permutable:", perm.permutabl
 # KSwap: a seed whose f-orbit stays bounded under the composite g(f)
 # must map under f into the bounded set of f(g). The sine pair drifts
 # too slowly for the default escape radius, so its catalog config
-# lowers the thresholds; only part of the grid resolves either way.
+# lowers the thresholds. Every seed resolves: orbits that never reach
+# the radius settle onto the real axis, on a ray that interval
+# evaluation proves both composites move right, a certified escape.
 drift_cfg = ClassifierConfig(max_iter=2000, r_bound=100.0, r_esc=1e3)
 rep = verify_relation(RelationId.K_SWAP, f, plan, g=g, cfg=drift_cfg)
 print("\nKSwap over", rep.sample_count, "seeds:")

@@ -20,6 +20,7 @@ from .expr import (
 )
 from .orbit import (
     Classification,
+    CertifiedEscape,
     ClassifierConfig,
     Completed,
     CycleFound,
@@ -69,6 +70,7 @@ __all__ = [
     "format_expr",
     "parse",
     "Classification",
+    "CertifiedEscape",
     "ClassifierConfig",
     "Completed",
     "CycleFound",

@@ -3,9 +3,19 @@
 A seed is iterated under a map until one of: the iteration budget runs
 out (`Completed`), the orbit leaves the trusted dynamic range or an
 evaluation event fires (`Overflowed`), a near-repeat of an earlier value
-is found (`CycleFound`), or the map is evaluated at its pole 0
-(`PoleHit`, oracle maps only). Orbits that shrink toward 0 are never cut
-short: they are left to settle into a cycle.
+is found (`CycleFound`), the map is evaluated at its pole 0 (`PoleHit`,
+oracle maps only), or, at a Brent checkpoint, the iterate lies in a
+region that the map provably moves outward (`CertifiedEscape`). Orbits
+that shrink toward 0 are never cut short: they are left to settle into a
+cycle.
+
+The regions are half-planes and real rays that `bungee.certify` proves
+for the map, once per `classify_batch` or `iterate_orbit` call, by
+interval evaluation of its compiled program: on such a region ``Re(f(z)/u)
+>= Re(z/u) + delta`` with ``delta > 0``, so every orbit that enters it
+escapes. The Fatou map ``z+1+exp(-z)`` has ``Re z >= 1/16``; a map
+without such a region, like ``1/pow(z,2)``, runs as it would without
+the search.
 
 Along the way the orbit's excursions are tracked against two radii. A
 *peak* is registered when the modulus first exceeds ``r_esc`` after a
@@ -20,11 +30,12 @@ Verdicts are assigned by the first matching rule:
 1. Bounded: a detected cycle whose moduli all stay within ``r_bound``,
    or a completed orbit that never left ``r_bound``.
 2. Bungee: at least ``min_alternations`` returns with every consecutive
-   peak pair growing by factor ``peak_growth``, regardless of how the
-   orbit terminated.
-3. Escaping: overflow with fewer than ``min_alternations`` returns, or a
-   completed orbit whose last ``tail_window`` moduli all exceed ``r_esc``
-   with the final iterate attaining the orbit's maximum.
+   peak pair growing by factor ``peak_growth``, unless the orbit ended
+   at a pole or with a certified escape.
+3. Escaping: a certified escape, overflow with fewer than
+   ``min_alternations`` returns, or a completed orbit whose last
+   ``tail_window`` moduli all exceed ``r_esc`` with the final iterate
+   attaining the orbit's maximum.
 4. Unresolved otherwise. A pole hit always forces Unresolved.
 
 The rules are written once, vectorized, in `_verdicts`. One engine,
@@ -34,10 +45,11 @@ engine state an `OrbitRecord` keeps, so verdicts are identical across
 all of them by construction. Run on one seed, the engine also records
 the iterates and the steps at which it started and ended each peak,
 which is all `iterate_orbit` needs to place the record's peaks. The
-engine compiles the map once per run (`compile_expr`) and evaluates that
-flat program once per step over the live lanes only: when an orbit ends,
-its state is written to the output once and the working arrays are
-compacted. Every lane starts at step 0, so all live lanes share one
+engine takes the map compiled once per call (`compile_expr`) and
+evaluates that flat program once per step over the live lanes only,
+testing the regions only at checkpoints. When an orbit ends, its state
+is written to the output once and the working arrays are compacted.
+Every lane starts at step 0, so all live lanes share one
 Brent checkpoint schedule for cycle detection (Brent 1980). A step in
 which no lane ends costs its arithmetic and a few whole-array tests; it
 builds a lane mask only when a test fires. Peak starts and returns
@@ -58,7 +70,8 @@ from typing import NamedTuple, Optional, Union
 
 import numpy as np
 
-from .expr import EVENT_NONE, EVENT_POLE, FunctionExpr, _ignoring_errors, compile_expr, eval_array
+from .certify import Region, escape_regions, locate
+from .expr import EVENT_NONE, EVENT_POLE, FunctionExpr, Program, _ignoring_errors, compile_expr, eval_array
 
 __all__ = [
     "Classification",
@@ -68,6 +81,7 @@ __all__ = [
     "Overflowed",
     "CycleFound",
     "PoleHit",
+    "CertifiedEscape",
     "Termination",
     "OrbitRecord",
     "BatchState",
@@ -191,7 +205,17 @@ class PoleHit:
     step: int
 
 
-Termination = Union[Completed, Overflowed, CycleFound, PoleHit]
+@dataclass(frozen=True)
+class CertifiedEscape:
+    """At ``step``, a Brent checkpoint, the iterate lay in ``region``, a
+    half-plane or real ray that the map provably moves outward, so the
+    orbit escapes (see `bungee.certify`)."""
+
+    step: int
+    region: str
+
+
+Termination = Union[Completed, Overflowed, CycleFound, PoleHit, CertifiedEscape]
 
 
 @dataclass(frozen=True)
@@ -226,6 +250,7 @@ _COMPLETED = 1
 _OVERFLOWED = 2
 _CYCLE = 3
 _POLE = 4
+_CERTIFIED = 5
 
 # Seeds per engine run in `classify_batch`: wide enough to amortize numpy's
 # per-call cost over many lanes, narrow enough to bound per-run memory.
@@ -238,6 +263,8 @@ class BatchState:
 
     Derived facts are not stored: the final modulus is ``|z|``, and the
     peak count is ``n_returns + in_peak`` (every peak but an open one returned).
+    ``region`` is the index, in the run's regions, of the region a
+    certified lane ended in, and -1 for every other lane.
     """
 
     z: np.ndarray
@@ -252,6 +279,7 @@ class BatchState:
     escalation_ok: np.ndarray
     global_max: np.ndarray
     tail_min: np.ndarray
+    region: np.ndarray
 
 
 # BatchState fields that change while a lane runs. `_Lanes` holds them for
@@ -305,9 +333,10 @@ class _History(NamedTuple):
 
 
 def _run_batch(
-    root,
+    program: Program,
     seeds: np.ndarray,
     cfg: ClassifierConfig,
+    regions: tuple[Region, ...],
     history: Optional[_History] = None,
 ) -> BatchState:
     z = np.array(seeds, dtype=np.complex128).ravel()
@@ -317,7 +346,6 @@ def _run_batch(
     if not np.isfinite(z).all():
         raise ValueError("seeds must be finite")
 
-    program = compile_expr(root)
     guard = cfg.overflow_guard
     tail_from = cfg.max_iter - cfg.tail_window  # steps beyond this feed the tail
 
@@ -335,6 +363,7 @@ def _run_batch(
         escalation_ok=np.ones(n, dtype=bool),
         global_max=m,
         tail_min=np.full(n, np.inf),
+        region=np.full(n, -1, dtype=np.int8),
     )
     if history is not None:
         history.values.append(complex(z[0]))
@@ -403,6 +432,12 @@ def _run_batch(
                 out.cycle_max[ids] = w.win_max[near]
                 w.end(out, near, _CYCLE, step)
             if lam == power:
+                if regions:
+                    which = locate(regions, w.z)
+                    inside = which >= 0
+                    if np.count_nonzero(inside):
+                        out.region[w.idx[inside]] = which[inside]
+                        w.end(out, inside, _CERTIFIED, step)
                 np.maximum(w.global_max, w.win_max, out=w.global_max)
                 w.tortoise = w.z
                 w.tol_tort = cfg.cycle_tol * np.abs(w.z)
@@ -418,7 +453,7 @@ def _verdicts(state: BatchState, cfg: ClassifierConfig) -> np.ndarray:
     """Rules 1-4 of the module docstring, one `Classification` code per lane.
 
     Later assignments win, so the rules apply in order; a pole hit matches
-    neither rule 1 nor rule 3, and rule 2 excludes it.
+    neither rule 1 nor rule 3, and rule 2 excludes it and a certified escape.
     """
     kind = state.kind
     completed = kind == _COMPLETED
@@ -427,8 +462,8 @@ def _verdicts(state: BatchState, cfg: ClassifierConfig) -> np.ndarray:
     pending_weak = state.in_peak & (state.cur_peak < cfg.peak_growth * state.last_peak)
 
     bounded = ((kind == _CYCLE) & (state.cycle_max <= cfg.r_bound)) | (completed & (state.global_max <= cfg.r_bound))
-    bungee = (kind != _POLE) & ~few_returns & state.escalation_ok & ~pending_weak
-    escaping = ((kind == _OVERFLOWED) & few_returns) | (
+    bungee = (kind != _POLE) & (kind != _CERTIFIED) & ~few_returns & state.escalation_ok & ~pending_weak
+    escaping = (kind == _CERTIFIED) | ((kind == _OVERFLOWED) & few_returns) | (
         completed & (state.tail_min > cfg.r_esc) & (np.abs(state.z) >= state.global_max)
     )
     codes = np.full(kind.shape, int(Classification.UNRESOLVED), dtype=np.int8)
@@ -458,11 +493,13 @@ def iterate_orbit(
     Peaks are placed from the engine's start and return steps. A
     `CycleFound` termination takes its period from the engine state and
     finds its entry in one whole-array comparison of the recorded values
-    at that period.
+    at that period; a `CertifiedEscape` names its region.
     """
     seed = complex(z0)
     history = _History([], [], [])
-    state = _run_batch(f.root, np.array([seed]), cfg, history)
+    program = compile_expr(f)
+    regions = escape_regions(program)
+    state = _run_batch(program, np.array([seed]), cfg, regions, history)
     values = np.array(history.values, dtype=np.complex128)
     moduli = np.abs(values)
     spans = zip(history.starts, history.returns + [len(moduli)])  # an open peak runs to the end
@@ -475,6 +512,8 @@ def iterate_orbit(
         termination = Overflowed(int(state.term_step[0]))
     elif k == _POLE:
         termination = PoleHit(int(state.term_step[0]))
+    elif k == _CERTIFIED:
+        termination = CertifiedEscape(int(state.term_step[0]), str(regions[state.region[0]]))
     else:
         period = int(state.period[0])
         entry = _cycle_entry(values, period, int(state.term_step[0]), cfg.cycle_tol)
@@ -525,20 +564,23 @@ def classify_batch(
     both apply `_verdicts` to the same engine's state.
     Seeds run in fixed chunks of independent lanes; a chunk's state is
     dropped unless ``return_state`` keeps it, so memory stays bounded.
+    The map is compiled, and its escape regions found, once per call.
     """
     seeds = np.asarray(seeds, dtype=np.complex128)
     flat = seeds.ravel()
     codes = np.empty(flat.size, dtype=np.int8)
     states = []
+    program = compile_expr(f)
+    regions = escape_regions(program)
     for lo in range(0, flat.size, _CHUNK):
-        state = _run_batch(f.root, flat[lo : lo + _CHUNK], cfg)
+        state = _run_batch(program, flat[lo : lo + _CHUNK], cfg, regions)
         codes[lo : lo + _CHUNK] = _verdicts(state, cfg)
         if return_state:
             states.append(state)
     codes = codes.reshape(seeds.shape)
     if not return_state:
         return codes
-    states = states or [_run_batch(f.root, flat, cfg)]  # zero chunks: empty state
+    states = states or [_run_batch(program, flat, cfg, regions)]  # zero chunks: empty state
     merged = {
         k.name: np.concatenate([getattr(s, k.name) for s in states]) for k in fields(BatchState)
     }

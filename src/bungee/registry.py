@@ -184,9 +184,11 @@ def _fixed_point_bisection(lam: float, lo: float, hi: float) -> float:
     return 0.5 * (lo + hi)
 
 
-# Slow linear drift needs a longer budget and lower radii to resolve as
+# Slow linear drift needed a longer budget and lower radii to resolve as
 # escape within the iteration limit: the sine pair runs under it, and so
-# does the Fatou pair's escape-invariance expectation.
+# does the Fatou pair's escape-invariance expectation. Their drifting
+# orbits now end as certified escapes under any config; the entries keep
+# this one, which is part of the exported catalog.
 _DRIFT_CFG = ClassifierConfig(max_iter=2000, r_bound=100.0, r_esc=1e3)
 
 

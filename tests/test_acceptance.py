@@ -19,6 +19,7 @@ import numpy as np
 from hypothesis import assume, given, settings
 
 from bungee import (
+    CertifiedEscape,
     Classification,
     ClassifierConfig,
     SamplePlan,
@@ -60,10 +61,14 @@ def bisect(h, lo: float, hi: float) -> float:
 
 def test_criterion_01_sine_pair_orbit_oracle():
     started = time.perf_counter()
+    z, drift_dev = 0j, 0.0
+    for n in range(1, 31):
+        z = evaluate(SINE_SHIFTED, z)
+        drift_dev = max(drift_dev, abs(z - 2 * math.pi * n))
+    # 2*pi lies on the real ray the map provably moves right by at least
+    # 2*pi - 1 a step, so the orbit of 0 is certified at its first checkpoint.
     rec = iterate_orbit(SINE_SHIFTED, 0, SINE_CFG)
-    drift_dev = max(
-        abs(rec.moduli[n] - 2 * math.pi * n) for n in range(31)
-    )
+    assert rec.termination == CertifiedEscape(1, "z in [0.0625, inf)")
     verdict_g = classify_point(SINE_SHIFTED, 0, SINE_CFG)
     verdict_f = classify_point(SINE, 0, SINE_CFG)
     fixed_verdicts = [

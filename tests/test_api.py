@@ -16,6 +16,7 @@ PUBLIC_NAMES = [
     "format_expr",
     "parse",
     "Classification",
+    "CertifiedEscape",
     "ClassifierConfig",
     "Completed",
     "CycleFound",

@@ -1,0 +1,344 @@
+"""Escape certificates: the interval interpreter, the region search and the
+engine's certified termination.
+
+Soundness is checked two ways at random points of random boxes, some with
+infinite sides: against `eval_array`, whose float value may differ from
+the exact one by rounding (hence a relative slack of 1e-9), and against
+`mpmath.iv` at 113 bits, which encloses the exact value at the point, so
+that check has no slack. mpmath is a test dependency only: the package
+never imports it.
+"""
+
+from __future__ import annotations
+
+import math
+import operator
+import subprocess
+import sys
+from pathlib import Path
+
+import numpy as np
+import pytest
+from hypothesis import assume, given, settings, strategies as st
+from mpmath import iv
+
+import bungee.orbit
+from bungee import (
+    CertifiedEscape,
+    Classification,
+    CycleFound,
+    GridSpec,
+    classify_batch,
+    classify_point,
+    compose,
+    conjugate,
+    get_example,
+    iterate_orbit,
+    list_examples,
+    parse,
+)
+from bungee.certify import LADDER, Region, certifies, enclose, escape_regions, locate
+from bungee.expr import EVENT_NONE, compile_expr, eval_array
+from bungee.orbit import _CERTIFIED, _CYCLE, DEFAULT_CONFIG, _run_batch
+
+from strategies import expression_strings
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+iv.prec = 113
+
+
+def catalog_maps() -> dict:
+    maps = {}
+    for ex_id, _ in list_examples():
+        entry = get_example(ex_id)
+        for h in (entry.f, entry.g):
+            if h is not None:
+                maps[str(h)] = h
+        if entry.g is not None:
+            for h in (compose(entry.f, entry.g), compose(entry.g, entry.f)):
+                maps[str(h)] = h
+    for text in ("z+1+exp(-z)", "0.3*exp(z)", "z+sin(z)+2*pi", "1/pow(z,2)"):
+        for a, b in ((2, 1), (1j, 0.5), (0.5 - 0.5j, -1)):
+            h = conjugate(parse(text), a, b)
+            maps[str(h)] = h
+    for text in ("z+1", "z*z-1", "1/pow(z,2)-1", "z*cos(z)-2*z", "pow(z+1,3)/(z-2*i)"):
+        maps[text] = parse(text)
+    return maps
+
+
+MAPS = catalog_maps()
+
+
+@st.composite
+def box_and_points(draw):
+    """A rectangle with sides possibly infinite, and points inside it within
+    40 of its finite sides."""
+    sides, coords = [], []
+    for _ in range(2):
+        lo = draw(st.one_of(st.just(-math.inf), st.floats(-30, 30)))
+        hi = draw(st.one_of(st.just(math.inf), st.floats(0, 40).map(lambda w: (0.0 if lo == -math.inf else lo) + w)))
+        if lo == -math.inf and hi != math.inf:
+            pick = st.floats(0, 40).map(lambda s: hi - s)
+        elif lo == -math.inf:
+            pick = st.floats(-40, 40)
+        elif hi == math.inf:
+            pick = st.floats(0, 40).map(lambda s: lo + s)
+        else:
+            pick = st.floats(0, 1).map(lambda t: min(hi, lo + t * (hi - lo)))
+        sides.append((lo, hi))
+        coords.append(draw(st.lists(pick, min_size=4, max_size=4)))
+    return tuple(sides), [complex(x, y) for x, y in zip(*coords)]
+
+
+def contains(interval, value, slack=0.0) -> bool:
+    return interval[0] - slack <= value <= interval[1] + slack
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from(sorted(MAPS)), box_and_points())
+def test_enclosure_holds_every_float_value(name, sample):
+    box, points = sample
+    program = compile_expr(MAPS[name])
+    alpha, (re, im) = enclose(program, box)
+    values, events = eval_array(program, np.array(points))
+    for z, v, ev in zip(points, values, events):
+        if ev != EVENT_NONE or not np.isfinite(v):
+            continue
+        d = complex(v) - alpha * z
+        slack = 1e-9 * (1 + abs(v) + abs(alpha * z))
+        assert contains(re, d.real, slack) and contains(im, d.imag, slack), (name, box, z, v)
+
+
+BINARY = {"+": operator.add, "-": operator.sub, "*": operator.mul, "/": operator.truediv}
+
+
+def iv_eval(program, z):
+    """The map at ``z`` in `mpmath.iv` arithmetic, a walk of the same program."""
+    stack, env = [], [z]
+    for op, _, arg in program.code:
+        if op == "load":
+            c = None if arg is None else complex(arg)
+            stack.append(env[-1] if c is None else iv.mpc(iv.mpf(c.real), iv.mpf(c.imag)))
+        elif op == "bind":
+            env.append(stack.pop())
+        elif op == "unbind":
+            env.pop()
+        elif op == "neg":
+            stack.append(-stack.pop())
+        elif op == "pow":
+            stack.append(stack.pop() ** arg)
+        elif op in ("exp", "sin", "cos"):
+            stack.append(getattr(iv, op)(stack.pop()))
+        else:
+            y, x = stack.pop(), stack.pop()
+            stack.append(BINARY[op](x, y))
+    return stack.pop()
+
+
+def exact_value_inside(program, box, z) -> bool:
+    """``f(z) - alpha*z``, enclosed by mpmath at 113 bits, meets ``I``."""
+    alpha, (re, im) = enclose(program, box)
+    point = iv.mpc(iv.mpf(z.real), iv.mpf(z.imag))
+    rest = iv_eval(program, point) - iv.mpf(alpha.numerator) / alpha.denominator * point
+    for part, (lo, hi) in ((rest.real, re), (rest.imag, im)):
+        if not (part.a <= hi and part.b >= lo):
+            return False
+    return True
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from(sorted(MAPS)), box_and_points())
+def test_enclosure_holds_the_exact_value_of_every_map(name, sample):
+    box, points = sample
+    program = compile_expr(MAPS[name])
+    for z in points:
+        try:
+            assert exact_value_inside(program, box, z), (name, box, z)
+        except ZeroDivisionError:  # mpmath refuses a point at a pole
+            continue
+
+
+@settings(max_examples=200, deadline=None)
+@given(expression_strings(max_leaves=8), box_and_points())
+def test_enclosure_holds_the_exact_value_of_random_maps(text, sample):
+    box, points = sample
+    program = compile_expr(parse(text))
+    for z in points:
+        try:
+            inside = exact_value_inside(program, box, z)
+        except (ZeroDivisionError, OverflowError, ValueError):
+            assume(False)
+        assert inside, (text, box, z)
+
+
+def test_enclosures_meet_mpmath_box_enclosures():
+    """On finite boxes both enclosures hold the image of the box, so they meet."""
+    rng = np.random.default_rng(7)
+    for name, f in MAPS.items():
+        program = compile_expr(f)
+        for _ in range(5):
+            lo = rng.uniform(-3, 3, 2)
+            box = tuple((float(a), float(a + w)) for a, w in zip(lo, rng.uniform(0.01, 2, 2)))
+            alpha, (re, im) = enclose(program, box)
+            b_re, b_im = ((a * alpha, b * alpha) if alpha >= 0 else (b * alpha, a * alpha) for a, b in box)
+            try:
+                image = iv_eval(program, iv.mpc(iv.mpf(list(box[0])), iv.mpf(list(box[1]))))
+            except ZeroDivisionError:
+                continue
+            for part, (lo_i, hi_i), (lo_b, hi_b) in ((image.real, re, b_re), (image.imag, im, b_im)):
+                assert part.a <= hi_i + hi_b and part.b >= lo_i + lo_b, (name, box)
+
+
+# --- the region search ----------------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "text, regions",
+    [
+        ("z+1+exp(-z)", ["Re z >= 0.0625"]),
+        ("z+1+exp(-z)+2*pi*i", ["Re z >= 0.0625"]),
+        ("z+1", ["Re z >= 0.0625"]),
+        ("z+sin(z)+2*pi", ["z in [0.0625, inf)"]),
+        ("-z-2*i", []),  # alpha = -1
+        ("z-3*i", ["Im z <= -0.0625"]),
+        ("2*z+1", ["Re z >= 0.0625"]),  # alpha = 2, an exact scale
+        ("1.01*z", []),  # alpha > 1, but no margin delta
+        # negative controls: no steady outward motion anywhere
+        ("exp(-z-1)+1", []),
+        ("z", []),
+        ("z+sin(z)", []),
+        ("0.5*z", []),
+        ("1/pow(z,2)", []),
+        ("0.3*exp(z)", []),
+        ("exp(z)", []),
+        ("z*z-1", []),
+    ],
+)
+def test_certified_regions(text, regions):
+    assert [str(r) for r in escape_regions(compile_expr(parse(text)))] == regions
+
+
+def regions_of(f) -> list[str]:
+    return [str(r) for r in escape_regions(compile_expr(f))]
+
+
+def test_composites_and_real_conjugates_keep_their_regions():
+    f, g = parse("z+1+exp(-z)"), parse("z+1+exp(-z)+2*pi*i")
+    assert regions_of(compose(f, g)) == regions_of(compose(g, f)) == ["Re z >= 0.0625"]
+    # a*f((z-b)/a)+b scales alpha by 1/a, then by a, exactly.
+    assert regions_of(conjugate(f, 1, 0)) == ["Re z >= 0.0625"]
+    assert regions_of(conjugate(f, 2, 1)) == ["Re z >= 2.0"]
+    assert regions_of(conjugate(f, -1, 0)) == ["Re z <= -0.0625"]
+    assert regions_of(conjugate(parse("z+sin(z)+2*pi"), -1, 3)) == ["z in (-inf, -0.0625]"]
+    # A complex scale collapses alpha to 0: sound, not complete.
+    assert regions_of(conjugate(f, 1j, 0)) == []
+
+
+def test_image_inside_the_shifted_region_is_not_a_certificate():
+    # exp(-z-1)+1 maps the ray [1/16, inf) into [1, 1.346], inside the ray
+    # shifted right by 0.9, yet its attracting fixed point 1.12 lies there:
+    # alpha = 0, so the form proves no outward motion.
+    program = compile_expr(parse("exp(-z-1)+1"))
+    ray = Region(0, 1, LADDER[0], ray=True)
+    alpha, (re, im) = enclose(program, ray.box())
+    assert alpha == 0 and 1.0 <= re[0] and re[1] < 1.35 and im == (0.0, 0.0)
+    assert re[0] >= LADDER[0] + 0.9
+    assert not certifies(program, ray)
+    assert escape_regions(program) == ()
+
+
+@pytest.mark.parametrize("seed", [0.1, 0.5, 1, 3])
+def test_attracting_fixed_point_on_the_real_axis_stays_bounded(seed):
+    rec = iterate_orbit(parse("exp(-z-1)+1"), seed)
+    assert isinstance(rec.termination, CycleFound)
+    assert abs(rec.values[-1] - 1.1200) < 1e-4
+    assert classify_point(parse("exp(-z-1)+1"), seed) == Classification.BOUNDED
+
+
+def test_region_membership():
+    z = np.array([3, 3 + 1e-300j, 0.0625, 0.06, -3, 2j, -2j], dtype=np.complex128)
+    half, ray = Region(0, 1, 0.0625), Region(0, 1, 0.0625, ray=True)
+    assert half.contains(z).tolist() == [True, True, True, False, False, False, False]
+    assert ray.contains(z).tolist() == [True, False, True, False, False, False, False]
+    assert Region(1, -1, 1.0).contains(z).tolist() == [False] * 6 + [True]
+    assert locate((ray, half, Region(0, -1, 1.0)), z).tolist() == [0, 1, 0, -1, 2, -1, -1]
+    assert [str(r) for r in (half, ray, Region(0, -1, 2.0, True), Region(1, 1, 4.0))] == [
+        "Re z >= 0.0625", "z in [0.0625, inf)", "z in (-inf, -2.0]", "Im z >= 4.0",
+    ]
+
+
+def test_certified_region_moves_points_outward():
+    """Re(f(z)/u) >= Re(z/u) + delta at sampled points of every certified region."""
+    rng = np.random.default_rng(3)
+    for name, f in MAPS.items():
+        program = compile_expr(f)
+        for region in escape_regions(program):
+            _, rect = enclose(program, region.box())
+            delta = rect[region.axis][0] if region.sign > 0 else -rect[region.axis][1]
+            side = region.sign * (region.radius + rng.uniform(0, 40, 200))
+            other = 0 if region.ray else rng.uniform(-40, 40, 200)
+            z = side + 1j * other if region.axis == 0 else other + 1j * side
+            v, ev = eval_array(program, z)
+            ok = ev == EVENT_NONE
+            part = (lambda w: w.real) if region.axis == 0 else (lambda w: w.imag)
+            gain = region.sign * (part(v[ok]) - part(z[ok]))
+            assert ok.any() and np.all(gain >= delta * (1 - 1e-9)), (name, str(region))
+
+
+def test_search_runs_once_per_call(monkeypatch):
+    calls = []
+    search = bungee.orbit.escape_regions
+
+    def counted(program):
+        calls.append(program)
+        return search(program)
+
+    monkeypatch.setattr(bungee.orbit, "escape_regions", counted)
+    f = parse("z+1+exp(-z)")
+    classify_batch(f, GridSpec(-3, 3, -3, 3, 149, 55).points())  # three chunks
+    iterate_orbit(f, 0.5)
+    assert len(calls) == 2
+
+
+def test_no_mpmath_on_the_run_paths(tmp_path):
+    code = (
+        "import sys; from bungee.cli import main; "
+        f"main(['render', '--function', 'z+1+exp(-z)', '--grid=-3,3,-3,3', '--size', '8,8', "
+        f"'--ppm', {str(tmp_path / 'f.ppm')!r}]); "
+        "main(['classify', '--function', 'z+sin(z)+2*pi', '--point', '0,0']); "
+        "assert 'mpmath' not in sys.modules, 'mpmath imported'"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], env={"PYTHONPATH": str(SRC)},
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+
+
+# --- the engine's certified termination -------------------------------------
+
+
+def test_fatou_seeds_right_of_two_end_at_step_one():
+    f = parse("z+1+exp(-z)")
+    seeds = GridSpec(2, 5, -3, 3, 12, 24).points()
+    codes, state = classify_batch(f, seeds, return_state=True)
+    assert np.all(codes == Classification.ESCAPING)
+    assert np.all(state.kind == _CERTIFIED) and np.all(state.term_step == 1)
+    assert iterate_orbit(f, 2 - 3j).termination == CertifiedEscape(1, "Re z >= 0.0625")
+
+
+def test_translation_escapes_everywhere():
+    codes = classify_batch(parse("z+1"), GridSpec(-2, 2, -2, 2, 40, 40).points())
+    assert np.all(codes == Classification.ESCAPING)
+
+
+def test_rounding_absorbed_fatou_lanes_end_before_their_repeat():
+    # Without regions, 38 lanes of this grid end CycleFound past |z| = 1e12,
+    # where z+1 rounds to z. With them, each is certified by step 7, long
+    # before its repeat could be seen.
+    f = parse("z+1+exp(-z)")
+    seeds = GridSpec(-3, 3, -3, 3, 64, 64).points().ravel()
+    plain = _run_batch(compile_expr(f), seeds, DEFAULT_CONFIG, ())
+    absorbed = plain.kind == _CYCLE
+    assert np.count_nonzero(absorbed) == 38 and np.abs(plain.z[absorbed]).min() > 1e12
+    _, state = classify_batch(f, seeds, return_state=True)
+    assert np.count_nonzero(state.kind == _CYCLE) == 0
+    assert np.all(state.kind[absorbed] == _CERTIFIED) and state.term_step[absorbed].max() <= 7

@@ -17,6 +17,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from bungee import (
+    CertifiedEscape,
     Classification,
     ClassifierConfig,
     Completed,
@@ -32,7 +33,9 @@ from bungee import (
     list_examples,
     parse,
 )
+from bungee.expr import compile_expr
 from bungee.orbit import (
+    _COMPLETED,
     _CYCLE,
     _OVERFLOWED,
     DEFAULT_CONFIG,
@@ -77,6 +80,7 @@ def reference_verdict(rec, cfg=DEFAULT_CONFIG) -> Classification:
     once in the package: it reads the recorded moduli, peaks and
     termination, not the engine state that `classify` reads.
     """
+    certified = isinstance(rec.termination, CertifiedEscape)
     if isinstance(rec.termination, PoleHit):
         return Classification.UNRESOLVED
 
@@ -92,9 +96,11 @@ def reference_verdict(rec, cfg=DEFAULT_CONFIG) -> Classification:
     escalating = all(
         values[j + 1] >= cfg.peak_growth * values[j] for j in range(len(values) - 1)
     )
-    if rec.returns >= cfg.min_alternations and escalating and rec.peaks:
+    if rec.returns >= cfg.min_alternations and escalating and rec.peaks and not certified:
         return Classification.BUNGEE
 
+    if certified:
+        return Classification.ESCAPING
     if isinstance(rec.termination, Overflowed) and rec.returns < cfg.min_alternations:
         return Classification.ESCAPING
     if isinstance(rec.termination, Completed):
@@ -272,11 +278,22 @@ def test_orbit_record_invariants_hold():
 
 
 def test_drift_orbit_walks_out_linearly():
-    rec = iterate_orbit(parse("z+sin(z)+2*pi"), 0)
-    assert rec.termination == Completed()
-    assert rec.returns == 0 and rec.peaks == ()
+    # Without its escape region the engine walks the orbit the whole budget.
+    f = parse("z+sin(z)+2*pi")
+    history = _History([], [], [])
+    state = _run_batch(compile_expr(f), np.zeros(1, dtype=np.complex128), DEFAULT_CONFIG, (), history)
+    assert int(state.kind[0]) == _COMPLETED and history.starts == []
     for n in range(31):
-        assert abs(rec.moduli[n] - 2 * math.pi * n) <= 1e-6
+        assert abs(abs(history.values[n]) - 2 * math.pi * n) <= 1e-6
+
+
+def test_drift_orbit_is_certified_at_its_first_checkpoint():
+    # 0 -> 2*pi, a real number: on the ray [1/16, inf) the map's enclosure
+    # is z + [2*pi - 1, 2*pi + 1], so every orbit that enters it escapes.
+    rec = iterate_orbit(parse("z+sin(z)+2*pi"), 0)
+    assert rec.termination == CertifiedEscape(1, "z in [0.0625, inf)")
+    assert rec.returns == 0 and rec.peaks == ()
+    assert rec.values.tolist() == [0, 2 * math.pi]
 
 
 def test_sine_map_fixes_origin_exactly():
@@ -504,9 +521,11 @@ def test_monotone_refinement_keeps_cycle_verdicts():
         assert classify_point(f, seed, wider) == Classification.BOUNDED
 
 
-def test_slow_escape_needs_the_override_config():
+def test_slow_escape_is_certified_under_both_configs():
+    # The drift 2*pi*n never reaches the default escape radius within the
+    # budget, but its real ray is certified, so no config needs to wait for it.
     drift = parse("z+sin(z)+2*pi")
-    assert classify_point(drift, 0) != Classification.ESCAPING
+    assert classify_point(drift, 0) == Classification.ESCAPING
     assert classify_point(drift, 0, DRIFT_CFG) == Classification.ESCAPING
 
 
@@ -748,8 +767,8 @@ def test_record_peaks_match_the_reference_replay(name, f, cfg):
         ("1/pow(z,2)", 0.5, "default", Overflowed(9), ((5, 2.0**32), (7, 2.0**128), (9, 2.0**512))),
         # 0, 1, e, e**e, e**e**e: a peak starts, and exp overflows one step later.
         ("exp(z)", 0, "default", Overflowed(5), ((4, math.exp(math.exp(math.e))),)),
-        # Re z drifts past r_esc and is still rising when the budget ends.
-        ("z+1+exp(-z)", 0, "drift", Completed(), ((2000, None),)),
+        # 1.4**n passes r_esc at step 42 and is still rising when the budget ends.
+        ("1.4*z", 1, "default", Completed(), ((1000, None),)),
         # A seed past the guard ends before one step: no peak at all.
         ("pow(z,2)", 1e200, "default", Overflowed(0), ()),
         # 0, 1e7, 1e7: the peak's largest modulus repeats, and the first counts.
@@ -769,7 +788,7 @@ def test_reference_peak_sweep_reaches_every_edge_case(text, seed, cfg, terminati
     assert rec.peaks == reference_peaks(rec.moduli, cfg)
     # A later return step would place the same peaks: check the steps themselves.
     history = _History([], [], [])
-    _run_batch(parse(text).root, np.array([seed], dtype=np.complex128), cfg, history)
+    _run_batch(compile_expr(parse(text)), np.array([seed], dtype=np.complex128), cfg, (), history)
     m = np.abs(history.values)
     assert [e for e in history.returns if m[e] < cfg.r_bound <= m[e - 1]] == history.returns
 

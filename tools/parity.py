@@ -33,7 +33,7 @@ Every command runs in process through ``bungee.cli.main``. Its exit code
 and the first line of its standard error go to ``exits.tsv``, so a
 command that fails still leaves a comparable record. The sweep writes
 1,053 files, 982 exit codes among them in ``exits.tsv``, and takes about
-35 s in one process on a two-core machine.
+7 s in one process on a two-core machine.
 """
 
 from __future__ import annotations

@@ -8,8 +8,11 @@ The package is imported from ``src/`` of the checkout that holds this
 script, so running it from two checkouts compares them. Seeds are a
 lattice in [0.5, 3.5] x [-3, 3], where every orbit of the Fatou map
 ``z+1+exp(-z)`` runs the whole budget of 1,000 steps (Re z grows by
-about 1 a step), so each step of a run steps every lane. At 1, 288 and
-3,600 lanes it prints, in microseconds per step:
+about 1 a step) when the engine is given no escape regions, so each
+step of a run steps every lane. (With its certified half-plane
+``Re z >= 1/16`` every one of those orbits ends at step 1; the rows
+measure the step itself, as they did before certificates.) At 1, 288
+and 3,600 lanes it prints, in microseconds per step:
 
 - ``eval_array``: the time the engine spends in ``eval_array``, timed by
   a wrapper around the ``bungee.orbit.eval_array`` binding;
@@ -19,7 +22,10 @@ about 1 a step), so each step of a run steps every lane. At 1, 288 and
 
 It first prints how many lane reductions one evaluation of the map runs:
 the finiteness checks its compiled program keeps, plus one count per
-``exp``/``sin``/``cos`` argument test and per divisor.
+``exp``/``sin``/``cos`` argument test and per divisor. Last, for every
+map of the catalog, it prints the time of the escape-region search
+(`bungee.certify.escape_regions`), which runs once per ``classify_batch``
+or ``iterate_orbit`` call, and the regions found.
 
 All three come from the fastest of several runs, so a busy machine
 inflates them less than a mean would. The machine's speed can still
@@ -42,7 +48,8 @@ if not (SRC / "bungee" / "__init__.py").is_file():
 sys.path.insert(0, str(SRC))
 
 import bungee.orbit  # noqa: E402
-from bungee import parse  # noqa: E402
+from bungee import get_example, list_examples, parse  # noqa: E402
+from bungee.certify import escape_regions  # noqa: E402
 from bungee.expr import compile_expr  # noqa: E402
 from bungee.orbit import _COMPLETED, DEFAULT_CONFIG, _run_batch  # noqa: E402
 
@@ -57,8 +64,9 @@ def seeds(nx: int, ny: int) -> np.ndarray:
     return (re[None, :] + 1j * im[:, None]).ravel()
 
 
-def run_seconds(root, z: np.ndarray) -> tuple[float, float]:
-    """One engine run: its wall time, and the part spent in eval_array."""
+def run_seconds(program, z: np.ndarray) -> tuple[float, float]:
+    """One engine run without escape regions: its wall time, and the part
+    spent in eval_array."""
     inner = bungee.orbit.eval_array
     spent = 0.0
 
@@ -73,10 +81,20 @@ def run_seconds(root, z: np.ndarray) -> tuple[float, float]:
     bungee.orbit.eval_array = timed
     try:
         start = time.perf_counter()
-        _run_batch(root, z, DEFAULT_CONFIG)
+        _run_batch(program, z, DEFAULT_CONFIG, ())
         return time.perf_counter() - start, spent
     finally:
         bungee.orbit.eval_array = inner
+
+
+def search_seconds(program) -> float:
+    """The fastest of several runs of the region search for one map."""
+    times = []
+    for _ in range(REPEATS):
+        start = time.perf_counter()
+        escape_regions(program)
+        times.append(time.perf_counter() - start)
+    return min(times)
 
 
 def main() -> int:
@@ -91,11 +109,16 @@ def main() -> int:
     print(f"{'lanes':>6} {'eval_array':>11} {'engine step':>12} {'bookkeeping':>12}")
     for nx, ny in LATTICES:
         z = seeds(nx, ny)
-        if not (_run_batch(f.root, z, DEFAULT_CONFIG).kind == _COMPLETED).all():
+        if not (_run_batch(program, z, DEFAULT_CONFIG, ()).kind == _COMPLETED).all():
             sys.exit(f"error: not every orbit at {z.size} lanes ran the whole budget")
-        wall, spent = min(run_seconds(f.root, z) for _ in range(REPEATS))
+        wall, spent = min(run_seconds(program, z) for _ in range(REPEATS))
         step, evaluation = wall / steps, spent / steps
         print(f"{z.size:>6} {evaluation * 1e6:>11.1f} {step * 1e6:>12.1f} {(step - evaluation) * 1e6:>12.1f}")
+    print(f"escape-region search per call, microseconds, best of {REPEATS}")
+    entries = [get_example(eid) for eid, _ in list_examples()]
+    for text in dict.fromkeys(str(m) for e in entries for m in (e.f, e.g) if m is not None):
+        program = compile_expr(parse(text))
+        print(f"{text:>20} {search_seconds(program) * 1e6:>8.0f}  {[str(r) for r in escape_regions(program)]}")
     return 0
 
 
