@@ -48,15 +48,24 @@ from .relations import (
     check_permutable,
     verify_relation,
 )
-from .registry import (
-    ExampleEntry,
-    export_registry_json,
-    get_example,
-    list_examples,
-    run_example,
-)
 
 __version__ = "0.1.0"
+
+# The example catalog (`bungee.registry`) is imported on first use of one of
+# these names, so `import bungee` and the CLI's other commands skip it.
+_REGISTRY_NAMES = ("ExampleEntry", "export_registry_json", "get_example", "list_examples", "run_example")
+
+
+def __getattr__(name: str):
+    if name in _REGISTRY_NAMES:
+        from . import registry
+
+        return getattr(registry, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *_REGISTRY_NAMES})
 
 __all__ = [
     "ExprSyntaxError",

@@ -41,7 +41,6 @@ from .orbit import (
     classify,
     iterate_orbit,
 )
-from .registry import _check_scale, get_example, list_examples, run_example
 from .relations import PERMUTABILITY_TOL, RelationId, SamplePlan, verify_relation
 
 __all__ = ["main"]
@@ -244,20 +243,22 @@ def _cmd_verify(ns) -> int:
 
 
 def _cmd_examples(ns) -> int:
+    from . import registry  # the catalog is imported only by the command that reads it
+
     if ns.action == "list":
-        entries = list_examples()
+        entries = registry.list_examples()
         if ns.format == "json":
             _emit(json.dumps([{"id": i, "summary": s} for i, s in entries]), ns.out)
         else:
             _emit("\n".join(f"{i}: {s}" for i, s in entries), ns.out)
         return 0
-    get_example(ns.id)  # unknown ids fail before any work
+    registry.get_example(ns.id)  # unknown ids fail before any work
     try:
-        _check_scale(ns.scale)
+        registry._check_scale(ns.scale)
     except ValueError as exc:
         raise _UsageError(str(exc)) from None
     cfg = _load_config(ns.config) if ns.config else None
-    report = run_example(ns.id, cfg=cfg, scale=ns.scale)
+    report = registry.run_example(ns.id, cfg=cfg, scale=ns.scale)
     if ns.format == "json":
         _emit(report.to_json(), ns.out)
     else:

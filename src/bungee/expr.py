@@ -134,14 +134,17 @@ Expr = Union[Var, Const, Named, Neg, BinOp, Pow, Call, Apply]
 class FunctionExpr:
     """An immutable function of ``z``, wrapping an expression tree.
 
-    Equality and hashing read the compiled program, so that neither
-    recurses once per tree level.
+    Equality and hashing read the compiled program, and ``repr`` the
+    rendered text, so that none of them recurses once per tree level.
     """
 
     root: Expr
 
     def __str__(self) -> str:
         return format_expr(self)
+
+    def __repr__(self) -> str:
+        return f"parse({format_expr(self)!r})"
 
     def _key(self) -> tuple:
         return tuple((op, type(node), arg) for op, node, arg in compile_expr(self).code)
@@ -515,10 +518,12 @@ def _run(program: Program, z: np.ndarray) -> tuple[np.ndarray, list]:
     lane mask, node)`` of the tests that fired, in evaluation order.
 
     A checked node (see `Program.checked`) tests its lanes with one
-    reduction: a lane sum is finite iff every lane is, and no divisor is
-    zero iff all are counted nonzero. ``exp``/``sin``/``cos`` count the
-    lanes whose argument is past its limit. A lane mask is built only when
-    a test fires, and only constant maps are broadcast.
+    reduction: a lane sum is finite iff every lane is. ``exp``/``sin``/``cos``
+    count the lanes whose argument is past its limit. A ``/`` counts its
+    zero divisors only when its quotient fails that test, checked or not,
+    since a complex ``x/0`` is never finite; their pole mark comes before
+    the node's infinity mark. A lane mask is built only when a test fires,
+    and only constant maps are broadcast.
     """
     stack: list = []
     env = [z]  # what Var reads: z, or the inner value of the innermost Apply
@@ -548,11 +553,12 @@ def _run(program: Program, z: np.ndarray) -> tuple[np.ndarray, list]:
                 v = x**arg
             else:
                 x, y = stack.pop(), x
-                if op == "/" and np.count_nonzero(y) != np.size(y):
-                    marks.append((EVENT_POLE, y == 0, node))
                 v = _BINARY[op](x, y)
-            if check and not cmath.isfinite(np.add.reduce(v, axis=None)):
-                marks.append((EVENT_INFINITY, ~np.isfinite(v), node))
+            if (check or op == "/") and not cmath.isfinite(np.add.reduce(v, axis=None)):
+                if op == "/" and np.count_nonzero(y) != np.size(y):  # x/0 is never finite
+                    marks.append((EVENT_POLE, y == 0, node))
+                if check:
+                    marks.append((EVENT_INFINITY, ~np.isfinite(v), node))
             stack.append(v)
         values = stack.pop()
         if not (isinstance(values, np.ndarray) and values.dtype == np.complex128 and values.shape == z.shape):

@@ -48,11 +48,15 @@ which is all `iterate_orbit` needs to place the record's peaks. The
 engine takes the map compiled once per call (`compile_expr`) and
 evaluates that flat program once per step over the live lanes only,
 testing the regions only at checkpoints. When an orbit ends, its state
-is written to the output once and the working arrays are compacted.
-Every lane starts at step 0, so all live lanes share one
-Brent checkpoint schedule for cycle detection (Brent 1980). A step in
-which no lane ends costs its arithmetic and a few whole-array tests; it
-builds a lane mask only when a test fires. Peak starts and returns
+is written to the output once, in that step. The lane stays in the
+working arrays, parked, until they are compacted once at the end of the
+step: its values go on being updated with the others' but are never
+written again, since the tests that end lanes skip it. A lane that fails
+in evaluation is parked at 0, which is below ``r_bound``, so it starts no
+peak and trips no guard. Every lane starts at step 0, so all live lanes
+share one Brent checkpoint schedule for cycle detection (Brent 1980). A
+step in which no lane ends costs its arithmetic and a few whole-array
+tests; it builds a lane mask only when a test fires. Peak starts and returns
 update the live lanes at full width under those masks, without gathering
 or scattering. The running maximum is not taken each step: the maximum
 since the last checkpoint, which cycle detection keeps anyway, is folded
@@ -284,44 +288,72 @@ class BatchState:
 
 # BatchState fields that change while a lane runs. `_Lanes` holds them for
 # the live lanes only and writes each lane's values out once, when it ends.
+# `global_max` comes last: the write takes it together with ``win_max``.
 _LANE_FIELDS = (
-    "z", "n_returns", "last_peak", "cur_peak", "in_peak", "escalation_ok", "global_max", "tail_min",
+    "z", "n_returns", "last_peak", "cur_peak", "in_peak", "escalation_ok", "tail_min", "global_max",
 )
 
 
 class _Lanes:
-    """Working arrays of the live lanes, compacted whenever lanes end.
+    """Working arrays of the live lanes.
 
     ``idx`` maps each live lane to its seed; ``tortoise`` is the value at
     the last Brent checkpoint, ``tol_tort`` its cached cycle tolerance and
     ``win_max`` the largest modulus since that checkpoint. ``global_max``
-    lags behind: it takes in ``win_max`` at each checkpoint and as lanes end.
+    lags behind: it takes in ``win_max`` at each checkpoint and as a lane
+    is written out.
+
+    A lane is written out by `write` in the step it ends and marked in
+    ``ended``; it stays in the arrays, parked, until `drop` compacts them
+    once at the end of the step. Until then its values are still updated
+    with the others' but never read again, and the tests that end lanes
+    skip it (`unended`).
     """
 
-    __slots__ = ("idx", *_LANE_FIELDS, "armed", "tortoise", "tol_tort", "win_max")
+    _ARRAYS = ("idx", *_LANE_FIELDS, "armed", "tortoise", "tol_tort", "win_max")
+    __slots__ = (*_ARRAYS, "ended")
 
-    def __init__(self, out: BatchState, idx: np.ndarray, cfg: ClassifierConfig):
-        self.idx = idx
-        for name in _LANE_FIELDS:
-            setattr(self, name, getattr(out, name)[idx])
-        m = np.abs(self.z)
+    def __init__(self, out: BatchState, gone: np.ndarray, m: np.ndarray, cfg: ClassifierConfig):
+        """Lanes for the seeds of ``out`` not in mask ``gone``; ``m`` is ``|out.z|``."""
+        if np.count_nonzero(gone):
+            self.idx = (~gone).nonzero()[0]
+            for name in _LANE_FIELDS:
+                setattr(self, name, getattr(out, name)[self.idx])
+            m = m[self.idx]
+        else:  # every seed is live: copy, so that no update reaches `out`
+            self.idx = np.arange(gone.size)
+            for name in _LANE_FIELDS:
+                setattr(self, name, getattr(out, name).copy())
         self.armed = m < cfg.r_bound
         self.tortoise = self.z
         self.tol_tort = cfg.cycle_tol * m
-        self.win_max = np.full(idx.size, -np.inf)
+        self.win_max = np.full(self.idx.size, -np.inf)
+        self.ended = None  # lanes written out in this step, or None
 
-    def end(self, out: BatchState, gone: np.ndarray, kind, step: int) -> None:
-        """Write the lanes in mask ``gone`` to ``out`` and drop them."""
-        # Integer indices: one nonzero scan each, not one per array.
-        keep, gone = np.flatnonzero(~gone), np.flatnonzero(gone)
-        ids = self.idx[gone]
-        np.maximum(self.global_max, self.win_max, out=self.global_max)
-        for name in _LANE_FIELDS:
-            getattr(out, name)[ids] = getattr(self, name)[gone]
+    def write(self, out: BatchState, lanes, kind, step: int) -> np.ndarray:
+        """Write ``lanes`` (indices, or a slice) to ``out`` as ended by
+        ``kind`` at ``step``, and mark them for `drop`; returns their seeds."""
+        ids = self.idx[lanes]
+        for name in _LANE_FIELDS[:-1]:
+            getattr(out, name)[ids] = getattr(self, name)[lanes]
+        out.global_max[ids] = np.maximum(self.global_max[lanes], self.win_max[lanes])
         out.kind[ids] = kind
         out.term_step[ids] = step
-        for name in self.__slots__:
+        if self.ended is None:
+            self.ended = np.zeros(self.idx.size, dtype=bool)
+        self.ended[lanes] = True
+        return ids
+
+    def unended(self, mask: np.ndarray) -> np.ndarray:
+        """The indices of the lanes in ``mask`` not yet written out in this step."""
+        return (mask if self.ended is None else mask & ~self.ended).nonzero()[0]
+
+    def drop(self) -> None:
+        """Compact the arrays to the lanes not written out in this step."""
+        keep = (~self.ended).nonzero()[0]
+        for name in self._ARRAYS:
             setattr(self, name, getattr(self, name)[keep])
+        self.ended = None
 
 
 class _History(NamedTuple):
@@ -370,7 +402,7 @@ def _run_batch(
 
     seed_out = m > guard
     out.kind[seed_out] = _OVERFLOWED
-    w = _Lanes(out, np.flatnonzero(~seed_out), cfg)
+    w = _Lanes(out, seed_out, m, cfg)
     # Every live lane started at step 0 and advances once per step, so the
     # Brent schedule (checkpoint when lam reaches power) is shared by all.
     power, lam = 1, 0
@@ -382,11 +414,14 @@ def _run_batch(
             vals, events = eval_array(program, w.z)
             if np.count_nonzero(events):
                 failed = events != EVENT_NONE
-                pole = (events[failed] == EVENT_POLE) & (w.z[failed] == 0)
-                w.end(out, failed, np.where(pole, _POLE, _OVERFLOWED), step)
-                vals = vals[~failed]
-                if w.idx.size == 0:
+                lanes = failed.nonzero()[0]
+                pole = (events[lanes] == EVENT_POLE) & (w.z[lanes] == 0)
+                w.write(out, lanes, np.where(pole, _POLE, _OVERFLOWED), step)
+                if lanes.size == w.idx.size:
+                    w.drop()
                     break
+                # Parked at 0, below r_bound: no peak starts and no guard trips.
+                vals = np.where(failed, 0, vals)
 
             mv = np.abs(vals)
             top = mv.max()  # gates peak starts and the guard; an unflagged NaN is in every lane
@@ -422,30 +457,38 @@ def _run_batch(
                         history.starts.append(step)
 
             if not top <= guard:
-                w.end(out, mv > guard, _OVERFLOWED, step)
+                lanes = (mv > guard).nonzero()[0]
+                if lanes.size:
+                    w.write(out, lanes, _OVERFLOWED, step)
 
             lam += 1
             near = np.abs(w.z - w.tortoise) <= w.tol_tort
             if np.count_nonzero(near):
-                ids = w.idx[near]
-                out.period[ids] = lam
-                out.cycle_max[ids] = w.win_max[near]
-                w.end(out, near, _CYCLE, step)
+                lanes = w.unended(near)
+                if lanes.size:
+                    ids = w.write(out, lanes, _CYCLE, step)
+                    out.period[ids] = lam
+                    out.cycle_max[ids] = w.win_max[lanes]
             if lam == power:
                 if regions:
                     which = locate(regions, w.z)
                     inside = which >= 0
                     if np.count_nonzero(inside):
-                        out.region[w.idx[inside]] = which[inside]
-                        w.end(out, inside, _CERTIFIED, step)
+                        lanes = w.unended(inside)
+                        if lanes.size:
+                            ids = w.write(out, lanes, _CERTIFIED, step)
+                            out.region[ids] = which[lanes]
                 np.maximum(w.global_max, w.win_max, out=w.global_max)
                 w.tortoise = w.z
                 w.tol_tort = cfg.cycle_tol * np.abs(w.z)
                 w.win_max.fill(-np.inf)
                 power *= 2
                 lam = 0
+            if w.ended is not None:
+                w.drop()
 
-    w.end(out, np.ones(w.idx.size, dtype=bool), _COMPLETED, cfg.max_iter)
+    if w.idx.size:
+        w.write(out, slice(None), _COMPLETED, cfg.max_iter)
     return out
 
 

@@ -28,6 +28,7 @@ from bungee import (
     Classification,
     CycleFound,
     GridSpec,
+    Overflowed,
     classify_batch,
     classify_point,
     compose,
@@ -39,7 +40,7 @@ from bungee import (
 )
 from bungee.certify import LADDER, Region, certifies, enclose, escape_regions, locate
 from bungee.expr import EVENT_NONE, compile_expr, eval_array
-from bungee.orbit import _CERTIFIED, _CYCLE, DEFAULT_CONFIG, _run_batch
+from bungee.orbit import _CERTIFIED, _CYCLE, _OVERFLOWED, DEFAULT_CONFIG, _run_batch
 
 from strategies import expression_strings
 
@@ -323,6 +324,15 @@ def test_fatou_seeds_right_of_two_end_at_step_one():
     assert np.all(codes == Classification.ESCAPING)
     assert np.all(state.kind == _CERTIFIED) and np.all(state.term_step == 1)
     assert iterate_orbit(f, 2 - 3j).termination == CertifiedEscape(1, "Re z >= 0.0625")
+
+
+def test_a_lane_past_the_guard_is_not_certified_in_its_step():
+    # -400 -> 5.2e173, past the guard and inside Re z >= 1/16 at the step-1
+    # checkpoint: the guard ends the orbit first, and the region test skips it.
+    f = parse("z+1+exp(-z)")
+    assert iterate_orbit(f, -400).termination == Overflowed(1)
+    _, state = classify_batch(f, np.array([-400, 3], dtype=np.complex128), return_state=True)
+    assert state.kind.tolist() == [_OVERFLOWED, _CERTIFIED] and state.region.tolist() == [-1, 0]
 
 
 def test_translation_escapes_everywhere():

@@ -318,6 +318,44 @@ def test_compiled_checks_skip_only_what_a_consumer_checks(monkeypatch, text, z, 
             assert values[0] == evaluate(parse(text), complex(z[0]))
 
 
+# `/` counts zero divisors only when its quotient is not finite, which a
+# complex x/0 never is, and its pole mark still comes before its infinity
+# mark. At 1e-200 the square underflows to 0, a pole; at 1e-160 it is a
+# nonzero subnormal, so the quotient overflows with no zero divisor.
+@pytest.mark.parametrize(
+    "text, z, results, marks",
+    [
+        ("1/pow(z,2)", [0, 1e-200, 1e-160, 2], [PoleEvent, PoleEvent, InfinityEvent, 0.25],
+         [(EVENT_POLE, [1, 1, 0, 0]), (EVENT_INFINITY, [1, 1, 1, 0])]),
+        ("z/0", [0, 1, 1e300], [PoleEvent] * 3, [(EVENT_POLE, [1, 1, 1]), (EVENT_INFINITY, [1, 1, 1])]),
+        ("(z-z)/(z-z)", [0, 1, 1e300], [PoleEvent] * 3, [(EVENT_POLE, [1, 1, 1]), (EVENT_INFINITY, [1, 1, 1])]),
+    ],
+    ids=["inverse-square", "constant-zero-divisor", "zero-over-zero"],
+)
+def test_divisors_are_counted_behind_a_non_finite_quotient(text, z, results, marks):
+    f = parse(text)
+    z = np.array(z, dtype=np.complex128)
+    _, events = eval_array(f, z)
+    codes = {PoleEvent: EVENT_POLE, InfinityEvent: EVENT_INFINITY}
+    assert events.tolist() == [codes.get(want, EVENT_NONE) for want in results]
+    for lane, want in zip(z, results):
+        got = evaluate(f, complex(lane))
+        if isinstance(want, type):
+            assert type(got) is want and got.node is f.root
+        else:
+            assert got == want
+    code = compile_expr(f).code
+    unchecked = Program(code, (False,) * len(code))  # a pole is still marked, and only a pole
+    for program, want in [
+        (compile_expr(f), marks),
+        (Program(code), marks),
+        (unchecked, [mark for mark in marks if mark[0] == EVENT_POLE]),
+    ]:
+        _, got = bungee.expr._run(program, z)
+        assert [(c, np.broadcast_to(mask, z.shape).astype(int).tolist()) for c, mask, _ in got] == want
+        assert all(node is f.root for _, _, node in got)
+
+
 def test_evaluation_is_deterministic():
     f = parse("exp(z)/(1+pow(z,3))-sin(z)*cos(z)")
     for z in SAMPLE_POINTS:
@@ -485,3 +523,10 @@ def test_long_sum_chain_formats_and_reparses():
     assert f == g and hash(f) == hash(g) and len({f, g}) == 1
     assert f != parse(text + "+1") and f != text
     assert parse("e") != parse("2.718281828459045")
+    # Nor must repr, which renders the text.
+    assert repr(f) == f"parse({text!r})"
+
+
+def test_repr_names_the_map():
+    assert repr(parse("z+sin(z)+2*pi")) == "parse('z+sin(z)+2*pi')"
+    assert repr(compose(parse("exp(z)"), parse("z+1"))) == "parse('exp(z+1)')"

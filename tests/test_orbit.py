@@ -307,6 +307,14 @@ def test_pole_hit_is_recorded():
     assert rec.termination == PoleHit(1)
 
 
+@pytest.mark.parametrize("text, termination", [("1/pow(z,2)", PoleHit(1)), ("exp(z)", Overflowed(5))])
+def test_a_failed_evaluation_records_no_iterate(text, termination):
+    # 0 -> pole; 0, 1, e, e**e, e**e**e -> exp overflows: the step is one
+    # past the last recorded index.
+    rec = iterate_orbit(parse(text), 0)
+    assert rec.termination == termination and len(rec.values) == termination.step
+
+
 def test_non_finite_seed_is_rejected():
     with pytest.raises(ValueError):
         iterate_orbit(parse("z"), complex("inf"))
@@ -618,26 +626,69 @@ def catalog_maps():
     return sorted(maps.items())
 
 
-@pytest.mark.parametrize("cfg", [DEFAULT_CONFIG, SMALL_CFG], ids=["default", "small"])
-@pytest.mark.parametrize("name, f", catalog_maps(), ids=[name for name, _ in catalog_maps()])
-def test_batch_state_is_the_concatenation_of_one_seed_runs(name, f, cfg):
-    """Lanes of a mixed batch end at different steps, yet none affects another.
-
-    The batch repeats a few distinct seeds in shuffled order, 4,096 + 37
-    lanes long, so the same seed sits on both sides of the chunk edge.
-    """
-    distinct = np.array(
-        EDGE_SEEDS + list(GridSpec(-3, 3, -3, 3, 4, 4).points().ravel()), dtype=np.complex128
-    )
+def assert_batch_is_one_seed_runs(f, distinct, pick, cfg) -> BatchState:
+    """`classify_batch` over ``distinct[pick]`` must give, lane by lane, the
+    codes and every `BatchState` field of the one-seed runs of ``distinct``.
+    Returns the batch state."""
     singles = [classify_batch(f, distinct[i : i + 1], cfg, return_state=True) for i in range(distinct.size)]
-    pick = np.random.default_rng(11).integers(0, distinct.size, CHUNK + 37)
     codes, state = classify_batch(f, distinct[pick], cfg, return_state=True)
-    assert len(np.unique(state.term_step)) >= 3
     assert np.array_equal(codes, np.concatenate([singles[i][0] for i in pick]))
     for fld in dataclasses.fields(BatchState):
         want = np.concatenate([getattr(singles[i][1], fld.name) for i in pick])
         got = getattr(state, fld.name)
         assert got.dtype == want.dtype and np.array_equal(got, want), fld.name
+    return state
+
+
+LANE_SEEDS = np.array(EDGE_SEEDS + list(GridSpec(-3, 3, -3, 3, 4, 4).points().ravel()), dtype=np.complex128)
+# A few distinct seeds repeated in shuffled order, 4,096 + 37 lanes long, so
+# that the same seed sits on both sides of the chunk edge.
+LANE_PICK = np.random.default_rng(11).integers(0, LANE_SEEDS.size, CHUNK + 37)
+
+
+@pytest.mark.parametrize("cfg", [DEFAULT_CONFIG, SMALL_CFG], ids=["default", "small"])
+@pytest.mark.parametrize("name, f", catalog_maps(), ids=[name for name, _ in catalog_maps()])
+def test_batch_state_is_the_concatenation_of_one_seed_runs(name, f, cfg):
+    """Lanes of a mixed batch end at different steps, yet none affects another."""
+    state = assert_batch_is_one_seed_runs(f, LANE_SEEDS, LANE_PICK, cfg)
+    assert len(np.unique(state.term_step)) >= 3
+
+
+# Maps that end lanes in unusual ways: ``z`` returns the lanes' own array and
+# ``2`` a read-only broadcast, neither of which the engine may write into;
+# every lane of ``1/(z-z)`` fails at step 1; ``z/(z-1)`` has a pole at 1;
+# ``1e150`` lands on the default guard and past the small config's.
+EDGE_MAPS = [(text, parse(text)) for text in ("z", "2", "1/(z-z)", "z/(z-1)", "1e150")]
+
+
+@pytest.mark.parametrize("cfg", [DEFAULT_CONFIG, SMALL_CFG], ids=["default", "small"])
+@pytest.mark.parametrize("name, f", EDGE_MAPS, ids=[name for name, _ in EDGE_MAPS])
+def test_batch_state_is_the_concatenation_of_one_seed_runs_on_edge_maps(name, f, cfg):
+    assert_batch_is_one_seed_runs(f, LANE_SEEDS, LANE_PICK, cfg)
+
+
+def test_a_lane_failing_mid_peak_leaves_its_written_state():
+    """Under ``exp(z)`` the seed 0 starts a peak at step 4 and fails at step
+    5, while the seed -1 runs on. No seed starts past the guard, so the
+    engine starts from copies of the output arrays, and the failed lane,
+    kept until the end of its step, must not reach its written state."""
+    seeds = np.array([0, -1], dtype=np.complex128)
+    state = assert_batch_is_one_seed_runs(parse("exp(z)"), seeds, np.arange(2), DEFAULT_CONFIG)
+    assert state.term_step.tolist() == [5, 6] and state.in_peak.tolist() == [True, True]
+
+
+def test_event_and_guard_ends_in_one_step_keep_lanes_independent():
+    """Three rows of the 256x256 grid over [-2, 2]^2 that cross the unit
+    circle, under ``1/pow(z,2)``: in many steps some lanes fail in evaluation
+    (the square underflows to 0, or its reciprocal overflows) while others
+    cross the guard. The batch must still be the one-seed runs."""
+    seeds = GridSpec(-2, 2, -2, 2, 256, 256).points()[[100, 128, 160]].ravel()
+    state = assert_batch_is_one_seed_runs(parse("1/pow(z,2)"), seeds, np.arange(seeds.size), DEFAULT_CONFIG)
+    overflowed = state.kind == _OVERFLOWED
+    past_guard = np.abs(state.z) > DEFAULT_CONFIG.overflow_guard  # a failed lane keeps its last iterate
+    by_event = set(state.term_step[overflowed & ~past_guard].tolist())
+    by_guard = set(state.term_step[overflowed & past_guard].tolist())
+    assert len(by_event & by_guard) >= 5
 
 
 AGREEMENT_MAPS = catalog_maps() + [

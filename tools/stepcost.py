@@ -22,12 +22,22 @@ and 3,600 lanes it prints, in microseconds per step:
 
 It first prints how many lane reductions one evaluation of the map runs:
 the finiteness checks its compiled program keeps, plus one count per
-``exp``/``sin``/``cos`` argument test and per divisor. Last, for every
-map of the catalog, it prints the time of the escape-region search
-(`bungee.certify.escape_regions`), which runs once per ``classify_batch``
-or ``iterate_orbit`` call, and the regions found.
+``exp``/``sin``/``cos`` argument test and per divisor (a divisor is
+counted only when its quotient is not finite, so an evaluation with no
+event runs fewer).
 
-All three come from the fastest of several runs, so a busy machine
+The short-orbit row measures the other end, where lanes end: the 256 x 256
+grid of ``1/pow(z,2)`` over [-2, 2] x [-2, 2] through ``classify_batch``,
+whose orbits all end within a few dozen steps, by an evaluation event, the
+guard or a cycle. It prints microseconds per run and per engine step (the
+run's time over the steps its chunks take, each chunk running until its
+last lane ends).
+
+Last, for every map of the catalog, it prints the time of the
+escape-region search (`bungee.certify.escape_regions`), which runs once
+per ``classify_batch`` or ``iterate_orbit`` call, and the regions found.
+
+All of them come from the fastest of several runs, so a busy machine
 inflates them less than a mean would. The machine's speed can still
 drift between invocations: compare two checkouts by running them
 alternately, a few times each.
@@ -48,13 +58,15 @@ if not (SRC / "bungee" / "__init__.py").is_file():
 sys.path.insert(0, str(SRC))
 
 import bungee.orbit  # noqa: E402
-from bungee import get_example, list_examples, parse  # noqa: E402
+from bungee import GridSpec, classify_batch, get_example, list_examples, parse  # noqa: E402
 from bungee.certify import escape_regions  # noqa: E402
 from bungee.expr import compile_expr  # noqa: E402
-from bungee.orbit import _COMPLETED, DEFAULT_CONFIG, _run_batch  # noqa: E402
+from bungee.orbit import _CHUNK, _COMPLETED, DEFAULT_CONFIG, _run_batch  # noqa: E402
 
 FATOU = "z+1+exp(-z)"
 LATTICES = ((1, 1), (12, 24), (60, 60))  # nx x ny seeds: 1, 288 and 3,600 lanes
+RATIONAL = "1/pow(z,2)"
+RATIONAL_GRID = GridSpec(-2.0, 2.0, -2.0, 2.0, 256, 256)  # the window of a rational render
 REPEATS = 9
 
 
@@ -87,6 +99,25 @@ def run_seconds(program, z: np.ndarray) -> tuple[float, float]:
         bungee.orbit.eval_array = inner
 
 
+def short_orbit_row() -> None:
+    """Print the cost of a run whose lanes all end early, per run and per step."""
+    f, z = parse(RATIONAL), RATIONAL_GRID.points().ravel()
+    _, state = classify_batch(f, z, return_state=True)
+    ends = state.term_step
+    if (state.kind == _COMPLETED).any():
+        sys.exit(f"error: an orbit of {RATIONAL} ran the whole budget")
+    steps = sum(int(ends[lo : lo + _CHUNK].max()) for lo in range(0, z.size, _CHUNK))
+    times = []
+    for _ in range(REPEATS):
+        start = time.perf_counter()
+        classify_batch(f, z)
+        times.append(time.perf_counter() - start)
+    run = min(times)
+    print(f"short orbits: {RATIONAL} over {RATIONAL_GRID.nx}x{RATIONAL_GRID.ny} seeds of [-2, 2]^2, "
+          f"lanes end at steps {ends.min()}-{ends.max()}, {steps} engine steps; best of {REPEATS}")
+    print(f"{run * 1e6:>10.0f} us per run {run / steps * 1e6:>10.1f} us per engine step")
+
+
 def search_seconds(program) -> float:
     """The fastest of several runs of the region search for one map."""
     times = []
@@ -114,6 +145,7 @@ def main() -> int:
         wall, spent = min(run_seconds(program, z) for _ in range(REPEATS))
         step, evaluation = wall / steps, spent / steps
         print(f"{z.size:>6} {evaluation * 1e6:>11.1f} {step * 1e6:>12.1f} {(step - evaluation) * 1e6:>12.1f}")
+    short_orbit_row()
     print(f"escape-region search per call, microseconds, best of {REPEATS}")
     entries = [get_example(eid) for eid, _ in list_examples()]
     for text in dict.fromkeys(str(m) for e in entries for m in (e.f, e.g) if m is not None):
