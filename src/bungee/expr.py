@@ -15,7 +15,9 @@ variable ``z``. The surface syntax is a small arithmetic language:
 There is no implicit multiplication, ``i``/``pi``/``e`` are reserved, and
 the ``pow`` exponent must be a positive integer literal. Numbers must be
 finite doubles (not ``1e999``). Complex literals are spelled ``a+b*i``.
-Parentheses, calls and unary minus nest at most 200 levels deep.
+``digits`` are Unicode decimal digits (``١`` reads as 1, but ``²`` is a
+syntax error). Parentheses, calls and unary minus nest at most 200 levels
+deep.
 
 Evaluation is guarded rather than exception-driven: results that leave the
 representable range come back as event values (`InfinityEvent`,
@@ -25,7 +27,10 @@ as the imaginary part of theirs does, since beyond that the double range
 is effectively exhausted. Division by exact zero yields `PoleEvent`; it
 can only arise for the meromorphic oracle family ``1/pow(z,d)``.
 
-All expression trees are immutable and safe to share across threads.
+Expression nodes and `FunctionExpr` are immutable slotted values, safe
+to share across threads. They have one identity rule: ``==`` and ``hash``
+read the value's type and its compiled program, which `compile_expr`
+builds without recursion; a node's ``repr`` is built from that program.
 """
 
 from __future__ import annotations
@@ -36,6 +41,7 @@ import contextvars
 import itertools
 import math
 import operator
+import re
 from dataclasses import dataclass
 from typing import NamedTuple, Optional, Union
 
@@ -78,82 +84,110 @@ EVENT_INFINITY = 1
 EVENT_POLE = 2
 
 
-@dataclass(frozen=True)
-class Var:
+class _Value:
+    """An immutable value whose fields are its ``__slots__``, set in order.
+
+    ``==`` and ``hash`` read the value's type and its compiled program (see
+    `compile_expr`), and a node's ``repr`` is built from that program, so
+    none of them recurses once per tree level. Copies and pickles rebuild
+    the value from its fields.
+    """
+
+    __slots__ = ()
+
+    def __init__(self, *values):
+        if len(values) != len(self.__slots__):
+            raise TypeError(f"{type(self).__name__} takes fields {self.__slots__}, got {len(values)} values")
+        for name, value in zip(self.__slots__, values):
+            object.__setattr__(self, name, value)
+
+    def __setattr__(self, name, value=None):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    __delattr__ = __setattr__
+
+    def __reduce__(self):
+        return type(self), tuple(getattr(self, name) for name in self.__slots__)
+
+    def _key(self) -> tuple:
+        return type(self), tuple((op, type(node), arg) for op, node, arg in compile_expr(self).code)
+
+    def __eq__(self, other) -> bool:
+        return self._key() == other._key() if type(other) is type(self) else NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._key())
+
+    def __repr__(self) -> str:
+        stack: list = []  # the reprs of the nodes whose parents are still to come
+        for op, node, _ in compile_expr(self).code:
+            if op == "bind":
+                continue
+            values = [getattr(node, name) for name in node.__slots__]
+            operands = [stack.pop() for value in values if isinstance(value, _Value)]
+            if op != "unbind":  # operands were pushed in field order, but an Apply's inner map first
+                operands.reverse()
+            operands = iter(operands)
+            fields = (f"{name}={next(operands) if isinstance(value, _Value) else repr(value)}"
+                      for name, value in zip(node.__slots__, values))
+            stack.append(f"{type(node).__qualname__}({', '.join(fields)})")
+        return stack.pop()
+
+
+class Var(_Value):
     """The free variable ``z``."""
 
-
-@dataclass(frozen=True)
-class Const:
-    value: complex
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class Named:
+class Const(_Value):
+    __slots__ = ("value",)  # complex
+
+
+class Named(_Value):
     """A reserved constant: ``pi``, ``e`` or ``i``."""
 
-    name: str
+    __slots__ = ("name",)
 
 
-@dataclass(frozen=True)
-class Neg:
-    arg: "Expr"
+class Neg(_Value):
+    __slots__ = ("arg",)
 
 
-@dataclass(frozen=True)
-class BinOp:
-    op: str  # one of + - * /
-    left: "Expr"
-    right: "Expr"
+class BinOp(_Value):
+    __slots__ = ("op", "left", "right")  # op: one of + - * /
 
 
-@dataclass(frozen=True)
-class Pow:
-    base: "Expr"
-    exponent: int  # >= 1
+class Pow(_Value):
+    __slots__ = ("base", "exponent")  # exponent: an int >= 1
 
 
-@dataclass(frozen=True)
-class Call:
-    name: str  # one of exp sin cos
-    arg: "Expr"
+class Call(_Value):
+    __slots__ = ("name", "arg")  # name: one of exp sin cos
 
 
-@dataclass(frozen=True)
-class Apply:
+class Apply(_Value):
     """Composition node: evaluate ``inner`` first, then ``outer`` there."""
 
-    outer: "Expr"
-    inner: "Expr"
+    __slots__ = ("outer", "inner")
 
 
 Expr = Union[Var, Const, Named, Neg, BinOp, Pow, Call, Apply]
 
 
-@dataclass(frozen=True, eq=False)
-class FunctionExpr:
+class FunctionExpr(_Value):
     """An immutable function of ``z``, wrapping an expression tree.
 
-    Equality and hashing read the compiled program, and ``repr`` the
-    rendered text, so that none of them recurses once per tree level.
+    Its ``repr`` renders the text, and its identity is its tree's.
     """
 
-    root: Expr
+    __slots__ = ("root",)
 
     def __str__(self) -> str:
         return format_expr(self)
 
     def __repr__(self) -> str:
         return f"parse({format_expr(self)!r})"
-
-    def _key(self) -> tuple:
-        return tuple((op, type(node), arg) for op, node, arg in compile_expr(self).code)
-
-    def __eq__(self, other) -> bool:
-        return self._key() == other._key() if isinstance(other, FunctionExpr) else NotImplemented
-
-    def __hash__(self) -> int:
-        return hash(self._key())
 
 
 @dataclass(frozen=True)
@@ -192,61 +226,25 @@ class ExprSyntaxError(ValueError):
 
 # --- tokenizer ---------------------------------------------------------
 
-_SYMBOLS = "+-*/(),"
+# One alternative per token kind; anything else is a bad character. Digits
+# are Unicode decimal digits, which float() and int() accept.
+_TOKEN = re.compile(r"(?P<blank>[ \t\r\n]+)|(?P<number>\d+(?:\.\d+)?(?:[eE][+-]?\d+)?)"
+                    r"|(?P<name>[^\W\d]\w*)|(?P<symbol>[-+*/(),])|(?P<bad>.)")
 
 
-@dataclass(frozen=True)
-class _Token:
-    kind: str  # number | name | symbol | end
-    text: str
-    offset: int  # 1-based byte offset of the first byte
-
-
-def _tokenize(text: str) -> list[_Token]:
-    # byte offset of each character position, for error reporting
-    starts = [1]
-    for ch in text:
-        starts.append(starts[-1] + len(ch.encode("utf-8")))
-    tokens: list[_Token] = []
-    i = 0
-    n = len(text)
-    while i < n:
-        ch = text[i]
-        if ch in " \t\r\n":
-            i += 1
-            continue
-        if ch in _SYMBOLS:
-            tokens.append(_Token("symbol", ch, starts[i]))
-            i += 1
-            continue
-        if ch.isdigit():
-            j = i
-            while j < n and text[j].isdigit():
-                j += 1
-            if j < n and text[j] == "." and j + 1 < n and text[j + 1].isdigit():
-                j += 1
-                while j < n and text[j].isdigit():
-                    j += 1
-            if j < n and text[j] in "eE":
-                k = j + 1
-                if k < n and text[k] in "+-":
-                    k += 1
-                if k < n and text[k].isdigit():
-                    j = k
-                    while j < n and text[j].isdigit():
-                        j += 1
-            tokens.append(_Token("number", text[i:j], starts[i]))
-            i = j
-            continue
-        if ch.isalpha() or ch == "_":
-            j = i
-            while j < n and (text[j].isalnum() or text[j] == "_"):
-                j += 1
-            tokens.append(_Token("name", text[i:j], starts[i]))
-            i = j
-            continue
-        raise ExprSyntaxError(starts[i], "a number, name, operator or parenthesis")
-    tokens.append(_Token("end", "", starts[n]))
+def _tokenize(text: str) -> list[tuple[str, str, int]]:
+    """The ``(kind, text, offset)`` tokens of ``text`` and an ``end`` token;
+    ``offset`` is the 1-based byte offset of the token's first byte."""
+    tokens = []
+    offset = 1
+    for match in _TOKEN.finditer(text):
+        kind, lexeme = match.lastgroup, match.group()
+        if kind == "bad":
+            raise ExprSyntaxError(offset, "a number, name, operator or parenthesis")
+        if kind != "blank":
+            tokens.append((kind, lexeme, offset))
+        offset += len(lexeme.encode("utf-8"))
+    tokens.append(("end", "", offset))
     return tokens
 
 
@@ -258,51 +256,49 @@ _MAX_NESTING = 200
 
 
 class _Parser:
-    def __init__(self, tokens: list[_Token]):
+    def __init__(self, tokens: list[tuple[str, str, int]]):
         self.tokens = tokens
         self.pos = 0
         self.depth = 0
 
-    def peek(self) -> _Token:
+    def peek(self) -> tuple[str, str, int]:
         return self.tokens[self.pos]
 
-    def advance(self) -> _Token:
-        tok = self.tokens[self.pos]
+    def advance(self) -> None:
         self.pos += 1
-        return tok
 
     def expect_symbol(self, sym: str) -> None:
-        tok = self.peek()
-        if tok.kind != "symbol" or tok.text != sym:
-            raise ExprSyntaxError(tok.offset, f"'{sym}'")
+        kind, text, offset = self.peek()
+        if kind != "symbol" or text != sym:
+            raise ExprSyntaxError(offset, f"'{sym}'")
         self.advance()
 
     def parse_expr(self) -> Expr:
         node = self.parse_term()
         while True:
-            tok = self.peek()
-            if tok.kind == "symbol" and tok.text in "+-":
+            kind, text, _ = self.peek()
+            if kind == "symbol" and text in "+-":
                 self.advance()
-                node = BinOp(tok.text, node, self.parse_term())
+                node = BinOp(text, node, self.parse_term())
             else:
                 return node
 
     def parse_term(self) -> Expr:
         node = self.parse_factor()
         while True:
-            tok = self.peek()
-            if tok.kind == "symbol" and tok.text in "*/":
+            kind, text, _ = self.peek()
+            if kind == "symbol" and text in "*/":
                 self.advance()
-                node = BinOp(tok.text, node, self.parse_factor())
+                node = BinOp(text, node, self.parse_factor())
             else:
                 return node
 
     def parse_factor(self) -> Expr:
-        tok = self.peek()
+        kind, text, offset = self.peek()
         if self.depth > _MAX_NESTING:
-            raise ExprSyntaxError(tok.offset, f"at most {_MAX_NESTING} levels of nesting")
+            raise ExprSyntaxError(offset, f"at most {_MAX_NESTING} levels of nesting")
         self.depth += 1
-        if tok.kind == "symbol" and tok.text == "-":
+        if kind == "symbol" and text == "-":
             self.advance()
             node: Expr = Neg(self.parse_factor())
         else:
@@ -311,44 +307,44 @@ class _Parser:
         return node
 
     def parse_atom(self) -> Expr:
-        tok = self.peek()
-        if tok.kind == "number":
-            value = float(tok.text)
+        kind, text, offset = self.peek()
+        if kind == "number":
+            value = float(text)
             if not math.isfinite(value):
-                raise ExprSyntaxError(tok.offset, "a finite number")
+                raise ExprSyntaxError(offset, "a finite number")
             self.advance()
             return Const(complex(value))
-        if tok.kind == "name":
-            if tok.text == "z":
+        if kind == "name":
+            if text == "z":
                 self.advance()
                 return Var()
-            if tok.text in _NAMED_VALUES:
+            if text in _NAMED_VALUES:
                 self.advance()
-                return Named(tok.text)
-            if tok.text in _FUNC_NAMES:
+                return Named(text)
+            if text in _FUNC_NAMES:
                 self.advance()
                 self.expect_symbol("(")
                 arg = self.parse_expr()
                 self.expect_symbol(")")
-                return Call(tok.text, arg)
-            if tok.text == "pow":
+                return Call(text, arg)
+            if text == "pow":
                 self.advance()
                 self.expect_symbol("(")
                 base = self.parse_expr()
                 self.expect_symbol(",")
-                exp_tok = self.peek()
-                if exp_tok.kind != "number" or not exp_tok.text.isdigit() or int(exp_tok.text) < 1:
-                    raise ExprSyntaxError(exp_tok.offset, "a positive integer exponent")
+                exp_kind, exp_text, exp_offset = self.peek()
+                if exp_kind != "number" or not exp_text.isdigit() or int(exp_text) < 1:
+                    raise ExprSyntaxError(exp_offset, "a positive integer exponent")
                 self.advance()
                 self.expect_symbol(")")
-                return Pow(base, int(exp_tok.text))
-            raise ExprSyntaxError(tok.offset, "a value (unknown name)")
-        if tok.kind == "symbol" and tok.text == "(":
+                return Pow(base, int(exp_text))
+            raise ExprSyntaxError(offset, "a value (unknown name)")
+        if kind == "symbol" and text == "(":
             self.advance()
             node = self.parse_expr()
             self.expect_symbol(")")
             return node
-        raise ExprSyntaxError(tok.offset, "a value")
+        raise ExprSyntaxError(offset, "a value")
 
 
 def parse(text: str) -> FunctionExpr:
@@ -359,9 +355,9 @@ def parse(text: str) -> FunctionExpr:
     """
     parser = _Parser(_tokenize(text))
     root = parser.parse_expr()
-    tok = parser.peek()
-    if tok.kind != "end":
-        raise ExprSyntaxError(tok.offset, "end of input")
+    kind, _, offset = parser.peek()
+    if kind != "end":
+        raise ExprSyntaxError(offset, "end of input")
     return FunctionExpr(root)
 
 

@@ -557,6 +557,12 @@ def test_non_finite_literal_is_usage_error():
     assert "offset 3" in err
 
 
+def test_superscript_digit_is_usage_error():
+    code, _, err = run(["classify", "--function", "z*²", "--point", "1,0"])
+    assert code == 1
+    assert "error:" in err and "offset 3" in err
+
+
 @pytest.mark.parametrize("workers", ["0", "-2"])
 @pytest.mark.parametrize(
     "argv",

@@ -8,12 +8,16 @@ from __future__ import annotations
 
 import cmath
 import contextlib
+import copy
 import math
+import pickle
 import types
 import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import bungee.expr
 import bungee.orbit
@@ -29,14 +33,26 @@ from bungee import (
     conjugate,
     evaluate,
     format_expr,
+    get_example,
+    list_examples,
     parse,
 )
 from bungee.expr import (
     EVENT_INFINITY,
     EVENT_NONE,
     EVENT_POLE,
+    Apply,
+    BinOp,
+    Call,
+    Const,
+    FunctionExpr,
+    Named,
+    Neg,
+    Pow,
     Program,
+    Var,
     _ignoring_errors,
+    _tokenize,
     compile_expr,
     eval_array,
 )
@@ -93,11 +109,101 @@ def test_parse_unterminated_call_reports_offset_and_expectation():
         "sin z",
         "w",
         "1..2",
+        "²",
+        "z*²",
+        "pow(z,²)",
     ],
 )
 def test_parse_rejects_malformed_input(text):
     with pytest.raises(ExprSyntaxError):
         parse(text)
+
+
+# Digits are Unicode decimal digits, which float() and int() read; a
+# superscript is a digit to str.isdigit() but not to them.
+@pytest.mark.parametrize("text, offset", [("²", 1), ("z*²", 3), ("pow(z,²)", 7), ("z+١²", 5)])
+def test_superscript_digits_are_a_syntax_error_at_their_offset(text, offset):
+    with pytest.raises(ExprSyntaxError) as exc:
+        parse(text)
+    assert exc.value.offset == offset
+
+
+@pytest.mark.parametrize("text, plain", [("z+١", "z+1"), ("pow(z,١)", "pow(z,1)"), ("١٢.٥*z", "12.5*z")])
+def test_decimal_digits_of_any_script_are_numbers(text, plain):
+    assert parse(text) == parse(plain)
+
+
+def reference_tokenize(text: str) -> list[tuple[str, str, int]]:
+    """The character-by-character scanner the regular expression replaced.
+
+    It reads digits by ``str.isdigit``, so it takes a superscript for a
+    number; on ASCII input its tokens, offsets and errors are the grammar's.
+    """
+    starts = [1]  # byte offset of each character position
+    for ch in text:
+        starts.append(starts[-1] + len(ch.encode("utf-8")))
+    tokens = []
+    i = 0
+    n = len(text)
+    while i < n:
+        ch = text[i]
+        if ch in " \t\r\n":
+            i += 1
+            continue
+        if ch in "+-*/(),":
+            tokens.append(("symbol", ch, starts[i]))
+            i += 1
+            continue
+        if ch.isdigit():
+            j = i
+            while j < n and text[j].isdigit():
+                j += 1
+            if j < n and text[j] == "." and j + 1 < n and text[j + 1].isdigit():
+                j += 1
+                while j < n and text[j].isdigit():
+                    j += 1
+            if j < n and text[j] in "eE":
+                k = j + 1
+                if k < n and text[k] in "+-":
+                    k += 1
+                if k < n and text[k].isdigit():
+                    j = k
+                    while j < n and text[j].isdigit():
+                        j += 1
+            tokens.append(("number", text[i:j], starts[i]))
+            i = j
+            continue
+        if ch.isalpha() or ch == "_":
+            j = i
+            while j < n and (text[j].isalnum() or text[j] == "_"):
+                j += 1
+            tokens.append(("name", text[i:j], starts[i]))
+            i = j
+            continue
+        raise ExprSyntaxError(starts[i], "a number, name, operator or parenthesis")
+    tokens.append(("end", "", starts[n]))
+    return tokens
+
+
+def _scan(tokenize, text):
+    try:
+        return tokenize(text)
+    except ExprSyntaxError as exc:
+        return ("error", exc.offset, str(exc))
+
+
+# The grammar's alphabet, blanks (trailing ones too), and a few characters
+# no token takes.
+@settings(max_examples=1000, deadline=None)
+@given(st.text(alphabet="zipexsncow_0123456789.eE+-*/(), \t\r\n#^\x0b", max_size=24))
+def test_scanner_matches_reference_on_ascii(text):
+    assert _scan(_tokenize, text) == _scan(reference_tokenize, text)
+
+
+@pytest.mark.parametrize("text", ["6 ", " ", "", "1.", "1e", "1e+", "1.5e-3z", "1_0", "z2\t+\n", "é*z+#",
+                                  "z +\u00a0", "١٢.٥e١", "sin(é)"])
+def test_scanner_matches_reference_on_edge_cases(text):
+    assert _scan(_tokenize, text) == _scan(reference_tokenize, text)
 
 
 @pytest.mark.parametrize(
@@ -525,8 +631,93 @@ def test_long_sum_chain_formats_and_reparses():
     assert parse("e") != parse("2.718281828459045")
     # Nor must repr, which renders the text.
     assert repr(f) == f"parse({text!r})"
+    # Nor must the nodes' own hash, == and repr.
+    assert hash(f.root) == hash(g.root) and f.root == g.root and f.root != parse(text + "+1").root
+    assert repr(f.root) == "BinOp(op='+', left=" * 4999 + "Var()" + ", right=Var())" * 4999
+    assert repr(InfinityEvent(f.root)) == f"InfinityEvent(node={f.root!r})"
 
 
 def test_repr_names_the_map():
     assert repr(parse("z+sin(z)+2*pi")) == "parse('z+sin(z)+2*pi')"
     assert repr(compose(parse("exp(z)"), parse("z+1"))) == "parse('exp(z+1)')"
+
+
+# --- node values ---------------------------------------------------------
+
+# Each node type's fields, in declaration order.
+FIELDS = {
+    Var: (),
+    Const: ("value",),
+    Named: ("name",),
+    Neg: ("arg",),
+    BinOp: ("op", "left", "right"),
+    Pow: ("base", "exponent"),
+    Call: ("name", "arg"),
+    Apply: ("outer", "inner"),
+}
+
+
+def reference_repr(node) -> str:
+    """A dataclass-style repr, recursing into the node's fields in declaration order."""
+    fields = (f"{name}={reference_repr(value) if type(value) in FIELDS else repr(value)}"
+              for name, value in ((name, getattr(node, name)) for name in FIELDS[type(node)]))
+    return f"{type(node).__name__}({', '.join(fields)})"
+
+
+def _catalog_trees():
+    maps = [m for eid, _ in list_examples() for m in (get_example(eid).f, get_example(eid).g) if m is not None]
+    for f in dict.fromkeys(maps):
+        yield from (f, compose(f, f), conjugate(f, 2, 1j), affine_post(f, 0.5 - 1j, 2))
+
+
+def test_node_repr_matches_reference_on_catalog_trees():
+    seen = set()
+    for tree in _catalog_trees():
+        assert repr(tree.root) == reference_repr(tree.root)
+        seen |= {type(node) for _, node, _ in compile_expr(tree).code}
+    assert seen == set(FIELDS)
+
+
+# An Apply's program runs its inner map first, so a repr built in program
+# order could print its two fields swapped.
+def test_apply_repr_keeps_field_order():
+    node = Apply(Call("exp", Var()), BinOp("+", Var(), Const(1j)))
+    assert repr(node) == reference_repr(node) == (
+        "Apply(outer=Call(name='exp', arg=Var()), inner=BinOp(op='+', left=Var(), right=Const(value=1j)))")
+    nested = Apply(Apply(Neg(Var()), Pow(Var(), 3)), Named("pi"))
+    assert repr(nested) == reference_repr(nested)
+
+
+NODES = [
+    Var(),
+    Const(1.5 - 2j),
+    Named("pi"),
+    Neg(Var()),
+    BinOp("/", Var(), Const(2)),
+    Pow(Var(), 3),
+    Call("sin", Var()),
+    Apply(Call("exp", Var()), BinOp("+", Var(), Const(1j))),
+    parse("z+1+exp(-z)"),
+]
+
+
+@pytest.mark.parametrize("node", NODES, ids=lambda node: type(node).__name__)
+def test_nodes_are_immutable_values(node):
+    for twin in (copy.copy(node), copy.deepcopy(node), pickle.loads(pickle.dumps(node))):
+        assert type(twin) is type(node) and twin == node and hash(twin) == hash(node)
+        assert repr(twin) == repr(node)
+    for name in type(node).__slots__ or ("anything",):
+        with pytest.raises(AttributeError):
+            setattr(node, name, None)
+        with pytest.raises(AttributeError):
+            delattr(node, name)
+
+
+def test_node_identity_rule():
+    x = parse("z+1").root
+    assert FunctionExpr(x) != x and x != FunctionExpr(x) and FunctionExpr(x) == parse("z+1")
+    assert Const(1) == Const(1 + 0j) and hash(Const(1)) == hash(Const(1 + 0j))
+    assert parse("e") != parse("2.718281828459045") and parse("e").root != parse("2.718281828459045").root
+    assert BinOp("+", Var(), Const(1)) != BinOp("-", Var(), Const(1))
+    assert Apply(Var(), Neg(Var())) != Apply(Neg(Var()), Var())
+    assert Neg(Var()) != Call("exp", Var()) and Var() != Const(0)

@@ -27,7 +27,9 @@ commit and the working tree) and comparing the directories with
 - ``export_registry_json()``;
 - ``records.tsv``: for every map of the catalog at every edge seed, under
   both configs, the ``repr`` of the orbit record's peaks and of
-  ``evaluate`` at the seed.
+  ``evaluate`` at the seed; and for every map of the catalog, the node
+  ``repr`` of its root, of ``compose(f, f)``'s and of
+  ``conjugate(f, 2, 1j)``'s, whose ``Apply`` nodes no parsed map has.
 
 Every command runs in process through ``bungee.cli.main``. Its exit code
 and the first line of its standard error go to ``exits.tsv``, so a
@@ -53,6 +55,8 @@ sys.path.insert(0, str(SRC))
 from bungee import (  # noqa: E402
     ClassifierConfig,
     RelationId,
+    compose,
+    conjugate,
     evaluate,
     export_registry_json,
     get_example,
@@ -102,7 +106,8 @@ def _configs(outdir: Path) -> dict[str, list[str]]:
 
 
 def _records(maps: list[str]) -> str:
-    """One line per map, edge seed and config: the peaks and the value at the seed."""
+    """One line per map, edge seed and config: the peaks and the value at
+    the seed; and one per map and tree built from it: the root's repr."""
     configs = {"default": ClassifierConfig(), "drift": get_example("ex_sine_pair").config()}
     lines = []
     for mi, expr in enumerate(maps):
@@ -111,6 +116,8 @@ def _records(maps: list[str]) -> str:
             for cname, cfg in configs.items():
                 peaks = iterate_orbit(f, complex(seed), cfg).peaks
                 lines.append(f"map{mi}-seed{si}-{cname}\t{peaks!r}\t{evaluate(f, complex(seed))!r}")
+        for tname, tree in (("root", f), ("compose", compose(f, f)), ("conjugate", conjugate(f, 2, 1j))):
+            lines.append(f"map{mi}-{tname}\t{tree.root!r}")
     return "\n".join(lines) + "\n"
 
 
