@@ -15,7 +15,10 @@ from bungee import (
 )
 
 # The reciprocal square is the classic bungee oracle: off the unit
-# circle, orbits alternate between huge and tiny moduli.
+# circle, orbits alternate between huge and tiny moduli. Its dominant-term
+# forms prove it: f swaps |z| >= R with 0 < |z| <= r, and f(f(z)) = z**4
+# moves |z| >= R outward, so the orbit of 0.5 is certified Bungee at the
+# first Brent checkpoint, step 1, before any peak is recorded.
 f = parse("1/pow(z,2)")
 rec = iterate_orbit(f, 0.5)
 print("orbit of 0.5 under", "1/z^2")

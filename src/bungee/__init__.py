@@ -20,6 +20,7 @@ from .expr import (
 )
 from .orbit import (
     Classification,
+    CertifiedBungee,
     CertifiedEscape,
     ClassifierConfig,
     Completed,
@@ -79,6 +80,7 @@ __all__ = [
     "format_expr",
     "parse",
     "Classification",
+    "CertifiedBungee",
     "CertifiedEscape",
     "ClassifierConfig",
     "Completed",

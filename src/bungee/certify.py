@@ -1,4 +1,4 @@
-"""Escape certificates: regions that a map provably moves outward.
+"""Certified regions: where a map provably escapes, or is Bungee.
 
 A compiled `Program` is run over *affine interval forms* ``alpha*z + I``:
 ``alpha`` is an exact rational (an int or a `Fraction`) and ``I`` a
@@ -33,18 +33,50 @@ box and a narrower enclosure. So each region is tried at the top rung
 first, dropped if that fails, and otherwise bisected down to its lowest
 certified rung. Every certified rung is checked directly, so the search
 order affects only how far a region reaches.
+
+`form_regions` is the second search, for polynomial and rational maps.
+It runs the program over *dominant-term forms*: on ``|t| >= rho`` a value
+is ``c * t**d * (1+E)`` with ``d`` an integer, ``c`` an outward-rounded
+rectangle that excludes 0 and ``|E| <= e``. In a sum the larger degree
+wins and the smaller joins ``E``; a tie adds the coefficients; a product
+adds the degrees. ``exp``, ``sin`` and ``cos`` have no form, and one scan
+of the program refuses them before any arithmetic. With ``t = z`` the
+form holds near infinity; with ``t = 1/z``, the *mirror form*, on
+``0 < |z| <= 1/rho``, where the lowest degree in ``z`` wins; and run on
+the map's own form, the program gives the second iterate ``f(f(z))``
+without a composed tree. With ``R`` on `RADII`:
+
+- a map of degree ``d >= 1`` at infinity escapes on ``|z| >= R`` when
+  ``kappa = inf|c| (1-e) R**(d-1)`` exceeds 1 by `_MARGIN`, for then
+  ``|f(z)| >= kappa |z| >= |z| + (kappa-1) R`` (the escape radius of
+  polynomials, Milnor 2006, ch. 9): ``1.001*z`` on ``|z| >= 1/16``;
+- a map of degree ``d < 0`` is Bungee on ``|z| >= R or 0 < |z| <= r``
+  when ``f(f(z))`` escapes on ``E = {|z| >= R}``, ``f`` maps ``E`` into
+  ``0 < |z| <= r`` and, by the mirror form, the disk back into ``E``:
+  the even iterates of an orbit that enters the region escape and the
+  odd ones stay within ``r``, so it lies in BU (Osborne and Sixsmith
+  2016). ``1/pow(z,2)`` is Bungee on ``|z| >= 1 + 2**-10`` or
+  ``0 < |z| <= 1/(1 + 2**-10)``, rounded down.
+
+A certificate speaks of the exact orbit of the float iterate that enters
+its region, as a half-plane's does.
 """
 
 from __future__ import annotations
 
 import math
-from typing import NamedTuple
+from bisect import bisect_right
+from functools import cache
+from typing import NamedTuple, Optional
 
 import numpy as np
 
-from .expr import Program
+from .expr import _ARITY, Program
 
-__all__ = ["Region", "LADDER", "enclose", "certifies", "escape_regions", "locate"]
+__all__ = [
+    "Region", "LADDER", "enclose", "certifies", "escape_regions",
+    "DiskRegion", "RADII", "dominant_form", "escape_rate", "form_regions", "locate",
+]
 
 _INF = math.inf
 LADDER = tuple(2.0**k for k in range(-4, 61))  # the radii R tried, ascending
@@ -64,6 +96,8 @@ class Region(NamedTuple):
     radius: float
     ray: bool = False
 
+    bungee = False  # its orbits escape
+
     def __str__(self) -> str:
         if self.ray:
             return f"z in [{self.radius!r}, inf)" if self.sign > 0 else f"z in (-inf, {-self.radius!r}]"
@@ -76,7 +110,7 @@ class Region(NamedTuple):
         other = _ZERO if self.ray else _ALL
         return (side, other) if self.axis == 0 else (other, side)
 
-    def contains(self, z: np.ndarray) -> np.ndarray:
+    def contains(self, z: np.ndarray, m: Optional[np.ndarray] = None) -> np.ndarray:
         part = z.real if self.axis == 0 else z.imag
         inside = self.sign * part >= self.radius
         return inside & (z.imag == 0) if self.ray else inside
@@ -111,8 +145,11 @@ def _neg(a):
 
 
 def _mul(a, b):
-    products = [x * y if x and y else 0.0 for x in a for y in b]  # 0 * inf = 0
-    lo, hi = min(products), max(products)
+    if a[0] == a[1] and b[0] == b[1]:  # two points: one product
+        lo = hi = a[0] * b[0] if a[0] and b[0] else 0.0
+    else:
+        products = [x * y if x and y else 0.0 for x in a for y in b]  # 0 * inf = 0
+        lo, hi = min(products), max(products)
     if any(p[0] == p[1] and abs(p[0]) in (0.0, 1.0) for p in (a, b)):
         return (lo, hi)  # a factor of 0 or ±1: every product is exact
     return (_down(lo), _up(hi))
@@ -283,23 +320,26 @@ def certifies(program: Program, region: Region) -> bool:
     return alpha >= 1 and delta > 0
 
 
-def _lowest_rung(program: Program, axis: int, sign: int, ray: bool):
-    """The region of the lowest certified rung, or None if the top rung fails."""
-
-    def region(k: int) -> Region:
-        return Region(axis, sign, LADDER[k], ray)
-
-    hi = len(LADDER) - 1
-    if not certifies(program, region(hi)):
+def _lowest(holds, rungs):
+    """The lowest of ``rungs`` (ascending) where ``holds``, found by
+    bisection below the top rung, or None if the top rung fails."""
+    hi = len(rungs) - 1
+    if not holds(rungs[hi]):
         return None
     lo = -1  # every rung at or below lo fails, if isotone
     while hi - lo > 1:
         mid = (lo + hi) // 2
-        if certifies(program, region(mid)):
+        if holds(rungs[mid]):
             hi = mid
         else:
             lo = mid
-    return region(hi)
+    return rungs[hi]
+
+
+def _lowest_rung(program: Program, axis: int, sign: int, ray: bool):
+    """The region of the lowest certified rung, or None if the top rung fails."""
+    radius = _lowest(lambda r: certifies(program, Region(axis, sign, r, ray)), LADDER)
+    return None if radius is None else Region(axis, sign, radius, ray)
 
 
 def escape_regions(program: Program) -> tuple[Region, ...]:
@@ -323,9 +363,281 @@ def escape_regions(program: Program) -> tuple[Region, ...]:
     return tuple(found)
 
 
-def locate(regions: tuple[Region, ...], z: np.ndarray) -> np.ndarray:
-    """The index of the first region holding each value of ``z``, -1 for none."""
+# --- dominant-term forms at infinity and at 0 ---------------------------------
+
+# The radii tried for regions about 0: the half-planes' ladder, and rungs
+# 1 + 2**-k and their reciprocals, which reach toward the unit circle, where
+# a map with a Bungee region swaps the outside and the inside.
+RADII = tuple(sorted({*LADDER, *(1 + 2.0**-k for k in range(1, 11)), *(1 / (1 + 2.0**-k) for k in range(1, 11))}))
+# A certified escape rate must exceed 1 by this much: a rate within rounding
+# of 1, as of a rotation whose float coefficient has modulus 1 + 2.4e-17, is
+# no escape worth proving.
+_MARGIN = 2.0**-30
+# The relative error of np.abs on complex128 reaches 1.2 * 2**-52 (numpy
+# 2.4; |0.8 exp(1.647i)| is 0.8 + 7e-17 and reads 0.7999999999999999, more
+# than an ulp low), so a disk test reads |z| this far inside each radius.
+_ABS_SLACK = 2.0**-50
+# Forms ``(c, d, e, lo, hi)`` of what ``z`` reads: ``t`` itself at infinity,
+# and ``1/t`` at 0, where ``|t| >= rho`` is ``0 < |z| <= 1/rho``.
+_AT_INFINITY = ((_ONE, _ZERO), 1, 0.0, 1.0, 1.0)
+_AT_ZERO = ((_ONE, _ZERO), -1, 0.0, 1.0, 1.0)
+
+
+class DiskRegion(NamedTuple):
+    """``|z| >= radius``, which the map moves outward, so orbits that
+    enter it escape; with ``inner > 0`` the Bungee region ``|z| >= radius``
+    or ``0 < |z| <= inner``, whose orbits alternate between its two parts."""
+
+    radius: float
+    inner: float = 0.0
+
+    def __str__(self) -> str:
+        outer = f"|z| >= {self.radius!r}"
+        return f"{outer} or 0 < |z| <= {self.inner!r}" if self.inner else outer
+
+    @property
+    def bungee(self) -> bool:
+        return self.inner > 0
+
+    def contains(self, z: np.ndarray, m: Optional[np.ndarray] = None) -> np.ndarray:
+        """Membership read from ``m``, the ``|z|`` of `np.abs`, each radius
+        tested `_ABS_SLACK` inside."""
+        m = np.abs(z) if m is None else m
+        inside = m >= self.radius * (1 + _ABS_SLACK)
+        if self.inner:
+            inside |= (m <= self.inner * (1 - _ABS_SLACK)) & (m > 0)  # |z| is 0 only at z == 0
+        return inside
+
+
+def _shape(c, d: int):
+    """The shape ``(c, d, lo, hi)`` of a form, ``lo`` and ``hi`` bounding
+    ``|c|``, or None if ``c`` may hold 0."""
+    lo, hi = _add(_square(c[0]), _square(c[1]))
+    lo = _down(math.sqrt(lo)) if lo > 0 else 0.0
+    return (c, d, lo, _up(math.sqrt(hi))) if lo > 0 else None
+
+
+def _neg_shape(shape):
+    (re, im), d, lo, hi = shape
+    return (_neg(re), _neg(im)), d, lo, hi
+
+
+def _shape_of(op: str, arg, xs: list):
+    """The shape of an instruction's value from its operands' shapes: it
+    does not depend on ``rho``. None if the value has no form."""
+    if op == "load":
+        w = complex(arg)
+        return _shape(((w.real, w.real), (w.imag, w.imag)), 0)
+    if op == "neg":
+        return _neg_shape(xs[0])
+    if op == "pow":
+        return _shape(_cpow(xs[0][0], arg), arg * xs[0][1])
+    (cx, dx, _, _), (cy, dy, _, _) = xs
+    if op == "*":
+        return _shape(_cmul(cx, cy), dx + dy)
+    if op == "/":
+        return _shape(_cdiv(cx, cy), dx - dy)
+    y = xs[1] if op == "+" else _neg_shape(xs[1])
+    if dx == dy:  # a tie adds the coefficients; they may cancel
+        return _shape((_add(cx[0], y[0][0]), _add(cx[1], y[0][1])), dx)
+    return xs[0] if dx > dy else y  # the larger degree wins
+
+
+def _error_of(op: str, arg, xs: list, es: list, shape, rho: float):
+    """The bound ``e`` of an instruction's value, from its operands' shapes
+    ``xs`` and bounds ``es``, on ``|t| >= rho``; None if there is none."""
+    if op == "load":
+        return 0.0
+    if op == "neg":
+        return es[0]
+    if op == "pow":
+        grown = 0.0  # (1+e)**k - 1, for k up to arg
+        for _ in range(arg):
+            grown = _sum(_sum(grown, es[0], _INF), _umul(grown, es[0]), _INF)
+        return grown
+    (_, dx, lox, hix), (_, dy, loy, hiy) = xs
+    ex, ey = es
+    if op == "*":  # (1+E_x)(1+E_y) - 1
+        return _sum(_sum(ex, ey, _INF), _umul(ex, ey), _INF)
+    if op == "/":  # (1+E_x)/(1+E_y) - 1 = (E_x-E_y)/(1+E_y)
+        return _udiv(_sum(ex, ey, _INF), _sum(1.0, -ey, -_INF)) if ey < 1 else None
+    if dx == dy:
+        return _udiv(_sum(_umul(hix, ex), _umul(hiy, ey), _INF), shape[2])
+    if dx < dy:
+        dx, lox, ex, dy, hiy, ey = dy, loy, ey, dx, hix, ex
+    # x + y = c_x t**d_x (1 + E_x + (c_y/c_x) t**(d_y-d_x) (1+E_y)), where
+    # |t|**(d_y-d_x) <= rho**(d_y-d_x)
+    ratio = _umul(_udiv(hiy, lox), _rpow(rho, dy - dx, _INF))
+    return _sum(ex, _umul(ratio, _sum(1.0, ey, _INF)), _INF)
+
+
+def _umul(x: float, y: float) -> float:
+    """``x * y`` for ``x, y >= 0``, rounded up (0 when either is 0)."""
+    return _up(x * y) if x and y else 0.0
+
+
+def _udiv(x: float, y: float) -> float:
+    """``x / y`` for ``x >= 0`` and ``y > 0``, rounded up (0 when ``x`` is 0)."""
+    return _up(x / y) if x else 0.0
+
+
+def _rpow(rho: float, k: int, toward: float) -> float:
+    """``rho ** k`` rounded toward ``toward`` (±inf), allowing 2 ulps of error."""
+    try:
+        v = rho**k
+    except OverflowError:
+        v = _INF
+    return math.nextafter(math.nextafter(v, toward), toward)
+
+
+def _floor(form, rho: float, k: int) -> float:
+    """``lo * (1-e) * rho**k`` rounded down: a lower bound on
+    ``|f| / |t|**(d-k)`` over ``|t| >= rho``; 0 if ``e >= 1``."""
+    _, _, e, lo, _ = form
+    return _down(_down(lo * _sum(1.0, -e, -_INF)) * _rpow(rho, k, -_INF)) if e < 1 else 0.0
+
+
+def dominant_form(program: Program, rho: float, var=_AT_INFINITY, shapes: Optional[dict] = None):
+    """The map as ``c * t**d * (1+E)`` for every ``t`` with ``|t| >= rho``:
+    ``(c, d, e, lo, hi)``, or None if there is no such form.
+
+    The coefficient lies in ``c``, a rectangle ``(re, im)`` of intervals
+    with ``0 < lo <= |c| <= hi``; ``d`` is an integer and ``|E| <= e``.
+    ``var`` is the form of what ``z`` reads: ``t`` itself by default;
+    `_AT_ZERO`, ``1/t``, for the mirror form on ``0 < |z| <= 1/rho``; or
+    the map's own form, for its second iterate. A sum keeps its term of
+    larger degree and moves the other into ``E``; every such bound falls
+    as ``|t|`` grows, so the bound at ``rho`` holds on all of
+    ``|t| >= rho``. ``exp``, ``sin``, ``cos``, a zero constant and a sum
+    that may cancel have no form.
+
+    Only ``e`` depends on ``rho``: ``shapes``, a dict kept by a caller
+    that tries many ``rho`` with forms of ``var`` of one shape, holds the
+    shape (`_shape_of`) of each instruction once it is known.
+    """
+    shapes = {} if shapes is None else shapes
+    c, d, e, lo, hi = var
+    stack: list = []  # (shape, e) of each value
+    env = [((c, d, lo, hi), e)]
+    for k, (op, _, arg) in enumerate(program.code):
+        if op == "load" and arg is None:
+            stack.append(env[-1])
+            continue
+        if op == "bind":
+            env.append(stack.pop())
+            continue
+        if op == "unbind":
+            env.pop()
+            continue
+        if op in _FUNCS:
+            return None
+        operands = [stack.pop() for _ in range(_ARITY.get(op, 1))][::-1]
+        xs = [x for x, _ in operands]
+        shape = shapes[k] if k in shapes else shapes.setdefault(k, _shape_of(op, arg, xs))
+        if shape is None:
+            return None
+        e = _error_of(op, arg, xs, [e for _, e in operands], shape, rho)
+        if e is None:
+            return None
+        stack.append((shape, e))
+    (c, d, lo, hi), e = stack.pop()
+    return c, d, e, lo, hi
+
+
+def escape_rate(form, radius: float) -> float:
+    """A lower bound ``kappa`` on ``|f(z)| / |z|`` over ``|z| >= radius``,
+    given the form of ``f`` at infinity there, or 0 if its degree is below 1.
+
+    ``|f(z)| >= lo (1-e) |z|**d >= kappa |z|`` with
+    ``kappa = lo (1-e) radius**(d-1)``; with ``kappa > 1`` every point
+    moves out by at least ``(kappa-1)*radius``.
+    """
+    return 0.0 if form is None or form[1] < 1 else _floor(form, radius, form[1] - 1)
+
+
+def _forms(program: Program, var):
+    """The form of the map on ``|t| >= rho`` as a function of ``rho``, each
+    computed once; ``var`` is what ``z`` reads, or a function of ``rho``
+    giving it. When the form at the top rung has ``e == 0``, no bound in
+    it depends on ``rho`` (every term of ``e`` is positive once any is),
+    so that form is the form at every rung."""
+    shapes: dict = {}
+
+    @cache
+    def at(rho: float):
+        inner = var(rho) if callable(var) else var
+        return None if inner is None else dominant_form(program, rho, inner, shapes)
+
+    top = at(RADII[-1])
+    return (lambda rho: top) if top is not None and top[2] == 0 else at
+
+
+def _bungee_region(program: Program, at_infinity) -> Optional[DiskRegion]:
+    """The region ``|z| >= R or 0 < |z| <= r`` of a map of negative degree
+    at infinity, with the lowest rung ``R`` where
+
+    - ``f(f(z))`` escapes on ``E = {|z| >= R}``,
+    - ``f(E)`` lies in ``0 < |z| <= r``, and
+    - ``f(0 < |z| <= r)`` lies in ``E``,
+
+    and the largest ``r``, ``1/rho`` rounded down for a rung ``rho``, with
+    the last two. From ``E`` the even iterates then escape and the odd ones
+    stay within ``r``, so the orbit is in BU (Osborne and Sixsmith 2016).
+    ``f(f(z))`` is the program run on the form of ``f``, and the mirror
+    form, on ``0 < |z| <= 1/rho``, the program run on ``1/t``.
+    """
+    second = _forms(program, at_infinity)
+    at_zero = _forms(program, _AT_ZERO)
+
+    def floor_at_zero(rho: float) -> float:
+        """A lower bound on ``|f(z)|`` over ``0 < |z| <= 1/rho``, or 0."""
+        form = at_zero(rho)
+        return 0.0 if form is None or form[1] < 1 else _floor(form, rho, form[1])
+
+    def fitting(radius: float) -> int:
+        """How many rungs ``rho`` have a disk ``|z| <= 1/rho`` that holds
+        ``f(E)``; 0 also if ``f(f(z))`` does not escape on ``E``."""
+        form = at_infinity(radius)
+        if form is None or not form[2] < 1 or not escape_rate(second(radius), radius) > 1 + _MARGIN:
+            return 0
+        # |f(z)| <= hi (1+e) radius**d on E, as d < 0
+        reach = _umul(_umul(form[4], _sum(1.0, form[2], _INF)), _rpow(radius, form[1], _INF))
+        if not reach > 0:  # a NaN bound proves nothing
+            return 0
+        k = bisect_right(RADII, 1.0 / reach)
+        while k and _down(1.0 / RADII[k - 1]) < reach:
+            k -= 1
+        return k
+
+    radius = _lowest(lambda r: (k := fitting(r)) > 0 and floor_at_zero(RADII[k - 1]) >= r, RADII)
+    if radius is None:
+        return None
+    rho = _lowest(lambda p: floor_at_zero(p) >= radius, RADII[: fitting(radius)])
+    return DiskRegion(radius, _down(1.0 / rho))
+
+
+def form_regions(program: Program) -> tuple[DiskRegion, ...]:
+    """The regions about 0 that dominant-term forms certify: ``|z| >= R``
+    for a map of degree ``d >= 1`` at infinity, with ``R`` the lowest rung
+    of `RADII` where `escape_rate` exceeds 1 by `_MARGIN`; the Bungee
+    region of `_bungee_region` for ``d < 0``; none otherwise."""
+    if any(op in _FUNCS for op, _, _ in program.code):
+        return ()
+    at_infinity = _forms(program, _AT_INFINITY)
+    top = at_infinity(RADII[-1])
+    if top is None or top[1] == 0:
+        return ()
+    if top[1] < 0:
+        region = _bungee_region(program, at_infinity)
+        return () if region is None else (region,)
+    radius = _lowest(lambda r: escape_rate(at_infinity(r), r) > 1 + _MARGIN, RADII)
+    return () if radius is None else (DiskRegion(radius),)
+
+
+def locate(regions: tuple, z: np.ndarray, m: Optional[np.ndarray] = None) -> np.ndarray:
+    """The index of the first region holding each value of ``z``, -1 for
+    none; ``m``, if given, is ``|z|``, which disk regions read."""
     which = np.full(z.shape, -1, dtype=np.int8)
     for k in range(len(regions) - 1, -1, -1):
-        which[regions[k].contains(z)] = k
+        which[regions[k].contains(z, m)] = k
     return which

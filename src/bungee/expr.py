@@ -90,7 +90,8 @@ class _Value:
     ``==`` and ``hash`` read the value's type and its compiled program (see
     `compile_expr`), and a node's ``repr`` is built from that program, so
     none of them recurses once per tree level. Copies and pickles rebuild
-    the value from its fields.
+    the value from the flat post-order list of `_flatten`, with a stack,
+    so they do not recurse either.
     """
 
     __slots__ = ()
@@ -107,7 +108,7 @@ class _Value:
     __delattr__ = __setattr__
 
     def __reduce__(self):
-        return type(self), tuple(getattr(self, name) for name in self.__slots__)
+        return _rebuild, (_flatten(self),)
 
     def _key(self) -> tuple:
         return type(self), tuple((op, type(node), arg) for op, node, arg in compile_expr(self).code)
@@ -132,6 +133,48 @@ class _Value:
                       for name, value in zip(node.__slots__, values))
             stack.append(f"{type(node).__qualname__}({', '.join(fields)})")
         return stack.pop()
+
+
+# The fields of expression values that hold child values.
+_CHILD_FIELDS = frozenset(("arg", "left", "right", "base", "outer", "inner", "root"))
+
+
+def _flatten(value: _Value) -> tuple:
+    """``value``'s tree in post-order, without recursion: per value, its
+    type and its other fields; a value met before is its position instead."""
+    entries: list = []
+    seen: dict = {}  # id of a value -> its position in entries
+    todo: list = [(value, False)]
+    while todo:
+        item, done = todo.pop()
+        if id(item) in seen:
+            entries.append(seen[id(item)])
+        elif done:
+            seen[id(item)] = len(entries)
+            entries.append((type(item), tuple(getattr(item, f) for f in item.__slots__ if f not in _CHILD_FIELDS)))
+        else:
+            todo.append((item, True))
+            todo += [(getattr(item, f), False) for f in reversed(item.__slots__) if f in _CHILD_FIELDS]
+    return tuple(entries)
+
+
+def _rebuild(entries: tuple) -> _Value:
+    """The value `_flatten` took apart, rebuilt with a stack."""
+    built: list = []  # the value of each entry
+    stack: list = []
+    for entry in entries:
+        if isinstance(entry, int):
+            value = built[entry]
+        else:
+            kind, plain = entry
+            plain = iter(plain)
+            arity = sum(f in _CHILD_FIELDS for f in kind.__slots__)
+            children = iter(stack[len(stack) - arity :])
+            del stack[len(stack) - arity :]
+            value = kind(*(next(children) if f in _CHILD_FIELDS else next(plain) for f in kind.__slots__))
+        built.append(value)
+        stack.append(value)
+    return stack.pop()
 
 
 class Var(_Value):

@@ -5,17 +5,22 @@ out (`Completed`), the orbit leaves the trusted dynamic range or an
 evaluation event fires (`Overflowed`), a near-repeat of an earlier value
 is found (`CycleFound`), the map is evaluated at its pole 0 (`PoleHit`,
 oracle maps only), or, at a Brent checkpoint, the iterate lies in a
-region that the map provably moves outward (`CertifiedEscape`). Orbits
-that shrink toward 0 are never cut short: they are left to settle into a
-cycle.
+region that the map provably moves outward (`CertifiedEscape`) or one
+whose orbits provably alternate between escaping and staying bounded
+(`CertifiedBungee`). Orbits that shrink toward 0 are never cut short:
+they are left to settle into a cycle.
 
-The regions are half-planes and real rays that `bungee.certify` proves
-for the map, once per `classify_batch` or `iterate_orbit` call, by
-interval evaluation of its compiled program: on such a region ``Re(f(z)/u)
->= Re(z/u) + delta`` with ``delta > 0``, so every orbit that enters it
-escapes. The Fatou map ``z+1+exp(-z)`` has ``Re z >= 1/16``; a map
-without such a region, like ``1/pow(z,2)``, runs as it would without
-the search.
+The regions are those `bungee.certify` proves for the map, once per
+`classify_batch` or `iterate_orbit` call, from its compiled program
+alone: half-planes and real rays on which ``Re(f(z)/u) >= Re(z/u) +
+delta`` with ``delta > 0``, by interval evaluation (the Fatou map
+``z+1+exp(-z)`` has ``Re z >= 1/16``); disk exteriors ``|z| >= R`` that a
+polynomial or rational map moves outward (``z*z-1`` has ``|z| >= 2``);
+and Bungee regions ``|z| >= R or 0 < |z| <= r`` of a map of negative
+degree at infinity, whose two parts it swaps while its second iterate
+moves ``|z| >= R`` outward (``1/pow(z,2)``). Both kinds of disk come from
+dominant-term forms. A map without a region, like ``exp(z)``, runs as it
+would without the search. The disk tests read the step's ``|z|``.
 
 Along the way the orbit's excursions are tracked against two radii. A
 *peak* is registered when the modulus first exceeds ``r_esc`` after a
@@ -29,9 +34,10 @@ Verdicts are assigned by the first matching rule:
 
 1. Bounded: a detected cycle whose moduli all stay within ``r_bound``,
    or a completed orbit that never left ``r_bound``.
-2. Bungee: at least ``min_alternations`` returns with every consecutive
-   peak pair growing by factor ``peak_growth``, unless the orbit ended
-   at a pole or with a certified escape.
+2. Bungee: a certified Bungee region, whatever the returns; or at least
+   ``min_alternations`` returns with every consecutive peak pair growing
+   by factor ``peak_growth``, unless the orbit ended at a pole or with a
+   certified escape.
 3. Escaping: a certified escape, overflow with fewer than
    ``min_alternations`` returns, or a completed orbit whose last
    ``tail_window`` moduli all exceed ``r_esc`` with the final iterate
@@ -74,7 +80,7 @@ from typing import NamedTuple, Optional, Union
 
 import numpy as np
 
-from .certify import Region, escape_regions, locate
+from .certify import escape_regions, form_regions, locate
 from .expr import EVENT_NONE, EVENT_POLE, FunctionExpr, Program, _ignoring_errors, compile_expr, eval_array
 
 __all__ = [
@@ -86,6 +92,7 @@ __all__ = [
     "CycleFound",
     "PoleHit",
     "CertifiedEscape",
+    "CertifiedBungee",
     "Termination",
     "OrbitRecord",
     "BatchState",
@@ -210,16 +217,29 @@ class PoleHit:
 
 
 @dataclass(frozen=True)
-class CertifiedEscape:
-    """At ``step``, a Brent checkpoint, the iterate lay in ``region``, a
-    half-plane or real ray that the map provably moves outward, so the
-    orbit escapes (see `bungee.certify`)."""
+class _Certified:
+    """At ``step``, a Brent checkpoint, the iterate lay in ``region``, which
+    `bungee.certify` proved for the map. The two kinds of certificate share
+    these fields; each compares equal only to its own kind."""
 
     step: int
     region: str
 
 
-Termination = Union[Completed, Overflowed, CycleFound, PoleHit, CertifiedEscape]
+class CertifiedEscape(_Certified):
+    """The iterate lay in ``region``, a half-plane, real ray or disk
+    exterior ``|z| >= R`` that the map provably moves outward, so the orbit
+    escapes."""
+
+
+class CertifiedBungee(_Certified):
+    """The iterate lay in ``region``, ``|z| >= R or 0 < |z| <= r``, whose two
+    parts the map provably swaps while its second iterate moves
+    ``|z| >= R`` outward, so the orbit is in the bungee set: it neither
+    escapes nor stays bounded."""
+
+
+Termination = Union[Completed, Overflowed, CycleFound, PoleHit, CertifiedEscape, CertifiedBungee]
 
 
 @dataclass(frozen=True)
@@ -255,6 +275,7 @@ _OVERFLOWED = 2
 _CYCLE = 3
 _POLE = 4
 _CERTIFIED = 5
+_CERTIFIED_BUNGEE = 6
 
 # Seeds per engine run in `classify_batch`: wide enough to amortize numpy's
 # per-call cost over many lanes, narrow enough to bound per-run memory.
@@ -368,7 +389,7 @@ def _run_batch(
     program: Program,
     seeds: np.ndarray,
     cfg: ClassifierConfig,
-    regions: tuple[Region, ...],
+    regions: tuple,
     history: Optional[_History] = None,
 ) -> BatchState:
     z = np.array(seeds, dtype=np.complex128).ravel()
@@ -402,6 +423,7 @@ def _run_batch(
 
     seed_out = m > guard
     out.kind[seed_out] = _OVERFLOWED
+    certified = np.array([_CERTIFIED_BUNGEE if r.bungee else _CERTIFIED for r in regions], dtype=np.int8)
     w = _Lanes(out, seed_out, m, cfg)
     # Every live lane started at step 0 and advances once per step, so the
     # Brent schedule (checkpoint when lam reaches power) is shared by all.
@@ -471,13 +493,14 @@ def _run_batch(
                     out.cycle_max[ids] = w.win_max[lanes]
             if lam == power:
                 if regions:
-                    which = locate(regions, w.z)
+                    which = locate(regions, w.z, mv)
                     inside = which >= 0
                     if np.count_nonzero(inside):
                         lanes = w.unended(inside)
                         if lanes.size:
-                            ids = w.write(out, lanes, _CERTIFIED, step)
-                            out.region[ids] = which[lanes]
+                            hit = which[lanes]
+                            ids = w.write(out, lanes, certified[hit], step)
+                            out.region[ids] = hit
                 np.maximum(w.global_max, w.win_max, out=w.global_max)
                 w.tortoise = w.z
                 w.tol_tort = cfg.cycle_tol * np.abs(w.z)
@@ -497,6 +520,7 @@ def _verdicts(state: BatchState, cfg: ClassifierConfig) -> np.ndarray:
 
     Later assignments win, so the rules apply in order; a pole hit matches
     neither rule 1 nor rule 3, and rule 2 excludes it and a certified escape.
+    A certified Bungee lane is Bungee by rule 2 alone.
     """
     kind = state.kind
     completed = kind == _COMPLETED
@@ -505,7 +529,9 @@ def _verdicts(state: BatchState, cfg: ClassifierConfig) -> np.ndarray:
     pending_weak = state.in_peak & (state.cur_peak < cfg.peak_growth * state.last_peak)
 
     bounded = ((kind == _CYCLE) & (state.cycle_max <= cfg.r_bound)) | (completed & (state.global_max <= cfg.r_bound))
-    bungee = (kind != _POLE) & (kind != _CERTIFIED) & ~few_returns & state.escalation_ok & ~pending_weak
+    bungee = ((kind != _POLE) & (kind != _CERTIFIED) & ~few_returns & state.escalation_ok & ~pending_weak) | (
+        kind == _CERTIFIED_BUNGEE
+    )
     escaping = (kind == _CERTIFIED) | ((kind == _OVERFLOWED) & few_returns) | (
         completed & (state.tail_min > cfg.r_esc) & (np.abs(state.z) >= state.global_max)
     )
@@ -536,12 +562,12 @@ def iterate_orbit(
     Peaks are placed from the engine's start and return steps. A
     `CycleFound` termination takes its period from the engine state and
     finds its entry in one whole-array comparison of the recorded values
-    at that period; a `CertifiedEscape` names its region.
+    at that period; a `CertifiedEscape` or `CertifiedBungee` names its region.
     """
     seed = complex(z0)
     history = _History([], [], [])
     program = compile_expr(f)
-    regions = escape_regions(program)
+    regions = escape_regions(program) + form_regions(program)
     state = _run_batch(program, np.array([seed]), cfg, regions, history)
     values = np.array(history.values, dtype=np.complex128)
     moduli = np.abs(values)
@@ -557,6 +583,8 @@ def iterate_orbit(
         termination = PoleHit(int(state.term_step[0]))
     elif k == _CERTIFIED:
         termination = CertifiedEscape(int(state.term_step[0]), str(regions[state.region[0]]))
+    elif k == _CERTIFIED_BUNGEE:
+        termination = CertifiedBungee(int(state.term_step[0]), str(regions[state.region[0]]))
     else:
         period = int(state.period[0])
         entry = _cycle_entry(values, period, int(state.term_step[0]), cfg.cycle_tol)
@@ -607,14 +635,14 @@ def classify_batch(
     both apply `_verdicts` to the same engine's state.
     Seeds run in fixed chunks of independent lanes; a chunk's state is
     dropped unless ``return_state`` keeps it, so memory stays bounded.
-    The map is compiled, and its escape regions found, once per call.
+    The map is compiled, and its certified regions found, once per call.
     """
     seeds = np.asarray(seeds, dtype=np.complex128)
     flat = seeds.ravel()
     codes = np.empty(flat.size, dtype=np.int8)
     states = []
     program = compile_expr(f)
-    regions = escape_regions(program)
+    regions = escape_regions(program) + form_regions(program)
     for lo in range(0, flat.size, _CHUNK):
         state = _run_batch(program, flat[lo : lo + _CHUNK], cfg, regions)
         codes[lo : lo + _CHUNK] = _verdicts(state, cfg)

@@ -1,12 +1,15 @@
-"""Escape certificates: the interval interpreter, the region search and the
-engine's certified termination.
+"""Escape and Bungee certificates: the interval interpreter, the
+dominant-term forms, the region searches and the engine's certified
+terminations.
 
 Soundness is checked two ways at random points of random boxes, some with
 infinite sides: against `eval_array`, whose float value may differ from
 the exact one by rounding (hence a relative slack of 1e-9), and against
 `mpmath.iv` at 113 bits, which encloses the exact value at the point, so
-that check has no slack. mpmath is a test dependency only: the package
-never imports it.
+that check has no slack. The forms and the disk regions are checked
+against `mpmath.iv` alone, at random points with ``|z| >= R`` and
+``0 < |z| <= r``. mpmath is a test dependency only: the package never
+imports it.
 """
 
 from __future__ import annotations
@@ -15,17 +18,21 @@ import math
 import operator
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 from mpmath import iv
 
 import bungee.orbit
+import bungee.certify
 from bungee import (
+    CertifiedBungee,
     CertifiedEscape,
     Classification,
+    Completed,
     CycleFound,
     GridSpec,
     Overflowed,
@@ -38,9 +45,23 @@ from bungee import (
     list_examples,
     parse,
 )
-from bungee.certify import LADDER, Region, certifies, enclose, escape_regions, locate
+from bungee.certify import (
+    _AT_ZERO,
+    _MARGIN,
+    LADDER,
+    RADII,
+    DiskRegion,
+    Region,
+    certifies,
+    dominant_form,
+    enclose,
+    escape_rate,
+    escape_regions,
+    form_regions,
+    locate,
+)
 from bungee.expr import EVENT_NONE, compile_expr, eval_array
-from bungee.orbit import _CERTIFIED, _CYCLE, _OVERFLOWED, DEFAULT_CONFIG, _run_batch
+from bungee.orbit import _CERTIFIED, _CERTIFIED_BUNGEE, _CYCLE, _OVERFLOWED, DEFAULT_CONFIG, _run_batch
 
 from strategies import expression_strings
 
@@ -288,17 +309,19 @@ def test_certified_region_moves_points_outward():
 
 def test_search_runs_once_per_call(monkeypatch):
     calls = []
-    search = bungee.orbit.escape_regions
+    for name in ("escape_regions", "form_regions"):
+        search = getattr(bungee.orbit, name)
 
-    def counted(program):
-        calls.append(program)
-        return search(program)
+        def counted(program, search=search, name=name):
+            calls.append(name)
+            return search(program)
 
-    monkeypatch.setattr(bungee.orbit, "escape_regions", counted)
-    f = parse("z+1+exp(-z)")
-    classify_batch(f, GridSpec(-3, 3, -3, 3, 149, 55).points())  # three chunks
-    iterate_orbit(f, 0.5)
-    assert len(calls) == 2
+        monkeypatch.setattr(bungee.orbit, name, counted)
+    for text in ("z+1+exp(-z)", "1/pow(z,2)"):
+        f = parse(text)
+        classify_batch(f, GridSpec(-3, 3, -3, 3, 149, 55).points())  # three chunks
+        iterate_orbit(f, 0.5)
+    assert sorted(calls) == ["escape_regions"] * 4 + ["form_regions"] * 4
 
 
 def test_no_mpmath_on_the_run_paths(tmp_path):
@@ -352,3 +375,239 @@ def test_rounding_absorbed_fatou_lanes_end_before_their_repeat():
     _, state = classify_batch(f, seeds, return_state=True)
     assert np.count_nonzero(state.kind == _CYCLE) == 0
     assert np.all(state.kind[absorbed] == _CERTIFIED) and state.term_step[absorbed].max() <= 7
+
+
+# --- dominant-term forms and the regions about 0 ------------------------------
+
+MOEBIUS = "(z*cos(0.05)-sin(0.05))/(z*sin(0.05)+cos(0.05))"
+ROTATION_COEFFICIENT = complex(math.cos(1.0), math.sin(1.0))
+ROTATION = f"({ROTATION_COEFFICIENT.real!r}+{ROTATION_COEFFICIENT.imag!r}*i)*z"
+INVERSE_SQUARE_BUNGEE = "|z| >= 1.0009765625 or 0 < |z| <= 0.9990243902439023"
+# Polynomial and rational maps: with a region about 0, then without one.
+FORM_MAPS = {
+    text: parse(text)
+    for text in (
+        "1.001*z", "1.4*z", "pow(z,2)", "z*z-1", "2*z+1", "pow(z+1,3)/(z-2*i)", "1/pow(z,2)",
+        "(-0.5+0.8660254037844386*i)/pow(z,2)", "2/pow(z,3)", "1/pow(z,2)+z/1e9",
+        "z", "0.5*z", "1/z", "z/(z-1)", MOEBIUS, ROTATION, "1/pow(z,2)-1", "4/pow(z,2)+z",
+    )
+}
+
+
+@pytest.mark.parametrize(
+    "text, regions",
+    [
+        ("1.001*z", ["|z| >= 0.0625"]),  # rate 1.001, whatever the radius
+        ("1.4*z", ["|z| >= 0.0625"]),
+        ("pow(z,2)", ["|z| >= 1.0009765625"]),  # rate R > 1
+        ("z*z-1", ["|z| >= 2.0"]),  # rate R (1 - R**-2) > 1
+        ("1/pow(z,2)", [INVERSE_SQUARE_BUNGEE]),  # f(f(z)) = z**4
+        ("(-0.5+0.8660254037844386*i)/pow(z,2)", [INVERSE_SQUARE_BUNGEE]),
+        ("2/pow(z,3)", ["|z| >= 1.25 or 0 < |z| <= 1.1249999999999998"]),  # f(f(z)) = z**9/4
+        # negative controls: no escape, or no alternation, about 0
+        ("z", []),
+        ("0.5*z", []),
+        ("1/z", []),  # every orbit has period 2: f(f(z)) = z
+        ("z/(z-1)", []),  # degree 0 at infinity
+        (MOEBIUS, []),
+        ("1/pow(z,2)-1", []),  # degree 0 at infinity
+    ],
+)
+def test_form_regions(text, regions):
+    assert [str(r) for r in form_regions(compile_expr(parse(text)))] == regions
+
+
+@pytest.mark.parametrize("name", sorted(n for n in MAPS if any(fn in n for fn in ("exp", "sin", "cos"))))
+def test_transcendental_maps_get_no_form_and_no_arithmetic(name, monkeypatch):
+    """One scan of the program refuses ``exp``, ``sin`` and ``cos`` before
+    any arithmetic on forms."""
+    monkeypatch.setattr(bungee.certify, "dominant_form", None)
+    assert form_regions(compile_expr(MAPS[name])) == ()
+
+
+def test_rotation_is_kept_out_by_the_margin():
+    """The float coefficient of the rotation of `test_rotation_is_bounded_without_a_cycle`
+    has modulus just above 1, so ``|a|**n * |z|`` does grow without bound;
+    but ``|a| - 1`` is below `_MARGIN`, and so is the certified rate."""
+    a = ROTATION_COEFFICIENT
+    square = Fraction(a.real) ** 2 + Fraction(a.imag) ** 2
+    assert square - 1 == Fraction(982820015145589, 2**104)  # 4.8e-17
+    program = compile_expr(parse(ROTATION))
+    assert 0 < (square - 1) / 2 < _MARGIN  # |a| - 1 is below (|a|**2 - 1)/2
+    assert all(escape_rate(dominant_form(program, r), r) <= 1 + _MARGIN for r in RADII)
+    assert form_regions(program) == ()
+    rec = iterate_orbit(parse(ROTATION), 0.7 + 0.1j)
+    assert rec.termination == Completed() and classify_point(parse(ROTATION), 0.7 + 0.1j) == Classification.BOUNDED
+
+
+def test_slow_geometric_escape_is_certified():
+    """1.001**1000 is about 2.7, so no seed of this grid leaves r_bound within
+    the budget; the rate 1.001 proves every one of them escapes."""
+    codes, state = classify_batch(parse("1.001*z"), GridSpec(-3, 3, -3, 3, 12, 12).points(), return_state=True)
+    assert np.all(codes == Classification.ESCAPING) and codes.size == 144
+    assert np.all(state.kind == _CERTIFIED) and np.all(state.term_step == 1)
+    for text, seed in (("1.4*z", 1), ("pow(z,2)", 3), ("z*z-1", 3)):
+        assert isinstance(iterate_orbit(parse(text), seed).termination, CertifiedEscape)
+
+
+def test_inverse_square_seeds_are_certified_bungee():
+    f = parse("1/pow(z,2)")
+    codes, state = classify_batch(f, GridSpec(-2, 2, -2, 2, 64, 64).points(), return_state=True)
+    assert np.all(codes == Classification.BUNGEE)
+    assert np.all(state.kind == _CERTIFIED_BUNGEE) and state.term_step.max() <= 3
+    assert iterate_orbit(f, 0.5).termination == CertifiedBungee(1, INVERSE_SQUARE_BUNGEE)
+
+
+def test_unit_circle_seeds_of_the_inverse_square_stay_bounded():
+    # The roots of unity of order 64 cycle on the circle, between the two
+    # parts of the Bungee region (the catalog's `_rational_circle` check).
+    f = parse("1/pow(z,2)")
+    seeds = np.exp(2j * math.pi * np.arange(64) / 64)
+    codes, state = classify_batch(f, seeds, return_state=True)
+    assert np.all(codes == Classification.BOUNDED) and np.all(state.kind == _CYCLE)
+    for seed in (1, 1j, -1, np.exp(2j * math.pi / 3)):
+        assert classify_point(f, seed) == Classification.BOUNDED
+
+
+def test_disk_membership_is_tested_a_few_ulps_inside():
+    region = DiskRegion(2.0, 0.5)
+    m = np.array([2.0, 2 + 2.0**-51, 2 + 2.0**-49, 0.5, 0.5 - 2.0**-53, 0.5 - 2.0**-51, 5e-324, 0.0, 1.0])
+    inside = [False, False, True, False, False, True, True, False, False]
+    assert region.contains(m.astype(np.complex128), m).tolist() == inside
+    assert DiskRegion(2.0).contains(m.astype(np.complex128)).tolist() == [False, False, True] + [False] * 6
+    assert str(region) == "|z| >= 2.0 or 0 < |z| <= 0.5" and region.bungee and not DiskRegion(2.0).bungee
+    # A batch's test reads the engine's own |z|, and finds each region's kind.
+    z = np.array([3, 0.25, 1, 2 + 1e-300j], dtype=np.complex128)
+    assert locate((Region(0, 1, 2.5), region), z, np.abs(z)).tolist() == [0, 1, -1, -1]
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.floats(0, 2 * math.pi), st.integers(-8, 8), st.sampled_from(RADII))
+@example(2.75, 0, 0.0625)  # np.abs reads one ulp below 0.0625, the exact modulus is above it
+@example(1.6469767599868812, 0, 0.8)  # np.abs reads 0.8 - 1.3 ulps, the exact modulus is above it
+def test_np_abs_a_few_ulps_inside_a_radius_is_inside(theta, k, radius):
+    """A float ``z`` within a few ulps of a radius: inside it by the disk
+    test on ``np.abs`` is inside it exactly, on either side."""
+    scale = radius * (1 + k * 2.0**-52)
+    z = complex(scale * math.cos(theta), scale * math.sin(theta))
+    exact = abs(iv.mpc(iv.mpf(z.real), iv.mpf(z.imag)))
+    m = np.abs(np.array([z]))
+    if DiskRegion(radius).contains(np.array([z]), m)[0]:
+        assert exact.a >= radius
+    if DiskRegion(2.0**70, radius).contains(np.array([z]), m)[0]:
+        assert exact.b <= radius
+
+
+def exact_modulus(program, z):
+    return abs(iv_eval(program, iv.mpc(iv.mpf(z.real), iv.mpf(z.imag))))
+
+
+def modulus_points(draw, radius: float, outside: bool) -> list[complex]:
+    """Float points with ``|z| >= radius``, or ``0 < |z| <= radius``, exactly."""
+    points = []
+    for theta, s in draw(st.lists(st.tuples(st.floats(0, 2 * math.pi), st.floats(0, 12)), min_size=3, max_size=3)):
+        scale = radius * 2.0**s if outside else radius * 2.0**-s
+        z = complex(scale * math.cos(theta), scale * math.sin(theta))
+        m = abs(iv.mpc(iv.mpf(z.real), iv.mpf(z.imag)))
+        if (m.a >= radius) if outside else (0 < m.a and m.b <= radius):
+            points.append(z)
+    return points
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data(), st.one_of(st.sampled_from(sorted(FORM_MAPS)), expression_strings(max_leaves=6)),
+       st.sampled_from(RADII), st.booleans())
+def test_dominant_forms_bound_the_exact_modulus(data, text, rho, at_zero):
+    """``lo (1-e) |t|**d <= |f(z)| <= hi (1+e) |t|**d`` for ``|t| >= rho``,
+    ``t = z`` at infinity and ``t = 1/z`` at 0."""
+    program = compile_expr(parse(text))
+    form = dominant_form(program, rho, _AT_ZERO) if at_zero else dominant_form(program, rho)
+    assume(form is not None and form[2] < 1)
+    _, d, e, lo, hi = form
+    for z in modulus_points(data.draw, 1 / rho if at_zero else rho, not at_zero):
+        t = 1 / iv.mpc(iv.mpf(z.real), iv.mpf(z.imag)) if at_zero else iv.mpc(iv.mpf(z.real), iv.mpf(z.imag))
+        if at_zero and abs(t).a < rho:
+            continue
+        try:
+            value = exact_modulus(program, z)
+        except ZeroDivisionError:
+            continue
+        scale = abs(t) ** d
+        assert value.b >= (iv.mpf(lo) * (1 - iv.mpf(e)) * scale).a, (text, rho, z)
+        assert value.a <= (iv.mpf(hi) * (1 + iv.mpf(e)) * scale).b, (text, rho, z)
+
+
+def certified_regions():
+    regions = []
+    for text, f in sorted(FORM_MAPS.items()) + sorted(MAPS.items()):
+        program = compile_expr(f)
+        regions += [(text, program, region) for region in form_regions(program)]
+    return regions
+
+
+CERTIFIED = certified_regions()
+
+
+def assert_region_holds(text, program, region, draw) -> None:
+    """On ``|z| >= R``: ``|f(z)| >= |z| + (kappa-1) R``, or for a Bungee
+    region ``|f(f(z))| >= |z| + (kappa-1) R`` and ``0 < |f(z)| <= r``;
+    on ``0 < |z| <= r``: ``|f(z)| >= R``; at random exact points. Each
+    check fails only when the mpmath enclosure is wholly on the wrong side."""
+    radius = region.radius
+    form = dominant_form(program, radius)
+    second = dominant_form(program, radius, form) if region.bungee else form
+    kappa = escape_rate(second, radius)
+    assert kappa > 1 + _MARGIN
+    delta = iv.mpf(kappa - 1) * radius
+    for z in modulus_points(draw, radius, True):
+        point = iv.mpc(iv.mpf(z.real), iv.mpf(z.imag))
+        image = iv_eval(program, point)
+        if region.bungee:
+            assert abs(image).b > 0 and abs(image).a <= region.inner, (text, z)
+            assert abs(iv_eval(program, image)).b >= (abs(point) + delta).a, (text, z)
+        else:
+            assert abs(image).b >= (abs(point) + delta).a, (text, z)
+            assert abs(image).b >= (iv.mpf(kappa) * abs(point)).a, (text, z)
+    if region.bungee:
+        for z in modulus_points(draw, region.inner, False):
+            assert exact_modulus(program, z).b >= radius, (text, z)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data(), st.sampled_from(range(len(CERTIFIED))))
+def test_certified_disk_regions_hold_at_exact_points(data, k):
+    assert_region_holds(*CERTIFIED[k], data.draw)
+
+
+def complex_text(w: complex) -> str:
+    """``w`` as a parenthesized literal with no zero part."""
+    if w.imag == 0:
+        return f"({w.real!r})"
+    return f"({w.imag!r}*i)" if w.real == 0 else f"({w.real!r}+{w.imag!r}*i)"
+
+
+@st.composite
+def shifted_powers(draw) -> str:
+    """``c*pow(z+a,d)+b`` or ``c/pow(z+a,d)+b``, leaving out a zero ``a`` or
+    ``b``, since a zero constant has no form."""
+    value = st.builds(complex, st.sampled_from([0.0, 0.0, 0.25, -0.5, 1.5]), st.sampled_from([0.0, 0.0, 0.75]))
+    c = draw(st.builds(complex, st.sampled_from([0.5, 1.0, 2.0, -1.5, 3.0]), st.sampled_from([0.0, 0.0, 0.75, -1.0])))
+    a, b, d = draw(value), draw(value), draw(st.integers(1, 4))
+    base = "z" if a == 0 else f"(z+{complex_text(a)})"
+    text = f"{complex_text(c)}{draw(st.sampled_from('*/'))}pow({base},{d})"
+    return text if b == 0 else f"{text}+{complex_text(b)}"
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data(), shifted_powers())
+def test_regions_of_shifted_powers_hold_at_exact_points(data, text):
+    program = compile_expr(parse(text))
+    for region in form_regions(program):
+        assert_region_holds(text, program, region, data.draw)
+
+
+def test_certified_regions_cover_the_form_maps():
+    found = {text for text, _, _ in CERTIFIED}
+    assert found >= {"1.001*z", "1.4*z", "pow(z,2)", "z*z-1", "1/pow(z,2)", "2/pow(z,3)"}
+    assert not found & {"z", "0.5*z", "1/z", "z/(z-1)", MOEBIUS, ROTATION}
+    assert any(region.bungee for _, _, region in CERTIFIED)

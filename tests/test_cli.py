@@ -61,9 +61,10 @@ def test_classify_json_document():
     doc = json.loads(out)
     assert doc["verdict"] == "Bungee"
     assert doc["seed"] == [0.5, 0.0]
-    assert doc["termination"] == "Overflowed(step=9)"
-    assert doc["steps"] == 9 and doc["returns"] == 2 and doc["peaks"] == 3
-    assert doc["global_max"] == 1.3407807929942597e154
+    # 0.5 -> 4, inside |z| >= R at the step-1 checkpoint: Bungee by proof.
+    assert doc["termination"] == "CertifiedBungee(step=1, region='|z| >= 1.0009765625 or 0 < |z| <= 0.9990243902439023')"
+    assert doc["steps"] == 1 and doc["returns"] == 0 and doc["peaks"] == 0
+    assert doc["global_max"] == 4.0
 
 
 def test_global_flags_accepted_on_either_side_of_the_subcommand():
@@ -95,8 +96,8 @@ def test_orbit_csv_dump(tmp_path):
     assert lines[0] == "n,re,im,modulus"
     assert lines[1] == "0,0.5,0.0,0.5"
     assert lines[2] == "1,4.0,0.0,4.0"
-    assert len(lines) == 12  # header + iterates 0..9 + termination comment
-    assert lines[-1] == "# termination=Overflowed(step=9)"
+    assert len(lines) == 4  # header + iterates 0..1 + termination comment
+    assert lines[-1] == "# termination=CertifiedBungee(step=1, region='|z| >= 1.0009765625 or 0 < |z| <= 0.9990243902439023')"
 
 
 @pytest.mark.parametrize("point", ["nan,0", "inf,0", "1e400,0", "0,-inf"])

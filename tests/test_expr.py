@@ -713,6 +713,17 @@ def test_nodes_are_immutable_values(node):
             delattr(node, name)
 
 
+def test_deep_trees_copy_and_pickle_without_recursion():
+    """Copies and pickles go through a flat post-order list of the tree,
+    rebuilt with a stack; a subtree shared by ``compose`` stays shared."""
+    f = parse("+".join(["z"] * 5000))
+    for twin in (pickle.loads(pickle.dumps(f)), pickle.loads(pickle.dumps(f.root)), copy.deepcopy(f)):
+        assert twin == f or twin == f.root
+    twin = pickle.loads(pickle.dumps(compose(f, f)))
+    assert twin.root.outer is twin.root.inner and twin.root.outer == f.root
+    assert eval_array(twin, np.array([0.5]))[0][0] == 5000 * 2500
+
+
 def test_node_identity_rule():
     x = parse("z+1").root
     assert FunctionExpr(x) != x and x != FunctionExpr(x) and FunctionExpr(x) == parse("z+1")

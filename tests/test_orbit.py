@@ -16,7 +16,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import bungee.orbit
 from bungee import (
+    CertifiedBungee,
     CertifiedEscape,
     Classification,
     ClassifierConfig,
@@ -35,6 +37,8 @@ from bungee import (
 )
 from bungee.expr import compile_expr
 from bungee.orbit import (
+    _CERTIFIED,
+    _CERTIFIED_BUNGEE,
     _COMPLETED,
     _CYCLE,
     _OVERFLOWED,
@@ -48,6 +52,22 @@ from bungee.orbit import (
 # Config used by the sine-pair and drift examples: their orbits creep
 # outward at ~2*pi per step, so escape must be read at a lower radius.
 DRIFT_CFG = ClassifierConfig(max_iter=2000, r_bound=100.0, r_esc=1e3)
+# The Bungee region that dominant-term forms certify for 1/pow(z,2).
+INVERSE_SQUARE_BUNGEE = "|z| >= 1.0009765625 or 0 < |z| <= 0.9990243902439023"
+
+
+def drop_regions(monkeypatch) -> None:
+    """Make `iterate_orbit` and `classify_batch` run the engine with the
+    regions ``()``, as `_run_batch(..., ())` does: for tests of the engine's
+    own mechanics (peaks, the guard, evaluation events, rule 3's
+    completed-tail arm) on maps whose certified regions end orbits first."""
+    monkeypatch.setattr(bungee.orbit, "escape_regions", lambda program: ())
+    monkeypatch.setattr(bungee.orbit, "form_regions", lambda program: ())
+
+
+@pytest.fixture
+def no_regions(monkeypatch):
+    drop_regions(monkeypatch)
 
 
 def bisect(h, lo: float, hi: float) -> float:
@@ -83,6 +103,8 @@ def reference_verdict(rec, cfg=DEFAULT_CONFIG) -> Classification:
     certified = isinstance(rec.termination, CertifiedEscape)
     if isinstance(rec.termination, PoleHit):
         return Classification.UNRESOLVED
+    if isinstance(rec.termination, CertifiedBungee):  # rule 2, whatever the returns
+        return Classification.BUNGEE
 
     if isinstance(rec.termination, CycleFound):
         cycle = rec.moduli[-rec.termination.period :]
@@ -232,7 +254,8 @@ def test_config_from_dict_rejects_unknown_keys_and_non_objects(data):
 # --- iterate_orbit -------------------------------------------------------
 
 
-def test_inverse_square_orbit_record_matches_hand_iteration():
+def test_inverse_square_orbit_record_matches_hand_iteration(no_regions):
+    """Without regions the engine walks the orbit until the guard."""
     want = inverse_square_orbit(0.5)
     assert len(want) == 10  # overflow guard crossed at step 9
     rec = iterate_orbit(parse("1/pow(z,2)"), 0.5)
@@ -260,6 +283,16 @@ def test_inverse_square_orbit_record_matches_hand_iteration():
         (9, 1.3407807929942597e154),
     )
     assert rec.global_max == 1.3407807929942597e154
+
+
+def test_inverse_square_orbit_is_certified_bungee_at_step_one():
+    # 0.5 -> 4, and 4 lies in |z| >= R at the step-1 checkpoint: f(f(z)) = z**4
+    # moves that region outward, while f swaps it with the disk 0 < |z| <= r.
+    rec = iterate_orbit(parse("1/pow(z,2)"), 0.5)
+    assert rec.values.tolist() == inverse_square_orbit(0.5)[:2] == [0.5, 4.0]
+    assert rec.termination == CertifiedBungee(1, INVERSE_SQUARE_BUNGEE)
+    assert rec.returns == 0 and rec.peaks == () and rec.global_max == 4.0
+    assert classify(rec) == Classification.BUNGEE
 
 
 def test_orbit_record_invariants_hold():
@@ -461,13 +494,25 @@ def test_rotation_is_bounded_without_a_cycle():
     assert rec.moduli.max() <= DEFAULT_CONFIG.r_bound
 
 
-def test_geometric_growth_escapes_via_completed_tail():
-    # 1.4^1000 ~ 1e146 stays below the overflow guard, so the orbit
-    # completes with a tail far beyond r_esc and a final global maximum.
+def test_geometric_growth_escapes_via_completed_tail(no_regions):
+    # 1.4^1000 ~ 1e146 stays below the overflow guard, so without its
+    # certified region the orbit completes with a tail far beyond r_esc and
+    # a final global maximum.
     rec = iterate_orbit(parse("1.4*z"), 1)
     assert rec.termination == Completed()
     assert rec.tail_min > DEFAULT_CONFIG.r_esc
     assert rec.moduli[-1] == rec.global_max
+    assert classify(rec) == Classification.ESCAPING
+
+
+@pytest.mark.parametrize(
+    "text, seed, region",
+    [("1.4*z", 1, "|z| >= 0.0625"), ("1.001*z", 1, "|z| >= 0.0625"),
+     ("pow(z,2)", 3, "|z| >= 1.0009765625"), ("z*z-1", 3, "|z| >= 2.0")],
+)
+def test_geometric_and_polynomial_growth_is_certified(text, seed, region):
+    rec = iterate_orbit(parse(text), seed)
+    assert rec.termination == CertifiedEscape(1, region)
     assert classify(rec) == Classification.ESCAPING
 
 
@@ -496,10 +541,11 @@ def test_bounded_via_completed_soundness():
 
 
 def test_bungee_soundness():
+    """A Bungee verdict is certified BU, or two returns with escalating peaks."""
     f = parse("1/pow(z,2)")
     for seed in (0.5, 0.3, 1.7, 0.4 + 0.2j):
         rec = iterate_orbit(f, seed)
-        if classify(rec) != Classification.BUNGEE:
+        if classify(rec) != Classification.BUNGEE or isinstance(rec.termination, CertifiedBungee):
             continue
         assert rec.returns >= DEFAULT_CONFIG.min_alternations
         values = [v for _, v in rec.peaks]
@@ -509,7 +555,7 @@ def test_bungee_soundness():
         )
 
 
-def test_escaping_via_completed_tail_soundness():
+def test_escaping_via_completed_tail_soundness(no_regions):
     rec = iterate_orbit(parse("1.4*z"), 1)
     assert classify(rec) == Classification.ESCAPING
     assert isinstance(rec.termination, Completed)
@@ -628,7 +674,8 @@ def catalog_maps():
 
 def assert_batch_is_one_seed_runs(f, distinct, pick, cfg) -> BatchState:
     """`classify_batch` over ``distinct[pick]`` must give, lane by lane, the
-    codes and every `BatchState` field of the one-seed runs of ``distinct``.
+    codes and every `BatchState` field of the one-seed runs of ``distinct``,
+    with the regions found for ``f`` (or none, under ``no_regions``).
     Returns the batch state."""
     singles = [classify_batch(f, distinct[i : i + 1], cfg, return_state=True) for i in range(distinct.size)]
     codes, state = classify_batch(f, distinct[pick], cfg, return_state=True)
@@ -648,10 +695,30 @@ LANE_PICK = np.random.default_rng(11).integers(0, LANE_SEEDS.size, CHUNK + 37)
 
 @pytest.mark.parametrize("cfg", [DEFAULT_CONFIG, SMALL_CFG], ids=["default", "small"])
 @pytest.mark.parametrize("name, f", catalog_maps(), ids=[name for name, _ in catalog_maps()])
-def test_batch_state_is_the_concatenation_of_one_seed_runs(name, f, cfg):
-    """Lanes of a mixed batch end at different steps, yet none affects another."""
+def test_batch_state_is_the_concatenation_of_one_seed_runs(name, f, cfg, monkeypatch):
+    """Lanes of a mixed batch end at different steps, yet none affects
+    another, with the map's regions and without them (``1/pow(z,2)``'s
+    region ends every lane by step 1)."""
+    assert_batch_is_one_seed_runs(f, LANE_SEEDS, LANE_PICK, cfg)
+    drop_regions(monkeypatch)
     state = assert_batch_is_one_seed_runs(f, LANE_SEEDS, LANE_PICK, cfg)
     assert len(np.unique(state.term_step)) >= 3
+
+
+# Polynomial and rational maps, whose regions about 0 end lanes as certified
+# escapes or certified Bungee lanes; the last two are 1/z**2 rotated by a
+# cube root of unity and a Bungee map of degree -3.
+FORM_MAPS = [(text, parse(text)) for text in (
+    "pow(z,2)", "z*z-1", "1.4*z", "1.001*z", "1/pow(z,2)", "(-0.5+0.8660254037844386*i)/pow(z,2)", "2/pow(z,3)",
+)]
+
+
+@pytest.mark.parametrize("cfg", [DEFAULT_CONFIG, SMALL_CFG], ids=["default", "small"])
+@pytest.mark.parametrize("name, f", FORM_MAPS, ids=[name for name, _ in FORM_MAPS])
+def test_batch_state_is_the_concatenation_of_one_seed_runs_on_form_maps(name, f, cfg):
+    state = assert_batch_is_one_seed_runs(f, LANE_SEEDS, LANE_PICK, cfg)
+    certified = _CERTIFIED_BUNGEE if name.startswith(("1/", "(", "2/")) else _CERTIFIED
+    assert np.count_nonzero(state.kind == certified) > LANE_PICK.size // 2
 
 
 # Maps that end lanes in unusual ways: ``z`` returns the lanes' own array and
@@ -677,11 +744,12 @@ def test_a_lane_failing_mid_peak_leaves_its_written_state():
     assert state.term_step.tolist() == [5, 6] and state.in_peak.tolist() == [True, True]
 
 
-def test_event_and_guard_ends_in_one_step_keep_lanes_independent():
+def test_event_and_guard_ends_in_one_step_keep_lanes_independent(no_regions):
     """Three rows of the 256x256 grid over [-2, 2]^2 that cross the unit
-    circle, under ``1/pow(z,2)``: in many steps some lanes fail in evaluation
-    (the square underflows to 0, or its reciprocal overflows) while others
-    cross the guard. The batch must still be the one-seed runs."""
+    circle, under ``1/pow(z,2)`` without its Bungee region: in many steps
+    some lanes fail in evaluation (the square underflows to 0, or its
+    reciprocal overflows) while others cross the guard. The batch must
+    still be the one-seed runs."""
     seeds = GridSpec(-2, 2, -2, 2, 256, 256).points()[[100, 128, 160]].ravel()
     state = assert_batch_is_one_seed_runs(parse("1/pow(z,2)"), seeds, np.arange(seeds.size), DEFAULT_CONFIG)
     overflowed = state.kind == _OVERFLOWED
@@ -713,6 +781,18 @@ def test_reference_rules_classify_and_batch_agree(name, f, cfg):
         assert classify(rec, cfg) == want == Classification(int(codes[i])), complex(seed)
         assert rec.returns == int(state.n_returns[i])
         assert len(rec.peaks) == int(state.n_returns[i] + state.in_peak[i])
+
+
+PLAIN_AGREEMENT_MAPS = [(name, f) for name, f in AGREEMENT_MAPS if name in dict(FORM_MAPS)]
+
+
+@pytest.mark.parametrize("cfg", [DEFAULT_CONFIG, SMALL_CFG], ids=["default", "small"])
+@pytest.mark.parametrize("name, f", PLAIN_AGREEMENT_MAPS, ids=[name for name, _ in PLAIN_AGREEMENT_MAPS])
+def test_reference_rules_agree_without_regions(name, f, cfg, no_regions):
+    """The same agreement where the regions about 0 would end the orbits
+    first: rule 2's returns and rule 3's overflow and completed-tail arms
+    (``1.4*z``) on the maps' own orbits."""
+    test_reference_rules_classify_and_batch_agree(name, f, cfg)
 
 
 @pytest.mark.parametrize("cfg", [DEFAULT_CONFIG, DRIFT_CFG], ids=["default", "drift"])
@@ -808,29 +888,43 @@ def test_record_peaks_match_the_reference_replay(name, f, cfg):
         assert repr(rec.peaks) == repr(reference_peaks(rec.moduli, cfg)), seed
 
 
-# The edge cases of the sweep above, each reached by one of its inputs: the
-# ways a peak can end other than by a return, and a maximum that repeats.
+# The maps of the sweep whose regions about 0 end orbits before their peaks.
+PLAIN_PEAK_MAPS = [(name, f) for name, f in PEAK_MAPS if name in dict(FORM_MAPS)]
+
+
+@pytest.mark.parametrize("cfg", PEAK_CONFIGS.values(), ids=PEAK_CONFIGS.keys())
+@pytest.mark.parametrize("name, f", PLAIN_PEAK_MAPS, ids=[name for name, _ in PLAIN_PEAK_MAPS])
+def test_record_peaks_match_the_reference_replay_without_regions(name, f, cfg, no_regions):
+    test_record_peaks_match_the_reference_replay(name, f, cfg)
+
+
+# The edge cases of the sweeps above, each reached by one of their inputs:
+# the ways a peak can end other than by a return, and a maximum that
+# repeats. The first and third are reached without regions: with them, both
+# orbits are certified at step 1.
 @pytest.mark.parametrize(
-    "text, seed, cfg, termination, peaks",
+    "text, seed, cfg, termination, peaks, plain",
     [
         # 2**-1, 2**2, ..., 2**32, 2**-64, 2**128, 2**-256, 2**512: the last
         # iterate starts a peak and crosses the guard in the same step.
-        ("1/pow(z,2)", 0.5, "default", Overflowed(9), ((5, 2.0**32), (7, 2.0**128), (9, 2.0**512))),
+        ("1/pow(z,2)", 0.5, "default", Overflowed(9), ((5, 2.0**32), (7, 2.0**128), (9, 2.0**512)), True),
         # 0, 1, e, e**e, e**e**e: a peak starts, and exp overflows one step later.
-        ("exp(z)", 0, "default", Overflowed(5), ((4, math.exp(math.exp(math.e))),)),
+        ("exp(z)", 0, "default", Overflowed(5), ((4, math.exp(math.exp(math.e))),), False),
         # 1.4**n passes r_esc at step 42 and is still rising when the budget ends.
-        ("1.4*z", 1, "default", Completed(), ((1000, None),)),
+        ("1.4*z", 1, "default", Completed(), ((1000, None),), True),
         # A seed past the guard ends before one step: no peak at all.
-        ("pow(z,2)", 1e200, "default", Overflowed(0), ()),
+        ("pow(z,2)", 1e200, "default", Overflowed(0), (), False),
         # 0, 1e7, 1e7: the peak's largest modulus repeats, and the first counts.
-        ("1e7", 0, "small", CycleFound(1, 1), ((1, 1e7),)),
+        ("1e7", 0, "small", CycleFound(1, 1), ((1, 1e7),), False),
     ],
     ids=["guard-in-start-step", "evaluation-overflow-mid-peak", "open-at-budget", "seed-past-guard",
          "repeated-maximum"],
 )
-def test_reference_peak_sweep_reaches_every_edge_case(text, seed, cfg, termination, peaks):
+def test_reference_peak_sweep_reaches_every_edge_case(text, seed, cfg, termination, peaks, plain, monkeypatch):
     cfg = PEAK_CONFIGS[cfg]
-    assert text in dict(PEAK_MAPS) and seed in PEAK_SEEDS
+    assert text in dict(PLAIN_PEAK_MAPS if plain else PEAK_MAPS) and seed in PEAK_SEEDS
+    if plain:
+        drop_regions(monkeypatch)
     rec = iterate_orbit(parse(text), seed, cfg)
     assert rec.termination == termination
     assert rec.returns == max(len(peaks) - 1, 0)  # the last peak never returned
