@@ -39,8 +39,10 @@ It runs the program over *dominant-term forms*: on ``|t| >= rho`` a value
 is ``c * t**d * (1+E)`` with ``d`` an integer, ``c`` an outward-rounded
 rectangle that excludes 0 and ``|E| <= e``. In a sum the larger degree
 wins and the smaller joins ``E``; a tie adds the coefficients; a product
-adds the degrees. ``exp``, ``sin`` and ``cos`` have no form, and one scan
-of the program refuses them before any arithmetic. With ``t = z`` the
+adds the degrees. ``exp``, ``sin`` and ``cos`` of a constant give a
+constant, of degree 0, as ``exp(0.001)*z`` needs; of a value that reads
+``z`` they have no form, and one pass over the program refuses them
+before any arithmetic. With ``t = z`` the
 form holds near infinity; with ``t = 1/z``, the *mirror form*, on
 ``0 < |z| <= 1/rho``, where the lowest degree in ``z`` wins; and run on
 the map's own form, the program gives the second iterate ``f(f(z))``
@@ -57,6 +59,8 @@ without a composed tree. With ``R`` on `RADII`:
   odd ones stay within ``r``, so it lies in BU (Osborne and Sixsmith
   2016). ``1/pow(z,2)`` is Bungee on ``|z| >= 1 + 2**-10`` or
   ``0 < |z| <= 1/(1 + 2**-10)``, rounded down.
+
+`regions` runs both searches, as the orbit engine does once per call.
 
 A certificate speaks of the exact orbit of the float iterate that enters
 its region, as a half-plane's does.
@@ -75,7 +79,7 @@ from .expr import _ARITY, Program
 
 __all__ = [
     "Region", "LADDER", "enclose", "certifies", "escape_regions",
-    "DiskRegion", "RADII", "dominant_form", "escape_rate", "form_regions", "locate",
+    "DiskRegion", "RADII", "dominant_form", "escape_rate", "form_regions", "regions", "locate",
 ]
 
 _INF = math.inf
@@ -432,6 +436,8 @@ def _shape_of(op: str, arg, xs: list):
         return _neg_shape(xs[0])
     if op == "pow":
         return _shape(_cpow(xs[0][0], arg), arg * xs[0][1])
+    if op in _FUNCS:  # of a constant, if `_error_of` finds e == 0
+        return _shape(_FUNCS[op](xs[0][0]), 0) if xs[0][1] == 0 else None
     (cx, dx, _, _), (cy, dy, _, _) = xs
     if op == "*":
         return _shape(_cmul(cx, cy), dx + dy)
@@ -450,6 +456,8 @@ def _error_of(op: str, arg, xs: list, es: list, shape, rho: float):
         return 0.0
     if op == "neg":
         return es[0]
+    if op in _FUNCS:  # degree 0 and e == 0: the operand is a constant in its rectangle
+        return 0.0 if es[0] == 0 else None
     if op == "pow":
         grown = 0.0  # (1+e)**k - 1, for k up to arg
         for _ in range(arg):
@@ -508,8 +516,9 @@ def dominant_form(program: Program, rho: float, var=_AT_INFINITY, shapes: Option
     the map's own form, for its second iterate. A sum keeps its term of
     larger degree and moves the other into ``E``; every such bound falls
     as ``|t|`` grows, so the bound at ``rho`` holds on all of
-    ``|t| >= rho``. ``exp``, ``sin``, ``cos``, a zero constant and a sum
-    that may cancel have no form.
+    ``|t| >= rho``. ``exp``, ``sin`` or ``cos`` of a value that is not a
+    constant (of degree 0 with ``e == 0``), a zero constant and a sum that
+    may cancel have no form.
 
     Only ``e`` depends on ``rho``: ``shapes``, a dict kept by a caller
     that tries many ``rho`` with forms of ``var`` of one shape, holds the
@@ -529,8 +538,6 @@ def dominant_form(program: Program, rho: float, var=_AT_INFINITY, shapes: Option
         if op == "unbind":
             env.pop()
             continue
-        if op in _FUNCS:
-            return None
         operands = [stack.pop() for _ in range(_ARITY.get(op, 1))][::-1]
         xs = [x for x, _ in operands]
         shape = shapes[k] if k in shapes else shapes.setdefault(k, _shape_of(op, arg, xs))
@@ -616,12 +623,30 @@ def _bungee_region(program: Program, at_infinity) -> Optional[DiskRegion]:
     return DiskRegion(radius, _down(1.0 / rho))
 
 
+def _function_of_z(program: Program) -> bool:
+    """Whether the program applies ``exp``, ``sin`` or ``cos`` to a value
+    that reads ``z``: one pass, which tracks that fact for each value."""
+    stack, env = [], [True]  # whether each value, and what Var reads, reads z
+    for op, _, arg in program.code:
+        if op == "load":
+            stack.append(arg is None and env[-1])
+        elif op == "bind":
+            env.append(stack.pop())
+        elif op == "unbind":
+            env.pop()
+        elif op in _FUNCS and stack[-1]:
+            return True
+        else:
+            stack.append(any([stack.pop() for _ in range(_ARITY.get(op, 1))]))
+    return False
+
+
 def form_regions(program: Program) -> tuple[DiskRegion, ...]:
     """The regions about 0 that dominant-term forms certify: ``|z| >= R``
     for a map of degree ``d >= 1`` at infinity, with ``R`` the lowest rung
     of `RADII` where `escape_rate` exceeds 1 by `_MARGIN`; the Bungee
     region of `_bungee_region` for ``d < 0``; none otherwise."""
-    if any(op in _FUNCS for op, _, _ in program.code):
+    if _function_of_z(program):
         return ()
     at_infinity = _forms(program, _AT_INFINITY)
     top = at_infinity(RADII[-1])
@@ -632,6 +657,12 @@ def form_regions(program: Program) -> tuple[DiskRegion, ...]:
         return () if region is None else (region,)
     radius = _lowest(lambda r: escape_rate(at_infinity(r), r) > 1 + _MARGIN, RADII)
     return () if radius is None else (DiskRegion(radius),)
+
+
+def regions(program: Program) -> tuple:
+    """Every region certified for a map: the half-planes and rays of
+    `escape_regions`, then the disks of `form_regions`."""
+    return escape_regions(program) + form_regions(program)
 
 
 def locate(regions: tuple, z: np.ndarray, m: Optional[np.ndarray] = None) -> np.ndarray:

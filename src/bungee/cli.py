@@ -162,8 +162,6 @@ def _orbit_summary(rec: OrbitRecord, verdict) -> dict:
         "returns": rec.returns,
         "peaks": len(rec.peaks),
         "global_max": rec.global_max,
-        "tail_min": rec.tail_min,
-        "tail_max": rec.tail_max,
     }
 
 
@@ -257,8 +255,7 @@ def _cmd_examples(ns) -> int:
         registry._check_scale(ns.scale)
     except ValueError as exc:
         raise _UsageError(str(exc)) from None
-    cfg = _load_config(ns.config) if ns.config else None
-    report = registry.run_example(ns.id, cfg=cfg, scale=ns.scale)
+    report = registry.run_example(ns.id, cfg=_load_config(ns.config), scale=ns.scale)
     if ns.format == "json":
         _emit(report.to_json(), ns.out)
     else:

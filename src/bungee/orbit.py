@@ -38,11 +38,10 @@ Verdicts are assigned by the first matching rule:
    ``min_alternations`` returns with every consecutive peak pair growing
    by factor ``peak_growth``, unless the orbit ended at a pole or with a
    certified escape.
-3. Escaping: a certified escape, overflow with fewer than
-   ``min_alternations`` returns, or a completed orbit whose last
-   ``tail_window`` moduli all exceed ``r_esc`` with the final iterate
-   attaining the orbit's maximum.
-4. Unresolved otherwise. A pole hit always forces Unresolved.
+3. Escaping: a certified escape, or overflow with fewer than
+   ``min_alternations`` returns.
+4. Unresolved otherwise, as for a completed orbit that left ``r_bound``.
+   A pole hit always forces Unresolved.
 
 The rules are written once, vectorized, in `_verdicts`. One engine,
 `_run_batch`, drives single-point classification, batch classification
@@ -80,7 +79,7 @@ from typing import NamedTuple, Optional, Union
 
 import numpy as np
 
-from .certify import escape_regions, form_regions, locate
+from . import certify
 from .expr import EVENT_NONE, EVENT_POLE, FunctionExpr, Program, _ignoring_errors, compile_expr, eval_array
 
 __all__ = [
@@ -129,7 +128,6 @@ class ClassifierConfig:
     max_iter: int = 1000
     r_bound: float = 1e3
     r_esc: float = 1e6
-    tail_window: int = 50
     min_alternations: int = 2
     peak_growth: float = 2.0
     cycle_tol: float = 1e-12
@@ -148,8 +146,6 @@ class ClassifierConfig:
             raise ValueError("max_iter must be positive")
         if not 0 < self.r_bound < self.r_esc < self.overflow_guard:
             raise ValueError("need 0 < r_bound < r_esc < overflow_guard")
-        if not 1 <= self.tail_window < self.max_iter:
-            raise ValueError("tail_window must satisfy 1 <= W < max_iter")
         if self.min_alternations < 2:
             raise ValueError("min_alternations must be at least 2")
         if self.peak_growth <= 1:
@@ -250,9 +246,9 @@ class OrbitRecord:
     their absolute values, ``peaks`` the ``(index, modulus)`` of each
     peak's first largest iterate, from the step it started to its return
     below ``r_bound`` or the orbit's end, ``returns`` the count of those
-    returns. Tail statistics cover the last ``tail_window`` moduli.
-    ``state`` is the engine's final one-lane state, which `classify`
-    reads; it is valid only with the config the orbit was iterated under.
+    returns. ``state`` is the engine's final one-lane state, which
+    `classify` reads; it is valid only with the config the orbit was
+    iterated under.
     """
 
     seed: complex
@@ -261,8 +257,6 @@ class OrbitRecord:
     peaks: tuple[tuple[int, float], ...]
     returns: int
     termination: Termination
-    tail_min: float
-    tail_max: float
     global_max: float
     state: BatchState = field(repr=False, compare=False)
 
@@ -303,7 +297,6 @@ class BatchState:
     in_peak: np.ndarray
     escalation_ok: np.ndarray
     global_max: np.ndarray
-    tail_min: np.ndarray
     region: np.ndarray
 
 
@@ -311,7 +304,7 @@ class BatchState:
 # the live lanes only and writes each lane's values out once, when it ends.
 # `global_max` comes last: the write takes it together with ``win_max``.
 _LANE_FIELDS = (
-    "z", "n_returns", "last_peak", "cur_peak", "in_peak", "escalation_ok", "tail_min", "global_max",
+    "z", "n_returns", "last_peak", "cur_peak", "in_peak", "escalation_ok", "global_max",
 )
 
 
@@ -400,7 +393,6 @@ def _run_batch(
         raise ValueError("seeds must be finite")
 
     guard = cfg.overflow_guard
-    tail_from = cfg.max_iter - cfg.tail_window  # steps beyond this feed the tail
 
     m = np.abs(z)
     out = BatchState(
@@ -415,7 +407,6 @@ def _run_batch(
         in_peak=np.zeros(n, dtype=bool),
         escalation_ok=np.ones(n, dtype=bool),
         global_max=m,
-        tail_min=np.full(n, np.inf),
         region=np.full(n, -1, dtype=np.int8),
     )
     if history is not None:
@@ -449,8 +440,6 @@ def _run_batch(
             top = mv.max()  # gates peak starts and the guard; an unflagged NaN is in every lane
             w.z = vals
             np.maximum(w.win_max, mv, out=w.win_max)
-            if step > tail_from:
-                np.minimum(w.tail_min, mv, out=w.tail_min)
             if history is not None:
                 history.values.append(complex(vals[0]))
 
@@ -493,7 +482,7 @@ def _run_batch(
                     out.cycle_max[ids] = w.win_max[lanes]
             if lam == power:
                 if regions:
-                    which = locate(regions, w.z, mv)
+                    which = certify.locate(regions, w.z, mv)
                     inside = which >= 0
                     if np.count_nonzero(inside):
                         lanes = w.unended(inside)
@@ -523,18 +512,17 @@ def _verdicts(state: BatchState, cfg: ClassifierConfig) -> np.ndarray:
     A certified Bungee lane is Bungee by rule 2 alone.
     """
     kind = state.kind
-    completed = kind == _COMPLETED
     few_returns = state.n_returns < cfg.min_alternations
     # A peak still in progress when the orbit ended counts at the height it reached.
     pending_weak = state.in_peak & (state.cur_peak < cfg.peak_growth * state.last_peak)
 
-    bounded = ((kind == _CYCLE) & (state.cycle_max <= cfg.r_bound)) | (completed & (state.global_max <= cfg.r_bound))
+    bounded = ((kind == _CYCLE) & (state.cycle_max <= cfg.r_bound)) | (
+        (kind == _COMPLETED) & (state.global_max <= cfg.r_bound)
+    )
     bungee = ((kind != _POLE) & (kind != _CERTIFIED) & ~few_returns & state.escalation_ok & ~pending_weak) | (
         kind == _CERTIFIED_BUNGEE
     )
-    escaping = (kind == _CERTIFIED) | ((kind == _OVERFLOWED) & few_returns) | (
-        completed & (state.tail_min > cfg.r_esc) & (np.abs(state.z) >= state.global_max)
-    )
+    escaping = (kind == _CERTIFIED) | ((kind == _OVERFLOWED) & few_returns)
     codes = np.full(kind.shape, int(Classification.UNRESOLVED), dtype=np.int8)
     codes[escaping] = int(Classification.ESCAPING)
     codes[bungee] = int(Classification.BUNGEE)
@@ -567,7 +555,7 @@ def iterate_orbit(
     seed = complex(z0)
     history = _History([], [], [])
     program = compile_expr(f)
-    regions = escape_regions(program) + form_regions(program)
+    regions = certify.regions(program)
     state = _run_batch(program, np.array([seed]), cfg, regions, history)
     values = np.array(history.values, dtype=np.complex128)
     moduli = np.abs(values)
@@ -590,7 +578,6 @@ def iterate_orbit(
         entry = _cycle_entry(values, period, int(state.term_step[0]), cfg.cycle_tol)
         termination = CycleFound(period, entry)
 
-    window = moduli[-min(cfg.tail_window, len(moduli)) :]
     return OrbitRecord(
         seed=seed,
         values=values,
@@ -598,8 +585,6 @@ def iterate_orbit(
         peaks=peaks,
         returns=int(state.n_returns[0]),
         termination=termination,
-        tail_min=float(window.min()),
-        tail_max=float(window.max()),
         global_max=float(moduli.max()),
         state=state,
     )
@@ -642,7 +627,7 @@ def classify_batch(
     codes = np.empty(flat.size, dtype=np.int8)
     states = []
     program = compile_expr(f)
-    regions = escape_regions(program) + form_regions(program)
+    regions = certify.regions(program)
     for lo in range(0, flat.size, _CHUNK):
         state = _run_batch(program, flat[lo : lo + _CHUNK], cfg, regions)
         codes[lo : lo + _CHUNK] = _verdicts(state, cfg)

@@ -1,11 +1,10 @@
 """Curated example maps with metadata flags and checkable expectations.
 
 Each entry records one or two concrete maps, what is known about them
-(commutation, asymptotic-value hypotheses, whether the map is entire),
-an optional classifier configuration suited to their dynamics, and a
-list of expectations. Expectations carry no cached truth values: every
-one is recomputed from the maps by `run_example`, and each states in
-its ``source`` why the expected outcome is forced.
+(commutation, asymptotic-value hypotheses, whether the map is entire)
+and a list of expectations. Expectations carry no cached truth values:
+every one is recomputed from the maps by `run_example`, and each states
+in its ``source`` why the expected outcome is forced.
 
 Most expectations are rows: a shared runner bound to the row's data
 with `functools.partial`. `_point_verdict` classifies one seed under f
@@ -94,11 +93,7 @@ class ExampleEntry:
     permutable: Flag
     no_finite_asymptotic_values: Flag
     oracle_not_entire: bool
-    cfg_override: Optional[ClassifierConfig]
     expectations: tuple[Expectation, ...]
-
-    def config(self) -> ClassifierConfig:
-        return self.cfg_override if self.cfg_override is not None else DEFAULT_CONFIG
 
     def to_dict(self) -> dict:
         return {
@@ -125,9 +120,6 @@ class ExampleEntry:
                 },
                 "oracle_not_entire": self.oracle_not_entire,
             },
-            "cfg_override": (
-                None if self.cfg_override is None else self.cfg_override.to_dict()
-            ),
             "expectations": [e.to_dict() for e in self.expectations],
         }
 
@@ -184,14 +176,6 @@ def _fixed_point_bisection(lam: float, lo: float, hi: float) -> float:
     return 0.5 * (lo + hi)
 
 
-# Slow linear drift needed a longer budget and lower radii to resolve as
-# escape within the iteration limit: the sine pair runs under it, and so
-# does the Fatou pair's escape-invariance expectation. Their drifting
-# orbits now end as certified escapes under any config; the entries keep
-# this one, which is part of the exported catalog.
-_DRIFT_CFG = ClassifierConfig(max_iter=2000, r_bound=100.0, r_esc=1e3)
-
-
 # --- shared runners ----------------------------------------------------------
 # Each is bound to one expectation's data with `functools.partial`; the
 # bound result takes ``(entry, cfg, scale)`` like any `Expectation.run`.
@@ -203,8 +187,7 @@ def _point_verdict(which: str, seed: complex, expected: Classification, entry, c
     return verdict is expected, {"verdict": str(verdict)}
 
 
-def _relation_run(rel, half, sizes, measured, entry, cfg, scale, *, phi=None, cfg_override=None,
-                  max_rate=0.0, min_resolved=None):
+def _relation_run(rel, half, sizes, measured, entry, cfg, scale, *, phi=None, max_rate=0.0, min_resolved=None):
     """`verify_relation` on f (and the entry's g) over a square grid plan.
 
     ``phi`` is the conjugacy ``(a, b)``, the entry's own if None. The
@@ -217,7 +200,7 @@ def _relation_run(rel, half, sizes, measured, entry, cfg, scale, *, phi=None, cf
     a, b = phi or entry.conjugation or (None, None)
     rep = verify_relation(
         rel, entry.f, _square_plan(half, *sizes, scale),
-        g=entry.g, a=a, b=b, cfg=cfg_override or cfg,
+        g=entry.g, a=a, b=b, cfg=cfg,
         no_finite_asymptotic_values=entry.no_finite_asymptotic_values.value,
         hypothesis_source=f"registry:{entry.id}",
     )
@@ -359,7 +342,6 @@ def _build_registry() -> dict:
             ),
             no_finite_asymptotic_values=Flag(None, "not stated for this pair"),
             oracle_not_entire=False,
-            cfg_override=_DRIFT_CFG,
             expectations=(
                 Expectation(
                     "iterates of 0 under g advance by one sine period per step",
@@ -405,7 +387,6 @@ def _build_registry() -> dict:
             permutable=Flag(None, "single map; not applicable"),
             no_finite_asymptotic_values=Flag(None, "not stated for this map"),
             oracle_not_entire=True,
-            cfg_override=None,
             expectations=(
                 Expectation(
                     "0.5 alternates between huge and tiny moduli and classifies Bungee",
@@ -448,7 +429,6 @@ def _build_registry() -> dict:
                 False, "0 is a finite asymptotic value of the scaled exponential"
             ),
             oracle_not_entire=False,
-            cfg_override=None,
             expectations=(
                 Expectation(
                     "real seeds in [-2, 0] classify Bounded and settle onto the attracting "
@@ -497,7 +477,6 @@ def _build_registry() -> dict:
                 "hypothesis stated for this pair's escape arguments",
             ),
             oracle_not_entire=False,
-            cfg_override=None,
             expectations=(
                 Expectation(
                     "the pair commutes: both composition orders agree numerically",
@@ -517,8 +496,7 @@ def _build_registry() -> dict:
                     "the image under f of an escaping seed of g still escapes under g",
                     "f permutes with g, so f maps orbits of g to orbits of g",
                     partial(_relation_run, RelationId.ESCAPING_INVARIANCE, 2.0, (20, 10),
-                            ("violation_rate", "evaluated_count"),
-                            cfg_override=_DRIFT_CFG, min_resolved=0.0),
+                            ("violation_rate", "evaluated_count"), min_resolved=0.0),
                 ),
             ),
         ),
@@ -537,7 +515,6 @@ def _build_registry() -> dict:
                 "each map tends to a finite constant far into one half-plane",
             ),
             oracle_not_entire=False,
-            cfg_override=None,
             expectations=(
                 Expectation(
                     "escaping seeds lie in the left-half-plane strips around odd multiples of pi",
@@ -574,7 +551,6 @@ def _build_registry() -> dict:
                 False, "0 is a finite asymptotic value of exp"
             ),
             oracle_not_entire=False,
-            cfg_override=None,
             expectations=(
                 Expectation(
                     "the two composition orders disagree: the pair does not commute",
@@ -617,20 +593,18 @@ def _check_scale(scale: float) -> None:
 
 def run_example(
     example_id: str,
-    cfg: Optional[ClassifierConfig] = None,
+    cfg: ClassifierConfig = DEFAULT_CONFIG,
     scale: float = 1.0,
 ) -> ExampleReport:
     """Recompute every expectation of an entry and report pass/fail.
 
-    ``cfg`` replaces the entry's configuration for all expectations
-    (single expectations may still document and use a specialized one);
-    ``scale`` in (0, 1] shrinks sample sizes proportionally.
+    Every expectation runs under ``cfg``; ``scale`` in (0, 1] shrinks
+    sample sizes proportionally.
     """
     _check_scale(scale)
     entry = get_example(example_id)
-    effective = cfg if cfg is not None else entry.config()
     results = tuple(
-        ExpectationResult(exp.description, *exp.run(entry, effective, scale))
+        ExpectationResult(exp.description, *exp.run(entry, cfg, scale))
         for exp in entry.expectations
     )
     return ExampleReport(example=entry.id, results=results)

@@ -26,7 +26,6 @@ import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 from mpmath import iv
 
-import bungee.orbit
 import bungee.certify
 from bungee import (
     CertifiedBungee,
@@ -310,13 +309,13 @@ def test_certified_region_moves_points_outward():
 def test_search_runs_once_per_call(monkeypatch):
     calls = []
     for name in ("escape_regions", "form_regions"):
-        search = getattr(bungee.orbit, name)
+        search = getattr(bungee.certify, name)
 
         def counted(program, search=search, name=name):
             calls.append(name)
             return search(program)
 
-        monkeypatch.setattr(bungee.orbit, name, counted)
+        monkeypatch.setattr(bungee.certify, name, counted)
     for text in ("z+1+exp(-z)", "1/pow(z,2)"):
         f = parse(text)
         classify_batch(f, GridSpec(-3, 3, -3, 3, 149, 55).points())  # three chunks
@@ -390,6 +389,7 @@ FORM_MAPS = {
         "1.001*z", "1.4*z", "pow(z,2)", "z*z-1", "2*z+1", "pow(z+1,3)/(z-2*i)", "1/pow(z,2)",
         "(-0.5+0.8660254037844386*i)/pow(z,2)", "2/pow(z,3)", "1/pow(z,2)+z/1e9",
         "z", "0.5*z", "1/z", "z/(z-1)", MOEBIUS, ROTATION, "1/pow(z,2)-1", "4/pow(z,2)+z",
+        "exp(0.001)*z", "exp(1)*z*z",
     )
 }
 
@@ -411,6 +411,12 @@ FORM_MAPS = {
         ("z/(z-1)", []),  # degree 0 at infinity
         (MOEBIUS, []),
         ("1/pow(z,2)-1", []),  # degree 0 at infinity
+        # a function of a constant is a constant, of degree 0
+        ("exp(0.001)*z", ["|z| >= 0.0625"]),  # rate e**0.001
+        ("exp(1)*z*z", ["|z| >= 0.5"]),  # rate e R > 1
+        # but sin and cos of a nonzero real interval are taken as [-1, 1], so
+        # the rectangle of exp(2*pi*i/3) holds 0
+        ("exp(2*pi*i/3)/pow(z,2)", []),
     ],
 )
 def test_form_regions(text, regions):
@@ -448,6 +454,17 @@ def test_slow_geometric_escape_is_certified():
     assert np.all(state.kind == _CERTIFIED) and np.all(state.term_step == 1)
     for text, seed in (("1.4*z", 1), ("pow(z,2)", 3), ("z*z-1", 3)):
         assert isinstance(iterate_orbit(parse(text), seed).termination, CertifiedEscape)
+
+
+def test_exp_of_a_constant_coefficient_is_certified():
+    """``exp(0.001)*z`` grows at the rate e**0.001 = 1.001..., like ``1.001*z``:
+    its coefficient is a function of a constant, which has a form."""
+    f = parse("exp(0.001)*z")
+    codes, state = classify_batch(f, GridSpec(-3, 3, -3, 3, 12, 12).points(), return_state=True)
+    assert np.all(codes == Classification.ESCAPING) and codes.size == 144
+    assert np.all(state.kind == _CERTIFIED) and np.all(state.term_step == 1)
+    assert iterate_orbit(f, 1e7).termination == CertifiedEscape(1, "|z| >= 0.0625")
+    assert classify_point(f, 1e7) == Classification.ESCAPING
 
 
 def test_inverse_square_seeds_are_certified_bungee():
@@ -608,6 +625,7 @@ def test_regions_of_shifted_powers_hold_at_exact_points(data, text):
 
 def test_certified_regions_cover_the_form_maps():
     found = {text for text, _, _ in CERTIFIED}
-    assert found >= {"1.001*z", "1.4*z", "pow(z,2)", "z*z-1", "1/pow(z,2)", "2/pow(z,3)"}
+    assert found >= {"1.001*z", "1.4*z", "pow(z,2)", "z*z-1", "1/pow(z,2)", "2/pow(z,3)", "exp(0.001)*z",
+                     "exp(1)*z*z"}
     assert not found & {"z", "0.5*z", "1/z", "z/(z-1)", MOEBIUS, ROTATION}
     assert any(region.bungee for _, _, region in CERTIFIED)

@@ -10,7 +10,7 @@ import warnings
 import pytest
 
 import bungee.registry
-from bungee import cli
+from bungee import ClassifierConfig, cli
 from bungee.cli import main
 
 
@@ -59,6 +59,7 @@ def test_classify_json_document():
     )
     assert code == 0
     doc = json.loads(out)
+    assert list(doc) == ["verdict", "seed", "termination", "steps", "returns", "peaks", "global_max"]
     assert doc["verdict"] == "Bungee"
     assert doc["seed"] == [0.5, 0.0]
     # 0.5 -> 4, inside |z| >= R at the step-1 checkpoint: Bungee by proof.
@@ -543,6 +544,16 @@ def test_bad_config_file_is_usage_error(tmp_path, body):
     )
     assert code == 1
     assert "error:" in err and "config" in err
+
+
+def test_retired_tail_window_key_is_refused(tmp_path):
+    with pytest.raises(ValueError, match="unknown config keys: tail_window$"):
+        ClassifierConfig.from_dict({"tail_window": 50})
+    path = tmp_path / "old.json"
+    path.write_text(json.dumps({"max_iter": 2000, "tail_window": 50}))
+    code, out, err = run(["--config", str(path), "classify", "--function", "z", "--point", "0,0"])
+    assert (code, out) == (1, "")
+    assert "unknown config keys: tail_window" in err
 
 
 @pytest.mark.parametrize("text", ["(" * 3000 + "z" + ")" * 3000, "-" * 3000 + "z"], ids=["parens", "minus"])

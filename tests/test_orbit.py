@@ -16,7 +16,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-import bungee.orbit
+import bungee.certify
 from bungee import (
     CertifiedBungee,
     CertifiedEscape,
@@ -59,10 +59,9 @@ INVERSE_SQUARE_BUNGEE = "|z| >= 1.0009765625 or 0 < |z| <= 0.9990243902439023"
 def drop_regions(monkeypatch) -> None:
     """Make `iterate_orbit` and `classify_batch` run the engine with the
     regions ``()``, as `_run_batch(..., ())` does: for tests of the engine's
-    own mechanics (peaks, the guard, evaluation events, rule 3's
-    completed-tail arm) on maps whose certified regions end orbits first."""
-    monkeypatch.setattr(bungee.orbit, "escape_regions", lambda program: ())
-    monkeypatch.setattr(bungee.orbit, "form_regions", lambda program: ())
+    own mechanics (peaks, the guard, evaluation events) on maps whose
+    certified regions end orbits first."""
+    monkeypatch.setattr(bungee.certify, "regions", lambda program: ())
 
 
 @pytest.fixture
@@ -125,9 +124,6 @@ def reference_verdict(rec, cfg=DEFAULT_CONFIG) -> Classification:
         return Classification.ESCAPING
     if isinstance(rec.termination, Overflowed) and rec.returns < cfg.min_alternations:
         return Classification.ESCAPING
-    if isinstance(rec.termination, Completed):
-        if rec.tail_min > cfg.r_esc and rec.moduli[-1] >= rec.global_max:
-            return Classification.ESCAPING
 
     return Classification.UNRESOLVED
 
@@ -193,7 +189,6 @@ def test_default_config_values():
     assert cfg.max_iter == 1000
     assert cfg.r_bound == 1e3
     assert cfg.r_esc == 1e6
-    assert cfg.tail_window == 50
     assert cfg.min_alternations == 2
     assert cfg.peak_growth == 2.0
     assert cfg.cycle_tol == 1e-12
@@ -207,14 +202,14 @@ def test_default_config_values():
         {"r_bound": 0.0},
         {"r_bound": 1e7},
         {"r_esc": 1e151},
-        {"tail_window": 0},
-        {"tail_window": 1000},
+        {"r_esc": 1e3},  # r_esc == r_bound
+        {"overflow_guard": 1e6},  # overflow_guard == r_esc
         {"min_alternations": 1},
         {"peak_growth": 1.0},
         {"cycle_tol": 0.0},
         {"max_iter": 10.5},
         {"max_iter": True},
-        {"tail_window": 5.0},
+        {"min_alternations": 2.0},
         {"min_alternations": "2"},
         {"r_bound": "x"},
         {"r_esc": True},
@@ -494,15 +489,14 @@ def test_rotation_is_bounded_without_a_cycle():
     assert rec.moduli.max() <= DEFAULT_CONFIG.r_bound
 
 
-def test_geometric_growth_escapes_via_completed_tail(no_regions):
+def test_geometric_growth_without_its_region_is_unresolved(no_regions):
     # 1.4^1000 ~ 1e146 stays below the overflow guard, so without its
-    # certified region the orbit completes with a tail far beyond r_esc and
-    # a final global maximum.
+    # certified region the orbit completes far beyond r_bound, rising at
+    # every step: only a certificate (or an overflow) reads as escape.
     rec = iterate_orbit(parse("1.4*z"), 1)
     assert rec.termination == Completed()
-    assert rec.tail_min > DEFAULT_CONFIG.r_esc
-    assert rec.moduli[-1] == rec.global_max
-    assert classify(rec) == Classification.ESCAPING
+    assert rec.moduli[-1] == rec.global_max > DEFAULT_CONFIG.overflow_guard ** 0.9
+    assert classify(rec) == Classification.UNRESOLVED
 
 
 @pytest.mark.parametrize(
@@ -555,15 +549,6 @@ def test_bungee_soundness():
         )
 
 
-def test_escaping_via_completed_tail_soundness(no_regions):
-    rec = iterate_orbit(parse("1.4*z"), 1)
-    assert classify(rec) == Classification.ESCAPING
-    assert isinstance(rec.termination, Completed)
-    window = rec.moduli[-DEFAULT_CONFIG.tail_window :]
-    assert window.min() > DEFAULT_CONFIG.r_esc
-    assert rec.moduli[-1] == rec.global_max
-
-
 def test_monotone_refinement_keeps_cycle_verdicts():
     f = parse("0.3*exp(z)")
     wider = ClassifierConfig(max_iter=4000)
@@ -593,7 +578,7 @@ def test_identical_inputs_give_identical_records():
     assert np.array_equal(a.values, b.values)
     assert a.peaks == b.peaks and a.returns == b.returns
     assert a.termination == b.termination
-    assert (a.tail_min, a.tail_max, a.global_max) == (b.tail_min, b.tail_max, b.global_max)
+    assert a.global_max == b.global_max
     assert classify(a) == classify(b)
 
 
@@ -659,7 +644,7 @@ def test_batch_state_spans_every_chunk(chunked_run):
 # --- lane independence ---------------------------------------------------
 
 EDGE_SEEDS = [0, 1e-300, 1e200, 1, 0.5, -800, 800, 800j, 0.1j, 1e-150, 1.5 - 2j]
-SMALL_CFG = ClassifierConfig(max_iter=60, r_bound=10.0, r_esc=100.0, tail_window=5, overflow_guard=1e20)
+SMALL_CFG = ClassifierConfig(max_iter=60, r_bound=10.0, r_esc=100.0, overflow_guard=1e20)
 
 
 def catalog_maps():
@@ -790,8 +775,8 @@ PLAIN_AGREEMENT_MAPS = [(name, f) for name, f in AGREEMENT_MAPS if name in dict(
 @pytest.mark.parametrize("name, f", PLAIN_AGREEMENT_MAPS, ids=[name for name, _ in PLAIN_AGREEMENT_MAPS])
 def test_reference_rules_agree_without_regions(name, f, cfg, no_regions):
     """The same agreement where the regions about 0 would end the orbits
-    first: rule 2's returns and rule 3's overflow and completed-tail arms
-    (``1.4*z``) on the maps' own orbits."""
+    first: rule 2's returns, rule 3's overflow arm and the completed orbits
+    of ``1.4*z``, which are Unresolved, on the maps' own orbits."""
     test_reference_rules_classify_and_batch_agree(name, f, cfg)
 
 
@@ -852,7 +837,7 @@ def test_overlapping_peaks_keep_per_lane_bookkeeping():
     The peaks stop doubling, so no lane is Bungee.
     """
     f = parse(MOEBIUS)
-    cfg = ClassifierConfig(max_iter=300, r_bound=2.0, r_esc=4.0, tail_window=5)
+    cfg = ClassifierConfig(max_iter=300, r_bound=2.0, r_esc=4.0)
     seeds = np.tan(np.linspace(-1.4, 1.4, 9)) + 0.01j
     codes, state = classify_batch(f, seeds, cfg, return_state=True)
     first_peaks = set()
@@ -944,7 +929,7 @@ def test_batch_global_max_is_the_recorded_maximum(text):
     each Brent checkpoint and when a lane ends, by any termination; that
     must equal the largest modulus of the lane's recorded orbit."""
     f = parse(text)
-    cfg = ClassifierConfig(max_iter=100, r_bound=10.0, r_esc=100.0, tail_window=5, overflow_guard=1e40)
+    cfg = ClassifierConfig(max_iter=100, r_bound=10.0, r_esc=100.0, overflow_guard=1e40)
     seeds = (np.linspace(-3, 3, 7)[None, :] + 1j * np.linspace(-2, 2, 5)[:, None]).ravel()
     _, state = classify_batch(f, seeds, cfg, return_state=True)
     kinds = set()

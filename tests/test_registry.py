@@ -7,7 +7,6 @@ import json
 import pytest
 
 from bungee import (
-    ClassifierConfig,
     export_registry_json,
     format_expr,
     get_example,
@@ -40,9 +39,8 @@ def test_unknown_id_is_rejected():
         run_example("ex_nonexistent")
 
 
-def test_sine_pair_ships_a_drift_config():
+def test_sine_pair_entry():
     entry = get_example("ex_sine_pair")
-    assert entry.cfg_override == ClassifierConfig(max_iter=2000, r_bound=100.0, r_esc=1e3)
     assert entry.permutable.value is True
     assert entry.permutable.note
     assert format_expr(entry.f) == "z+sin(z)"
@@ -51,7 +49,6 @@ def test_sine_pair_ships_a_drift_config():
 
 def test_rational_oracle_runs_on_defaults():
     entry = get_example("ex_rational_bungee")
-    assert entry.cfg_override is None
     assert entry.oracle_not_entire is True
     assert entry.g is None
     assert format_expr(entry.f) == "1/pow(z,2)"
@@ -109,7 +106,6 @@ def test_export_is_a_json_array_of_entries():
             "g",
             "conjugation",
             "flags",
-            "cfg_override",
             "expectations",
         }
 
@@ -134,13 +130,6 @@ def test_flags_round_trip_through_export():
             == entry.no_finite_asymptotic_values.value
         )
         assert flags["oracle_not_entire"] == entry.oracle_not_entire
-
-
-def test_exported_config_round_trips():
-    doc = {entry["id"]: entry for entry in json.loads(export_registry_json())}
-    stored = doc["ex_sine_pair"]["cfg_override"]
-    assert ClassifierConfig.from_dict(stored) == get_example("ex_sine_pair").cfg_override
-    assert doc["ex_rational_bungee"]["cfg_override"] is None
 
 
 # --- run_example ---------------------------------------------------------

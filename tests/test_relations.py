@@ -510,7 +510,7 @@ def test_default_permutability_tolerance():
 
 
 UNRESOLVED = int(Classification.UNRESOLVED)
-SMALL_CFG = ClassifierConfig(max_iter=120, r_bound=20.0, r_esc=1e4, tail_window=30)
+SMALL_CFG = ClassifierConfig(max_iter=120, r_bound=20.0, r_esc=1e4)
 
 
 def reference_reports(rel, f, plan, g=None, a=None, b=None, cfg=DEFAULT_CONFIG):

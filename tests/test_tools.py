@@ -3,9 +3,11 @@
 Each script is loaded as a module, not run, so only its imports and
 top-level definitions execute; this catches a script that imports a
 name the package no longer has (``tools/stepcost.py`` imports the
-private engine names ``_run_batch``, ``_COMPLETED`` and ``_CHUNK`` and the
-region searches ``escape_regions`` and ``form_regions``, and reads
-``Program.checked`` from ``compile_expr``).
+private engine names ``_COMPLETED`` and ``_CHUNK`` and the region
+searches ``regions`` and ``form_regions``, and reads ``Program.checked``
+from ``compile_expr``). The probes that ``tools/stepcost.py`` runs in
+fresh processes import more private names, so they are run once on a
+small input.
 """
 
 from __future__ import annotations
@@ -15,15 +17,24 @@ from pathlib import Path
 
 import pytest
 
-TOOLS = Path(__file__).resolve().parent.parent / "tools"
+ROOT = Path(__file__).resolve().parent.parent
+TOOLS = ROOT / "tools"
 
 
 @pytest.mark.parametrize("script, names", [
-    ("parity.py", ["write_outputs", "EDGE_SEEDS", "main"]),
-    ("stepcost.py", ["main", "run_seconds", "search_seconds", "short_orbit_row", "against", "SHORT_ORBIT_PROBE",
-                     "_run_batch", "_COMPLETED", "_CHUNK", "compile_expr", "escape_regions", "form_regions",
-                     "classify_batch", "GridSpec"]),
+    ("parity.py", ["write_outputs", "EDGE_SEEDS", "DRIFT_CFG", "main"]),
+    ("stepcost.py", ["main", "probe", "search_seconds", "short_orbit_row", "against", "SHORT_ORBIT_PROBE",
+                     "STEP_PROBE", "AGAINST_ROWS", "_COMPLETED", "_CHUNK", "compile_expr", "regions",
+                     "form_regions", "classify_batch", "GridSpec"]),
 ])
 def test_tool_script_loads(script, names):
     namespace = runpy.run_path(str(TOOLS / script), run_name="not_main")
     assert [name for name in names if name not in namespace] == []
+
+
+def test_stepcost_probes_run_on_this_checkout():
+    stepcost = runpy.run_path(str(TOOLS / "stepcost.py"), run_name="not_main")
+    evaluation, step = stepcost["probe"](stepcost["STEP_PROBE"], ROOT / "src", 1, 1)
+    assert 0 < evaluation < step
+    (run,) = stepcost["probe"](stepcost["SHORT_ORBIT_PROBE"], ROOT / "src")
+    assert run > 0

@@ -10,8 +10,8 @@ commit and the working tree) and comparing the directories with
 ``diff -r`` shows every output a change moved. It writes:
 
 - ``classify --format json`` and ``orbit`` CSV for every map of the
-  catalog at every edge seed, under the default config and the catalog's
-  drift config;
+  catalog at every edge seed, under two configs: the default and
+  ``DRIFT_CFG``, a longer budget with lower radii;
 - ``verify`` JSON for all ten relations, on each catalog entry's pair,
   over a grid plan and a list plan, under both configs, in both
   ``--equality`` modes;
@@ -66,6 +66,7 @@ from bungee import (  # noqa: E402
 )
 from bungee.cli import main  # noqa: E402
 
+DRIFT_CFG = ClassifierConfig(max_iter=2000, r_bound=100.0, r_esc=1e3)
 EDGE_SEEDS = [0, 1e-300, 1e200, 1, 0.5, -800, 800, 800j, 0.1j, 1e-150, 1.5 - 2j]
 PLANS = {
     "grid": "grid:-3,3,-3,3:9x7",
@@ -101,14 +102,14 @@ def _pair(z: complex) -> str:
 
 def _configs(outdir: Path) -> dict[str, list[str]]:
     drift = outdir / "config-drift.json"
-    drift.write_text(json.dumps(get_example("ex_sine_pair").config().to_dict()) + "\n")
+    drift.write_text(json.dumps(DRIFT_CFG.to_dict()) + "\n")
     return {"default": [], "drift": ["--config", str(drift)]}
 
 
 def _records(maps: list[str]) -> str:
     """One line per map, edge seed and config: the peaks and the value at
     the seed; and one per map and tree built from it: the root's repr."""
-    configs = {"default": ClassifierConfig(), "drift": get_example("ex_sine_pair").config()}
+    configs = {"default": ClassifierConfig(), "drift": DRIFT_CFG}
     lines = []
     for mi, expr in enumerate(maps):
         f = parse(expr)

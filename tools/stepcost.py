@@ -13,7 +13,8 @@ about 1 a step) when the engine is given no escape regions, so each
 step of a run steps every lane. (With its certified half-plane
 ``Re z >= 1/16`` every one of those orbits ends at step 1; the rows
 measure the step itself, as they did before certificates.) At 1, 288
-and 3,600 lanes it prints, in microseconds per step:
+and 3,600 lanes it prints, in microseconds per step, from runs in a
+fresh process for each lattice:
 
 - ``eval_array``: the time the engine spends in ``eval_array``, timed by
   a wrapper around the ``bungee.orbit.eval_array`` binding;
@@ -35,21 +36,22 @@ circle, by a cycle). It prints microseconds per run and per engine step
 (the run's time over the steps its chunks take, each chunk running until
 its last lane ends).
 
-Last, for every map of the catalog and for ``pow(z,2)``, ``z*z-1`` and
-``1.001*z``, it prints the time of the whole region search, which runs
-once per ``classify_batch`` or ``iterate_orbit`` call: the half-planes and
-rays of `bungee.certify.escape_regions` and the disk regions of
-`bungee.certify.form_regions`; then the time of the disk part alone,
-which a map with ``exp``, ``sin`` or ``cos`` ends after one scan of its
+Last, for every map of the catalog and for the maps of ``SEARCH_EXTRA``,
+it prints the time of the whole region search, `bungee.certify.regions`,
+which runs once per ``classify_batch`` or ``iterate_orbit`` call: the
+half-planes and rays of ``escape_regions`` and the disk regions of
+``form_regions``; then the time of the disk part alone, which a map that
+applies ``exp``, ``sin`` or ``cos`` to ``z`` ends after one pass over its
 program; then the regions found.
 
 All of them come from the fastest of several runs, so a busy machine
 inflates them less than a mean would. The machine's speed still drifts
 between invocations by more than many changes move a row. So with
-``--against OTHER_CHECKOUT`` the script prints only the short-orbit run
-time, measured in fresh processes that alternate between this checkout
-and the other one, ``--rounds`` times each (default 10): each side's
-median, and in how many rounds each side was the faster.
+``--against OTHER_CHECKOUT`` the script prints only two rows, the
+short-orbit run time and the 3,600-lane bookkeeping per step, each
+measured in fresh processes that alternate between this checkout and the
+other one, ``--rounds`` times each (default 10): each side's median, and
+in how many rounds each side was the faster.
 """
 
 from __future__ import annotations
@@ -61,27 +63,28 @@ import sys
 import time
 from pathlib import Path
 
-import numpy as np
-
 ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src"
 if not (SRC / "bungee" / "__init__.py").is_file():
     sys.exit(f"error: {SRC / 'bungee'} not found; run from a checkout of bungee")
 sys.path.insert(0, str(SRC))
 
-import bungee.orbit  # noqa: E402
 from bungee import GridSpec, classify_batch, get_example, list_examples, parse  # noqa: E402
-from bungee.certify import escape_regions, form_regions  # noqa: E402
+from bungee.certify import form_regions, regions  # noqa: E402
 from bungee.expr import compile_expr  # noqa: E402
-from bungee.orbit import _CHUNK, _COMPLETED, DEFAULT_CONFIG, _run_batch  # noqa: E402
+from bungee.orbit import _CHUNK, _COMPLETED, DEFAULT_CONFIG  # noqa: E402
 
 FATOU = "z+1+exp(-z)"
 LATTICES = ((1, 1), (12, 24), (60, 60))  # nx x ny seeds: 1, 288 and 3,600 lanes
 RATIONAL = "1/pow(z,2)"
 RATIONAL_GRID = GridSpec(-2.0, 2.0, -2.0, 2.0, 256, 256)  # the window of a rational render
 REPEATS = 9
-SEARCH_EXTRA = ("pow(z,2)", "z*z-1", "1.001*z")  # polynomial maps beside the catalog's
-# The short-orbit run, timed in a fresh process against the package in argv[1].
+# Maps beside the catalog's: polynomial ones, and two whose coefficients
+# are exp of a constant.
+SEARCH_EXTRA = ("pow(z,2)", "z*z-1", "1.001*z", "exp(0.001)*z", "exp(1)*z*z")
+# The probes below run in a fresh process against the package in argv[1]
+# and print what they measured, the best of REPEATS runs.
+# The short-orbit run: microseconds per run.
 SHORT_ORBIT_PROBE = f"""
 import sys, time
 sys.path.insert(0, sys.argv[1])
@@ -94,35 +97,57 @@ for _ in range({REPEATS}):
     times.append(time.perf_counter() - start)
 print(min(times) * 1e6)
 """
+# One engine run of the Fatou map without escape regions over the lattice
+# of argv[2] x argv[3] seeds: microseconds per step in eval_array, and in
+# the whole step.
+STEP_PROBE = f"""
+import sys, time
+import numpy as np
+sys.path.insert(0, sys.argv[1])
+import bungee.orbit
+from bungee import parse
+from bungee.expr import compile_expr
+from bungee.orbit import _COMPLETED, DEFAULT_CONFIG, _run_batch
+nx, ny = int(sys.argv[2]), int(sys.argv[3])
+program = compile_expr(parse({FATOU!r}))
+z = (np.linspace(0.5, 3.5, nx)[None, :] + 1j * np.linspace(-3.0, 3.0, ny)[:, None]).ravel()
+if not (_run_batch(program, z, DEFAULT_CONFIG, ()).kind == _COMPLETED).all():
+    sys.exit(f"error: not every orbit at {{z.size}} lanes ran the whole budget")
+inner, spent = bungee.orbit.eval_array, [0.0]
 
-
-def seeds(nx: int, ny: int) -> np.ndarray:
-    re = np.linspace(0.5, 3.5, nx)
-    im = np.linspace(-3.0, 3.0, ny)
-    return (re[None, :] + 1j * im[:, None]).ravel()
-
-
-def run_seconds(program, z: np.ndarray) -> tuple[float, float]:
-    """One engine run without escape regions: its wall time, and the part
-    spent in eval_array."""
-    inner = bungee.orbit.eval_array
-    spent = 0.0
-
-    def timed(*args, **kwargs):
-        nonlocal spent
-        start = time.perf_counter()
-        try:
-            return inner(*args, **kwargs)
-        finally:
-            spent += time.perf_counter() - start
-
-    bungee.orbit.eval_array = timed
+def timed(*args):
+    start = time.perf_counter()
     try:
-        start = time.perf_counter()
-        _run_batch(program, z, DEFAULT_CONFIG, ())
-        return time.perf_counter() - start, spent
+        return inner(*args)
     finally:
-        bungee.orbit.eval_array = inner
+        spent[0] += time.perf_counter() - start
+
+bungee.orbit.eval_array = timed
+runs = []
+for _ in range({REPEATS}):
+    spent[0] = 0.0
+    start = time.perf_counter()
+    _run_batch(program, z, DEFAULT_CONFIG, ())
+    runs.append((time.perf_counter() - start, spent[0]))
+wall, evaluation = min(runs)
+print(evaluation / DEFAULT_CONFIG.max_iter * 1e6, wall / DEFAULT_CONFIG.max_iter * 1e6)
+"""
+# The rows `--against` alternates: a title, a probe with its arguments, and
+# the figure compared, from the numbers the probe prints.
+AGAINST_ROWS = (
+    (f"short orbits: {RATIONAL} over {RATIONAL_GRID.nx}x{RATIONAL_GRID.ny} seeds of [-2, 2]^2, us per run",
+     SHORT_ORBIT_PROBE, (), lambda out: out[0]),
+    (f"map {FATOU} over 60x60 lanes, bookkeeping us per step",
+     STEP_PROBE, (60, 60), lambda out: out[1] - out[0]),
+)
+
+
+def probe(code: str, src: Path, *args) -> list[float]:
+    """The numbers a probe prints, run in a fresh process against the package in ``src``."""
+    run = subprocess.run([sys.executable, "-c", code, str(src), *map(str, args)], capture_output=True, text=True)
+    if run.returncode:
+        sys.exit(run.stderr.strip() or f"error: a probe exited with {run.returncode}")
+    return [float(x) for x in run.stdout.split()]
 
 
 def short_orbit_row() -> None:
@@ -144,7 +169,7 @@ def short_orbit_row() -> None:
     print(f"{run * 1e6:>10.0f} us per run {run / steps * 1e6:>10.1f} us per engine step")
 
 
-def search_seconds(program, search=lambda program: escape_regions(program) + form_regions(program)) -> float:
+def search_seconds(program, search=regions) -> float:
     """The fastest of several runs of a region search for one map: by
     default the whole search, both kinds."""
     times = []
@@ -156,60 +181,55 @@ def search_seconds(program, search=lambda program: escape_regions(program) + for
 
 
 def against(other: Path, rounds: int) -> int:
-    """Alternate fresh-process short-orbit runs of this checkout and ``other``."""
+    """Alternate fresh-process runs of each of `AGAINST_ROWS` between this
+    checkout and ``other``."""
     sides = {str(ROOT): SRC, str(other): other / "src"}
     if not (sides[str(other)] / "bungee" / "__init__.py").is_file():
         sys.exit(f"error: {other / 'src' / 'bungee'} not found")
-    times: dict = {side: [] for side in sides}
-    wins = dict.fromkeys(sides, 0)
+    figures: dict = {(row, side): [] for row in range(len(AGAINST_ROWS)) for side in sides}
+    wins = {key: 0 for key in figures}
     for k in range(rounds):
         order = list(sides) if k % 2 == 0 else list(sides)[::-1]
-        for side in order:
-            run = subprocess.run([sys.executable, "-c", SHORT_ORBIT_PROBE, str(sides[side])],
-                                 capture_output=True, text=True, check=True)
-            times[side].append(float(run.stdout))
-        wins[min(sides, key=lambda side: times[side][-1])] += 1
-    print(f"short orbits: {RATIONAL} over {RATIONAL_GRID.nx}x{RATIONAL_GRID.ny} seeds of [-2, 2]^2, "
-          f"us per run (best of {REPEATS} in each process), {rounds} alternating rounds")
-    for side in sides:
-        print(f"{statistics.median(times[side]):>10.0f} us median, faster in {wins[side]:>2} of {rounds}  {side}")
+        for row, (_, code, args, figure) in enumerate(AGAINST_ROWS):
+            for side in order:
+                figures[row, side].append(figure(probe(code, sides[side], *args)))
+            wins[row, min(sides, key=lambda side: figures[row, side][-1])] += 1
+    for row, (title, *_) in enumerate(AGAINST_ROWS):
+        print(f"{title} (best of {REPEATS} in each process), {rounds} alternating rounds")
+        for side in sides:
+            print(f"{statistics.median(figures[row, side]):>10.1f} median, "
+                  f"faster in {wins[row, side]:>2} of {rounds}  {side}")
     return 0
 
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--against", type=Path, help="another checkout to alternate the short-orbit row with")
+    parser.add_argument("--against", type=Path, help="another checkout to alternate two rows with")
     parser.add_argument("--rounds", type=int, default=10, help="alternations with --against (default 10)")
     args = parser.parse_args(argv)
     if args.rounds < 1:
         parser.error("--rounds must be at least 1")
     if args.against is not None:
         return against(args.against.resolve(), args.rounds)
-    f = parse(FATOU)
-    steps = DEFAULT_CONFIG.max_iter
-    program = compile_expr(f)
+    program = compile_expr(parse(FATOU))
     checks = sum(program.checked)
     tests = sum(op in ("exp", "sin", "cos", "/") for op, _, _ in program.code)
     print(f"map {FATOU}: {checks + tests} lane reductions per evaluation "
           f"({checks} finiteness, {tests} argument or divisor)")
-    print(f"{steps} steps; microseconds per step, best of {REPEATS}")
+    print(f"{DEFAULT_CONFIG.max_iter} steps; microseconds per step, best of {REPEATS}")
     print(f"{'lanes':>6} {'eval_array':>11} {'engine step':>12} {'bookkeeping':>12}")
     for nx, ny in LATTICES:
-        z = seeds(nx, ny)
-        if not (_run_batch(program, z, DEFAULT_CONFIG, ()).kind == _COMPLETED).all():
-            sys.exit(f"error: not every orbit at {z.size} lanes ran the whole budget")
-        wall, spent = min(run_seconds(program, z) for _ in range(REPEATS))
-        step, evaluation = wall / steps, spent / steps
-        print(f"{z.size:>6} {evaluation * 1e6:>11.1f} {step * 1e6:>12.1f} {(step - evaluation) * 1e6:>12.1f}")
+        evaluation, step = probe(STEP_PROBE, SRC, nx, ny)
+        print(f"{nx * ny:>6} {evaluation:>11.1f} {step:>12.1f} {step - evaluation:>12.1f}")
     short_orbit_row()
     print(f"region search per call, microseconds, best of {REPEATS}: the whole search, and its disk part")
     entries = [get_example(eid) for eid, _ in list_examples()]
     maps = [str(m) for e in entries for m in (e.f, e.g) if m is not None] + list(SEARCH_EXTRA)
     for text in dict.fromkeys(maps):
         program = compile_expr(parse(text))
-        regions = escape_regions(program) + form_regions(program)
+        found = regions(program)
         whole, disks = search_seconds(program), search_seconds(program, form_regions)
-        print(f"{text:>20} {whole * 1e6:>8.0f} {disks * 1e6:>8.1f}  {[str(r) for r in regions]}")
+        print(f"{text:>20} {whole * 1e6:>8.0f} {disks * 1e6:>8.1f}  {[str(r) for r in found]}")
     return 0
 
 
