@@ -20,6 +20,7 @@ from .expr import (
 )
 from .orbit import (
     Classification,
+    CertifiedBounded,
     CertifiedBungee,
     CertifiedEscape,
     ClassifierConfig,
@@ -80,6 +81,7 @@ __all__ = [
     "format_expr",
     "parse",
     "Classification",
+    "CertifiedBounded",
     "CertifiedBungee",
     "CertifiedEscape",
     "ClassifierConfig",

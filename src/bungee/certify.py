@@ -1,4 +1,4 @@
-"""Certified regions: where a map provably escapes, or is Bungee.
+"""Certified regions: where a map provably escapes, is Bungee, or is bounded.
 
 A compiled `Program` is run over *affine interval forms* ``alpha*z + I``:
 ``alpha`` is an exact rational (an int or a `Fraction`) and ``I`` a
@@ -9,8 +9,12 @@ multiplication and division by an exact real constant, so that an affine
 conjugate ``a*f((z-b)/a)+b`` with real ``a`` keeps the ``alpha`` of ``f``.
 Every other instruction first collapses its operands to rectangles over
 the region ``B`` being tried (``alpha*B + I``). An endpoint product
-``0 * inf`` is 0, and ``sin``/``cos`` of a real interval are taken as
-``[-1, 1]`` (exactly 1 and 0 at the point 0).
+``0 * inf`` is 0. ``sin`` and ``cos`` of a real interval are exactly 0
+and 1 at the point 0; elsewhere they span their end values, widened by
+2 ulps each way, and ±1 wherever an extremum ``(j + 1/2) * pi`` or
+``j * pi`` may lie in the interval, placed by outward-rounded bounds on
+pi (Tucker 2011); an interval as wide as 7 or reaching ``2**50`` gives
+``[-1, 1]``.
 
 `escape_regions` tries, once per map:
 
@@ -39,10 +43,13 @@ It runs the program over *dominant-term forms*: on ``|t| >= rho`` a value
 is ``c * t**d * (1+E)`` with ``d`` an integer, ``c`` an outward-rounded
 rectangle that excludes 0 and ``|E| <= e``. In a sum the larger degree
 wins and the smaller joins ``E``; a tie adds the coefficients; a product
-adds the degrees. ``exp``, ``sin`` and ``cos`` of a constant give a
-constant, of degree 0, as ``exp(0.001)*z`` needs; of a value that reads
-``z`` they have no form, and one pass over the program refuses them
-before any arithmetic. With ``t = z`` the
+adds the degrees. A value that reads no ``z`` is a constant: it keeps
+the rectangle `enclose` gives it, ``exp``, ``sin`` and ``cos`` included,
+until it meets a value that reads ``z``, where it becomes a form of
+degree 0, as ``exp(0.001)*z`` and ``cos(0)*z*z`` need, unless its
+rectangle holds 0. ``exp``, ``sin`` and ``cos`` of a value that reads
+``z`` have no form, and one pass over the program refuses them before any
+arithmetic. With ``t = z`` the
 form holds near infinity; with ``t = 1/z``, the *mirror form*, on
 ``0 < |z| <= 1/rho``, where the lowest degree in ``z`` wins; and run on
 the map's own form, the program gives the second iterate ``f(f(z))``
@@ -62,6 +69,14 @@ without a composed tree. With ``R`` on `RADII`:
 
 `regions` runs both searches, as the orbit engine does once per call.
 
+`trap_regions` is the third search, for bounded orbits: it iterates a
+fixed probe, 0 and the map's constants, `TRAP_PROBE_STEPS` times, and
+about each end point ``c`` within ``r_bound`` keeps the first box
+``c ± r``, ``r`` on `TRAP_RADII`, whose `enclose` image lies strictly
+inside it. Then ``f(B)`` lies in the interior of ``B``, so every orbit
+that enters ``B`` stays in it and is bounded (attracting basins, Milnor
+2006, ch. 8). The engine runs it at most once per call, on demand.
+
 A certificate speaks of the exact orbit of the float iterate that enters
 its region, as a half-plane's does.
 """
@@ -75,11 +90,12 @@ from typing import NamedTuple, Optional
 
 import numpy as np
 
-from .expr import _ARITY, Program
+from .expr import _ARITY, Program, _ignoring_errors, eval_array
 
 __all__ = [
     "Region", "LADDER", "enclose", "certifies", "escape_regions",
-    "DiskRegion", "RADII", "dominant_form", "escape_rate", "form_regions", "regions", "locate",
+    "DiskRegion", "RADII", "dominant_form", "escape_rate", "form_regions", "regions",
+    "TrapBox", "TRAP_PROBE_STEPS", "TRAP_RADII", "traps", "trap_regions", "locate",
 ]
 
 _INF = math.inf
@@ -186,9 +202,46 @@ def _cosh(a):
     return _monotone(math.cosh, (0.0 if a[0] <= 0 <= a[1] else lo, hi), 1.0)
 
 
+# pi lies strictly between these two adjacent doubles: math.pi is pi rounded down.
+_PI = (math.pi, _up(math.pi))
+
+
+def _extrema_within(a, shift: float) -> tuple[bool, bool]:
+    """Whether a point ``(j + shift) * pi`` with ``j`` even, and one with
+    ``j`` odd, may lie in the real interval ``a``: each candidate ``j`` near
+    ``a / pi`` is placed between its products with the two bounds of `_PI`,
+    rounded outward."""
+    lo, hi = a
+    even = odd = False
+    for j in range(math.floor(lo / math.pi - shift) - 1, math.ceil(hi / math.pi - shift) + 2):
+        k = j + shift  # exact: |j| < 2**51
+        p, q = sorted((k * _PI[0], k * _PI[1]))
+        if _down(p) <= hi and _up(q) >= lo:
+            even, odd = even or j % 2 == 0, odd or j % 2 == 1
+    return even, odd
+
+
+def _sin_or_cos(fn, a, shift: float):
+    """``fn``, sin (``shift`` 1/2) or cos (``shift`` 0), over ``a``: it is
+    monotone between its extrema ``(j + shift) * pi``, 1 at even ``j`` and
+    -1 at odd ``j``, so its range is that of its end values, widened as
+    `_monotone` widens them, and of the extrema that may lie in ``a``."""
+    ends = [fn(x) for x in a]
+    top, bottom = _extrema_within(a, shift)
+    lo = -1.0 if bottom else max(-1.0, _down(_down(min(ends))))
+    hi = 1.0 if top else min(1.0, _up(_up(max(ends))))
+    return (lo, hi)
+
+
 def _sin_cos(a):
-    """``(sin a, cos a)`` for a real interval ``a``."""
-    return (_ZERO, _ONE) if a == _ZERO else (_UNIT, _UNIT)
+    """``(sin a, cos a)`` for a real interval ``a``: exactly 0 and 1 at the
+    point 0, [-1, 1] for an interval as wide as 7 or reaching ``2**50``
+    (where ``a / pi`` may be off by one), else by `_sin_or_cos`."""
+    if a == _ZERO:
+        return (_ZERO, _ONE)
+    if not (a[1] - a[0] < 7 and max(abs(a[0]), abs(a[1])) < 2.0**50):  # also refuses NaN and inf
+        return (_UNIT, _UNIT)
+    return (_sin_or_cos(math.sin, a, 0.5), _sin_or_cos(math.cos, a, 0.0))
 
 
 # --- complex rectangles -----------------------------------------------------
@@ -274,6 +327,37 @@ def _scale(form, c: float, divide: bool):
     return (alpha, (quotient(re), quotient(im)))
 
 
+def _step(op: str, arg, stack: list, box) -> None:
+    """Replace the forms of one instruction's operands, on top of
+    ``stack``, by the form of its value over ``box`` (which only a form
+    with ``alpha != 0`` reads)."""
+    if op == "load":
+        c = complex(arg)
+        stack.append((0, ((c.real, c.real), (c.imag, c.imag))))
+    elif op == "neg":
+        alpha, (re, im) = stack.pop()
+        stack.append((-alpha, (_neg(re), _neg(im))))
+    elif op in ("+", "-"):
+        (beta, y), (alpha, x) = stack.pop(), stack.pop()
+        if op == "-":
+            beta, y = -beta, (_neg(y[0]), _neg(y[1]))
+        stack.append((alpha + beta, (_add(x[0], y[0]), _add(x[1], y[1]))))
+    elif op in ("*", "/"):
+        y, x = stack.pop(), stack.pop()
+        if op == "*" and _constant(y) is None:
+            x, y = y, x  # a constant factor may stand on either side
+        c = _constant(y)
+        if c is None or (op == "/" and c == 0):
+            x, y = _collapse(x, box), _collapse(y, box)
+            stack.append((0, _cmul(x, y) if op == "*" else _cdiv(x, y)))
+        else:
+            stack.append(_scale(x, c, op == "/"))
+    elif op == "pow":
+        stack.append((0, _cpow(_collapse(stack.pop(), box), arg)))
+    else:
+        stack.append((0, _FUNCS[op](_collapse(stack.pop(), box))))
+
+
 def enclose(program: Program, box) -> tuple:
     """``(alpha, I)`` such that ``f(z) - alpha*z`` lies in ``I`` for every
     ``z`` in ``box``, a rectangle ``((re_lo, re_hi), (im_lo, im_hi))``
@@ -281,38 +365,14 @@ def enclose(program: Program, box) -> tuple:
     stack: list = []
     env = [(1, (_ZERO, _ZERO))]  # what Var reads: z, or an inner map's form
     for op, _, arg in program.code:
-        if op == "load":
-            if arg is None:
-                stack.append(env[-1])
-            else:
-                c = complex(arg)
-                stack.append((0, ((c.real, c.real), (c.imag, c.imag))))
+        if op == "load" and arg is None:
+            stack.append(env[-1])
         elif op == "bind":
             env.append(stack.pop())
         elif op == "unbind":
             env.pop()
-        elif op == "neg":
-            alpha, (re, im) = stack.pop()
-            stack.append((-alpha, (_neg(re), _neg(im))))
-        elif op in ("+", "-"):
-            (beta, y), (alpha, x) = stack.pop(), stack.pop()
-            if op == "-":
-                beta, y = -beta, (_neg(y[0]), _neg(y[1]))
-            stack.append((alpha + beta, (_add(x[0], y[0]), _add(x[1], y[1]))))
-        elif op in ("*", "/"):
-            y, x = stack.pop(), stack.pop()
-            if op == "*" and _constant(y) is None:
-                x, y = y, x  # a constant factor may stand on either side
-            c = _constant(y)
-            if c is None or (op == "/" and c == 0):
-                x, y = _collapse(x, box), _collapse(y, box)
-                stack.append((0, _cmul(x, y) if op == "*" else _cdiv(x, y)))
-            else:
-                stack.append(_scale(x, c, op == "/"))
-        elif op == "pow":
-            stack.append((0, _cpow(_collapse(stack.pop(), box), arg)))
         else:
-            stack.append((0, _FUNCS[op](_collapse(stack.pop(), box))))
+            _step(op, arg, stack, box)
     return stack.pop()
 
 
@@ -427,17 +487,15 @@ def _neg_shape(shape):
 
 
 def _shape_of(op: str, arg, xs: list):
-    """The shape of an instruction's value from its operands' shapes: it
-    does not depend on ``rho``. None if the value has no form."""
-    if op == "load":
-        w = complex(arg)
-        return _shape(((w.real, w.real), (w.imag, w.imag)), 0)
+    """The shape of an instruction's value that reads ``z`` from its
+    operands' shapes: it does not depend on ``rho``. None if the value has
+    no form."""
     if op == "neg":
         return _neg_shape(xs[0])
     if op == "pow":
         return _shape(_cpow(xs[0][0], arg), arg * xs[0][1])
-    if op in _FUNCS:  # of a constant, if `_error_of` finds e == 0
-        return _shape(_FUNCS[op](xs[0][0]), 0) if xs[0][1] == 0 else None
+    if op in _FUNCS:  # of a value that reads z
+        return None
     (cx, dx, _, _), (cy, dy, _, _) = xs
     if op == "*":
         return _shape(_cmul(cx, cy), dx + dy)
@@ -450,14 +508,11 @@ def _shape_of(op: str, arg, xs: list):
 
 
 def _error_of(op: str, arg, xs: list, es: list, shape, rho: float):
-    """The bound ``e`` of an instruction's value, from its operands' shapes
-    ``xs`` and bounds ``es``, on ``|t| >= rho``; None if there is none."""
-    if op == "load":
-        return 0.0
+    """The bound ``e`` of an instruction's value that reads ``z``, from its
+    operands' shapes ``xs`` and bounds ``es``, on ``|t| >= rho``; None if
+    there is none."""
     if op == "neg":
         return es[0]
-    if op in _FUNCS:  # degree 0 and e == 0: the operand is a constant in its rectangle
-        return 0.0 if es[0] == 0 else None
     if op == "pow":
         grown = 0.0  # (1+e)**k - 1, for k up to arg
         for _ in range(arg):
@@ -513,21 +568,25 @@ def dominant_form(program: Program, rho: float, var=_AT_INFINITY, shapes: Option
     with ``0 < lo <= |c| <= hi``; ``d`` is an integer and ``|E| <= e``.
     ``var`` is the form of what ``z`` reads: ``t`` itself by default;
     `_AT_ZERO`, ``1/t``, for the mirror form on ``0 < |z| <= 1/rho``; or
-    the map's own form, for its second iterate. A sum keeps its term of
-    larger degree and moves the other into ``E``; every such bound falls
-    as ``|t|`` grows, so the bound at ``rho`` holds on all of
-    ``|t| >= rho``. ``exp``, ``sin`` or ``cos`` of a value that is not a
-    constant (of degree 0 with ``e == 0``), a zero constant and a sum that
-    may cancel have no form.
+    the map's own form, for its second iterate. A value that reads no
+    ``z`` is a constant: it keeps the rectangle that `enclose` gives it
+    until it meets a value that reads ``z``, where it becomes a form of
+    degree 0 with ``e == 0``, so ``cos(0)*z`` has the form of ``z``. A sum
+    keeps its term of larger degree and moves the other into ``E``; every
+    such bound falls as ``|t|`` grows, so the bound at ``rho`` holds on all
+    of ``|t| >= rho``. ``exp``, ``sin`` or ``cos`` of a value that reads
+    ``z``, a constant whose rectangle holds 0 and a sum that may cancel
+    have no form.
 
     Only ``e`` depends on ``rho``: ``shapes``, a dict kept by a caller
     that tries many ``rho`` with forms of ``var`` of one shape, holds the
-    shape (`_shape_of`) of each instruction once it is known.
+    shape (`_shape_of`) of each instruction that reads ``z`` once it is
+    known.
     """
     shapes = {} if shapes is None else shapes
     c, d, e, lo, hi = var
-    stack: list = []  # (shape, e) of each value
-    env = [((c, d, lo, hi), e)]
+    stack: list = []  # (shape, e, the enclose form of a constant or None) of each value
+    env = [((c, d, lo, hi), e, None)]
     for k, (op, _, arg) in enumerate(program.code):
         if op == "load" and arg is None:
             stack.append(env[-1])
@@ -539,15 +598,25 @@ def dominant_form(program: Program, rho: float, var=_AT_INFINITY, shapes: Option
             env.pop()
             continue
         operands = [stack.pop() for _ in range(_ARITY.get(op, 1))][::-1]
-        xs = [x for x, _ in operands]
+        consts = [const for _, _, const in operands]
+        if None not in consts:  # a constant, as `enclose` takes it
+            _step(op, arg, consts, None)
+            stack.append((_shape(consts[0][1], 0), 0.0, consts[0]))
+            continue
+        xs = [x for x, _, _ in operands]
+        if any(x is None for x in xs):
+            return None
         shape = shapes[k] if k in shapes else shapes.setdefault(k, _shape_of(op, arg, xs))
         if shape is None:
             return None
-        e = _error_of(op, arg, xs, [e for _, e in operands], shape, rho)
+        e = _error_of(op, arg, xs, [e for _, e, _ in operands], shape, rho)
         if e is None:
             return None
-        stack.append((shape, e))
-    (c, d, lo, hi), e = stack.pop()
+        stack.append((shape, e, None))
+    shape, e, _ = stack.pop()
+    if shape is None:
+        return None
+    c, d, lo, hi = shape
     return c, d, e, lo, hi
 
 
@@ -663,6 +732,71 @@ def regions(program: Program) -> tuple:
     """Every region certified for a map: the half-planes and rays of
     `escape_regions`, then the disks of `form_regions`."""
     return escape_regions(program) + form_regions(program)
+
+
+# --- trap boxes -----------------------------------------------------------
+
+TRAP_PROBE_STEPS = 16  # iterations of the probe before its end points are tried
+TRAP_RADII = (0.5, 0.25, 0.125, 0.0625)  # half-widths of the boxes tried, widest first
+
+
+class TrapBox(NamedTuple):
+    """The closed box ``re x im``, which the map provably sends into its
+    interior, so every orbit that enters it stays in it: it is bounded."""
+
+    re: tuple
+    im: tuple
+
+    def __str__(self) -> str:
+        return f"Re z in [{self.re[0]!r}, {self.re[1]!r}], Im z in [{self.im[0]!r}, {self.im[1]!r}]"
+
+    def contains(self, z, m: Optional[np.ndarray] = None):
+        """Membership of an array ``z``, or of one complex number."""
+        re, im = z.real, z.imag
+        return (re >= self.re[0]) & (re <= self.re[1]) & (im >= self.im[0]) & (im <= self.im[1])
+
+
+def traps(program: Program, box) -> bool:
+    """Whether the image of ``box`` that `enclose` gives lies strictly
+    inside it: then ``f(box)`` lies in its interior."""
+    image = _collapse(enclose(program, box), box)
+    return all(side[0] < part[0] and part[1] < side[1] for side, part in zip(box, image))
+
+
+def trap_regions(program: Program, cfg) -> tuple[TrapBox, ...]:
+    """The trap boxes of a map, found from its program and ``cfg`` alone.
+
+    A fixed probe, 0 and the constants the map loads, is iterated
+    `TRAP_PROBE_STEPS` times with `eval_array`. For each finite end point
+    ``c`` with ``|c| <= cfg.r_bound`` that no box kept so far holds, the
+    first box ``c ± r``, ``r`` on `TRAP_RADII`, that `traps` certifies is
+    kept. A box that traps holds the image of its center, so a radius
+    ``r`` is tried only if the float image of ``c``, one more evaluation,
+    lies within ``r`` of it in both parts: a probe that still drifts costs
+    no interval evaluation. An end point that has settled usually lies near
+    an attracting cycle of period 1 (Milnor 2006, ch. 8): ``0.3*exp(z)``
+    traps ``0.48940... ± 0.5``. The interval evaluation that proves each
+    box follows Tucker (2011).
+    """
+    loaded = (complex(arg) for op, _, arg in program.code if op == "load" and arg is not None)
+    z = np.array(list(dict.fromkeys((0j, *loaded))), dtype=np.complex128)
+    # The probe only proposes boxes, each proved on its own, so a lane whose
+    # evaluation fails just goes on with its inf or NaN value.
+    with _ignoring_errors():
+        for _ in range(TRAP_PROBE_STEPS + 1):
+            end, (z, _) = z, eval_array(program, z)
+        within = np.abs(end) <= cfg.r_bound
+        moves = np.maximum(np.abs(z.real - end.real), np.abs(z.imag - end.imag))
+    found: list = []
+    for c, move in zip(end[within].tolist(), moves[within].tolist()):
+        if any(box.contains(c) for box in found):
+            continue
+        for r in TRAP_RADII:
+            box = TrapBox((c.real - r, c.real + r), (c.imag - r, c.imag + r))
+            if move < r and traps(program, box):
+                found.append(box)
+                break
+    return tuple(found)
 
 
 def locate(regions: tuple, z: np.ndarray, m: Optional[np.ndarray] = None) -> np.ndarray:

@@ -366,6 +366,8 @@ def main(argv: Optional[list[str]] = None) -> int:
     try:
         if ns.workers < 1:
             raise _UsageError("--workers must be at least 1")
+        if ns.config == "":  # Path("") would read the directory "."
+            raise _UsageError("--config needs a file path")
         return _DISPATCH[ns.command](ns)
     except (_UsageError, ExprSyntaxError) as exc:
         print(f"error: {exc}", file=sys.stderr)

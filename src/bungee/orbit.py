@@ -5,10 +5,13 @@ out (`Completed`), the orbit leaves the trusted dynamic range or an
 evaluation event fires (`Overflowed`), a near-repeat of an earlier value
 is found (`CycleFound`), the map is evaluated at its pole 0 (`PoleHit`,
 oracle maps only), or, at a Brent checkpoint, the iterate lies in a
-region that the map provably moves outward (`CertifiedEscape`) or one
+region that the map provably moves outward (`CertifiedEscape`), one
 whose orbits provably alternate between escaping and staying bounded
-(`CertifiedBungee`). Orbits that shrink toward 0 are never cut short:
-they are left to settle into a cycle.
+(`CertifiedBungee`), or, from the step-15 checkpoint on, a box that the
+map provably sends into its own interior (`CertifiedBounded`). Orbits
+that shrink toward 0 are never cut short by the overflow guard: they end
+in a cycle, or in a trap box about 0 as those of ``0.5*z`` and
+``pow(z,2)`` do.
 
 The regions are those `bungee.certify` proves for the map, once per
 `classify_batch` or `iterate_orbit` call, from its compiled program
@@ -22,6 +25,15 @@ moves ``|z| >= R`` outward (``1/pow(z,2)``). Both kinds of disk come from
 dominant-term forms. A map without a region, like ``exp(z)``, runs as it
 would without the search. The disk tests read the step's ``|z|``.
 
+The trap boxes come from a third search, `bungee.certify.trap_regions`,
+run at most once per call, and only when a lane is still live at the
+step-15 checkpoint, the fourth, which most short calls never reach: it
+iterates 0 and the map's constants 16 times and keeps the boxes
+``c ± r`` about their end points whose interval image lies inside them
+(``0.3*exp(z)`` has ``0.4894 ± 0.5`` about its attracting fixed point).
+All lanes share the checkpoint schedule and the boxes depend only on the
+map and config, so a batch stays the concatenation of its one-seed runs.
+
 Along the way the orbit's excursions are tracked against two radii. A
 *peak* is registered when the modulus first exceeds ``r_esc`` after a
 visit below ``r_bound``; its value is the largest modulus attained before
@@ -32,8 +44,8 @@ escapes while another stays bounded.
 
 Verdicts are assigned by the first matching rule:
 
-1. Bounded: a detected cycle whose moduli all stay within ``r_bound``,
-   or a completed orbit that never left ``r_bound``.
+1. Bounded: a certified trap box, a detected cycle whose moduli all stay
+   within ``r_bound``, or a completed orbit that never left ``r_bound``.
 2. Bungee: a certified Bungee region, whatever the returns; or at least
    ``min_alternations`` returns with every consecutive peak pair growing
    by factor ``peak_growth``, unless the orbit ended at a pole or with a
@@ -52,7 +64,8 @@ the iterates and the steps at which it started and ended each peak,
 which is all `iterate_orbit` needs to place the record's peaks. The
 engine takes the map compiled once per call (`compile_expr`) and
 evaluates that flat program once per step over the live lanes only,
-testing the regions only at checkpoints. When an orbit ends, its state
+testing the regions only at checkpoints, and the trap boxes only at
+checkpoints from step 15 on. When an orbit ends, its state
 is written to the output once, in that step. The lane stays in the
 working arrays, parked, until they are compacted once at the end of the
 step: its values go on being updated with the others' but are never
@@ -72,10 +85,11 @@ derived fact, such as the final modulus ``|z|`` (see `BatchState`).
 from __future__ import annotations
 
 import enum
+import functools
 import numbers
 import sys
 from dataclasses import asdict, dataclass, field, fields
-from typing import NamedTuple, Optional, Union
+from typing import Callable, NamedTuple, Optional, Union
 
 import numpy as np
 
@@ -92,6 +106,7 @@ __all__ = [
     "PoleHit",
     "CertifiedEscape",
     "CertifiedBungee",
+    "CertifiedBounded",
     "Termination",
     "OrbitRecord",
     "BatchState",
@@ -215,8 +230,8 @@ class PoleHit:
 @dataclass(frozen=True)
 class _Certified:
     """At ``step``, a Brent checkpoint, the iterate lay in ``region``, which
-    `bungee.certify` proved for the map. The two kinds of certificate share
-    these fields; each compares equal only to its own kind."""
+    `bungee.certify` proved for the map. The three kinds of certificate
+    share these fields; each compares equal only to its own kind."""
 
     step: int
     region: str
@@ -235,7 +250,12 @@ class CertifiedBungee(_Certified):
     escapes nor stays bounded."""
 
 
-Termination = Union[Completed, Overflowed, CycleFound, PoleHit, CertifiedEscape, CertifiedBungee]
+class CertifiedBounded(_Certified):
+    """The iterate lay in ``region``, a box that the map provably sends
+    into its interior, so the orbit stays in it: it is bounded."""
+
+
+Termination = Union[Completed, Overflowed, CycleFound, PoleHit, CertifiedEscape, CertifiedBungee, CertifiedBounded]
 
 
 @dataclass(frozen=True)
@@ -270,6 +290,13 @@ _CYCLE = 3
 _POLE = 4
 _CERTIFIED = 5
 _CERTIFIED_BUNGEE = 6
+_TRAPPED = 7
+
+# The Brent checkpoint, the fourth, from which live lanes are tested
+# against the map's trap boxes. Most lanes that end early end before it,
+# so the search for the boxes, made when a lane first reaches it, is left
+# out of most short calls.
+_TRAP_STEP = 15
 
 # Seeds per engine run in `classify_batch`: wide enough to amortize numpy's
 # per-call cost over many lanes, narrow enough to bound per-run memory.
@@ -283,7 +310,8 @@ class BatchState:
     Derived facts are not stored: the final modulus is ``|z|``, and the
     peak count is ``n_returns + in_peak`` (every peak but an open one returned).
     ``region`` is the index, in the run's regions, of the region a
-    certified lane ended in, and -1 for every other lane.
+    certified lane ended in, for a trapped lane the index of its box in the
+    run's trap boxes, and -1 for every other lane.
     """
 
     z: np.ndarray
@@ -384,7 +412,12 @@ def _run_batch(
     cfg: ClassifierConfig,
     regions: tuple,
     history: Optional[_History] = None,
+    traps: Optional[Callable[[], tuple]] = None,
 ) -> BatchState:
+    """Run the engine over ``seeds``: ``regions`` are the escape and Bungee
+    regions of the map, and ``traps``, if given, returns its trap boxes,
+    called at the first checkpoint from `_TRAP_STEP` on that finds a live
+    lane, and at every later one."""
     z = np.array(seeds, dtype=np.complex128).ravel()
     n = z.size
     if history is not None and n != 1:
@@ -490,6 +523,14 @@ def _run_batch(
                             hit = which[lanes]
                             ids = w.write(out, lanes, certified[hit], step)
                             out.region[ids] = hit
+                if traps is not None and step >= _TRAP_STEP and (w.ended is None or not w.ended.all()):
+                    boxes = traps()
+                    if boxes:
+                        which = certify.locate(boxes, w.z)
+                        lanes = w.unended(which >= 0)
+                        if lanes.size:
+                            ids = w.write(out, lanes, _TRAPPED, step)
+                            out.region[ids] = which[lanes]
                 np.maximum(w.global_max, w.win_max, out=w.global_max)
                 w.tortoise = w.z
                 w.tol_tort = cfg.cycle_tol * np.abs(w.z)
@@ -509,15 +550,18 @@ def _verdicts(state: BatchState, cfg: ClassifierConfig) -> np.ndarray:
 
     Later assignments win, so the rules apply in order; a pole hit matches
     neither rule 1 nor rule 3, and rule 2 excludes it and a certified escape.
-    A certified Bungee lane is Bungee by rule 2 alone.
+    A certified Bungee lane is Bungee by rule 2 alone, and a trapped lane
+    Bounded by rule 1 alone.
     """
     kind = state.kind
     few_returns = state.n_returns < cfg.min_alternations
     # A peak still in progress when the orbit ended counts at the height it reached.
     pending_weak = state.in_peak & (state.cur_peak < cfg.peak_growth * state.last_peak)
 
-    bounded = ((kind == _CYCLE) & (state.cycle_max <= cfg.r_bound)) | (
-        (kind == _COMPLETED) & (state.global_max <= cfg.r_bound)
+    bounded = (
+        ((kind == _CYCLE) & (state.cycle_max <= cfg.r_bound))
+        | ((kind == _COMPLETED) & (state.global_max <= cfg.r_bound))
+        | (kind == _TRAPPED)
     )
     bungee = ((kind != _POLE) & (kind != _CERTIFIED) & ~few_returns & state.escalation_ok & ~pending_weak) | (
         kind == _CERTIFIED_BUNGEE
@@ -542,6 +586,12 @@ def _cycle_entry(vals: np.ndarray, period: int, at: int, tol: float) -> int:
     return int(hits[0]) if hits.size else max(at - period, 0)
 
 
+def _trap_search(program: Program, cfg: ClassifierConfig) -> Callable[[], tuple]:
+    """The map's trap boxes, searched for on the first call only; at most
+    as many as an int8 region index can name."""
+    return functools.cache(lambda: certify.trap_regions(program, cfg)[: np.iinfo(np.int8).max + 1])
+
+
 def iterate_orbit(
     f: FunctionExpr, z0: complex, cfg: ClassifierConfig = DEFAULT_CONFIG
 ) -> OrbitRecord:
@@ -550,13 +600,15 @@ def iterate_orbit(
     Peaks are placed from the engine's start and return steps. A
     `CycleFound` termination takes its period from the engine state and
     finds its entry in one whole-array comparison of the recorded values
-    at that period; a `CertifiedEscape` or `CertifiedBungee` names its region.
+    at that period; a `CertifiedEscape`, `CertifiedBungee` or
+    `CertifiedBounded` names its region.
     """
     seed = complex(z0)
     history = _History([], [], [])
     program = compile_expr(f)
     regions = certify.regions(program)
-    state = _run_batch(program, np.array([seed]), cfg, regions, history)
+    traps = _trap_search(program, cfg)
+    state = _run_batch(program, np.array([seed]), cfg, regions, history, traps)
     values = np.array(history.values, dtype=np.complex128)
     moduli = np.abs(values)
     spans = zip(history.starts, history.returns + [len(moduli)])  # an open peak runs to the end
@@ -573,6 +625,8 @@ def iterate_orbit(
         termination = CertifiedEscape(int(state.term_step[0]), str(regions[state.region[0]]))
     elif k == _CERTIFIED_BUNGEE:
         termination = CertifiedBungee(int(state.term_step[0]), str(regions[state.region[0]]))
+    elif k == _TRAPPED:
+        termination = CertifiedBounded(int(state.term_step[0]), str(traps()[state.region[0]]))
     else:
         period = int(state.period[0])
         entry = _cycle_entry(values, period, int(state.term_step[0]), cfg.cycle_tol)
@@ -620,7 +674,8 @@ def classify_batch(
     both apply `_verdicts` to the same engine's state.
     Seeds run in fixed chunks of independent lanes; a chunk's state is
     dropped unless ``return_state`` keeps it, so memory stays bounded.
-    The map is compiled, and its certified regions found, once per call.
+    The map is compiled, and its certified regions found, once per call;
+    its trap boxes at most once, when a lane first needs them.
     """
     seeds = np.asarray(seeds, dtype=np.complex128)
     flat = seeds.ravel()
@@ -628,8 +683,9 @@ def classify_batch(
     states = []
     program = compile_expr(f)
     regions = certify.regions(program)
+    traps = _trap_search(program, cfg)
     for lo in range(0, flat.size, _CHUNK):
-        state = _run_batch(program, flat[lo : lo + _CHUNK], cfg, regions)
+        state = _run_batch(program, flat[lo : lo + _CHUNK], cfg, regions, traps=traps)
         codes[lo : lo + _CHUNK] = _verdicts(state, cfg)
         if return_state:
             states.append(state)

@@ -20,6 +20,7 @@ PUBLIC_NAMES = [
     "format_expr",
     "parse",
     "Classification",
+    "CertifiedBounded",
     "CertifiedBungee",
     "CertifiedEscape",
     "ClassifierConfig",

@@ -1,6 +1,6 @@
-"""Escape and Bungee certificates: the interval interpreter, the
-dominant-term forms, the region searches and the engine's certified
-terminations.
+"""Escape, Bungee and trap certificates: the interval interpreter, sin and
+cos of a real interval, the dominant-term forms, the region and trap-box
+searches and the engine's certified terminations.
 
 Soundness is checked two ways at random points of random boxes, some with
 infinite sides: against `eval_array`, whose float value may differ from
@@ -14,6 +14,7 @@ imports it.
 
 from __future__ import annotations
 
+import dataclasses
 import math
 import operator
 import subprocess
@@ -28,6 +29,7 @@ from mpmath import iv
 
 import bungee.certify
 from bungee import (
+    CertifiedBounded,
     CertifiedBungee,
     CertifiedEscape,
     Classification,
@@ -51,6 +53,8 @@ from bungee.certify import (
     RADII,
     DiskRegion,
     Region,
+    TrapBox,
+    _sin_cos,
     certifies,
     dominant_form,
     enclose,
@@ -58,9 +62,20 @@ from bungee.certify import (
     escape_regions,
     form_regions,
     locate,
+    trap_regions,
+    traps,
 )
 from bungee.expr import EVENT_NONE, compile_expr, eval_array
-from bungee.orbit import _CERTIFIED, _CERTIFIED_BUNGEE, _CYCLE, _OVERFLOWED, DEFAULT_CONFIG, _run_batch
+from bungee.orbit import (
+    _CERTIFIED,
+    _CERTIFIED_BUNGEE,
+    _CYCLE,
+    _OVERFLOWED,
+    _TRAP_STEP,
+    _TRAPPED,
+    DEFAULT_CONFIG,
+    _run_batch,
+)
 
 from strategies import expression_strings
 
@@ -210,6 +225,54 @@ def test_enclosures_meet_mpmath_box_enclosures():
                 assert part.a <= hi_i + hi_b and part.b >= lo_i + lo_b, (name, box)
 
 
+# --- sin and cos of a real interval -------------------------------------------
+
+HALF_PI = math.pi / 2
+
+
+@st.composite
+def real_intervals(draw):
+    """A real interval: wide, about a multiple of pi/2, or far from 0."""
+    kind = draw(st.sampled_from(["wide", "near", "far"]))
+    if kind == "wide":
+        lo, width = draw(st.floats(-1e3, 1e3)), draw(st.floats(0, 10))
+    elif kind == "near":
+        lo = draw(st.integers(-2000, 2000)) * HALF_PI + draw(st.floats(-1e-6, 1e-6))
+        width = draw(st.sampled_from([0.0, 1e-300, 1e-12, 1e-6, 0.1]))
+    else:
+        lo, width = draw(st.floats(-1e17, 1e17)), draw(st.floats(0, 4))
+    return (lo, lo + width)
+
+
+@settings(max_examples=1000, deadline=None)
+@given(real_intervals())
+@example((HALF_PI, HALF_PI))
+@example((math.pi, math.pi))
+@example((-5e-324, 5e-324))
+@example((2.0**50 - 1, 2.0**50))
+@example((3 * HALF_PI - 1e-17, 3 * HALF_PI + 1e-17))
+def test_sin_cos_of_an_interval_hold_the_exact_range(a):
+    """Both hold `mpmath.iv`'s enclosure at 113 bits of the range over
+    ``a``, and below ``2**20`` exceed it by at most 4e-16 on either side."""
+    x = iv.mpf(list(a))
+    for mine, exact in zip(_sin_cos(a), (iv.sin(x), iv.cos(x))):
+        assert mine[0] <= exact.a and exact.b <= mine[1], (a, mine, exact)
+        if max(map(abs, a)) < 2.0**20 and a[1] - a[0] < 7:
+            assert mine[0] >= exact.a - 4e-16 and mine[1] <= exact.b + 4e-16, (a, mine, exact)
+
+
+def test_exp_of_a_box_off_the_imaginary_axis_excludes_0():
+    """With tight sin and cos, exp of a box whose imaginary side lies within
+    (-pi/2, pi/2) has a positive real part: `0.3*exp(z)` maps its trap box
+    q ± 0.5 about the fixed point q = 0.4894 into [0.260, 0.807] x
+    [-0.387, 0.387], inside the box, as `mpmath.iv` does."""
+    program = compile_expr(parse("0.3*exp(z)"))
+    (box,) = trap_regions(program, DEFAULT_CONFIG)
+    assert box.re[0] < 0 and box.im == (-0.5, 0.5)
+    alpha, (re, im) = enclose(program, box)
+    assert alpha == 0 and 0.260 < re[0] < 0.261 and 0.806 < re[1] < 0.807 and 0.386 < im[1] == -im[0] < 0.387
+
+
 # --- the region search ----------------------------------------------------
 
 
@@ -248,7 +311,11 @@ def test_composites_and_real_conjugates_keep_their_regions():
     assert regions_of(compose(f, g)) == regions_of(compose(g, f)) == ["Re z >= 0.0625"]
     # a*f((z-b)/a)+b scales alpha by 1/a, then by a, exactly.
     assert regions_of(conjugate(f, 1, 0)) == ["Re z >= 0.0625"]
-    assert regions_of(conjugate(f, 2, 1)) == ["Re z >= 2.0"]
+    # On the real axis it is z + 2 + 2*exp(-(z-1)/2) > z + 2, so the ray
+    # [1/16, inf) moves right by 2, past where the half-plane reaches. The
+    # division by 2 rounds Im((z-1)/2) outward to a tiny interval about 0,
+    # whose sine is tight: the image's imaginary part stays within 1e-322.
+    assert regions_of(conjugate(f, 2, 1)) == ["Re z >= 2.0", "z in [0.0625, inf)"]
     assert regions_of(conjugate(f, -1, 0)) == ["Re z <= -0.0625"]
     assert regions_of(conjugate(parse("z+sin(z)+2*pi"), -1, 3)) == ["z in (-inf, -0.0625]"]
     # A complex scale collapses alpha to 0: sound, not complete.
@@ -268,12 +335,25 @@ def test_image_inside_the_shifted_region_is_not_a_certificate():
     assert escape_regions(program) == ()
 
 
+# The trap box that `trap_regions` keeps about the fixed point 1.12 of exp(-z-1)+1.
+TRAP_1_12 = "Re z in [0.6200282389876377, 1.6200282389876377], Im z in [-0.5, 0.5]"
+
+
 @pytest.mark.parametrize("seed", [0.1, 0.5, 1, 3])
-def test_attracting_fixed_point_on_the_real_axis_stays_bounded(seed):
-    rec = iterate_orbit(parse("exp(-z-1)+1"), seed)
+def test_attracting_fixed_point_on_the_real_axis_stays_bounded(seed, monkeypatch):
+    # The box 1.12 ± 0.5 about the attracting fixed point is a trap: the
+    # orbit is in it at the step-15 checkpoint and ends there, Bounded.
+    f = parse("exp(-z-1)+1")
+    rec = iterate_orbit(f, seed)
+    assert rec.termination == CertifiedBounded(15, TRAP_1_12)
+    assert abs(rec.values[-1] - 1.1200) < 1e-4
+    assert classify_point(f, seed) == Classification.BOUNDED
+    # Without its box, the orbit runs on to a near-repeat at the fixed point.
+    monkeypatch.setattr(bungee.certify, "trap_regions", lambda program, cfg: ())
+    rec = iterate_orbit(f, seed)
     assert isinstance(rec.termination, CycleFound)
     assert abs(rec.values[-1] - 1.1200) < 1e-4
-    assert classify_point(parse("exp(-z-1)+1"), seed) == Classification.BOUNDED
+    assert classify_point(f, seed) == Classification.BOUNDED
 
 
 def test_region_membership():
@@ -308,19 +388,36 @@ def test_certified_region_moves_points_outward():
 
 def test_search_runs_once_per_call(monkeypatch):
     calls = []
-    for name in ("escape_regions", "form_regions"):
+    for name in ("escape_regions", "form_regions", "trap_regions"):
         search = getattr(bungee.certify, name)
 
-        def counted(program, search=search, name=name):
+        def counted(*args, search=search, name=name):
             calls.append(name)
-            return search(program)
+            return search(*args)
 
         monkeypatch.setattr(bungee.certify, name, counted)
+    grid = GridSpec(-3, 3, -3, 3, 149, 55).points()  # three chunks
+    # Every lane of these ends by the step-15 checkpoint's escape test (two
+    # Fatou lanes end in its half-plane there), so no lane is left for the
+    # trap test: no trap search.
     for text in ("z+1+exp(-z)", "1/pow(z,2)"):
         f = parse(text)
-        classify_batch(f, GridSpec(-3, 3, -3, 3, 149, 55).points())  # three chunks
+        _, state = classify_batch(f, grid, return_state=True)
+        assert state.term_step.max() <= _TRAP_STEP and not np.any(state.kind == _TRAPPED)
         iterate_orbit(f, 0.5)
     assert sorted(calls) == ["escape_regions"] * 4 + ["form_regions"] * 4
+    # Lanes of 0.3*exp(z) reach it in every chunk, and the orbit of 0.5 does
+    # too: one trap search per call, which also names the record's box. The
+    # orbit of 3 escapes before it: no search.
+    calls.clear()
+    f = parse("0.3*exp(z)")
+    _, state = classify_batch(f, grid, return_state=True)
+    assert np.count_nonzero(state.kind == _TRAPPED) > 3 * 4096 // 2
+    assert calls.count("trap_regions") == 1
+    assert isinstance(iterate_orbit(f, 0.5).termination, CertifiedBounded)
+    assert calls.count("trap_regions") == 2
+    assert iterate_orbit(f, 3).termination.step < _TRAP_STEP
+    assert calls.count("trap_regions") == 2
 
 
 def test_no_mpmath_on_the_run_paths(tmp_path):
@@ -389,7 +486,7 @@ FORM_MAPS = {
         "1.001*z", "1.4*z", "pow(z,2)", "z*z-1", "2*z+1", "pow(z+1,3)/(z-2*i)", "1/pow(z,2)",
         "(-0.5+0.8660254037844386*i)/pow(z,2)", "2/pow(z,3)", "1/pow(z,2)+z/1e9",
         "z", "0.5*z", "1/z", "z/(z-1)", MOEBIUS, ROTATION, "1/pow(z,2)-1", "4/pow(z,2)+z",
-        "exp(0.001)*z", "exp(1)*z*z",
+        "exp(0.001)*z", "exp(1)*z*z", "exp(2*pi*i/3)/pow(z,2)", "cos(0)*z*z",
     )
 }
 
@@ -414,9 +511,12 @@ FORM_MAPS = {
         # a function of a constant is a constant, of degree 0
         ("exp(0.001)*z", ["|z| >= 0.0625"]),  # rate e**0.001
         ("exp(1)*z*z", ["|z| >= 0.5"]),  # rate e R > 1
-        # but sin and cos of a nonzero real interval are taken as [-1, 1], so
-        # the rectangle of exp(2*pi*i/3) holds 0
-        ("exp(2*pi*i/3)/pow(z,2)", []),
+        # a rotated 1/pow(z,2): the rectangle of exp(2*pi*i/3) lies near the
+        # unit circle, since sin and cos of a real interval are tight
+        ("exp(2*pi*i/3)/pow(z,2)", [INVERSE_SQUARE_BUNGEE]),
+        ("exp(2*pi*i/3)*z", []),  # a rotation: |f(z)| = |z|, so no region
+        ("cos(0)*z*z", ["|z| >= 1.0009765625"]),  # cos(0) is 1: the form of z*z
+        ("sin(0)*z*z", []),  # sin(0) is exactly 0: the zero map has no form
     ],
 )
 def test_form_regions(text, regions):
@@ -626,6 +726,136 @@ def test_regions_of_shifted_powers_hold_at_exact_points(data, text):
 def test_certified_regions_cover_the_form_maps():
     found = {text for text, _, _ in CERTIFIED}
     assert found >= {"1.001*z", "1.4*z", "pow(z,2)", "z*z-1", "1/pow(z,2)", "2/pow(z,3)", "exp(0.001)*z",
-                     "exp(1)*z*z"}
+                     "exp(1)*z*z", "exp(2*pi*i/3)/pow(z,2)", "cos(0)*z*z"}
     assert not found & {"z", "0.5*z", "1/z", "z/(z-1)", MOEBIUS, ROTATION}
     assert any(region.bungee for _, _, region in CERTIFIED)
+
+
+# --- trap boxes ---------------------------------------------------------------
+
+TRAP_EXTRA = ("exp(z-1)-1", "z*z-0.5", "0.5*z+0.25*i", "z*z+0.25", "z+sin(z)", "exp(z)")
+
+
+def trap_boxes():
+    boxes = []
+    maps = sorted(MAPS.items()) + sorted(FORM_MAPS.items()) + [(text, parse(text)) for text in TRAP_EXTRA]
+    for text, f in maps:
+        program = compile_expr(f)
+        boxes += [(text, program, box) for box in trap_regions(program, DEFAULT_CONFIG)]
+    return boxes
+
+
+TRAPS = trap_boxes()
+
+
+def test_trap_boxes_cover_the_attracting_fixed_points():
+    found = {text: str(box) for text, _, box in TRAPS}
+    assert found["exp(-z-1)+1"] == TRAP_1_12
+    assert found["pow(z,2)"] == "Re z in [-0.25, 0.25], Im z in [-0.25, 0.25]"
+    assert found["0.5*z"] == "Re z in [-0.5, 0.5], Im z in [-0.5, 0.5]"
+    assert {"0.3*exp(z)", "exp(z-1)-1", "z*z-0.5", "0.5*z+0.25*i", "cos(0)*z*z"} <= set(found)
+    # No box of these traps under the plain enclosure: z*z+0.25's fixed point
+    # 1/2 is parabolic, the sine map's boxes widen (B + sin B is wider than
+    # B), exp(z) has no attracting cycle, and the others escape or are Bungee.
+    assert not {"z*z+0.25", "z+sin(z)", "exp(z)", "z+1+exp(-z)", "1/pow(z,2)", "z*z-1"} & set(found)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from(range(len(TRAPS))), st.lists(st.tuples(st.floats(0, 1), st.floats(0, 1)), min_size=4,
+                                                     max_size=4))
+def test_trap_boxes_map_into_their_interior_at_exact_points(k, unit):
+    """Random points of each box, and its corners, map into its interior,
+    by `mpmath.iv` at 113 bits."""
+    text, program, box = TRAPS[k]
+    (a, b), (c, d) = box
+    points = [complex(a + s * (b - a), c + t * (d - c)) for s, t in unit] + [complex(a, c), complex(b, d)]
+    assert box.contains(np.array(points)).all()
+    for z in points:
+        image = iv_eval(program, iv.mpc(iv.mpf(z.real), iv.mpf(z.imag)))
+        assert a < image.real.a and image.real.b < b and c < image.imag.a and image.imag.b < d, (text, z)
+
+
+def test_trap_box_membership_is_closed():
+    box = TrapBox((-0.5, 0.5), (0.0, 1.0))
+    z = np.array([0.5 + 1j, -0.5, 0.5000000000000001, 1.5j, 0.25 + 0.5j])
+    assert box.contains(z).tolist() == [True, True, False, False, True]
+    assert box.contains(-0.5 + 0j) and not box.contains(2 + 0j)
+    assert str(box) == "Re z in [-0.5, 0.5], Im z in [0.0, 1.0]"
+    assert traps(compile_expr(parse("0.5*z")), ((-1.0, 1.0), (-1.0, 1.0)))
+    assert not traps(compile_expr(parse("z")), ((-1.0, 1.0), (-1.0, 1.0)))  # f(B) = B: not inside int B
+
+
+def test_probe_end_points_out_of_range_are_skipped():
+    # The probe of this constant map ends at a finite point whose modulus,
+    # 2.1e308, overflows double range: it lies beyond r_bound, no error.
+    assert trap_regions(compile_expr(parse("1.5e308+1.5e308*i")), DEFAULT_CONFIG) == ()
+    # A constant map traps every box about its value.
+    assert [str(b) for b in trap_regions(compile_expr(parse("0*z+2")), DEFAULT_CONFIG)] == [
+        "Re z in [1.5, 2.5], Im z in [-0.5, 0.5]"]
+
+
+def test_drifting_probes_cost_no_interval_evaluation(monkeypatch):
+    # The Fatou map moves each probe right by about 1 a step, so no end point
+    # holds its image in any box: no box is tried. 0 is a fixed point of
+    # z+sin(z), so all four of its boxes are tried.
+    calls = []
+    monkeypatch.setattr(bungee.certify, "enclose", lambda *args: calls.append(args) or enclose(*args))
+    assert trap_regions(compile_expr(parse("z+1+exp(-z)+2*pi*i")), DEFAULT_CONFIG) == () and calls == []
+    assert trap_regions(compile_expr(parse("z+sin(z)")), DEFAULT_CONFIG) == () and len(calls) == 4
+
+
+def test_trapped_lanes_end_at_the_step_15_checkpoint():
+    """0.3*exp(z) on the 64x64 grid over [-4,4]^2: every lane that would
+    end in a cycle ends in the box instead, at the step-15 checkpoint or the
+    next, with the same verdict; the escaping lanes do not move."""
+    f = parse("0.3*exp(z)")
+    seeds = GridSpec(-4, 4, -4, 4, 64, 64).points().ravel()
+    plain = _run_batch(compile_expr(f), seeds, DEFAULT_CONFIG, ())
+    codes, state = classify_batch(f, seeds, return_state=True)
+    cycled = plain.kind == _CYCLE
+    assert np.count_nonzero(cycled) > 3900 and plain.term_step[cycled].min() > _TRAP_STEP
+    assert np.all(state.kind[cycled] == _TRAPPED) and set(state.term_step[cycled].tolist()) <= {15, 31}
+    assert np.all(state.region[cycled] == 0)
+    assert np.array_equal(codes, bungee.orbit._verdicts(plain, DEFAULT_CONFIG))
+    assert np.array_equal(state.kind[~cycled], plain.kind[~cycled])
+
+
+def test_trapped_batches_equal_their_one_seed_runs():
+    """A batch whose lanes end before, at and after the step-15 checkpoint
+    is the concatenation of its one-seed runs, at every field: the boxes
+    depend only on the map and the config."""
+    ends = set()
+    for text in ("0.3*exp(z)", "pow(z,2)", "exp(z-1)-1", "0.9*z"):
+        f, program = parse(text), compile_expr(parse(text))
+        seeds = GridSpec(-3, 3, -3, 3, 9, 7).points().ravel()
+        _, state = classify_batch(f, seeds, return_state=True)
+        assert state.term_step.min() < _TRAP_STEP and np.any(state.kind == _TRAPPED)
+        ends |= set(state.term_step[state.kind == _TRAPPED].tolist())
+        for i, seed in enumerate(seeds):
+            rec = iterate_orbit(f, complex(seed))
+            for name in (fld.name for fld in dataclasses.fields(state)):
+                assert getattr(rec.state, name)[0] == getattr(state, name)[i], (text, seed, name)
+            if state.kind[i] == _TRAPPED:
+                (box,) = trap_regions(program, DEFAULT_CONFIG)
+                assert rec.termination == CertifiedBounded(int(state.term_step[i]), str(box))
+                assert classify_point(f, complex(seed)) == Classification.BOUNDED
+    assert ends == {15, 31}  # 0.9*z needs two checkpoints to bring 3+3i into 0 ± 0.5
+
+
+def test_rotated_inverse_square_seeds_are_certified_bungee():
+    """exp(2*pi*i/3)/pow(z,2) is 1/pow(z,2) turned by a third of a turn: its
+    Bungee region certifies, and every lane of the grid ends in it by step 3."""
+    f = parse("exp(2*pi*i/3)/pow(z,2)")
+    codes, state = classify_batch(f, GridSpec(-2, 2, -2, 2, 64, 64).points(), return_state=True)
+    assert np.all(codes == Classification.BUNGEE)
+    assert np.all(state.kind == _CERTIFIED_BUNGEE) and state.term_step.max() <= 3
+    assert iterate_orbit(f, 0.5).termination == CertifiedBungee(1, INVERSE_SQUARE_BUNGEE)
+
+
+def test_escapes_of_a_map_with_a_unit_constant_are_certified():
+    """cos(0)*z*z is z*z: its escaping lanes end in |z| >= 1.0009765625."""
+    f = parse("cos(0)*z*z")
+    codes, state = classify_batch(f, GridSpec(-2, 2, -2, 2, 64, 64).points(), return_state=True)
+    escaping = codes.ravel() == Classification.ESCAPING
+    assert np.count_nonzero(escaping) == 3284 and np.all(state.kind[escaping] == _CERTIFIED)
+    assert np.array_equal(codes, classify_batch(parse("z*z"), GridSpec(-2, 2, -2, 2, 64, 64).points()))

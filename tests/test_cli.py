@@ -596,6 +596,27 @@ def test_non_positive_workers_is_usage_error(tmp_path, argv, workers):
     assert not ppm.exists()
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["classify", "--function", "z", "--point", "0,0"],
+        ["orbit", "--function", "z", "--point", "0,0"],
+        ["render", "--function", "z", "--grid=-1,1,-1,1", "--size", "2,2"],
+        ["verify", "--relation", "StripContainment", "--f", "z", "--samples", "list:0,0"],
+        ["examples", "list"],
+        ["examples", "run", "ex_exponential_family"],
+    ],
+    ids=["classify", "orbit", "render", "verify", "examples-list", "examples-run"],
+)
+def test_empty_config_path_is_usage_error(tmp_path, argv):
+    extra = {"orbit": ["--csv", str(tmp_path / "never.csv")], "render": ["--ppm", str(tmp_path / "never.ppm")]}
+    for args in (["--config", "", *argv], [*argv, "--config="]):
+        code, out, err = run([*args, *extra.get(argv[0], [])])
+        assert (code, out) == (1, "")
+        assert err == "error: --config needs a file path\n"
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_missing_config_file_is_runtime_error(tmp_path):
     code, _, err = run(
         [

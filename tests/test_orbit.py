@@ -18,6 +18,7 @@ from hypothesis import given, settings, strategies as st
 
 import bungee.certify
 from bungee import (
+    CertifiedBounded,
     CertifiedBungee,
     CertifiedEscape,
     Classification,
@@ -58,10 +59,11 @@ INVERSE_SQUARE_BUNGEE = "|z| >= 1.0009765625 or 0 < |z| <= 0.9990243902439023"
 
 def drop_regions(monkeypatch) -> None:
     """Make `iterate_orbit` and `classify_batch` run the engine with the
-    regions ``()``, as `_run_batch(..., ())` does: for tests of the engine's
-    own mechanics (peaks, the guard, evaluation events) on maps whose
-    certified regions end orbits first."""
+    regions ``()`` and no trap boxes, as `_run_batch(..., ())` does: for
+    tests of the engine's own mechanics (peaks, the guard, evaluation
+    events, cycles) on maps whose certified regions end orbits first."""
     monkeypatch.setattr(bungee.certify, "regions", lambda program: ())
+    monkeypatch.setattr(bungee.certify, "trap_regions", lambda program, cfg: ())
 
 
 @pytest.fixture
@@ -104,6 +106,8 @@ def reference_verdict(rec, cfg=DEFAULT_CONFIG) -> Classification:
         return Classification.UNRESOLVED
     if isinstance(rec.termination, CertifiedBungee):  # rule 2, whatever the returns
         return Classification.BUNGEE
+    if isinstance(rec.termination, CertifiedBounded):  # rule 1: the orbit stays in a box
+        return Classification.BOUNDED
 
     if isinstance(rec.termination, CycleFound):
         cycle = rec.moduli[-rec.termination.period :]
@@ -414,13 +418,20 @@ def test_classify_point_examples():
     assert classify_point(parse("1/pow(z,2)"), 1) == Classification.BOUNDED
 
 
-@pytest.mark.parametrize("text, seed", [("0.5*z", 1), ("pow(z,2)", 0.5), ("z", 1e-300)])
-def test_orbits_attracted_to_zero_are_bounded(text, seed):
-    # 0 is an attracting fixed point of each map (Milnor, ch. 8), so the
-    # orbit shrinks toward it: it must not end as overflowed.
+@pytest.mark.parametrize("text, seed, ending", [
+    ("0.5*z", 1, CertifiedBounded(15, "Re z in [-0.5, 0.5], Im z in [-0.5, 0.5]")),
+    ("pow(z,2)", 0.5, CertifiedBounded(15, "Re z in [-0.25, 0.25], Im z in [-0.25, 0.25]")),
+    ("z", 1e-300, CycleFound(1, 0)),
+], ids=["0.5*z-1", "pow(z,2)-0.5", "z-1e-300"])
+def test_orbits_attracted_to_zero_are_bounded(text, seed, ending):
+    # 0 is an attracting fixed point of the first two maps (Milnor, ch. 8),
+    # so the orbit shrinks toward it: it must not end as overflowed. Each
+    # map sends the box about 0 that its search keeps into its interior (by
+    # half, and to |z| <= 1/8), so the orbit ends in that box at the step-15
+    # checkpoint. Every point is fixed by z: a near-repeat at step 1.
     f = parse(text)
     rec = iterate_orbit(f, seed)
-    assert isinstance(rec.termination, (Completed, CycleFound))
+    assert rec.termination == ending
     assert classify(rec) == Classification.BOUNDED
     assert classify_batch(f, np.array([seed], dtype=np.complex128))[0] == Classification.BOUNDED
 

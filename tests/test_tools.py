@@ -4,7 +4,7 @@ Each script is loaded as a module, not run, so only its imports and
 top-level definitions execute; this catches a script that imports a
 name the package no longer has (``tools/stepcost.py`` imports the
 private engine names ``_COMPLETED`` and ``_CHUNK`` and the region
-searches ``regions`` and ``form_regions``, and reads ``Program.checked``
+searches ``regions``, ``form_regions`` and ``trap_regions``, and reads ``Program.checked``
 from ``compile_expr``). The probes that ``tools/stepcost.py`` runs in
 fresh processes import more private names, so they are run once on a
 small input.
@@ -23,9 +23,9 @@ TOOLS = ROOT / "tools"
 
 @pytest.mark.parametrize("script, names", [
     ("parity.py", ["write_outputs", "EDGE_SEEDS", "DRIFT_CFG", "main"]),
-    ("stepcost.py", ["main", "probe", "search_seconds", "short_orbit_row", "against", "SHORT_ORBIT_PROBE",
-                     "STEP_PROBE", "AGAINST_ROWS", "_COMPLETED", "_CHUNK", "compile_expr", "regions",
-                     "form_regions", "classify_batch", "GridSpec"]),
+    ("stepcost.py", ["main", "probe", "search_seconds", "batch_row", "against", "BATCH_PROBE",
+                     "STEP_PROBE", "AGAINST_ROWS", "BATCH_ROWS", "_COMPLETED", "_CHUNK", "compile_expr", "regions",
+                     "form_regions", "trap_regions", "classify_batch", "GridSpec"]),
 ])
 def test_tool_script_loads(script, names):
     namespace = runpy.run_path(str(TOOLS / script), run_name="not_main")
@@ -36,5 +36,9 @@ def test_stepcost_probes_run_on_this_checkout():
     stepcost = runpy.run_path(str(TOOLS / "stepcost.py"), run_name="not_main")
     evaluation, step = stepcost["probe"](stepcost["STEP_PROBE"], ROOT / "src", 1, 1)
     assert 0 < evaluation < step
-    (run,) = stepcost["probe"](stepcost["SHORT_ORBIT_PROBE"], ROOT / "src")
-    assert run > 0
+    for _, text, _ in stepcost["BATCH_ROWS"]:
+        (run,) = stepcost["probe"](stepcost["BATCH_PROBE"], ROOT / "src", text, -1.0, 1.0, -1.0, 1.0, 4, 4)
+        assert run > 0
+    titles = [title for title, *_ in stepcost["AGAINST_ROWS"]]
+    assert titles[:2] == ["short orbits: 1/pow(z,2) over 256x256 seeds of [-2, 2]x[-2, 2], us per run",
+                          "Bounded cycles: 0.3*exp(z) over 256x256 seeds of [-4, 4]x[-4, 4], us per run"]

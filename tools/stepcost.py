@@ -28,13 +28,20 @@ the finiteness checks its compiled program keeps, plus one count per
 counted only when its quotient is not finite, so an evaluation with no
 event runs fewer).
 
-The short-orbit row measures the other end, where lanes end: the 256 x 256
-grid of ``1/pow(z,2)`` over [-2, 2] x [-2, 2] through ``classify_batch``,
-whose orbits all end within a few steps, at the first Brent checkpoint
-that finds them in the map's certified Bungee region (or, on the unit
-circle, by a cycle). It prints microseconds per run and per engine step
-(the run's time over the steps its chunks take, each chunk running until
-its last lane ends).
+Two batch rows measure the other end, where lanes end, each a run of
+``classify_batch`` over a 256 x 256 grid:
+
+- short orbits: ``1/pow(z,2)`` over [-2, 2] x [-2, 2], whose orbits all
+  end within a few steps, at the first Brent checkpoint that finds them
+  in the map's certified Bungee region (or, on the unit circle, by a
+  cycle);
+- Bounded cycles: ``0.3*exp(z)`` over [-4, 4] x [-4, 4], whose bounded
+  orbits end in the trap box about its attracting fixed point at the
+  step-15 checkpoint (without the box, at a near-repeat, about step 64).
+
+Each prints microseconds per run and per engine step (the run's time over
+the steps its chunks take, each chunk running until its last lane ends)
+and the lane-steps, the steps summed over the lanes.
 
 Last, for every map of the catalog and for the maps of ``SEARCH_EXTRA``,
 it prints the time of the whole region search, `bungee.certify.regions`,
@@ -42,13 +49,15 @@ which runs once per ``classify_batch`` or ``iterate_orbit`` call: the
 half-planes and rays of ``escape_regions`` and the disk regions of
 ``form_regions``; then the time of the disk part alone, which a map that
 applies ``exp``, ``sin`` or ``cos`` to ``z`` ends after one pass over its
-program; then the regions found.
+program; then the time of the trap-box search, `bungee.certify.trap_regions`,
+which runs at most once per call, when a lane reaches the step-15
+checkpoint; then the regions and the boxes found.
 
 All of them come from the fastest of several runs, so a busy machine
 inflates them less than a mean would. The machine's speed still drifts
 between invocations by more than many changes move a row. So with
-``--against OTHER_CHECKOUT`` the script prints only two rows, the
-short-orbit run time and the 3,600-lane bookkeeping per step, each
+``--against OTHER_CHECKOUT`` the script prints only three rows, the run
+times of the two batch rows and the 3,600-lane bookkeeping per step, each
 measured in fresh processes that alternate between this checkout and the
 other one, ``--rounds`` times each (default 10): each side's median, and
 in how many rounds each side was the faster.
@@ -70,26 +79,30 @@ if not (SRC / "bungee" / "__init__.py").is_file():
 sys.path.insert(0, str(SRC))
 
 from bungee import GridSpec, classify_batch, get_example, list_examples, parse  # noqa: E402
-from bungee.certify import form_regions, regions  # noqa: E402
+from bungee.certify import form_regions, regions, trap_regions  # noqa: E402
 from bungee.expr import compile_expr  # noqa: E402
 from bungee.orbit import _CHUNK, _COMPLETED, DEFAULT_CONFIG  # noqa: E402
 
 FATOU = "z+1+exp(-z)"
 LATTICES = ((1, 1), (12, 24), (60, 60))  # nx x ny seeds: 1, 288 and 3,600 lanes
-RATIONAL = "1/pow(z,2)"
-RATIONAL_GRID = GridSpec(-2.0, 2.0, -2.0, 2.0, 256, 256)  # the window of a rational render
+# The batch rows: a title, the map and its grid.
+BATCH_ROWS = (
+    ("short orbits", "1/pow(z,2)", GridSpec(-2.0, 2.0, -2.0, 2.0, 256, 256)),  # the window of a rational render
+    ("Bounded cycles", "0.3*exp(z)", GridSpec(-4.0, 4.0, -4.0, 4.0, 256, 256)),
+)
 REPEATS = 9
 # Maps beside the catalog's: polynomial ones, and two whose coefficients
 # are exp of a constant.
 SEARCH_EXTRA = ("pow(z,2)", "z*z-1", "1.001*z", "exp(0.001)*z", "exp(1)*z*z")
 # The probes below run in a fresh process against the package in argv[1]
 # and print what they measured, the best of REPEATS runs.
-# The short-orbit run: microseconds per run.
-SHORT_ORBIT_PROBE = f"""
+# A batch run of the map argv[2] over the grid of argv[3:]: microseconds per run.
+BATCH_PROBE = f"""
 import sys, time
 sys.path.insert(0, sys.argv[1])
 from bungee import GridSpec, classify_batch, parse
-f, z = parse({RATIONAL!r}), GridSpec{tuple(RATIONAL_GRID.to_dict().values())!r}.points().ravel()
+f = parse(sys.argv[2])
+z = GridSpec(*map(float, sys.argv[3:7]), *map(int, sys.argv[7:9])).points().ravel()
 times = []
 for _ in range({REPEATS}):
     start = time.perf_counter()
@@ -132,11 +145,19 @@ for _ in range({REPEATS}):
 wall, evaluation = min(runs)
 print(evaluation / DEFAULT_CONFIG.max_iter * 1e6, wall / DEFAULT_CONFIG.max_iter * 1e6)
 """
+
+
+def window(grid: GridSpec) -> str:
+    """A grid's rectangle, as the rows name it."""
+    return f"[{grid.re_min:g}, {grid.re_max:g}]x[{grid.im_min:g}, {grid.im_max:g}]"
+
+
 # The rows `--against` alternates: a title, a probe with its arguments, and
 # the figure compared, from the numbers the probe prints.
 AGAINST_ROWS = (
-    (f"short orbits: {RATIONAL} over {RATIONAL_GRID.nx}x{RATIONAL_GRID.ny} seeds of [-2, 2]^2, us per run",
-     SHORT_ORBIT_PROBE, (), lambda out: out[0]),
+    *((f"{title}: {text} over {grid.nx}x{grid.ny} seeds of {window(grid)}, us per run",
+       BATCH_PROBE, (text, *grid.to_dict().values()), lambda out: out[0])
+      for title, text, grid in BATCH_ROWS),
     (f"map {FATOU} over 60x60 lanes, bookkeeping us per step",
      STEP_PROBE, (60, 60), lambda out: out[1] - out[0]),
 )
@@ -150,13 +171,14 @@ def probe(code: str, src: Path, *args) -> list[float]:
     return [float(x) for x in run.stdout.split()]
 
 
-def short_orbit_row() -> None:
-    """Print the cost of a run whose lanes all end early, per run and per step."""
-    f, z = parse(RATIONAL), RATIONAL_GRID.points().ravel()
+def batch_row(title: str, text: str, grid: GridSpec) -> None:
+    """Print the cost of a batch run whose lanes all end before the
+    budget, per run and per step, and its lane-steps."""
+    f, z = parse(text), grid.points().ravel()
     _, state = classify_batch(f, z, return_state=True)
     ends = state.term_step
     if (state.kind == _COMPLETED).any():
-        sys.exit(f"error: an orbit of {RATIONAL} ran the whole budget")
+        sys.exit(f"error: an orbit of {text} ran the whole budget")
     steps = sum(int(ends[lo : lo + _CHUNK].max()) for lo in range(0, z.size, _CHUNK))
     times = []
     for _ in range(REPEATS):
@@ -164,9 +186,10 @@ def short_orbit_row() -> None:
         classify_batch(f, z)
         times.append(time.perf_counter() - start)
     run = min(times)
-    print(f"short orbits: {RATIONAL} over {RATIONAL_GRID.nx}x{RATIONAL_GRID.ny} seeds of [-2, 2]^2, "
-          f"lanes end at steps {ends.min()}-{ends.max()}, {steps} engine steps; best of {REPEATS}")
-    print(f"{run * 1e6:>10.0f} us per run {run / steps * 1e6:>10.1f} us per engine step")
+    print(f"{title}: {text} over {grid.nx}x{grid.ny} seeds of {window(grid)}, lanes end at steps "
+          f"{ends.min()}-{ends.max()}, {steps} engine steps; best of {REPEATS}")
+    print(f"{run * 1e6:>10.0f} us per run {run / steps * 1e6:>10.1f} us per engine step "
+          f"{int(ends.sum()):>10,} lane-steps")
 
 
 def search_seconds(program, search=regions) -> float:
@@ -221,15 +244,18 @@ def main(argv=None) -> int:
     for nx, ny in LATTICES:
         evaluation, step = probe(STEP_PROBE, SRC, nx, ny)
         print(f"{nx * ny:>6} {evaluation:>11.1f} {step:>12.1f} {step - evaluation:>12.1f}")
-    short_orbit_row()
-    print(f"region search per call, microseconds, best of {REPEATS}: the whole search, and its disk part")
+    for row in BATCH_ROWS:
+        batch_row(*row)
+    print(f"region search per call, microseconds, best of {REPEATS}: the whole search, its disk part, "
+          "and the trap boxes")
     entries = [get_example(eid) for eid, _ in list_examples()]
     maps = [str(m) for e in entries for m in (e.f, e.g) if m is not None] + list(SEARCH_EXTRA)
     for text in dict.fromkeys(maps):
         program = compile_expr(parse(text))
-        found = regions(program)
+        found = regions(program) + trap_regions(program, DEFAULT_CONFIG)
         whole, disks = search_seconds(program), search_seconds(program, form_regions)
-        print(f"{text:>20} {whole * 1e6:>8.0f} {disks * 1e6:>8.1f}  {[str(r) for r in found]}")
+        boxes = search_seconds(program, lambda p: trap_regions(p, DEFAULT_CONFIG))
+        print(f"{text:>20} {whole * 1e6:>8.0f} {disks * 1e6:>8.1f} {boxes * 1e6:>8.0f}  {[str(r) for r in found]}")
     return 0
 
 
