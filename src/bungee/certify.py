@@ -278,9 +278,18 @@ def _ccos(x):
 
 
 def _cpow(x, n: int):
+    return _power(x, n, _cmul)
+
+
+def _power(x, n: int, mul):
+    """``x ** n`` for ``n >= 1`` under the product ``mul``, by
+    square-and-multiply from the leading bit of ``n`` down: about
+    ``2 * log2(n)`` products, ``x*x`` and ``(x*x)*x`` for 2 and 3."""
     v = x
-    for _ in range(n - 1):
-        v = _cmul(v, x)
+    for bit in bin(n)[3:]:
+        v = mul(v, v)
+        if bit == "1":
+            v = mul(v, x)
     return v
 
 
@@ -513,15 +522,12 @@ def _error_of(op: str, arg, xs: list, es: list, shape, rho: float):
     there is none."""
     if op == "neg":
         return es[0]
-    if op == "pow":
-        grown = 0.0  # (1+e)**k - 1, for k up to arg
-        for _ in range(arg):
-            grown = _sum(_sum(grown, es[0], _INF), _umul(grown, es[0]), _INF)
-        return grown
+    if op == "pow":  # (1+E)**arg - 1
+        return _power(es[0], arg, _grown)
     (_, dx, lox, hix), (_, dy, loy, hiy) = xs
     ex, ey = es
-    if op == "*":  # (1+E_x)(1+E_y) - 1
-        return _sum(_sum(ex, ey, _INF), _umul(ex, ey), _INF)
+    if op == "*":
+        return _grown(ex, ey)
     if op == "/":  # (1+E_x)/(1+E_y) - 1 = (E_x-E_y)/(1+E_y)
         return _udiv(_sum(ex, ey, _INF), _sum(1.0, -ey, -_INF)) if ey < 1 else None
     if dx == dy:
@@ -532,6 +538,11 @@ def _error_of(op: str, arg, xs: list, es: list, shape, rho: float):
     # |t|**(d_y-d_x) <= rho**(d_y-d_x)
     ratio = _umul(_udiv(hiy, lox), _rpow(rho, dy - dx, _INF))
     return _sum(ex, _umul(ratio, _sum(1.0, ey, _INF)), _INF)
+
+
+def _grown(ex: float, ey: float) -> float:
+    """``(1+E_x)(1+E_y) - 1`` for ``|E_x| <= ex`` and ``|E_y| <= ey``, rounded up."""
+    return _sum(_sum(ex, ey, _INF), _umul(ex, ey), _INF)
 
 
 def _umul(x: float, y: float) -> float:

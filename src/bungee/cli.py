@@ -12,7 +12,8 @@ sample plan, JSON report), ``examples`` (catalog listing and runs).
 Exit codes: 0 success, 1 usage or expression parse error (including
 inputs ``verify`` and ``examples run`` refuse), 2 runtime error, 3 verify
 ran cleanly but found violations. All file contents are built before any
-output file is opened, so failed invocations leave no partial files behind.
+output file is opened, and a failed write removes the files the call
+already wrote, so failed invocations leave no partial files behind.
 """
 
 from __future__ import annotations
@@ -208,8 +209,16 @@ def _cmd_render(ns) -> int:
         outputs.append((ns.boundary, render_pbm(extract_boundary(raster))))
     if ns.json_path:
         outputs.append((ns.json_path, raster_to_json(raster).encode("ascii")))
-    for path, blob in outputs:
-        Path(path).write_bytes(blob)
+    written: list[str] = []
+    try:
+        for path, blob in outputs:
+            with open(path, "wb") as fh:
+                written.append(path)
+                fh.write(blob)
+    except OSError:  # remove every file this call opened
+        for path in written:
+            Path(path).unlink(missing_ok=True)
+        raise
     return 0
 
 

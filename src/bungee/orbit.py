@@ -1,9 +1,10 @@
 """Orbit iteration and empirical classification of seeds.
 
 A seed is iterated under a map until one of: the iteration budget runs
-out (`Completed`), the orbit leaves the trusted dynamic range or an
-evaluation event fires (`Overflowed`), a near-repeat of an earlier value
-is found (`CycleFound`), the map is evaluated at its pole 0 (`PoleHit`,
+out (`Completed`), the orbit's modulus exceeds `OVERFLOW_GUARD`, 1e150,
+or an evaluation event fires (`Overflowed`), an iterate comes within
+`CYCLE_TOL`, 1e-12 relative, of the one at the last Brent checkpoint
+(`CycleFound`), the map is evaluated at its pole 0 (`PoleHit`,
 oracle maps only), or, at a Brent checkpoint, the iterate lies in a
 region that the map provably moves outward (`CertifiedEscape`), one
 whose orbits provably alternate between escaping and staying bounded
@@ -47,11 +48,10 @@ Verdicts are assigned by the first matching rule:
 1. Bounded: a certified trap box, a detected cycle whose moduli all stay
    within ``r_bound``, or a completed orbit that never left ``r_bound``.
 2. Bungee: a certified Bungee region, whatever the returns; or at least
-   ``min_alternations`` returns with every consecutive peak pair growing
-   by factor ``peak_growth``, unless the orbit ended at a pole or with a
-   certified escape.
-3. Escaping: a certified escape, or overflow with fewer than
-   ``min_alternations`` returns.
+   2 returns (`MIN_ALTERNATIONS`) with every consecutive peak pair growing
+   by a factor of at least 2 (`PEAK_GROWTH`), unless the orbit ended at a
+   pole or with a certified escape.
+3. Escaping: a certified escape, or overflow with fewer than 2 returns.
 4. Unresolved otherwise, as for a completed orbit that left ``r_bound``.
    A pole hit always forces Unresolved.
 
@@ -100,6 +100,10 @@ __all__ = [
     "Classification",
     "ClassifierConfig",
     "DEFAULT_CONFIG",
+    "MIN_ALTERNATIONS",
+    "PEAK_GROWTH",
+    "CYCLE_TOL",
+    "OVERFLOW_GUARD",
     "Completed",
     "Overflowed",
     "CycleFound",
@@ -129,24 +133,27 @@ class Classification(enum.IntEnum):
         return self.name.capitalize()
 
 
+# Finite-precision proxies for the limits that define the classes, the same
+# under every config: rule 2's returns and peak growth factor, the relative
+# distance of a near-repeat, and the guard, the modulus past which an orbit
+# has overflowed, since one more step of a power-type map would leave double
+# range. Small moduli are trusted down to 0, so an orbit attracted to 0 ends
+# in a cycle or a trap box, not as overflowed.
+MIN_ALTERNATIONS = 2
+PEAK_GROWTH = 2.0
+CYCLE_TOL = 1e-12
+OVERFLOW_GUARD = 1e150
+
+
 @dataclass(frozen=True)
 class ClassifierConfig:
-    """Finite-precision proxies for the escape/bound/alternation tests.
-
-    ``overflow_guard`` bounds the modulus range the iteration trusts:
-    an orbit is terminated as overflowed once its modulus exceeds the
-    guard, since one more step of a power-type map would leave double
-    range. Small moduli are trusted down to 0, so an orbit attracted to
-    0 ends in a cycle, not as overflowed.
-    """
+    """The iteration budget and the two radii of the escape/bound/alternation
+    tests. The other proxies the rules read are fixed: `MIN_ALTERNATIONS`,
+    `PEAK_GROWTH`, `CYCLE_TOL` and `OVERFLOW_GUARD`."""
 
     max_iter: int = 1000
     r_bound: float = 1e3
     r_esc: float = 1e6
-    min_alternations: int = 2
-    peak_growth: float = 2.0
-    cycle_tol: float = 1e-12
-    overflow_guard: float = 1e150
 
     def __post_init__(self) -> None:
         for fld in fields(self):
@@ -159,14 +166,8 @@ class ClassifierConfig:
                 raise ValueError(f"{fld.name} must be {what}")
         if self.max_iter < 1:
             raise ValueError("max_iter must be positive")
-        if not 0 < self.r_bound < self.r_esc < self.overflow_guard:
-            raise ValueError("need 0 < r_bound < r_esc < overflow_guard")
-        if self.min_alternations < 2:
-            raise ValueError("min_alternations must be at least 2")
-        if self.peak_growth <= 1:
-            raise ValueError("peak_growth must exceed 1")
-        if self.cycle_tol <= 0:
-            raise ValueError("cycle_tol must be positive")
+        if not 0 < self.r_bound < self.r_esc < OVERFLOW_GUARD:
+            raise ValueError(f"need 0 < r_bound < r_esc < {OVERFLOW_GUARD:g}")
 
     def to_dict(self) -> dict:
         return asdict(self)
@@ -209,7 +210,7 @@ class CycleFound:
     """A near-repeat with the given period, first visible at ``entry``.
 
     ``period`` is the engine's Brent period. ``entry`` is the first index
-    whose iterate agrees, within ``cycle_tol`` relative, with the iterate
+    whose iterate agrees, within `CYCLE_TOL` relative, with the iterate
     one period later.
     """
 
@@ -368,7 +369,7 @@ class _Lanes:
                 setattr(self, name, getattr(out, name).copy())
         self.armed = m < cfg.r_bound
         self.tortoise = self.z
-        self.tol_tort = cfg.cycle_tol * m
+        self.tol_tort = CYCLE_TOL * m
         self.win_max = np.full(self.idx.size, -np.inf)
         self.ended = None  # lanes written out in this step, or None
 
@@ -425,8 +426,6 @@ def _run_batch(
     if not np.isfinite(z).all():
         raise ValueError("seeds must be finite")
 
-    guard = cfg.overflow_guard
-
     m = np.abs(z)
     out = BatchState(
         z=z,
@@ -445,7 +444,7 @@ def _run_batch(
     if history is not None:
         history.values.append(complex(z[0]))
 
-    seed_out = m > guard
+    seed_out = m > OVERFLOW_GUARD
     out.kind[seed_out] = _OVERFLOWED
     certified = np.array([_CERTIFIED_BUNGEE if r.bungee else _CERTIFIED for r in regions], dtype=np.int8)
     w = _Lanes(out, seed_out, m, cfg)
@@ -482,8 +481,8 @@ def _run_batch(
                 ending = in_peak & below
                 if np.count_nonzero(ending):
                     w.n_returns += ending
-                    # a first peak is never weak: cur_peak > r_esc > 0 = peak_growth * last_peak
-                    weak = w.cur_peak < cfg.peak_growth * w.last_peak
+                    # a first peak is never weak: cur_peak > r_esc > 0 = PEAK_GROWTH * last_peak
+                    weak = w.cur_peak < PEAK_GROWTH * w.last_peak
                     w.escalation_ok &= ~(ending & weak)
                     np.copyto(w.last_peak, w.cur_peak, where=ending)
                     in_peak &= ~ending
@@ -500,8 +499,8 @@ def _run_batch(
                     if history is not None:
                         history.starts.append(step)
 
-            if not top <= guard:
-                lanes = (mv > guard).nonzero()[0]
+            if not top <= OVERFLOW_GUARD:
+                lanes = (mv > OVERFLOW_GUARD).nonzero()[0]
                 if lanes.size:
                     w.write(out, lanes, _OVERFLOWED, step)
 
@@ -533,7 +532,7 @@ def _run_batch(
                             out.region[ids] = which[lanes]
                 np.maximum(w.global_max, w.win_max, out=w.global_max)
                 w.tortoise = w.z
-                w.tol_tort = cfg.cycle_tol * np.abs(w.z)
+                w.tol_tort = CYCLE_TOL * np.abs(w.z)
                 w.win_max.fill(-np.inf)
                 power *= 2
                 lam = 0
@@ -554,9 +553,9 @@ def _verdicts(state: BatchState, cfg: ClassifierConfig) -> np.ndarray:
     Bounded by rule 1 alone.
     """
     kind = state.kind
-    few_returns = state.n_returns < cfg.min_alternations
+    few_returns = state.n_returns < MIN_ALTERNATIONS
     # A peak still in progress when the orbit ended counts at the height it reached.
-    pending_weak = state.in_peak & (state.cur_peak < cfg.peak_growth * state.last_peak)
+    pending_weak = state.in_peak & (state.cur_peak < PEAK_GROWTH * state.last_peak)
 
     bounded = (
         ((kind == _CYCLE) & (state.cycle_max <= cfg.r_bound))
@@ -629,7 +628,7 @@ def iterate_orbit(
         termination = CertifiedBounded(int(state.term_step[0]), str(traps()[state.region[0]]))
     else:
         period = int(state.period[0])
-        entry = _cycle_entry(values, period, int(state.term_step[0]), cfg.cycle_tol)
+        entry = _cycle_entry(values, period, int(state.term_step[0]), CYCLE_TOL)
         termination = CycleFound(period, entry)
 
     return OrbitRecord(

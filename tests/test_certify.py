@@ -486,7 +486,7 @@ FORM_MAPS = {
         "1.001*z", "1.4*z", "pow(z,2)", "z*z-1", "2*z+1", "pow(z+1,3)/(z-2*i)", "1/pow(z,2)",
         "(-0.5+0.8660254037844386*i)/pow(z,2)", "2/pow(z,3)", "1/pow(z,2)+z/1e9",
         "z", "0.5*z", "1/z", "z/(z-1)", MOEBIUS, ROTATION, "1/pow(z,2)-1", "4/pow(z,2)+z",
-        "exp(0.001)*z", "exp(1)*z*z", "exp(2*pi*i/3)/pow(z,2)", "cos(0)*z*z",
+        "exp(0.001)*z", "exp(1)*z*z", "exp(2*pi*i/3)/pow(z,2)", "cos(0)*z*z", "pow(z,7)", "pow(z+1,5)/(z-2*i)",
     )
 }
 
@@ -521,6 +521,22 @@ FORM_MAPS = {
 )
 def test_form_regions(text, regions):
     assert [str(r) for r in form_regions(compile_expr(parse(text)))] == regions
+
+
+def test_powers_take_logarithmically_many_products(monkeypatch):
+    """``pow`` squares and multiplies: its rectangle takes about 2 log2(n)
+    products, not n - 1."""
+    products = []
+    cmul = bungee.certify._cmul
+    monkeypatch.setattr(bungee.certify, "_cmul", lambda x, y: products.append(1) or cmul(x, y))
+    one = ((1.0, 1.0), (0.0, 0.0))
+    assert bungee.certify._cpow(one, 10**6) == one
+    assert len(products) <= 45
+
+
+def test_a_huge_power_is_certified_at_once():
+    """The search for ``pow(z,n)`` takes log n steps, its error bound too."""
+    assert [str(r) for r in bungee.certify.regions(compile_expr(parse("pow(z,3000000000)")))] == ["|z| >= 1.0009765625"]
 
 
 @pytest.mark.parametrize("name", sorted(n for n in MAPS if any(fn in n for fn in ("exp", "sin", "cos"))))
@@ -726,7 +742,7 @@ def test_regions_of_shifted_powers_hold_at_exact_points(data, text):
 def test_certified_regions_cover_the_form_maps():
     found = {text for text, _, _ in CERTIFIED}
     assert found >= {"1.001*z", "1.4*z", "pow(z,2)", "z*z-1", "1/pow(z,2)", "2/pow(z,3)", "exp(0.001)*z",
-                     "exp(1)*z*z", "exp(2*pi*i/3)/pow(z,2)", "cos(0)*z*z"}
+                     "exp(1)*z*z", "exp(2*pi*i/3)/pow(z,2)", "cos(0)*z*z", "pow(z,7)", "pow(z+1,5)/(z-2*i)"}
     assert not found & {"z", "0.5*z", "1/z", "z/(z-1)", MOEBIUS, ROTATION}
     assert any(region.bungee for _, _, region in CERTIFIED)
 

@@ -212,6 +212,15 @@ def test_render_usage_error_leaves_no_files(tmp_path):
     assert not ppm.exists()
 
 
+def test_render_failed_write_removes_the_files_already_written(tmp_path):
+    ppm, pbm = tmp_path / "a.ppm", tmp_path / "missing_dir" / "b.pbm"
+    code, _, err = run(
+        ["render", "--function", "z*z", "--grid=-1,1,-1,1", "--size", "4,4", "--ppm", str(ppm), "--boundary", str(pbm)]
+    )
+    assert code == 2 and "b.pbm" in err
+    assert list(tmp_path.iterdir()) == []
+
+
 # --- verify --------------------------------------------------------------
 
 
@@ -534,7 +543,8 @@ def test_bad_expression_is_usage_error():
 @pytest.mark.parametrize(
     "body",
     ['{"bogus": 1}', '{"max_iter": 10.5}', "[1]", "{", '{"r_bound": "x"}', '{"cycle_tol": Infinity}',
-     '{"overflow_guard": Infinity}', '{"peak_growth": NaN}'],
+     '{"overflow_guard": Infinity}', '{"peak_growth": NaN}', '{"r_bound": Infinity}', '{"r_esc": -Infinity}',
+     '{"r_esc": NaN}'],
 )
 def test_bad_config_file_is_usage_error(tmp_path, body):
     path = tmp_path / "bad.json"
@@ -546,14 +556,20 @@ def test_bad_config_file_is_usage_error(tmp_path, body):
     assert "error:" in err and "config" in err
 
 
-def test_retired_tail_window_key_is_refused(tmp_path):
-    with pytest.raises(ValueError, match="unknown config keys: tail_window$"):
-        ClassifierConfig.from_dict({"tail_window": 50})
+# Former fields of `ClassifierConfig`, each with its old default: the
+# completed-tail window, and the four proxies now fixed in `bungee.orbit`.
+RETIRED_KEYS = {"tail_window": 50, "min_alternations": 2, "peak_growth": 2.0, "cycle_tol": 1e-12, "overflow_guard": 1e150}
+
+
+@pytest.mark.parametrize("key", RETIRED_KEYS)
+def test_retired_config_key_is_refused(tmp_path, key):
+    with pytest.raises(ValueError, match=f"unknown config keys: {key}$"):
+        ClassifierConfig.from_dict({key: RETIRED_KEYS[key]})
     path = tmp_path / "old.json"
-    path.write_text(json.dumps({"max_iter": 2000, "tail_window": 50}))
+    path.write_text(json.dumps({"max_iter": 2000, key: RETIRED_KEYS[key]}))
     code, out, err = run(["--config", str(path), "classify", "--function", "z", "--point", "0,0"])
     assert (code, out) == (1, "")
-    assert "unknown config keys: tail_window" in err
+    assert f"unknown config keys: {key}" in err
 
 
 @pytest.mark.parametrize("text", ["(" * 3000 + "z" + ")" * 3000, "-" * 3000 + "z"], ids=["parens", "minus"])

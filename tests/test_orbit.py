@@ -43,7 +43,11 @@ from bungee.orbit import (
     _COMPLETED,
     _CYCLE,
     _OVERFLOWED,
+    CYCLE_TOL,
     DEFAULT_CONFIG,
+    MIN_ALTERNATIONS,
+    OVERFLOW_GUARD,
+    PEAK_GROWTH,
     BatchState,
     _cycle_entry,
     _History,
@@ -119,14 +123,14 @@ def reference_verdict(rec, cfg=DEFAULT_CONFIG) -> Classification:
 
     values = [v for _, v in rec.peaks]
     escalating = all(
-        values[j + 1] >= cfg.peak_growth * values[j] for j in range(len(values) - 1)
+        values[j + 1] >= PEAK_GROWTH * values[j] for j in range(len(values) - 1)
     )
-    if rec.returns >= cfg.min_alternations and escalating and rec.peaks and not certified:
+    if rec.returns >= MIN_ALTERNATIONS and escalating and rec.peaks and not certified:
         return Classification.BUNGEE
 
     if certified:
         return Classification.ESCAPING
-    if isinstance(rec.termination, Overflowed) and rec.returns < cfg.min_alternations:
+    if isinstance(rec.termination, Overflowed) and rec.returns < MIN_ALTERNATIONS:
         return Classification.ESCAPING
 
     return Classification.UNRESOLVED
@@ -190,13 +194,14 @@ def reference_cycle(
 
 def test_default_config_values():
     cfg = ClassifierConfig()
+    assert [fld.name for fld in dataclasses.fields(cfg)] == ["max_iter", "r_bound", "r_esc"]
     assert cfg.max_iter == 1000
     assert cfg.r_bound == 1e3
     assert cfg.r_esc == 1e6
-    assert cfg.min_alternations == 2
-    assert cfg.peak_growth == 2.0
-    assert cfg.cycle_tol == 1e-12
-    assert cfg.overflow_guard == 1e150
+    assert MIN_ALTERNATIONS == 2
+    assert PEAK_GROWTH == 2.0
+    assert CYCLE_TOL == 1e-12
+    assert OVERFLOW_GUARD == 1e150
 
 
 @pytest.mark.parametrize(
@@ -207,22 +212,22 @@ def test_default_config_values():
         {"r_bound": 1e7},
         {"r_esc": 1e151},
         {"r_esc": 1e3},  # r_esc == r_bound
-        {"overflow_guard": 1e6},  # overflow_guard == r_esc
-        {"min_alternations": 1},
-        {"peak_growth": 1.0},
-        {"cycle_tol": 0.0},
+        {"r_esc": 1e150},  # r_esc == OVERFLOW_GUARD
+        {"max_iter": -1},
+        {"r_bound": -1.0},
+        {"r_esc": 1.0},  # r_esc < r_bound
         {"max_iter": 10.5},
         {"max_iter": True},
-        {"min_alternations": 2.0},
-        {"min_alternations": "2"},
+        {"max_iter": 2.0},
+        {"max_iter": "2"},
         {"r_bound": "x"},
         {"r_esc": True},
-        {"peak_growth": None},
-        {"cycle_tol": "1e-12"},
-        {"overflow_guard": 1e200j},
-        {"cycle_tol": math.inf},
-        {"overflow_guard": math.inf},
-        {"peak_growth": math.nan},
+        {"r_bound": None},
+        {"r_esc": "1e6"},
+        {"r_esc": 1e200j},
+        {"r_bound": math.inf},
+        {"max_iter": math.inf},
+        {"r_bound": math.nan},
         {"r_esc": math.inf},
     ],
 )
@@ -234,8 +239,13 @@ def test_config_validation_rejects(kwargs):
 @pytest.mark.parametrize("name", ["r_bound", "r_esc", "peak_growth", "cycle_tol", "overflow_guard"])
 @pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan, 10**400], ids=["inf", "-inf", "nan", "huge-int"])
 def test_config_rejects_every_non_finite_real(name, value):
-    with pytest.raises(ValueError, match=f"{name} must be a finite real number"):
-        ClassifierConfig(**{name: value})
+    """Through `from_dict`, as from a config file: a field's own check
+    refuses the value, and a retired field, now a fixed module constant,
+    is refused as an unknown key whatever its value."""
+    kept = name in {fld.name for fld in dataclasses.fields(ClassifierConfig)}
+    want = f"{name} must be a finite real number" if kept else f"unknown config keys: {name}$"
+    with pytest.raises(ValueError, match=want):
+        ClassifierConfig.from_dict({name: value})
 
 
 def test_config_dict_round_trip():
@@ -457,7 +467,7 @@ def test_pole_forces_unresolved():
     [
         ("1000", Classification.BOUNDED, 0),  # cycle_max == r_bound
         ("1000000", Classification.UNRESOLVED, 0),  # |z| == r_esc starts no peak
-        ("1e150", Classification.UNRESOLVED, 1),  # |z| == overflow_guard is not Overflowed
+        ("1e150", Classification.UNRESOLVED, 1),  # |z| == OVERFLOW_GUARD is not Overflowed
     ],
 )
 def test_thresholds_at_equality(text, verdict, peaks):
@@ -506,7 +516,7 @@ def test_geometric_growth_without_its_region_is_unresolved(no_regions):
     # every step: only a certificate (or an overflow) reads as escape.
     rec = iterate_orbit(parse("1.4*z"), 1)
     assert rec.termination == Completed()
-    assert rec.moduli[-1] == rec.global_max > DEFAULT_CONFIG.overflow_guard ** 0.9
+    assert rec.moduli[-1] == rec.global_max > OVERFLOW_GUARD ** 0.9
     assert classify(rec) == Classification.UNRESOLVED
 
 
@@ -552,10 +562,10 @@ def test_bungee_soundness():
         rec = iterate_orbit(f, seed)
         if classify(rec) != Classification.BUNGEE or isinstance(rec.termination, CertifiedBungee):
             continue
-        assert rec.returns >= DEFAULT_CONFIG.min_alternations
+        assert rec.returns >= MIN_ALTERNATIONS
         values = [v for _, v in rec.peaks]
         assert all(
-            values[j + 1] >= DEFAULT_CONFIG.peak_growth * values[j]
+            values[j + 1] >= PEAK_GROWTH * values[j]
             for j in range(len(values) - 1)
         )
 
@@ -655,7 +665,7 @@ def test_batch_state_spans_every_chunk(chunked_run):
 # --- lane independence ---------------------------------------------------
 
 EDGE_SEEDS = [0, 1e-300, 1e200, 1, 0.5, -800, 800, 800j, 0.1j, 1e-150, 1.5 - 2j]
-SMALL_CFG = ClassifierConfig(max_iter=60, r_bound=10.0, r_esc=100.0, overflow_guard=1e20)
+SMALL_CFG = ClassifierConfig(max_iter=60, r_bound=10.0, r_esc=100.0)
 
 
 def catalog_maps():
@@ -720,7 +730,7 @@ def test_batch_state_is_the_concatenation_of_one_seed_runs_on_form_maps(name, f,
 # Maps that end lanes in unusual ways: ``z`` returns the lanes' own array and
 # ``2`` a read-only broadcast, neither of which the engine may write into;
 # every lane of ``1/(z-z)`` fails at step 1; ``z/(z-1)`` has a pole at 1;
-# ``1e150`` lands on the default guard and past the small config's.
+# ``1e150`` lands on the guard.
 EDGE_MAPS = [(text, parse(text)) for text in ("z", "2", "1/(z-z)", "z/(z-1)", "1e150")]
 
 
@@ -728,6 +738,21 @@ EDGE_MAPS = [(text, parse(text)) for text in ("z", "2", "1/(z-z)", "z/(z-1)", "1
 @pytest.mark.parametrize("name, f", EDGE_MAPS, ids=[name for name, _ in EDGE_MAPS])
 def test_batch_state_is_the_concatenation_of_one_seed_runs_on_edge_maps(name, f, cfg):
     assert_batch_is_one_seed_runs(f, LANE_SEEDS, LANE_PICK, cfg)
+
+
+def test_small_config_lanes_end_by_the_guard_and_by_evaluation(no_regions):
+    """The lanes of the catalog maps under `SMALL_CFG`, without regions as
+    half of `test_batch_state_is_the_concatenation_of_one_seed_runs` runs
+    them, overflow after step 0 both ways: past `OVERFLOW_GUARD`, and by an
+    evaluation event below it (a failed lane keeps its last iterate)."""
+    by_guard = by_event = 0
+    for _, f in catalog_maps():
+        _, state = classify_batch(f, LANE_SEEDS, SMALL_CFG, return_state=True)
+        overflowed = (state.kind == _OVERFLOWED) & (state.term_step > 0)
+        past_guard = np.abs(state.z) > OVERFLOW_GUARD
+        by_guard += np.count_nonzero(overflowed & past_guard)
+        by_event += np.count_nonzero(overflowed & ~past_guard)
+    assert by_guard >= 5 and by_event >= 50
 
 
 def test_a_lane_failing_mid_peak_leaves_its_written_state():
@@ -749,7 +774,7 @@ def test_event_and_guard_ends_in_one_step_keep_lanes_independent(no_regions):
     seeds = GridSpec(-2, 2, -2, 2, 256, 256).points()[[100, 128, 160]].ravel()
     state = assert_batch_is_one_seed_runs(parse("1/pow(z,2)"), seeds, np.arange(seeds.size), DEFAULT_CONFIG)
     overflowed = state.kind == _OVERFLOWED
-    past_guard = np.abs(state.z) > DEFAULT_CONFIG.overflow_guard  # a failed lane keeps its last iterate
+    past_guard = np.abs(state.z) > OVERFLOW_GUARD  # a failed lane keeps its last iterate
     by_event = set(state.term_step[overflowed & ~past_guard].tolist())
     by_guard = set(state.term_step[overflowed & past_guard].tolist())
     assert len(by_event & by_guard) >= 5
@@ -810,7 +835,7 @@ def test_cycle_records_match_detect_cycle(name, f, cfg):
         rec = iterate_orbit(f, complex(seed), cfg)
         assert isinstance(rec.termination, CycleFound), complex(seed)
         period, entry = rec.termination.period, rec.termination.entry
-        assert reference_cycle(rec.values, cfg.cycle_tol) == (period, entry), complex(seed)
+        assert reference_cycle(rec.values, CYCLE_TOL) == (period, entry), complex(seed)
 
 
 @pytest.mark.parametrize(
@@ -862,7 +887,7 @@ def test_overlapping_peaks_keep_per_lane_bookkeeping():
         values = [v for _, v in rec.peaks]
         done = values[: sum(returned)]
         assert state.cur_peak[i] == values[-1] and state.last_peak[i] == done[-1]
-        assert state.escalation_ok[i] == all(b >= cfg.peak_growth * a for a, b in zip(done, done[1:]))
+        assert state.escalation_ok[i] == all(b >= PEAK_GROWTH * a for a, b in zip(done, done[1:]))
         assert reference_verdict(rec, cfg) == Classification(int(codes[i])) == Classification.UNRESOLVED
     assert len(first_peaks) > 1
 
@@ -940,7 +965,7 @@ def test_batch_global_max_is_the_recorded_maximum(text):
     each Brent checkpoint and when a lane ends, by any termination; that
     must equal the largest modulus of the lane's recorded orbit."""
     f = parse(text)
-    cfg = ClassifierConfig(max_iter=100, r_bound=10.0, r_esc=100.0, overflow_guard=1e40)
+    cfg = ClassifierConfig(max_iter=100, r_bound=10.0, r_esc=100.0)
     seeds = (np.linspace(-3, 3, 7)[None, :] + 1j * np.linspace(-2, 2, 5)[:, None]).ravel()
     _, state = classify_batch(f, seeds, cfg, return_state=True)
     kinds = set()

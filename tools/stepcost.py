@@ -91,9 +91,10 @@ BATCH_ROWS = (
     ("Bounded cycles", "0.3*exp(z)", GridSpec(-4.0, 4.0, -4.0, 4.0, 256, 256)),
 )
 REPEATS = 9
-# Maps beside the catalog's: polynomial ones, and two whose coefficients
-# are exp of a constant.
-SEARCH_EXTRA = ("pow(z,2)", "z*z-1", "1.001*z", "exp(0.001)*z", "exp(1)*z*z")
+# Maps beside the catalog's: polynomial ones, two whose coefficients are
+# exp of a constant, and a power of high degree, whose rectangle and error
+# bound the search builds by squaring.
+SEARCH_EXTRA = ("pow(z,2)", "z*z-1", "1.001*z", "exp(0.001)*z", "exp(1)*z*z", "pow(z,1000)")
 # The probes below run in a fresh process against the package in argv[1]
 # and print what they measured, the best of REPEATS runs.
 # A batch run of the map argv[2] over the grid of argv[3:]: microseconds per run.
