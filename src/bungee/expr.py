@@ -42,7 +42,6 @@ import itertools
 import math
 import operator
 import re
-from dataclasses import dataclass
 from typing import NamedTuple, Optional, Union
 
 import numpy as np
@@ -84,8 +83,77 @@ EVENT_INFINITY = 1
 EVENT_POLE = 2
 
 
-class _Value:
-    """An immutable value whose fields are its ``__slots__``, set in order.
+class _Record:
+    """An immutable record whose fields, ``_fields``, are the ``__slots__``
+    of its class and its bases, in order.
+
+    It is built from values by position or keyword, with ``_defaults``
+    for the fields left out, and then checked by ``__post_init__``. ``==``,
+    between records of one exact type, and ``hash`` read the fields, and
+    the ``repr`` names them, all but those of ``_hidden``. Copies and pickles
+    rebuild the record from all its fields. No code is generated per class.
+    """
+
+    __slots__ = ()
+    _fields: tuple = ()
+    _shown: tuple = ()  # the fields that ==, hash and repr read
+    _hidden: tuple = ()
+    _defaults: dict = {}
+    _setters: tuple = ()  # the __set__ of each field's slot
+
+    def __init_subclass__(cls, **kwargs) -> None:
+        super().__init_subclass__(**kwargs)
+        cls._fields += tuple(cls.__dict__.get("__slots__", ()))
+        cls._shown = tuple(name for name in cls._fields if name not in cls._hidden)
+        cls._setters = tuple(getattr(cls, name).__set__ for name in cls._fields)
+
+    def __init__(self, *args, **kwargs):
+        setters = self._setters
+        if kwargs or len(args) != len(setters):
+            fields, rest = self._fields, {**self._defaults, **kwargs}
+            try:
+                full = (*args, *[rest.pop(k) for k in fields[len(args) :]])
+            except KeyError:
+                full = ()
+            if len(full) != len(fields) or kwargs.keys() & rest.keys():  # a field missing, unknown or given twice
+                raise TypeError(f"{type(self).__name__} takes fields {fields}, "
+                                f"got {len(args)} values and keywords {sorted(kwargs)}")
+            args = full
+        for setter, value in zip(setters, args):
+            setter(self, value)
+        self.__post_init__()
+
+    def __post_init__(self) -> None:
+        """Refuse bad field values; a record without checks takes any."""
+
+    def __setattr__(self, name, value=None):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    __delattr__ = __setattr__
+
+    def __reduce__(self):
+        return type(self), tuple(getattr(self, name) for name in self._fields)
+
+    def _key(self) -> tuple:
+        return tuple(getattr(self, name) for name in self._shown)
+
+    def __eq__(self, other) -> bool:
+        return self._key() == other._key() if type(other) is type(self) else NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._key())
+
+    def __repr__(self) -> str:
+        return f"{type(self).__qualname__}({', '.join(f'{k}={getattr(self, k)!r}' for k in self._shown)})"
+
+    def _plain_fields(self) -> dict:
+        """The fields by name, numpy scalars as the Python numbers JSON takes."""
+        values = (getattr(self, name) for name in self._fields)
+        return {k: v.item() if isinstance(v, np.generic) else v for k, v in zip(self._fields, values)}
+
+
+class _Value(_Record):
+    """An expression value: a `_Record` with its own identity rule.
 
     ``==`` and ``hash`` read the value's type and its compiled program (see
     `compile_expr`), and a node's ``repr`` is built from that program, so
@@ -96,28 +164,11 @@ class _Value:
 
     __slots__ = ()
 
-    def __init__(self, *values):
-        if len(values) != len(self.__slots__):
-            raise TypeError(f"{type(self).__name__} takes fields {self.__slots__}, got {len(values)} values")
-        for name, value in zip(self.__slots__, values):
-            object.__setattr__(self, name, value)
-
-    def __setattr__(self, name, value=None):
-        raise AttributeError(f"{type(self).__name__} is immutable")
-
-    __delattr__ = __setattr__
-
     def __reduce__(self):
         return _rebuild, (_flatten(self),)
 
     def _key(self) -> tuple:
         return type(self), tuple((op, type(node), arg) for op, node, arg in compile_expr(self).code)
-
-    def __eq__(self, other) -> bool:
-        return self._key() == other._key() if type(other) is type(self) else NotImplemented
-
-    def __hash__(self) -> int:
-        return hash(self._key())
 
     def __repr__(self) -> str:
         stack: list = []  # the reprs of the nodes whose parents are still to come
@@ -233,18 +284,16 @@ class FunctionExpr(_Value):
         return f"parse({format_expr(self)!r})"
 
 
-@dataclass(frozen=True)
-class InfinityEvent:
+class InfinityEvent(_Record):
     """Evaluation left the representable range at ``node``."""
 
-    node: Expr
+    __slots__ = ("node",)  # an Expr
 
 
-@dataclass(frozen=True)
-class PoleEvent:
+class PoleEvent(_Record):
     """Division by exact zero at ``node``."""
 
-    node: Expr
+    __slots__ = ("node",)  # an Expr
 
 
 EvalResult = Union[complex, InfinityEvent, PoleEvent]

@@ -20,11 +20,10 @@ from __future__ import annotations
 import json
 import math
 import numbers
-from dataclasses import dataclass, asdict
 
 import numpy as np
 
-from .expr import FunctionExpr
+from .expr import FunctionExpr, _Record
 from .orbit import Classification, ClassifierConfig, DEFAULT_CONFIG, classify_batch
 
 __all__ = [
@@ -39,8 +38,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class GridSpec:
+class GridSpec(_Record):
     """A rectangle [re_min, re_max] x [im_min, im_max] split into nx*ny cells.
 
     The bounds must be finite real numbers with ``re_min < re_max`` and
@@ -48,12 +46,7 @@ class GridSpec:
     and ``ny`` must be positive integers (not bool).
     """
 
-    re_min: float
-    re_max: float
-    im_min: float
-    im_max: float
-    nx: int
-    ny: int
+    __slots__ = ("re_min", "re_max", "im_min", "im_max", "nx", "ny")
 
     def __post_init__(self) -> None:
         bounds = (self.re_min, self.re_max, self.im_min, self.im_max)
@@ -84,23 +77,21 @@ class GridSpec:
 
     def to_dict(self) -> dict:
         """The fields as JSON-ready values: numpy scalars become Python numbers."""
-        return {k: v.item() if isinstance(v, np.generic) else v for k, v in asdict(self).items()}
+        return self._plain_fields()
 
     @classmethod
     def from_dict(cls, data: dict) -> "GridSpec":
         return cls(**data)
 
 
-@dataclass(frozen=True)
-class Raster:
+class Raster(_Record):
     """Classification codes over a grid; ``codes[j, i]`` is cell (i, j).
 
     ``codes`` must be an integer array (not bool) of shape
     ``(spec.ny, spec.nx)`` holding only `Classification` values 0-3.
     """
 
-    spec: GridSpec
-    codes: np.ndarray
+    __slots__ = ("spec", "codes")
 
     def __post_init__(self) -> None:
         codes = self.codes

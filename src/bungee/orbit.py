@@ -86,15 +86,14 @@ from __future__ import annotations
 
 import enum
 import functools
+import math
 import numbers
-import sys
-from dataclasses import asdict, dataclass, field, fields
 from typing import Callable, NamedTuple, Optional, Union
 
 import numpy as np
 
 from . import certify
-from .expr import EVENT_NONE, EVENT_POLE, FunctionExpr, Program, _ignoring_errors, compile_expr, eval_array
+from .expr import EVENT_NONE, EVENT_POLE, FunctionExpr, Program, _ignoring_errors, _Record, compile_expr, eval_array
 
 __all__ = [
     "Classification",
@@ -145,38 +144,47 @@ CYCLE_TOL = 1e-12
 OVERFLOW_GUARD = 1e150
 
 
-@dataclass(frozen=True)
-class ClassifierConfig:
+def _finite_real(value) -> bool:
+    """Whether ``value`` is a real number within double range, tested without
+    numpy's cast of the double range into a narrower float type."""
+    try:
+        return isinstance(value, numbers.Real) and math.isfinite(value)
+    except OverflowError:  # an int beyond double range
+        return False
+
+
+class ClassifierConfig(_Record):
     """The iteration budget and the two radii of the escape/bound/alternation
     tests. The other proxies the rules read are fixed: `MIN_ALTERNATIONS`,
     `PEAK_GROWTH`, `CYCLE_TOL` and `OVERFLOW_GUARD`."""
 
-    max_iter: int = 1000
-    r_bound: float = 1e3
-    r_esc: float = 1e6
+    __slots__ = ("max_iter", "r_bound", "r_esc")
+    _defaults = {"max_iter": 1000, "r_bound": 1e3, "r_esc": 1e6}
 
     def __post_init__(self) -> None:
-        for fld in fields(self):
-            value = getattr(self, fld.name)
-            if isinstance(fld.default, int):
+        for name in self._fields:
+            value = getattr(self, name)
+            if isinstance(self._defaults[name], int):
                 ok, what = isinstance(value, numbers.Integral), "an integer"
-            else:  # also refuses an int beyond double range, where math.isfinite would raise
-                ok, what = isinstance(value, numbers.Real) and abs(value) <= sys.float_info.max, "a finite real number"
+            else:
+                ok, what = _finite_real(value), "a finite real number"
             if isinstance(value, bool) or not ok:
-                raise ValueError(f"{fld.name} must be {what}")
+                raise ValueError(f"{name} must be {what}")
         if self.max_iter < 1:
             raise ValueError("max_iter must be positive")
-        if not 0 < self.r_bound < self.r_esc < OVERFLOW_GUARD:
+        # compared as doubles: numpy would cast the guard down to a float32 radius, and warn
+        if not 0 < float(self.r_bound) < float(self.r_esc) < OVERFLOW_GUARD:
             raise ValueError(f"need 0 < r_bound < r_esc < {OVERFLOW_GUARD:g}")
 
     def to_dict(self) -> dict:
-        return asdict(self)
+        """The fields as JSON-ready values: numpy scalars become Python numbers."""
+        return self._plain_fields()
 
     @classmethod
     def from_dict(cls, data: dict) -> "ClassifierConfig":
         if not isinstance(data, dict):
             raise ValueError("config must be a JSON object")
-        unknown = sorted(str(k) for k in set(data) - {fld.name for fld in fields(cls)})
+        unknown = sorted(str(k) for k in set(data) - set(cls._fields))
         if unknown:
             raise ValueError(f"unknown config keys: {', '.join(unknown)}")
         return cls(**data)
@@ -185,13 +193,13 @@ class ClassifierConfig:
 DEFAULT_CONFIG = ClassifierConfig()
 
 
-@dataclass(frozen=True)
-class Completed:
+class Completed(_Record):
     """The iteration budget was exhausted without another terminator."""
 
+    __slots__ = ()
 
-@dataclass(frozen=True)
-class Overflowed:
+
+class Overflowed(_Record):
     """The orbit left the trusted range.
 
     ``step`` is the index of the offending iterate: if that iterate's
@@ -202,11 +210,10 @@ class Overflowed:
     a tiny nonzero ``z``, whose square underflows to 0.
     """
 
-    step: int
+    __slots__ = ("step",)  # int
 
 
-@dataclass(frozen=True)
-class CycleFound:
+class CycleFound(_Record):
     """A near-repeat with the given period, first visible at ``entry``.
 
     ``period`` is the engine's Brent period. ``entry`` is the first index
@@ -214,34 +221,32 @@ class CycleFound:
     one period later.
     """
 
-    period: int
-    entry: int
+    __slots__ = ("period", "entry")  # ints
 
 
-@dataclass(frozen=True)
-class PoleHit:
+class PoleHit(_Record):
     """Division by exact zero at iterate ``step``, evaluating at the input 0.
 
     Only the oracle maps ``1/pow(z,d)`` have such a pole.
     """
 
-    step: int
+    __slots__ = ("step",)  # int
 
 
-@dataclass(frozen=True)
-class _Certified:
+class _Certified(_Record):
     """At ``step``, a Brent checkpoint, the iterate lay in ``region``, which
     `bungee.certify` proved for the map. The three kinds of certificate
     share these fields; each compares equal only to its own kind."""
 
-    step: int
-    region: str
+    __slots__ = ("step", "region")  # int, str
 
 
 class CertifiedEscape(_Certified):
     """The iterate lay in ``region``, a half-plane, real ray or disk
     exterior ``|z| >= R`` that the map provably moves outward, so the orbit
     escapes."""
+
+    __slots__ = ()
 
 
 class CertifiedBungee(_Certified):
@@ -250,17 +255,20 @@ class CertifiedBungee(_Certified):
     ``|z| >= R`` outward, so the orbit is in the bungee set: it neither
     escapes nor stays bounded."""
 
+    __slots__ = ()
+
 
 class CertifiedBounded(_Certified):
     """The iterate lay in ``region``, a box that the map provably sends
     into its interior, so the orbit stays in it: it is bounded."""
 
+    __slots__ = ()
+
 
 Termination = Union[Completed, Overflowed, CycleFound, PoleHit, CertifiedEscape, CertifiedBungee, CertifiedBounded]
 
 
-@dataclass(frozen=True)
-class OrbitRecord:
+class OrbitRecord(_Record):
     """Everything the classifier needs to know about one finished orbit.
 
     ``values[n]`` is the n-th iterate (``values[0]`` the seed), ``moduli``
@@ -269,17 +277,11 @@ class OrbitRecord:
     below ``r_bound`` or the orbit's end, ``returns`` the count of those
     returns. ``state`` is the engine's final one-lane state, which
     `classify` reads; it is valid only with the config the orbit was
-    iterated under.
+    iterated under, and is left out of ``==`` and ``repr``.
     """
 
-    seed: complex
-    values: np.ndarray
-    moduli: np.ndarray
-    peaks: tuple[tuple[int, float], ...]
-    returns: int
-    termination: Termination
-    global_max: float
-    state: BatchState = field(repr=False, compare=False)
+    __slots__ = ("seed", "values", "moduli", "peaks", "returns", "termination", "global_max", "state")
+    _hidden = ("state",)
 
 
 # --- engine ----------------------------------------------------------------
@@ -304,29 +306,19 @@ _TRAP_STEP = 15
 _CHUNK = 4096
 
 
-@dataclass
-class BatchState:
+class BatchState(_Record):
     """Per-seed final state of a batch run (parallel arrays).
 
     Derived facts are not stored: the final modulus is ``|z|``, and the
     peak count is ``n_returns + in_peak`` (every peak but an open one returned).
     ``region`` is the index, in the run's regions, of the region a
     certified lane ended in, for a trapped lane the index of its box in the
-    run's trap boxes, and -1 for every other lane.
+    run's trap boxes, and -1 for every other lane. The arrays are written
+    in place as lanes end; the fields themselves are fixed.
     """
 
-    z: np.ndarray
-    kind: np.ndarray
-    term_step: np.ndarray
-    period: np.ndarray
-    cycle_max: np.ndarray
-    n_returns: np.ndarray
-    last_peak: np.ndarray
-    cur_peak: np.ndarray
-    in_peak: np.ndarray
-    escalation_ok: np.ndarray
-    global_max: np.ndarray
-    region: np.ndarray
+    __slots__ = ("z", "kind", "term_step", "period", "cycle_max", "n_returns", "last_peak", "cur_peak",
+                 "in_peak", "escalation_ok", "global_max", "region")
 
 
 # BatchState fields that change while a lane runs. `_Lanes` holds them for
@@ -692,7 +684,4 @@ def classify_batch(
     if not return_state:
         return codes
     states = states or [_run_batch(program, flat, cfg, regions)]  # zero chunks: empty state
-    merged = {
-        k.name: np.concatenate([getattr(s, k.name) for s in states]) for k in fields(BatchState)
-    }
-    return codes, BatchState(**merged)
+    return codes, BatchState(*(np.concatenate([getattr(s, k) for s in states]) for k in BatchState._fields))

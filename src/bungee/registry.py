@@ -22,13 +22,11 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
 from functools import partial
-from typing import Callable, Optional
 
 import numpy as np
 
-from .expr import FunctionExpr, compile_expr, eval_array, evaluate, parse
+from .expr import _Record, compile_expr, eval_array, evaluate, parse
 from .orbit import (
     Classification,
     ClassifierConfig,
@@ -53,47 +51,33 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class Flag:
+class Flag(_Record):
     """An optional boolean hypothesis plus the note justifying it."""
 
-    value: Optional[bool]
-    note: str
+    __slots__ = ("value", "note")  # Optional[bool], str
 
 
-@dataclass(frozen=True)
-class ExpectationResult:
-    description: str
-    passed: bool
-    measured: dict
+class ExpectationResult(_Record):
+    __slots__ = ("description", "passed", "measured")  # str, bool, dict
 
 
-@dataclass(frozen=True)
-class Expectation:
+class Expectation(_Record):
     """A checkable claim about an entry.
 
-    ``run`` recomputes it from scratch and returns ``(passed, measured)``.
+    ``run(entry, cfg, scale)`` recomputes it from scratch and returns
+    ``(passed, measured)``.
     """
 
-    description: str
-    source: str
-    run: Callable[["ExampleEntry", ClassifierConfig, float], tuple[bool, dict]]
+    __slots__ = ("description", "source", "run")
 
     def to_dict(self) -> dict:
         return {"description": self.description, "source": self.source}
 
 
-@dataclass(frozen=True)
-class ExampleEntry:
-    id: str
-    summary: str
-    f: FunctionExpr
-    g: Optional[FunctionExpr]
-    conjugation: Optional[tuple[complex, complex]]
-    permutable: Flag
-    no_finite_asymptotic_values: Flag
-    oracle_not_entire: bool
-    expectations: tuple[Expectation, ...]
+class ExampleEntry(_Record):
+    # g and conjugation, an (a, b) pair, may be None; the flags are `Flag`s
+    __slots__ = ("id", "summary", "f", "g", "conjugation", "permutable", "no_finite_asymptotic_values",
+                 "oracle_not_entire", "expectations")
 
     def to_dict(self) -> dict:
         return {
@@ -124,10 +108,8 @@ class ExampleEntry:
         }
 
 
-@dataclass(frozen=True)
-class ExampleReport:
-    example: str
-    results: tuple[ExpectationResult, ...]
+class ExampleReport(_Record):
+    __slots__ = ("example", "results")  # str, tuple of ExpectationResult
 
     @property
     def passed(self) -> bool:

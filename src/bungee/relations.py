@@ -29,6 +29,7 @@ import numpy as np
 from .expr import (
     EVENT_NONE,
     FunctionExpr,
+    _Record,
     affine_post,
     compose,
     conjugate,
@@ -71,13 +72,11 @@ class RelationId(enum.Enum):
         return self.value
 
 
-@dataclass(frozen=True)
-class SamplePlan:
+class SamplePlan(_Record):
     """Where relation samples come from: a grid of cell centers or a list."""
 
-    kind: str
-    spec: Optional[GridSpec] = None  # the grid of a "grid" plan
-    points: tuple[complex, ...] = ()
+    __slots__ = ("kind", "spec", "points")  # spec: the GridSpec of a "grid" plan; points: a list plan's
+    _defaults = {"spec": None, "points": ()}
 
     def __post_init__(self) -> None:
         if self.kind == "grid":
@@ -117,24 +116,18 @@ class SamplePlan:
         return {"kind": "list", "points": [[p.real, p.imag] for p in self.points]}
 
 
-@dataclass(frozen=True)
-class PermutabilityResult:
+class PermutabilityResult(_Record):
     """Outcome of the numeric f(g(z)) vs g(f(z)) comparison."""
 
-    checked: int
-    skipped: int
-    max_dev: float
-    tol: float
+    __slots__ = ("checked", "skipped", "max_dev", "tol")
 
     @property
     def permutable(self) -> bool:
         return self.max_dev <= self.tol
 
 
-@dataclass(frozen=True)
-class Violation:
-    seed: complex
-    verdicts: dict
+class Violation(_Record):
+    __slots__ = ("seed", "verdicts")  # complex, {column label: Classification}
 
 
 @dataclass(frozen=True)

@@ -14,7 +14,6 @@ imports it.
 
 from __future__ import annotations
 
-import dataclasses
 import math
 import operator
 import subprocess
@@ -849,7 +848,7 @@ def test_trapped_batches_equal_their_one_seed_runs():
         ends |= set(state.term_step[state.kind == _TRAPPED].tolist())
         for i, seed in enumerate(seeds):
             rec = iterate_orbit(f, complex(seed))
-            for name in (fld.name for fld in dataclasses.fields(state)):
+            for name in state._fields:
                 assert getattr(rec.state, name)[0] == getattr(state, name)[i], (text, seed, name)
             if state.kind[i] == _TRAPPED:
                 (box,) = trap_regions(program, DEFAULT_CONFIG)

@@ -8,8 +8,8 @@ bisection oracle run inside the tests, independent of the classifier.
 
 from __future__ import annotations
 
-import dataclasses
 import math
+import warnings
 from typing import Optional, Sequence
 
 import numpy as np
@@ -28,6 +28,8 @@ from bungee import (
     GridSpec,
     Overflowed,
     PoleHit,
+    RelationId,
+    SamplePlan,
     classify,
     classify_batch,
     classify_point,
@@ -35,6 +37,7 @@ from bungee import (
     iterate_orbit,
     list_examples,
     parse,
+    verify_relation,
 )
 from bungee.expr import compile_expr
 from bungee.orbit import (
@@ -194,7 +197,7 @@ def reference_cycle(
 
 def test_default_config_values():
     cfg = ClassifierConfig()
-    assert [fld.name for fld in dataclasses.fields(cfg)] == ["max_iter", "r_bound", "r_esc"]
+    assert cfg._fields == ("max_iter", "r_bound", "r_esc")
     assert cfg.max_iter == 1000
     assert cfg.r_bound == 1e3
     assert cfg.r_esc == 1e6
@@ -242,7 +245,7 @@ def test_config_rejects_every_non_finite_real(name, value):
     """Through `from_dict`, as from a config file: a field's own check
     refuses the value, and a retired field, now a fixed module constant,
     is refused as an unknown key whatever its value."""
-    kept = name in {fld.name for fld in dataclasses.fields(ClassifierConfig)}
+    kept = name in ClassifierConfig._fields
     want = f"{name} must be a finite real number" if kept else f"unknown config keys: {name}$"
     with pytest.raises(ValueError, match=want):
         ClassifierConfig.from_dict({name: value})
@@ -252,6 +255,35 @@ def test_config_dict_round_trip():
     cfg = DRIFT_CFG
     assert ClassifierConfig.from_dict(cfg.to_dict()) == cfg
     assert ClassifierConfig.from_dict({"max_iter": 500}).max_iter == 500
+
+
+def test_config_of_numpy_scalars_writes_plain_json():
+    """`to_dict` gives Python numbers, so a relation report run under a
+    config of numpy scalars serializes, to the same text as under the
+    equal config of Python numbers."""
+    numpy_cfg = ClassifierConfig(max_iter=np.int64(50), r_bound=np.float32(100.0), r_esc=np.float64(1e4))
+    assert [type(v) for v in numpy_cfg.to_dict().values()] == [int, float, float]
+    f, plan = parse("exp(z)"), SamplePlan.grid(-1, 1, -1, 1, 2, 2)
+    report = verify_relation(RelationId.STRIP_CONTAINMENT, f, plan, cfg=numpy_cfg)
+    plain = verify_relation(RelationId.STRIP_CONTAINMENT, f, plan, cfg=ClassifierConfig(50, 100.0, 1e4))
+    assert report.to_json() == plain.to_json()
+
+
+@pytest.mark.parametrize("kwargs", [
+    {"r_bound": np.float32(100.0)},
+    {"r_esc": np.float32(1e6)},
+    {"r_bound": np.float16(3.0), "r_esc": np.float16(100.0)},
+    {"r_bound": np.float32(1e30)},  # refused: above r_esc
+    {"r_esc": np.float16(np.inf)},  # refused: not finite
+])
+def test_config_checks_narrow_floats_without_warnings(kwargs):
+    """No numpy cast warning escapes the checks, so they run under ``-W error``."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        try:
+            ClassifierConfig(**kwargs)
+        except ValueError:
+            pass
 
 
 @pytest.mark.parametrize("data", [{"bogus": 1}, {"max_iter": 500, "r_max": 1.0}, [1]])
@@ -658,8 +690,8 @@ def test_batch_state_spans_every_chunk(chunked_run):
     f, seeds, codes = chunked_run
     again, state = classify_batch(f, seeds, return_state=True)
     assert np.array_equal(again, codes)
-    for fld in dataclasses.fields(BatchState):
-        assert len(getattr(state, fld.name)) == seeds.size, fld.name
+    for name in BatchState._fields:
+        assert len(getattr(state, name)) == seeds.size, name
 
 
 # --- lane independence ---------------------------------------------------
@@ -686,10 +718,10 @@ def assert_batch_is_one_seed_runs(f, distinct, pick, cfg) -> BatchState:
     singles = [classify_batch(f, distinct[i : i + 1], cfg, return_state=True) for i in range(distinct.size)]
     codes, state = classify_batch(f, distinct[pick], cfg, return_state=True)
     assert np.array_equal(codes, np.concatenate([singles[i][0] for i in pick]))
-    for fld in dataclasses.fields(BatchState):
-        want = np.concatenate([getattr(singles[i][1], fld.name) for i in pick])
-        got = getattr(state, fld.name)
-        assert got.dtype == want.dtype and np.array_equal(got, want), fld.name
+    for name in BatchState._fields:
+        want = np.concatenate([getattr(singles[i][1], name) for i in pick])
+        got = getattr(state, name)
+        assert got.dtype == want.dtype and np.array_equal(got, want), name
     return state
 
 

@@ -53,14 +53,20 @@ program; then the time of the trap-box search, `bungee.certify.trap_regions`,
 which runs at most once per call, when a lane reaches the step-15
 checkpoint; then the regions and the boxes found.
 
+Then the set-up row: in milliseconds, what the set-up probe of
+``perfbench/run.py`` times in a fresh process, the import of ``bungee``
+and ``bungee.cli``, the parse of the four maps of its ``classify_points``
+workload and a call of the CLI without arguments, which builds its parser.
+Each process measures it once.
+
 All of them come from the fastest of several runs, so a busy machine
 inflates them less than a mean would. The machine's speed still drifts
 between invocations by more than many changes move a row. So with
-``--against OTHER_CHECKOUT`` the script prints only three rows, the run
-times of the two batch rows and the 3,600-lane bookkeeping per step, each
-measured in fresh processes that alternate between this checkout and the
-other one, ``--rounds`` times each (default 10): each side's median, and
-in how many rounds each side was the faster.
+``--against OTHER_CHECKOUT`` the script prints only four rows, the run
+times of the two batch rows, the 3,600-lane bookkeeping per step and the
+set-up, each measured in fresh processes that alternate between this
+checkout and the other one, ``--rounds`` times each (default 10): each
+side's median, and in how many rounds each side was the faster.
 """
 
 from __future__ import annotations
@@ -146,6 +152,23 @@ for _ in range({REPEATS}):
 wall, evaluation = min(runs)
 print(evaluation / DEFAULT_CONFIG.max_iter * 1e6, wall / DEFAULT_CONFIG.max_iter * 1e6)
 """
+# Set-up, in milliseconds, once: the package in argv[1] and its CLI
+# imported, the maps of argv[2:] parsed and the CLI run without arguments.
+SETUP_PROBE = """
+import contextlib, io, sys, time
+start = time.perf_counter()
+sys.path.insert(0, sys.argv[1])
+import bungee, bungee.cli
+for text in sys.argv[2:]:
+    bungee.parse(text)
+with contextlib.redirect_stderr(io.StringIO()):
+    code = bungee.cli.main([])  # builds the parser; no subcommand is a usage error
+print((time.perf_counter() - start) * 1e3)
+if code != 1:
+    sys.exit(f"error: the CLI without a subcommand exited {code}")
+"""
+SETUP_MAPS = ("z+1+exp(-z)", "0.3*exp(z)", "1/pow(z,2)", "z+sin(z)")  # perfbench's classify_points maps
+SETUP_TITLE = "set-up: import bungee and bungee.cli, parse 4 maps, run the CLI without arguments, ms"
 
 
 def window(grid: GridSpec) -> str:
@@ -161,6 +184,7 @@ AGAINST_ROWS = (
       for title, text, grid in BATCH_ROWS),
     (f"map {FATOU} over 60x60 lanes, bookkeeping us per step",
      STEP_PROBE, (60, 60), lambda out: out[1] - out[0]),
+    (SETUP_TITLE, SETUP_PROBE, SETUP_MAPS, lambda out: out[0]),
 )
 
 
@@ -218,8 +242,9 @@ def against(other: Path, rounds: int) -> int:
             for side in order:
                 figures[row, side].append(figure(probe(code, sides[side], *args)))
             wins[row, min(sides, key=lambda side: figures[row, side][-1])] += 1
-    for row, (title, *_) in enumerate(AGAINST_ROWS):
-        print(f"{title} (best of {REPEATS} in each process), {rounds} alternating rounds")
+    for row, (title, code, *_) in enumerate(AGAINST_ROWS):
+        each = "once" if code is SETUP_PROBE else f"best of {REPEATS}"
+        print(f"{title} ({each} in each process), {rounds} alternating rounds")
         for side in sides:
             print(f"{statistics.median(figures[row, side]):>10.1f} median, "
                   f"faster in {wins[row, side]:>2} of {rounds}  {side}")
@@ -257,6 +282,8 @@ def main(argv=None) -> int:
         whole, disks = search_seconds(program), search_seconds(program, form_regions)
         boxes = search_seconds(program, lambda p: trap_regions(p, DEFAULT_CONFIG))
         print(f"{text:>20} {whole * 1e6:>8.0f} {disks * 1e6:>8.1f} {boxes * 1e6:>8.0f}  {[str(r) for r in found]}")
+    setup = min(probe(SETUP_PROBE, SRC, *SETUP_MAPS)[0] for _ in range(REPEATS))
+    print(f"{SETUP_TITLE}, best of {REPEATS} processes: {setup:.1f}")
     return 0
 
 
