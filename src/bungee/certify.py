@@ -1,12 +1,20 @@
 """Certified regions: where a map provably escapes, is Bungee, or is bounded.
 
-A compiled `Program` is run over *affine interval forms* ``alpha*z + I``:
+Each search runs a compiled `Program` in an exact arithmetic through the
+one walker of `bungee.expr`, which reads ``Var`` and keeps the values
+that ``Apply`` binds to it; an arithmetic is one function that gives an
+instruction's value from its operands': `_affine` over a box, for the
+affine interval forms below, and `_dominant` at a radius, for the
+dominant-term forms further below.
+
+The first arithmetic is that of *affine interval forms* ``alpha*z + I``:
 ``alpha`` is an exact rational (an int or a `Fraction`) and ``I`` a
 rectangle of the complex plane, ``[re_lo, re_hi] x [im_lo, im_hi]``,
-whose float endpoints are rounded outward with `math.nextafter`. Loading ``z``, ``+``, ``-``,
-unary minus and ``bind``/``unbind`` carry ``alpha`` exactly, and so do
-multiplication and division by an exact real constant, so that an affine
-conjugate ``a*f((z-b)/a)+b`` with real ``a`` keeps the ``alpha`` of ``f``.
+whose float endpoints are rounded outward with `math.nextafter`.
+Reading ``z``, ``+``, ``-``, unary minus and composition carry ``alpha``
+exactly, and so do multiplication and division by an exact real
+constant, so that an affine conjugate ``a*f((z-b)/a)+b`` with real ``a``
+keeps the ``alpha`` of ``f``.
 Every other instruction first collapses its operands to rectangles over
 the region ``B`` being tried (``alpha*B + I``). An endpoint product
 ``0 * inf`` is 0. ``sin`` and ``cos`` of a real interval are exactly 0
@@ -48,12 +56,12 @@ the rectangle `enclose` gives it, ``exp``, ``sin`` and ``cos`` included,
 until it meets a value that reads ``z``, where it becomes a form of
 degree 0, as ``exp(0.001)*z`` and ``cos(0)*z*z`` need, unless its
 rectangle holds 0. ``exp``, ``sin`` and ``cos`` of a value that reads
-``z`` have no form, and one pass over the program refuses them before any
-arithmetic. With ``t = z`` the
-form holds near infinity; with ``t = 1/z``, the *mirror form*, on
-``0 < |z| <= 1/rho``, where the lowest degree in ``z`` wins; and run on
-the map's own form, the program gives the second iterate ``f(f(z))``
-without a composed tree. With ``R`` on `RADII`:
+``z`` have no form, and one walk over the program, whose values say
+which read ``z``, refuses them before any interval arithmetic. With
+``t = z`` the form holds near infinity; with ``t = 1/z``, the *mirror
+form*, on ``0 < |z| <= 1/rho``, where the lowest degree in ``z`` wins;
+and run on the map's own form, the program gives the second iterate
+``f(f(z))`` without a composed tree. With ``R`` on `RADII`:
 
 - a map of degree ``d >= 1`` at infinity escapes on ``|z| >= R`` when
   ``kappa = inf|c| (1-e) R**(d-1)`` exceeds 1 by `_MARGIN`, for then
@@ -85,12 +93,12 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_right
-from functools import cache
+from functools import cache, partial
 from typing import NamedTuple, Optional
 
 import numpy as np
 
-from .expr import _ARITY, Program, _ignoring_errors, eval_array
+from .expr import Program, _ignoring_errors, _walk, eval_array
 
 __all__ = [
     "Region", "LADDER", "enclose", "certifies", "escape_regions",
@@ -336,53 +344,39 @@ def _scale(form, c: float, divide: bool):
     return (alpha, (quotient(re), quotient(im)))
 
 
-def _step(op: str, arg, stack: list, box) -> None:
-    """Replace the forms of one instruction's operands, on top of
-    ``stack``, by the form of its value over ``box`` (which only a form
-    with ``alpha != 0`` reads)."""
+def _affine(box, k: int, op: str, node, arg, x=None, y=None):
+    """The form of an instruction's value from its operands' forms ``x``
+    and ``y``, over ``box``, which only a form with ``alpha != 0`` reads:
+    `_walk`'s ``apply`` once ``box`` is bound."""
     if op == "load":
         c = complex(arg)
-        stack.append((0, ((c.real, c.real), (c.imag, c.imag))))
-    elif op == "neg":
-        alpha, (re, im) = stack.pop()
-        stack.append((-alpha, (_neg(re), _neg(im))))
-    elif op in ("+", "-"):
-        (beta, y), (alpha, x) = stack.pop(), stack.pop()
+        return (0, ((c.real, c.real), (c.imag, c.imag)))
+    if op == "neg":
+        alpha, (re, im) = x
+        return (-alpha, (_neg(re), _neg(im)))
+    if op in ("+", "-"):
+        (alpha, u), (beta, v) = x, y
         if op == "-":
-            beta, y = -beta, (_neg(y[0]), _neg(y[1]))
-        stack.append((alpha + beta, (_add(x[0], y[0]), _add(x[1], y[1]))))
-    elif op in ("*", "/"):
-        y, x = stack.pop(), stack.pop()
+            beta, v = -beta, (_neg(v[0]), _neg(v[1]))
+        return (alpha + beta, (_add(u[0], v[0]), _add(u[1], v[1])))
+    if op in ("*", "/"):
         if op == "*" and _constant(y) is None:
             x, y = y, x  # a constant factor may stand on either side
         c = _constant(y)
         if c is None or (op == "/" and c == 0):
             x, y = _collapse(x, box), _collapse(y, box)
-            stack.append((0, _cmul(x, y) if op == "*" else _cdiv(x, y)))
-        else:
-            stack.append(_scale(x, c, op == "/"))
-    elif op == "pow":
-        stack.append((0, _cpow(_collapse(stack.pop(), box), arg)))
-    else:
-        stack.append((0, _FUNCS[op](_collapse(stack.pop(), box))))
+            return (0, _cmul(x, y) if op == "*" else _cdiv(x, y))
+        return _scale(x, c, op == "/")
+    if op == "pow":
+        return (0, _cpow(_collapse(x, box), arg))
+    return (0, _FUNCS[op](_collapse(x, box)))
 
 
 def enclose(program: Program, box) -> tuple:
     """``(alpha, I)`` such that ``f(z) - alpha*z`` lies in ``I`` for every
     ``z`` in ``box``, a rectangle ``((re_lo, re_hi), (im_lo, im_hi))``
     whose sides may be infinite; ``alpha`` is an int or a `Fraction`."""
-    stack: list = []
-    env = [(1, (_ZERO, _ZERO))]  # what Var reads: z, or an inner map's form
-    for op, _, arg in program.code:
-        if op == "load" and arg is None:
-            stack.append(env[-1])
-        elif op == "bind":
-            env.append(stack.pop())
-        elif op == "unbind":
-            env.pop()
-        else:
-            _step(op, arg, stack, box)
-    return stack.pop()
+    return _walk(program, (1, (_ZERO, _ZERO)), partial(_affine, box))
 
 
 def certifies(program: Program, region: Region) -> bool:
@@ -495,49 +489,55 @@ def _neg_shape(shape):
     return (_neg(re), _neg(im)), d, lo, hi
 
 
-def _shape_of(op: str, arg, xs: list):
-    """The shape of an instruction's value that reads ``z`` from its
-    operands' shapes: it does not depend on ``rho``. None if the value has
-    no form."""
-    if op == "neg":
-        return _neg_shape(xs[0])
-    if op == "pow":
-        return _shape(_cpow(xs[0][0], arg), arg * xs[0][1])
-    if op in _FUNCS:  # of a value that reads z
+def _dominant(rho: float, shapes: dict, k: int, op: str, node, arg, *xs):
+    """The value ``(shape, e, const)`` of instruction ``k`` on ``|t| >= rho``
+    from its operands' values ``xs``, or None if it has no form: `_walk`'s
+    ``apply`` once ``rho`` and ``shapes`` are bound.
+
+    A value that reads no ``z`` is a constant: ``const`` is its form as
+    `enclose` takes it, and ``shape`` that of degree 0, None if it may hold
+    0. A value that reads ``z`` has ``const`` None, and its shape ``(c, d,
+    lo, hi)`` does not depend on ``rho``: once known, it is kept in
+    ``shapes`` under ``k``, and read from there.
+    """
+    if None in xs:
         return None
-    (cx, dx, _, _), (cy, dy, _, _) = xs
-    if op == "*":
-        return _shape(_cmul(cx, cy), dx + dy)
-    if op == "/":
-        return _shape(_cdiv(cx, cy), dx - dy)
-    y = xs[1] if op == "+" else _neg_shape(xs[1])
-    if dx == dy:  # a tie adds the coefficients; they may cancel
-        return _shape((_add(cx[0], y[0][0]), _add(cx[1], y[0][1])), dx)
-    return xs[0] if dx > dy else y  # the larger degree wins
-
-
-def _error_of(op: str, arg, xs: list, es: list, shape, rho: float):
-    """The bound ``e`` of an instruction's value that reads ``z``, from its
-    operands' shapes ``xs`` and bounds ``es``, on ``|t| >= rho``; None if
-    there is none."""
+    consts = [const for _, _, const in xs]
+    if None not in consts:  # a constant, as `enclose` takes it
+        const = _affine(None, k, op, node, arg, *consts)
+        return (_shape(const[1], 0), 0.0, const)
+    if op in _FUNCS or None in [x for x, _, _ in xs]:  # of a value that reads z, or a constant that may be 0
+        return None
+    shape = shapes.get(k)
+    x, ex, _ = xs[0]
     if op == "neg":
-        return es[0]
-    if op == "pow":  # (1+E)**arg - 1
-        return _power(es[0], arg, _grown)
-    (_, dx, lox, hix), (_, dy, loy, hiy) = xs
-    ex, ey = es
-    if op == "*":
-        return _grown(ex, ey)
-    if op == "/":  # (1+E_x)/(1+E_y) - 1 = (E_x-E_y)/(1+E_y)
-        return _udiv(_sum(ex, ey, _INF), _sum(1.0, -ey, -_INF)) if ey < 1 else None
-    if dx == dy:
-        return _udiv(_sum(_umul(hix, ex), _umul(hiy, ey), _INF), shape[2])
-    if dx < dy:
-        dx, lox, ex, dy, hiy, ey = dy, loy, ey, dx, hix, ex
-    # x + y = c_x t**d_x (1 + E_x + (c_y/c_x) t**(d_y-d_x) (1+E_y)), where
-    # |t|**(d_y-d_x) <= rho**(d_y-d_x)
-    ratio = _umul(_udiv(hiy, lox), _rpow(rho, dy - dx, _INF))
-    return _sum(ex, _umul(ratio, _sum(1.0, ey, _INF)), _INF)
+        shape, e = shape or _neg_shape(x), ex
+    elif op == "pow":  # (1+E)**arg - 1
+        shape, e = shape or _shape(_cpow(x[0], arg), arg * x[1]), _power(ex, arg, _grown)
+    else:
+        y, ey, _ = xs[1]
+        y = _neg_shape(y) if op == "-" else y
+        (cx, dx, _, hix), (cy, dy, _, hiy) = x, y
+        if op == "*":
+            shape, e = shape or _shape(_cmul(cx, cy), dx + dy), _grown(ex, ey)
+        elif op == "/":  # (1+E_x)/(1+E_y) - 1 = (E_x-E_y)/(1+E_y)
+            shape = shape or _shape(_cdiv(cx, cy), dx - dy)
+            e = _udiv(_sum(ex, ey, _INF), _sum(1.0, -ey, -_INF)) if ey < 1 else None
+        elif dx == dy:  # a tie adds the coefficients; they may cancel
+            shape = shape or _shape((_add(cx[0], cy[0]), _add(cx[1], cy[1])), dx)
+            e = None if shape is None else _udiv(_sum(_umul(hix, ex), _umul(hiy, ey), _INF), shape[2])
+        else:  # the larger degree wins
+            if dx < dy:
+                x, ex, y, ey = y, ey, x, ex
+            # x + y = c_x t**d_x (1 + E_x + (c_y/c_x) t**(d_y-d_x) (1+E_y)), where
+            # |t|**(d_y-d_x) <= rho**(d_y-d_x)
+            ratio = _umul(_udiv(y[3], x[2]), _rpow(rho, y[1] - x[1], _INF))
+            shape, e = x, _sum(ex, _umul(ratio, _sum(1.0, ey, _INF)), _INF)
+    if shape is None or e is None:
+        return None
+    shapes[k] = shape
+    return (shape, e, None)
+
 
 
 def _grown(ex: float, ey: float) -> float:
@@ -591,43 +591,14 @@ def dominant_form(program: Program, rho: float, var=_AT_INFINITY, shapes: Option
 
     Only ``e`` depends on ``rho``: ``shapes``, a dict kept by a caller
     that tries many ``rho`` with forms of ``var`` of one shape, holds the
-    shape (`_shape_of`) of each instruction that reads ``z`` once it is
-    known.
+    shape of each instruction that reads ``z``, by its position in the
+    program, once it is known.
     """
-    shapes = {} if shapes is None else shapes
     c, d, e, lo, hi = var
-    stack: list = []  # (shape, e, the enclose form of a constant or None) of each value
-    env = [((c, d, lo, hi), e, None)]
-    for k, (op, _, arg) in enumerate(program.code):
-        if op == "load" and arg is None:
-            stack.append(env[-1])
-            continue
-        if op == "bind":
-            env.append(stack.pop())
-            continue
-        if op == "unbind":
-            env.pop()
-            continue
-        operands = [stack.pop() for _ in range(_ARITY.get(op, 1))][::-1]
-        consts = [const for _, _, const in operands]
-        if None not in consts:  # a constant, as `enclose` takes it
-            _step(op, arg, consts, None)
-            stack.append((_shape(consts[0][1], 0), 0.0, consts[0]))
-            continue
-        xs = [x for x, _, _ in operands]
-        if any(x is None for x in xs):
-            return None
-        shape = shapes[k] if k in shapes else shapes.setdefault(k, _shape_of(op, arg, xs))
-        if shape is None:
-            return None
-        e = _error_of(op, arg, xs, [e for _, e, _ in operands], shape, rho)
-        if e is None:
-            return None
-        stack.append((shape, e, None))
-    shape, e, _ = stack.pop()
-    if shape is None:
+    value = _walk(program, ((c, d, lo, hi), e, None), partial(_dominant, rho, {} if shapes is None else shapes))
+    if value is None or value[0] is None:
         return None
-    c, d, lo, hi = shape
+    (c, d, lo, hi), e, _ = value
     return c, d, e, lo, hi
 
 
@@ -705,20 +676,16 @@ def _bungee_region(program: Program, at_infinity) -> Optional[DiskRegion]:
 
 def _function_of_z(program: Program) -> bool:
     """Whether the program applies ``exp``, ``sin`` or ``cos`` to a value
-    that reads ``z``: one pass, which tracks that fact for each value."""
-    stack, env = [], [True]  # whether each value, and what Var reads, reads z
-    for op, _, arg in program.code:
-        if op == "load":
-            stack.append(arg is None and env[-1])
-        elif op == "bind":
-            env.append(stack.pop())
-        elif op == "unbind":
-            env.pop()
-        elif op in _FUNCS and stack[-1]:
-            return True
-        else:
-            stack.append(any([stack.pop() for _ in range(_ARITY.get(op, 1))]))
-    return False
+    that reads ``z``: one walk, whose values say whether each reads ``z``."""
+    found = []
+
+    def reads_z(k, op, node, arg, *xs):
+        if op in _FUNCS and xs[0]:
+            found.append(k)
+        return any(xs)
+
+    _walk(program, True, reads_z)
+    return bool(found)
 
 
 def form_regions(program: Program) -> tuple[DiskRegion, ...]:

@@ -259,11 +259,11 @@ def _cmd_examples(ns) -> int:
         else:
             _emit("\n".join(f"{i}: {s}" for i, s in entries), ns.out)
         return 0
-    registry.get_example(ns.id)  # unknown ids fail before any work
-    try:
+    try:  # an unknown id or a bad scale fails before any work
+        registry.get_example(ns.id)
         registry._check_scale(ns.scale)
-    except ValueError as exc:
-        raise _UsageError(str(exc)) from None
+    except (KeyError, ValueError) as exc:
+        raise _UsageError(exc.args[0]) from None
     report = registry.run_example(ns.id, cfg=_load_config(ns.config), scale=ns.scale)
     if ns.format == "json":
         _emit(report.to_json(), ns.out)

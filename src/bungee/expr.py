@@ -28,9 +28,11 @@ is effectively exhausted. Division by exact zero yields `PoleEvent`; it
 can only arise for the meromorphic oracle family ``1/pow(z,d)``.
 
 Expression nodes and `FunctionExpr` are immutable slotted values, safe
-to share across threads. They have one identity rule: ``==`` and ``hash``
-read the value's type and its compiled program, which `compile_expr`
-builds without recursion; a node's ``repr`` is built from that program.
+to share across threads. Built by hand, they refuse what `parse` does: a
+`Const` must be finite and a `Pow` exponent an int >= 1. They have one
+identity rule: ``==`` and ``hash`` read the value's type and its compiled
+program, which `compile_expr` builds without recursion; a node's
+``repr`` is built from that program.
 """
 
 from __future__ import annotations
@@ -237,6 +239,10 @@ class Var(_Value):
 class Const(_Value):
     __slots__ = ("value",)  # complex
 
+    def __post_init__(self) -> None:
+        if not cmath.isfinite(self.value):  # as parse refuses 1e999
+            raise ValueError(f"a constant must be finite, not {self.value!r}")
+
 
 class Named(_Value):
     """A reserved constant: ``pi``, ``e`` or ``i``."""
@@ -253,7 +259,11 @@ class BinOp(_Value):
 
 
 class Pow(_Value):
-    __slots__ = ("base", "exponent")  # exponent: an int >= 1
+    __slots__ = ("base", "exponent")
+
+    def __post_init__(self) -> None:
+        if type(self.exponent) is not int or self.exponent < 1:  # as parse refuses pow(z,0)
+            raise ValueError(f"a pow exponent must be an int >= 1, not {self.exponent!r}")
 
 
 class Call(_Value):
@@ -489,6 +499,20 @@ def _wrap(fragment: tuple[str, int], minimum: int) -> str:
     return "(" + text + ")" if level < minimum else text
 
 
+def _render(k: int, op: str, node, arg, x=None, y=None) -> tuple[str, int]:
+    """The ``(text, level)`` fragment of one instruction from its operands'."""
+    if op == "load":
+        return _leaf(node)
+    if op == "neg":
+        return "-" + _wrap(x, _UNARY), _UNARY
+    if op == "pow":
+        return f"pow({x[0]},{arg})", _ATOM
+    if op in _FUNC_NAMES:
+        return f"{op}({x[0]})", _ATOM
+    level, right_minimum = (_SUM, _TERM) if op in "+-" else (_TERM, _UNARY)
+    return _wrap(x, level) + op + _wrap(y, right_minimum), level
+
+
 def format_expr(f: FunctionExpr | Expr) -> str:
     """Render an expression to a string that reparses to the same tree.
 
@@ -496,30 +520,11 @@ def format_expr(f: FunctionExpr | Expr) -> str:
     Programmatic trees containing complex constants or composition nodes
     render to semantically equal expressions in the plain grammar.
 
-    Rendering runs the compiled program over ``(text, level)`` fragments,
+    Rendering walks the compiled program over ``(text, level)`` fragments,
     without recursion; ``Var`` renders as the inner map of the innermost
     ``Apply``, or as ``z``.
     """
-    stack: list = []
-    bound = [("z", _ATOM)]
-    for op, node, arg in compile_expr(f).code:
-        if op == "load":
-            stack.append(bound[-1] if arg is None else _leaf(node))
-        elif op == "bind":
-            bound.append(stack.pop())
-        elif op == "unbind":
-            bound.pop()
-        elif op == "neg":
-            stack.append(("-" + _wrap(stack.pop(), _UNARY), _UNARY))
-        elif op == "pow":
-            stack.append((f"pow({stack.pop()[0]},{arg})", _ATOM))
-        elif op in _FUNC_NAMES:
-            stack.append((f"{op}({stack.pop()[0]})", _ATOM))
-        else:
-            level, right_minimum = (_SUM, _TERM) if op in "+-" else (_TERM, _UNARY)
-            right = _wrap(stack.pop(), right_minimum)
-            stack.append((_wrap(stack.pop(), level) + op + right, level))
-    return stack.pop()[0]
+    return _walk(compile_expr(f), ("z", _ATOM), _render)[0]
 
 
 # --- evaluation --------------------------------------------------------
@@ -537,6 +542,35 @@ class Program(NamedTuple):
 
     code: tuple
     checked: Optional[tuple] = None
+
+
+def _walk(program: Program, var, apply):
+    """The value of ``program`` in some arithmetic, without recursion.
+
+    ``Var`` reads ``var``, or the inner value of the innermost ``Apply``,
+    which ``bind`` and ``unbind`` push and pop. Every other instruction
+    ``k`` has the value ``apply(k, op, node, arg, *operands)``: no operand
+    for a constant's ``load``, two for ``+ - * /``, one for the rest.
+
+    `_run` keeps a loop of its own, since a call per instruction would
+    slow a one-lane `eval_array` by 5-12%; `compile_expr` and a node's
+    ``repr`` read the tree's structure, not the values ``Var`` reads.
+    """
+    stack: list = []
+    env = [var]
+    for k, (op, node, arg) in enumerate(program.code):
+        if op == "load":
+            stack.append(env[-1] if arg is None else apply(k, op, node, arg))
+        elif op == "bind":
+            env.append(stack.pop())
+        elif op == "unbind":
+            env.pop()
+        elif _ARITY.get(op, 1) == 1:
+            stack.append(apply(k, op, node, arg, stack.pop()))
+        else:
+            y = stack.pop()
+            stack.append(apply(k, op, node, arg, stack.pop(), y))
+    return stack.pop()
 
 
 def compile_expr(f: FunctionExpr | Expr) -> Program:

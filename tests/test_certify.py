@@ -46,6 +46,7 @@ from bungee import (
     parse,
 )
 from bungee.certify import (
+    _AT_INFINITY,
     _AT_ZERO,
     _MARGIN,
     LADDER,
@@ -53,6 +54,7 @@ from bungee.certify import (
     DiskRegion,
     Region,
     TrapBox,
+    _forms,
     _sin_cos,
     certifies,
     dominant_form,
@@ -874,3 +876,42 @@ def test_escapes_of_a_map_with_a_unit_constant_are_certified():
     escaping = codes.ravel() == Classification.ESCAPING
     assert np.count_nonzero(escaping) == 3284 and np.all(state.kind[escaping] == _CERTIFIED)
     assert np.array_equal(codes, classify_batch(parse("z*z"), GridSpec(-2, 2, -2, 2, 64, 64).points()))
+
+
+# --- the program walker -------------------------------------------------------
+
+
+def test_deep_compositions_keep_their_certificates():
+    """1,000 nested ``compose`` of ``z+1`` is ``z+1000``, nested either way:
+    with the composite as the outer map, ``Var`` reads a value 999 binds
+    deep; as the inner map, a bound value that reads another."""
+    f = parse("z+1")
+    outer = inner = f
+    for _ in range(999):
+        outer, inner = compose(outer, f), compose(f, inner)
+    for h in (outer, inner):
+        program = compile_expr(h)
+        assert [str(region) for region in bungee.certify.regions(program)] == ["Re z >= 0.0625"]
+        assert enclose(program, Region(0, 1, 1.0).box()) == (1, ((1000.0, 1000.0), (0.0, 0.0)))
+        assert dominant_form(program, RADII[-1])[1] == 1
+
+
+def test_kept_shapes_give_the_fresh_forms():
+    """`_forms` keeps each instruction's shape under its position and reads
+    it at every later rung: at every rung of `RADII` it gives what a fresh
+    `dominant_form` gives, at infinity, at 0 and, for a map of negative
+    degree, for the second iterate."""
+    compared = 0
+    for text, f in sorted(FORM_MAPS.items()):
+        program = compile_expr(f)
+        at_infinity = _forms(program, _AT_INFINITY)
+        cases = [(at_infinity, lambda rho: _AT_INFINITY), (_forms(program, _AT_ZERO), lambda rho: _AT_ZERO)]
+        top = at_infinity(RADII[-1])
+        if top is not None and top[1] < 0:
+            cases.append((_forms(program, at_infinity), lambda rho: dominant_form(program, rho)))
+        for kept, var in cases:
+            for rho in RADII[::-1]:
+                inner = var(rho)
+                assert kept(rho) == (None if inner is None else dominant_form(program, rho, inner)), (text, rho)
+                compared += 1
+    assert compared == 4505

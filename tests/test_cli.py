@@ -496,10 +496,10 @@ def test_examples_run_reports_passes():
     assert "passed 4/4" in out
 
 
-def test_examples_run_unknown_id_is_runtime_error():
-    code, _, err = run(["examples", "run", "ex_missing"])
-    assert code == 2
-    assert "error:" in err
+def test_examples_run_unknown_id_is_usage_error():
+    code, out, err = run(["examples", "run", "nope"])
+    assert code == 1 and out == ""
+    assert err == "error: unknown example id: 'nope'\n"
 
 
 @pytest.mark.parametrize("scale", ["0", "2", "nan", "inf", "-1"])

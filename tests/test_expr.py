@@ -732,3 +732,47 @@ def test_node_identity_rule():
     assert BinOp("+", Var(), Const(1)) != BinOp("-", Var(), Const(1))
     assert Apply(Var(), Neg(Var())) != Apply(Neg(Var()), Var())
     assert Neg(Var()) != Call("exp", Var()) and Var() != Const(0)
+
+
+# --- what the nodes refuse, as parse does -------------------------------------
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf, complex(1, math.inf), complex(math.nan, 0)])
+def test_const_refuses_non_finite_values(value):
+    """``1e999`` is a syntax error, and a non-finite constant built by hand
+    is refused too: ``z + Const(nan)`` would read Escaping by an overflow."""
+    with pytest.raises(ValueError, match="a constant must be finite"):
+        Const(value)
+    with pytest.raises(ExprSyntaxError):
+        parse("z+1e999")
+
+
+@pytest.mark.parametrize("exponent", [0, -1, True, False, 2.0, "2", None])
+def test_pow_refuses_exponents_parse_refuses(exponent):
+    """``pow(z,True)`` would not reparse, and a certificate would read an
+    exponent below 1 as another: only an int >= 1 is taken."""
+    with pytest.raises(ValueError, match="a pow exponent must be an int >= 1"):
+        Pow(Var(), exponent)
+
+
+def test_an_isometry_built_by_hand_is_refused():
+    """``(3z)**0 * z * exp(0.1i)`` turns the plane, so no orbit escapes; an
+    exponent 0 the certificates read as 1 made it a certified escape."""
+    with pytest.raises(ValueError, match="a pow exponent"):
+        FunctionExpr(BinOp("*", BinOp("*", Pow(BinOp("*", Const(3), Var()), 0), Var()), Const(cmath.exp(0.1j))))
+
+
+def test_nodes_take_what_parse_takes():
+    f = FunctionExpr(BinOp("+", Pow(Var(), 1), Const(1.5e308)))
+    assert format_expr(f) == "pow(z,1)+1.5e+308" and parse(format_expr(f)) == f
+    assert pickle.loads(pickle.dumps(f)) == f
+
+
+def test_deep_compositions_format_without_recursion():
+    """1,000 nested ``compose`` of ``z+1``, nested either way, renders as the
+    sum it denotes: ``Var`` reads the innermost bound fragment."""
+    f = parse("z+1")
+    outer = inner = f
+    for _ in range(999):
+        outer, inner = compose(outer, f), compose(f, inner)
+    assert format_expr(outer) == format_expr(inner) == "z" + "+1" * 1000

@@ -7,7 +7,7 @@ private engine names ``_COMPLETED`` and ``_CHUNK`` and the region
 searches ``regions``, ``form_regions`` and ``trap_regions``, and reads ``Program.checked``
 from ``compile_expr``). The probes that ``tools/stepcost.py`` runs in
 fresh processes import more private names, so they are run once on a
-small input; the set-up probe, on its own maps.
+small input; the set-up and region-search probes, on their own maps.
 """
 
 from __future__ import annotations
@@ -24,8 +24,9 @@ TOOLS = ROOT / "tools"
 @pytest.mark.parametrize("script, names", [
     ("parity.py", ["write_outputs", "EDGE_SEEDS", "DRIFT_CFG", "main"]),
     ("stepcost.py", ["main", "probe", "search_seconds", "batch_row", "against", "BATCH_PROBE",
-                     "STEP_PROBE", "SETUP_PROBE", "AGAINST_ROWS", "BATCH_ROWS", "_COMPLETED", "_CHUNK",
-                     "compile_expr", "regions", "form_regions", "trap_regions", "classify_batch", "GridSpec"]),
+                     "STEP_PROBE", "SETUP_PROBE", "SEARCH_PROBE", "AGAINST_ROWS", "BATCH_ROWS", "_COMPLETED",
+                     "_CHUNK", "compile_expr", "regions", "form_regions", "trap_regions", "classify_batch",
+                     "GridSpec"]),
 ])
 def test_tool_script_loads(script, names):
     namespace = runpy.run_path(str(TOOLS / script), run_name="not_main")
@@ -41,6 +42,10 @@ def test_stepcost_probes_run_on_this_checkout():
         assert run > 0
     (setup,) = stepcost["probe"](stepcost["SETUP_PROBE"], ROOT / "src", *stepcost["SETUP_MAPS"])
     assert setup > 0
+    (search,) = stepcost["probe"](stepcost["SEARCH_PROBE"], ROOT / "src", *stepcost["SETUP_MAPS"])
+    assert search > 0
     titles = [title for title, *_ in stepcost["AGAINST_ROWS"]]
     assert titles[:2] == ["short orbits: 1/pow(z,2) over 256x256 seeds of [-2, 2]x[-2, 2], us per run",
                           "Bounded cycles: 0.3*exp(z) over 256x256 seeds of [-4, 4]x[-4, 4], us per run"]
+    assert titles[-1] == ("region search: certify.regions of z+1+exp(-z), 0.3*exp(z), 1/pow(z,2), z+sin(z), "
+                          "summed, us per call")

@@ -47,9 +47,11 @@ Last, for every map of the catalog and for the maps of ``SEARCH_EXTRA``,
 it prints the time of the whole region search, `bungee.certify.regions`,
 which runs once per ``classify_batch`` or ``iterate_orbit`` call: the
 half-planes and rays of ``escape_regions`` and the disk regions of
-``form_regions``; then the time of the disk part alone, which a map that
-applies ``exp``, ``sin`` or ``cos`` to ``z`` ends after one pass over its
-program; then the time of the trap-box search, `bungee.certify.trap_regions`,
+``form_regions``; then the time of the disk part alone, which for a map
+that applies ``exp``, ``sin`` or ``cos`` to ``z`` is one walk over its
+program that tracks which values read ``z``, with no interval arithmetic
+(each search walks the program with the one walker of `bungee.expr`);
+then the time of the trap-box search, `bungee.certify.trap_regions`,
 which runs at most once per call, when a lane reaches the step-15
 checkpoint; then the regions and the boxes found.
 
@@ -62,11 +64,13 @@ Each process measures it once.
 All of them come from the fastest of several runs, so a busy machine
 inflates them less than a mean would. The machine's speed still drifts
 between invocations by more than many changes move a row. So with
-``--against OTHER_CHECKOUT`` the script prints only four rows, the run
-times of the two batch rows, the 3,600-lane bookkeeping per step and the
-set-up, each measured in fresh processes that alternate between this
-checkout and the other one, ``--rounds`` times each (default 10): each
-side's median, and in how many rounds each side was the faster.
+``--against OTHER_CHECKOUT`` the script prints only five rows, the run
+times of the two batch rows, the 3,600-lane bookkeeping per step, the
+set-up and the region search (the best of several ``regions`` calls for
+each of the set-up's four maps, summed), each measured in fresh processes
+that alternate between this checkout and the other one, ``--rounds``
+times each (default 10): each side's median, and in how many rounds each
+side was the faster.
 """
 
 from __future__ import annotations
@@ -169,6 +173,26 @@ if code != 1:
 """
 SETUP_MAPS = ("z+1+exp(-z)", "0.3*exp(z)", "1/pow(z,2)", "z+sin(z)")  # perfbench's classify_points maps
 SETUP_TITLE = "set-up: import bungee and bungee.cli, parse 4 maps, run the CLI without arguments, ms"
+# The region search of each map of argv[2:], once compiled: microseconds
+# per call, the best of REPEATS calls for each map, summed over the maps.
+SEARCH_PROBE = f"""
+import sys, time
+sys.path.insert(0, sys.argv[1])
+from bungee import parse
+from bungee.certify import regions
+from bungee.expr import compile_expr
+total = 0.0
+for text in sys.argv[2:]:
+    program = compile_expr(parse(text))
+    times = []
+    for _ in range({REPEATS}):
+        start = time.perf_counter()
+        regions(program)
+        times.append(time.perf_counter() - start)
+    total += min(times)
+print(total * 1e6)
+"""
+SEARCH_TITLE = f"region search: certify.regions of {', '.join(SETUP_MAPS)}, summed, us per call"
 
 
 def window(grid: GridSpec) -> str:
@@ -185,6 +209,7 @@ AGAINST_ROWS = (
     (f"map {FATOU} over 60x60 lanes, bookkeeping us per step",
      STEP_PROBE, (60, 60), lambda out: out[1] - out[0]),
     (SETUP_TITLE, SETUP_PROBE, SETUP_MAPS, lambda out: out[0]),
+    (SEARCH_TITLE, SEARCH_PROBE, SETUP_MAPS, lambda out: out[0]),
 )
 
 
