@@ -42,9 +42,10 @@ certifies ``Re z >= 1/16`` (Fatou 1926).
 
 Interval evaluation is inclusion-isotone: a larger ``R`` gives a smaller
 box and a narrower enclosure. So each region is tried at the top rung
-first, dropped if that fails, and otherwise bisected down to its lowest
-certified rung. Every certified rung is checked directly, so the search
-order affects only how far a region reaches.
+first and dropped if that fails; otherwise at the bottom rung, which is
+the lowest certified rung if it holds, and else bisected between the
+two. Every certified rung is checked directly, so the search order
+affects only how far a region reaches.
 
 `form_regions` is the second search, for polynomial and rational maps.
 It runs the program over *dominant-term forms*: on ``|t| >= rho`` a value
@@ -55,13 +56,15 @@ adds the degrees. A value that reads no ``z`` is a constant: it keeps
 the rectangle `enclose` gives it, ``exp``, ``sin`` and ``cos`` included,
 until it meets a value that reads ``z``, where it becomes a form of
 degree 0, as ``exp(0.001)*z`` and ``cos(0)*z*z`` need, unless its
-rectangle holds 0. ``exp``, ``sin`` and ``cos`` of a value that reads
-``z`` have no form, and one walk over the program, whose values say
-which read ``z``, refuses them before any interval arithmetic. With
-``t = z`` the form holds near infinity; with ``t = 1/z``, the *mirror
-form*, on ``0 < |z| <= 1/rho``, where the lowest degree in ``z`` wins;
-and run on the map's own form, the program gives the second iterate
-``f(f(z))`` without a composed tree. With ``R`` on `RADII`:
+rectangle holds 0; an exact 0 added or subtracted is dropped, so the
+``+0`` of an affine map ``a*f(z)+0`` keeps its form. ``exp``, ``sin``
+and ``cos`` of a value that reads ``z`` have no form, and one walk over
+the program, whose values say which read ``z``, refuses them before any
+interval arithmetic. With ``t = z`` the form holds near infinity; with
+``t = 1/z``, the *mirror form*, on ``0 < |z| <= 1/rho``, where the
+lowest degree in ``z`` wins; and run on the map's own form, the program
+gives the second iterate ``f(f(z))`` without a composed tree. With ``R``
+on `RADII`:
 
 - a map of degree ``d >= 1`` at infinity escapes on ``|z| >= R`` when
   ``kappa = inf|c| (1-e) R**(d-1)`` exceeds 1 by `_MARGIN`, for then
@@ -388,12 +391,15 @@ def certifies(program: Program, region: Region) -> bool:
 
 
 def _lowest(holds, rungs):
-    """The lowest of ``rungs`` (ascending) where ``holds``, found by
-    bisection below the top rung, or None if the top rung fails."""
+    """The lowest of ``rungs`` (ascending) where ``holds``, or None if the
+    top rung fails: the bottom rung if it holds too, else found by
+    bisection between the two."""
     hi = len(rungs) - 1
     if not holds(rungs[hi]):
         return None
-    lo = -1  # every rung at or below lo fails, if isotone
+    if hi == 0 or holds(rungs[0]):
+        return rungs[0]
+    lo = 0  # every rung at or below lo fails, if isotone
     while hi - lo > 1:
         mid = (lo + hi) // 2
         if holds(rungs[mid]):
@@ -448,6 +454,8 @@ _ABS_SLACK = 2.0**-50
 # and ``1/t`` at 0, where ``|t| >= rho`` is ``0 < |z| <= 1/rho``.
 _AT_INFINITY = ((_ONE, _ZERO), 1, 0.0, 1.0, 1.0)
 _AT_ZERO = ((_ONE, _ZERO), -1, 0.0, 1.0, 1.0)
+# The affine form of the constant 0, which a sum drops.
+_EXACT_ZERO = (0, (_ZERO, _ZERO))
 
 
 class DiskRegion(NamedTuple):
@@ -506,6 +514,10 @@ def _dominant(rho: float, shapes: dict, k: int, op: str, node, arg, *xs):
     if None not in consts:  # a constant, as `enclose` takes it
         const = _affine(None, k, op, node, arg, *consts)
         return (_shape(const[1], 0), 0.0, const)
+    if op in ("+", "-") and consts[1] == _EXACT_ZERO:  # x + 0 and x - 0 are x
+        return xs[0]
+    if op == "+" and consts[0] == _EXACT_ZERO:  # and so is 0 + x
+        return xs[1]
     if op in _FUNCS or None in [x for x, _, _ in xs]:  # of a value that reads z, or a constant that may be 0
         return None
     shape = shapes.get(k)
@@ -585,9 +597,9 @@ def dominant_form(program: Program, rho: float, var=_AT_INFINITY, shapes: Option
     degree 0 with ``e == 0``, so ``cos(0)*z`` has the form of ``z``. A sum
     keeps its term of larger degree and moves the other into ``E``; every
     such bound falls as ``|t|`` grows, so the bound at ``rho`` holds on all
-    of ``|t| >= rho``. ``exp``, ``sin`` or ``cos`` of a value that reads
-    ``z``, a constant whose rectangle holds 0 and a sum that may cancel
-    have no form.
+    of ``|t| >= rho``; ``x+0``, ``0+x`` and ``x-0`` are ``x``. ``exp``,
+    ``sin`` or ``cos`` of a value that reads ``z``, any other constant
+    whose rectangle holds 0 and a sum that may cancel have no form.
 
     Only ``e`` depends on ``rho``: ``shapes``, a dict kept by a caller
     that tries many ``rho`` with forms of ``var`` of one shape, holds the

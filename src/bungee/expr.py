@@ -249,13 +249,21 @@ class Named(_Value):
 
     __slots__ = ("name",)
 
+    def __post_init__(self) -> None:
+        if not (isinstance(self.name, str) and self.name in _NAMED_VALUES):
+            raise ValueError(f"a named constant must be pi, e or i, not {self.name!r}")
+
 
 class Neg(_Value):
     __slots__ = ("arg",)
 
 
 class BinOp(_Value):
-    __slots__ = ("op", "left", "right")  # op: one of + - * /
+    __slots__ = ("op", "left", "right")
+
+    def __post_init__(self) -> None:
+        if not (isinstance(self.op, str) and self.op in _BINARY):
+            raise ValueError(f"a binary operator must be +, -, * or /, not {self.op!r}")
 
 
 class Pow(_Value):
@@ -267,7 +275,11 @@ class Pow(_Value):
 
 
 class Call(_Value):
-    __slots__ = ("name", "arg")  # name: one of exp sin cos
+    __slots__ = ("name", "arg")
+
+    def __post_init__(self) -> None:
+        if not (isinstance(self.name, str) and self.name in _UFUNCS):
+            raise ValueError(f"a function must be exp, sin or cos, not {self.name!r}")
 
 
 class Apply(_Value):

@@ -5,14 +5,18 @@ out (`Completed`), the orbit's modulus exceeds `OVERFLOW_GUARD`, 1e150,
 or an evaluation event fires (`Overflowed`), an iterate comes within
 `CYCLE_TOL`, 1e-12 relative, of the one at the last Brent checkpoint
 (`CycleFound`), the map is evaluated at its pole 0 (`PoleHit`,
-oracle maps only), or, at a Brent checkpoint, the iterate lies in a
-region that the map provably moves outward (`CertifiedEscape`), one
-whose orbits provably alternate between escaping and staying bounded
-(`CertifiedBungee`), or, from the step-15 checkpoint on, a box that the
-map provably sends into its own interior (`CertifiedBounded`). Orbits
-that shrink toward 0 are never cut short by the overflow guard: they end
-in a cycle, or in a trap box about 0 as those of ``0.5*z`` and
-``pow(z,2)`` do.
+oracle maps only), or, at step 0 and at each Brent checkpoint, the
+iterate lies in a region that the map provably moves outward
+(`CertifiedEscape`), one whose orbits provably alternate between
+escaping and staying bounded (`CertifiedBungee`), or, from the step-15
+checkpoint on, a box that the map provably sends into its own interior
+(`CertifiedBounded`). A seed inside a region so ends before the map is
+evaluated once, even past the guard. A lane that overflows is tested
+against the regions at its last finite iterate too, the one past the
+guard or the one its failed evaluation started from, and ends certified
+at that iterate's step if one holds it. Orbits that shrink toward 0 are
+never cut short by the overflow guard: they end in a cycle, or in a trap
+box about 0 as those of ``0.5*z`` and ``pow(z,2)`` do.
 
 The regions are those `bungee.certify` proves for the map, once per
 `classify_batch` or `iterate_orbit` call, from its compiled program
@@ -64,12 +68,13 @@ the iterates and the steps at which it started and ended each peak,
 which is all `iterate_orbit` needs to place the record's peaks. The
 engine takes the map compiled once per call (`compile_expr`) and
 evaluates that flat program once per step over the live lanes only,
-testing the regions only at checkpoints, and the trap boxes only at
-checkpoints from step 15 on. When an orbit ends, its state
-is written to the output once, in that step. The lane stays in the
-working arrays, parked, until they are compacted once at the end of the
-step: its values go on being updated with the others' but are never
-written again, since the tests that end lanes skip it. A lane that fails
+testing the regions only at step 0, at checkpoints and on the lanes that
+overflow, and the trap boxes only at checkpoints from step 15 on. When
+an orbit ends, its state is written to the output once, in that step.
+The lane stays in the working arrays, parked, until they are compacted
+once at the end of the step: its values go on being updated with the
+others' but are never written again, since the tests that end lanes
+skip it. A lane that fails
 in evaluation is parked at 0, which is below ``r_bound``, so it starts no
 peak and trips no guard. Every lane starts at step 0, so all live lanes
 share one Brent checkpoint schedule for cycle detection (Brent 1980). A
@@ -206,8 +211,9 @@ class Overflowed(_Record):
     value crossed the dynamic-range guard it is the last recorded index,
     and if evaluation itself overflowed it is one past the last recorded
     index (the value never materialized). Evaluation overflows also when
-    it divides by a zero that is not the input itself: ``1/pow(z,2)`` at
-    a tiny nonzero ``z``, whose square underflows to 0.
+    it divides by a zero that is not the input itself: ``1/(z*z)+0.1*exp(z)``
+    at a tiny nonzero ``z``, whose square underflows to 0. (``1/pow(z,2)``
+    ends such a seed at step 0, inside its Bungee region.)
     """
 
     __slots__ = ("step",)  # int
@@ -234,9 +240,11 @@ class PoleHit(_Record):
 
 
 class _Certified(_Record):
-    """At ``step``, a Brent checkpoint, the iterate lay in ``region``, which
-    `bungee.certify` proved for the map. The three kinds of certificate
-    share these fields; each compares equal only to its own kind."""
+    """At ``step``, the iterate lay in ``region``, which `bungee.certify`
+    proved for the map: at a Brent checkpoint, or, for an escape or Bungee
+    region, also at the seed (step 0) or at the last finite iterate of an
+    overflow. The three kinds of certificate share these fields; each
+    compares equal only to its own kind."""
 
     __slots__ = ("step", "region")  # int, str
 
@@ -379,8 +387,11 @@ class _Lanes:
         self.ended[lanes] = True
         return ids
 
-    def unended(self, mask: np.ndarray) -> np.ndarray:
-        """The indices of the lanes in ``mask`` not yet written out in this step."""
+    def unended(self, mask: Optional[np.ndarray] = None) -> np.ndarray:
+        """The indices of the lanes in ``mask``, or of all lanes, not yet
+        written out in this step."""
+        if mask is None:
+            return np.arange(self.idx.size) if self.ended is None else (~self.ended).nonzero()[0]
         return (mask if self.ended is None else mask & ~self.ended).nonzero()[0]
 
     def drop(self) -> None:
@@ -389,6 +400,15 @@ class _Lanes:
         for name in self._ARRAYS:
             setattr(self, name, getattr(self, name)[keep])
         self.ended = None
+
+
+def _in_regions(regions: tuple, z: np.ndarray, m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The engine's one region test: the positions of the values of ``z``,
+    of moduli ``m``, that lie in one of ``regions``, and the index of the
+    first region that holds each."""
+    which = certify.locate(regions, z, m)
+    at = (which >= 0).nonzero()[0]
+    return at, which[at]
 
 
 class _History(NamedTuple):
@@ -436,13 +456,27 @@ def _run_batch(
     if history is not None:
         history.values.append(complex(z[0]))
 
-    seed_out = m > OVERFLOW_GUARD
+    kinds = np.array([_CERTIFIED_BUNGEE if r.bungee else _CERTIFIED for r in regions], dtype=np.int8)
+    if regions:  # a seed inside a region ends at step 0, before the map is evaluated or the guard read
+        at, hit = _in_regions(regions, z, m)
+        out.kind[at] = kinds[hit]
+        out.region[at] = hit
+    seed_out = (m > OVERFLOW_GUARD) & (out.kind == _RUNNING)
     out.kind[seed_out] = _OVERFLOWED
-    certified = np.array([_CERTIFIED_BUNGEE if r.bungee else _CERTIFIED for r in regions], dtype=np.int8)
-    w = _Lanes(out, seed_out, m, cfg)
+    w = _Lanes(out, out.kind != _RUNNING, m, cfg)
     # Every live lane started at step 0 and advances once per step, so the
     # Brent schedule (checkpoint when lam reaches power) is shared by all.
     power, lam = 1, 0
+
+    def end_certified(lanes: np.ndarray, z: np.ndarray, m: np.ndarray, step: int) -> np.ndarray:
+        """Write out, as certified at ``step``, those of ``lanes`` whose
+        values ``z``, of moduli ``m``, lie in a region; returns the others."""
+        at, hit = _in_regions(regions, z, m)
+        if not at.size:
+            return lanes
+        ids = w.write(out, lanes[at], kinds[hit], step)
+        out.region[ids] = hit
+        return np.delete(lanes, at)
 
     with _ignoring_errors():
         for step in range(1, cfg.max_iter + 1):
@@ -452,9 +486,12 @@ def _run_batch(
             if np.count_nonzero(events):
                 failed = events != EVENT_NONE
                 lanes = failed.nonzero()[0]
+                n_failed = lanes.size
+                if regions:  # the last finite iterate is the one the map failed at
+                    lanes = end_certified(lanes, w.z[lanes], np.abs(w.z[lanes]), step - 1)
                 pole = (events[lanes] == EVENT_POLE) & (w.z[lanes] == 0)
                 w.write(out, lanes, np.where(pole, _POLE, _OVERFLOWED), step)
-                if lanes.size == w.idx.size:
+                if n_failed == w.idx.size:
                     w.drop()
                     break
                 # Parked at 0, below r_bound: no peak starts and no guard trips.
@@ -494,6 +531,8 @@ def _run_batch(
             if not top <= OVERFLOW_GUARD:
                 lanes = (mv > OVERFLOW_GUARD).nonzero()[0]
                 if lanes.size:
+                    if regions:
+                        lanes = end_certified(lanes, vals[lanes], mv[lanes], step)
                     w.write(out, lanes, _OVERFLOWED, step)
 
             lam += 1
@@ -506,14 +545,8 @@ def _run_batch(
                     out.cycle_max[ids] = w.win_max[lanes]
             if lam == power:
                 if regions:
-                    which = certify.locate(regions, w.z, mv)
-                    inside = which >= 0
-                    if np.count_nonzero(inside):
-                        lanes = w.unended(inside)
-                        if lanes.size:
-                            hit = which[lanes]
-                            ids = w.write(out, lanes, certified[hit], step)
-                            out.region[ids] = hit
+                    lanes = w.unended()
+                    end_certified(lanes, w.z[lanes], mv[lanes], step)
                 if traps is not None and step >= _TRAP_STEP and (w.ended is None or not w.ended.all()):
                     boxes = traps()
                     if boxes:
@@ -665,8 +698,9 @@ def classify_batch(
     both apply `_verdicts` to the same engine's state.
     Seeds run in fixed chunks of independent lanes; a chunk's state is
     dropped unless ``return_state`` keeps it, so memory stays bounded.
-    The map is compiled, and its certified regions found, once per call;
-    its trap boxes at most once, when a lane first needs them.
+    The map is compiled, and its certified regions found, once per call,
+    and read at step 0 and at each Brent checkpoint; its trap boxes at most
+    once, when a lane first needs them.
     """
     seeds = np.asarray(seeds, dtype=np.complex128)
     flat = seeds.ravel()

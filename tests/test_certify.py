@@ -36,6 +36,7 @@ from bungee import (
     CycleFound,
     GridSpec,
     Overflowed,
+    affine_post,
     classify_batch,
     classify_point,
     compose,
@@ -303,6 +304,21 @@ def test_certified_regions(text, regions):
     assert [str(r) for r in escape_regions(compile_expr(parse(text)))] == regions
 
 
+def test_the_bottom_rung_is_tried_right_after_the_top(monkeypatch):
+    """Fatou's half-plane holds at the top rung of `LADDER` and at its
+    bottom rung, 1/16, which is then the lowest: two tries, no bisection.
+    ``Re z >= 2`` of its conjugate by ``2z+1`` is bisected between them."""
+    tried = []
+    holds = bungee.certify.certifies
+    monkeypatch.setattr(bungee.certify, "certifies", lambda program, region: tried.append(region) or holds(program, region))
+    assert escape_regions(compile_expr(parse("z+1+exp(-z)"))) == (Region(0, 1, 0.0625),)
+    assert [r.radius for r in tried if (r.axis, r.sign, r.ray) == (0, 1, False)] == [LADDER[-1], LADDER[0]]
+    tried.clear()
+    assert regions_of(conjugate(parse("z+1+exp(-z)"), 2, 1))[0] == "Re z >= 2.0"
+    right = [r.radius for r in tried if (r.axis, r.sign, r.ray) == (0, 1, False)]
+    assert right[:2] == [LADDER[-1], LADDER[0]] and 2.0 in right[2:]
+
+
 def regions_of(f) -> list[str]:
     return [str(r) for r in escape_regions(compile_expr(f))]
 
@@ -437,22 +453,31 @@ def test_no_mpmath_on_the_run_paths(tmp_path):
 # --- the engine's certified termination -------------------------------------
 
 
-def test_fatou_seeds_right_of_two_end_at_step_one():
+def test_fatou_seeds_end_in_the_half_plane_at_step_zero_or_one():
+    """Seeds right of two lie in Re z >= 1/16 already: they end at step 0,
+    before one evaluation. Seeds of Re z in [-1/2, 0] with |Im z| <= 1 lie
+    left of it, and their first iterates, of real part at least
+    -1/2 + 1 + cos(1), lie in it at the step-1 checkpoint."""
     f = parse("z+1+exp(-z)")
-    seeds = GridSpec(2, 5, -3, 3, 12, 24).points()
-    codes, state = classify_batch(f, seeds, return_state=True)
-    assert np.all(codes == Classification.ESCAPING)
-    assert np.all(state.kind == _CERTIFIED) and np.all(state.term_step == 1)
-    assert iterate_orbit(f, 2 - 3j).termination == CertifiedEscape(1, "Re z >= 0.0625")
+    for grid, step in ((GridSpec(2, 5, -3, 3, 12, 24), 0), (GridSpec(-0.5, 0, -1, 1, 12, 24), 1)):
+        codes, state = classify_batch(f, grid.points(), return_state=True)
+        assert np.all(codes == Classification.ESCAPING)
+        assert np.all(state.kind == _CERTIFIED) and np.all(state.term_step == step)
+    assert iterate_orbit(f, 2 - 3j).termination == CertifiedEscape(0, "Re z >= 0.0625")
+    assert iterate_orbit(f, -0.5 - 1j).termination == CertifiedEscape(1, "Re z >= 0.0625")
 
 
-def test_a_lane_past_the_guard_is_not_certified_in_its_step():
-    # -400 -> 5.2e173, past the guard and inside Re z >= 1/16 at the step-1
-    # checkpoint: the guard ends the orbit first, and the region test skips it.
+def test_a_lane_past_the_guard_is_tested_against_the_regions():
+    # -400 -> 5.2e173, past the guard and inside Re z >= 1/16: the guard's
+    # step reads the regions at that iterate, so the orbit ends certified.
+    # -400 + pi*i -> -5.2e173 + pi*i, past the guard outside every region.
     f = parse("z+1+exp(-z)")
-    assert iterate_orbit(f, -400).termination == Overflowed(1)
-    _, state = classify_batch(f, np.array([-400, 3], dtype=np.complex128), return_state=True)
-    assert state.kind.tolist() == [_OVERFLOWED, _CERTIFIED] and state.region.tolist() == [-1, 0]
+    assert iterate_orbit(f, -400).termination == CertifiedEscape(1, "Re z >= 0.0625")
+    assert iterate_orbit(f, -400 + math.pi * 1j).termination == Overflowed(1)
+    seeds = np.array([-400, -400 + math.pi * 1j, 3], dtype=np.complex128)
+    _, state = classify_batch(f, seeds, return_state=True)
+    assert state.kind.tolist() == [_CERTIFIED, _OVERFLOWED, _CERTIFIED] and state.region.tolist() == [0, -1, 0]
+    assert state.term_step.tolist() == [1, 1, 0]
 
 
 def test_translation_escapes_everywhere():
@@ -488,6 +513,7 @@ FORM_MAPS = {
         "(-0.5+0.8660254037844386*i)/pow(z,2)", "2/pow(z,3)", "1/pow(z,2)+z/1e9",
         "z", "0.5*z", "1/z", "z/(z-1)", MOEBIUS, ROTATION, "1/pow(z,2)-1", "4/pow(z,2)+z",
         "exp(0.001)*z", "exp(1)*z*z", "exp(2*pi*i/3)/pow(z,2)", "cos(0)*z*z", "pow(z,7)", "pow(z+1,5)/(z-2*i)",
+        "2*(1/pow(z,2))+0", "0+z*z-1", "pow(z,2)-0",
     )
 }
 
@@ -518,10 +544,35 @@ FORM_MAPS = {
         ("exp(2*pi*i/3)*z", []),  # a rotation: |f(z)| = |z|, so no region
         ("cos(0)*z*z", ["|z| >= 1.0009765625"]),  # cos(0) is 1: the form of z*z
         ("sin(0)*z*z", []),  # sin(0) is exactly 0: the zero map has no form
+        # an exact 0 added or subtracted is dropped, as affine_post(f, a, 0) needs
+        ("1*(1/pow(z,2))+0", [INVERSE_SQUARE_BUNGEE]),
+        ("2*(1/pow(z,2))+0", ["|z| >= 1.5 or 0 < |z| <= 1.1249999999999998"]),
+        ("0+z*z-1", ["|z| >= 2.0"]),
+        ("pow(z,2)-0", ["|z| >= 1.0009765625"]),
+        ("1/pow(z,2)+(1-1)", [INVERSE_SQUARE_BUNGEE]),  # a constant that is exactly 0
+        ("1/pow(z,2)+sin(0)", []),  # sin(0) is 0, but its rectangle, widened by sinh, holds 0
+        ("0-pow(z,2)", []),  # 0 - x is not dropped: it has no form
     ],
 )
 def test_form_regions(text, regions):
     assert [str(r) for r in form_regions(compile_expr(parse(text)))] == regions
+
+
+def test_an_affine_image_with_a_zero_shift_keeps_its_bungee_region():
+    """``affine_post(f, 1, 0)`` is ``1*f(z)+0``, the ``g`` of the
+    AffineBungeeEqual check of ``ex_rational_bungee``. Its ``+0`` is the
+    identity, so ``g`` has the region of ``f`` and reads as ``f`` does at
+    the seeds that end at step 0 in it."""
+    f = parse("1/pow(z,2)")
+    g = affine_post(f, 1, 0)
+    assert [str(r) for r in bungee.certify.regions(compile_expr(g))] == [INVERSE_SQUARE_BUNGEE]
+    for seed in (1e-300, 1e200, 0.5):
+        assert classify_point(g, seed) == classify_point(f, seed) == Classification.BUNGEE
+        assert iterate_orbit(g, seed).termination == iterate_orbit(f, seed).termination
+    twice = affine_post(f, 2, 0)
+    assert [str(r) for r in bungee.certify.regions(compile_expr(twice))] == [
+        "|z| >= 1.5 or 0 < |z| <= 1.1249999999999998"
+    ]
 
 
 def test_powers_take_logarithmically_many_products(monkeypatch):
@@ -568,7 +619,7 @@ def test_slow_geometric_escape_is_certified():
     the budget; the rate 1.001 proves every one of them escapes."""
     codes, state = classify_batch(parse("1.001*z"), GridSpec(-3, 3, -3, 3, 12, 12).points(), return_state=True)
     assert np.all(codes == Classification.ESCAPING) and codes.size == 144
-    assert np.all(state.kind == _CERTIFIED) and np.all(state.term_step == 1)
+    assert np.all(state.kind == _CERTIFIED) and np.all(state.term_step == 0)  # every |z| >= 1/16
     for text, seed in (("1.4*z", 1), ("pow(z,2)", 3), ("z*z-1", 3)):
         assert isinstance(iterate_orbit(parse(text), seed).termination, CertifiedEscape)
 
@@ -579,8 +630,9 @@ def test_exp_of_a_constant_coefficient_is_certified():
     f = parse("exp(0.001)*z")
     codes, state = classify_batch(f, GridSpec(-3, 3, -3, 3, 12, 12).points(), return_state=True)
     assert np.all(codes == Classification.ESCAPING) and codes.size == 144
-    assert np.all(state.kind == _CERTIFIED) and np.all(state.term_step == 1)
-    assert iterate_orbit(f, 1e7).termination == CertifiedEscape(1, "|z| >= 0.0625")
+    assert np.all(state.kind == _CERTIFIED) and np.all(state.term_step == 0)
+    assert iterate_orbit(f, 1e7).termination == CertifiedEscape(0, "|z| >= 0.0625")
+    assert iterate_orbit(f, 0.05).termination == CertifiedEscape(255, "|z| >= 0.0625")
     assert classify_point(f, 1e7) == Classification.ESCAPING
 
 
@@ -589,7 +641,9 @@ def test_inverse_square_seeds_are_certified_bungee():
     codes, state = classify_batch(f, GridSpec(-2, 2, -2, 2, 64, 64).points(), return_state=True)
     assert np.all(codes == Classification.BUNGEE)
     assert np.all(state.kind == _CERTIFIED_BUNGEE) and state.term_step.max() <= 3
-    assert iterate_orbit(f, 0.5).termination == CertifiedBungee(1, INVERSE_SQUARE_BUNGEE)
+    assert iterate_orbit(f, 0.5).termination == CertifiedBungee(0, INVERSE_SQUARE_BUNGEE)
+    # 1 + 2**-11 lies between the region's two parts; its image lies inside.
+    assert iterate_orbit(f, 1 + 2.0**-11).termination == CertifiedBungee(1, INVERSE_SQUARE_BUNGEE)
 
 
 def test_unit_circle_seeds_of_the_inverse_square_stay_bounded():
@@ -866,7 +920,9 @@ def test_rotated_inverse_square_seeds_are_certified_bungee():
     codes, state = classify_batch(f, GridSpec(-2, 2, -2, 2, 64, 64).points(), return_state=True)
     assert np.all(codes == Classification.BUNGEE)
     assert np.all(state.kind == _CERTIFIED_BUNGEE) and state.term_step.max() <= 3
-    assert iterate_orbit(f, 0.5).termination == CertifiedBungee(1, INVERSE_SQUARE_BUNGEE)
+    assert iterate_orbit(f, 0.5).termination == CertifiedBungee(0, INVERSE_SQUARE_BUNGEE)
+    # 1 + 2**-11 lies between the region's two parts; its image lies inside.
+    assert iterate_orbit(f, 1 + 2.0**-11).termination == CertifiedBungee(1, INVERSE_SQUARE_BUNGEE)
 
 
 def test_escapes_of_a_map_with_a_unit_constant_are_certified():
@@ -914,4 +970,4 @@ def test_kept_shapes_give_the_fresh_forms():
                 inner = var(rho)
                 assert kept(rho) == (None if inner is None else dominant_form(program, rho, inner)), (text, rho)
                 compared += 1
-    assert compared == 4505
+    assert compared == 5100

@@ -62,10 +62,10 @@ def test_classify_json_document():
     assert list(doc) == ["verdict", "seed", "termination", "steps", "returns", "peaks", "global_max"]
     assert doc["verdict"] == "Bungee"
     assert doc["seed"] == [0.5, 0.0]
-    # 0.5 -> 4, inside |z| >= R at the step-1 checkpoint: Bungee by proof.
-    assert doc["termination"] == "CertifiedBungee(step=1, region='|z| >= 1.0009765625 or 0 < |z| <= 0.9990243902439023')"
-    assert doc["steps"] == 1 and doc["returns"] == 0 and doc["peaks"] == 0
-    assert doc["global_max"] == 4.0
+    # 0.5 lies inside 0 < |z| <= r: Bungee by proof at the seed, before one step.
+    assert doc["termination"] == "CertifiedBungee(step=0, region='|z| >= 1.0009765625 or 0 < |z| <= 0.9990243902439023')"
+    assert doc["steps"] == 0 and doc["returns"] == 0 and doc["peaks"] == 0
+    assert doc["global_max"] == 0.5
 
 
 def test_global_flags_accepted_on_either_side_of_the_subcommand():
@@ -96,9 +96,8 @@ def test_orbit_csv_dump(tmp_path):
     lines = target.read_text().splitlines()
     assert lines[0] == "n,re,im,modulus"
     assert lines[1] == "0,0.5,0.0,0.5"
-    assert lines[2] == "1,4.0,0.0,4.0"
-    assert len(lines) == 4  # header + iterates 0..1 + termination comment
-    assert lines[-1] == "# termination=CertifiedBungee(step=1, region='|z| >= 1.0009765625 or 0 < |z| <= 0.9990243902439023')"
+    assert len(lines) == 3  # header + iterate 0, inside the Bungee region + termination comment
+    assert lines[-1] == "# termination=CertifiedBungee(step=0, region='|z| >= 1.0009765625 or 0 < |z| <= 0.9990243902439023')"
 
 
 @pytest.mark.parametrize("point", ["nan,0", "inf,0", "1e400,0", "0,-inf"])

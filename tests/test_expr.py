@@ -755,6 +755,30 @@ def test_pow_refuses_exponents_parse_refuses(exponent):
         Pow(Var(), exponent)
 
 
+@pytest.mark.parametrize("name", ["x", "z", "E", "", None, ("pi",)])
+def test_named_refuses_names_parse_refuses(name):
+    """``Named("x")`` failed late, with a KeyError when the map was compiled
+    or classified: only pi, e and i are taken."""
+    with pytest.raises(ValueError, match="a named constant must be pi, e or i"):
+        FunctionExpr(Named(name))
+
+
+@pytest.mark.parametrize("name", ["tan", "log", "Exp", "", None, ["exp"]])
+def test_call_refuses_functions_parse_refuses(name):
+    """``Call("tan", z)`` failed late, with a KeyError when evaluated and a
+    TypeError when formatted: only exp, sin and cos are taken."""
+    with pytest.raises(ValueError, match="a function must be exp, sin or cos"):
+        FunctionExpr(Call(name, Var()))
+
+
+@pytest.mark.parametrize("op", ["^", "**", "//", "", None, ["+"]])
+def test_binop_refuses_operators_parse_refuses(op):
+    """``BinOp("^", z, z)`` failed late, with a KeyError when evaluated and a
+    TypeError when formatted: only + - * / are taken."""
+    with pytest.raises(ValueError, match=r"a binary operator must be \+, -, \* or /"):
+        FunctionExpr(BinOp(op, Var(), Var()))
+
+
 def test_an_isometry_built_by_hand_is_refused():
     """``(3z)**0 * z * exp(0.1i)`` turns the plane, so no orbit escapes; an
     exponent 0 the certificates read as 1 made it a certified escape."""

@@ -39,6 +39,7 @@ from bungee import (
     parse,
     verify_relation,
 )
+from bungee.certify import DiskRegion
 from bungee.expr import compile_expr
 from bungee.orbit import (
     _CERTIFIED,
@@ -327,13 +328,34 @@ def test_inverse_square_orbit_record_matches_hand_iteration(no_regions):
 
 
 def test_inverse_square_orbit_is_certified_bungee_at_step_one():
-    # 0.5 -> 4, and 4 lies in |z| >= R at the step-1 checkpoint: f(f(z)) = z**4
-    # moves that region outward, while f swaps it with the disk 0 < |z| <= r.
-    rec = iterate_orbit(parse("1/pow(z,2)"), 0.5)
-    assert rec.values.tolist() == inverse_square_orbit(0.5)[:2] == [0.5, 4.0]
+    # 1 + 2**-11 lies between the region's parts |z| >= R = 1 + 2**-10 and
+    # 0 < |z| <= r = 1/R, rounded down; its image 1/(1 + 2**-11)**2 lies in
+    # the disk at the step-1 checkpoint: f(f(z)) = z**4 moves |z| >= R
+    # outward, while f swaps it with the disk.
+    seed = 1 + 2.0**-11
+    rec = iterate_orbit(parse("1/pow(z,2)"), seed)
+    assert rec.values.tolist() == inverse_square_orbit(seed)[:2]
     assert rec.termination == CertifiedBungee(1, INVERSE_SQUARE_BUNGEE)
-    assert rec.returns == 0 and rec.peaks == () and rec.global_max == 4.0
+    assert rec.returns == 0 and rec.peaks == () and rec.global_max == seed
     assert classify(rec) == Classification.BUNGEE
+
+
+def test_seeds_inside_a_region_end_at_step_zero():
+    """The regions are read at the seed itself, before the map is evaluated
+    and before the guard: 0.5 lies in the disk of 1/pow(z,2)'s Bungee
+    region, 1e-200 too (its square would underflow), and 1e200, past the
+    guard, in pow(z,2)'s |z| >= R."""
+    for text, seed, termination in (
+        ("1/pow(z,2)", 0.5, CertifiedBungee(0, INVERSE_SQUARE_BUNGEE)),
+        ("1/pow(z,2)", 1e-200, CertifiedBungee(0, INVERSE_SQUARE_BUNGEE)),
+        ("1/pow(z,2)", 1e-300, CertifiedBungee(0, INVERSE_SQUARE_BUNGEE)),
+        ("pow(z,2)", 1e200, CertifiedEscape(0, "|z| >= 1.0009765625")),
+    ):
+        rec = iterate_orbit(parse(text), seed)
+        assert rec.termination == termination and rec.values.tolist() == [seed]
+        assert rec.returns == 0 and rec.peaks == () and rec.global_max == seed
+        want = Classification.BUNGEE if isinstance(termination, CertifiedBungee) else Classification.ESCAPING
+        assert classify(rec) == classify_point(parse(text), seed) == want
 
 
 def test_orbit_record_invariants_hold():
@@ -481,7 +503,9 @@ def test_orbits_attracted_to_zero_are_bounded(text, seed, ending):
 def test_pole_counts_only_at_the_input_zero():
     # 1e-200 squared underflows to 0, so the division is by an exact zero
     # that the input is not: the orbit has overflowed, not hit the pole.
-    assert iterate_orbit(parse("1/pow(z,2)"), 1e-200).termination == Overflowed(1)
+    # (1/pow(z,2) itself ends that seed at step 0 in its Bungee region; this
+    # map applies exp to z, so it has no region.)
+    assert iterate_orbit(parse("1/(z*z)+0.1*exp(z)"), 1e-200).termination == Overflowed(1)
     assert iterate_orbit(parse("1/pow(z,2)"), 0).termination == PoleHit(1)
 
 
@@ -558,8 +582,9 @@ def test_geometric_growth_without_its_region_is_unresolved(no_regions):
      ("pow(z,2)", 3, "|z| >= 1.0009765625"), ("z*z-1", 3, "|z| >= 2.0")],
 )
 def test_geometric_and_polynomial_growth_is_certified(text, seed, region):
+    # Every seed lies in its region already: it ends there at step 0.
     rec = iterate_orbit(parse(text), seed)
-    assert rec.termination == CertifiedEscape(1, region)
+    assert rec.termination == CertifiedEscape(0, region) and rec.values.tolist() == [seed]
     assert classify(rec) == Classification.ESCAPING
 
 
@@ -714,7 +739,9 @@ def assert_batch_is_one_seed_runs(f, distinct, pick, cfg) -> BatchState:
     """`classify_batch` over ``distinct[pick]`` must give, lane by lane, the
     codes and every `BatchState` field of the one-seed runs of ``distinct``,
     with the regions found for ``f`` (or none, under ``no_regions``).
-    Returns the batch state."""
+    Returns the batch state. ``distinct`` may be a grid's 2-D seeds, which
+    ``pick`` indexes flattened."""
+    distinct = np.asarray(distinct, dtype=np.complex128).ravel()
     singles = [classify_batch(f, distinct[i : i + 1], cfg, return_state=True) for i in range(distinct.size)]
     codes, state = classify_batch(f, distinct[pick], cfg, return_state=True)
     assert np.array_equal(codes, np.concatenate([singles[i][0] for i in pick]))
@@ -736,7 +763,7 @@ LANE_PICK = np.random.default_rng(11).integers(0, LANE_SEEDS.size, CHUNK + 37)
 def test_batch_state_is_the_concatenation_of_one_seed_runs(name, f, cfg, monkeypatch):
     """Lanes of a mixed batch end at different steps, yet none affects
     another, with the map's regions and without them (``1/pow(z,2)``'s
-    region ends every lane by step 1)."""
+    region ends most lanes at step 0)."""
     assert_batch_is_one_seed_runs(f, LANE_SEEDS, LANE_PICK, cfg)
     drop_regions(monkeypatch)
     state = assert_batch_is_one_seed_runs(f, LANE_SEEDS, LANE_PICK, cfg)
@@ -810,6 +837,101 @@ def test_event_and_guard_ends_in_one_step_keep_lanes_independent(no_regions):
     by_event = set(state.term_step[overflowed & ~past_guard].tolist())
     by_guard = set(state.term_step[overflowed & past_guard].tolist())
     assert len(by_event & by_guard) >= 5
+
+
+# Grids on which some lanes start inside a certified region, and end there
+# at step 0, while others run on: about the unit circle between the two
+# parts of 1/pow(z,2)'s Bungee region, about the disk |z| >= 2 of z*z-1 and
+# across Fatou's half-plane Re z >= 1/16.
+STEP_ZERO_GRIDS = [
+    ("1/pow(z,2)", GridSpec(0.996, 1.004, -0.004, 0.004, 17, 17)),
+    ("z*z-1", GridSpec(-2.5, 2.5, -2.5, 2.5, 21, 21)),
+    ("z+1+exp(-z)", GridSpec(-2, 2, -2, 2, 21, 21)),
+]
+
+
+@pytest.mark.parametrize("text, grid", STEP_ZERO_GRIDS, ids=[text for text, _ in STEP_ZERO_GRIDS])
+def test_step_zero_endings_keep_lanes_independent(text, grid):
+    """A lane that ends at step 0 is never evaluated, and the lanes beside
+    it run on: the batch is still the one-seed runs, across a chunk edge."""
+    seeds = grid.points()
+    pick = np.random.default_rng(5).integers(0, seeds.size, CHUNK + 37)
+    state = assert_batch_is_one_seed_runs(parse(text), seeds, pick, DEFAULT_CONFIG)
+    at_seed = state.term_step == 0
+    assert 100 < np.count_nonzero(at_seed) < pick.size - 100
+    assert np.all((state.kind[at_seed] == _CERTIFIED) | (state.kind[at_seed] == _CERTIFIED_BUNGEE))
+    assert np.all(state.region[at_seed] == 0)
+
+
+def test_an_overflowing_lane_is_certified_at_its_last_finite_iterate():
+    """pow(z,3) from 1e16: 1e48 at the step-1 checkpoint, 1e144 at step 2,
+    and the cube of that overflows at step 3. Given the region |z| >= 1e100,
+    the lane ends certified at step 2, the iterate its failed evaluation
+    started from; given none, or |z| >= 1e200, it overflows at step 3.
+    Beside it, a lane of 1e-3 runs on to a cycle at step 8."""
+    program = compile_expr(parse("pow(z,3)"))
+    seeds = np.array([1e16, 1e-3, 2e16], dtype=np.complex128)
+    for regions, kinds, steps in (
+        ((DiskRegion(1e100),), [_CERTIFIED, _CYCLE, _CERTIFIED], [2, 8, 2]),
+        ((), [_OVERFLOWED, _CYCLE, _OVERFLOWED], [3, 8, 3]),
+        ((DiskRegion(1e200),), [_OVERFLOWED, _CYCLE, _OVERFLOWED], [3, 8, 3]),
+    ):
+        state = _run_batch(program, seeds, DEFAULT_CONFIG, regions)
+        assert state.kind.tolist() == kinds and state.term_step.tolist() == steps
+        assert state.region.tolist() == [0 if k == _CERTIFIED else -1 for k in kinds]
+        history = _History([], [], [])
+        one = _run_batch(program, seeds[:1], DEFAULT_CONFIG, regions, history)
+        # the certified lane's record ends at its step; the failed one's stops one short
+        assert len(history.values) == one.term_step[0] + (one.kind[0] == _CERTIFIED)
+
+
+def test_lanes_crossing_the_guard_inside_a_region_are_certified():
+    """On the 100x100 grid of z*z-1 over [-4, 4]^2, four lanes about
+    ±0.6 ± 0.04i reach |z| >= 2 at step 16, between checkpoints, and cross
+    the guard at step 25, before the step-31 checkpoint: the guard's step
+    reads the region at that iterate."""
+    f = parse("z*z-1")
+    seeds = GridSpec(-4, 4, -4, 4, 100, 100).points().ravel()
+    _, state = classify_batch(f, seeds, return_state=True)
+    assert not np.any(state.kind == _OVERFLOWED)
+    late = state.term_step == 25
+    assert np.allclose(np.sort_complex(seeds[late]), [-0.6 - 0.04j, -0.6 + 0.04j, 0.6 - 0.04j, 0.6 + 0.04j])
+    assert np.all(state.kind[late] == _CERTIFIED) and np.all(np.abs(state.z[late]) > OVERFLOW_GUARD)
+    rec = iterate_orbit(f, complex(seeds[late][0]))
+    assert rec.termination == CertifiedEscape(25, "|z| >= 2.0") and rec.moduli[16] >= 2 > rec.moduli[15]
+
+
+# The per-class counts, Escaping, Bounded, Bungee and Unresolved, of each
+# map's 100x100 grid over [-4, 4]^2: reading the regions at the seeds and
+# at the last finite iterate of an overflow moves no verdict there. The
+# maps are the catalog's, the maps `tools/stepcost.py` adds to its region
+# table, and two slow or mixed ones.
+GRID_COUNTS = {
+    "z+sin(z)": [5088, 4912, 0, 0],
+    "z+sin(z)+2*pi": [10000, 0, 0, 0],
+    "1/pow(z,2)": [0, 0, 10000, 0],
+    "0.3*exp(z)": [166, 9834, 0, 0],
+    "z+1+exp(-z)": [10000, 0, 0, 0],
+    "z+1+exp(-z)+2*pi*i": [10000, 0, 0, 0],
+    "exp(-z-1)+1": [306, 9694, 0, 0],
+    "exp(z-1)-1": [164, 9836, 0, 0],
+    "exp(z)": [10000, 0, 0, 0],
+    "exp(z)+2*pi*i": [10000, 0, 0, 0],
+    "pow(z,2)": [9516, 484, 0, 0],
+    "z*z-1": [9780, 220, 0, 0],
+    "1.001*z": [10000, 0, 0, 0],
+    "exp(0.001)*z": [10000, 0, 0, 0],
+    "exp(1)*z*z": [9932, 68, 0, 0],
+    "pow(z,1000)": [9516, 484, 0, 0],
+    "z+exp(z)": [722, 8552, 0, 726],
+    "1/(z*z)+0.1*exp(z)": [7682, 400, 1918, 0],
+}
+
+
+@pytest.mark.parametrize("text", GRID_COUNTS)
+def test_grid_counts_per_class_are_pinned(text):
+    codes = classify_batch(parse(text), GridSpec(-4, 4, -4, 4, 100, 100).points())
+    assert np.bincount(codes.ravel(), minlength=4).tolist() == GRID_COUNTS[text]
 
 
 AGREEMENT_MAPS = catalog_maps() + [
@@ -954,7 +1076,7 @@ def test_record_peaks_match_the_reference_replay_without_regions(name, f, cfg, n
 # The edge cases of the sweeps above, each reached by one of their inputs:
 # the ways a peak can end other than by a return, and a maximum that
 # repeats. The first and third are reached without regions: with them, both
-# orbits are certified at step 1.
+# seeds lie in their maps' regions, where they end at step 0.
 @pytest.mark.parametrize(
     "text, seed, cfg, termination, peaks, plain",
     [
@@ -965,8 +1087,9 @@ def test_record_peaks_match_the_reference_replay_without_regions(name, f, cfg, n
         ("exp(z)", 0, "default", Overflowed(5), ((4, math.exp(math.exp(math.e))),), False),
         # 1.4**n passes r_esc at step 42 and is still rising when the budget ends.
         ("1.4*z", 1, "default", Completed(), ((1000, None),), True),
-        # A seed past the guard ends before one step: no peak at all.
-        ("pow(z,2)", 1e200, "default", Overflowed(0), (), False),
+        # A seed past the guard and outside every region ends before one
+        # step: no peak at all.
+        ("exp(z)", 1e200, "default", Overflowed(0), (), False),
         # 0, 1e7, 1e7: the peak's largest modulus repeats, and the first counts.
         ("1e7", 0, "small", CycleFound(1, 1), ((1, 1e7),), False),
     ],

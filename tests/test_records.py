@@ -101,9 +101,12 @@ def test_every_record_class_is_a_record():
 @pytest.mark.parametrize("function, point, termination", [
     ("z*z", "1,0", "CycleFound(period=1, entry=0)"),
     ("z+sin(z)", "1,1", "CycleFound(period=1, entry=6)"),
-    ("z*z-1", "3,0", "CertifiedEscape(step=1, region='|z| >= 2.0')"),
-    ("z+1+exp(-z)", "2,0", "CertifiedEscape(step=1, region='Re z >= 0.0625')"),
-    ("1/pow(z,2)", "0.5,0", "CertifiedBungee(step=1, region='|z| >= 1.0009765625 or 0 < |z| <= 0.9990243902439023')"),
+    ("z*z-1", "1.8,0", "CertifiedEscape(step=1, region='|z| >= 2.0')"),
+    ("z*z-1", "3,0", "CertifiedEscape(step=0, region='|z| >= 2.0')"),
+    ("z+1+exp(-z)", "0,0", "CertifiedEscape(step=1, region='Re z >= 0.0625')"),
+    ("z+1+exp(-z)", "2,0", "CertifiedEscape(step=0, region='Re z >= 0.0625')"),
+    ("1/pow(z,2)", "0.5,0", "CertifiedBungee(step=0, region='|z| >= 1.0009765625 or 0 < |z| <= 0.9990243902439023')"),
+    ("1/pow(z,2)", "1e-200,0", "CertifiedBungee(step=0, region='|z| >= 1.0009765625 or 0 < |z| <= 0.9990243902439023')"),
     ("pow(z,2)", "0.5,0", "CertifiedBounded(step=15, region='Re z in [-0.25, 0.25], Im z in [-0.25, 0.25]')"),
     ("1/pow(z,2)", "0,0", "PoleHit(step=1)"),
     ("exp(z)", "1,0", "Overflowed(step=4)"),

@@ -11,7 +11,7 @@ lattice in [0.5, 3.5] x [-3, 3], where every orbit of the Fatou map
 ``z+1+exp(-z)`` runs the whole budget of 1,000 steps (Re z grows by
 about 1 a step) when the engine is given no escape regions, so each
 step of a run steps every lane. (With its certified half-plane
-``Re z >= 1/16`` every one of those orbits ends at step 1; the rows
+``Re z >= 1/16`` every one of those orbits ends at step 0; the rows
 measure the step itself, as they did before certificates.) At 1, 288
 and 3,600 lanes it prints, in microseconds per step, from runs in a
 fresh process for each lattice:
@@ -31,10 +31,10 @@ event runs fewer).
 Two batch rows measure the other end, where lanes end, each a run of
 ``classify_batch`` over a 256 x 256 grid:
 
-- short orbits: ``1/pow(z,2)`` over [-2, 2] x [-2, 2], whose orbits all
-  end within a few steps, at the first Brent checkpoint that finds them
-  in the map's certified Bungee region (or, on the unit circle, by a
-  cycle);
+- short orbits: ``1/pow(z,2)`` over [-2, 2] x [-2, 2], whose seeds lie
+  in the map's certified Bungee region and end there at step 0, before
+  one evaluation, except the 56 about the unit circle, between the
+  region's two parts, which the step-1 or step-3 checkpoint finds inside;
 - Bounded cycles: ``0.3*exp(z)`` over [-4, 4] x [-4, 4], whose bounded
   orbits end in the trap box about its attracting fixed point at the
   step-15 checkpoint (without the box, at a near-repeat, about step 64).
