@@ -57,7 +57,8 @@ the rectangle `enclose` gives it, ``exp``, ``sin`` and ``cos`` included,
 until it meets a value that reads ``z``, where it becomes a form of
 degree 0, as ``exp(0.001)*z`` and ``cos(0)*z*z`` need, unless its
 rectangle holds 0; an exact 0 added or subtracted is dropped, so the
-``+0`` of an affine map ``a*f(z)+0`` keeps its form. ``exp``, ``sin``
+``+0`` of an affine map ``a*f(z)+0`` keeps its form, and ``0-x`` is
+``-x``, the form of ``x`` with its coefficient negated. ``exp``, ``sin``
 and ``cos`` of a value that reads ``z`` have no form, and one walk over
 the program, whose values say which read ``z``, refuses them before any
 interval arithmetic. With ``t = z`` the form holds near infinity; with
@@ -518,6 +519,8 @@ def _dominant(rho: float, shapes: dict, k: int, op: str, node, arg, *xs):
         return xs[0]
     if op == "+" and consts[0] == _EXACT_ZERO:  # and so is 0 + x
         return xs[1]
+    if op == "-" and consts[0] == _EXACT_ZERO:  # 0 - x is -x
+        op, xs = "neg", xs[1:]
     if op in _FUNCS or None in [x for x, _, _ in xs]:  # of a value that reads z, or a constant that may be 0
         return None
     shape = shapes.get(k)
@@ -597,7 +600,8 @@ def dominant_form(program: Program, rho: float, var=_AT_INFINITY, shapes: Option
     degree 0 with ``e == 0``, so ``cos(0)*z`` has the form of ``z``. A sum
     keeps its term of larger degree and moves the other into ``E``; every
     such bound falls as ``|t|`` grows, so the bound at ``rho`` holds on all
-    of ``|t| >= rho``; ``x+0``, ``0+x`` and ``x-0`` are ``x``. ``exp``,
+    of ``|t| >= rho``; ``x+0``, ``0+x`` and ``x-0`` are ``x``, and ``0-x``
+    is ``-x``. ``exp``,
     ``sin`` or ``cos`` of a value that reads ``z``, any other constant
     whose rectangle holds 0 and a sum that may cancel have no form.
 

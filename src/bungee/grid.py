@@ -5,9 +5,10 @@ stored as an (ny, nx) array with row 0 at the bottom (smallest
 imaginary part); PPM and PBM output flip rows so the top of the image is
 the top of the plane.
 
-All cells go to one `classify_batch` call, whose fixed chunks depend on
-the cell count alone, so the raster is byte-for-byte identical for every
-``workers`` value.
+All cells go to one `classify_batch` call, which ends the cells that a
+certified region holds at step 0 and runs the engine on the others, in
+chunks that depend on the cells alone, so the raster is byte-for-byte
+identical for every ``workers`` value.
 
 The encoders build each output as one ``uint8`` buffer with whole-array
 operations, with no per-cell Python: the PBM's digits and the JSON's
@@ -124,9 +125,10 @@ def classify_grid(
     """Classify every cell center of ``spec`` under ``f``.
 
     ``workers`` is accepted for compatibility and must be at least 1; it
-    changes neither speed nor output. All cells run as one batch in
-    fixed chunks, which measured faster than worker threads on a
-    two-core machine.
+    changes neither speed nor output. All cells go to one batch, which
+    tests them against the map's regions once and runs the engine on the
+    rest in chunks of up to 4,096 cells; that measured faster than worker
+    threads on a two-core machine.
     """
     if workers < 1:
         raise ValueError("workers must be positive")
@@ -136,7 +138,7 @@ def classify_grid(
 def render_ppm(raster: Raster) -> bytes:
     """Encode a raster as a binary PPM (P6) image, top row at im_max."""
     spec = raster.spec
-    rgb = PALETTE[raster.codes[::-1]]
+    rgb = PALETTE.take(raster.codes[::-1], axis=0)
     header = f"P6\n{spec.nx} {spec.ny}\n255\n".encode("ascii")
     return header + rgb.tobytes()
 

@@ -62,29 +62,35 @@ Verdicts are assigned by the first matching rule:
 The rules are written once, vectorized, in `_verdicts`. One engine,
 `_run_batch`, drives single-point classification, batch classification
 and grid rendering, and `classify` applies `_verdicts` to the one-lane
-engine state an `OrbitRecord` keeps, so verdicts are identical across
-all of them by construction. Run on one seed, the engine also records
-the iterates and the steps at which it started and ended each peak,
-which is all `iterate_orbit` needs to place the record's peaks. The
-engine takes the map compiled once per call (`compile_expr`) and
-evaluates that flat program once per step over the live lanes only,
-testing the regions only at step 0, at checkpoints and on the lanes that
-overflow, and the trap boxes only at checkpoints from step 15 on. When
-an orbit ends, its state is written to the output once, in that step.
-The lane stays in the working arrays, parked, until they are compacted
-once at the end of the step: its values go on being updated with the
-others' but are never written again, since the tests that end lanes
-skip it. A lane that fails
+engine state an `OrbitRecord` keeps, so verdicts are identical across all
+of them by construction. `classify_batch` makes step 0 once per call: on
+more seeds than one chunk, `_CHUNK`, it tests every seed against the
+regions and runs the engine only on the seeds that none holds, in chunks
+of up to `_CHUNK`; a call of one chunk runs the engine once, which makes
+that test at its own step 0. A seed that ends at step 0 takes the code of
+its certificate's kind from `_KIND_CODES`, the table `_verdicts` reads
+for every certified lane, so it gets the code the engine's own step-0
+test would give it. Run on one seed, the engine also records the iterates
+and the steps at which it started and ended each peak, which is all
+`iterate_orbit` needs to place the record's peaks. The engine takes the
+map compiled once per call (`compile_expr`) and evaluates that flat
+program once per step over the live lanes only, testing the regions only
+at step 0, at checkpoints and on the lanes that overflow, and the trap
+boxes only at checkpoints from step 15 on. When an orbit ends, its state
+is written to the output once, in that step. The lane stays in the
+working arrays, parked, until they are compacted once at the end of the
+step: its values go on being updated with the others' but are never
+written again, since the tests that end lanes skip it. A lane that fails
 in evaluation is parked at 0, which is below ``r_bound``, so it starts no
 peak and trips no guard. Every lane starts at step 0, so all live lanes
 share one Brent checkpoint schedule for cycle detection (Brent 1980). A
 step in which no lane ends costs its arithmetic and a few whole-array
-tests; it builds a lane mask only when a test fires. Peak starts and returns
-update the live lanes at full width under those masks, without gathering
-or scattering. The running maximum is not taken each step: the maximum
-since the last checkpoint, which cycle detection keeps anyway, is folded
-into it at each checkpoint and when a lane ends. The state stores no
-derived fact, such as the final modulus ``|z|`` (see `BatchState`).
+tests; it builds a lane mask only when a test fires. Peak starts and
+returns update the live lanes at full width under those masks, without
+gathering or scattering. The running maximum is not taken each step: the
+maximum since the last checkpoint, which cycle detection keeps anyway, is
+folded into it at each checkpoint and when a lane ends. The state stores
+no derived fact, such as the final modulus ``|z|`` (see `BatchState`).
 """
 
 from __future__ import annotations
@@ -303,14 +309,23 @@ _CERTIFIED = 5
 _CERTIFIED_BUNGEE = 6
 _TRAPPED = 7
 
+# The code of a lane by its kind, for the kinds of certificate, whose code
+# no other field of the state moves; -1 for the kinds whose code `_verdicts`
+# reads from the rest of the state.
+_KIND_CODES = np.full(_TRAPPED + 1, -1, dtype=np.int8)
+_KIND_CODES[[_CERTIFIED, _CERTIFIED_BUNGEE, _TRAPPED]] = [
+    Classification.ESCAPING, Classification.BUNGEE, Classification.BOUNDED
+]
+
 # The Brent checkpoint, the fourth, from which live lanes are tested
 # against the map's trap boxes. Most lanes that end early end before it,
 # so the search for the boxes, made when a lane first reaches it, is left
 # out of most short calls.
 _TRAP_STEP = 15
 
-# Seeds per engine run in `classify_batch`: wide enough to amortize numpy's
-# per-call cost over many lanes, narrow enough to bound per-run memory.
+# Seeds per engine run in `classify_batch`, and per block of its step-0
+# test: wide enough to amortize numpy's per-call cost over many lanes,
+# narrow enough to bound per-run memory.
 _CHUNK = 4096
 
 
@@ -411,6 +426,11 @@ def _in_regions(regions: tuple, z: np.ndarray, m: np.ndarray) -> tuple[np.ndarra
     return at, which[at]
 
 
+def _region_kinds(regions: tuple) -> np.ndarray:
+    """The kind of ending that each of ``regions`` certifies."""
+    return np.array([_CERTIFIED_BUNGEE if r.bungee else _CERTIFIED for r in regions], dtype=np.int8)
+
+
 class _History(NamedTuple):
     """One seed's iterates, and the steps where each peak started and returned."""
 
@@ -456,7 +476,7 @@ def _run_batch(
     if history is not None:
         history.values.append(complex(z[0]))
 
-    kinds = np.array([_CERTIFIED_BUNGEE if r.bungee else _CERTIFIED for r in regions], dtype=np.int8)
+    kinds = _region_kinds(regions)
     if regions:  # a seed inside a region ends at step 0, before the map is evaluated or the guard read
         at, hit = _in_regions(regions, z, m)
         out.kind[at] = kinds[hit]
@@ -573,28 +593,26 @@ def _verdicts(state: BatchState, cfg: ClassifierConfig) -> np.ndarray:
     """Rules 1-4 of the module docstring, one `Classification` code per lane.
 
     Later assignments win, so the rules apply in order; a pole hit matches
-    neither rule 1 nor rule 3, and rule 2 excludes it and a certified escape.
-    A certified Bungee lane is Bungee by rule 2 alone, and a trapped lane
-    Bounded by rule 1 alone.
+    neither rule 1 nor rule 3, and rule 2 excludes it. A certified lane
+    takes its code from `_KIND_CODES` alone: Escaping, Bungee by rule 2 or
+    Bounded by rule 1, whatever else its state holds.
     """
     kind = state.kind
     few_returns = state.n_returns < MIN_ALTERNATIONS
     # A peak still in progress when the orbit ended counts at the height it reached.
     pending_weak = state.in_peak & (state.cur_peak < PEAK_GROWTH * state.last_peak)
 
-    bounded = (
-        ((kind == _CYCLE) & (state.cycle_max <= cfg.r_bound))
-        | ((kind == _COMPLETED) & (state.global_max <= cfg.r_bound))
-        | (kind == _TRAPPED)
+    bounded = ((kind == _CYCLE) & (state.cycle_max <= cfg.r_bound)) | (
+        (kind == _COMPLETED) & (state.global_max <= cfg.r_bound)
     )
-    bungee = ((kind != _POLE) & (kind != _CERTIFIED) & ~few_returns & state.escalation_ok & ~pending_weak) | (
-        kind == _CERTIFIED_BUNGEE
-    )
-    escaping = (kind == _CERTIFIED) | ((kind == _OVERFLOWED) & few_returns)
+    bungee = (kind != _POLE) & ~few_returns & state.escalation_ok & ~pending_weak
+    escaping = (kind == _OVERFLOWED) & few_returns
     codes = np.full(kind.shape, int(Classification.UNRESOLVED), dtype=np.int8)
     codes[escaping] = int(Classification.ESCAPING)
     codes[bungee] = int(Classification.BUNGEE)
     codes[bounded] = int(Classification.BOUNDED)
+    certified = _KIND_CODES.take(kind)
+    np.copyto(codes, certified, where=certified >= 0)
     return codes
 
 
@@ -694,13 +712,19 @@ def classify_batch(
 
     Returns an int8 array of `Classification` codes aligned with
     ``seeds``; with ``return_state`` also the final `BatchState` of the
-    flattened seeds. Verdicts agree with `classify_point` at every seed:
-    both apply `_verdicts` to the same engine's state.
-    Seeds run in fixed chunks of independent lanes; a chunk's state is
-    dropped unless ``return_state`` keeps it, so memory stays bounded.
-    The map is compiled, and its certified regions found, once per call,
-    and read at step 0 and at each Brent checkpoint; its trap boxes at most
-    once, when a lane first needs them.
+    flattened seeds, in seed order. Verdicts agree with `classify_point`
+    at every seed: both apply `_verdicts` to the same engine's state, or
+    read the same `_KIND_CODES` for a seed that ends at step 0.
+    The map is compiled, and its certified regions found, once per call.
+    Step 0 is made once for the call, in blocks of `_CHUNK` seeds: a seed
+    that a region holds ends there, unevaluated, with its kind's code (a
+    call of at most `_CHUNK` seeds leaves it to its one engine run). The
+    other seeds run in chunks of up to `_CHUNK` independent lanes, which
+    read the regions at each Brent checkpoint and the trap boxes, found at
+    most once, when a lane first needs them; a chunk's state is dropped, so
+    memory stays bounded. With ``return_state`` every seed runs through
+    the engine, in fixed chunks of `_CHUNK`, whose own step-0 test ends the
+    seeds a region holds, and every chunk's state is kept.
     """
     seeds = np.asarray(seeds, dtype=np.complex128)
     flat = seeds.ravel()
@@ -709,9 +733,29 @@ def classify_batch(
     program = compile_expr(f)
     regions = certify.regions(program)
     traps = _trap_search(program, cfg)
-    for lo in range(0, flat.size, _CHUNK):
-        state = _run_batch(program, flat[lo : lo + _CHUNK], cfg, regions, traps=traps)
-        codes[lo : lo + _CHUNK] = _verdicts(state, cfg)
+    live = None  # every seed
+    if regions and not return_state and flat.size > _CHUNK:
+        # Step 0, once over the call, a block of seeds at a time, by the
+        # membership test `_in_regions` makes: a seed in a region ends
+        # unevaluated, with its kind's code, and only the others go on to
+        # the engine. The test's index per seed feeds both without the
+        # positions `_in_regions` gathers, which cost more than the test.
+        # A call of one chunk skips it: its one engine run makes the same
+        # test at its own step 0.
+        if not np.isfinite(flat).all():
+            raise ValueError("seeds must be finite")
+        region_codes = _KIND_CODES[_region_kinds(regions)]
+        parts = []
+        for lo in range(0, flat.size, _CHUNK):
+            block = flat[lo : lo + _CHUNK]
+            which = certify.locate(regions, block, np.abs(block))
+            codes[lo : lo + _CHUNK] = region_codes.take(which)  # a live seed's -1 reads the last; the engine overwrites it
+            parts.append((which < 0).nonzero()[0] + lo)
+        live = np.concatenate(parts)
+    for lo in range(0, flat.size if live is None else live.size, _CHUNK):
+        ids = slice(lo, lo + _CHUNK) if live is None else live[lo : lo + _CHUNK]
+        state = _run_batch(program, flat[ids], cfg, regions, traps=traps)
+        codes[ids] = _verdicts(state, cfg)
         if return_state:
             states.append(state)
     codes = codes.reshape(seeds.shape)

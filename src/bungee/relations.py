@@ -379,7 +379,8 @@ def verify_relation(
     report is the same as if every column were classified everywhere.
     ``workers`` is accepted for compatibility and must be at least 1; it
     changes neither speed nor output, since every map is classified by
-    one `classify_batch` call over fixed chunks of seeds.
+    one `classify_batch` call, which ends the seeds a region holds at
+    step 0 and runs the engine on the rest in chunks.
     """
     if workers < 1:
         raise ValueError("workers must be positive")

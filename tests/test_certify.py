@@ -513,7 +513,7 @@ FORM_MAPS = {
         "(-0.5+0.8660254037844386*i)/pow(z,2)", "2/pow(z,3)", "1/pow(z,2)+z/1e9",
         "z", "0.5*z", "1/z", "z/(z-1)", MOEBIUS, ROTATION, "1/pow(z,2)-1", "4/pow(z,2)+z",
         "exp(0.001)*z", "exp(1)*z*z", "exp(2*pi*i/3)/pow(z,2)", "cos(0)*z*z", "pow(z,7)", "pow(z+1,5)/(z-2*i)",
-        "2*(1/pow(z,2))+0", "0+z*z-1", "pow(z,2)-0",
+        "2*(1/pow(z,2))+0", "0+z*z-1", "pow(z,2)-0", "0-pow(z,2)", "0-1/pow(z,2)",
     )
 }
 
@@ -551,11 +551,25 @@ FORM_MAPS = {
         ("pow(z,2)-0", ["|z| >= 1.0009765625"]),
         ("1/pow(z,2)+(1-1)", [INVERSE_SQUARE_BUNGEE]),  # a constant that is exactly 0
         ("1/pow(z,2)+sin(0)", []),  # sin(0) is 0, but its rectangle, widened by sinh, holds 0
-        ("0-pow(z,2)", []),  # 0 - x is not dropped: it has no form
+        ("0-pow(z,2)", ["|z| >= 1.0009765625"]),  # 0 - x is -x, as -pow(z,2) is
+        ("-pow(z,2)", ["|z| >= 1.0009765625"]),
+        ("0-1/pow(z,2)", [INVERSE_SQUARE_BUNGEE]),
     ],
 )
 def test_form_regions(text, regions):
     assert [str(r) for r in form_regions(compile_expr(parse(text)))] == regions
+
+
+@pytest.mark.parametrize("text", ["pow(z,2)", "1/pow(z,2)", "z*z-1"])
+def test_zero_minus_a_map_has_the_form_of_its_negation(text):
+    """``0-x`` is ``-x``: at infinity and at 0 its form is that of
+    ``-(x)``, the form of ``x`` with the coefficient negated, not that of
+    ``x``, which has the same regions."""
+    minus, neg, plain = (compile_expr(parse(t)) for t in (f"0-({text})", f"-({text})", text))
+    for var in (_AT_INFINITY, _AT_ZERO):
+        for rho in (RADII[0], 2.0, RADII[-1]):
+            form = dominant_form(minus, rho, var)
+            assert form is not None and form == dominant_form(neg, rho, var) != dominant_form(plain, rho, var)
 
 
 def test_an_affine_image_with_a_zero_shift_keeps_its_bungee_region():
@@ -970,4 +984,4 @@ def test_kept_shapes_give_the_fresh_forms():
                 inner = var(rho)
                 assert kept(rho) == (None if inner is None else dominant_form(program, rho, inner)), (text, rho)
                 compared += 1
-    assert compared == 5100
+    assert compared == 5525

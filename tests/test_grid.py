@@ -256,6 +256,15 @@ def _reference_pbm(mask) -> bytes:
     return ("\n".join(lines) + "\n").encode("ascii")
 
 
+def _reference_ppm(r: Raster) -> bytes:
+    """A per-cell PPM encoder, the oracle of `render_ppm`."""
+    cells = bytearray()
+    for row in r.codes[::-1]:
+        for code in row:
+            cells.extend(PALETTE[int(code)].tolist())
+    return f"P6\n{r.spec.nx} {r.spec.ny}\n255\n".encode("ascii") + bytes(cells)
+
+
 def _reference_json(r: Raster) -> str:
     """The per-cell JSON encoder that `raster_to_json` replaced, kept as its oracle."""
     return json.dumps({"spec": r.spec.to_dict(), "codes": [int(c) for c in r.codes.ravel()]})
@@ -281,6 +290,22 @@ _SHAPES = st.one_of(
 )
 def test_pbm_matches_reference_encoder(mask):
     assert render_pbm(mask) == _reference_pbm(mask)
+
+
+# Every integer dtype a raster's codes may have (a bool array is refused).
+_CODE_DTYPES = [np.dtype(t) for t in ("int8", "int16", "int32", "int64", "uint8", "uint16", "uint32", "uint64")]
+
+
+@pytest.mark.parametrize("dtype", _CODE_DTYPES, ids=str)
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_ppm_matches_reference_encoder(dtype, data):
+    """The PPM's bytes are those of a per-cell encoder, for every shape kind
+    and every integer dtype of the codes."""
+    codes = data.draw(hnp.arrays(dtype, _SHAPES, elements=st.integers(0, 3)))
+    ny, nx = codes.shape
+    r = Raster(GridSpec(0, float(nx), 0, float(ny), nx, ny), codes)
+    assert render_ppm(r) == _reference_ppm(r)
 
 
 def test_pbm_reads_a_non_contiguous_view():

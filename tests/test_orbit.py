@@ -17,6 +17,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import bungee.certify
+import bungee.orbit
 from bungee import (
     CertifiedBounded,
     CertifiedBungee,
@@ -738,13 +739,15 @@ def catalog_maps():
 def assert_batch_is_one_seed_runs(f, distinct, pick, cfg) -> BatchState:
     """`classify_batch` over ``distinct[pick]`` must give, lane by lane, the
     codes and every `BatchState` field of the one-seed runs of ``distinct``,
-    with the regions found for ``f`` (or none, under ``no_regions``).
-    Returns the batch state. ``distinct`` may be a grid's 2-D seeds, which
-    ``pick`` indexes flattened."""
+    with the regions found for ``f`` (or none, under ``no_regions``), and
+    the same codes without ``return_state``, where the engine runs only on
+    the seeds that no region holds at step 0. Returns the batch state.
+    ``distinct`` may be a grid's 2-D seeds, which ``pick`` indexes flattened."""
     distinct = np.asarray(distinct, dtype=np.complex128).ravel()
     singles = [classify_batch(f, distinct[i : i + 1], cfg, return_state=True) for i in range(distinct.size)]
     codes, state = classify_batch(f, distinct[pick], cfg, return_state=True)
     assert np.array_equal(codes, np.concatenate([singles[i][0] for i in pick]))
+    assert np.array_equal(classify_batch(f, distinct[pick], cfg), codes)
     for name in BatchState._fields:
         want = np.concatenate([getattr(singles[i][1], name) for i in pick])
         got = getattr(state, name)
@@ -861,6 +864,89 @@ def test_step_zero_endings_keep_lanes_independent(text, grid):
     assert 100 < np.count_nonzero(at_seed) < pick.size - 100
     assert np.all((state.kind[at_seed] == _CERTIFIED) | (state.kind[at_seed] == _CERTIFIED_BUNGEE))
     assert np.all(state.region[at_seed] == 0)
+
+
+# 256x256 grids, 16 chunks' worth of seeds, on which the seeds that a
+# region holds at step 0 and those that run on interleave: the rational
+# render's window about the unit circle of 1/pow(z,2), and the unit disks
+# of pow(z,2) and, with its filled Julia set, z*z-1.
+SPLIT_GRIDS = [
+    ("1/pow(z,2)", GridSpec(-2, 2, -2, 2, 256, 256)),
+    ("pow(z,2)", GridSpec(-4, 4, -4, 4, 256, 256)),
+    ("z*z-1", GridSpec(-4, 4, -4, 4, 256, 256)),
+]
+
+
+@pytest.mark.parametrize("text, grid", SPLIT_GRIDS, ids=[text for text, _ in SPLIT_GRIDS])
+def test_step_zero_split_keeps_the_engine_codes(text, grid):
+    """Without ``return_state`` the seeds a region holds take their kind's
+    code at step 0 and only the others run; the codes are those of the
+    engine run on every seed, and of one-seed runs. The state, with it,
+    holds every seed in seed order; one-seed runs of a sample of step-0
+    and live seeds, picked across more than a chunk, give each field."""
+    f, seeds = parse(text), grid.points()
+    codes = classify_batch(f, seeds)
+    again, state = classify_batch(f, seeds, return_state=True)
+    assert codes.shape == seeds.shape and codes.dtype == np.int8
+    assert np.array_equal(codes, again)
+    at_seed = (state.term_step == 0) & (state.region >= 0)
+    assert np.array_equal(state.z[at_seed], seeds.ravel()[at_seed])  # ended unevaluated, in seed order
+    live = (~at_seed).nonzero()[0]
+    assert 50 < live.size < seeds.size - CHUNK
+    assert len(np.unique(live // CHUNK)) >= 4  # the live seeds span several 4,096-seed blocks
+    rng = np.random.default_rng(7)
+    sample = np.concatenate([rng.choice(at_seed.nonzero()[0], 24, replace=False), rng.choice(live, 24, replace=False)])
+    flat = codes.ravel()
+    for i in sample:
+        assert classify_batch(f, seeds.ravel()[i : i + 1])[0] == flat[i], i
+    pick = rng.integers(0, sample.size, CHUNK + 37)
+    assert_batch_is_one_seed_runs(f, seeds.ravel()[sample], pick, DEFAULT_CONFIG)
+
+
+def test_the_engine_runs_once_on_the_live_seeds_of_the_rational_grid(monkeypatch):
+    """On the rational render's grid, 56 of 65,536 seeds run past step 0:
+    one engine run takes them all, where 16 runs of 4,096 seeds took them
+    chunk by chunk, and the map is evaluated on no more lanes than then,
+    once per lane per step it ran."""
+    runs, lanes = [], [0]
+    run_batch, evaluate = bungee.orbit._run_batch, bungee.orbit.eval_array
+
+    def counted_run(program, seeds, *args, **kwargs):
+        runs.append(len(seeds))
+        return run_batch(program, seeds, *args, **kwargs)
+
+    def counted_eval(program, z):
+        lanes[0] += z.size
+        return evaluate(program, z)
+
+    monkeypatch.setattr(bungee.orbit, "_run_batch", counted_run)
+    monkeypatch.setattr(bungee.orbit, "eval_array", counted_eval)
+    f, seeds = parse("1/pow(z,2)"), GridSpec(-2, 2, -2, 2, 256, 256).points()
+    codes = classify_batch(f, seeds)
+    assert runs == [56] and lanes[0] == 88
+    assert np.all(codes == Classification.BUNGEE)
+    runs.clear()
+    _, state = classify_batch(f, seeds, return_state=True)
+    assert runs == [CHUNK] * 16 and int(state.term_step.sum()) == 88
+
+
+@pytest.mark.parametrize("return_state", [False, True])
+def test_split_keeps_the_seed_checks_and_empty_calls(return_state):
+    """A seed that is not finite is refused before step 0, even where a
+    region would hold it (``1/pow(z,2)`` holds every |z| >= 1.001), and a
+    call with no seeds returns empty codes in the seeds' shape."""
+    f = parse("1/pow(z,2)")
+    for bad in (complex("inf"), complex(math.inf, math.nan), complex(0, math.nan)):
+        seeds = GridSpec(-2, 2, -2, 2, 96, 96).points().ravel()
+        seeds[CHUNK + 4] = bad
+        with pytest.raises(ValueError, match="seeds must be finite"):
+            classify_batch(f, seeds, return_state=return_state)
+    for empty in (np.zeros(0, dtype=np.complex128), np.zeros((0, 3), dtype=np.complex128)):
+        got = classify_batch(f, empty, return_state=return_state)
+        codes = got[0] if return_state else got
+        assert codes.shape == empty.shape and codes.dtype == np.int8
+        if return_state:
+            assert all(getattr(got[1], name).size == 0 for name in BatchState._fields)
 
 
 def test_an_overflowing_lane_is_certified_at_its_last_finite_iterate():

@@ -23,7 +23,7 @@ TOOLS = ROOT / "tools"
 
 @pytest.mark.parametrize("script, names", [
     ("parity.py", ["write_outputs", "EDGE_SEEDS", "DRIFT_CFG", "main"]),
-    ("stepcost.py", ["main", "probe", "search_seconds", "batch_row", "against", "BATCH_PROBE",
+    ("stepcost.py", ["main", "probe", "search_seconds", "batch_row", "engine_steps", "against", "BATCH_PROBE",
                      "STEP_PROBE", "SETUP_PROBE", "SEARCH_PROBE", "AGAINST_ROWS", "BATCH_ROWS", "_COMPLETED",
                      "_CHUNK", "compile_expr", "regions", "form_regions", "trap_regions", "classify_batch",
                      "GridSpec"]),
@@ -49,3 +49,17 @@ def test_stepcost_probes_run_on_this_checkout():
                           "Bounded cycles: 0.3*exp(z) over 256x256 seeds of [-4, 4]x[-4, 4], us per run"]
     assert titles[-1] == ("region search: certify.regions of z+1+exp(-z), 0.3*exp(z), 1/pow(z,2), z+sin(z), "
                           "summed, us per call")
+
+
+def test_stepcost_batch_row_without_engine_steps(capsys):
+    """Every seed of ``pow(z,2)`` over [2, 3]^2 lies in its region
+    ``|z| >= 1.0009765625`` and ends at step 0, so the engine runs no step:
+    the row prints the time per run alone. The short-orbit row's 56 live
+    seeds run as one chunk, until the last ends at step 3."""
+    stepcost = runpy.run_path(str(TOOLS / "stepcost.py"), run_name="not_main")
+    stepcost["batch_row"]("outside the disk", "pow(z,2)", stepcost["GridSpec"](2.0, 3.0, 2.0, 3.0, 8, 8))
+    out = capsys.readouterr().out
+    assert "0 engine steps" in out and "per engine step" not in out
+    _, text, grid = stepcost["BATCH_ROWS"][0]
+    _, state = stepcost["classify_batch"](stepcost["parse"](text), grid.points(), return_state=True)
+    assert stepcost["engine_steps"](state) == 3

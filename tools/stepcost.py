@@ -39,9 +39,13 @@ Two batch rows measure the other end, where lanes end, each a run of
   orbits end in the trap box about its attracting fixed point at the
   step-15 checkpoint (without the box, at a near-repeat, about step 64).
 
-Each prints microseconds per run and per engine step (the run's time over
-the steps its chunks take, each chunk running until its last lane ends)
-and the lane-steps, the steps summed over the lanes.
+Each prints microseconds per run and per engine step, and the lane-steps,
+the steps summed over the lanes. ``classify_batch`` tests every seed
+against the regions once, as step 0, and runs the engine only on the
+seeds that no region holds, in chunks of up to 4,096 of them, each chunk
+until its last lane ends; the engine steps are those steps summed over
+the chunks. A grid whose every seed ends at step 0 runs no engine step:
+its row prints the time per run alone.
 
 Last, for every map of the catalog and for the maps of ``SEARCH_EXTRA``,
 it prints the time of the whole region search, `bungee.certify.regions`,
@@ -221,15 +225,24 @@ def probe(code: str, src: Path, *args) -> list[float]:
     return [float(x) for x in run.stdout.split()]
 
 
+def engine_steps(state) -> int:
+    """The steps the engine runs in a ``classify_batch`` call whose lanes
+    all end before the budget: the seeds that no region holds at step 0
+    run in chunks of up to ``_CHUNK``, each chunk until its last lane ends."""
+    live = state.term_step[~((state.term_step == 0) & (state.region >= 0))]
+    return sum(int(live[lo : lo + _CHUNK].max()) for lo in range(0, live.size, _CHUNK))
+
+
 def batch_row(title: str, text: str, grid: GridSpec) -> None:
     """Print the cost of a batch run whose lanes all end before the
-    budget, per run and per step, and its lane-steps."""
+    budget, per run and, if the engine steps at all, per engine step, and
+    its lane-steps."""
     f, z = parse(text), grid.points().ravel()
     _, state = classify_batch(f, z, return_state=True)
     ends = state.term_step
     if (state.kind == _COMPLETED).any():
         sys.exit(f"error: an orbit of {text} ran the whole budget")
-    steps = sum(int(ends[lo : lo + _CHUNK].max()) for lo in range(0, z.size, _CHUNK))
+    steps = engine_steps(state)
     times = []
     for _ in range(REPEATS):
         start = time.perf_counter()
@@ -238,8 +251,8 @@ def batch_row(title: str, text: str, grid: GridSpec) -> None:
     run = min(times)
     print(f"{title}: {text} over {grid.nx}x{grid.ny} seeds of {window(grid)}, lanes end at steps "
           f"{ends.min()}-{ends.max()}, {steps} engine steps; best of {REPEATS}")
-    print(f"{run * 1e6:>10.0f} us per run {run / steps * 1e6:>10.1f} us per engine step "
-          f"{int(ends.sum()):>10,} lane-steps")
+    per_step = f" {run / steps * 1e6:>10.1f} us per engine step" if steps else ""
+    print(f"{run * 1e6:>10.0f} us per run{per_step} {int(ends.sum()):>10,} lane-steps")
 
 
 def search_seconds(program, search=regions) -> float:
