@@ -10,10 +10,11 @@ optional boundary bitmap and JSON), ``verify`` (one relation over a
 sample plan, JSON report), ``examples`` (catalog listing and runs).
 
 Exit codes: 0 success, 1 usage or expression parse error (including
-inputs ``verify`` and ``examples run`` refuse), 2 runtime error, 3 verify
-ran cleanly but found violations. All file contents are built before any
-output file is opened, and a failed write removes the files the call
-already wrote, so failed invocations leave no partial files behind.
+inputs ``verify`` and ``examples run`` refuse, and an empty file path),
+2 runtime error, 3 verify ran cleanly but found violations. All file
+contents are built before any output file is opened, and a failed write
+removes the files the call already wrote, so failed invocations leave no
+partial files behind.
 """
 
 from __future__ import annotations
@@ -354,6 +355,16 @@ def _build_parser() -> _ArgumentParser:
     return p
 
 
+# The flags that take a file path, with their attribute on the namespace.
+_PATH_FLAGS = (
+    ("--config", "config"),
+    ("--out", "out"),
+    ("--csv", "csv"),
+    ("--ppm", "ppm"),
+    ("--boundary", "boundary"),
+    ("--json", "json_path"),
+)
+
 _DISPATCH = {
     "classify": _cmd_classify,
     "orbit": _cmd_orbit,
@@ -375,8 +386,9 @@ def main(argv: Optional[list[str]] = None) -> int:
     try:
         if ns.workers < 1:
             raise _UsageError("--workers must be at least 1")
-        if ns.config == "":  # Path("") would read the directory "."
-            raise _UsageError("--config needs a file path")
+        for flag, dest in _PATH_FLAGS:
+            if getattr(ns, dest, None) == "":  # Path("") would name the directory "."
+                raise _UsageError(f"{flag} needs a file path")
         return _DISPATCH[ns.command](ns)
     except (_UsageError, ExprSyntaxError) as exc:
         print(f"error: {exc}", file=sys.stderr)

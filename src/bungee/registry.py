@@ -31,10 +31,8 @@ from .orbit import (
     Classification,
     ClassifierConfig,
     DEFAULT_CONFIG,
-    classify,
     classify_batch,
     classify_point,
-    iterate_orbit,
 )
 from .relations import RelationId, SamplePlan, check_permutable, verify_relation
 
@@ -214,10 +212,9 @@ def _sine_drift(entry: ExampleEntry, cfg: ClassifierConfig, scale: float):
 
 
 def _sine_lattice_bounded(entry, cfg, scale):
-    verdicts = {
-        k: str(classify_point(entry.f, complex(k * math.pi), cfg))
-        for k in range(-3, 4)
-    }
+    ks = range(-3, 4)
+    codes = classify_batch(entry.f, np.array(ks) * math.pi, cfg)
+    verdicts = {k: str(Classification(int(c))) for k, c in zip(ks, codes)}
     return all(v == "Bounded" for v in verdicts.values()), {"verdicts": verdicts}
 
 
@@ -250,17 +247,11 @@ def _rational_circle(entry, cfg, scale):
 
 def _exp_basin(entry, cfg, scale):
     q = _fixed_point_bisection(0.3, 0.0, 1.0)
-    seeds = np.linspace(-2.0, 0.0, 17)
-    last = []
-    all_bounded = True
-    for s in seeds:
-        rec = iterate_orbit(entry.f, complex(s), cfg)
-        if classify(rec, cfg) is not Classification.BOUNDED:
-            all_bounded = False
-        last.append(rec.values[-1])
+    codes, state = classify_batch(entry.f, np.linspace(-2.0, 0.0, 17), cfg, return_state=True)
+    all_bounded = bool((codes == int(Classification.BOUNDED)).all())
     # An orbit may end in the map's trap box about q before it has settled
     # (`CertifiedBounded`): continue each last iterate 64 steps, then measure.
-    program, z = compile_expr(entry.f), np.array(last, dtype=np.complex128)
+    program, z = compile_expr(entry.f), state.z
     for _ in range(64):
         z, _ = eval_array(program, z)
     worst = float(np.abs(z - q).max())

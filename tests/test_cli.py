@@ -624,12 +624,19 @@ def test_non_positive_workers_is_usage_error(tmp_path, argv, workers):
     ids=["classify", "orbit", "render", "verify", "examples-list", "examples-run"],
 )
 def test_empty_config_path_is_usage_error(tmp_path, argv):
+    """An empty path is a usage error, and no file is written, for every
+    flag that takes a path: ``--config`` and ``--out`` before or after the
+    subcommand, and the subcommand's own output paths."""
     extra = {"orbit": ["--csv", str(tmp_path / "never.csv")], "render": ["--ppm", str(tmp_path / "never.ppm")]}
-    for args in (["--config", "", *argv], [*argv, "--config="]):
-        code, out, err = run([*args, *extra.get(argv[0], [])])
+    outputs = {"orbit": ["--csv"], "render": ["--ppm", "--boundary", "--json"]}
+    tail = extra.get(argv[0], [])
+    cases = [(flag, [flag, "", *argv, *tail]) for flag in ("--config", "--out")]
+    cases += [(flag, [*argv, *tail, f"{flag}="]) for flag in ("--config", "--out", *outputs.get(argv[0], []))]
+    for flag, args in cases:
+        code, out, err = run(args)
         assert (code, out) == (1, "")
-        assert err == "error: --config needs a file path\n"
-    assert list(tmp_path.iterdir()) == []
+        assert err == f"error: {flag} needs a file path\n"
+        assert list(tmp_path.iterdir()) == []
 
 
 def test_missing_config_file_is_runtime_error(tmp_path):

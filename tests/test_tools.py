@@ -2,19 +2,23 @@
 
 Each script is loaded as a module, not run, so only its imports and
 top-level definitions execute; this catches a script that imports a
-name the package no longer has (``tools/stepcost.py`` imports the
-private engine names ``_COMPLETED`` and ``_CHUNK`` and the region
-searches ``regions``, ``form_regions`` and ``trap_regions``, and reads ``Program.checked``
-from ``compile_expr``). The probes that ``tools/stepcost.py`` runs in
-fresh processes import more private names, so they are run once on a
-small input; the set-up and region-search probes, on their own maps.
+name the package no longer has. The rows of ``tools/stepcost.py`` are
+functions of a package object, which read its private engine names
+(``orbit._run_batch``, ``orbit._COMPLETED``, the ``orbit.eval_array``
+binding) and the region searches ``regions``, ``form_regions`` and
+``trap_regions`` only when called, so each row is called once on this
+checkout's package, on a small input; the set-up row, which runs in a
+fresh process, on its own maps.
 """
 
 from __future__ import annotations
 
 import runpy
+import shutil
+import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -23,28 +27,27 @@ TOOLS = ROOT / "tools"
 
 @pytest.mark.parametrize("script, names", [
     ("parity.py", ["write_outputs", "EDGE_SEEDS", "DRIFT_CFG", "main"]),
-    ("stepcost.py", ["main", "probe", "search_seconds", "batch_row", "engine_steps", "against", "BATCH_PROBE",
-                     "STEP_PROBE", "SETUP_PROBE", "SEARCH_PROBE", "AGAINST_ROWS", "BATCH_ROWS", "_COMPLETED",
-                     "_CHUNK", "compile_expr", "regions", "form_regions", "trap_regions", "classify_batch",
-                     "GridSpec"]),
+    ("stepcost.py", ["main", "load", "best", "step_us", "batch_us", "engine_steps", "batch_row", "search_us",
+                     "setup_ms", "against", "SETUP_PROBE", "AGAINST_ROWS", "BATCH_ROWS", "GridSpec", "bungee"]),
 ])
 def test_tool_script_loads(script, names):
     namespace = runpy.run_path(str(TOOLS / script), run_name="not_main")
     assert [name for name in names if name not in namespace] == []
 
 
-def test_stepcost_probes_run_on_this_checkout():
+def test_stepcost_rows_run_on_this_checkout():
     stepcost = runpy.run_path(str(TOOLS / "stepcost.py"), run_name="not_main")
-    evaluation, step = stepcost["probe"](stepcost["STEP_PROBE"], ROOT / "src", 1, 1)
-    assert 0 < evaluation < step
+    bungee = stepcost["bungee"]
+    evaluation, bookkeeping = stepcost["step_us"](bungee, 1, 1)
+    assert evaluation > 0 and bookkeeping > 0
+    assert bungee.orbit.eval_array is bungee.expr.eval_array  # the timing wrapper is gone
+    grid = stepcost["GridSpec"](-1.0, 1.0, -1.0, 1.0, 4, 4)
     for _, text, _ in stepcost["BATCH_ROWS"]:
-        (run,) = stepcost["probe"](stepcost["BATCH_PROBE"], ROOT / "src", text, -1.0, 1.0, -1.0, 1.0, 4, 4)
-        assert run > 0
-    (setup,) = stepcost["probe"](stepcost["SETUP_PROBE"], ROOT / "src", *stepcost["SETUP_MAPS"])
-    assert setup > 0
-    (search,) = stepcost["probe"](stepcost["SEARCH_PROBE"], ROOT / "src", *stepcost["SETUP_MAPS"])
-    assert search > 0
-    titles = [title for title, *_ in stepcost["AGAINST_ROWS"]]
+        assert stepcost["batch_us"](bungee, text, grid) > 0
+    for search in ("regions", "form_regions", "trap_regions"):
+        assert stepcost["search_us"](bungee, stepcost["SETUP_MAPS"], search) > 0
+    assert stepcost["setup_ms"](bungee) > 0
+    titles = [title for title, _ in stepcost["AGAINST_ROWS"]]
     assert titles[:2] == ["short orbits: 1/pow(z,2) over 256x256 seeds of [-2, 2]x[-2, 2], us per run",
                           "Bounded cycles: 0.3*exp(z) over 256x256 seeds of [-4, 4]x[-4, 4], us per run"]
     assert titles[-1] == ("region search: certify.regions of z+1+exp(-z), 0.3*exp(z), 1/pow(z,2), z+sin(z), "
@@ -55,11 +58,60 @@ def test_stepcost_batch_row_without_engine_steps(capsys):
     """Every seed of ``pow(z,2)`` over [2, 3]^2 lies in its region
     ``|z| >= 1.0009765625`` and ends at step 0, so the engine runs no step:
     the row prints the time per run alone. The short-orbit row's 56 live
-    seeds run as one chunk, until the last ends at step 3."""
+    seeds make one engine run, until the last ends at step 3."""
     stepcost = runpy.run_path(str(TOOLS / "stepcost.py"), run_name="not_main")
-    stepcost["batch_row"]("outside the disk", "pow(z,2)", stepcost["GridSpec"](2.0, 3.0, 2.0, 3.0, 8, 8))
+    bungee = stepcost["bungee"]
+    stepcost["batch_row"](bungee, "outside the disk", "pow(z,2)", stepcost["GridSpec"](2.0, 3.0, 2.0, 3.0, 8, 8))
     out = capsys.readouterr().out
     assert "0 engine steps" in out and "per engine step" not in out
     _, text, grid = stepcost["BATCH_ROWS"][0]
-    _, state = stepcost["classify_batch"](stepcost["parse"](text), grid.points(), return_state=True)
-    assert stepcost["engine_steps"](state) == 3
+    inner = bungee.orbit._run_batch
+    assert stepcost["engine_steps"](bungee, text, grid) == 3
+    assert bungee.orbit._run_batch is inner  # the counting wrapper is gone
+
+
+def test_stepcost_loads_two_checkouts_side_by_side(tmp_path):
+    """`load` imports a checkout's package under a name of its own: this
+    checkout and a copy of its ``src/`` give distinct ``orbit`` modules,
+    each from its own ``src/``, and a wrapper on one's ``eval_array``
+    binding leaves the other alone."""
+    stepcost = runpy.run_path(str(TOOLS / "stepcost.py"), run_name="not_main")
+    shutil.copytree(ROOT / "src" / "bungee", tmp_path / "src" / "bungee", ignore=shutil.ignore_patterns("__pycache__"))
+    names = ("stepcost_test_this", "stepcost_test_copy")
+    try:
+        this, copy = stepcost["load"](ROOT, names[0]), stepcost["load"](tmp_path, names[1])
+        assert this.orbit is not copy.orbit
+        assert Path(this.orbit.__file__).is_relative_to(ROOT / "src")
+        assert Path(copy.orbit.__file__).is_relative_to(tmp_path / "src")
+        copy.list_examples()  # the catalog is imported lazily, as a module of the package that asks
+        assert copy.registry.__name__ == "stepcost_test_copy.registry"
+        calls, inner = [], this.orbit.eval_array
+
+        def counted(*args):
+            calls.append(args)
+            return inner(*args)
+
+        this.orbit.eval_array = counted
+        copy.classify_batch(copy.parse("exp(z)"), np.zeros(1))  # no region holds 0: the engine evaluates
+        assert calls == [] and copy.orbit.eval_array is copy.expr.eval_array
+        this.classify_batch(this.parse("exp(z)"), np.zeros(1))
+        assert calls
+    finally:
+        for name in [name for name in sys.modules if name.split(".")[0] in names]:
+            del sys.modules[name]
+
+
+def test_stepcost_against_one_checkout_keeps_two_sides(capsys):
+    """`against` of a checkout with itself still alternates two packages:
+    here a row whose figure is the length of the package's name, which
+    this checkout's ``bungee`` wins in every round."""
+    stepcost = runpy.run_path(str(TOOLS / "stepcost.py"), run_name="not_main")
+    stepcost["against"].__globals__["AGAINST_ROWS"] = (("name length", lambda pkg: len(pkg.__name__)),)
+    try:
+        stepcost["against"](ROOT, 2)
+    finally:
+        for name in [name for name in sys.modules if name.split(".")[0] == "bungee_against"]:
+            del sys.modules[name]
+    _, this, other = capsys.readouterr().out.splitlines()
+    assert this.split() == ["6.0", "median,", "faster", "in", "2", "of", "2", str(ROOT)]
+    assert other.split() == ["14.0", "median,", "faster", "in", "0", "of", "2", str(ROOT)]
