@@ -385,7 +385,12 @@ def enclose(program: Program, box) -> tuple:
 
 def certifies(program: Program, region: Region) -> bool:
     """Whether ``alpha >= 1`` and ``inf Re(I/u) > 0`` on ``region``."""
-    alpha, rect = enclose(program, region.box())
+    return _certified(enclose(program, region.box()), region)
+
+
+def _certified(form, region: Region) -> bool:
+    """`certifies`, from ``form``, the enclosure of ``region``'s box."""
+    alpha, rect = form
     part = rect[region.axis]
     delta = part[0] if region.sign > 0 else -part[1]
     return alpha >= 1 and delta > 0
@@ -410,9 +415,17 @@ def _lowest(holds, rungs):
     return rungs[hi]
 
 
-def _lowest_rung(program: Program, axis: int, sign: int, ray: bool):
-    """The region of the lowest certified rung, or None if the top rung fails."""
-    radius = _lowest(lambda r: certifies(program, Region(axis, sign, r, ray)), LADDER)
+def _lowest_rung(program: Program, axis: int, sign: int, ray: bool, known: dict):
+    """The region of the lowest certified rung, or None if the top rung
+    fails; ``known`` maps regions to the enclosures of their boxes already
+    made."""
+
+    def holds(radius):
+        region = Region(axis, sign, radius, ray)
+        form = known.get(region)
+        return certifies(program, region) if form is None else _certified(form, region)
+
+    radius = _lowest(holds, LADDER)
     return None if radius is None else Region(axis, sign, radius, ray)
 
 
@@ -420,18 +433,21 @@ def escape_regions(program: Program) -> tuple[Region, ...]:
     """The certified regions of a map: half-planes, then each ray that
     reaches further than the half-plane on its side."""
     # alpha does not depend on the box, and alpha < 1 certifies nothing.
-    if enclose(program, Region(0, 1, LADDER[-1]).box())[0] < 1:
+    # The box is the top rung of the first half-plane, which reuses it.
+    first = Region(0, 1, LADDER[-1])
+    known = {first: enclose(program, first.box())}
+    if known[first][0] < 1:
         return ()
     found = [
         region
         for axis, sign in ((0, 1), (0, -1), (1, 1), (1, -1))
-        if (region := _lowest_rung(program, axis, sign, False)) is not None
+        if (region := _lowest_rung(program, axis, sign, False, known)) is not None
     ]
     if all(complex(arg).imag == 0 for op, _, arg in program.code if op == "load" and arg is not None):
         for sign in (1, -1):
             reach = min((r.radius for r in found if r.axis == 0 and r.sign == sign), default=_INF)
             if reach > LADDER[0]:
-                ray = _lowest_rung(program, 0, sign, True)
+                ray = _lowest_rung(program, 0, sign, True, known)
                 if ray is not None and ray.radius < reach:
                     found.append(ray)
     return tuple(found)

@@ -307,16 +307,30 @@ def test_certified_regions(text, regions):
 def test_the_bottom_rung_is_tried_right_after_the_top(monkeypatch):
     """Fatou's half-plane holds at the top rung of `LADDER` and at its
     bottom rung, 1/16, which is then the lowest: two tries, no bisection.
-    ``Re z >= 2`` of its conjugate by ``2z+1`` is bisected between them."""
+    ``Re z >= 2`` of its conjugate by ``2z+1`` is bisected between them.
+    Every rung tried is decided by `_certified`, the top rung of ``Re z >=
+    R`` from the enclosure the alpha test already made."""
     tried = []
-    holds = bungee.certify.certifies
-    monkeypatch.setattr(bungee.certify, "certifies", lambda program, region: tried.append(region) or holds(program, region))
+    holds = bungee.certify._certified
+    monkeypatch.setattr(bungee.certify, "_certified", lambda form, region: tried.append(region) or holds(form, region))
     assert escape_regions(compile_expr(parse("z+1+exp(-z)"))) == (Region(0, 1, 0.0625),)
     assert [r.radius for r in tried if (r.axis, r.sign, r.ray) == (0, 1, False)] == [LADDER[-1], LADDER[0]]
     tried.clear()
     assert regions_of(conjugate(parse("z+1+exp(-z)"), 2, 1))[0] == "Re z >= 2.0"
     right = [r.radius for r in tried if (r.axis, r.sign, r.ray) == (0, 1, False)]
     assert right[:2] == [LADDER[-1], LADDER[0]] and 2.0 in right[2:]
+
+
+@pytest.mark.parametrize("text", ["z+1+exp(-z)", "z+sin(z)"])
+def test_escape_regions_enclose_each_box_once(monkeypatch, text):
+    """The alpha test encloses ``Re z >= 2**60``, the top rung of the first
+    half-plane, which reuses it: each of the six boxes tried is enclosed
+    once. (Fatou's map: the top and bottom rung of ``Re z >= R``, the top
+    rungs of the other three half-planes and of the ray ``(-inf, -R]``.)"""
+    boxes = []
+    monkeypatch.setattr(bungee.certify, "enclose", lambda program, box: boxes.append(box) or enclose(program, box))
+    escape_regions(compile_expr(parse(text)))
+    assert len(boxes) == len(set(boxes)) == 6
 
 
 def regions_of(f) -> list[str]:

@@ -3,9 +3,15 @@
 from __future__ import annotations
 
 import contextlib
+import errno
 import io
 import json
+import os
+import stat
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import pytest
 
@@ -218,6 +224,92 @@ def test_render_failed_write_removes_the_files_already_written(tmp_path):
     )
     assert code == 2 and "b.pbm" in err
     assert list(tmp_path.iterdir()) == []
+
+
+RENDER_ARGV = ["render", "--function", "1/pow(z,2)", "--grid=-1.5,1.5,-1.5,1.5", "--size", "16,12"]
+RENDER_NAMES = ("r.ppm", "r.pbm", "r.json")
+
+
+def render_into(directory: Path) -> list[bytes]:
+    """The bytes of `RENDER_ARGV`'s PPM, boundary and JSON outputs, written to `RENDER_NAMES` in ``directory``."""
+    ppm, pbm, doc = (directory / name for name in RENDER_NAMES)
+    assert run([*RENDER_ARGV, "--ppm", str(ppm), "--boundary", str(pbm), "--json", str(doc)]) == (0, "", "")
+    return [path.read_bytes() for path in (ppm, pbm, doc)]
+
+
+@pytest.mark.parametrize("stale", ["longer", "shorter"])
+def test_render_over_an_existing_file_writes_the_bytes_of_a_fresh_one(tmp_path, stale):
+    """Outputs are overwritten in place, then cut to length: over a file
+    longer or shorter than the new output, the bytes are those written to
+    a fresh path."""
+    (tmp_path / "fresh").mkdir()
+    fresh = render_into(tmp_path / "fresh")
+    (tmp_path / "stale").mkdir()
+    for name, blob in zip(RENDER_NAMES, fresh):
+        size = len(blob) + 1000 if stale == "longer" else len(blob) // 3
+        (tmp_path / "stale" / name).write_bytes(b"\xff" * size)
+    assert render_into(tmp_path / "stale") == fresh
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/null"), reason="no /dev/null")
+@pytest.mark.parametrize(
+    "argv",
+    [
+        [*RENDER_ARGV, "--ppm", "/dev/null"],
+        ["--out", "/dev/null", "classify", "--function", "z", "--point", "1,0"],
+    ],
+    ids=["render", "out"],
+)
+def test_writing_to_dev_null_leaves_the_device(argv):
+    """A device is written like a file, but neither cut to length nor removed."""
+    assert run(argv) == (0, "", "")
+    assert stat.S_ISCHR(os.stat("/dev/null").st_mode)
+
+
+@pytest.mark.skipif(os.name != "posix", reason="needs resource.RLIMIT_FSIZE and preexec_fn")
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["render", "--function", "z*z", "--grid=-1,1,-1,1", "--size", "8,8", "--ppm", "{dir}/a.ppm",
+         "--boundary", "{dir}/a.pbm"],
+        ["orbit", "--function", "exp(1*i)*z", "--point", "0.9,0", "--csv", "{dir}/o.csv"],
+        ["--out", "{dir}/v.txt", "classify", "--function", "z", "--point", "1,0"],
+    ],
+    ids=["render", "orbit-csv", "out"],
+)
+def test_failed_write_leaves_no_file(tmp_path, argv):
+    """A write that fails part way, here on a file-size limit of 16 bytes
+    set in the child process alone (CPython ignores SIGXFSZ, so the write
+    raises EFBIG), exits 2 and removes the file it had begun."""
+    import resource
+
+    def limit():
+        resource.setrlimit(resource.RLIMIT_FSIZE, (16, 16))
+
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src, "PYTHONDONTWRITEBYTECODE": "1"}
+    done = subprocess.run(
+        [sys.executable, "-m", "bungee.cli", *(arg.format(dir=tmp_path) for arg in argv)],
+        capture_output=True, text=True, env=env, preexec_fn=limit, timeout=120,
+    )
+    assert (done.returncode, done.stdout) == (2, "")
+    assert done.stderr == f"error: [Errno {errno.EFBIG}] {os.strerror(errno.EFBIG)}\n"
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
+def test_failed_render_keeps_a_link_to_a_device(tmp_path):
+    """A write to ``/dev/full`` fails with ENOSPC: the call removes the
+    regular file it wrote before, but not the link that named the device,
+    nor the device."""
+    ppm, link = tmp_path / "a.ppm", tmp_path / "full"
+    link.symlink_to("/dev/full")
+    code, _, err = run(
+        ["render", "--function", "z*z", "--grid=-1,1,-1,1", "--size", "4,4", "--ppm", str(ppm), "--boundary", str(link)]
+    )
+    assert code == 2 and "No space left on device" in err
+    assert list(tmp_path.iterdir()) == [link] and link.is_symlink()
+    assert stat.S_ISCHR(os.stat("/dev/full").st_mode)
 
 
 # --- verify --------------------------------------------------------------

@@ -46,6 +46,13 @@ call: each engine run's steps, until its last lane ends, summed. A grid
 whose every seed ends at step 0 runs no engine step: its row prints the
 time per run alone.
 
+Then the render row: microseconds per in-process call of the package's
+``cli.main`` that renders ``1/pow(z,2)`` over [-2, 2] x [-2, 2] at 256 x
+256, the short-orbit row's grid, with ``--boundary`` and ``--json``, into
+one temporary directory that every run overwrites (one run writes the
+files before the timed ones), so that it times the CLI's writes of
+existing files as well as the classification and the encoders.
+
 Last, for every map of the catalog and for the maps of ``SEARCH_EXTRA``,
 it prints the time of the whole region search, `bungee.certify.regions`,
 which runs once per ``classify_batch`` or ``iterate_orbit`` call: the
@@ -69,11 +76,11 @@ Each row is the fastest of several runs, but the machine's speed drifts
 between invocations by more than many changes move a row. So
 ``--against OTHER_CHECKOUT`` also loads the other checkout's
 ``src/bungee`` in this process, as ``bungee_against``, and alternates
-five rows between the two packages, which share one numpy and one
+six rows between the two packages, which share one numpy and one
 allocator, ``--rounds`` times (default 10): the two batch rows' run
-times, the 3,600-lane bookkeeping per step, the set-up and the region
-search (of the set-up's four maps, summed). It prints each side's
-median, and in how many rounds each side was the faster.
+times, the render, the 3,600-lane bookkeeping per step, the set-up and
+the region search (of the set-up's four maps, summed). It prints each
+side's median, and in how many rounds each side was the faster.
 """
 
 from __future__ import annotations
@@ -109,6 +116,10 @@ BATCH_ROWS = (
     ("Bounded cycles", "0.3*exp(z)", GridSpec(-4.0, 4.0, -4.0, 4.0, 256, 256)),
 )
 REPEATS = 9
+# The render row: the short-orbit row's map and grid, as the CLI takes them.
+RENDER_ARGS = ("render", "--function", "1/pow(z,2)", "--grid=-2,2,-2,2", "--size", "256,256")
+RENDER_TITLE = ("render: cli.main of 1/pow(z,2) over 256x256 seeds of [-2, 2]x[-2, 2] with --boundary and --json, "
+                "overwriting its outputs, us per run")
 # Maps beside the catalog's: polynomial ones, two whose coefficients are
 # exp of a constant, and a power of high degree, whose rectangle and error
 # bound the search builds by squaring.
@@ -233,6 +244,23 @@ def batch_row(pkg, title: str, text: str, grid: GridSpec) -> None:
     print(f"{run:>10.0f} us per run{per_step} {int(ends.sum()):>10,} lane-steps")
 
 
+def render_us(pkg) -> float:
+    """The render of `RENDER_ARGS` by ``pkg``'s CLI, with its three
+    outputs in one temporary directory: microseconds per run, each run
+    after the first overwriting the files the one before wrote."""
+    main = importlib.import_module(f"{pkg.__name__}.cli").main
+    with tempfile.TemporaryDirectory() as out:
+        argv = [*RENDER_ARGS, "--ppm", f"{out}/r.ppm", "--boundary", f"{out}/r.pbm", "--json", f"{out}/r.json"]
+
+        def run():
+            code = main(argv)
+            if code:
+                sys.exit(f"error: the render exited {code}")
+
+        run()  # the timed runs overwrite what this one wrote
+        return best(run)[0] * 1e6
+
+
 def search_us(pkg, texts, search: str = "regions") -> float:
     """The region search ``certify.<search>`` of each map of ``texts``,
     once compiled: microseconds per call, the best of `REPEATS` calls for
@@ -262,6 +290,7 @@ AGAINST_ROWS = (
     *((f"{title}: {text} over {grid.nx}x{grid.ny} seeds of {window(grid)}, us per run",
        functools.partial(batch_us, text=text, grid=grid))
       for title, text, grid in BATCH_ROWS),
+    (RENDER_TITLE, render_us),
     (f"map {FATOU} over 60x60 lanes, bookkeeping us per step", lambda pkg: step_us(pkg, 60, 60)[1]),
     (SETUP_TITLE, setup_ms),
     (SEARCH_TITLE, functools.partial(search_us, texts=SETUP_MAPS)),
@@ -290,7 +319,7 @@ def against(other: Path, rounds: int) -> int:
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--against", type=Path, help="another checkout to alternate five rows with")
+    parser.add_argument("--against", type=Path, help="another checkout to alternate six rows with")
     parser.add_argument("--rounds", type=int, default=10, help="alternations with --against (default 10)")
     args = parser.parse_args(argv)
     if args.rounds < 1:
@@ -309,6 +338,7 @@ def main(argv=None) -> int:
         print(f"{nx * ny:>6} {evaluation:>11.1f} {evaluation + bookkeeping:>12.1f} {bookkeeping:>12.1f}")
     for row in BATCH_ROWS:
         batch_row(bungee, *row)
+    print(f"{RENDER_TITLE}, best of {REPEATS}: {render_us(bungee):.0f}")
     print(f"region search per call, microseconds, best of {REPEATS}: the whole search, its disk part, "
           "and the trap boxes")
     entries = [bungee.get_example(eid) for eid, _ in bungee.list_examples()]
