@@ -9,6 +9,14 @@ Subcommands: ``classify`` (one seed's verdict and orbit summary),
 optional boundary bitmap and JSON), ``verify`` (one relation over a
 sample plan, JSON report), ``examples`` (catalog listing and runs).
 
+Numeric arguments are comma-separated finite numbers: ``--point RE,IM``,
+``--phi A_RE,A_IM,B_RE,B_IM``, ``--grid REMIN,REMAX,IMMIN,IMMAX``,
+``--size NX,NY`` (integers), ``--samples grid:REMIN,REMAX,IMMIN,IMMAX:NXxNY``
+or ``--samples list:RE,IM;RE,IM;...``. One reader, `_numbers`, reads them
+all and refuses with ``FLAG must be FORM``, then ``FLAG parts must be
+numeric``, ``integers`` or ``finite``; a grid `GridSpec` refuses reads
+``FLAG: REASON``.
+
 Exit codes: 0 success, 1 usage or expression parse error (including
 inputs ``verify`` and ``examples run`` refuse, and an empty file path),
 2 runtime error, 3 verify ran cleanly but found violations.
@@ -67,81 +75,39 @@ class _ArgumentParser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
-def _parse_complex(text: str, what: str) -> complex:
-    parts = text.split(",")
-    if len(parts) != 2:
-        raise _UsageError(f"{what} must be RE,IM")
+def _numbers(text: str, flag: str, form: str, sep: str = ",", kind: type = float) -> list:
+    """The parts of ``text``, split at ``sep``: as many as ``form`` has, each
+    a finite ``kind``. Any failure is a usage error that names ``flag``."""
+    parts = text.split(sep)
+    if len(parts) != len(form.split(sep)):
+        raise _UsageError(f"{flag} must be {form}")
     try:
-        re, im = float(parts[0]), float(parts[1])
+        nums = [kind(p) for p in parts]
     except ValueError:
-        raise _UsageError(f"{what} must be RE,IM with numeric parts") from None
-    if not (math.isfinite(re) and math.isfinite(im)):
-        raise _UsageError(f"{what} parts must be finite")
-    return complex(re, im)
+        raise _UsageError(f"{flag} parts must be {'integers' if kind is int else 'numeric'}") from None
+    if kind is float and not all(map(math.isfinite, nums)):
+        raise _UsageError(f"{flag} parts must be finite")
+    return nums
 
 
-def _parse_phi(text: str) -> tuple[complex, complex]:
-    parts = text.split(",")
-    if len(parts) != 4:
-        raise _UsageError("--phi must be A_RE,A_IM,B_RE,B_IM")
+def _grid(flag: str, bounds: list[float], size: list[int]) -> GridSpec:
     try:
-        nums = [float(p) for p in parts]
-    except ValueError:
-        raise _UsageError("--phi parts must be numeric") from None
-    if not all(math.isfinite(x) for x in nums):
-        raise _UsageError("--phi parts must be finite")
-    return complex(nums[0], nums[1]), complex(nums[2], nums[3])
-
-
-def _parse_grid_arg(text: str) -> tuple[float, float, float, float]:
-    parts = text.split(",")
-    if len(parts) != 4:
-        raise _UsageError("--grid must be REMIN,REMAX,IMMIN,IMMAX")
-    try:
-        vals = tuple(float(p) for p in parts)
-    except ValueError:
-        raise _UsageError("--grid parts must be numeric") from None
-    return vals
-
-
-def _parse_size(text: str) -> tuple[int, int]:
-    parts = text.split(",")
-    if len(parts) != 2:
-        raise _UsageError("--size must be NX,NY")
-    try:
-        nx, ny = int(parts[0]), int(parts[1])
-    except ValueError:
-        raise _UsageError("--size parts must be integers") from None
-    if nx < 1 or ny < 1:
-        raise _UsageError("--size parts must be positive")
-    return nx, ny
+        return GridSpec(*bounds, *size)
+    except ValueError as exc:
+        raise _UsageError(f"{flag}: {exc}") from None
 
 
 def _parse_samples(text: str) -> SamplePlan:
     if text.startswith("grid:"):
-        body = text[len("grid:") :]
-        pieces = body.split(":")
+        pieces = text[len("grid:") :].split(":")
         if len(pieces) != 2:
-            raise _UsageError("--samples grid form is grid:REMIN,REMAX,IMMIN,IMMAX:NXxNY")
-        bounds = pieces[0].split(",")
-        dims = pieces[1].lower().split("x")
-        if len(bounds) != 4 or len(dims) != 2:
-            raise _UsageError("--samples grid form is grid:REMIN,REMAX,IMMIN,IMMAX:NXxNY")
-        try:
-            re_min, re_max, im_min, im_max = (float(p) for p in bounds)
-            nx, ny = int(dims[0]), int(dims[1])
-        except ValueError:
-            raise _UsageError("--samples grid parts must be numeric") from None
-        try:
-            return SamplePlan.grid(re_min, re_max, im_min, im_max, nx, ny)
-        except ValueError as exc:
-            raise _UsageError(str(exc)) from None
+            raise _UsageError("--samples must be grid:REMIN,REMAX,IMMIN,IMMAX:NXxNY")
+        bounds = _numbers(pieces[0], "--samples grid bounds", "REMIN,REMAX,IMMIN,IMMAX")
+        size = _numbers(pieces[1].lower(), "--samples grid size", "NXxNY", "x", int)
+        return SamplePlan(kind="grid", spec=_grid("--samples", bounds, size))
     if text.startswith("list:"):
-        body = text[len("list:") :]
-        points = []
-        for item in body.split(";"):
-            if item:
-                points.append(_parse_complex(item, "sample point"))
+        items = text[len("list:") :].split(";")
+        points = [complex(*_numbers(item, "--samples sample point", "RE,IM")) for item in items if item]
         if not points:
             raise _UsageError("--samples list form needs at least one RE,IM point")
         return SamplePlan.explicit(points)
@@ -162,8 +128,8 @@ def _write_files(outputs: list[tuple[str, bytes]]) -> None:
     """Write each ``(path, blob)`` of ``outputs``, in order, in place:
     opened without ``O_TRUNC``, written whole, then, if a regular file,
     cut to the blob's length. On `OSError` the regular files opened so far
-    are removed before it propagates; other targets, such as devices, are
-    left alone."""
+    are removed before it propagates, named with the path it failed on;
+    other targets, such as devices, are left alone."""
     regular: list[str] = []
     try:
         for path, blob in outputs:
@@ -179,9 +145,11 @@ def _write_files(outputs: list[tuple[str, bytes]]) -> None:
                     os.ftruncate(fd, len(blob))
             finally:
                 os.close(fd)
-    except OSError:
-        for path in regular:
-            Path(path).unlink(missing_ok=True)
+    except OSError as exc:
+        for done in regular:
+            Path(done).unlink(missing_ok=True)
+        if exc.filename is None:  # os.write, os.fstat and os.ftruncate name no file
+            raise OSError(exc.errno, exc.strerror, path) from None
         raise
 
 
@@ -207,7 +175,7 @@ def _orbit_summary(rec: OrbitRecord, verdict) -> dict:
 def _cmd_classify(ns) -> int:
     cfg = _load_config(ns.config)
     f = parse(ns.function)
-    seed = _parse_complex(ns.point, "--point")
+    seed = complex(*_numbers(ns.point, "--point", "RE,IM"))
     rec = iterate_orbit(f, seed, cfg)
     verdict = classify(rec, cfg)
     doc = _orbit_summary(rec, verdict)
@@ -222,7 +190,7 @@ def _cmd_classify(ns) -> int:
 def _cmd_orbit(ns) -> int:
     cfg = _load_config(ns.config)
     f = parse(ns.function)
-    seed = _parse_complex(ns.point, "--point")
+    seed = complex(*_numbers(ns.point, "--point", "RE,IM"))
     rec = iterate_orbit(f, seed, cfg)
     lines = ["n,re,im,modulus"]
     for n, (v, m) in enumerate(zip(rec.values, rec.moduli)):
@@ -235,12 +203,8 @@ def _cmd_orbit(ns) -> int:
 def _cmd_render(ns) -> int:
     cfg = _load_config(ns.config)
     f = parse(ns.function)
-    re_min, re_max, im_min, im_max = _parse_grid_arg(ns.grid)
-    nx, ny = _parse_size(ns.size)
-    try:
-        spec = GridSpec(re_min, re_max, im_min, im_max, nx, ny)
-    except ValueError as exc:
-        raise _UsageError(str(exc)) from None
+    bounds = _numbers(ns.grid, "--grid", "REMIN,REMAX,IMMIN,IMMAX")
+    spec = _grid("--grid/--size", bounds, _numbers(ns.size, "--size", "NX,NY", kind=int))
     raster = classify_grid(f, spec, cfg, workers=ns.workers)
     outputs: list[tuple[str, bytes]] = [(ns.ppm, render_ppm(raster))]
     if ns.boundary:
@@ -257,7 +221,8 @@ def _cmd_verify(ns) -> int:
     g = parse(ns.g) if ns.g else None
     a = b = None
     if ns.phi:
-        a, b = _parse_phi(ns.phi)
+        nums = _numbers(ns.phi, "--phi", "A_RE,A_IM,B_RE,B_IM")
+        a, b = complex(*nums[:2]), complex(*nums[2:])
     plan = _parse_samples(ns.samples)
     try:
         report = verify_relation(

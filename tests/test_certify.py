@@ -459,7 +459,7 @@ def test_no_mpmath_on_the_run_paths(tmp_path):
         "main(['classify', '--function', 'z+sin(z)+2*pi', '--point', '0,0']); "
         "assert 'mpmath' not in sys.modules, 'mpmath imported'"
     )
-    proc = subprocess.run([sys.executable, "-c", code], env={"PYTHONPATH": str(SRC)},
+    proc = subprocess.run([sys.executable, "-B", "-c", code], env={"PYTHONPATH": str(SRC)},
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
 

@@ -280,7 +280,8 @@ def test_writing_to_dev_null_leaves_the_device(argv):
 def test_failed_write_leaves_no_file(tmp_path, argv):
     """A write that fails part way, here on a file-size limit of 16 bytes
     set in the child process alone (CPython ignores SIGXFSZ, so the write
-    raises EFBIG), exits 2 and removes the file it had begun."""
+    raises EFBIG), exits 2, names the file and removes it. The first file
+    each call writes, the one named after ``{dir}/``, is the one that fails."""
     import resource
 
     def limit():
@@ -293,7 +294,8 @@ def test_failed_write_leaves_no_file(tmp_path, argv):
         capture_output=True, text=True, env=env, preexec_fn=limit, timeout=120,
     )
     assert (done.returncode, done.stdout) == (2, "")
-    assert done.stderr == f"error: [Errno {errno.EFBIG}] {os.strerror(errno.EFBIG)}\n"
+    failed = next(arg for arg in argv if arg.startswith("{dir}/")).format(dir=tmp_path)
+    assert done.stderr == f"error: [Errno {errno.EFBIG}] {os.strerror(errno.EFBIG)}: {failed!r}\n"
     assert list(tmp_path.iterdir()) == []
 
 
@@ -301,13 +303,13 @@ def test_failed_write_leaves_no_file(tmp_path, argv):
 def test_failed_render_keeps_a_link_to_a_device(tmp_path):
     """A write to ``/dev/full`` fails with ENOSPC: the call removes the
     regular file it wrote before, but not the link that named the device,
-    nor the device."""
+    nor the device, and names the link."""
     ppm, link = tmp_path / "a.ppm", tmp_path / "full"
     link.symlink_to("/dev/full")
     code, _, err = run(
         ["render", "--function", "z*z", "--grid=-1,1,-1,1", "--size", "4,4", "--ppm", str(ppm), "--boundary", str(link)]
     )
-    assert code == 2 and "No space left on device" in err
+    assert code == 2 and err == f"error: [Errno {errno.ENOSPC}] {os.strerror(errno.ENOSPC)}: {str(link)!r}\n"
     assert list(tmp_path.iterdir()) == [link] and link.is_symlink()
     assert stat.S_ISCHR(os.stat("/dev/full").st_mode)
 
@@ -456,6 +458,76 @@ def test_verify_non_finite_input_is_usage_error(flags, message):
     code, out, err = run(["verify", "--relation", "ConjugacyTransport", *flags])
     assert (code, out) == (1, "")
     assert message in err
+
+
+# Every numeric argument, with one malformed value per failure kind: a
+# wrong part count, a non-numeric part, a non-finite part and, for cell
+# counts, a non-integer one, and the exact message each gives. Every call
+# names a file under {dir} that it must not write.
+_CLASSIFY = ["--out", "{dir}/out.txt", "classify", "--function=z", "--point={}"]
+_ORBIT = ["orbit", "--function=z", "--point={}", "--csv={dir}/o.csv"]
+_PHI = ["--out", "{dir}/out.txt", "verify", "--relation=ConjugacyTransport", "--f=z", "--phi={}",
+        "--samples=list:1,0"]
+_GRID = ["render", "--function=z", "--grid={}", "--size=2,2", "--ppm={dir}/a.ppm"]
+_SIZE = ["render", "--function=z", "--grid=0,1,0,1", "--size={}", "--ppm={dir}/a.ppm"]
+_SAMPLES = ["--out", "{dir}/out.txt", "verify", "--relation=StripContainment", "--f=z", "--samples={}"]
+_NUMERIC_REFUSALS = [
+    *(
+        pytest.param(argv, value, "--point", message, id=f"{name}-point-{kind}")
+        for name, argv in (("classify", _CLASSIFY), ("orbit", _ORBIT))
+        for kind, value, message in (
+            ("count", "1,2,3", "--point must be RE,IM"),
+            ("numeric", "1,x", "--point parts must be numeric"),
+            ("finite", "nan,0", "--point parts must be finite"),
+        )
+    ),
+    pytest.param(_PHI, "1,2", "--phi", "--phi must be A_RE,A_IM,B_RE,B_IM", id="phi-count"),
+    pytest.param(_PHI, "1,0,x,0", "--phi", "--phi parts must be numeric", id="phi-numeric"),
+    pytest.param(_PHI, "1,0,inf,0", "--phi", "--phi parts must be finite", id="phi-finite"),
+    pytest.param(_GRID, "1,2,3", "--grid", "--grid must be REMIN,REMAX,IMMIN,IMMAX", id="grid-count"),
+    pytest.param(_GRID, "0,1,a,1", "--grid", "--grid parts must be numeric", id="grid-numeric"),
+    pytest.param(_GRID, "0,1,nan,1", "--grid", "--grid parts must be finite", id="grid-finite"),
+    pytest.param(_GRID, "1,0,0,1", "--grid", "--grid/--size: grid rectangle must have positive extent",
+                 id="grid-extent"),
+    pytest.param(_SIZE, "2", "--size", "--size must be NX,NY", id="size-count"),
+    pytest.param(_SIZE, "2,x", "--size", "--size parts must be integers", id="size-numeric"),
+    pytest.param(_SIZE, "2,inf", "--size", "--size parts must be integers", id="size-finite"),
+    pytest.param(_SIZE, "2,1.5", "--size", "--size parts must be integers", id="size-integer"),
+    pytest.param(_SIZE, "0,2", "--size", "--grid/--size: grid must have at least one cell per axis",
+                 id="size-cells"),
+    pytest.param(_SAMPLES, "grid:0,1,0,1", "--samples", "--samples must be grid:REMIN,REMAX,IMMIN,IMMAX:NXxNY",
+                 id="samples-grid-form"),
+    pytest.param(_SAMPLES, "grid:0,1,0:2x2", "--samples",
+                 "--samples grid bounds must be REMIN,REMAX,IMMIN,IMMAX", id="samples-bounds-count"),
+    pytest.param(_SAMPLES, "grid:0,1,a,1:2x2", "--samples", "--samples grid bounds parts must be numeric",
+                 id="samples-bounds-numeric"),
+    pytest.param(_SAMPLES, "grid:-inf,0,0,1:2x2", "--samples", "--samples grid bounds parts must be finite",
+                 id="samples-bounds-finite"),
+    pytest.param(_SAMPLES, "grid:0,1,0,1:2x2x2", "--samples", "--samples grid size must be NXxNY",
+                 id="samples-size-count"),
+    pytest.param(_SAMPLES, "grid:0,1,0,1:2x", "--samples", "--samples grid size parts must be integers",
+                 id="samples-size-numeric"),
+    pytest.param(_SAMPLES, "grid:0,1,0,1:2xinf", "--samples", "--samples grid size parts must be integers",
+                 id="samples-size-finite"),
+    pytest.param(_SAMPLES, "grid:0,1,0,1:2x1.5", "--samples", "--samples grid size parts must be integers",
+                 id="samples-size-integer"),
+    pytest.param(_SAMPLES, "grid:0,1,0,1:0x2", "--samples", "--samples: grid must have at least one cell per axis",
+                 id="samples-size-cells"),
+    pytest.param(_SAMPLES, "list:1,0;1,2,3", "--samples", "--samples sample point must be RE,IM",
+                 id="samples-point-count"),
+    pytest.param(_SAMPLES, "list:1,x", "--samples", "--samples sample point parts must be numeric",
+                 id="samples-point-numeric"),
+    pytest.param(_SAMPLES, "list:1,0;nan,0", "--samples", "--samples sample point parts must be finite",
+                 id="samples-point-finite"),
+]
+
+
+@pytest.mark.parametrize("argv, value, flag, message", _NUMERIC_REFUSALS)
+def test_malformed_numeric_argument_is_usage_error(tmp_path, argv, value, flag, message):
+    code, out, err = run([arg.format(value, dir=tmp_path) for arg in argv])
+    assert (code, out, err) == (1, "", f"error: {message}\n")
+    assert flag in err
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_verify_runtime_error_is_exit_two():

@@ -22,6 +22,11 @@ commit and the working tree) and comparing the directories with
   map of the catalog on two small grids, under both configs; the grid
   around z = 1 gives ``1/pow(z,2)`` a non-empty boundary;
 - the exit codes of two grids ``render`` refuses;
+- the exit codes of malformed numeric arguments: for ``--point`` (of
+  ``classify`` and ``orbit``), ``--phi``, ``--grid``, ``--size`` and the
+  bounds, size and points of ``--samples``, a wrong part count, a part
+  that is not a number, and one that is not finite, an integer or a
+  positive cell count where those apply;
 - ``examples run --format json`` for every catalog entry at scale 1.0,
   and the exit codes of five scales outside (0, 1];
 - ``export_registry_json()``;
@@ -34,7 +39,7 @@ commit and the working tree) and comparing the directories with
 Every command runs in process through ``bungee.cli.main``. Its exit code
 and the first line of its standard error go to ``exits.tsv``, so a
 command that fails still leaves a comparable record. The sweep writes
-1,053 files, 982 exit codes among them in ``exits.tsv``, and takes about
+1,053 files, 1,010 exit codes among them in ``exits.tsv``, and takes about
 7 s in one process on a two-core machine.
 """
 
@@ -94,6 +99,29 @@ RENDER_GRIDS = {
 }
 # Grids `render` refuses: a non-finite bound and an extent that overflows.
 RENDER_REFUSALS = {"infinite-bound": "-inf,0,0,1", "overflowing-extent": "-1e308,1e308,0,1"}
+# Malformed numeric arguments: for each flag, a command whose `{}` takes
+# the value, and one value per failure kind (a wrong part count, a part
+# that is not a number, one that is not finite, one that is not an integer,
+# a cell count below one). `{out}` is the output directory; none is written.
+NUMERIC_REFUSALS = {
+    "classify-point": (["classify", "--function=z", "--point={}"],
+                       {"count": "1,2,3", "numeric": "1,x", "finite": "nan,0"}),
+    "orbit-point": (["orbit", "--function=z", "--point={}", "--csv={out}/refusal.csv"],
+                    {"count": "1,2,3", "numeric": "1,x", "finite": "nan,0"}),
+    "phi": (["verify", "--relation=ConjugacyTransport", "--f=z", "--phi={}", "--samples=list:1,0"],
+            {"count": "1,2", "numeric": "1,0,x,0", "finite": "1,0,inf,0"}),
+    "grid": (["render", "--function=z", "--grid={}", "--size=2,2", "--ppm={out}/refusal.ppm"],
+             {"count": "1,2,3", "numeric": "0,1,a,1", "finite": "0,1,nan,1"}),
+    "size": (["render", "--function=z", "--grid=0,1,0,1", "--size={}", "--ppm={out}/refusal.ppm"],
+             {"count": "2", "numeric": "2,x", "finite": "2,inf", "integer": "2,1.5", "cells": "0,2"}),
+    "samples-bounds": (["verify", "--relation=StripContainment", "--f=z", "--samples=grid:{}:2x2"],
+                       {"count": "0,1,0", "numeric": "0,1,a,1", "finite": "-inf,0,0,1"}),
+    "samples-size": (["verify", "--relation=StripContainment", "--f=z", "--samples=grid:0,1,0,1:{}"],
+                     {"count": "2x2x2", "numeric": "2x", "finite": "2xinf", "integer": "2x1.5",
+                      "cells": "0x2"}),
+    "samples-point": (["verify", "--relation=StripContainment", "--f=z", "--samples=list:1,0;{}"],
+                      {"count": "1,2,3", "numeric": "1,x", "finite": "nan,0"}),
+}
 
 
 def _pair(z: complex) -> str:
@@ -162,6 +190,10 @@ def write_outputs(outdir: Path) -> int:
         run(f"render-refusal-{name}", ["render", "--function=z*z", f"--grid={grid}",
                                         "--size=2,2", "--ppm", str(outdir / f"refusal-{name}.ppm")],
             capture=False)
+    for flag, (argv, values) in NUMERIC_REFUSALS.items():
+        for kind, value in values.items():
+            run(f"numeric-refusal-{flag}-{kind}", [arg.format(value, out=outdir) for arg in argv],
+                capture=False)
 
     for entry in entries:
         g = entry.g if entry.g is not None else entry.f
