@@ -42,6 +42,7 @@ import contextlib
 import contextvars
 import itertools
 import math
+import numbers
 import operator
 import re
 from typing import NamedTuple, Optional, Union
@@ -83,6 +84,24 @@ TRIG_IMAG_LIMIT = 700.0
 EVENT_NONE = 0
 EVENT_INFINITY = 1
 EVENT_POLE = 2
+
+
+def _finite_real(value) -> bool:
+    """Whether ``value`` is a real number within double range, tested without
+    numpy's cast of the double range into a narrower float type."""
+    try:
+        return isinstance(value, numbers.Real) and math.isfinite(value)
+    except OverflowError:  # an int beyond double range
+        return False
+
+
+def _finite_complex(value) -> bool:
+    """Whether ``value`` is a number whose real and imaginary parts lie
+    within double range."""
+    try:
+        return isinstance(value, numbers.Number) and cmath.isfinite(value)
+    except OverflowError:  # an int beyond double range
+        return False
 
 
 class _Record:
@@ -240,7 +259,7 @@ class Const(_Value):
     __slots__ = ("value",)  # complex
 
     def __post_init__(self) -> None:
-        if not cmath.isfinite(self.value):  # as parse refuses 1e999
+        if not _finite_complex(self.value):  # as parse refuses 1e999
             raise ValueError(f"a constant must be finite, not {self.value!r}")
 
 
@@ -737,7 +756,7 @@ def compose(f: FunctionExpr, g: FunctionExpr) -> FunctionExpr:
 
 
 def _check_affine(a: complex, b: complex) -> None:
-    if not (cmath.isfinite(a) and cmath.isfinite(b)):
+    if not (_finite_complex(a) and _finite_complex(b)):
         raise ValueError("affine coefficients a and b must be finite")
     if a == 0:
         raise ValueError("affine coefficient a must be nonzero")

@@ -24,7 +24,7 @@ import numbers
 
 import numpy as np
 
-from .expr import FunctionExpr, _Record
+from .expr import FunctionExpr, _finite_real, _Record
 from .orbit import Classification, ClassifierConfig, DEFAULT_CONFIG, classify_batch
 
 __all__ = [
@@ -51,7 +51,7 @@ class GridSpec(_Record):
 
     def __post_init__(self) -> None:
         bounds = (self.re_min, self.re_max, self.im_min, self.im_max)
-        if not all(isinstance(v, numbers.Real) and math.isfinite(v) for v in bounds):
+        if not all(map(_finite_real, bounds)):
             raise ValueError("grid bounds must be finite real numbers")
         if not (self.re_min < self.re_max and self.im_min < self.im_max):
             raise ValueError("grid rectangle must have positive extent")

@@ -5,18 +5,13 @@ out (`Completed`), the orbit's modulus exceeds `OVERFLOW_GUARD`, 1e150,
 or an evaluation event fires (`Overflowed`), an iterate comes within
 `CYCLE_TOL`, 1e-12 relative, of the one at the last Brent checkpoint
 (`CycleFound`), the map is evaluated at its pole 0 (`PoleHit`,
-oracle maps only), or, at step 0 and at each Brent checkpoint, the
-iterate lies in a region that the map provably moves outward
-(`CertifiedEscape`), one whose orbits provably alternate between
-escaping and staying bounded (`CertifiedBungee`), or, from the step-15
-checkpoint on, a box that the map provably sends into its own interior
-(`CertifiedBounded`). A seed inside a region so ends before the map is
-evaluated once, even past the guard. A lane that overflows is tested
-against the regions at its last finite iterate too, the one past the
-guard or the one its failed evaluation started from, and ends certified
-at that iterate's step if one holds it. Orbits that shrink toward 0 are
-never cut short by the overflow guard: they end in a cycle, or in a trap
-box about 0 as those of ``0.5*z`` and ``pow(z,2)`` do.
+oracle maps only), or the iterate lies in one of the run's certificates:
+a region that the map provably moves outward (`CertifiedEscape`), one
+whose orbits provably alternate between escaping and staying bounded
+(`CertifiedBungee`), or a box that the map provably sends into its own
+interior (`CertifiedBounded`). Orbits that shrink toward 0 are never cut
+short by the overflow guard: they end in a cycle, or in a trap box about
+0 as those of ``0.5*z`` and ``pow(z,2)`` do.
 
 The regions are those `bungee.certify` proves for the map, once per
 `classify_batch` or `iterate_orbit` call, from its compiled program
@@ -30,14 +25,24 @@ moves ``|z| >= R`` outward (``1/pow(z,2)``). Both kinds of disk come from
 dominant-term forms. A map without a region, like ``exp(z)``, runs as it
 would without the search. The disk tests read the step's ``|z|``.
 
-The trap boxes come from a third search, `bungee.certify.trap_regions`,
-run at most once per call, and only when a lane is still live at the
-step-15 checkpoint, the fourth, which most short calls never reach: it
-iterates 0 and the map's constants 16 times and keeps the boxes
+The trap boxes come from a third search, `bungee.certify.trap_regions`:
+it iterates 0 and the map's constants 16 times and keeps the boxes
 ``c ± r`` about their end points whose interval image lies inside them
 (``0.3*exp(z)`` has ``0.4894 ± 0.5`` about its attracting fixed point).
-All lanes share the checkpoint schedule and the boxes depend only on the
-map and config, so a batch stays the concatenation of its one-seed runs.
+
+An engine run tests its lanes against one tuple of certificates,
+``held``, and a certified lane's `BatchState.region` is its index there.
+``held`` holds the regions from step 0. The boxes join it, after the
+regions, at the first Brent checkpoint from step 15 on (`_TRAP_STEP`,
+the fourth checkpoint) at which a lane outside every region is still
+live; the box search runs then, at most once per call, so most short
+calls never make it. ``held`` is tested at step 0, where a seed it holds
+ends before the map is evaluated once, even past the guard; at each
+checkpoint; and at the last finite iterate of a lane that overflows, the
+one past the guard or the one its failed evaluation started from, which
+ends certified at that iterate's step if a certificate holds it. All
+lanes share the checkpoint schedule and the boxes depend only on the map
+and config, so a batch stays the concatenation of its one-seed runs.
 
 Along the way the orbit's excursions are tracked against two radii. A
 *peak* is registered when the modulus first exceeds ``r_esc`` after a
@@ -72,39 +77,41 @@ its certificate's kind from `_KIND_CODES`, the table `_verdicts` reads
 for every certified lane, so it gets the code the engine's own step-0
 test would give it. Run on one seed, the engine also records the iterates
 and the steps at which it started and ended each peak, which is all
-`iterate_orbit` needs to place the record's peaks. The engine takes the
-map compiled once per call (`compile_expr`) and evaluates that flat
-program once per step over the live lanes only, testing the regions only
-at step 0, at checkpoints and on the lanes that overflow, and the trap
-boxes only at checkpoints from step 15 on. When an orbit ends, its state
-is written to the output once, in that step. The lane stays in the
-working arrays, parked, until they are compacted once at the end of the
-step: its values go on being updated with the others' but are never
-written again, since the tests that end lanes skip it. A lane that fails
-in evaluation is parked at 0, which is below ``r_bound``, so it starts no
-peak and trips no guard. Every lane starts at step 0, so all live lanes
-share one Brent checkpoint schedule for cycle detection (Brent 1980). A
-step in which no lane ends costs its arithmetic and a few whole-array
-tests; it builds a lane mask only when a test fires. Peak starts and
-returns update the live lanes at full width under those masks, without
-gathering or scattering. The running maximum is not taken each step: the
-maximum since the last checkpoint, which cycle detection keeps anyway, is
-folded into it at each checkpoint and when a lane ends. The state stores
-no derived fact, such as the final modulus ``|z|`` (see `BatchState`).
+`iterate_orbit` needs to place the record's peaks. `iterate_orbit` and
+`classify_batch` share one set-up per call, `_setup`: the map compiled
+(`compile_expr`), its regions, and the box search, made only when a run
+first asks for it. The engine evaluates that flat program once per step
+over the live lanes only, testing ``held`` only at step 0, at checkpoints
+and on the lanes that overflow, and one helper writes out every lane it
+holds after step 0. When an orbit ends, its state is written to the
+output once, in that step. The lane stays in the working arrays, parked,
+until they are compacted once at the end of the step: its values go on
+being updated with the others' but are never written again, since the
+tests that end lanes skip it. A lane that fails in evaluation is parked
+at 0, which is below ``r_bound``, so it starts no peak and trips no
+guard. Every lane starts at step 0, so all live lanes share one Brent
+checkpoint schedule for cycle detection (Brent 1980). A step in which no
+lane ends costs its arithmetic and a few whole-array tests; it builds a
+lane mask only when a test fires. Peak starts and returns update the live
+lanes at full width under those masks, without gathering or scattering.
+The running maximum is not taken each step: the maximum since the last
+checkpoint, which cycle detection keeps anyway, is folded into it at each
+checkpoint and when a lane ends. The state stores no derived fact, such
+as the final modulus ``|z|`` (see `BatchState`).
 """
 
 from __future__ import annotations
 
 import enum
 import functools
-import math
 import numbers
 from typing import Callable, NamedTuple, Optional, Union
 
 import numpy as np
 
 from . import certify
-from .expr import EVENT_NONE, EVENT_POLE, FunctionExpr, Program, _ignoring_errors, _Record, compile_expr, eval_array
+from .expr import (EVENT_NONE, EVENT_POLE, FunctionExpr, Program, _finite_complex, _finite_real, _ignoring_errors,
+                   _Record, compile_expr, eval_array)
 
 __all__ = [
     "Classification",
@@ -153,15 +160,6 @@ MIN_ALTERNATIONS = 2
 PEAK_GROWTH = 2.0
 CYCLE_TOL = 1e-12
 OVERFLOW_GUARD = 1e150
-
-
-def _finite_real(value) -> bool:
-    """Whether ``value`` is a real number within double range, tested without
-    numpy's cast of the double range into a narrower float type."""
-    try:
-        return isinstance(value, numbers.Real) and math.isfinite(value)
-    except OverflowError:  # an int beyond double range
-        return False
 
 
 class ClassifierConfig(_Record):
@@ -247,10 +245,10 @@ class PoleHit(_Record):
 
 class _Certified(_Record):
     """At ``step``, the iterate lay in ``region``, which `bungee.certify`
-    proved for the map: at a Brent checkpoint, or, for an escape or Bungee
-    region, also at the seed (step 0) or at the last finite iterate of an
-    overflow. The three kinds of certificate share these fields; each
-    compares equal only to its own kind."""
+    proved for the map: at the seed (step 0), at a Brent checkpoint or at
+    the last finite iterate of an overflow, a trap box only from the
+    step-15 checkpoint on. The three kinds of certificate share these
+    fields; each compares equal only to its own kind."""
 
     __slots__ = ("step", "region")  # int, str
 
@@ -334,10 +332,10 @@ class BatchState(_Record):
 
     Derived facts are not stored: the final modulus is ``|z|``, and the
     peak count is ``n_returns + in_peak`` (every peak but an open one returned).
-    ``region`` is the index, in the run's regions, of the region a
-    certified lane ended in, for a trapped lane the index of its box in the
-    run's trap boxes, and -1 for every other lane. The arrays are written
-    in place as lanes end; the fields themselves are fixed.
+    ``region`` is, for a lane of any certified kind, the index of its
+    certificate in the run's one list: the map's regions, then, once they
+    joined it, its trap boxes; -1 for every other lane. The arrays are
+    written in place as lanes end; the fields themselves are fixed.
     """
 
     __slots__ = ("z", "kind", "term_step", "period", "cycle_max", "n_returns", "last_peak", "cur_peak",
@@ -417,18 +415,13 @@ class _Lanes:
         self.ended = None
 
 
-def _in_regions(regions: tuple, z: np.ndarray, m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The engine's one region test: the positions of the values of ``z``,
-    of moduli ``m``, that lie in one of ``regions``, and the index of the
-    first region that holds each."""
-    which = certify.locate(regions, z, m)
-    at = (which >= 0).nonzero()[0]
-    return at, which[at]
-
-
-def _region_kinds(regions: tuple) -> np.ndarray:
-    """The kind of ending that each of ``regions`` certifies."""
-    return np.array([_CERTIFIED_BUNGEE if r.bungee else _CERTIFIED for r in regions], dtype=np.int8)
+def _kinds(held: tuple) -> np.ndarray:
+    """The kind of ending that each certificate of ``held`` gives a lane it
+    holds, then `_RUNNING`, which the index -1 of a lane that none holds
+    reads."""
+    kinds = [_TRAPPED if isinstance(c, certify.TrapBox) else _CERTIFIED_BUNGEE if c.bungee else _CERTIFIED
+             for c in held]
+    return np.array([*kinds, _RUNNING], dtype=np.int8)
 
 
 class _History(NamedTuple):
@@ -447,10 +440,11 @@ def _run_batch(
     history: Optional[_History] = None,
     traps: Optional[Callable[[], tuple]] = None,
 ) -> BatchState:
-    """Run the engine over ``seeds``: ``regions`` are the escape and Bungee
-    regions of the map, and ``traps``, if given, returns its trap boxes,
-    called at the first checkpoint from `_TRAP_STEP` on that finds a live
-    lane, and at every later one."""
+    """Run the engine over ``seeds``. The lanes are tested against one tuple
+    of certificates, ``held``: the map's escape and Bungee ``regions`` from
+    step 0, joined by the trap boxes that ``traps()``, if given, returns, at
+    the first checkpoint from `_TRAP_STEP` on at which a lane outside every
+    region is live."""
     z = np.array(seeds, dtype=np.complex128).ravel()
     n = z.size
     if history is not None and n != 1:
@@ -459,9 +453,11 @@ def _run_batch(
         raise ValueError("seeds must be finite")
 
     m = np.abs(z)
+    held, kinds = regions, _kinds(regions)
+    region = certify.locate(held, z, m)  # a seed held ends at step 0, unevaluated, even past the guard
     out = BatchState(
         z=z,
-        kind=np.full(n, _RUNNING, dtype=np.int8),
+        kind=kinds.take(region),
         term_step=np.zeros(n, dtype=np.int64),
         period=np.zeros(n, dtype=np.int64),
         cycle_max=np.zeros(n, dtype=np.float64),
@@ -471,16 +467,11 @@ def _run_batch(
         in_peak=np.zeros(n, dtype=bool),
         escalation_ok=np.ones(n, dtype=bool),
         global_max=m,
-        region=np.full(n, -1, dtype=np.int8),
+        region=region,
     )
     if history is not None:
         history.values.append(complex(z[0]))
 
-    kinds = _region_kinds(regions)
-    if regions:  # a seed inside a region ends at step 0, before the map is evaluated or the guard read
-        at, hit = _in_regions(regions, z, m)
-        out.kind[at] = kinds[hit]
-        out.region[at] = hit
     seed_out = (m > OVERFLOW_GUARD) & (out.kind == _RUNNING)
     out.kind[seed_out] = _OVERFLOWED
     w = _Lanes(out, out.kind != _RUNNING, m, cfg)
@@ -488,15 +479,12 @@ def _run_batch(
     # Brent schedule (checkpoint when lam reaches power) is shared by all.
     power, lam = 1, 0
 
-    def end_certified(lanes: np.ndarray, z: np.ndarray, m: np.ndarray, step: int) -> np.ndarray:
-        """Write out, as certified at ``step``, those of ``lanes`` whose
-        values ``z``, of moduli ``m``, lie in a region; returns the others."""
-        at, hit = _in_regions(regions, z, m)
-        if not at.size:
-            return lanes
-        ids = w.write(out, lanes[at], kinds[hit], step)
-        out.region[ids] = hit
-        return np.delete(lanes, at)
+    def end_held(lanes: np.ndarray, which: np.ndarray, step: int) -> None:
+        """Write out ``lanes``, if any, as certified at ``step``, each by the
+        certificate of ``held`` that ``which`` names."""
+        if lanes.size:
+            ids = w.write(out, lanes, kinds.take(which), step)
+            out.region[ids] = which
 
     with _ignoring_errors():
         for step in range(1, cfg.max_iter + 1):
@@ -507,8 +495,10 @@ def _run_batch(
                 failed = events != EVENT_NONE
                 lanes = failed.nonzero()[0]
                 n_failed = lanes.size
-                if regions:  # the last finite iterate is the one the map failed at
-                    lanes = end_certified(lanes, w.z[lanes], np.abs(w.z[lanes]), step - 1)
+                if held:  # the last finite iterate is the one the map failed at
+                    which = certify.locate(held, w.z[lanes], np.abs(w.z[lanes]))
+                    end_held(lanes[which >= 0], which[which >= 0], step - 1)
+                    lanes = lanes[which < 0]
                 pole = (events[lanes] == EVENT_POLE) & (w.z[lanes] == 0)
                 w.write(out, lanes, np.where(pole, _POLE, _OVERFLOWED), step)
                 if n_failed == w.idx.size:
@@ -551,8 +541,10 @@ def _run_batch(
             if not top <= OVERFLOW_GUARD:
                 lanes = (mv > OVERFLOW_GUARD).nonzero()[0]
                 if lanes.size:
-                    if regions:
-                        lanes = end_certified(lanes, vals[lanes], mv[lanes], step)
+                    if held:
+                        which = certify.locate(held, vals[lanes], mv[lanes])
+                        end_held(lanes[which >= 0], which[which >= 0], step)
+                        lanes = lanes[which < 0]
                     w.write(out, lanes, _OVERFLOWED, step)
 
             lam += 1
@@ -564,17 +556,16 @@ def _run_batch(
                     out.period[ids] = lam
                     out.cycle_max[ids] = w.win_max[lanes]
             if lam == power:
-                if regions:
-                    lanes = w.unended()
-                    end_certified(lanes, w.z[lanes], mv[lanes], step)
-                if traps is not None and step >= _TRAP_STEP and (w.ended is None or not w.ended.all()):
-                    boxes = traps()
-                    if boxes:
-                        which = certify.locate(boxes, w.z)
+                while True:  # twice at the checkpoint where the boxes join held
+                    if held:
+                        which = certify.locate(held, w.z, mv)
                         lanes = w.unended(which >= 0)
-                        if lanes.size:
-                            ids = w.write(out, lanes, _TRAPPED, step)
-                            out.region[ids] = which[lanes]
+                        end_held(lanes, which[lanes], step)
+                    # from _TRAP_STEP on, the boxes join held at the first checkpoint that leaves a lane live
+                    if traps is None or step < _TRAP_STEP or (w.ended is not None and w.ended.all()):
+                        break
+                    held, traps = regions + traps(), None
+                    kinds = _kinds(held)
                 np.maximum(w.global_max, w.win_max, out=w.global_max)
                 w.tortoise = w.z
                 w.tol_tort = CYCLE_TOL * np.abs(w.z)
@@ -628,10 +619,19 @@ def _cycle_entry(vals: np.ndarray, period: int, at: int, tol: float) -> int:
     return int(hits[0]) if hits.size else max(at - period, 0)
 
 
-def _trap_search(program: Program, cfg: ClassifierConfig) -> Callable[[], tuple]:
-    """The map's trap boxes, searched for on the first call only; at most
-    as many as an int8 region index can name."""
-    return functools.cache(lambda: certify.trap_regions(program, cfg)[: np.iinfo(np.int8).max + 1])
+def _setup(f: FunctionExpr, cfg: ClassifierConfig) -> tuple[Program, tuple, Callable[[], tuple]]:
+    """What a call's engine runs share: the map compiled, its escape and
+    Bungee regions, and the search for its trap boxes, made on its first
+    call only and capped so that the regions and the boxes together fit an
+    int8 region index."""
+    program = compile_expr(f)
+    regions = certify.regions(program)
+    room = np.iinfo(np.int8).max + 1 - len(regions)
+    return program, regions, functools.cache(lambda: certify.trap_regions(program, cfg)[:room])
+
+
+# The termination that names a lane's certificate, by the lane's kind.
+_CERTIFICATES = {_CERTIFIED: CertifiedEscape, _CERTIFIED_BUNGEE: CertifiedBungee, _TRAPPED: CertifiedBounded}
 
 
 def iterate_orbit(
@@ -645,34 +645,30 @@ def iterate_orbit(
     at that period; a `CertifiedEscape`, `CertifiedBungee` or
     `CertifiedBounded` names its region.
     """
+    if not _finite_complex(z0):
+        raise ValueError("seeds must be finite")
     seed = complex(z0)
     history = _History([], [], [])
-    program = compile_expr(f)
-    regions = certify.regions(program)
-    traps = _trap_search(program, cfg)
+    program, regions, traps = _setup(f, cfg)
     state = _run_batch(program, np.array([seed]), cfg, regions, history, traps)
     values = np.array(history.values, dtype=np.complex128)
     moduli = np.abs(values)
     spans = zip(history.starts, history.returns + [len(moduli)])  # an open peak runs to the end
     peaks = tuple((s + int(np.argmax(moduli[s:e])), float(moduli[s:e].max())) for s, e in spans)
 
-    k = int(state.kind[0])
+    k, step, i = int(state.kind[0]), int(state.term_step[0]), int(state.region[0])
     if k == _COMPLETED:
         termination: Termination = Completed()
     elif k == _OVERFLOWED:
-        termination = Overflowed(int(state.term_step[0]))
+        termination = Overflowed(step)
     elif k == _POLE:
-        termination = PoleHit(int(state.term_step[0]))
-    elif k == _CERTIFIED:
-        termination = CertifiedEscape(int(state.term_step[0]), str(regions[state.region[0]]))
-    elif k == _CERTIFIED_BUNGEE:
-        termination = CertifiedBungee(int(state.term_step[0]), str(regions[state.region[0]]))
-    elif k == _TRAPPED:
-        termination = CertifiedBounded(int(state.term_step[0]), str(traps()[state.region[0]]))
-    else:
+        termination = PoleHit(step)
+    elif k == _CYCLE:
         period = int(state.period[0])
-        entry = _cycle_entry(values, period, int(state.term_step[0]), CYCLE_TOL)
-        termination = CycleFound(period, entry)
+        termination = CycleFound(period, _cycle_entry(values, period, step, CYCLE_TOL))
+    else:  # the index names a box only once the run's search has found them
+        held = regions if i < len(regions) else regions + traps()
+        termination = _CERTIFICATES[k](step, str(held[i]))
 
     return OrbitRecord(
         seed=seed,
@@ -720,36 +716,37 @@ def classify_batch(
     that a region holds ends there, unevaluated, with its kind's code (a
     call of at most `_CHUNK` seeds leaves it to its one engine run). The
     other seeds run in chunks of up to `_CHUNK` independent lanes, which
-    read the regions at each Brent checkpoint and the trap boxes, found at
-    most once, when a lane first needs them; a chunk's state is dropped, so
-    memory stays bounded. With ``return_state`` every seed runs through
-    the engine, in fixed chunks of `_CHUNK`, whose own step-0 test ends the
-    seeds a region holds, and every chunk's state is kept.
+    read the run's certificates at each Brent checkpoint: the regions, and
+    the trap boxes, searched for at most once per call, when a lane first
+    needs them; a chunk's state is dropped, so memory stays bounded. With
+    ``return_state`` every seed runs through the engine, in fixed chunks of
+    `_CHUNK`, whose own step-0 test ends the seeds a region holds, and
+    every chunk's state is kept.
     """
-    seeds = np.asarray(seeds, dtype=np.complex128)
+    try:
+        seeds = np.asarray(seeds, dtype=np.complex128)
+    except OverflowError:  # an int beyond double range
+        raise ValueError("seeds must be finite") from None
     flat = seeds.ravel()
     codes = np.empty(flat.size, dtype=np.int8)
     states = []
-    program = compile_expr(f)
-    regions = certify.regions(program)
-    traps = _trap_search(program, cfg)
+    program, regions, traps = _setup(f, cfg)
     live = None  # every seed
     if regions and not return_state and flat.size > _CHUNK:
         # Step 0, once over the call, a block of seeds at a time, by the
-        # membership test `_in_regions` makes: a seed in a region ends
-        # unevaluated, with its kind's code, and only the others go on to
-        # the engine. The test's index per seed feeds both without the
-        # positions `_in_regions` gathers, which cost more than the test.
-        # A call of one chunk skips it: its one engine run makes the same
-        # test at its own step 0.
+        # engine's own step-0 test: `certify.locate` over the regions, read
+        # through `_kinds`. A seed in a region ends unevaluated, with its
+        # kind's code, and only the others go on to the engine. A call of
+        # one chunk skips it: its one engine run makes the same test at its
+        # own step 0.
         if not np.isfinite(flat).all():
             raise ValueError("seeds must be finite")
-        region_codes = _KIND_CODES[_region_kinds(regions)]
+        region_codes = _KIND_CODES[_kinds(regions)]
         parts = []
         for lo in range(0, flat.size, _CHUNK):
             block = flat[lo : lo + _CHUNK]
             which = certify.locate(regions, block, np.abs(block))
-            codes[lo : lo + _CHUNK] = region_codes.take(which)  # a live seed's -1 reads the last; the engine overwrites it
+            codes[lo : lo + _CHUNK] = region_codes.take(which)  # a live seed reads -1, which the engine overwrites
             parts.append((which < 0).nonzero()[0] + lo)
         live = np.concatenate(parts)
     for lo in range(0, flat.size if live is None else live.size, _CHUNK):

@@ -29,6 +29,8 @@ import numpy as np
 from .expr import (
     EVENT_NONE,
     FunctionExpr,
+    _check_affine,
+    _finite_complex,
     _Record,
     affine_post,
     compose,
@@ -85,9 +87,8 @@ class SamplePlan(_Record):
         elif self.kind == "list":
             if not self.points:
                 raise ValueError("sample list must not be empty")
-            for p in self.points:
-                if not (np.isfinite(p.real) and np.isfinite(p.imag)):
-                    raise ValueError("sample points must be finite")
+            if not all(map(_finite_complex, self.points)):
+                raise ValueError("sample points must be finite")
         else:
             raise ValueError(f"unknown sample plan kind: {self.kind!r}")
 
@@ -99,7 +100,8 @@ class SamplePlan(_Record):
 
     @staticmethod
     def explicit(points) -> "SamplePlan":
-        return SamplePlan(kind="list", points=tuple(complex(p) for p in points))
+        # a point that is not a finite number is kept as given, for the check to refuse
+        return SamplePlan(kind="list", points=tuple(complex(p) if _finite_complex(p) else p for p in points))
 
     @property
     def sample_count(self) -> int:
@@ -393,6 +395,7 @@ def verify_relation(
     if not given[row.needs]:
         raise ValueError(f"{rel.value} requires {row.needs}")
     if row.needs == "a and b":
+        _check_affine(a, b)
         a, b = complex(a), complex(b)
     if rel is RelationId.AFFINE_BUNGEE_EQUAL:
         g = affine_post(f, a, b)

@@ -1,4 +1,5 @@
-"""The public surface: every name in `bungee.__all__` stays and resolves."""
+"""The public surface: every name in `bungee.__all__` stays and resolves,
+and every entry point that takes numbers refuses what is not a finite one."""
 
 from __future__ import annotations
 
@@ -6,7 +7,10 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 import bungee
+from bungee.expr import Const
 
 PUBLIC_NAMES = [
     "ExprSyntaxError",
@@ -76,3 +80,36 @@ assert "bungee.registry" in sys.modules
 """
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
+
+
+HUGE = 10**400  # a Python int beyond double range: float() of it raises OverflowError
+Z2 = bungee.parse("z*z")
+ONE_SEED = bungee.SamplePlan.explicit([1])
+
+
+@pytest.mark.parametrize("call, message", [
+    pytest.param(lambda: bungee.GridSpec(0, HUGE, 0, 1, 2, 2), "grid bounds must be finite real numbers",
+                 id="grid-bound"),
+    pytest.param(lambda: Const(HUGE), "a constant must be finite", id="constant"),
+    pytest.param(lambda: bungee.affine_post(Z2, HUGE, 0), "affine coefficients a and b must be finite",
+                 id="affine-post"),
+    pytest.param(lambda: bungee.conjugate(Z2, 1, HUGE), "affine coefficients a and b must be finite",
+                 id="conjugate"),
+    pytest.param(lambda: bungee.SamplePlan.explicit([HUGE]), "sample points must be finite", id="explicit-plan"),
+    pytest.param(lambda: bungee.SamplePlan(kind="list", points=(None,)), "sample points must be finite",
+                 id="plan-of-none"),
+    pytest.param(lambda: bungee.SamplePlan(kind="list", points=("a",)), "sample points must be finite",
+                 id="plan-of-text"),
+    pytest.param(lambda: bungee.verify_relation("ConjugacyTransport", Z2, ONE_SEED, a=HUGE, b=0),
+                 "affine coefficients a and b must be finite", id="verify-a"),
+    pytest.param(lambda: bungee.verify_relation("ConjugacyTransport", Z2, ONE_SEED, a=1, b=HUGE),
+                 "affine coefficients a and b must be finite", id="verify-b"),
+    pytest.param(lambda: bungee.classify_point(Z2, HUGE), "seeds must be finite", id="classify-point"),
+    pytest.param(lambda: bungee.classify_batch(Z2, [HUGE]), "seeds must be finite", id="classify-batch"),
+])
+def test_numbers_that_are_not_finite_doubles_are_refused(call, message):
+    """An int beyond double range, or a value that is no number, is refused
+    with the message the site gives a non-finite float, not with the
+    OverflowError or AttributeError of converting it."""
+    with pytest.raises(ValueError, match=message):
+        call()

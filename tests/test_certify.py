@@ -437,6 +437,14 @@ def test_search_runs_once_per_call(monkeypatch):
         assert state.term_step.max() <= _TRAP_STEP and not np.any(state.kind == _TRAPPED)
         iterate_orbit(f, 0.5)
     assert sorted(calls) == ["escape_regions"] * 4 + ["form_regions"] * 4
+    # Nor do the Fatou render's four 48x6 strips of [-3, 3]^2 and the 60x60
+    # grid of its DisjointKandBU check, whose lanes all end by step 7.
+    fatou = parse("z+1+exp(-z)")
+    strips = [GridSpec(-3, 3, -3 + 1.5 * k, -1.5 + 1.5 * k, 48, 6) for k in range(4)]
+    for spec in (*strips, GridSpec(-3, 3, -3, 3, 60, 60)):
+        _, state = classify_batch(fatou, spec.points(), return_state=True)
+        assert state.term_step.max() < _TRAP_STEP
+    assert calls.count("trap_regions") == 0
     # Lanes of 0.3*exp(z) reach it in every chunk, and the orbit of 0.5 does
     # too: one trap search per call, which also names the record's box. The
     # orbit of 3 escapes before it: no search.
@@ -939,6 +947,24 @@ def test_trapped_batches_equal_their_one_seed_runs():
                 assert rec.termination == CertifiedBounded(int(state.term_step[i]), str(box))
                 assert classify_point(f, complex(seed)) == Classification.BOUNDED
     assert ends == {15, 31}  # 0.9*z needs two checkpoints to bring 3+3i into 0 ± 0.5
+
+
+def test_one_index_names_every_certificate():
+    """pow(z,2) on the 64x64 grid over [-4, 4]^2: 3,888 lanes end in its
+    disk |z| >= 1.0009765625 and 208 in its trap box about 0, which joins
+    the run's certificates after the disk. So a trapped lane reads region 1,
+    and that one list names, at every certified lane, the certificate its
+    one-seed record names."""
+    f = parse("pow(z,2)")
+    program = compile_expr(f)
+    held = bungee.certify.regions(program) + trap_regions(program, DEFAULT_CONFIG)
+    seeds = GridSpec(-4, 4, -4, 4, 64, 64).points().ravel()
+    _, state = classify_batch(f, seeds, return_state=True)
+    trapped = state.kind == _TRAPPED
+    assert np.count_nonzero(trapped) == 208 and np.all(state.region[trapped] == 1)
+    assert np.all(state.kind[~trapped] == _CERTIFIED) and np.all(state.region[~trapped] == 0)
+    for i in np.concatenate([np.flatnonzero(trapped)[::13], np.flatnonzero(~trapped)[::250]]):
+        assert iterate_orbit(f, complex(seeds[i])).termination.region == str(held[state.region[i]])
 
 
 def test_rotated_inverse_square_seeds_are_certified_bungee():

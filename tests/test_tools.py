@@ -28,8 +28,8 @@ TOOLS = ROOT / "tools"
 @pytest.mark.parametrize("script, names", [
     ("parity.py", ["write_outputs", "EDGE_SEEDS", "DRIFT_CFG", "main"]),
     ("stepcost.py", ["main", "load", "best", "step_us", "batch_us", "engine_steps", "batch_row", "render_us",
-                     "search_us", "setup_ms", "against", "SETUP_PROBE", "AGAINST_ROWS", "BATCH_ROWS", "GridSpec",
-                     "bungee"]),
+                     "orbit_us", "search_us", "setup_ms", "against", "SETUP_PROBE", "AGAINST_ROWS", "BATCH_ROWS",
+                     "ORBIT_SEEDS", "GridSpec", "bungee"]),
 ])
 def test_tool_script_loads(script, names):
     namespace = runpy.run_path(str(TOOLS / script), run_name="not_main")
@@ -46,15 +46,18 @@ def test_stepcost_rows_run_on_this_checkout():
     for _, text, _ in stepcost["BATCH_ROWS"]:
         assert stepcost["batch_us"](bungee, text, grid) > 0
     assert stepcost["render_us"](bungee) > 0
+    assert stepcost["orbit_us"](bungee) > 0
     for search in ("regions", "form_regions", "trap_regions"):
         assert stepcost["search_us"](bungee, stepcost["SETUP_MAPS"], search) > 0
     assert stepcost["setup_ms"](bungee) > 0
     titles = [title for title, _ in stepcost["AGAINST_ROWS"]]
-    assert len(titles) == 6
-    assert titles[:3] == ["short orbits: 1/pow(z,2) over 256x256 seeds of [-2, 2]x[-2, 2], us per run",
+    assert len(titles) == 7
+    assert titles[:4] == ["short orbits: 1/pow(z,2) over 256x256 seeds of [-2, 2]x[-2, 2], us per run",
                           "Bounded cycles: 0.3*exp(z) over 256x256 seeds of [-4, 4]x[-4, 4], us per run",
                           "render: cli.main of 1/pow(z,2) over 256x256 seeds of [-2, 2]x[-2, 2] with --boundary "
-                          "and --json, overwriting its outputs, us per run"]
+                          "and --json, overwriting its outputs, us per run",
+                          "single seed: iterate_orbit then classify of one seed of each of z+1+exp(-z), "
+                          "0.3*exp(z), 1/pow(z,2), z+sin(z), summed, us per call"]
     assert titles[-1] == ("region search: certify.regions of z+1+exp(-z), 0.3*exp(z), 1/pow(z,2), z+sin(z), "
                           "summed, us per call")
 

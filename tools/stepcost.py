@@ -53,6 +53,14 @@ one temporary directory that every run overwrites (one run writes the
 files before the timed ones), so that it times the CLI's writes of
 existing files as well as the classification and the encoders.
 
+Then the single-seed row, the path of ``bungee classify --point``:
+microseconds per in-process call of ``iterate_orbit`` then ``classify``
+of one fixed seed of each of four maps, the set-up row's, summed over
+them: ``z+1+exp(-z)`` at 2+i, in its half-plane at step 0; ``0.3*exp(z)``
+at 1+i, trapped at the step-15 checkpoint, after the call's box search;
+``1/pow(z,2)`` at 1+i, in its Bungee region at step 0; and ``z+sin(z)``
+at 2+2i, which ends in a cycle at step 8.
+
 Last, for every map of the catalog and for the maps of ``SEARCH_EXTRA``,
 it prints the time of the whole region search, `bungee.certify.regions`,
 which runs once per ``classify_batch`` or ``iterate_orbit`` call: the
@@ -76,11 +84,12 @@ Each row is the fastest of several runs, but the machine's speed drifts
 between invocations by more than many changes move a row. So
 ``--against OTHER_CHECKOUT`` also loads the other checkout's
 ``src/bungee`` in this process, as ``bungee_against``, and alternates
-six rows between the two packages, which share one numpy and one
+seven rows between the two packages, which share one numpy and one
 allocator, ``--rounds`` times (default 10): the two batch rows' run
-times, the render, the 3,600-lane bookkeeping per step, the set-up and
-the region search (of the set-up's four maps, summed). It prints each
-side's median, and in how many rounds each side was the faster.
+times, the render, the single seed, the 3,600-lane bookkeeping per step,
+the set-up and the region search (of the set-up's four maps, summed). It
+prints each side's median, and in how many rounds each side was the
+faster.
 """
 
 from __future__ import annotations
@@ -140,6 +149,10 @@ if code != 1:
     sys.exit(f"error: the CLI without a subcommand exited {code}")
 """
 SETUP_MAPS = ("z+1+exp(-z)", "0.3*exp(z)", "1/pow(z,2)", "z+sin(z)")  # perfbench's classify_points maps
+# The single-seed row: one seed of each of those maps, in its classify_points window.
+ORBIT_SEEDS = tuple(zip(SETUP_MAPS, (2 + 1j, 1 + 1j, 1 + 1j, 2 + 2j)))
+ORBIT_TITLE = (f"single seed: iterate_orbit then classify of one seed of each of {', '.join(SETUP_MAPS)}, "
+               "summed, us per call")
 SETUP_TITLE = "set-up: import bungee and bungee.cli from source, parse 4 maps, run the CLI without arguments, ms"
 SEARCH_TITLE = f"region search: certify.regions of {', '.join(SETUP_MAPS)}, summed, us per call"
 
@@ -261,6 +274,17 @@ def render_us(pkg) -> float:
         return best(run)[0] * 1e6
 
 
+def orbit_us(pkg) -> float:
+    """``iterate_orbit`` then ``classify`` of each seed of `ORBIT_SEEDS`,
+    its map parsed once: microseconds per call, the best of `REPEATS` calls
+    for each map, summed over the maps."""
+    total = 0.0
+    for text, seed in ORBIT_SEEDS:
+        f = pkg.parse(text)
+        total += best(lambda: pkg.classify(pkg.iterate_orbit(f, seed)))[0]
+    return total * 1e6
+
+
 def search_us(pkg, texts, search: str = "regions") -> float:
     """The region search ``certify.<search>`` of each map of ``texts``,
     once compiled: microseconds per call, the best of `REPEATS` calls for
@@ -291,6 +315,7 @@ AGAINST_ROWS = (
        functools.partial(batch_us, text=text, grid=grid))
       for title, text, grid in BATCH_ROWS),
     (RENDER_TITLE, render_us),
+    (ORBIT_TITLE, orbit_us),
     (f"map {FATOU} over 60x60 lanes, bookkeeping us per step", lambda pkg: step_us(pkg, 60, 60)[1]),
     (SETUP_TITLE, setup_ms),
     (SEARCH_TITLE, functools.partial(search_us, texts=SETUP_MAPS)),
@@ -319,7 +344,7 @@ def against(other: Path, rounds: int) -> int:
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--against", type=Path, help="another checkout to alternate six rows with")
+    parser.add_argument("--against", type=Path, help="another checkout to alternate seven rows with")
     parser.add_argument("--rounds", type=int, default=10, help="alternations with --against (default 10)")
     args = parser.parse_args(argv)
     if args.rounds < 1:
@@ -339,6 +364,7 @@ def main(argv=None) -> int:
     for row in BATCH_ROWS:
         batch_row(bungee, *row)
     print(f"{RENDER_TITLE}, best of {REPEATS}: {render_us(bungee):.0f}")
+    print(f"{ORBIT_TITLE}, best of {REPEATS}: {orbit_us(bungee):.0f}")
     print(f"region search per call, microseconds, best of {REPEATS}: the whole search, its disk part, "
           "and the trap boxes")
     entries = [bungee.get_example(eid) for eid, _ in bungee.list_examples()]
