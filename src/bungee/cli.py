@@ -117,10 +117,9 @@ def _parse_samples(text: str) -> SamplePlan:
 def _load_config(path: Optional[str]) -> ClassifierConfig:
     if path is None:
         return DEFAULT_CONFIG
-    text = Path(path).read_text()
     try:
-        return ClassifierConfig.from_dict(json.loads(text))
-    except ValueError as exc:  # also malformed JSON
+        return ClassifierConfig.from_dict(json.loads(Path(path).read_text(encoding="utf-8")))
+    except ValueError as exc:  # also malformed JSON, and bytes that are not UTF-8, which JSON requires
         raise _UsageError(f"config {path}: {exc}") from None
 
 

@@ -68,7 +68,11 @@ The rules are written once, vectorized, in `_verdicts`. One engine,
 `_run_batch`, drives single-point classification, batch classification
 and grid rendering, and `classify` applies `_verdicts` to the one-lane
 engine state an `OrbitRecord` keeps, so verdicts are identical across all
-of them by construction. `classify_batch` makes step 0 once per call: on
+of them by construction. Seeds are checked once, where they come in:
+`iterate_orbit` checks its one seed and `classify_batch` all of its seeds,
+before step 0, and each refuses a seed that is not a finite number (a
+string such as ``"1"`` is not one) with ``seeds must be finite``; the
+engine trusts them. `classify_batch` makes step 0 once per call: on
 more seeds than one chunk, `_CHUNK`, it tests every seed against the
 regions and runs the engine only on the seeds that none holds, in chunks
 of up to `_CHUNK`; a call of one chunk runs the engine once, which makes
@@ -370,16 +374,12 @@ class _Lanes:
     __slots__ = (*_ARRAYS, "ended")
 
     def __init__(self, out: BatchState, gone: np.ndarray, m: np.ndarray, cfg: ClassifierConfig):
-        """Lanes for the seeds of ``out`` not in mask ``gone``; ``m`` is ``|out.z|``."""
-        if np.count_nonzero(gone):
-            self.idx = (~gone).nonzero()[0]
-            for name in _LANE_FIELDS:
-                setattr(self, name, getattr(out, name)[self.idx])
-            m = m[self.idx]
-        else:  # every seed is live: copy, so that no update reaches `out`
-            self.idx = np.arange(gone.size)
-            for name in _LANE_FIELDS:
-                setattr(self, name, getattr(out, name).copy())
+        """Lanes for the seeds of ``out`` not in mask ``gone``, gathered, so
+        copied: no update reaches ``out``; ``m`` is ``|out.z|``."""
+        self.idx = (~gone).nonzero()[0]
+        for name in _LANE_FIELDS:
+            setattr(self, name, getattr(out, name)[self.idx])
+        m = m[self.idx]
         self.armed = m < cfg.r_bound
         self.tortoise = self.z
         self.tol_tort = CYCLE_TOL * m
@@ -400,11 +400,8 @@ class _Lanes:
         self.ended[lanes] = True
         return ids
 
-    def unended(self, mask: Optional[np.ndarray] = None) -> np.ndarray:
-        """The indices of the lanes in ``mask``, or of all lanes, not yet
-        written out in this step."""
-        if mask is None:
-            return np.arange(self.idx.size) if self.ended is None else (~self.ended).nonzero()[0]
+    def unended(self, mask: np.ndarray) -> np.ndarray:
+        """The indices of the lanes in ``mask`` not yet written out in this step."""
         return (mask if self.ended is None else mask & ~self.ended).nonzero()[0]
 
     def drop(self) -> None:
@@ -444,13 +441,15 @@ def _run_batch(
     of certificates, ``held``: the map's escape and Bungee ``regions`` from
     step 0, joined by the trap boxes that ``traps()``, if given, returns, at
     the first checkpoint from `_TRAP_STEP` on at which a lane outside every
-    region is live."""
-    z = np.array(seeds, dtype=np.complex128).ravel()
+    region is live.
+
+    ``seeds`` must be finite: the engine does not check them. Its two
+    callers do, `iterate_orbit` its one seed and `classify_batch` all of
+    its seeds, once, before step 0."""
+    z = np.array(seeds, dtype=np.complex128).ravel()  # a copy: `out.z` is written in place
     n = z.size
     if history is not None and n != 1:
         raise ValueError("history capture supports single-seed runs only")
-    if not np.isfinite(z).all():
-        raise ValueError("seeds must be finite")
 
     m = np.abs(z)
     held, kinds = regions, _kinds(regions)
@@ -711,6 +710,9 @@ def classify_batch(
     flattened seeds, in seed order. Verdicts agree with `classify_point`
     at every seed: both apply `_verdicts` to the same engine's state, or
     read the same `_KIND_CODES` for a seed that ends at step 0.
+    Every seed must be a finite number, a numpy number or a Python one of
+    any array shape; the call checks them all once, before step 0, and
+    refuses any other, a string included, with ``seeds must be finite``.
     The map is compiled, and its certified regions found, once per call.
     Step 0 is made once for the call, in blocks of `_CHUNK` seeds: a seed
     that a region holds ends there, unevaluated, with its kind's code (a
@@ -723,11 +725,15 @@ def classify_batch(
     `_CHUNK`, whose own step-0 test ends the seeds a region holds, and
     every chunk's state is kept.
     """
-    try:
-        seeds = np.asarray(seeds, dtype=np.complex128)
-    except OverflowError:  # an int beyond double range
-        raise ValueError("seeds must be finite") from None
+    # The dtype first, so that no numeric array is looped over in Python;
+    # numpy's cast alone would read the string "1" as a seed.
+    seeds = np.asarray(seeds)
+    if seeds.dtype.kind not in "biufc" and not all(map(_finite_complex, seeds.flat)):
+        raise ValueError("seeds must be finite")
+    seeds = seeds.astype(np.complex128, copy=False)
     flat = seeds.ravel()
+    if not np.isfinite(flat).all():
+        raise ValueError("seeds must be finite")
     codes = np.empty(flat.size, dtype=np.int8)
     states = []
     program, regions, traps = _setup(f, cfg)
@@ -739,8 +745,6 @@ def classify_batch(
         # kind's code, and only the others go on to the engine. A call of
         # one chunk skips it: its one engine run makes the same test at its
         # own step 0.
-        if not np.isfinite(flat).all():
-            raise ValueError("seeds must be finite")
         region_codes = _KIND_CODES[_kinds(regions)]
         parts = []
         for lo in range(0, flat.size, _CHUNK):

@@ -5,8 +5,10 @@ from __future__ import annotations
 
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import bungee
@@ -60,6 +62,7 @@ PUBLIC_NAMES = [
 
 def test_public_names_are_pinned_and_resolve():
     assert bungee.__all__ == PUBLIC_NAMES
+    assert set(bungee.__all__) <= set(dir(bungee))  # the catalog's names too, before it loads
     missing = [name for name in bungee.__all__ if not hasattr(bungee, name)]
     assert missing == []
 
@@ -106,6 +109,12 @@ ONE_SEED = bungee.SamplePlan.explicit([1])
                  "affine coefficients a and b must be finite", id="verify-b"),
     pytest.param(lambda: bungee.classify_point(Z2, HUGE), "seeds must be finite", id="classify-point"),
     pytest.param(lambda: bungee.classify_batch(Z2, [HUGE]), "seeds must be finite", id="classify-batch"),
+    pytest.param(lambda: bungee.classify_batch(Z2, ["1"]), "seeds must be finite", id="classify-batch-text"),
+    pytest.param(lambda: bungee.classify_batch(Z2, ["1+2j"]), "seeds must be finite",
+                 id="classify-batch-complex-text"),
+    pytest.param(lambda: bungee.classify_batch(Z2, [b"1"]), "seeds must be finite", id="classify-batch-bytes"),
+    pytest.param(lambda: bungee.classify_batch(Z2, np.array(["1"], dtype=object)), "seeds must be finite",
+                 id="classify-batch-object-text"),
 ])
 def test_numbers_that_are_not_finite_doubles_are_refused(call, message):
     """An int beyond double range, or a value that is no number, is refused
@@ -113,3 +122,22 @@ def test_numbers_that_are_not_finite_doubles_are_refused(call, message):
     OverflowError or AttributeError of converting it."""
     with pytest.raises(ValueError, match=message):
         call()
+
+
+@pytest.mark.parametrize("seeds, values", [
+    pytest.param([Fraction(1, 2)], [0.5], id="fraction"),
+    pytest.param([True], [1], id="bool"),
+    pytest.param([2**64], [2.0**64], id="int-beyond-int64"),
+    pytest.param(np.zeros(0), [], id="empty"),
+    pytest.param(np.zeros((0, 3)), np.zeros((0, 3)), id="empty-2d"),
+    pytest.param([[0.5, 2], [1j, Fraction(3, 4)]], [[0.5, 2], [1j, 0.75]], id="nested"),
+])
+def test_numbers_of_any_kind_are_seeds(seeds, values):
+    """A seed that is a finite number of another type than complex gets the
+    code of the same value as a complex128, in the input's shape."""
+    want = bungee.classify_batch(Z2, np.array(values, dtype=np.complex128))
+    for return_state in (False, True):
+        got = bungee.classify_batch(Z2, seeds, return_state=return_state)
+        codes = got[0] if return_state else got
+        assert codes.shape == want.shape and codes.dtype == np.int8
+        assert codes.tolist() == want.tolist()

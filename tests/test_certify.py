@@ -298,6 +298,8 @@ def test_exp_of_a_box_off_the_imaginary_axis_excludes_0():
         ("0.3*exp(z)", []),
         ("exp(z)", []),
         ("z*z-1", []),
+        # alpha 1e600 is beyond double range: exp of its enclosure is the whole plane
+        ("exp(1e300*(1e300*z))", []),
     ],
 )
 def test_certified_regions(text, regions):
@@ -576,6 +578,9 @@ FORM_MAPS = {
         ("0-pow(z,2)", ["|z| >= 1.0009765625"]),  # 0 - x is -x, as -pow(z,2) is
         ("-pow(z,2)", ["|z| >= 1.0009765625"]),
         ("0-1/pow(z,2)", [INVERSE_SQUARE_BUNGEE]),
+        # over |z| >= 1 the bound on |f| rounds up to an ulp above 1/(1+2**-10),
+        # which the rung 1+2**-10 then misses: |z| >= 1 is no region, a rung out is
+        ("0.9990243902439011/pow(z,2)", ["|z| >= 1.0009765625 or 0 < |z| <= 0.9980506822612084"]),
     ],
 )
 def test_form_regions(text, regions):

@@ -659,6 +659,25 @@ def test_examples_run_reports_passes():
     assert "passed 4/4" in out
 
 
+def test_examples_run_json_is_the_report():
+    """``examples run --format json`` prints the report's own JSON, byte
+    for byte."""
+    code, out, _ = run(["examples", "run", "ex_rational_bungee", "--scale", "0.25", "--format", "json"])
+    assert code == 0
+    assert out == bungee.registry.run_example("ex_rational_bungee", scale=0.25).to_json() + "\n"
+
+
+def test_module_runs_the_cli():
+    """``python -m bungee.cli`` is the ``bungee`` command: the same output
+    and exit code as `main`, for a call that succeeds and a usage error."""
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src}
+    for argv in (["classify", "--function", "z*z", "--point", "0.5,0"], ["classify", "--point", "0,0"]):
+        done = subprocess.run([sys.executable, "-B", "-m", "bungee.cli", *argv], capture_output=True, text=True,
+                              env=env, timeout=120)
+        assert (done.returncode, done.stdout, done.stderr) == run(argv)
+
+
 def test_examples_run_unknown_id_is_usage_error():
     code, out, err = run(["examples", "run", "nope"])
     assert code == 1 and out == ""
@@ -707,16 +726,18 @@ def test_bad_expression_is_usage_error():
     "body",
     ['{"bogus": 1}', '{"max_iter": 10.5}', "[1]", "{", '{"r_bound": "x"}', '{"cycle_tol": Infinity}',
      '{"overflow_guard": Infinity}', '{"peak_growth": NaN}', '{"r_bound": Infinity}', '{"r_esc": -Infinity}',
-     '{"r_esc": NaN}'],
+     '{"r_esc": NaN}', b"\xff\xfe{"],
 )
 def test_bad_config_file_is_usage_error(tmp_path, body):
+    """A config that is not a valid one, or not UTF-8 text at all, is a
+    usage error that names the file."""
     path = tmp_path / "bad.json"
-    path.write_text(body)
+    path.write_bytes(body if isinstance(body, bytes) else body.encode())
     code, _, err = run(
         ["--config", str(path), "classify", "--function", "z", "--point", "0,0"]
     )
     assert code == 1
-    assert "error:" in err and "config" in err
+    assert f"error: config {path}: " in err
 
 
 # Former fields of `ClassifierConfig`, each with its old default: the

@@ -790,6 +790,14 @@ def test_nodes_take_what_parse_takes():
     f = FunctionExpr(BinOp("+", Pow(Var(), 1), Const(1.5e308)))
     assert format_expr(f) == "pow(z,1)+1.5e+308" and parse(format_expr(f)) == f
     assert pickle.loads(pickle.dumps(f)) == f
+    g = FunctionExpr(Const(-2j))  # parse reads "-2*i" as a negated product, which evaluates the same
+    assert format_expr(g) == "-2*i" and evaluate(parse(format_expr(g)), 0) == -2j
+
+
+@pytest.mark.parametrize("item", ["z", 3, None])
+def test_compile_refuses_what_is_not_a_node(item):
+    with pytest.raises(TypeError, match="not an expression node"):
+        compile_expr(item)
 
 
 def test_deep_compositions_format_without_recursion():

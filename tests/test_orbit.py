@@ -969,6 +969,8 @@ def test_an_overflowing_lane_is_certified_at_its_last_finite_iterate():
         one = _run_batch(program, seeds[:1], DEFAULT_CONFIG, regions, history)
         # the certified lane's record ends at its step; the failed one's stops one short
         assert len(history.values) == one.term_step[0] + (one.kind[0] == _CERTIFIED)
+        with pytest.raises(ValueError, match="history capture supports single-seed runs only"):
+            _run_batch(program, seeds[:2], DEFAULT_CONFIG, regions, _History([], [], []))
 
 
 def test_lanes_crossing_the_guard_inside_a_region_are_certified():

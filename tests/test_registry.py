@@ -3,9 +3,11 @@
 from __future__ import annotations
 
 import json
+import math
 
 import pytest
 
+from bungee import registry
 from bungee import (
     export_registry_json,
     format_expr,
@@ -83,6 +85,15 @@ def test_periodic_translate_is_flagged_noncommuting():
     assert entry.permutable.value is False
     assert format_expr(entry.f) == "exp(z)"
     assert format_expr(entry.g) == "exp(z)+2*pi*i"
+
+
+def test_fixed_point_bisection_needs_a_sign_change():
+    """The fixed point of 0.3*exp lies in [0, 1], where 0.3*e**q - q changes
+    sign; on [0, 0.4] it keeps one sign, and the bracket is refused."""
+    q = registry._fixed_point_bisection(0.3, 0.0, 1.0)
+    assert abs(0.3 * math.exp(q) - q) <= 1e-12
+    with pytest.raises(ValueError, match="bisection bracket does not change sign"):
+        registry._fixed_point_bisection(0.3, 0.0, 0.4)
 
 
 def test_every_expectation_carries_provenance():

@@ -51,6 +51,8 @@ def test_relation_vocabulary():
         "DisjointKandBU",
         "StripContainment",
     }
+    assert str(RelationId.K_SWAP) == "KSwap"
+    assert all(str(r) == r.value for r in RelationId)
 
 
 # --- sample plans --------------------------------------------------------

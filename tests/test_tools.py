@@ -112,14 +112,24 @@ def test_stepcost_loads_two_checkouts_side_by_side(tmp_path):
 def test_stepcost_against_one_checkout_keeps_two_sides(capsys):
     """`against` of a checkout with itself still alternates two packages:
     here a row whose figure is the length of the package's name, which
-    this checkout's ``bungee`` wins in every round."""
+    this checkout's ``bungee`` wins in every round. Each side prints its
+    median and quartiles, for one round too."""
     stepcost = runpy.run_path(str(TOOLS / "stepcost.py"), run_name="not_main")
     stepcost["against"].__globals__["AGAINST_ROWS"] = (("name length", lambda pkg: len(pkg.__name__)),)
-    try:
-        stepcost["against"](ROOT, 2)
-    finally:
-        for name in [name for name in sys.modules if name.split(".")[0] == "bungee_against"]:
-            del sys.modules[name]
-    _, this, other = capsys.readouterr().out.splitlines()
-    assert this.split() == ["6.0", "median,", "faster", "in", "2", "of", "2", str(ROOT)]
-    assert other.split() == ["14.0", "median,", "faster", "in", "0", "of", "2", str(ROOT)]
+    for rounds in (1, 2):
+        try:
+            stepcost["against"](ROOT, rounds)
+        finally:
+            for name in [name for name in sys.modules if name.split(".")[0] == "bungee_against"]:
+                del sys.modules[name]
+        _, this, other = capsys.readouterr().out.splitlines()
+        won = ["of", str(rounds), str(ROOT)]
+        assert this.split() == ["6.0", "median,", "quartiles", "6.0", "6.0,", "faster", "in", str(rounds), *won]
+        assert other.split() == ["14.0", "median,", "quartiles", "14.0", "14.0,", "faster", "in", "0", *won]
+
+
+def test_stepcost_quartiles_stay_within_the_rounds():
+    quartiles = runpy.run_path(str(TOOLS / "stepcost.py"), run_name="not_main")["quartiles"]
+    assert quartiles([3.0]) == (3.0, 3.0)
+    assert quartiles([1.0, 3.0]) == (1.5, 2.5)
+    assert quartiles([5.0, 1.0, 2.0, 4.0, 3.0]) == (2.0, 4.0)

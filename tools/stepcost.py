@@ -88,8 +88,10 @@ seven rows between the two packages, which share one numpy and one
 allocator, ``--rounds`` times (default 10): the two batch rows' run
 times, the render, the single seed, the 3,600-lane bookkeeping per step,
 the set-up and the region search (of the set-up's four maps, summed). It
-prints each side's median, and in how many rounds each side was the
-faster.
+prints each side's median, its lower and upper quartiles (inclusive
+method; one round is its own quartiles), and in how many rounds each side
+was the faster. A row whose medians differ by less than the other side's
+interquartile range has not moved beyond that side's own spread.
 """
 
 from __future__ import annotations
@@ -322,6 +324,15 @@ AGAINST_ROWS = (
 )
 
 
+def quartiles(values: list) -> tuple[float, float]:
+    """The lower and upper quartiles of ``values``, by the inclusive method,
+    which stays within the values; a single value is both."""
+    if len(values) == 1:
+        return values[0], values[0]
+    low, _, high = statistics.quantiles(values, n=4, method="inclusive")
+    return low, high
+
+
 def against(other: Path, rounds: int) -> int:
     """Alternate each of `AGAINST_ROWS` between this checkout's package
     and ``other``'s, loaded beside it in this process."""
@@ -337,7 +348,8 @@ def against(other: Path, rounds: int) -> int:
         each = "once in a fresh process" if figure is setup_ms else f"best of {REPEATS}"
         print(f"{title} ({each} a round), {rounds} alternating rounds")
         for side, (checkout, _) in enumerate(sides):
-            print(f"{statistics.median(figures[row, side]):>10.1f} median, "
+            low, high = quartiles(figures[row, side])
+            print(f"{statistics.median(figures[row, side]):>10.1f} median, quartiles {low:>10.1f} {high:>10.1f}, "
                   f"faster in {wins[row, side]:>2} of {rounds}  {checkout}")
     return 0
 
