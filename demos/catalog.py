@@ -20,8 +20,9 @@ print("catalog entries:")
 for eid, summary in list_examples():
     print(f"  {eid:<24} {summary}")
 
-# Each entry bundles the map pair, flags, an optional config override,
-# and rerunnable expectations with their measured evidence.
+# Each entry holds its map f, an optional second map g and conjugation,
+# two hypothesis flags with their notes, whether the map is an oracle
+# that is not entire, and rerunnable expectations.
 entry = get_example("ex_exponential_family")
 print("\nex_exponential_family")
 print("  f =", format_expr(entry.f))

@@ -48,7 +48,7 @@ print("  violation rate", rep.violation_rate)
 fat = parse("z+1+exp(-z)")
 fat_up = parse("z+1+exp(-z)+2*pi*i")
 wide = SamplePlan.grid(-3.0, 3.0, -3.0, 3.0, 40, 40)
-rep = verify_relation(RelationId.DISJOINT_K_AND_BU, fat, wide, g=fat_up, workers=4)
+rep = verify_relation(RelationId.DISJOINT_K_AND_BU, fat, wide, g=fat_up)
 print("\nDisjointKandBU for the commuting exponential pair:")
 print("  resolved", rep.evaluated_count, "of", rep.sample_count,
       "violations", len(rep.violations))

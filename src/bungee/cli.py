@@ -204,7 +204,7 @@ def _cmd_render(ns) -> int:
     f = parse(ns.function)
     bounds = _numbers(ns.grid, "--grid", "REMIN,REMAX,IMMIN,IMMAX")
     spec = _grid("--grid/--size", bounds, _numbers(ns.size, "--size", "NX,NY", kind=int))
-    raster = classify_grid(f, spec, cfg, workers=ns.workers)
+    raster = classify_grid(f, spec, cfg)
     outputs: list[tuple[str, bytes]] = [(ns.ppm, render_ppm(raster))]
     if ns.boundary:
         outputs.append((ns.boundary, render_pbm(extract_boundary(raster))))
@@ -234,7 +234,6 @@ def _cmd_verify(ns) -> int:
             cfg=cfg,
             tol=ns.tol,
             equality=ns.equality,
-            workers=ns.workers,
         )
     except ValueError as exc:  # a missing argument or a refused pair
         raise _UsageError(str(exc)) from None

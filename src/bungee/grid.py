@@ -7,8 +7,7 @@ the top of the plane.
 
 All cells go to one `classify_batch` call, which ends the cells that a
 certified region holds at step 0 and runs the engine on the others, in
-chunks that depend on the cells alone, so the raster is byte-for-byte
-identical for every ``workers`` value.
+chunks that depend on the cells alone.
 
 The encoders build each output as one ``uint8`` buffer with whole-array
 operations, with no per-cell Python: the PBM's digits and the JSON's
@@ -120,18 +119,13 @@ def classify_grid(
     f: FunctionExpr,
     spec: GridSpec,
     cfg: ClassifierConfig = DEFAULT_CONFIG,
-    workers: int = 1,
 ) -> Raster:
     """Classify every cell center of ``spec`` under ``f``.
 
-    ``workers`` is accepted for compatibility and must be at least 1; it
-    changes neither speed nor output. All cells go to one batch, which
-    tests them against the map's regions once and runs the engine on the
-    rest in chunks of up to 4,096 cells; that measured faster than worker
-    threads on a two-core machine.
+    All cells go to one batch, which tests them against the map's regions
+    once and runs the engine on the rest in chunks of up to 4,096 cells;
+    that measured faster than worker threads on a two-core machine.
     """
-    if workers < 1:
-        raise ValueError("workers must be positive")
     return Raster(spec=spec, codes=classify_batch(f, spec.points(), cfg))
 
 

@@ -712,7 +712,8 @@ def classify_batch(
     read the same `_KIND_CODES` for a seed that ends at step 0.
     Every seed must be a finite number, a numpy number or a Python one of
     any array shape; the call checks them all once, before step 0, and
-    refuses any other, a string included, with ``seeds must be finite``.
+    refuses any other, a string or a ragged nesting of lists included,
+    with ``seeds must be finite``.
     The map is compiled, and its certified regions found, once per call.
     Step 0 is made once for the call, in blocks of `_CHUNK` seeds: a seed
     that a region holds ends there, unevaluated, with its kind's code (a
@@ -727,7 +728,10 @@ def classify_batch(
     """
     # The dtype first, so that no numeric array is looped over in Python;
     # numpy's cast alone would read the string "1" as a seed.
-    seeds = np.asarray(seeds)
+    try:
+        seeds = np.asarray(seeds)
+    except ValueError:  # numpy's refusal of a ragged nesting
+        raise ValueError("seeds must be finite") from None
     if seeds.dtype.kind not in "biufc" and not all(map(_finite_complex, seeds.flat)):
         raise ValueError("seeds must be finite")
     seeds = seeds.astype(np.complex128, copy=False)

@@ -9,10 +9,12 @@ in its ``source`` why the expected outcome is forced.
 Most expectations are rows: a shared runner bound to the row's data
 with `functools.partial`. `_point_verdict` classifies one seed under f
 or g; `_relation_run` runs `verify_relation` on a square grid plan and
-checks its violation rate and resolved share; `_classify_pair` gives two
-grid comparisons the verdicts of f and g on one grid. The drift,
-lattice, annulus, circle, basin and permutability oracles keep their own
-bodies.
+checks its violation rate and resolved share; `_permutability` checks
+that f and g commute, or that they do not, by bounds on
+`check_permutable`'s deviation. Seven oracles keep their own bodies: the
+drift, lattice, annulus, circle and basin checks, and the two grid
+comparisons (disjoint escape, verdict equality), which `_classify_pair`
+gives the verdicts of f and g on one grid.
 
 The ``scale`` argument of `run_example` shrinks sample grids for quick
 smoke runs; ``scale=1.0`` runs every expectation at full size.
@@ -22,6 +24,7 @@ from __future__ import annotations
 
 import json
 import math
+import sys
 from functools import partial
 
 import numpy as np
@@ -76,6 +79,7 @@ class ExampleEntry(_Record):
     # g and conjugation, an (a, b) pair, may be None; the flags are `Flag`s
     __slots__ = ("id", "summary", "f", "g", "conjugation", "permutable", "no_finite_asymptotic_values",
                  "oracle_not_entire", "expectations")
+    _defaults = {"g": None, "conjugation": None, "oracle_not_entire": False}
 
     def to_dict(self) -> dict:
         return {
@@ -84,22 +88,11 @@ class ExampleEntry(_Record):
             "f": str(self.f),
             "g": None if self.g is None else str(self.g),
             "conjugation": (
-                None
-                if self.conjugation is None
-                else [
-                    [self.conjugation[0].real, self.conjugation[0].imag],
-                    [self.conjugation[1].real, self.conjugation[1].imag],
-                ]
+                None if self.conjugation is None else [[w.real, w.imag] for w in self.conjugation]
             ),
             "flags": {
-                "permutable": {
-                    "value": self.permutable.value,
-                    "note": self.permutable.note,
-                },
-                "no_finite_asymptotic_values": {
-                    "value": self.no_finite_asymptotic_values.value,
-                    "note": self.no_finite_asymptotic_values.note,
-                },
+                "permutable": self.permutable._plain_fields(),
+                "no_finite_asymptotic_values": self.no_finite_asymptotic_values._plain_fields(),
                 "oracle_not_entire": self.oracle_not_entire,
             },
             "expectations": [e.to_dict() for e in self.expectations],
@@ -117,14 +110,7 @@ class ExampleReport(_Record):
         return {
             "example": self.example,
             "passed": self.passed,
-            "results": [
-                {
-                    "description": r.description,
-                    "passed": r.passed,
-                    "measured": r.measured,
-                }
-                for r in self.results
-            ],
+            "results": [r._plain_fields() for r in self.results],
         }
 
     def to_json(self) -> str:
@@ -199,6 +185,21 @@ def _classify_pair(entry, cfg, plan: SamplePlan) -> tuple[np.ndarray, np.ndarray
     return classify_batch(entry.f, seeds, cfg), classify_batch(entry.g, seeds, cfg)
 
 
+def _permutability(low, high, entry, cfg, scale):
+    """f(g(z)) and g(f(z)) differ by ``low < max_dev < high``.
+
+    ``max_dev`` is `check_permutable`'s largest relative deviation over a
+    20 x 10 grid on [-2, 2]^2. Both bounds are strict: (-inf, 1e-9) states
+    a pair that commutes within the check's tolerance, 1e-9 excluded, and
+    (1.0, inf) one that does not, by more than 1. An infinite deviation
+    (finite values whose difference overflows) is read as the largest
+    float, so that (1.0, inf) holds it.
+    """
+    res = check_permutable(entry.f, entry.g, _square_plan(2.0, 20, 10, scale))
+    dev = min(res.max_dev, sys.float_info.max)
+    return low < dev < high, {"max_dev": res.max_dev, "checked": res.checked}
+
+
 # --- hand-written expectation bodies -----------------------------------------
 
 
@@ -262,14 +263,6 @@ def _exp_basin(entry, cfg, scale):
     }
 
 
-def _translate_permutes(entry, cfg, scale):
-    res = check_permutable(entry.f, entry.g, _square_plan(2.0, 20, 10, scale))
-    return res.permutable and res.max_dev < 1e-9, {
-        "max_dev": res.max_dev,
-        "checked": res.checked,
-    }
-
-
 def _halfplane_disjoint_escape(entry, cfg, scale):
     cls_f, cls_g = _classify_pair(entry, cfg, _square_plan(4.0, 100, 100, scale))
     esc = int(Classification.ESCAPING)
@@ -278,14 +271,6 @@ def _halfplane_disjoint_escape(entry, cfg, scale):
         "both_escaping": both,
         "escaping_under_f": int(np.sum(cls_f == esc)),
         "escaping_under_g": int(np.sum(cls_g == esc)),
-    }
-
-
-def _periodic_not_permutable(entry, cfg, scale):
-    res = check_permutable(entry.f, entry.g, _square_plan(2.0, 20, 10, scale))
-    return (not res.permutable) and res.max_dev > 1.0, {
-        "max_dev": res.max_dev,
-        "checked": res.checked,
     }
 
 
@@ -314,13 +299,11 @@ def _build_registry() -> dict:
             ),
             f=sine_f,
             g=sine_g,
-            conjugation=None,
             permutable=Flag(
                 True,
                 "translating by a period of the sine term commutes with the map",
             ),
             no_finite_asymptotic_values=Flag(None, "not stated for this pair"),
-            oracle_not_entire=False,
             expectations=(
                 Expectation(
                     "iterates of 0 under g advance by one sine period per step",
@@ -361,8 +344,6 @@ def _build_registry() -> dict:
                 "and bounded on it"
             ),
             f=parse("1/pow(z,2)"),
-            g=None,
-            conjugation=None,
             permutable=Flag(None, "single map; not applicable"),
             no_finite_asymptotic_values=Flag(None, "not stated for this map"),
             oracle_not_entire=True,
@@ -401,13 +382,11 @@ def _build_registry() -> dict:
                 "of its fixed point"
             ),
             f=parse("0.3*exp(z)"),
-            g=None,
             conjugation=(2 + 0j, 1 + 0j),
             permutable=Flag(None, "single map; not applicable"),
             no_finite_asymptotic_values=Flag(
                 False, "0 is a finite asymptotic value of the scaled exponential"
             ),
-            oracle_not_entire=False,
             expectations=(
                 Expectation(
                     "real seeds in [-2, 0] classify Bounded and settle onto the attracting "
@@ -446,7 +425,6 @@ def _build_registry() -> dict:
             ),
             f=parse("z+1+exp(-z)"),
             g=parse("z+1+exp(-z)+2*pi*i"),
-            conjugation=None,
             permutable=Flag(
                 True,
                 "translating by the period of exp(-z) commutes with the map",
@@ -455,13 +433,12 @@ def _build_registry() -> dict:
                 True,
                 "hypothesis stated for this pair's escape arguments",
             ),
-            oracle_not_entire=False,
             expectations=(
                 Expectation(
                     "the pair commutes: both composition orders agree numerically",
                     "exp(-z) has period 2*pi*i, so both orders equal the "
                     "same map composed with the translation",
-                    _translate_permutes,
+                    partial(_permutability, -math.inf, 1e-9),
                 ),
                 Expectation(
                     "the pair's bounded cores are disjoint and their bungee sets are disjoint",
@@ -487,13 +464,11 @@ def _build_registry() -> dict:
             ),
             f=parse("exp(-z-1)+1"),
             g=parse("exp(z-1)-1"),
-            conjugation=None,
             permutable=Flag(None, "not stated for this pair"),
             no_finite_asymptotic_values=Flag(
                 False,
                 "each map tends to a finite constant far into one half-plane",
             ),
-            oracle_not_entire=False,
             expectations=(
                 Expectation(
                     "escaping seeds lie in the left-half-plane strips around odd multiples of pi",
@@ -521,7 +496,6 @@ def _build_registry() -> dict:
             ),
             f=parse("exp(z)"),
             g=parse("exp(z)+2*pi*i"),
-            conjugation=None,
             permutable=Flag(
                 False,
                 "direct evaluation at 0 separates the two orders by 2*pi*i",
@@ -529,13 +503,12 @@ def _build_registry() -> dict:
             no_finite_asymptotic_values=Flag(
                 False, "0 is a finite asymptotic value of exp"
             ),
-            oracle_not_entire=False,
             expectations=(
                 Expectation(
                     "the two composition orders disagree: the pair does not commute",
                     "exp(w+2*pi*i) = exp(w) makes the inner translation "
                     "vanish in one order but not the other",
-                    _periodic_not_permutable,
+                    partial(_permutability, 1.0, math.inf),
                 ),
                 Expectation(
                     "translating the map by its period leaves every resolved verdict unchanged",

@@ -115,6 +115,10 @@ ONE_SEED = bungee.SamplePlan.explicit([1])
     pytest.param(lambda: bungee.classify_batch(Z2, [b"1"]), "seeds must be finite", id="classify-batch-bytes"),
     pytest.param(lambda: bungee.classify_batch(Z2, np.array(["1"], dtype=object)), "seeds must be finite",
                  id="classify-batch-object-text"),
+    pytest.param(lambda: bungee.classify_batch(Z2, [1, [2, 3]]), "seeds must be finite",
+                 id="classify-batch-ragged"),
+    pytest.param(lambda: bungee.classify_batch(Z2, [[1, 2], [3]]), "seeds must be finite",
+                 id="classify-batch-ragged-rows"),
 ])
 def test_numbers_that_are_not_finite_doubles_are_refused(call, message):
     """An int beyond double range, or a value that is no number, is refused

@@ -70,12 +70,6 @@ def test_grid_spec_validation(args):
         GridSpec(*args)
 
 
-@pytest.mark.parametrize("workers", [0, -1])
-def test_classify_grid_rejects_non_positive_workers(workers):
-    with pytest.raises(ValueError, match="workers"):
-        classify_grid(parse("z"), GridSpec(0, 1, 0, 1, 2, 2), workers=workers)
-
-
 def test_grid_spec_accepts_numpy_scalars():
     spec = GridSpec(np.float64(-1), np.float32(1), 0, 1, np.int64(3), np.int32(2))
     assert spec.points().shape == (2, 3)
@@ -153,15 +147,6 @@ def test_grid_cells_match_pointwise_classification():
 def test_every_cell_holds_a_verdict():
     r = classify_grid(parse("exp(z)"), GridSpec(-2, 2, -2, 2, 5, 5))
     assert np.all((r.codes >= 0) & (r.codes <= 3))
-
-
-def test_worker_count_does_not_change_output():
-    spec = GridSpec(-1.5, 1.5, -1.5, 1.5, 12, 10)
-    f = parse("1/pow(z,2)")
-    serial = classify_grid(f, spec, workers=1)
-    threaded = classify_grid(f, spec, workers=4)
-    assert np.array_equal(serial.codes, threaded.codes)
-    assert render_ppm(serial) == render_ppm(threaded)
 
 
 # --- extract_boundary ----------------------------------------------------

@@ -422,7 +422,7 @@ def test_non_finite_seed_is_rejected():
 # --- reference_cycle -----------------------------------------------------
 
 
-def test_detect_cycle_on_settled_fixed_point():
+def test_reference_cycle_on_settled_fixed_point():
     # Attracting fixed point of 0.3*e^z, located independently.
     q = bisect(lambda x: 0.3 * math.exp(x) - x, 0.0, 1.0)
     assert abs(q - 0.4894) < 5e-4
@@ -434,12 +434,12 @@ def test_detect_cycle_on_settled_fixed_point():
     assert rec.termination.entry == 0
 
 
-def test_detect_cycle_sees_no_cycle_in_alternating_escape():
+def test_reference_cycle_sees_no_cycle_in_alternating_escape():
     vals = np.array(inverse_square_orbit(0.5), dtype=np.complex128)
     assert reference_cycle(vals, 1e-12) is None
 
 
-def test_detect_cycle_after_transient():
+def test_reference_cycle_after_transient():
     # i -> -1 -> 1 -> 1 -> ..., exact on units.
     vals = np.array([1j, -1, 1, 1, 1], dtype=np.complex128)
     assert reference_cycle(vals, 1e-12) == (1, 2)
@@ -447,7 +447,7 @@ def test_detect_cycle_after_transient():
     assert rec.termination == CycleFound(1, 2)
 
 
-def test_detect_cycle_reports_least_period():
+def test_reference_cycle_reports_least_period():
     two_cycle = np.array([2, 0.5, 2, 0.5, 2, 0.5], dtype=np.complex128)
     assert reference_cycle(two_cycle, 1e-12) == (2, 0)
 

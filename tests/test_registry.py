@@ -5,6 +5,7 @@ from __future__ import annotations
 import json
 import math
 
+import numpy as np
 import pytest
 
 from bungee import registry
@@ -16,6 +17,7 @@ from bungee import (
     parse,
     run_example,
 )
+from bungee.relations import PermutabilityResult
 
 ALL_IDS = [
     "ex_sine_pair",
@@ -94,6 +96,58 @@ def test_fixed_point_bisection_needs_a_sign_change():
     assert abs(0.3 * math.exp(q) - q) <= 1e-12
     with pytest.raises(ValueError, match="bisection bracket does not change sign"):
         registry._fixed_point_bisection(0.3, 0.0, 0.4)
+
+
+def _entry(**fields):
+    return registry.ExampleEntry(**{
+        "id": "ex_test", "summary": "a map", "f": parse("z*z"),
+        "permutable": registry.Flag(None, "single map"),
+        "no_finite_asymptotic_values": registry.Flag(None, "not stated"),
+        "expectations": (), **fields,
+    })
+
+
+def test_entry_defaults_what_it_omits():
+    """An entry that leaves out g, conjugation and oracle_not_entire is the
+    entry that states None, None and False."""
+    omitted, stated = _entry(), _entry(g=None, conjugation=None, oracle_not_entire=False)
+    assert (omitted.g, omitted.conjugation, omitted.oracle_not_entire) == (None, None, False)
+    assert omitted == stated and hash(omitted) == hash(stated)
+    assert omitted.to_dict() == stated.to_dict()
+
+
+@pytest.mark.parametrize("max_dev", [
+    0.0, math.nextafter(1e-9, 0.0), 1e-9, math.nextafter(1e-9, 1.0), 0.5, 1.0,
+    math.nextafter(1.0, 2.0), 1e300, math.inf, math.nan,
+])
+def test_permutability_rows_keep_their_bounds(monkeypatch, max_dev):
+    """The "commutes" row passes exactly when the check calls the pair
+    permutable and max_dev < 1e-9, the "does not commute" row when it does
+    not and max_dev > 1.0: at 1e-9 and at 1.0 both fail, and an infinite
+    deviation does not commute."""
+    result = PermutabilityResult(checked=200, skipped=0, max_dev=max_dev, tol=1e-9)
+    monkeypatch.setattr(registry, "check_permutable", lambda f, g, plan: result)
+    commuting, periodic = get_example("ex_exp_translate"), get_example("ex_periodic_translate")
+    commutes = commuting.expectations[0].run(commuting, None, 1.0)
+    differs = periodic.expectations[0].run(periodic, None, 1.0)
+    assert commutes[0] is (result.permutable and max_dev < 1e-9)
+    assert differs[0] is ((not result.permutable) and max_dev > 1.0)
+    if max_dev in (1e-9, 1.0):
+        assert not commutes[0] and not differs[0]
+    for _, measured in (commutes, differs):
+        assert list(measured) == ["max_dev", "checked"] and measured["max_dev"] is max_dev
+
+
+def test_an_infinite_deviation_does_not_commute():
+    """The constant 1e308 and -z give f(g(z)) = 1e308 and g(f(z)) = -1e308,
+    whose difference overflows: max_dev is inf, which the "does not
+    commute" row takes and the "commutes" row refuses."""
+    entry = _entry(f=parse("1e308"), g=parse("-z"))
+    commutes = get_example("ex_exp_translate").expectations[0].run
+    differs = get_example("ex_periodic_translate").expectations[0].run
+    with np.errstate(over="ignore"):
+        assert differs(entry, None, 1.0) == (True, {"max_dev": math.inf, "checked": 200})
+        assert commutes(entry, None, 1.0)[0] is False
 
 
 def test_every_expectation_carries_provenance():

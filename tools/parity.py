@@ -27,8 +27,9 @@ commit and the working tree) and comparing the directories with
   bounds, size and points of ``--samples``, a wrong part count, a part
   that is not a number, and one that is not finite, an integer or a
   positive cell count where those apply;
-- ``examples run --format json`` for every catalog entry at scale 1.0,
-  and the exit codes of five scales outside (0, 1];
+- ``examples list`` in text and ``--format json``;
+- ``examples run`` in ``--format json`` and text for every catalog
+  entry at scale 1.0, and the exit codes of five scales outside (0, 1];
 - ``export_registry_json()``;
 - ``records.tsv``: for every map of the catalog at every edge seed, under
   both configs, the ``repr`` of the orbit record's peaks and of
@@ -39,8 +40,8 @@ commit and the working tree) and comparing the directories with
 Every command runs in process through ``bungee.cli.main``. Its exit code
 and the first line of its standard error go to ``exits.tsv``, so a
 command that fails still leaves a comparable record. The sweep writes
-1,053 files, 1,010 exit codes among them in ``exits.tsv``, and takes about
-7 s in one process on a two-core machine.
+1,061 files, 1,018 exit codes among them in ``exits.tsv``, and takes about
+4 s in one process on a two-core machine.
 """
 
 from __future__ import annotations
@@ -218,9 +219,12 @@ def write_outputs(outdir: Path) -> int:
                                          "--g=z+sin(z)+2*pi", "--samples=grid:-1,1,-1,1:3x3",
                                          f"--tol={tol}"], capture=False)
 
+    run("examples-list.txt", ["examples", "list"])
+    run("examples-list.json", ["--format", "json", "examples", "list"])
     for entry in entries:
-        run(f"examples-{entry.id}.json", ["--format", "json", "examples", "run",
-                                          entry.id, "--scale", "1.0"])
+        for fmt, ext in (("json", "json"), ("text", "txt")):
+            run(f"examples-{entry.id}.{ext}", ["--format", fmt, "examples", "run",
+                                               entry.id, "--scale", "1.0"])
     for scale in SCALE_REFUSALS:
         run(f"examples-scale-refusal-{scale}", ["examples", "run", "ex_rational_bungee",
                                                 f"--scale={scale}"], capture=False)
