@@ -72,35 +72,36 @@ of them by construction. Seeds are checked once, where they come in:
 `iterate_orbit` checks its one seed and `classify_batch` all of its seeds,
 before step 0, and each refuses a seed that is not a finite number (a
 string such as ``"1"`` is not one) with ``seeds must be finite``; the
-engine trusts them. `classify_batch` makes step 0 once per call: on
-more seeds than one chunk, `_CHUNK`, it tests every seed against the
-regions and runs the engine only on the seeds that none holds, in chunks
-of up to `_CHUNK`; a call of one chunk runs the engine once, which makes
-that test at its own step 0. A seed that ends at step 0 takes the code of
-its certificate's kind from `_KIND_CODES`, the table `_verdicts` reads
-for every certified lane, so it gets the code the engine's own step-0
-test would give it. Run on one seed, the engine also records the iterates
-and the steps at which it started and ended each peak, which is all
-`iterate_orbit` needs to place the record's peaks. `iterate_orbit` and
-`classify_batch` share one set-up per call, `_setup`: the map compiled
-(`compile_expr`), its regions, and the box search, made only when a run
-first asks for it. The engine evaluates that flat program once per step
-over the live lanes only, testing ``held`` only at step 0, at checkpoints
-and on the lanes that overflow, and one helper writes out every lane it
-holds after step 0. When an orbit ends, its state is written to the
-output once, in that step. The lane stays in the working arrays, parked,
-until they are compacted once at the end of the step: its values go on
-being updated with the others' but are never written again, since the
-tests that end lanes skip it. A lane that fails in evaluation is parked
-at 0, which is below ``r_bound``, so it starts no peak and trips no
-guard. Every lane starts at step 0, so all live lanes share one Brent
-checkpoint schedule for cycle detection (Brent 1980). A step in which no
-lane ends costs its arithmetic and a few whole-array tests; it builds a
-lane mask only when a test fires. Peak starts and returns update the live
-lanes at full width under those masks, without gathering or scattering.
-The running maximum is not taken each step: the maximum since the last
-checkpoint, which cycle detection keeps anyway, is folded into it at each
-checkpoint and when a lane ends. The state stores no derived fact, such
+engine trusts them. Step 0 is one function, `_start`, for every call:
+the caller tests its seeds against the regions once, with
+`certify.locate`, and `_start` ends each seed a region holds, and each
+past the guard that none holds, and leaves the others running;
+`_run_batch` then runs, from step 1, only the lanes `_start` left
+running. `classify_batch` runs those in chunks of up to `_CHUNK`, and a
+seed that ends at step 0 takes the code of its certificate's kind from
+`_KIND_CODES`, the table `_verdicts` reads for every certified lane. Run
+on one seed, the engine also appends each iterate and whether a peak is
+open after it to one list, from which `iterate_orbit` places the
+record's peaks. `iterate_orbit` and `classify_batch` share one set-up
+per call, `_setup`: the map compiled (`compile_expr`), its regions, and
+the box search, made only when a run first asks for it. The engine
+evaluates that flat program once per step over the live lanes only,
+testing ``held`` only at checkpoints and on the lanes that overflow, and
+one helper writes out every lane it holds. When an orbit ends, its state
+is written to the output once, in that step. The lane stays in the
+working arrays, parked, until they are compacted once at the end of the
+step: its values go on being updated with the others' but are never
+written again, since the tests that end lanes skip it. A lane that fails
+in evaluation is parked at 0, which is below ``r_bound``, so it starts
+no peak and trips no guard. Every lane starts at step 0, so all live
+lanes share one Brent checkpoint schedule for cycle detection (Brent
+1980). A step in which no lane ends costs its arithmetic and a few
+whole-array tests; it builds a lane mask only when a test fires. Peak
+starts and returns update the live lanes at full width under those
+masks, without gathering or scattering. The running maximum is not taken
+each step: the maximum since the last checkpoint, which cycle detection
+keeps anyway, is folded into it at each checkpoint and when a lane ends.
+The state stores no derived fact, such
 as the final modulus ``|z|`` (see `BatchState`).
 """
 
@@ -109,7 +110,7 @@ from __future__ import annotations
 import enum
 import functools
 import numbers
-from typing import Callable, NamedTuple, Optional, Union
+from typing import Callable, Optional, Union
 
 import numpy as np
 
@@ -325,9 +326,8 @@ _KIND_CODES[[_CERTIFIED, _CERTIFIED_BUNGEE, _TRAPPED]] = [
 # out of most short calls.
 _TRAP_STEP = 15
 
-# Seeds per engine run in `classify_batch`, and per block of its step-0
-# test: wide enough to amortize numpy's per-call cost over many lanes,
-# narrow enough to bound per-run memory.
+# Seeds per engine run in `classify_batch`: wide enough to amortize numpy's
+# per-call cost over many lanes, narrow enough to bound per-run memory.
 _CHUNK = 4096
 
 
@@ -373,13 +373,14 @@ class _Lanes:
     _ARRAYS = ("idx", *_LANE_FIELDS, "armed", "tortoise", "tol_tort", "win_max")
     __slots__ = (*_ARRAYS, "ended")
 
-    def __init__(self, out: BatchState, gone: np.ndarray, m: np.ndarray, cfg: ClassifierConfig):
-        """Lanes for the seeds of ``out`` not in mask ``gone``, gathered, so
-        copied: no update reaches ``out``; ``m`` is ``|out.z|``."""
-        self.idx = (~gone).nonzero()[0]
+    def __init__(self, out: BatchState, cfg: ClassifierConfig):
+        """Lanes for the seeds that `_start` left running in ``out``,
+        gathered, so copied: no update reaches ``out``. Their ``global_max``
+        is still ``|z|``, as `_start` set it."""
+        self.idx = (out.kind == _RUNNING).nonzero()[0]
         for name in _LANE_FIELDS:
             setattr(self, name, getattr(out, name)[self.idx])
-        m = m[self.idx]
+        m = self.global_max
         self.armed = m < cfg.r_bound
         self.tortoise = self.z
         self.tol_tort = CYCLE_TOL * m
@@ -421,42 +422,18 @@ def _kinds(held: tuple) -> np.ndarray:
     return np.array([*kinds, _RUNNING], dtype=np.int8)
 
 
-class _History(NamedTuple):
-    """One seed's iterates, and the steps where each peak started and returned."""
-
-    values: list
-    starts: list
-    returns: list
-
-
-def _run_batch(
-    program: Program,
-    seeds: np.ndarray,
-    cfg: ClassifierConfig,
-    regions: tuple,
-    history: Optional[_History] = None,
-    traps: Optional[Callable[[], tuple]] = None,
-) -> BatchState:
-    """Run the engine over ``seeds``. The lanes are tested against one tuple
-    of certificates, ``held``: the map's escape and Bungee ``regions`` from
-    step 0, joined by the trap boxes that ``traps()``, if given, returns, at
-    the first checkpoint from `_TRAP_STEP` on at which a lane outside every
-    region is live.
-
-    ``seeds`` must be finite: the engine does not check them. Its two
-    callers do, `iterate_orbit` its one seed and `classify_batch` all of
-    its seeds, once, before step 0."""
-    z = np.array(seeds, dtype=np.complex128).ravel()  # a copy: `out.z` is written in place
-    n = z.size
-    if history is not None and n != 1:
-        raise ValueError("history capture supports single-seed runs only")
-
-    m = np.abs(z)
-    held, kinds = regions, _kinds(regions)
-    region = certify.locate(held, z, m)  # a seed held ends at step 0, unevaluated, even past the guard
-    out = BatchState(
+def _start(z: np.ndarray, which: np.ndarray, kinds: np.ndarray) -> BatchState:
+    """Step 0 of a run over the seeds ``z``, which the state keeps and the
+    engine writes in place. A seed that the certificate ``which`` names, an
+    index into the run's ``held`` whose kinds ``kinds`` lists, ends there,
+    unevaluated, even past the guard; a seed that none holds overflows if it
+    lies past the guard, and is left running otherwise."""
+    n, m = z.size, np.abs(z)
+    kind = kinds.take(which)
+    kind[(m > OVERFLOW_GUARD) & (kind == _RUNNING)] = _OVERFLOWED
+    return BatchState(
         z=z,
-        kind=kinds.take(region),
+        kind=kind,
         term_step=np.zeros(n, dtype=np.int64),
         period=np.zeros(n, dtype=np.int64),
         cycle_max=np.zeros(n, dtype=np.float64),
@@ -466,14 +443,35 @@ def _run_batch(
         in_peak=np.zeros(n, dtype=bool),
         escalation_ok=np.ones(n, dtype=bool),
         global_max=m,
-        region=region,
+        region=which,
     )
-    if history is not None:
-        history.values.append(complex(z[0]))
 
-    seed_out = (m > OVERFLOW_GUARD) & (out.kind == _RUNNING)
-    out.kind[seed_out] = _OVERFLOWED
-    w = _Lanes(out, out.kind != _RUNNING, m, cfg)
+
+def _run_batch(
+    program: Program,
+    out: BatchState,
+    cfg: ClassifierConfig,
+    regions: tuple,
+    traps: Optional[Callable[[], tuple]] = None,
+    trace: Optional[list] = None,
+) -> BatchState:
+    """Run the engine, in place, on the lanes of ``out`` that `_start` left
+    running, from step 1; returns ``out``. The lanes are tested against one
+    tuple of certificates, ``held``: the map's escape and Bungee
+    ``regions``, joined by the trap boxes that ``traps()``, if given,
+    returns, at the first checkpoint from `_TRAP_STEP` on at which a lane
+    outside every region is live.
+
+    Given a ``trace``, a run of one seed appends ``(iterate, peak open)``
+    to it at each step, after the peak update.
+
+    The seeds must be finite: the engine does not check them. Its two
+    callers do, `iterate_orbit` its one seed and `classify_batch` all of
+    its seeds, once, before step 0."""
+    if trace is not None and out.z.size != 1:
+        raise ValueError("a trace supports single-seed runs only")
+    held, kinds = regions, _kinds(regions)
+    w = _Lanes(out, cfg)
     # Every live lane started at step 0 and advances once per step, so the
     # Brent schedule (checkpoint when lam reaches power) is shared by all.
     power, lam = 1, 0
@@ -510,8 +508,6 @@ def _run_batch(
             top = mv.max()  # gates peak starts and the guard; an unflagged NaN is in every lane
             w.z = vals
             np.maximum(w.win_max, mv, out=w.win_max)
-            if history is not None:
-                history.values.append(complex(vals[0]))
 
             below = mv < cfg.r_bound
             in_peak = w.in_peak
@@ -524,8 +520,6 @@ def _run_batch(
                     w.escalation_ok &= ~(ending & weak)
                     np.copyto(w.last_peak, w.cur_peak, where=ending)
                     in_peak &= ~ending
-                    if history is not None:
-                        history.returns.append(step)
                 np.maximum(w.cur_peak, mv, out=w.cur_peak, where=in_peak)
             w.armed |= below
             if top > cfg.r_esc:
@@ -534,8 +528,8 @@ def _run_batch(
                     in_peak |= starting
                     np.copyto(w.cur_peak, mv, where=starting)
                     w.armed &= ~starting
-                    if history is not None:
-                        history.starts.append(step)
+            if trace is not None:
+                trace.append((complex(vals[0]), bool(in_peak[0])))
 
             if not top <= OVERFLOW_GUARD:
                 lanes = (mv > OVERFLOW_GUARD).nonzero()[0]
@@ -638,7 +632,8 @@ def iterate_orbit(
 ) -> OrbitRecord:
     """Iterate ``f`` from ``z0`` and record the orbit until termination.
 
-    Peaks are placed from the engine's start and return steps. A
+    Peaks are placed from the engine's trace: each runs from the step its
+    flag opens to the step it closes, or to the orbit's end. A
     `CycleFound` termination takes its period from the engine state and
     finds its entry in one whole-array comparison of the recorded values
     at that period; a `CertifiedEscape`, `CertifiedBungee` or
@@ -647,13 +642,16 @@ def iterate_orbit(
     if not _finite_complex(z0):
         raise ValueError("seeds must be finite")
     seed = complex(z0)
-    history = _History([], [], [])
+    z, trace = np.array([seed]), [(seed, False)]  # no peak is open at the seed
     program, regions, traps = _setup(f, cfg)
-    state = _run_batch(program, np.array([seed]), cfg, regions, history, traps)
-    values = np.array(history.values, dtype=np.complex128)
+    state = _start(z, certify.locate(regions, z, np.abs(z)), _kinds(regions))
+    _run_batch(program, state, cfg, regions, traps, trace)
+    values, opened = zip(*trace)
+    values = np.array(values)
     moduli = np.abs(values)
-    spans = zip(history.starts, history.returns + [len(moduli)])  # an open peak runs to the end
-    peaks = tuple((s + int(np.argmax(moduli[s:e])), float(moduli[s:e].max())) for s, e in spans)
+    # The flag's edges alternate, starts then returns; an open peak runs to the end.
+    edges = [n for n in range(1, len(opened)) if opened[n] != opened[n - 1]] + [len(opened)]
+    peaks = tuple((s + int(np.argmax(moduli[s:e])), float(moduli[s:e].max())) for s, e in zip(edges[::2], edges[1::2]))
 
     k, step, i = int(state.kind[0]), int(state.term_step[0]), int(state.region[0])
     if k == _COMPLETED:
@@ -715,16 +713,13 @@ def classify_batch(
     refuses any other, a string or a ragged nesting of lists included,
     with ``seeds must be finite``.
     The map is compiled, and its certified regions found, once per call.
-    Step 0 is made once for the call, in blocks of `_CHUNK` seeds: a seed
-    that a region holds ends there, unevaluated, with its kind's code (a
-    call of at most `_CHUNK` seeds leaves it to its one engine run). The
+    Every seed is tested against the regions once, at step 0: a seed that
+    a region holds ends there, unevaluated, with its kind's code. The
     other seeds run in chunks of up to `_CHUNK` independent lanes, which
     read the run's certificates at each Brent checkpoint: the regions, and
     the trap boxes, searched for at most once per call, when a lane first
-    needs them; a chunk's state is dropped, so memory stays bounded. With
-    ``return_state`` every seed runs through the engine, in fixed chunks of
-    `_CHUNK`, whose own step-0 test ends the seeds a region holds, and
-    every chunk's state is kept.
+    needs them. A chunk's state is dropped, so memory stays bounded, or,
+    with ``return_state``, written into the call's step-0 state.
     """
     # The dtype first, so that no numeric array is looped over in Python;
     # numpy's cast alone would read the string "1" as a seed.
@@ -738,33 +733,18 @@ def classify_batch(
     flat = seeds.ravel()
     if not np.isfinite(flat).all():
         raise ValueError("seeds must be finite")
-    codes = np.empty(flat.size, dtype=np.int8)
-    states = []
     program, regions, traps = _setup(f, cfg)
-    live = None  # every seed
-    if regions and not return_state and flat.size > _CHUNK:
-        # Step 0, once over the call, a block of seeds at a time, by the
-        # engine's own step-0 test: `certify.locate` over the regions, read
-        # through `_kinds`. A seed in a region ends unevaluated, with its
-        # kind's code, and only the others go on to the engine. A call of
-        # one chunk skips it: its one engine run makes the same test at its
-        # own step 0.
-        region_codes = _KIND_CODES[_kinds(regions)]
-        parts = []
-        for lo in range(0, flat.size, _CHUNK):
-            block = flat[lo : lo + _CHUNK]
-            which = certify.locate(regions, block, np.abs(block))
-            codes[lo : lo + _CHUNK] = region_codes.take(which)  # a live seed reads -1, which the engine overwrites
-            parts.append((which < 0).nonzero()[0] + lo)
-        live = np.concatenate(parts)
-    for lo in range(0, flat.size if live is None else live.size, _CHUNK):
-        ids = slice(lo, lo + _CHUNK) if live is None else live[lo : lo + _CHUNK]
-        state = _run_batch(program, flat[ids], cfg, regions, traps=traps)
-        codes[ids] = _verdicts(state, cfg)
+    kinds = _kinds(regions)
+    which = certify.locate(regions, flat, np.abs(flat))
+    codes = _KIND_CODES.take(kinds.take(which))  # a live seed reads -1, which its engine run overwrites
+    state = _start(flat.copy(), which, kinds) if return_state else None
+    live = (which < 0).nonzero()[0]
+    for lo in range(0, live.size, _CHUNK):
+        ids = live[lo : lo + _CHUNK]
+        part = _run_batch(program, _start(flat[ids], which[ids], kinds), cfg, regions, traps)
+        codes[ids] = _verdicts(part, cfg)
         if return_state:
-            states.append(state)
+            for name in BatchState._fields:
+                getattr(state, name)[ids] = getattr(part, name)
     codes = codes.reshape(seeds.shape)
-    if not return_state:
-        return codes
-    states = states or [_run_batch(program, flat, cfg, regions)]  # zero chunks: empty state
-    return codes, BatchState(*(np.concatenate([getattr(s, k) for s in states]) for k in BatchState._fields))
+    return (codes, state) if return_state else codes

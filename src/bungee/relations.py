@@ -196,10 +196,11 @@ def check_permutable(
 ) -> PermutabilityResult:
     """Compare f(g(z)) against g(f(z)) over the plan's samples.
 
-    Deviation is relative: |f(g(z)) - g(f(z))| / (1 + |f(g(z))|).
-    Samples where either order fails to evaluate finitely are skipped
-    and counted. Raises when ``tol`` is not finite and positive, or when
-    no sample is evaluable.
+    Deviation is relative: |f(g(z)) - g(f(z))| / (1 + |f(g(z))|), and one
+    whose computation overflows, as for finite values of opposite sign near
+    the largest double, is that largest double. Samples where either order
+    fails to evaluate finitely are skipped and counted. Raises when ``tol``
+    is not finite and positive, or when no sample is evaluable.
     """
     _check_tol(tol)
     seeds = plan.seeds()
@@ -214,11 +215,13 @@ def check_permutable(
     checked = int(ok.sum())
     if checked == 0:
         raise ValueError("no evaluable samples for the permutability check")
-    dev = np.abs(fg_vals[ok] - gf_vals[ok]) / (1.0 + np.abs(fg_vals[ok]))
+    # A difference or modulus past double range is inf, and inf/inf NaN: fmin reads both as the largest double.
+    with np.errstate(over="ignore", invalid="ignore"):
+        dev = np.abs(fg_vals[ok] - gf_vals[ok]) / (1.0 + np.abs(fg_vals[ok]))
     return PermutabilityResult(
         checked=checked,
         skipped=int(seeds.size - checked),
-        max_dev=float(dev.max()),
+        max_dev=float(np.fmin(dev, np.finfo(np.float64).max).max()),
         tol=tol,
     )
 

@@ -76,13 +76,22 @@ from bungee.orbit import (
     _TRAP_STEP,
     _TRAPPED,
     DEFAULT_CONFIG,
+    _kinds,
     _run_batch,
+    _start,
 )
 
 from strategies import expression_strings
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 iv.prec = 113
+
+
+def uncertified_run(f, seeds: np.ndarray):
+    """The engine's final state over ``seeds`` tested against no
+    certificate, at step 0 or after."""
+    z = seeds.astype(np.complex128)  # a copy: the state's z is written in place
+    return _run_batch(compile_expr(f), _start(z, locate((), z), _kinds(())), DEFAULT_CONFIG, ())
 
 
 def catalog_maps() -> dict:
@@ -204,7 +213,8 @@ def test_enclosure_holds_the_exact_value_of_random_maps(text, sample):
     for z in points:
         try:
             inside = exact_value_inside(program, box, z)
-        except (ZeroDivisionError, OverflowError, ValueError):
+        # mpmath cannot evaluate the map there; MemoryError: it runs out on towers such as -exp(exp(exp(z)))
+        except (ZeroDivisionError, OverflowError, ValueError, MemoryError):
             assume(False)
         assert inside, (text, box, z)
 
@@ -515,7 +525,7 @@ def test_rounding_absorbed_fatou_lanes_end_before_their_repeat():
     # before its repeat could be seen.
     f = parse("z+1+exp(-z)")
     seeds = GridSpec(-3, 3, -3, 3, 64, 64).points().ravel()
-    plain = _run_batch(compile_expr(f), seeds, DEFAULT_CONFIG, ())
+    plain = uncertified_run(f, seeds)
     absorbed = plain.kind == _CYCLE
     assert np.count_nonzero(absorbed) == 38 and np.abs(plain.z[absorbed]).min() > 1e12
     _, state = classify_batch(f, seeds, return_state=True)
@@ -922,7 +932,7 @@ def test_trapped_lanes_end_at_the_step_15_checkpoint():
     next, with the same verdict; the escaping lanes do not move."""
     f = parse("0.3*exp(z)")
     seeds = GridSpec(-4, 4, -4, 4, 64, 64).points().ravel()
-    plain = _run_batch(compile_expr(f), seeds, DEFAULT_CONFIG, ())
+    plain = uncertified_run(f, seeds)
     codes, state = classify_batch(f, seeds, return_state=True)
     cycled = plain.kind == _CYCLE
     assert np.count_nonzero(cycled) > 3900 and plain.term_step[cycled].min() > _TRAP_STEP

@@ -390,6 +390,23 @@ def test_verify_conjugacy_leaves_an_overflowing_image_unresolved():
     assert doc["sample_count"] == 2 and doc["evaluated_count"] == 1
 
 
+def test_verify_writes_an_overflowing_deviation_as_strict_json():
+    """The constant 1e308 and -z give f(g(z)) = 1e308 and g(f(z)) = -1e308,
+    whose difference overflows: the report gives the deviation as the
+    largest double, a JSON number, and writes nothing to stderr."""
+
+    def refuse(token):
+        raise ValueError(f"not JSON: {token}")
+
+    argv = ["verify", "--relation", "EscapingInvariance", "--f=1e308", "--g=-z", "--samples=grid:-1,1,-1,1:3x3"]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        code, out, err = run(argv)
+    assert (code, err) == (0, "")
+    doc = json.loads(out, parse_constant=refuse)
+    assert doc["permutability"] == {"checked": 9, "max_dev": sys.float_info.max}
+
+
 def test_verify_list_samples():
     code, out, _ = run(
         [

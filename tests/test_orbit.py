@@ -55,8 +55,9 @@ from bungee.orbit import (
     PEAK_GROWTH,
     BatchState,
     _cycle_entry,
-    _History,
+    _kinds,
     _run_batch,
+    _start,
 )
 
 # Config used by the sine-pair and drift examples: their orbits creep
@@ -68,7 +69,7 @@ INVERSE_SQUARE_BUNGEE = "|z| >= 1.0009765625 or 0 < |z| <= 0.9990243902439023"
 
 def drop_regions(monkeypatch) -> None:
     """Make `iterate_orbit` and `classify_batch` run the engine with the
-    regions ``()`` and no trap boxes, as `_run_batch(..., ())` does: for
+    regions ``()`` and no trap boxes, as `run_engine` does by default: for
     tests of the engine's own mechanics (peaks, the guard, evaluation
     events, cycles) on maps whose certified regions end orbits first."""
     monkeypatch.setattr(bungee.certify, "regions", lambda program: ())
@@ -78,6 +79,15 @@ def drop_regions(monkeypatch) -> None:
 @pytest.fixture
 def no_regions(monkeypatch):
     drop_regions(monkeypatch)
+
+
+def run_engine(program, seeds, cfg=DEFAULT_CONFIG, regions=(), trace=None) -> BatchState:
+    """One engine run over ``seeds``, tested against ``regions`` and no trap
+    boxes: step 0 by `_start`, then `_run_batch` on what it leaves running.
+    A ``trace`` must hold the seed already, as `iterate_orbit` gives it."""
+    z = np.array(seeds, dtype=np.complex128).ravel()  # a copy: the state's z is written in place
+    state = _start(z, bungee.certify.locate(regions, z, np.abs(z)), _kinds(regions))
+    return _run_batch(program, state, cfg, regions, trace=trace)
 
 
 def bisect(h, lo: float, hi: float) -> float:
@@ -377,11 +387,11 @@ def test_orbit_record_invariants_hold():
 def test_drift_orbit_walks_out_linearly():
     # Without its escape region the engine walks the orbit the whole budget.
     f = parse("z+sin(z)+2*pi")
-    history = _History([], [], [])
-    state = _run_batch(compile_expr(f), np.zeros(1, dtype=np.complex128), DEFAULT_CONFIG, (), history)
-    assert int(state.kind[0]) == _COMPLETED and history.starts == []
+    trace = [(0j, False)]
+    state = run_engine(compile_expr(f), [0], trace=trace)
+    assert int(state.kind[0]) == _COMPLETED and not any(opened for _, opened in trace)
     for n in range(31):
-        assert abs(abs(history.values[n]) - 2 * math.pi * n) <= 1e-6
+        assert abs(abs(trace[n][0]) - 2 * math.pi * n) <= 1e-6
 
 
 def test_drift_orbit_is_certified_at_its_first_checkpoint():
@@ -740,8 +750,7 @@ def assert_batch_is_one_seed_runs(f, distinct, pick, cfg) -> BatchState:
     """`classify_batch` over ``distinct[pick]`` must give, lane by lane, the
     codes and every `BatchState` field of the one-seed runs of ``distinct``,
     with the regions found for ``f`` (or none, under ``no_regions``), and
-    the same codes without ``return_state``, where the engine runs only on
-    the seeds that no region holds at step 0. Returns the batch state.
+    the same codes without ``return_state``. Returns the batch state.
     ``distinct`` may be a grid's 2-D seeds, which ``pick`` indexes flattened."""
     distinct = np.asarray(distinct, dtype=np.complex128).ravel()
     singles = [classify_batch(f, distinct[i : i + 1], cfg, return_state=True) for i in range(distinct.size)]
@@ -856,9 +865,11 @@ STEP_ZERO_GRIDS = [
 @pytest.mark.parametrize("text, grid", STEP_ZERO_GRIDS, ids=[text for text, _ in STEP_ZERO_GRIDS])
 def test_step_zero_endings_keep_lanes_independent(text, grid):
     """A lane that ends at step 0 is never evaluated, and the lanes beside
-    it run on: the batch is still the one-seed runs, across a chunk edge."""
+    it run on: the batch is still the one-seed runs, across a chunk edge,
+    and on exactly one chunk of seeds."""
     seeds = grid.points()
     pick = np.random.default_rng(5).integers(0, seeds.size, CHUNK + 37)
+    assert_batch_is_one_seed_runs(parse(text), seeds, pick[:CHUNK], DEFAULT_CONFIG)
     state = assert_batch_is_one_seed_runs(parse(text), seeds, pick, DEFAULT_CONFIG)
     at_seed = state.term_step == 0
     assert 100 < np.count_nonzero(at_seed) < pick.size - 100
@@ -905,29 +916,40 @@ def test_step_zero_split_keeps_the_engine_codes(text, grid):
 
 def test_the_engine_runs_once_on_the_live_seeds_of_the_rational_grid(monkeypatch):
     """On the rational render's grid, 56 of 65,536 seeds run past step 0:
-    one engine run takes them all, where 16 runs of 4,096 seeds took them
-    chunk by chunk, and the map is evaluated on no more lanes than then,
-    once per lane per step it ran."""
-    runs, lanes = [], [0]
-    run_batch, evaluate = bungee.orbit._run_batch, bungee.orbit.eval_array
+    every seed is tested against the regions once, and one engine run
+    takes the 56, with ``return_state`` too, where 16 runs of 4,096 seeds
+    took them chunk by chunk; the map is evaluated once per lane per step
+    it ran, and the checkpoints test only the live lanes."""
+    runs, lanes, located = [], [0], []
+    run_batch, evaluate, locate = bungee.orbit._run_batch, bungee.orbit.eval_array, bungee.certify.locate
 
-    def counted_run(program, seeds, *args, **kwargs):
-        runs.append(len(seeds))
-        return run_batch(program, seeds, *args, **kwargs)
+    def counted_run(program, state, *args, **kwargs):
+        runs.append(state.z.size)
+        return run_batch(program, state, *args, **kwargs)
 
     def counted_eval(program, z):
         lanes[0] += z.size
         return evaluate(program, z)
 
+    def counted_locate(held, z, m=None):
+        located.append(z.size)
+        return locate(held, z, m)
+
     monkeypatch.setattr(bungee.orbit, "_run_batch", counted_run)
     monkeypatch.setattr(bungee.orbit, "eval_array", counted_eval)
+    monkeypatch.setattr(bungee.certify, "locate", counted_locate)
     f, seeds = parse("1/pow(z,2)"), GridSpec(-2, 2, -2, 2, 256, 256).points()
     codes = classify_batch(f, seeds)
     assert runs == [56] and lanes[0] == 88
+    assert located[0] == seeds.size and max(located[1:]) <= 56
     assert np.all(codes == Classification.BUNGEE)
     runs.clear()
-    _, state = classify_batch(f, seeds, return_state=True)
-    assert runs == [CHUNK] * 16 and int(state.term_step.sum()) == 88
+    lanes[0] = 0
+    located.clear()
+    again, state = classify_batch(f, seeds, return_state=True)
+    assert runs == [56] and lanes[0] == 88 and int(state.term_step.sum()) == 88
+    assert located[0] == seeds.size and max(located[1:]) <= 56
+    assert np.array_equal(again, codes) and state.z.size == seeds.size
 
 
 @pytest.mark.parametrize("return_state", [False, True])
@@ -962,15 +984,15 @@ def test_an_overflowing_lane_is_certified_at_its_last_finite_iterate():
         ((), [_OVERFLOWED, _CYCLE, _OVERFLOWED], [3, 8, 3]),
         ((DiskRegion(1e200),), [_OVERFLOWED, _CYCLE, _OVERFLOWED], [3, 8, 3]),
     ):
-        state = _run_batch(program, seeds, DEFAULT_CONFIG, regions)
+        state = run_engine(program, seeds, DEFAULT_CONFIG, regions)
         assert state.kind.tolist() == kinds and state.term_step.tolist() == steps
         assert state.region.tolist() == [0 if k == _CERTIFIED else -1 for k in kinds]
-        history = _History([], [], [])
-        one = _run_batch(program, seeds[:1], DEFAULT_CONFIG, regions, history)
+        trace = [(complex(seeds[0]), False)]
+        one = run_engine(program, seeds[:1], DEFAULT_CONFIG, regions, trace)
         # the certified lane's record ends at its step; the failed one's stops one short
-        assert len(history.values) == one.term_step[0] + (one.kind[0] == _CERTIFIED)
-        with pytest.raises(ValueError, match="history capture supports single-seed runs only"):
-            _run_batch(program, seeds[:2], DEFAULT_CONFIG, regions, _History([], [], []))
+        assert len(trace) == one.term_step[0] + (one.kind[0] == _CERTIFIED)
+        with pytest.raises(ValueError, match="a trace supports single-seed runs only"):
+            run_engine(program, seeds[:2], DEFAULT_CONFIG, regions, [])
 
 
 def test_lanes_crossing_the_guard_inside_a_region_are_certified():
@@ -1060,7 +1082,7 @@ def test_reference_rules_agree_without_regions(name, f, cfg, no_regions):
 
 @pytest.mark.parametrize("cfg", [DEFAULT_CONFIG, DRIFT_CFG], ids=["default", "drift"])
 @pytest.mark.parametrize("name, f", AGREEMENT_MAPS, ids=[name for name, _ in AGREEMENT_MAPS])
-def test_cycle_records_match_detect_cycle(name, f, cfg):
+def test_cycle_records_match_reference_cycle(name, f, cfg):
     """A record's `CycleFound` is what `reference_cycle` finds in its values.
 
     The record takes its period from the engine and its entry from one
@@ -1196,10 +1218,11 @@ def test_reference_peak_sweep_reaches_every_edge_case(text, seed, cfg, terminati
     assert all(want is None or got == want for (_, got), (_, want) in zip(rec.peaks, peaks))
     assert rec.peaks == reference_peaks(rec.moduli, cfg)
     # A later return step would place the same peaks: check the steps themselves.
-    history = _History([], [], [])
-    _run_batch(compile_expr(parse(text)), np.array([seed], dtype=np.complex128), cfg, (), history)
-    m = np.abs(history.values)
-    assert [e for e in history.returns if m[e] < cfg.r_bound <= m[e - 1]] == history.returns
+    trace = [(complex(seed), False)]
+    run_engine(compile_expr(parse(text)), [seed], cfg, trace=trace)
+    m = np.abs([z for z, _ in trace])
+    returns = [e for e in range(1, len(trace)) if trace[e - 1][1] and not trace[e][1]]
+    assert [e for e in returns if m[e] < cfg.r_bound <= m[e - 1]] == returns
 
 
 @pytest.mark.parametrize("text", ["z*z", "0.3*exp(z)", "1/pow(z,2)", "z+1+exp(-z)", "z+sin(z)", "1.4*z"])

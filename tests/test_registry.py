@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -123,15 +124,15 @@ def test_entry_defaults_what_it_omits():
 def test_permutability_rows_keep_their_bounds(monkeypatch, max_dev):
     """The "commutes" row passes exactly when the check calls the pair
     permutable and max_dev < 1e-9, the "does not commute" row when it does
-    not and max_dev > 1.0: at 1e-9 and at 1.0 both fail, and an infinite
-    deviation does not commute."""
+    not and 1.0 < max_dev < inf: at 1e-9 and at 1.0 both fail, and so do
+    inf and NaN, which `check_permutable` never gives."""
     result = PermutabilityResult(checked=200, skipped=0, max_dev=max_dev, tol=1e-9)
     monkeypatch.setattr(registry, "check_permutable", lambda f, g, plan: result)
     commuting, periodic = get_example("ex_exp_translate"), get_example("ex_periodic_translate")
     commutes = commuting.expectations[0].run(commuting, None, 1.0)
     differs = periodic.expectations[0].run(periodic, None, 1.0)
     assert commutes[0] is (result.permutable and max_dev < 1e-9)
-    assert differs[0] is ((not result.permutable) and max_dev > 1.0)
+    assert differs[0] is ((not result.permutable) and 1.0 < max_dev < math.inf)
     if max_dev in (1e-9, 1.0):
         assert not commutes[0] and not differs[0]
     for _, measured in (commutes, differs):
@@ -140,13 +141,14 @@ def test_permutability_rows_keep_their_bounds(monkeypatch, max_dev):
 
 def test_an_infinite_deviation_does_not_commute():
     """The constant 1e308 and -z give f(g(z)) = 1e308 and g(f(z)) = -1e308,
-    whose difference overflows: max_dev is inf, which the "does not
-    commute" row takes and the "commutes" row refuses."""
+    whose difference overflows: max_dev is the largest double, which the
+    "does not commute" row takes and the "commutes" row refuses, with no
+    numpy warning."""
     entry = _entry(f=parse("1e308"), g=parse("-z"))
     commutes = get_example("ex_exp_translate").expectations[0].run
     differs = get_example("ex_periodic_translate").expectations[0].run
-    with np.errstate(over="ignore"):
-        assert differs(entry, None, 1.0) == (True, {"max_dev": math.inf, "checked": 200})
+    with np.errstate(all="raise"):
+        assert differs(entry, None, 1.0) == (True, {"max_dev": sys.float_info.max, "checked": 200})
         assert commutes(entry, None, 1.0)[0] is False
 
 

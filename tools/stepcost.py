@@ -7,19 +7,26 @@ Usage, from any directory::
 
 Every row but the set-up is one function of the package object it
 measures, called in this process; alone, the script calls them on the
-package in ``src/`` of the checkout that holds it. Seeds are a lattice
-in [0.5, 3.5] x [-3, 3], where every orbit of the Fatou map
-``z+1+exp(-z)`` runs the whole budget of 1,000 steps (Re z grows by
-about 1 a step) when the engine is given no escape regions, so each
-step of a run steps every lane. (With its certified half-plane
+package in ``src/`` of the checkout that holds it. Every row reaches the
+engine through ``classify_batch``, ``iterate_orbit`` or the CLI, never
+through the engine's own run function, whose signature a change may
+move; a row that needs the engine without certificates, or its step
+count, patches ``orbit._setup`` or wraps the ``orbit.eval_array``
+binding. Seeds are a lattice in [0.5, 3.5] x [-3, 3], where every orbit
+of the Fatou map ``z+1+exp(-z)`` runs the whole budget of 1,000 steps
+(Re z grows by about 1 a step) when the engine is given no certificates,
+so each step of a run steps every lane. (With its certified half-plane
 ``Re z >= 1/16`` every one of those orbits ends at step 0; the rows
-measure the step itself, as they did before certificates.) At 1, 288
-and 3,600 lanes it prints, in microseconds per step:
+measure the step itself, as they did before certificates.) The step rows
+call ``classify_batch`` with ``orbit._setup`` patched to give the map's
+program, compiled once, no regions and no trap boxes. At 1, 288 and
+3,600 lanes they print, in microseconds per step:
 
 - ``eval_array``: the time the engine spends in ``eval_array``, timed by
   a wrapper around the package's ``orbit.eval_array`` binding;
-- ``engine step``: the whole ``_run_batch`` run divided by its 1,000
-  steps, evaluation and about 0.3 us of wrapper included;
+- ``engine step``: the whole ``classify_batch`` call divided by its
+  1,000 steps, evaluation, about 0.3 us of wrapper and the call's own
+  work before and after the engine included;
 - ``bookkeeping``: the difference, what the engine itself adds per step.
 
 It first prints how many lane reductions one evaluation of the map runs:
@@ -41,10 +48,11 @@ Two batch rows measure the other end, where lanes end, each a run of
 
 Each prints microseconds per run and per engine step, and the lane-steps,
 the steps summed over the lanes. A wrapper on the package's
-``orbit._run_batch`` counts the engine steps of one ``classify_batch``
-call: each engine run's steps, until its last lane ends, summed. A grid
-whose every seed ends at step 0 runs no engine step: its row prints the
-time per run alone.
+``orbit.eval_array`` binding counts the engine steps of one
+``classify_batch`` call: an engine run evaluates the map once a step,
+until its last lane ends, so the count is each run's steps, summed. A
+grid whose every seed ends at step 0 runs no engine step: its row prints
+the time per run alone.
 
 Then the render row: microseconds per in-process call of the package's
 ``cli.main`` that renders ``1/pow(z,2)`` over [-2, 2] x [-2, 2] at 256 x
@@ -88,10 +96,12 @@ seven rows between the two packages, which share one numpy and one
 allocator, ``--rounds`` times (default 10): the two batch rows' run
 times, the render, the single seed, the 3,600-lane bookkeeping per step,
 the set-up and the region search (of the set-up's four maps, summed). It
-prints each side's median, its lower and upper quartiles (inclusive
-method; one round is its own quartiles), and in how many rounds each side
-was the faster. A row whose medians differ by less than the other side's
-interquartile range has not moved beyond that side's own spread.
+prints each side's median and its lower and upper quartiles (inclusive
+method; one round is its own quartiles). A row whose medians differ by
+less than the other side's interquartile range has not moved beyond that
+side's own spread. It prints no count of the rounds each side was the
+faster: two identical copies of one tree split them as unevenly as 8 to
+2, so such a count reads a move where there is none.
 """
 
 from __future__ import annotations
@@ -107,6 +117,7 @@ import sys
 import tempfile
 import time
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 
@@ -189,14 +200,13 @@ def window(grid: GridSpec) -> str:
 
 
 def step_us(pkg, nx: int, ny: int) -> tuple[float, float]:
-    """One engine run of the Fatou map without escape regions over the
-    lattice of ``nx`` x ``ny`` seeds: microseconds per step in
-    ``eval_array``, and in the engine's own bookkeeping."""
-    orbit, program = pkg.orbit, pkg.expr.compile_expr(pkg.parse(FATOU))
-    cfg = orbit.DEFAULT_CONFIG
+    """One ``classify_batch`` call of the Fatou map without certificates
+    over the lattice of ``nx`` x ``ny`` seeds, which runs the engine once:
+    microseconds per step in ``eval_array``, and in the engine's own
+    bookkeeping."""
+    orbit, f = pkg.orbit, pkg.parse(FATOU)
+    program, cfg = pkg.expr.compile_expr(f), orbit.DEFAULT_CONFIG
     z = (np.linspace(0.5, 3.5, nx)[None, :] + 1j * np.linspace(-3.0, 3.0, ny)[:, None]).ravel()
-    if not (orbit._run_batch(program, z, cfg, ()).kind == orbit._COMPLETED).all():
-        sys.exit(f"error: not every orbit at {z.size} lanes ran the whole budget")
     inner, spent = orbit.eval_array, [0.0]
 
     def timed(*args):
@@ -207,14 +217,14 @@ def step_us(pkg, nx: int, ny: int) -> tuple[float, float]:
 
     def run():
         spent[0] = 0.0
-        orbit._run_batch(program, z, cfg, ())
+        pkg.classify_batch(f, z)
         return spent[0]
 
-    orbit.eval_array = timed
-    try:
-        wall, evaluation = best(run)
-    finally:
-        orbit.eval_array = inner
+    with mock.patch.object(orbit, "_setup", lambda f, cfg: (program, (), None)):
+        if not (pkg.classify_batch(f, z, return_state=True)[1].kind == orbit._COMPLETED).all():
+            sys.exit(f"error: not every orbit at {z.size} lanes ran the whole budget")
+        with mock.patch.object(orbit, "eval_array", timed):
+            wall, evaluation = best(run)
     return evaluation / cfg.max_iter * 1e6, (wall - evaluation) / cfg.max_iter * 1e6
 
 
@@ -226,22 +236,18 @@ def batch_us(pkg, text: str, grid: GridSpec) -> float:
 
 def engine_steps(pkg, text: str, grid: GridSpec) -> int:
     """The steps the engine runs in one ``classify_batch`` call of the map
-    ``text`` over ``grid``: each ``_run_batch`` run's, until its last lane
-    ends, summed over the runs, counted by a wrapper on the package's
-    ``orbit._run_batch``."""
-    orbit, inner, steps = pkg.orbit, pkg.orbit._run_batch, []
+    ``text`` over ``grid``, summed over its runs: the map's evaluations,
+    one per run per step, counted by a wrapper on the package's
+    ``orbit.eval_array`` binding."""
+    inner, calls = pkg.orbit.eval_array, []
 
-    def counted(*args, **kwargs):
-        state = inner(*args, **kwargs)
-        steps.append(int(state.term_step.max(initial=0)))
-        return state
+    def counted(*args):
+        calls.append(None)
+        return inner(*args)
 
-    orbit._run_batch = counted
-    try:
+    with mock.patch.object(pkg.orbit, "eval_array", counted):
         pkg.classify_batch(pkg.parse(text), grid.points())
-    finally:
-        orbit._run_batch = inner
-    return sum(steps)
+    return len(calls)
 
 
 def batch_row(pkg, title: str, text: str, grid: GridSpec) -> None:
@@ -338,19 +344,17 @@ def against(other: Path, rounds: int) -> int:
     and ``other``'s, loaded beside it in this process."""
     sides = ((ROOT, bungee), (other, load(other, "bungee_against")))  # two sides even if other is ROOT
     figures: dict = {(row, side): [] for row in range(len(AGAINST_ROWS)) for side in (0, 1)}
-    wins = dict.fromkeys(figures, 0)
     for k in range(rounds):
         for row, (_, figure) in enumerate(AGAINST_ROWS):
             for side in (0, 1) if k % 2 == 0 else (1, 0):
                 figures[row, side].append(figure(sides[side][1]))
-            wins[row, min((0, 1), key=lambda side: figures[row, side][-1])] += 1
     for row, (title, figure) in enumerate(AGAINST_ROWS):
         each = "once in a fresh process" if figure is setup_ms else f"best of {REPEATS}"
         print(f"{title} ({each} a round), {rounds} alternating rounds")
         for side, (checkout, _) in enumerate(sides):
             low, high = quartiles(figures[row, side])
-            print(f"{statistics.median(figures[row, side]):>10.1f} median, quartiles {low:>10.1f} {high:>10.1f}, "
-                  f"faster in {wins[row, side]:>2} of {rounds}  {checkout}")
+            print(f"{statistics.median(figures[row, side]):>10.1f} median, quartiles {low:>10.1f} {high:>10.1f}  "
+                  f"{checkout}")
     return 0
 
 
