@@ -1,11 +1,12 @@
 """Certified regions: where a map provably escapes, is Bungee, or is bounded.
 
-Each search runs a compiled `Program` in an exact arithmetic through the
-one walker of `bungee.expr`, which reads ``Var`` and keeps the values
+Each search runs a compiled `Program` in an arithmetic of its own through
+the one walker of `bungee.expr`, which reads ``Var`` and keeps the values
 that ``Apply`` binds to it; an arithmetic is one function that gives an
 instruction's value from its operands': `_affine` over a box, for the
-affine interval forms below, and `_dominant` at a radius, for the
-dominant-term forms further below.
+affine interval forms below; `_dominant` at a radius, for the
+dominant-term forms further below; and `_float_value`, numpy's float
+values with none of `eval_array`'s event tests, for the trap probe.
 
 The first arithmetic is that of *affine interval forms* ``alpha*z + I``:
 ``alpha`` is an exact rational (an int or a `Fraction`) and ``I`` a
@@ -82,7 +83,8 @@ on `RADII`:
 `regions` runs both searches, as the orbit engine does once per call.
 
 `trap_regions` is the third search, for bounded orbits: it iterates a
-fixed probe, 0 and the map's constants, `TRAP_PROBE_STEPS` times, and
+fixed probe, 0 and the map's constants, `TRAP_PROBE_STEPS` times, in
+float values alone through the walker, which equal `eval_array`'s, and
 about each end point ``c`` within ``r_bound`` keeps the first box
 ``c ± r``, ``r`` on `TRAP_RADII`, whose `enclose` image lies strictly
 inside it. Then ``f(B)`` lies in the interior of ``B``, so every orbit
@@ -102,7 +104,7 @@ from typing import NamedTuple, Optional
 
 import numpy as np
 
-from .expr import Program, _ignoring_errors, _walk, eval_array
+from .expr import _BINARY, _UFUNCS, Program, _walk
 
 __all__ = [
     "Region", "LADDER", "enclose", "certifies", "escape_regions",
@@ -150,26 +152,40 @@ class Region(NamedTuple):
 
 # --- real intervals with outward rounding -----------------------------------
 
+# `_sum`, `_add`, `_mul` and `_square` run thousands of times per search,
+# so they call no helper and build no list or generator.
+_nextafter = math.nextafter
+
 
 def _down(x: float) -> float:
-    return math.nextafter(x, -_INF)
+    return _nextafter(x, -_INF)
 
 
 def _up(x: float) -> float:
-    return math.nextafter(x, _INF)
+    return _nextafter(x, _INF)
 
 
 def _sum(x: float, y: float, toward: float) -> float:
-    """``x + y`` rounded toward ``toward`` (±inf), exact sums kept as they are."""
+    """``x + y`` rounded toward ``toward`` (±inf), exact sums kept as they are.
+
+    By Fast2Sum, with ``|big| >= |small|``, the rounding error is 0 iff
+    ``s - big == small``; that test also fails for every sum that is not
+    finite, where ``s - big`` is infinite or NaN."""
     s = x + y
-    big, small = (x, y) if abs(x) >= abs(y) else (y, x)
-    if math.isfinite(s) and s - big == small:  # Fast2Sum: the rounding error is 0
+    if (s - x == y) if abs(x) >= abs(y) else (s - y == x):
         return s
-    return math.nextafter(s, toward)
+    return _nextafter(s, toward)
 
 
 def _add(a, b):
-    return (_sum(a[0], b[0], -_INF), _sum(a[1], b[1], _INF))
+    """``a + b``, each end rounded as `_sum` rounds it, toward its own side."""
+    (x, y), (u, v) = a, b
+    lo, hi = x + u, y + v
+    if not ((lo - x == u) if abs(x) >= abs(u) else (lo - u == x)):
+        lo = _nextafter(lo, -_INF)
+    if not ((hi - y == v) if abs(y) >= abs(v) else (hi - v == y)):
+        hi = _nextafter(hi, _INF)
+    return (lo, hi)
 
 
 def _neg(a):
@@ -177,21 +193,29 @@ def _neg(a):
 
 
 def _mul(a, b):
-    if a[0] == a[1] and b[0] == b[1]:  # two points: one product
-        lo = hi = a[0] * b[0] if a[0] and b[0] else 0.0
+    """``a * b``: the least and the greatest of the endpoint products, with
+    ``0 * inf = 0`` and the first of equal ones (0.0 or -0.0) kept, rounded
+    outward unless a factor is the point 0 or ±1, by which every product
+    is exact."""
+    (p, q), (r, s) = a, b
+    if p == q and r == s:  # two points: one product
+        lo = hi = p * r if p and r else 0.0
     else:
-        products = [x * y if x and y else 0.0 for x in a for y in b]  # 0 * inf = 0
+        products = (p * r if p and r else 0.0, p * s if p and s else 0.0,
+                    q * r if q and r else 0.0, q * s if q and s else 0.0)
         lo, hi = min(products), max(products)
-    if any(p[0] == p[1] and abs(p[0]) in (0.0, 1.0) for p in (a, b)):
-        return (lo, hi)  # a factor of 0 or ±1: every product is exact
-    return (_down(lo), _up(hi))
+    if p == q and abs(p) in (0.0, 1.0) or r == s and abs(r) in (0.0, 1.0):
+        return (lo, hi)
+    return (_nextafter(lo, -_INF), _nextafter(hi, _INF))
 
 
 def _square(a):
-    lo, hi = sorted((abs(a[0]), abs(a[1])))
+    x, y = abs(a[0]), abs(a[1])
+    lo, hi = (y, x) if y < x else (x, y)
     if a[0] <= 0 <= a[1]:
         lo = 0.0
-    return (max(0.0, _down(lo * lo)), _up(hi * hi))
+    lo = _nextafter(lo * lo, -_INF)
+    return (lo if lo > 0.0 else 0.0, _nextafter(hi * hi, _INF))
 
 
 def _monotone(fn, a, floor=-_INF):
@@ -773,30 +797,55 @@ def traps(program: Program, box) -> bool:
     return all(side[0] < part[0] and part[1] < side[1] for side, part in zip(box, image))
 
 
+def _float_value(k: int, op: str, node, arg, x=None, y=None):
+    """The float value of an instruction over numpy arrays from its
+    operands' values, by the operations `expr._run` applies, so it equals
+    `eval_array`'s, with no event test: `_walk`'s ``apply`` for the trap
+    probe. A constant stays a numpy scalar, as it does in `expr._run`."""
+    if op in _BINARY:
+        return _BINARY[op](x, y)
+    if op in _UFUNCS:
+        return _UFUNCS[op](x)
+    return arg if op == "load" else -x if op == "neg" else x**arg
+
+
+def _probe(program: Program) -> tuple[np.ndarray, np.ndarray]:
+    """The trap probe's end points and their float images: the probe, 0 and
+    the constants the map loads, iterated `TRAP_PROBE_STEPS` times, and once
+    more, through `_walk` in `_float_value`. A constant map's value is
+    broadcast to the probe's shape at every step, as `eval_array` does.
+    Call it under ``np.errstate(all="ignore")``: a lane whose evaluation
+    fails just goes on with its inf or NaN value."""
+    loaded = (complex(arg) for op, _, arg in program.code if op == "load" and arg is not None)
+    z = np.array(list(dict.fromkeys((0j, *loaded))), dtype=np.complex128)
+    for _ in range(TRAP_PROBE_STEPS + 1):
+        end, z = z, _walk(program, z, _float_value)
+        if np.shape(z) != end.shape:
+            z = np.broadcast_to(z, end.shape)
+    return end, z
+
+
 def trap_regions(program: Program, cfg) -> tuple[TrapBox, ...]:
     """The trap boxes of a map, found from its program and ``cfg`` alone.
 
     A fixed probe, 0 and the constants the map loads, is iterated
-    `TRAP_PROBE_STEPS` times with `eval_array`. For each finite end point
-    ``c`` with ``|c| <= cfg.r_bound`` that no box kept so far holds, the
-    first box ``c ± r``, ``r`` on `TRAP_RADII`, that `traps` certifies is
-    kept. A box that traps holds the image of its center, so a radius
-    ``r`` is tried only if the float image of ``c``, one more evaluation,
-    lies within ``r`` of it in both parts: a probe that still drifts costs
-    no interval evaluation. An end point that has settled usually lies near
+    `TRAP_PROBE_STEPS` times by `_probe`, in float values alone through
+    `_walk`, with no event test, since the probe only proposes boxes, each
+    proved on its own. For each finite end point ``c`` with
+    ``|c| <= cfg.r_bound`` that no box kept so far holds, the first box
+    ``c ± r``, ``r`` on `TRAP_RADII`, that `traps` certifies is kept. A box
+    that traps holds the image of its center, so a radius ``r`` is tried
+    only if the float image of ``c``, one more step of the probe, lies
+    within ``r`` of it in both parts: a probe that still drifts costs no
+    interval evaluation. An end point that has settled usually lies near
     an attracting cycle of period 1 (Milnor 2006, ch. 8): ``0.3*exp(z)``
     traps ``0.48940... ± 0.5``. The interval evaluation that proves each
     box follows Tucker (2011).
     """
-    loaded = (complex(arg) for op, _, arg in program.code if op == "load" and arg is not None)
-    z = np.array(list(dict.fromkeys((0j, *loaded))), dtype=np.complex128)
-    # The probe only proposes boxes, each proved on its own, so a lane whose
-    # evaluation fails just goes on with its inf or NaN value.
-    with _ignoring_errors():
-        for _ in range(TRAP_PROBE_STEPS + 1):
-            end, (z, _) = z, eval_array(program, z)
+    with np.errstate(all="ignore"):
+        end, image = _probe(program)
         within = np.abs(end) <= cfg.r_bound
-        moves = np.maximum(np.abs(z.real - end.real), np.abs(z.imag - end.imag))
+        moves = np.maximum(np.abs(image.real - end.real), np.abs(image.imag - end.imag))
     found: list = []
     for c, move in zip(end[within].tolist(), moves[within].tolist()):
         if any(box.contains(c) for box in found):

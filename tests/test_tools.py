@@ -53,15 +53,18 @@ def test_stepcost_rows_run_on_this_checkout():
         assert stepcost["search_us"](bungee, stepcost["SETUP_MAPS"], search) > 0
     assert stepcost["setup_ms"](bungee) > 0
     titles = [title for title, _ in stepcost["AGAINST_ROWS"]]
-    assert len(titles) == 7
+    assert len(titles) == 8
     assert titles[:4] == ["short orbits: 1/pow(z,2) over 256x256 seeds of [-2, 2]x[-2, 2], us per run",
                           "Bounded cycles: 0.3*exp(z) over 256x256 seeds of [-4, 4]x[-4, 4], us per run",
                           "render: cli.main of 1/pow(z,2) over 256x256 seeds of [-2, 2]x[-2, 2] with --boundary "
                           "and --json, overwriting its outputs, us per run",
                           "single seed: iterate_orbit then classify of one seed of each of z+1+exp(-z), "
                           "0.3*exp(z), 1/pow(z,2), z+sin(z), summed, us per call"]
-    assert titles[-1] == ("region search: certify.regions of z+1+exp(-z), 0.3*exp(z), 1/pow(z,2), z+sin(z), "
-                          "summed, us per call")
+    assert titles[-2:] == ["region search: certify.regions of z+1+exp(-z), 0.3*exp(z), 1/pow(z,2), z+sin(z), "
+                           "summed, us per call",
+                           "trap search: certify.trap_regions of z+1+exp(-z), 0.3*exp(z), 1/pow(z,2), z+sin(z), "
+                           "summed, us per call"]
+    assert [figure(bungee) > 0 for _, figure in stepcost["AGAINST_ROWS"][-2:]] == [True, True]
 
 
 def test_stepcost_batch_row_without_engine_steps(capsys):

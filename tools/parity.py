@@ -35,13 +35,20 @@ commit and the working tree) and comparing the directories with
   both configs, the ``repr`` of the orbit record's peaks and of
   ``evaluate`` at the seed; and for every map of the catalog, the node
   ``repr`` of its root, of ``compose(f, f)``'s and of
-  ``conjugate(f, 2, 1j)``'s, whose ``Apply`` nodes no parsed map has.
+  ``conjugate(f, 2, 1j)``'s, whose ``Apply`` nodes no parsed map has;
+- ``certificates.tsv``: for every map of the catalog, both composites
+  ``f(g)`` and ``g(f)`` of each catalog pair and the maps of
+  ``tools/stepcost.py``'s ``SEARCH_EXTRA``, the ``str`` of every region
+  `bungee.certify.regions` finds, which depends on the map alone, and of
+  every trap box `bungee.certify.trap_regions` finds under each config,
+  and the ``repr`` of `bungee.certify.enclose` over each of
+  ``ENCLOSE_BOXES``.
 
 Every command runs in process through ``bungee.cli.main``. Its exit code
 and the first line of its standard error go to ``exits.tsv``, so a
 command that fails still leaves a comparable record. The sweep writes
-1,061 files, 1,018 exit codes among them in ``exits.tsv``, and takes about
-4 s in one process on a two-core machine.
+1,062 files, 1,018 exit codes among them in ``exits.tsv``, and takes about
+3 s in one process on a two-core machine.
 """
 
 from __future__ import annotations
@@ -49,6 +56,8 @@ from __future__ import annotations
 import contextlib
 import io
 import json
+import math
+import runpy
 import sys
 from pathlib import Path
 
@@ -70,7 +79,9 @@ from bungee import (  # noqa: E402
     list_examples,
     parse,
 )
+from bungee.certify import enclose, regions, trap_regions  # noqa: E402
 from bungee.cli import main  # noqa: E402
+from bungee.expr import compile_expr  # noqa: E402
 
 DRIFT_CFG = ClassifierConfig(max_iter=2000, r_bound=100.0, r_esc=1e3)
 EDGE_SEEDS = [0, 1e-300, 1e200, 1, 0.5, -800, 800, 800j, 0.1j, 1e-150, 1.5 - 2j]
@@ -125,6 +136,14 @@ NUMERIC_REFUSALS = {
 }
 
 
+# The maps beside the catalog's that stepcost times the searches of.
+SEARCH_EXTRA = runpy.run_path(str(Path(__file__).with_name("stepcost.py")), run_name="stepcost")["SEARCH_EXTRA"]
+# Boxes for `enclose`: a square about 0, one off both axes, a half-plane
+# and a half-strip.
+ENCLOSE_BOXES = (((-1.0, 1.0), (-1.0, 1.0)), ((0.5, 1.5), (0.25, 2.0)), ((2.0, math.inf), (-math.inf, math.inf)),
+                 ((-3.0, 3.0), (-math.inf, -4.0)))
+
+
 def _pair(z: complex) -> str:
     return f"{z.real!r},{z.imag!r}"
 
@@ -148,6 +167,26 @@ def _records(maps: list[str]) -> str:
                 lines.append(f"map{mi}-seed{si}-{cname}\t{peaks!r}\t{evaluate(f, complex(seed))!r}")
         for tname, tree in (("root", f), ("compose", compose(f, f)), ("conjugate", conjugate(f, 2, 1j))):
             lines.append(f"map{mi}-{tname}\t{tree.root!r}")
+    return "\n".join(lines) + "\n"
+
+
+def _certificates(maps: list[str], entries: list) -> str:
+    """For each map, catalog pair composite and `SEARCH_EXTRA` map: one
+    line with its text, one with its regions, one with its trap boxes per
+    config and one with its enclosure of each of `ENCLOSE_BOXES`."""
+    trees = {f"map{mi}": parse(expr) for mi, expr in enumerate(maps)}
+    for entry in entries:
+        if entry.g is not None:
+            trees[f"{entry.id}-fg"], trees[f"{entry.id}-gf"] = compose(entry.f, entry.g), compose(entry.g, entry.f)
+    trees.update((f"extra{k}", parse(text)) for k, text in enumerate(SEARCH_EXTRA))
+    configs = {"default": ClassifierConfig(), "drift": DRIFT_CFG}
+    lines = []
+    for name, tree in trees.items():
+        program = compile_expr(tree)
+        lines += [f"{name}-map\t{tree}", f"{name}-regions\t{[str(r) for r in regions(program)]}"]
+        lines += [f"{name}-traps-{cname}\t{[str(b) for b in trap_regions(program, cfg)]}"
+                  for cname, cfg in configs.items()]
+        lines += [f"{name}-enclose{k}\t{enclose(program, box)!r}" for k, box in enumerate(ENCLOSE_BOXES)]
     return "\n".join(lines) + "\n"
 
 
@@ -230,8 +269,9 @@ def write_outputs(outdir: Path) -> int:
                                                 f"--scale={scale}"], capture=False)
     (outdir / "registry.json").write_text(export_registry_json())
     (outdir / "records.tsv").write_text(_records(maps))
+    (outdir / "certificates.tsv").write_text(_certificates(maps, entries))
     (outdir / "exits.tsv").write_text("\n".join(exits) + "\n")
-    print(f"wrote {len(exits) + 2} outputs to {outdir}")
+    print(f"wrote {len(exits) + 3} outputs to {outdir}")
     return 0
 
 

@@ -92,16 +92,17 @@ Each row is the fastest of several runs, but the machine's speed drifts
 between invocations by more than many changes move a row. So
 ``--against OTHER_CHECKOUT`` also loads the other checkout's
 ``src/bungee`` in this process, as ``bungee_against``, and alternates
-seven rows between the two packages, which share one numpy and one
+eight rows between the two packages, which share one numpy and one
 allocator, ``--rounds`` times (default 10): the two batch rows' run
 times, the render, the single seed, the 3,600-lane bookkeeping per step,
-the set-up and the region search (of the set-up's four maps, summed). It
-prints each side's median and its lower and upper quartiles (inclusive
-method; one round is its own quartiles). A row whose medians differ by
-less than the other side's interquartile range has not moved beyond that
-side's own spread. It prints no count of the rounds each side was the
-faster: two identical copies of one tree split them as unevenly as 8 to
-2, so such a count reads a move where there is none.
+the set-up, the region search and the trap-box search (each of the
+set-up's four maps, summed). It prints each side's median and its lower
+and upper quartiles (inclusive method; one round is its own quartiles).
+A row whose medians differ by less than the other side's interquartile
+range has not moved beyond that side's own spread. It prints no count of
+the rounds each side was the faster: two identical copies of one tree
+split them as unevenly as 8 to 2, so such a count reads a move where
+there is none.
 """
 
 from __future__ import annotations
@@ -168,6 +169,7 @@ ORBIT_TITLE = (f"single seed: iterate_orbit then classify of one seed of each of
                "summed, us per call")
 SETUP_TITLE = "set-up: import bungee and bungee.cli from source, parse 4 maps, run the CLI without arguments, ms"
 SEARCH_TITLE = f"region search: certify.regions of {', '.join(SETUP_MAPS)}, summed, us per call"
+TRAP_TITLE = f"trap search: certify.trap_regions of {', '.join(SETUP_MAPS)}, summed, us per call"
 
 
 def load(checkout: Path, name: str):
@@ -327,6 +329,7 @@ AGAINST_ROWS = (
     (f"map {FATOU} over 60x60 lanes, bookkeeping us per step", lambda pkg: step_us(pkg, 60, 60)[1]),
     (SETUP_TITLE, setup_ms),
     (SEARCH_TITLE, functools.partial(search_us, texts=SETUP_MAPS)),
+    (TRAP_TITLE, functools.partial(search_us, texts=SETUP_MAPS, search="trap_regions")),
 )
 
 
@@ -360,7 +363,7 @@ def against(other: Path, rounds: int) -> int:
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--against", type=Path, help="another checkout to alternate seven rows with")
+    parser.add_argument("--against", type=Path, help="another checkout to alternate eight rows with")
     parser.add_argument("--rounds", type=int, default=10, help="alternations with --against (default 10)")
     args = parser.parse_args(argv)
     if args.rounds < 1:
