@@ -46,7 +46,7 @@ print("value at 2:", evaluate(k, 2), "vs closed form:", 2 * math.exp(1))
 pole = evaluate(parse("1/pow(z,2)"), 0)
 spill = evaluate(parse("exp(z)"), 800)
 print("at a pole:", type(pole).__name__)
-print("past the overflow guard:", type(spill).__name__)
+print("past double range:", type(spill).__name__)
 
 # Formatting a parsed tree round-trips exactly. Compose nodes print in
 # substituted form, so their strings reparse to plain application trees.

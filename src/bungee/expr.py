@@ -19,13 +19,13 @@ finite doubles (not ``1e999``). Complex literals are spelled ``a+b*i``.
 syntax error). Parentheses, calls and unary minus nest at most 200 levels
 deep.
 
-Evaluation is guarded rather than exception-driven: results that leave the
-representable range come back as event values (`InfinityEvent`,
-`PoleEvent`) instead of raising. ``exp`` is treated as overflowed as soon
-as the real part of its argument exceeds 700, and ``sin``/``cos`` as soon
-as the imaginary part of theirs does, since beyond that the double range
-is effectively exhausted. Division by exact zero yields `PoleEvent`; it
-can only arise for the meromorphic oracle family ``1/pow(z,d)``.
+Evaluation is guarded rather than exception-driven: a value that is not
+finite comes back as an `InfinityEvent`, and a division by exact zero as a
+`PoleEvent`, instead of raising. No argument is tested: ``exp`` of a real
+part up to ln(max double), about 709.78, is a double like any other, and
+past it numpy's own value is inf, which the finiteness checks mark. A
+division by exact zero arises at a pole, such as 0 for the oracle family
+``1/pow(z,d)``, or where a divisor underflows or cancels to 0.
 
 Expression nodes and `FunctionExpr` are immutable slotted values, safe
 to share across threads. Built by hand, they refuse what `parse` does: a
@@ -74,12 +74,7 @@ __all__ = [
     "EVENT_NONE",
     "EVENT_INFINITY",
     "EVENT_POLE",
-    "EXP_REAL_LIMIT",
-    "TRIG_IMAG_LIMIT",
 ]
-
-EXP_REAL_LIMIT = 700.0
-TRIG_IMAG_LIMIT = 700.0
 
 EVENT_NONE = 0
 EVENT_INFINITY = 1
@@ -670,13 +665,13 @@ def _run(program: Program, z: np.ndarray) -> tuple[np.ndarray, list]:
     """Run ``program`` over ``z``: its values, and the marks ``(event code,
     lane mask, node)`` of the tests that fired, in evaluation order.
 
-    A checked node (see `Program.checked`) tests its lanes with one
-    reduction: a lane sum is finite iff every lane is. ``exp``/``sin``/``cos``
-    count the lanes whose argument is past its limit. A ``/`` counts its
-    zero divisors only when its quotient fails that test, checked or not,
-    since a complex ``x/0`` is never finite; their pole mark comes before
-    the node's infinity mark. A lane mask is built only when a test fires,
-    and only constant maps are broadcast.
+    An event is a value that is not finite or a divisor that is exactly
+    zero; no argument is tested. A checked node (see `Program.checked`)
+    tests its lanes with one reduction: a lane sum is finite iff every lane
+    is. A ``/`` counts its zero divisors only when its quotient fails that
+    test, checked or not, since a complex ``x/0`` is never finite; their
+    pole mark comes before the node's infinity mark. A lane mask is built
+    only when a test fires, and only constant maps are broadcast.
     """
     stack: list = []
     env = [z]  # what Var reads: z, or the inner value of the innermost Apply
@@ -698,9 +693,6 @@ def _run(program: Program, z: np.ndarray) -> tuple[np.ndarray, list]:
                 stack.append(-x)
                 continue
             if op in _FUNC_NAMES:
-                over = np.real(x) > EXP_REAL_LIMIT if op == "exp" else np.abs(np.imag(x)) > TRIG_IMAG_LIMIT
-                if np.count_nonzero(over):
-                    marks.append((EVENT_INFINITY, over, node))
                 v = _UFUNCS[op](x)
             elif op == "pow":
                 v = x**arg

@@ -2,7 +2,8 @@
 
 A seed is iterated under a map until one of: the iteration budget runs
 out (`Completed`), the orbit's modulus exceeds `OVERFLOW_GUARD`, 1e150,
-or an evaluation event fires (`Overflowed`), an iterate comes within
+or an evaluation event fires, a value that is not finite or a division by
+exact zero (`Overflowed`), an iterate comes within
 `CYCLE_TOL`, 1e-12 relative, of the one at the last Brent checkpoint
 (`CycleFound`), the map is evaluated at its pole 0 (`PoleHit`,
 oracle maps only), or the iterate lies in one of the run's certificates:
@@ -74,11 +75,13 @@ before step 0, and each refuses a seed that is not a finite number (a
 string such as ``"1"`` is not one) with ``seeds must be finite``; the
 engine trusts them. Step 0 is one function, `_start`, for every call:
 the caller tests its seeds against the regions once, with
-`certify.locate`, and `_start` ends each seed a region holds, and each
-past the guard that none holds, and leaves the others running;
-`_run_batch` then runs, from step 1, only the lanes `_start` left
-running. `classify_batch` runs those in chunks of up to `_CHUNK`, and a
-seed that ends at step 0 takes the code of its certificate's kind from
+`certify.locate`, and `_start` ends each seed a region holds and leaves
+the others running, those past the guard too; `_run_batch` then runs,
+from step 1, only the lanes `_start` left running. So the map is
+evaluated once at a seed past the guard that no region holds: the image
+meets the guard, an event, or neither (``0*z`` sends 1e200 to 0).
+`classify_batch` runs the lanes in chunks of up to `_CHUNK`, and a seed
+that ends at step 0 takes the code of its certificate's kind from
 `_KIND_CODES`, the table `_verdicts` reads for every certified lane. Run
 on one seed, the engine also appends each iterate and whether a peak is
 open after it to one list, from which `iterate_orbit` places the
@@ -214,7 +217,10 @@ class Completed(_Record):
 
 
 class Overflowed(_Record):
-    """The orbit left the trusted range.
+    """The orbit left the trusted range: an iterate lay past
+    `OVERFLOW_GUARD`, or the map's evaluation at an iterate gave a value
+    that is not finite or divided by exact zero (at an input other than 0,
+    which is a `PoleHit`).
 
     ``step`` is the index of the offending iterate: if that iterate's
     value crossed the dynamic-range guard it is the last recorded index,
@@ -383,7 +389,8 @@ class _Lanes:
         m = self.global_max
         self.armed = m < cfg.r_bound
         self.tortoise = self.z
-        self.tol_tort = CYCLE_TOL * m
+        # capped, so that a seed whose modulus is inf is no near-repeat of every finite image
+        self.tol_tort = CYCLE_TOL * np.minimum(m, OVERFLOW_GUARD)
         self.win_max = np.full(self.idx.size, -np.inf)
         self.ended = None  # lanes written out in this step, or None
 
@@ -426,14 +433,12 @@ def _start(z: np.ndarray, which: np.ndarray, kinds: np.ndarray) -> BatchState:
     """Step 0 of a run over the seeds ``z``, which the state keeps and the
     engine writes in place. A seed that the certificate ``which`` names, an
     index into the run's ``held`` whose kinds ``kinds`` lists, ends there,
-    unevaluated, even past the guard; a seed that none holds overflows if it
-    lies past the guard, and is left running otherwise."""
+    unevaluated, even past the guard; every other seed is left running,
+    past the guard or not, so the map is evaluated there at step 1."""
     n, m = z.size, np.abs(z)
-    kind = kinds.take(which)
-    kind[(m > OVERFLOW_GUARD) & (kind == _RUNNING)] = _OVERFLOWED
     return BatchState(
         z=z,
-        kind=kind,
+        kind=kinds.take(which),
         term_step=np.zeros(n, dtype=np.int64),
         period=np.zeros(n, dtype=np.int64),
         cycle_max=np.zeros(n, dtype=np.float64),

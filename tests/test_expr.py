@@ -284,16 +284,26 @@ def test_division_by_exact_zero_is_a_pole_event():
     assert isinstance(evaluate(parse("z/(z-1)"), 1), PoleEvent)
 
 
-def test_exp_guard_fires_before_overflow():
+def test_exp_is_an_infinity_event_only_past_double_range():
+    """No argument is tested: exp of a real part up to ln(max double),
+    about 709.78, is the double cmath gives, to an ulp (numpy scales its
+    value near the top of the range), and past it numpy's value is inf,
+    which the finiteness check marks."""
     assert isinstance(evaluate(parse("exp(z)"), 800), InfinityEvent)
-    assert isinstance(evaluate(parse("exp(z)"), 701 + 5j), InfinityEvent)
-    # Re <= 700 stays finite even with large modulus.
+    assert isinstance(evaluate(parse("exp(z)"), 709.8), InfinityEvent)
+    assert evaluate(parse("exp(z)"), 709.7) == pytest.approx(cmath.exp(709.7), rel=1e-15)
+    assert evaluate(parse("exp(z)"), 701 + 5j) == pytest.approx(cmath.exp(701 + 5j), rel=1e-15)
     assert isinstance(evaluate(parse("exp(z)"), 699), complex)
 
 
 def test_trig_guard_fires_on_large_imaginary_part():
+    """The finiteness check fires past double range, at |Im| about 710.5;
+    below it, sin and cos are the doubles cmath gives."""
     assert isinstance(evaluate(parse("sin(z)"), 800j), InfinityEvent)
     assert isinstance(evaluate(parse("cos(z)"), -750j), InfinityEvent)
+    assert isinstance(evaluate(parse("sin(z)"), 711j), InfinityEvent)
+    assert evaluate(parse("sin(z)"), 705j) == pytest.approx(cmath.sin(705j), rel=1e-15)
+    assert evaluate(parse("cos(z)"), -705j) == pytest.approx(cmath.cos(-705j), rel=1e-15)
     assert isinstance(evaluate(parse("sin(z)"), 700), complex)
 
 

@@ -34,6 +34,7 @@ from bungee import (
     classify,
     classify_batch,
     classify_point,
+    compose,
     get_example,
     iterate_orbit,
     list_examples,
@@ -367,6 +368,53 @@ def test_seeds_inside_a_region_end_at_step_zero():
         assert rec.returns == 0 and rec.peaks == () and rec.global_max == seed
         want = Classification.BUNGEE if isinstance(termination, CertifiedBungee) else Classification.ESCAPING
         assert classify(rec) == classify_point(parse(text), seed) == want
+
+
+# Seeds past the guard that no certificate holds are stepped once, like
+# any other: 0*z sends 1e200 to its fixed point 0, and exp(-z-1)+1 to
+# exactly 1, whose orbit its trap box holds at step 15; z keeps it past the
+# guard, so it overflows at step 1. pow(z,2) still ends at step 0, in its
+# region, unevaluated.
+@pytest.mark.parametrize("text, image, termination, verdict", [
+    ("0*z", 0, CycleFound(1, 1), Classification.BOUNDED),
+    ("exp(-z-1)+1", 1, CertifiedBounded, Classification.BOUNDED),
+    ("z", 1e200, Overflowed(1), Classification.ESCAPING),
+    ("pow(z,2)", None, CertifiedEscape(0, "|z| >= 1.0009765625"), Classification.ESCAPING),
+], ids=["0*z", "exp(-z-1)+1", "z", "pow(z,2)"])
+def test_a_seed_past_the_guard_is_stepped_once(text, image, termination, verdict):
+    rec = iterate_orbit(parse(text), 1e200)
+    if isinstance(termination, type):
+        assert isinstance(rec.termination, termination) and rec.termination.step == 15
+    else:
+        assert rec.termination == termination
+    assert rec.values[:2].tolist() == [1e200] + ([] if image is None else [image])
+    assert classify(rec) == Classification(int(classify_batch(parse(text), [1e200])[0])) == verdict
+
+
+def test_a_seed_of_infinite_modulus_is_no_near_repeat_of_its_image():
+    """|1.5e308+1.5e308j| is inf, so a cycle tolerance relative to it would
+    take every finite image for a repeat at step 1. 1/z+1 sends the seed to
+    1, from which the orbit falls to the golden ratio."""
+    rec = iterate_orbit(parse("1/z+1"), 1.5e308 + 1.5e308j)
+    assert rec.values[1] == 1 and rec.termination.period == 1 and rec.termination.entry > 1
+    assert abs(rec.values[-1] - (1 + 5**0.5) / 2) < 1e-9
+    assert classify(rec) == Classification.BOUNDED
+
+
+# Orbits whose exp argument passes real part 700 while every value stays a
+# double: 1/exp(z) from this seed reaches 702-20.9j, then about 1.3e-305,
+# and falls to its attracting fixed point, about 0.567; the composite of
+# ex_halfplane_pair's maps evaluates exp at real part 706 in its second
+# step, and ends in a trap box at step 15.
+@pytest.mark.parametrize("f, seed, termination", [
+    (parse("1/exp(z)"), -2.2083333333333335 - 2.375j, CycleFound),
+    (compose(parse("exp(-z-1)+1"), parse("exp(z-1)-1")), 2.9166666666666714 - 22.083333333333332j,
+     CertifiedBounded),
+], ids=["1/exp(z)", "compose(exp(-z-1)+1, exp(z-1)-1)"])
+def test_an_exp_argument_past_700_is_no_overflow(f, seed, termination):
+    rec = iterate_orbit(f, seed)
+    assert isinstance(rec.termination, termination)
+    assert classify(rec) == Classification(int(classify_batch(f, [seed])[0])) == Classification.BOUNDED
 
 
 def test_orbit_record_invariants_hold():
@@ -764,7 +812,11 @@ def assert_batch_is_one_seed_runs(f, distinct, pick, cfg) -> BatchState:
     return state
 
 
-LANE_SEEDS = np.array(EDGE_SEEDS + list(GridSpec(-3, 3, -3, 3, 4, 4).points().ravel()), dtype=np.complex128)
+# Beside the edge seeds and a grid, two that end lanes at steps of their own
+# without regions: 3 overflows at step 4 under 0.3*exp(z), and -200+pi*i at
+# step 2 under both Fatou maps.
+LANE_SEEDS = np.array(EDGE_SEEDS + [3, -200 + np.pi * 1j] + list(GridSpec(-3, 3, -3, 3, 4, 4).points().ravel()),
+                      dtype=np.complex128)
 # A few distinct seeds repeated in shuffled order, 4,096 + 37 lanes long, so
 # that the same seed sits on both sides of the chunk edge.
 LANE_PICK = np.random.default_rng(11).integers(0, LANE_SEEDS.size, CHUNK + 37)
@@ -1197,9 +1249,9 @@ def test_record_peaks_match_the_reference_replay_without_regions(name, f, cfg, n
         ("exp(z)", 0, "default", Overflowed(5), ((4, math.exp(math.exp(math.e))),), False),
         # 1.4**n passes r_esc at step 42 and is still rising when the budget ends.
         ("1.4*z", 1, "default", Completed(), ((1000, None),), True),
-        # A seed past the guard and outside every region ends before one
-        # step: no peak at all.
-        ("exp(z)", 1e200, "default", Overflowed(0), (), False),
+        # A seed past the guard and outside every region is stepped once,
+        # and e**1e200 is inf: no peak at all.
+        ("exp(z)", 1e200, "default", Overflowed(1), (), False),
         # 0, 1e7, 1e7: the peak's largest modulus repeats, and the first counts.
         ("1e7", 0, "small", CycleFound(1, 1), ((1, 1e7),), False),
     ],

@@ -8,7 +8,8 @@ functions of a package object, which read its private engine names
 binding) and the region searches ``regions``, ``form_regions`` and
 ``trap_regions`` only when called, so each row is called once on this
 checkout's package, on a small input; the set-up row, which runs in a
-fresh process, on its own maps, and the render row on its own grid.
+fresh process, on its own maps, and the render row on its own grid. Of
+``tools/parity.py`` the composites writer is called, on one catalog pair.
 """
 
 from __future__ import annotations
@@ -26,14 +27,50 @@ TOOLS = ROOT / "tools"
 
 
 @pytest.mark.parametrize("script, names", [
-    ("parity.py", ["write_outputs", "EDGE_SEEDS", "DRIFT_CFG", "main"]),
-    ("stepcost.py", ["main", "load", "best", "step_us", "batch_us", "engine_steps", "batch_row", "render_us",
-                     "orbit_us", "search_us", "setup_ms", "against", "SETUP_PROBE", "AGAINST_ROWS", "BATCH_ROWS",
-                     "ORBIT_SEEDS", "GridSpec", "bungee"]),
+    ("parity.py", ["write_outputs", "EDGE_SEEDS", "DRIFT_CFG", "CONFIGS", "COMPOSITE_GRIDS", "main"]),
+    ("stepcost.py", ["main", "load", "best", "per_call", "SAMPLE_S", "step_us", "batch_us", "engine_steps",
+                     "batch_row", "render_us", "orbit_us", "search_us", "setup_ms", "against", "SETUP_PROBE",
+                     "AGAINST_ROWS", "BATCH_ROWS", "ORBIT_SEEDS", "GridSpec", "bungee"]),
 ])
 def test_tool_script_loads(script, names):
     namespace = runpy.run_path(str(TOOLS / script), run_name="not_main")
     assert [name for name in names if name not in namespace] == []
+
+
+def test_parity_composites_cover_both_orders_and_configs():
+    """The composites writer on ex_halfplane_pair: the text of f(g) and
+    g(f), then, under both configs, a verdict and a termination at every
+    edge seed and the codes of every grid, a digit a seed. On the wide grid
+    two seeds of f(g), a conjugate pair, evaluate exp at a real part past
+    700 while every value stays a double; both read Bounded."""
+    parity = runpy.run_path(str(TOOLS / "parity.py"), run_name="not_main")
+    entry = parity["get_example"]("ex_halfplane_pair")
+    lines = dict(line.split("\t", 1) for line in parity["_composites"]([entry]).splitlines())
+    seeds, grids = parity["EDGE_SEEDS"], parity["COMPOSITE_GRIDS"]
+    assert len(lines) == 2 * (1 + 2 * (len(seeds) + len(grids)))
+    for order, (outer, inner) in (("fg", (entry.f, entry.g)), ("gf", (entry.g, entry.f))):
+        name = f"ex_halfplane_pair-{order}"
+        assert lines[f"{name}-map"] == str(parity["compose"](outer, inner))
+        for cname in ("default", "drift"):
+            for si in range(len(seeds)):
+                verdict, termination = lines[f"{name}-seed{si}-{cname}"].split("\t")
+                assert verdict in ("Escaping", "Bounded", "Bungee", "Unresolved") and termination.endswith(")")
+            for gname, grid in grids.items():
+                codes = lines[f"{name}-{gname}-{cname}"]
+                assert len(codes) == grid.nx * grid.ny and set(codes) <= set("0123")
+    wide = grids["wide40"].points().ravel()
+    for cname in ("default", "drift"):
+        codes = lines[f"ex_halfplane_pair-fg-wide40-{cname}"]
+        for seed in (2.9166666666666714 - 22.083333333333332j, 2.9166666666666714 + 22.083333333333336j):
+            assert codes[int(np.flatnonzero(wide == seed)[0])] == "1"
+
+
+def test_stepcost_search_samples_loop_for_at_least_five_ms():
+    stepcost = runpy.run_path(str(TOOLS / "stepcost.py"), run_name="not_main")
+    calls = []
+    seconds = stepcost["per_call"](lambda: calls.append(None))
+    assert stepcost["SAMPLE_S"] == 0.005
+    assert len(calls) > 1 and seconds * len(calls) >= 0.005
 
 
 def test_stepcost_rows_run_on_this_checkout():

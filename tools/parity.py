@@ -42,12 +42,18 @@ commit and the working tree) and comparing the directories with
   `bungee.certify.regions` finds, which depends on the map alone, and of
   every trap box `bungee.certify.trap_regions` finds under each config,
   and the ``repr`` of `bungee.certify.enclose` over each of
-  ``ENCLOSE_BOXES``.
+  ``ENCLOSE_BOXES``;
+- ``composites.tsv``: for both composites ``f(g)`` and ``g(f)`` of each
+  catalog pair, built in process with ``compose``, under both configs, the
+  verdict and the termination ``repr`` at every edge seed, and the codes of
+  each of ``COMPOSITE_GRIDS`` as one digit string per grid: the two render
+  grids, and a 96x96 grid over [-40, 40]^2, where some orbits evaluate
+  ``exp`` at a real part past 700.
 
 Every command runs in process through ``bungee.cli.main``. Its exit code
 and the first line of its standard error go to ``exits.tsv``, so a
 command that fails still leaves a comparable record. The sweep writes
-1,062 files, 1,018 exit codes among them in ``exits.tsv``, and takes about
+1,063 files, 1,018 exit codes among them in ``exits.tsv``, and takes about
 3 s in one process on a two-core machine.
 """
 
@@ -69,7 +75,10 @@ sys.path.insert(0, str(SRC))
 
 from bungee import (  # noqa: E402
     ClassifierConfig,
+    GridSpec,
     RelationId,
+    classify,
+    classify_batch,
     compose,
     conjugate,
     evaluate,
@@ -84,6 +93,7 @@ from bungee.cli import main  # noqa: E402
 from bungee.expr import compile_expr  # noqa: E402
 
 DRIFT_CFG = ClassifierConfig(max_iter=2000, r_bound=100.0, r_esc=1e3)
+CONFIGS = {"default": ClassifierConfig(), "drift": DRIFT_CFG}
 EDGE_SEEDS = [0, 1e-300, 1e200, 1, 0.5, -800, 800, 800j, 0.1j, 1e-150, 1.5 - 2j]
 PLANS = {
     "grid": "grid:-3,3,-3,3:9x7",
@@ -108,6 +118,13 @@ SCALE_REFUSALS = ("0", "2", "nan", "inf", "-1")
 RENDER_GRIDS = {
     "wide": ("-3,3,-3,3", "16,12"),
     "unit": ("0.5,1.5,-0.5,0.5", "15,15"),
+}
+# The grids of composites.tsv: the render grids, and a wider one on which
+# some orbits of ex_halfplane_pair's composites evaluate exp past 700.
+COMPOSITE_GRIDS = {
+    **{name: GridSpec(*map(float, grid.split(",")), *map(int, size.split(",")))
+       for name, (grid, size) in RENDER_GRIDS.items()},
+    "wide40": GridSpec(-40.0, 40.0, -40.0, 40.0, 96, 96),
 }
 # Grids `render` refuses: a non-finite bound and an extent that overflows.
 RENDER_REFUSALS = {"infinite-bound": "-inf,0,0,1", "overflowing-extent": "-1e308,1e308,0,1"}
@@ -157,12 +174,11 @@ def _configs(outdir: Path) -> dict[str, list[str]]:
 def _records(maps: list[str]) -> str:
     """One line per map, edge seed and config: the peaks and the value at
     the seed; and one per map and tree built from it: the root's repr."""
-    configs = {"default": ClassifierConfig(), "drift": DRIFT_CFG}
     lines = []
     for mi, expr in enumerate(maps):
         f = parse(expr)
         for si, seed in enumerate(EDGE_SEEDS):
-            for cname, cfg in configs.items():
+            for cname, cfg in CONFIGS.items():
                 peaks = iterate_orbit(f, complex(seed), cfg).peaks
                 lines.append(f"map{mi}-seed{si}-{cname}\t{peaks!r}\t{evaluate(f, complex(seed))!r}")
         for tname, tree in (("root", f), ("compose", compose(f, f)), ("conjugate", conjugate(f, 2, 1j))):
@@ -179,14 +195,35 @@ def _certificates(maps: list[str], entries: list) -> str:
         if entry.g is not None:
             trees[f"{entry.id}-fg"], trees[f"{entry.id}-gf"] = compose(entry.f, entry.g), compose(entry.g, entry.f)
     trees.update((f"extra{k}", parse(text)) for k, text in enumerate(SEARCH_EXTRA))
-    configs = {"default": ClassifierConfig(), "drift": DRIFT_CFG}
     lines = []
     for name, tree in trees.items():
         program = compile_expr(tree)
         lines += [f"{name}-map\t{tree}", f"{name}-regions\t{[str(r) for r in regions(program)]}"]
         lines += [f"{name}-traps-{cname}\t{[str(b) for b in trap_regions(program, cfg)]}"
-                  for cname, cfg in configs.items()]
+                  for cname, cfg in CONFIGS.items()]
         lines += [f"{name}-enclose{k}\t{enclose(program, box)!r}" for k, box in enumerate(ENCLOSE_BOXES)]
+    return "\n".join(lines) + "\n"
+
+
+def _composites(entries: list) -> str:
+    """For each catalog pair, both composites ``f(g)`` and ``g(f)``: one
+    line with the map's text; per config, one line per edge seed with its
+    verdict and termination, and one per grid of `COMPOSITE_GRIDS` with
+    its codes, a digit a seed, row by row."""
+    lines = []
+    for entry in entries:
+        if entry.g is None:
+            continue
+        for order, tree in (("fg", compose(entry.f, entry.g)), ("gf", compose(entry.g, entry.f))):
+            name = f"{entry.id}-{order}"
+            lines.append(f"{name}-map\t{tree}")
+            for cname, cfg in CONFIGS.items():
+                for si, seed in enumerate(EDGE_SEEDS):
+                    rec = iterate_orbit(tree, complex(seed), cfg)
+                    lines.append(f"{name}-seed{si}-{cname}\t{classify(rec, cfg)}\t{rec.termination!r}")
+                for gname, grid in COMPOSITE_GRIDS.items():
+                    codes = classify_batch(tree, grid.points(), cfg).ravel().tolist()
+                    lines.append(f"{name}-{gname}-{cname}\t{''.join(map(str, codes))}")
     return "\n".join(lines) + "\n"
 
 
@@ -270,8 +307,9 @@ def write_outputs(outdir: Path) -> int:
     (outdir / "registry.json").write_text(export_registry_json())
     (outdir / "records.tsv").write_text(_records(maps))
     (outdir / "certificates.tsv").write_text(_certificates(maps, entries))
+    (outdir / "composites.tsv").write_text(_composites(entries))
     (outdir / "exits.tsv").write_text("\n".join(exits) + "\n")
-    print(f"wrote {len(exits) + 3} outputs to {outdir}")
+    print(f"wrote {len(exits) + 4} outputs to {outdir}")
     return 0
 
 

@@ -31,9 +31,8 @@ program, compiled once, no regions and no trap boxes. At 1, 288 and
 
 It first prints how many lane reductions one evaluation of the map runs:
 the finiteness checks its compiled program keeps, plus one count per
-``exp``/``sin``/``cos`` argument test and per divisor (a divisor is
-counted only when its quotient is not finite, so an evaluation with no
-event runs fewer).
+divisor (a divisor is counted only when its quotient is not finite, so
+an evaluation with no event runs fewer).
 
 Two batch rows measure the other end, where lanes end, each a run of
 ``classify_batch`` over a 256 x 256 grid:
@@ -78,7 +77,10 @@ that applies ``exp``, ``sin`` or ``cos`` to ``z`` is one walk over its
 program that tracks which values read ``z``, with no interval arithmetic;
 then the time of the trap-box search, `bungee.certify.trap_regions`,
 which runs at most once per call, when a lane reaches the step-15
-checkpoint; then the regions and the boxes found.
+checkpoint; then the regions and the boxes found. A search takes tens to
+hundreds of microseconds, so each sample of it loops the call for at
+least `SAMPLE_S`, 5 ms, and reads the mean time per call; the row is the
+fastest of `REPEATS` samples.
 
 Then the set-up row: in milliseconds, what the set-up probe of
 ``perfbench/run.py`` times, the import of ``bungee`` and ``bungee.cli``,
@@ -139,6 +141,9 @@ BATCH_ROWS = (
     ("Bounded cycles", "0.3*exp(z)", GridSpec(-4.0, 4.0, -4.0, 4.0, 256, 256)),
 )
 REPEATS = 9
+# The least time one sample of a search row loops its calls for: a single
+# call is short enough that a burst of load moves it whole.
+SAMPLE_S = 0.005
 # The render row: the short-orbit row's map and grid, as the CLI takes them.
 RENDER_ARGS = ("render", "--function", "1/pow(z,2)", "--grid=-2,2,-2,2", "--size", "256,256")
 RENDER_TITLE = ("render: cli.main of 1/pow(z,2) over 256x256 seeds of [-2, 2]x[-2, 2] with --boundary and --json, "
@@ -194,6 +199,17 @@ def best(run) -> tuple:
         out = run()
         runs.append((time.perf_counter() - start, out))
     return min(runs, key=lambda timed: timed[0])
+
+
+def per_call(run) -> float:
+    """Seconds per call of ``run()``, called in a loop for at least `SAMPLE_S`."""
+    calls, start = 0, time.perf_counter()
+    while True:
+        run()
+        calls += 1
+        elapsed = time.perf_counter() - start
+        if elapsed >= SAMPLE_S:
+            return elapsed / calls
 
 
 def window(grid: GridSpec) -> str:
@@ -297,13 +313,13 @@ def orbit_us(pkg) -> float:
 
 def search_us(pkg, texts, search: str = "regions") -> float:
     """The region search ``certify.<search>`` of each map of ``texts``,
-    once compiled: microseconds per call, the best of `REPEATS` calls for
-    each map, summed over the maps. The trap-box search gets the default
-    config."""
+    once compiled: microseconds per call, the best of `REPEATS` samples of
+    `per_call` for each map, summed over the maps. The trap-box search gets
+    the default config."""
     run = getattr(pkg.certify, search)
     args = (pkg.orbit.DEFAULT_CONFIG,) if search == "trap_regions" else ()
     programs = [pkg.expr.compile_expr(pkg.parse(text)) for text in texts]
-    return sum(best(lambda: run(program, *args))[0] for program in programs) * 1e6
+    return sum(min(per_call(lambda: run(program, *args)) for _ in range(REPEATS)) for program in programs) * 1e6
 
 
 def setup_ms(pkg) -> float:
@@ -372,9 +388,9 @@ def main(argv=None) -> int:
         return against(args.against.resolve(), args.rounds)
     program = bungee.expr.compile_expr(bungee.parse(FATOU))
     checks = sum(program.checked)
-    tests = sum(op in ("exp", "sin", "cos", "/") for op, _, _ in program.code)
-    print(f"map {FATOU}: {checks + tests} lane reductions per evaluation "
-          f"({checks} finiteness, {tests} argument or divisor)")
+    divisors = sum(op == "/" for op, _, _ in program.code)
+    print(f"map {FATOU}: {checks + divisors} lane reductions per evaluation "
+          f"({checks} finiteness, {divisors} divisor)")
     print(f"{bungee.orbit.DEFAULT_CONFIG.max_iter} steps; microseconds per step, best of {REPEATS}")
     print(f"{'lanes':>6} {'eval_array':>11} {'engine step':>12} {'bookkeeping':>12}")
     for nx, ny in LATTICES:
