@@ -18,56 +18,57 @@ from .expr import (
     format_expr,
     parse,
 )
-from .orbit import (
-    Classification,
-    CertifiedBounded,
-    CertifiedBungee,
-    CertifiedEscape,
-    ClassifierConfig,
-    Completed,
-    CycleFound,
-    OrbitRecord,
-    Overflowed,
-    PoleHit,
-    classify,
-    classify_batch,
-    classify_point,
-    iterate_orbit,
-)
-from .grid import (
-    GridSpec,
-    Raster,
-    classify_grid,
-    extract_boundary,
-    raster_to_json,
-    render_ppm,
-)
-from .relations import (
-    PermutabilityResult,
-    RelationId,
-    RelationReport,
-    SamplePlan,
-    check_permutable,
-    verify_relation,
-)
+from importlib import import_module as _import_module
 
 __version__ = "0.1.0"
 
-# The example catalog (`bungee.registry`) is imported on first use of one of
-# these names, so `import bungee` and the CLI's other commands skip it.
-_REGISTRY_NAMES = ("ExampleEntry", "export_registry_json", "get_example", "list_examples", "run_example")
+# Every public name but those of `expr` is imported from its module on the
+# first read of the name (PEP 562), so `import bungee` loads `expr` alone and
+# a CLI start adds only what its command runs. The modules themselves resolve
+# the same way: `bungee.orbit` after a plain `import bungee`.
+_LAZY = {
+    **dict.fromkeys((
+        "Classification",
+        "CertifiedBounded",
+        "CertifiedBungee",
+        "CertifiedEscape",
+        "ClassifierConfig",
+        "Completed",
+        "CycleFound",
+        "OrbitRecord",
+        "Overflowed",
+        "PoleHit",
+        "classify",
+        "classify_batch",
+        "classify_point",
+        "iterate_orbit",
+    ), "orbit"),
+    **dict.fromkeys(
+        ("GridSpec", "Raster", "classify_grid", "extract_boundary", "raster_to_json", "render_ppm"), "grid"
+    ),
+    **dict.fromkeys(
+        ("PermutabilityResult", "RelationId", "RelationReport", "SamplePlan", "check_permutable", "verify_relation"),
+        "relations",
+    ),
+    **dict.fromkeys(
+        ("ExampleEntry", "export_registry_json", "get_example", "list_examples", "run_example"), "registry"
+    ),
+}
+_SUBMODULES = ("certify", "grid", "orbit", "registry", "relations")
 
 
 def __getattr__(name: str):
-    if name in _REGISTRY_NAMES:
-        from . import registry
-
-        return getattr(registry, name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    if name in _SUBMODULES:
+        return _import_module(f"{__name__}.{name}")
+    if name not in _LAZY:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = globals()[name] = getattr(_import_module(f"{__name__}.{_LAZY[name]}"), name)
+    return value
 
 
 def __dir__() -> list[str]:
-    return sorted({*globals(), *_REGISTRY_NAMES})
+    return sorted({*globals(), *_LAZY, *_SUBMODULES})
+
 
 __all__ = [
     "ExprSyntaxError",
@@ -80,36 +81,6 @@ __all__ = [
     "evaluate",
     "format_expr",
     "parse",
-    "Classification",
-    "CertifiedBounded",
-    "CertifiedBungee",
-    "CertifiedEscape",
-    "ClassifierConfig",
-    "Completed",
-    "CycleFound",
-    "OrbitRecord",
-    "Overflowed",
-    "PoleHit",
-    "classify",
-    "classify_batch",
-    "classify_point",
-    "iterate_orbit",
-    "GridSpec",
-    "Raster",
-    "classify_grid",
-    "extract_boundary",
-    "raster_to_json",
-    "render_ppm",
-    "PermutabilityResult",
-    "RelationId",
-    "RelationReport",
-    "SamplePlan",
-    "check_permutable",
-    "verify_relation",
-    "ExampleEntry",
-    "export_registry_json",
-    "get_example",
-    "list_examples",
-    "run_example",
+    *_LAZY,
     "__version__",
 ]

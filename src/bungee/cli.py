@@ -42,28 +42,41 @@ import math
 import os
 import stat
 import sys
+from importlib import import_module
 from pathlib import Path
-from typing import Optional
+from typing import TYPE_CHECKING, Optional
 
 from .expr import ExprSyntaxError, parse
-from .grid import (
-    GridSpec,
-    classify_grid,
-    extract_boundary,
-    raster_to_json,
-    render_pbm,
-    render_ppm,
-)
-from .orbit import (
-    ClassifierConfig,
-    DEFAULT_CONFIG,
-    OrbitRecord,
-    classify,
-    iterate_orbit,
-)
-from .relations import PERMUTABILITY_TOL, RelationId, SamplePlan, verify_relation
+
+if TYPE_CHECKING:
+    from .grid import GridSpec
+    from .orbit import ClassifierConfig, OrbitRecord
+    from .relations import SamplePlan
 
 __all__ = ["main"]
+
+# The engine's names, each imported from its module on the first read of the
+# name (PEP 562): a CLI start loads `expr` alone, `classify` and `orbit` add
+# `orbit` (which imports `certify`), `render` adds `grid`, and `verify` adds
+# `relations`. Commands read them as ``_cli.NAME`` at call time, so a wrapper
+# set on ``bungee.cli.NAME``, such as perfbench's tracer, is the one called.
+_LAZY = {
+    **dict.fromkeys(("ClassifierConfig", "DEFAULT_CONFIG", "classify", "iterate_orbit"), "orbit"),
+    **dict.fromkeys(
+        ("GridSpec", "classify_grid", "extract_boundary", "raster_to_json", "render_pbm", "render_ppm"), "grid"
+    ),
+    **dict.fromkeys(("PERMUTABILITY_TOL", "RelationId", "SamplePlan", "verify_relation"), "relations"),
+}
+
+
+def __getattr__(name: str):
+    if name not in _LAZY:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = globals()[name] = getattr(import_module(f".{_LAZY[name]}", __package__), name)
+    return value
+
+
+_cli = sys.modules[__name__]
 
 
 class _UsageError(Exception):
@@ -92,7 +105,7 @@ def _numbers(text: str, flag: str, form: str, sep: str = ",", kind: type = float
 
 def _grid(flag: str, bounds: list[float], size: list[int]) -> GridSpec:
     try:
-        return GridSpec(*bounds, *size)
+        return _cli.GridSpec(*bounds, *size)
     except ValueError as exc:
         raise _UsageError(f"{flag}: {exc}") from None
 
@@ -104,21 +117,21 @@ def _parse_samples(text: str) -> SamplePlan:
             raise _UsageError("--samples must be grid:REMIN,REMAX,IMMIN,IMMAX:NXxNY")
         bounds = _numbers(pieces[0], "--samples grid bounds", "REMIN,REMAX,IMMIN,IMMAX")
         size = _numbers(pieces[1].lower(), "--samples grid size", "NXxNY", "x", int)
-        return SamplePlan(kind="grid", spec=_grid("--samples", bounds, size))
+        return _cli.SamplePlan(kind="grid", spec=_grid("--samples", bounds, size))
     if text.startswith("list:"):
         items = text[len("list:") :].split(";")
         points = [complex(*_numbers(item, "--samples sample point", "RE,IM")) for item in items if item]
         if not points:
             raise _UsageError("--samples list form needs at least one RE,IM point")
-        return SamplePlan.explicit(points)
+        return _cli.SamplePlan.explicit(points)
     raise _UsageError("--samples must start with grid: or list:")
 
 
 def _load_config(path: Optional[str]) -> ClassifierConfig:
     if path is None:
-        return DEFAULT_CONFIG
+        return _cli.DEFAULT_CONFIG
     try:
-        return ClassifierConfig.from_dict(json.loads(Path(path).read_text(encoding="utf-8")))
+        return _cli.ClassifierConfig.from_dict(json.loads(Path(path).read_text(encoding="utf-8")))
     except ValueError as exc:  # also malformed JSON, and bytes that are not UTF-8, which JSON requires
         raise _UsageError(f"config {path}: {exc}") from None
 
@@ -175,8 +188,8 @@ def _cmd_classify(ns) -> int:
     cfg = _load_config(ns.config)
     f = parse(ns.function)
     seed = complex(*_numbers(ns.point, "--point", "RE,IM"))
-    rec = iterate_orbit(f, seed, cfg)
-    verdict = classify(rec, cfg)
+    rec = _cli.iterate_orbit(f, seed, cfg)
+    verdict = _cli.classify(rec, cfg)
     doc = _orbit_summary(rec, verdict)
     if ns.format == "json":
         _emit(json.dumps(doc), ns.out)
@@ -190,7 +203,7 @@ def _cmd_orbit(ns) -> int:
     cfg = _load_config(ns.config)
     f = parse(ns.function)
     seed = complex(*_numbers(ns.point, "--point", "RE,IM"))
-    rec = iterate_orbit(f, seed, cfg)
+    rec = _cli.iterate_orbit(f, seed, cfg)
     lines = ["n,re,im,modulus"]
     for n, (v, m) in enumerate(zip(rec.values, rec.moduli)):
         lines.append(f"{n},{float(v.real)!r},{float(v.imag)!r},{float(m)!r}")
@@ -204,17 +217,22 @@ def _cmd_render(ns) -> int:
     f = parse(ns.function)
     bounds = _numbers(ns.grid, "--grid", "REMIN,REMAX,IMMIN,IMMAX")
     spec = _grid("--grid/--size", bounds, _numbers(ns.size, "--size", "NX,NY", kind=int))
-    raster = classify_grid(f, spec, cfg)
-    outputs: list[tuple[str, bytes]] = [(ns.ppm, render_ppm(raster))]
+    raster = _cli.classify_grid(f, spec, cfg)
+    outputs: list[tuple[str, bytes]] = [(ns.ppm, _cli.render_ppm(raster))]
     if ns.boundary:
-        outputs.append((ns.boundary, render_pbm(extract_boundary(raster))))
+        outputs.append((ns.boundary, _cli.render_pbm(_cli.extract_boundary(raster))))
     if ns.json_path:
-        outputs.append((ns.json_path, raster_to_json(raster).encode("ascii")))
+        outputs.append((ns.json_path, _cli.raster_to_json(raster).encode("ascii")))
     _write_files(outputs)
     return 0
 
 
 def _cmd_verify(ns) -> int:
+    try:  # the parser does not know the relations: it would import them at every start
+        relation = _cli.RelationId(ns.relation)
+    except ValueError:
+        names = ", ".join(repr(rel.value) for rel in _cli.RelationId)
+        raise _UsageError(f"argument --relation: invalid choice: {ns.relation!r} (choose from {names})") from None
     cfg = _load_config(ns.config)
     f = parse(ns.f)
     g = parse(ns.g) if ns.g else None
@@ -224,15 +242,15 @@ def _cmd_verify(ns) -> int:
         a, b = complex(*nums[:2]), complex(*nums[2:])
     plan = _parse_samples(ns.samples)
     try:
-        report = verify_relation(
-            RelationId(ns.relation),
+        report = _cli.verify_relation(
+            relation,
             f,
             plan,
             g=g,
             a=a,
             b=b,
             cfg=cfg,
-            tol=ns.tol,
+            tol=_cli.PERMUTABILITY_TOL if ns.tol is None else ns.tol,
             equality=ns.equality,
         )
     except ValueError as exc:  # a missing argument or a refused pair
@@ -328,13 +346,13 @@ def _build_parser() -> _ArgumentParser:
         "verify", help="verify one relation over samples", parents=[common]
     )
     v.add_argument(
-        "--relation", required=True, choices=[rel.value for rel in RelationId]
+        "--relation", required=True, metavar="NAME", help="the relation to check; an unknown name lists them all"
     )
     v.add_argument("--f", required=True, metavar="EXPR")
     v.add_argument("--g", metavar="EXPR")
     v.add_argument("--phi", metavar="A_RE,A_IM,B_RE,B_IM")
     v.add_argument("--samples", required=True, metavar="SPEC")
-    v.add_argument("--tol", type=float, default=PERMUTABILITY_TOL)
+    v.add_argument("--tol", type=float)
     v.add_argument("--equality", action="store_true")
 
     e = sub.add_parser("examples", help="list or run catalog entries", parents=[common])

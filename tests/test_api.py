@@ -3,6 +3,8 @@ and every entry point that takes numbers refuses what is not a finite one."""
 
 from __future__ import annotations
 
+import json
+import os
 import subprocess
 import sys
 from fractions import Fraction
@@ -67,22 +69,57 @@ def test_public_names_are_pinned_and_resolve():
     assert missing == []
 
 
+def run_fresh(code: str, *args: str) -> str:
+    """Run ``code`` in a fresh interpreter that imports this checkout's
+    package; it must exit 0. Its stdout."""
+    code = f"import sys\nsys.path.insert(0, {str(Path(bungee.__file__).parent.parent)!r})\n{code}"
+    proc = subprocess.run([sys.executable, "-c", code, *args], capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout
+
+
+ENGINE = ("bungee.orbit", "bungee.certify", "bungee.grid", "bungee.relations", "bungee.registry")
+
+
 def test_import_and_cli_start_leave_the_catalog_unloaded():
-    """`import bungee` and a CLI start import `bungee.registry` only when
-    one of its names is first read; every public name still resolves."""
-    code = f"""
-import sys
-sys.path.insert(0, {str(Path(bungee.__file__).parent.parent)!r})
+    """`import bungee` and a CLI start load `bungee.expr` alone: the engine
+    modules, the catalog and `dataclasses` are imported only when one of
+    their names is first read. Every public name, every submodule of the
+    package and every engine name of the CLI still resolves."""
+    run_fresh(f"""
 import bungee, bungee.cli
+bungee.parse("z+1+exp(-z)")
 assert bungee.cli.main([]) == 1  # no subcommand: a usage error, after building the parser
-assert "bungee.registry" not in sys.modules
+loaded = [name for name in {ENGINE + ("dataclasses",)!r} if name in sys.modules]
+assert loaded == [], loaded
 assert set(bungee.__all__) <= set(dir(bungee))
 missing = [name for name in bungee.__all__ if not hasattr(bungee, name)]
 assert missing == [], missing
-assert "bungee.registry" in sys.modules
-"""
-    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=120)
-    assert proc.returncode == 0, proc.stderr
+for name in ("certify", "expr", "grid", "orbit", "registry", "relations"):
+    assert getattr(bungee, name) is sys.modules[f"bungee.{{name}}"], name
+for name, module in bungee.cli._LAZY.items():
+    assert getattr(bungee.cli, name) is getattr(sys.modules[f"bungee.{{module}}"], name), name
+""")
+
+
+@pytest.mark.parametrize("argv, loaded", [
+    (["classify", "--function=z*z", "--point=0.5,0"], ("bungee.orbit", "bungee.certify")),
+    (["orbit", "--function=z*z", "--point=0.5,0", f"--csv={os.devnull}"], ("bungee.orbit", "bungee.certify")),
+    (["render", "--function=z*z", "--grid=-2,2,-2,2", "--size=4,3", f"--ppm={os.devnull}"],
+     ("bungee.orbit", "bungee.certify", "bungee.grid")),
+    (["verify", "--relation=StripContainment", "--f=z", "--samples=list:0,0"],
+     ("bungee.orbit", "bungee.certify", "bungee.grid", "bungee.relations")),
+    (["examples", "list"], ENGINE),
+], ids=["classify", "orbit", "render", "verify", "examples-list"])
+def test_each_command_loads_only_the_modules_it_runs(argv, loaded):
+    out = run_fresh("""
+import contextlib, io, json
+import bungee.cli
+with contextlib.redirect_stdout(io.StringIO()):
+    code = bungee.cli.main(json.loads(sys.argv[1]))
+print(code, *sorted(name for name in sys.modules if name.startswith("bungee.")))
+""", json.dumps(argv))
+    assert out.split() == ["0", *sorted({"bungee.cli", "bungee.expr", *loaded})]
 
 
 HUGE = 10**400  # a Python int beyond double range: float() of it raises OverflowError

@@ -16,7 +16,7 @@ from pathlib import Path
 import pytest
 
 import bungee.registry
-from bungee import ClassifierConfig, cli
+from bungee import ClassifierConfig, RelationId, cli
 from bungee.cli import main
 
 
@@ -426,11 +426,15 @@ def test_verify_list_samples():
 
 
 def test_verify_rejects_unknown_relation():
-    code, _, err = run(
+    """The parser takes any name; `verify` refuses one that is no relation
+    and names all ten, in argparse's words."""
+    code, out, err = run(
         ["verify", "--relation", "Nope", "--f", "z", "--samples", "list:0,0"]
     )
-    assert code == 1
-    assert "error:" in err
+    assert code == 1 and out == ""
+    names = ", ".join(repr(rel.value) for rel in RelationId)
+    assert err == f"error: argument --relation: invalid choice: 'Nope' (choose from {names})\n"
+    assert len(RelationId) == 10
 
 
 @pytest.mark.parametrize(
@@ -867,6 +871,40 @@ def test_malformed_sample_specs_are_usage_errors(spec):
     )
     assert code == 1
     assert "error:" in err
+
+
+def test_perfbench_tracer_sees_the_engine_calls_of_each_command(tmp_path):
+    """In a fresh interpreter, where the CLI has loaded no engine module:
+    perfbench's tracer wraps the engine names the CLI reads, and a traced
+    `render` and `classify` record a span for each of them, so the per-layer
+    metrics of those layers stay nonzero. After every command has run once,
+    each of the tracer's ``bungee.cli`` bindings is its module's function."""
+    root = Path(__file__).resolve().parents[1]
+    render = ["render", "--function=1/pow(z,2)", "--grid=-2,2,-2,2", "--size=8,8", f"--ppm={tmp_path / 'a.ppm'}",
+              f"--boundary={tmp_path / 'a.pbm'}", f"--json={tmp_path / 'a.json'}"]
+    others = [["orbit", "--function=z*z", "--point=0.5,0", f"--csv={tmp_path / 'a.csv'}"],
+              ["verify", "--relation=StripContainment", "--f=z", "--samples=list:0,0"]]
+    code = f"""
+import contextlib, importlib, io, json, sys
+sys.path[:0] = [{str(root / "src")!r}, {str(root / "perfbench")!r}]
+import bungee.cli
+from spans import BINDINGS, Tracer, trace_bungee
+tracer = Tracer()
+trace_bungee(tracer)
+with contextlib.redirect_stdout(io.StringIO()):
+    codes = [bungee.cli.main({render!r}), bungee.cli.main(["classify", "--function=z*z", "--point=0.5,0"])]
+    tracer.restore()
+    codes += [bungee.cli.main(argv) for argv in {others!r}]
+unbound = [attr for module, attr, name, _ in BINDINGS if module == "bungee.cli"
+           and getattr(bungee.cli, attr) is not getattr(importlib.import_module("bungee." + name.split(".")[0]), attr)]
+print(json.dumps([codes, unbound, sorted({{span.name for span in tracer.spans}})]))
+"""
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    codes, unbound, names = json.loads(proc.stdout)
+    assert codes == [0, 0, 0, 0] and unbound == []
+    assert {"grid.classify_grid", "grid.render_ppm", "grid.extract_boundary", "grid.render_pbm",
+            "grid.raster_to_json", "orbit.iterate_orbit", "orbit.classify"} <= set(names)
 
 
 def test_help_exits_zero():

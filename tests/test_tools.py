@@ -133,6 +133,7 @@ def test_stepcost_loads_two_checkouts_side_by_side(tmp_path):
         assert this.orbit is not copy.orbit
         assert Path(this.orbit.__file__).is_relative_to(ROOT / "src")
         assert Path(copy.orbit.__file__).is_relative_to(tmp_path / "src")
+        assert copy.certify.__name__ == "stepcost_test_copy.certify"  # a module no public name comes from
         copy.list_examples()  # the catalog is imported lazily, as a module of the package that asks
         assert copy.registry.__name__ == "stepcost_test_copy.registry"
         calls, inner = [], this.orbit.eval_array
