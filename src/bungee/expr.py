@@ -31,8 +31,15 @@ Expression nodes and `FunctionExpr` are immutable slotted values, safe
 to share across threads. Built by hand, they refuse what `parse` does: a
 `Const` must be finite and a `Pow` exponent an int >= 1. They have one
 identity rule: ``==`` and ``hash`` read the value's type and its compiled
-program, which `compile_expr` builds without recursion; a node's
-``repr`` is built from that program.
+program, which `compile_expr` builds without recursion.
+
+That post-order program is a tree's one form past `compile_expr`, which
+alone walks a tree. Everything else folds the program with a stack:
+evaluation (`_run`), `format_expr` and the certificates fold its values
+(`_walk`), and a node's ``repr``, its copies and pickles and the
+compiler's check analysis fold its structure (`_fold`). So a copy is
+rebuilt from the program and shares no subtree, even where the original
+did, as ``compose(f, f)`` does.
 """
 
 from __future__ import annotations
@@ -172,76 +179,54 @@ class _Value(_Record):
     """An expression value: a `_Record` with its own identity rule.
 
     ``==`` and ``hash`` read the value's type and its compiled program (see
-    `compile_expr`), and a node's ``repr`` is built from that program, so
-    none of them recurses once per tree level. Copies and pickles rebuild
-    the value from the flat post-order list of `_flatten`, with a stack,
-    so they do not recurse either.
+    `compile_expr`). A node's ``repr`` is `_fold` of that program over
+    strings. Copies and pickles of a node with children rebuild it from the
+    program's ``(op, leaf node or None, arg)`` triples with `_fold`, so a
+    subtree shared in the original is two equal subtrees in the copy; a
+    leaf and a `FunctionExpr` copy their fields. None of them recurses once
+    per tree level.
     """
 
     __slots__ = ()
 
     def __reduce__(self):
-        return _rebuild, (_flatten(self),)
+        if isinstance(self, (Var, Const, Named, FunctionExpr)):  # a leaf, or one root below
+            return super().__reduce__()
+        code = compile_expr(self).code
+        return _rebuild, (tuple((op, node if op == "load" else None, arg) for op, node, arg in code),)
 
     def _key(self) -> tuple:
         return type(self), tuple((op, type(node), arg) for op, node, arg in compile_expr(self).code)
 
     def __repr__(self) -> str:
-        stack: list = []  # the reprs of the nodes whose parents are still to come
-        for op, node, _ in compile_expr(self).code:
-            if op == "bind":
-                continue
-            values = [getattr(node, name) for name in node.__slots__]
-            operands = [stack.pop() for value in values if isinstance(value, _Value)]
-            if op != "unbind":  # operands were pushed in field order, but an Apply's inner map first
-                operands.reverse()
-            operands = iter(operands)
-            fields = (f"{name}={next(operands) if isinstance(value, _Value) else repr(value)}"
-                      for name, value in zip(node.__slots__, values))
-            stack.append(f"{type(node).__qualname__}({', '.join(fields)})")
-        return stack.pop()
+        return _fold(compile_expr(self).code, lambda k, op, node, arg, *texts:
+                     _Record.__repr__(_node(k, op, node, arg, *map(_Text, texts))))
 
 
-# The fields of expression values that hold child values.
-_CHILD_FIELDS = frozenset(("arg", "left", "right", "base", "outer", "inner", "root"))
+class _Text(str):
+    """A child's ``repr`` text, shown as it is in its parent's ``repr``."""
+
+    __repr__ = str.__str__
 
 
-def _flatten(value: _Value) -> tuple:
-    """``value``'s tree in post-order, without recursion: per value, its
-    type and its other fields; a value met before is its position instead."""
-    entries: list = []
-    seen: dict = {}  # id of a value -> its position in entries
-    todo: list = [(value, False)]
-    while todo:
-        item, done = todo.pop()
-        if id(item) in seen:
-            entries.append(seen[id(item)])
-        elif done:
-            seen[id(item)] = len(entries)
-            entries.append((type(item), tuple(getattr(item, f) for f in item.__slots__ if f not in _CHILD_FIELDS)))
-        else:
-            todo.append((item, True))
-            todo += [(getattr(item, f), False) for f in reversed(item.__slots__) if f in _CHILD_FIELDS]
-    return tuple(entries)
+def _node(k: int, op: str, node, arg, *children) -> _Value:
+    """The node of instruction ``k``, ``(op, node, arg)``, over ``children``
+    in field order: a ``load``'s own ``node``, or one built from ``op`` and
+    ``arg`` alone, as `_fold`'s ``build``."""
+    if op == "load":
+        return node
+    if op == "unbind":
+        return Apply(*children)
+    if op == "neg":
+        return Neg(*children)
+    if op == "pow":
+        return Pow(*children, arg)
+    return Call(op, *children) if op in _UFUNCS else BinOp(op, *children)
 
 
-def _rebuild(entries: tuple) -> _Value:
-    """The value `_flatten` took apart, rebuilt with a stack."""
-    built: list = []  # the value of each entry
-    stack: list = []
-    for entry in entries:
-        if isinstance(entry, int):
-            value = built[entry]
-        else:
-            kind, plain = entry
-            plain = iter(plain)
-            arity = sum(f in _CHILD_FIELDS for f in kind.__slots__)
-            children = iter(stack[len(stack) - arity :])
-            del stack[len(stack) - arity :]
-            value = kind(*(next(children) if f in _CHILD_FIELDS else next(plain) for f in kind.__slots__))
-        built.append(value)
-        stack.append(value)
-    return stack.pop()
+def _rebuild(code: tuple) -> _Value:
+    """The node whose program is ``code``, rebuilt with `_fold`."""
+    return _fold(code, _node)
 
 
 class Var(_Value):
@@ -340,7 +325,7 @@ _UFUNCS = {"exp": np.exp, "sin": np.sin, "cos": np.cos}
 _FUNC_NAMES = tuple(_UFUNCS)
 _UNCHECKED = ("load", "bind", "unbind", "neg")  # instructions that never check finiteness
 _CARRIERS = ("+", "-", "*")  # an inf or NaN operand lane is inf or NaN in the result
-_ARITY = {"load": 0, "unbind": 0, "+": 2, "-": 2, "*": 2, "/": 2}  # operands popped; others pop 1
+_ARITY = {"load": 0, "unbind": 2, "+": 2, "-": 2, "*": 2, "/": 2}  # operands of a node; others have 1
 
 
 class ExprSyntaxError(ValueError):
@@ -579,8 +564,8 @@ def _walk(program: Program, var, apply):
     for a constant's ``load``, two for ``+ - * /``, one for the rest.
 
     `_run` keeps a loop of its own, since a call per instruction would
-    slow a one-lane `eval_array` by 5-12%; `compile_expr` and a node's
-    ``repr`` read the tree's structure, not the values ``Var`` reads.
+    slow a one-lane `eval_array` by 5-12%. `_fold` reads the tree's
+    structure instead, where ``Var`` is a leaf like any other.
     """
     stack: list = []
     env = [var]
@@ -599,12 +584,39 @@ def _walk(program: Program, var, apply):
     return stack.pop()
 
 
+def _fold(code: tuple, build):
+    """The tree that ``code`` was compiled from, folded without recursion.
+
+    Each node's result is ``build(k, op, node, arg, *operands)`` at its
+    instruction ``k``, from its children's results in field order: none
+    for a ``load``, two for ``+ - * /``, one for the rest. ``bind`` is
+    skipped, so an ``Apply``'s inner result waits on the stack until
+    ``unbind`` folds it as ``Apply(outer, inner)``. Unlike `_walk`, ``Var``
+    is a leaf: the fold reads no value that ``bind`` gives it.
+    """
+    stack: list = []
+    for k, (op, node, arg) in enumerate(code):
+        if op != "bind":
+            start = len(stack) - _ARITY.get(op, 1)
+            operands = stack[start:]
+            del stack[start:]
+            if op == "unbind":  # an Apply's inner map was compiled first
+                operands.reverse()
+            stack.append(build(k, op, node, arg, *operands))
+    return stack.pop()
+
+
 def compile_expr(f: FunctionExpr | Expr) -> Program:
     """Compile ``f`` once into a `Program`, without recursion.
 
     Operands precede the node that uses them, in reading order, so events
     fire in depth-first order. ``Apply`` becomes its inner map, ``bind``
-    (``Var`` now reads that value), its outer map and ``unbind``.
+    (``Var`` now reads that value), its outer map and ``unbind``. This is
+    the only walk of a tree and the only reader of a node's child fields.
+    Every other consumer folds the program: `_run` evaluates it, `_walk`
+    folds its values for `format_expr` and the certificates, and `_fold`
+    its structure for a node's ``repr``, copies and pickles and the checks
+    below.
 
     An instruction whose only consumer is ``+``, ``-`` or ``*`` is not
     checked: those operations carry an inf or NaN lane on to their own
@@ -635,15 +647,14 @@ def compile_expr(f: FunctionExpr | Expr) -> Program:
         else:
             raise TypeError(f"not an expression node: {item!r}")
     checked = [op not in _UNCHECKED for op, _, _ in code]
+
+    def carry(k, op, node, arg, *operands) -> int:  # the instruction whose value is the node's
+        if op in _CARRIERS:
+            checked[operands[0]] = checked[operands[1]] = False
+        return operands[0] if op == "unbind" else k
+
     if "/" not in {op for op, _, _ in code}:
-        operands: list = []  # indices of the instructions whose values are on the stack
-        for k, (op, _, _) in enumerate(code):
-            used = [operands.pop() for _ in range(_ARITY.get(op, 1))]
-            if op in _CARRIERS:
-                for j in used:
-                    checked[j] = False
-            if op not in ("bind", "unbind"):
-                operands.append(k)
+        _fold(code, carry)
     return Program(tuple(code), tuple(checked))
 
 

@@ -723,15 +723,31 @@ def test_nodes_are_immutable_values(node):
             delattr(node, name)
 
 
+def _nested_compositions(depth: int) -> tuple:
+    """``depth`` nested ``compose`` of ``z+1``, nested as the outer map and
+    as the inner one."""
+    f = parse("z+1")
+    outer = inner = f
+    for _ in range(depth - 1):
+        outer, inner = compose(outer, f), compose(f, inner)
+    return outer, inner
+
+
 def test_deep_trees_copy_and_pickle_without_recursion():
-    """Copies and pickles go through a flat post-order list of the tree,
-    rebuilt with a stack; a subtree shared by ``compose`` stays shared."""
+    """Copies and pickles rebuild a node from its compiled program with a
+    stack, so no tree depth recurses; the rebuilt tree shares no subtree,
+    but a subtree that ``compose`` shares rebuilds equal in both places."""
     f = parse("+".join(["z"] * 5000))
     for twin in (pickle.loads(pickle.dumps(f)), pickle.loads(pickle.dumps(f.root)), copy.deepcopy(f)):
         assert twin == f or twin == f.root
     twin = pickle.loads(pickle.dumps(compose(f, f)))
-    assert twin.root.outer is twin.root.inner and twin.root.outer == f.root
+    assert twin.root.outer == f.root and twin.root.inner == f.root
     assert eval_array(twin, np.array([0.5]))[0][0] == 5000 * 2500
+    for tree in _nested_compositions(1000):
+        for value in (tree, tree.root):
+            for twin in (copy.copy(value), copy.deepcopy(value), pickle.loads(pickle.dumps(value))):
+                assert type(twin) is type(value) and twin == value
+                assert repr(twin) == repr(value)
 
 
 def test_node_identity_rule():
@@ -813,8 +829,5 @@ def test_compile_refuses_what_is_not_a_node(item):
 def test_deep_compositions_format_without_recursion():
     """1,000 nested ``compose`` of ``z+1``, nested either way, renders as the
     sum it denotes: ``Var`` reads the innermost bound fragment."""
-    f = parse("z+1")
-    outer = inner = f
-    for _ in range(999):
-        outer, inner = compose(outer, f), compose(f, inner)
+    outer, inner = _nested_compositions(1000)
     assert format_expr(outer) == format_expr(inner) == "z" + "+1" * 1000

@@ -9,7 +9,8 @@ binding) and the region searches ``regions``, ``form_regions`` and
 ``trap_regions`` only when called, so each row is called once on this
 checkout's package, on a small input; the set-up row, which runs in a
 fresh process, on its own maps, and the render row on its own grid. Of
-``tools/parity.py`` the composites writer is called, on one catalog pair.
+``tools/parity.py`` the composites writer is called, on one catalog pair,
+and the records writer, on one map.
 """
 
 from __future__ import annotations
@@ -63,6 +64,19 @@ def test_parity_composites_cover_both_orders_and_configs():
         codes = lines[f"ex_halfplane_pair-fg-wide40-{cname}"]
         for seed in (2.9166666666666714 - 22.083333333333332j, 2.9166666666666714 + 22.083333333333336j):
             assert codes[int(np.flatnonzero(wide == seed)[0])] == "1"
+
+
+def test_parity_records_show_copies_and_checks():
+    """Per tree built from a map, the records writer gives the root's repr
+    as built, after a pickle round trip and after a deep copy, which must
+    agree, and the compiled program's checked flags."""
+    parity = runpy.run_path(str(TOOLS / "parity.py"), run_name="not_main")
+    lines = dict(line.split("\t", 1) for line in parity["_records"](["z+sin(z)"]).splitlines())
+    for tname in ("root", "compose", "conjugate"):
+        built, pickled, copied, checked = lines[f"map0-{tname}"].split("\t")
+        assert built == pickled == copied and built.startswith(("BinOp(", "Apply("))
+        assert checked.startswith("(") and "True" in checked
+    assert lines["map0-root"].endswith("\t(False, False, False, True)")  # sin feeds a +, so only the + checks
 
 
 def test_stepcost_search_samples_loop_for_at_least_five_ms():

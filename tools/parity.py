@@ -33,9 +33,11 @@ commit and the working tree) and comparing the directories with
 - ``export_registry_json()``;
 - ``records.tsv``: for every map of the catalog at every edge seed, under
   both configs, the ``repr`` of the orbit record's peaks and of
-  ``evaluate`` at the seed; and for every map of the catalog, the node
-  ``repr`` of its root, of ``compose(f, f)``'s and of
-  ``conjugate(f, 2, 1j)``'s, whose ``Apply`` nodes no parsed map has;
+  ``evaluate`` at the seed; and for every map of the catalog and the
+  trees ``compose(f, f)`` and ``conjugate(f, 2, 1j)``, whose ``Apply``
+  nodes no parsed map has: the node ``repr`` of the root, as built and
+  after a pickle round trip and a ``copy.deepcopy``, and the compiled
+  program's ``checked`` flags;
 - ``certificates.tsv``: for every map of the catalog, both composites
   ``f(g)`` and ``g(f)`` of each catalog pair and the maps of
   ``tools/stepcost.py``'s ``SEARCH_EXTRA``, the ``str`` of every region
@@ -60,9 +62,11 @@ command that fails still leaves a comparable record. The sweep writes
 from __future__ import annotations
 
 import contextlib
+import copy
 import io
 import json
 import math
+import pickle
 import runpy
 import sys
 from pathlib import Path
@@ -173,7 +177,9 @@ def _configs(outdir: Path) -> dict[str, list[str]]:
 
 def _records(maps: list[str]) -> str:
     """One line per map, edge seed and config: the peaks and the value at
-    the seed; and one per map and tree built from it: the root's repr."""
+    the seed; and one per map and tree built from it: the root's repr, its
+    repr after a pickle round trip and after a deep copy, and the tree's
+    checked flags."""
     lines = []
     for mi, expr in enumerate(maps):
         f = parse(expr)
@@ -182,7 +188,8 @@ def _records(maps: list[str]) -> str:
                 peaks = iterate_orbit(f, complex(seed), cfg).peaks
                 lines.append(f"map{mi}-seed{si}-{cname}\t{peaks!r}\t{evaluate(f, complex(seed))!r}")
         for tname, tree in (("root", f), ("compose", compose(f, f)), ("conjugate", conjugate(f, 2, 1j))):
-            lines.append(f"map{mi}-{tname}\t{tree.root!r}")
+            twins = (pickle.loads(pickle.dumps(tree.root)), copy.deepcopy(tree.root))
+            lines.append(f"map{mi}-{tname}\t{tree.root!r}\t{twins[0]!r}\t{twins[1]!r}\t{compile_expr(tree).checked}")
     return "\n".join(lines) + "\n"
 
 
